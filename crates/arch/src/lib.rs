@@ -43,7 +43,6 @@ pub mod physical;
 pub mod program_timing;
 pub mod scaleout;
 pub mod system;
-pub mod throughput;
 pub mod unit;
 
 pub use baseline::{BaselineKind, NmpBaseline};

@@ -1,11 +1,12 @@
 //! Online serving study (extension): offered load × degrade policy over
 //! the four paper workloads, on the whole-system serving simulator.
 //!
-//! The rank-level `serving` study compares engines on a fixed slice;
-//! this one asks the deployment question the paper leaves open: when a
-//! query stream overruns an ENMC appliance, is it better to shed
-//! requests at full quality or to degrade the screening budget and keep
-//! serving? Each row runs `enmc_serve::simulate` at a utilization
+//! The paper evaluates one batch at a time (Fig. 13); this study asks
+//! the deployment question it leaves open: when a query stream overruns
+//! an ENMC appliance, is it better to shed requests at full quality or
+//! to degrade the screening budget and keep serving? Each row runs the
+//! serving loop (`enmc_fleet::simulate_fleet` on one node, one shard and
+//! one tenant, exactly as `enmc serve-sim` does) at a utilization
 //! relative to the workload's own measured capacity, under either a
 //! single full-quality tier ("fixed") or a three-step degrade ladder
 //! ("adaptive").
@@ -19,10 +20,12 @@ use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::{par_rows, sim_config};
+use enmc_fleet::{simulate_fleet, FleetConfig, TenantConfig};
 use enmc_model::workloads::WorkloadId;
 use enmc_obs::MetricsRegistry;
 use enmc_serve::tier::default_tiers;
-use enmc_serve::{simulate, ArrivalProcess, ServeConfig};
+use enmc_serve::ArrivalProcess;
+use enmc_surrogate::{CostBackend, CostModel};
 
 const WORKLOADS: [WorkloadId; 4] = [
     WorkloadId::LstmW33K,
@@ -79,32 +82,45 @@ fn main() {
     let rows = par_rows(&sim, grid, |&(id, cap, util, policy)| {
         let job = serving_job(id);
         let ladder = default_tiers(&job);
-        let cfg = ServeConfig {
+        let seed = 0x5e12;
+        let tenant = TenantConfig {
+            name: "t0".to_string(),
             arrival: ArrivalProcess::Poisson { rate: cap * util },
             requests: 96,
             slo_cycles: 60_000,
-            batch_max: BATCH_MAX,
-            linger_cycles: 1_500,
-            lanes: LANES,
             tiers: if policy == "fixed" { ladder[..1].to_vec() } else { ladder },
             degrade_queue_depth: 6,
             upgrade_queue_depth: 2,
             shed_queue_depth: 24,
-            seed: 0x5e12,
-            offload: None,
+            seed,
+        };
+        let cfg = FleetConfig {
+            nodes: 1,
+            shards: 1,
+            replicas: 0,
+            zipf_s: 0.0,
+            batch_max: BATCH_MAX,
+            linger_cycles: 1_500,
+            lanes: LANES,
+            tenants: vec![tenant],
+            seed,
+            ..Default::default()
         };
         let mut registry = MetricsRegistry::new();
-        let out = simulate(&sys, &job, &cfg, &sim_config(), &mut registry, None);
+        let mut cost = CostModel::new(CostBackend::CycleAccurate, seed);
+        let out = simulate_fleet(&sys, &job, &cfg, &sim_config(), &mut registry, &mut cost)
+            .expect("cycle-accurate backend cannot violate an audit");
+        let served = &out.tenants[0];
         let us = |cycles: f64| cycles * out.ns_per_cycle / 1e3;
         vec![
             id.workload().abbr.to_string(),
             fmt(util, 1),
             policy.to_string(),
-            out.completed.to_string(),
-            out.shed.to_string(),
-            fmt(us(out.latency.p99()), 1),
-            fmt(100.0 * out.slo_attainment(), 1),
-            out.degrade_transitions.to_string(),
+            served.completed.to_string(),
+            served.shed.to_string(),
+            fmt(us(served.latency.p99()), 1),
+            fmt(100.0 * served.slo_attainment(), 1),
+            served.degrade_transitions.to_string(),
         ]
     });
     for row in rows {

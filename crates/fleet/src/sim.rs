@@ -4,15 +4,14 @@
 //!
 //! # Time model
 //!
-//! Everything runs in DRAM-clock cycles, exactly as in
-//! [`enmc_serve::sim`]. A calibration pass fills one `[tier][batch-1]`
-//! service table per distinct degrade ladder through
-//! [`calibrate_service_table`] — the same bridge `serve-sim` uses — and
-//! the event loop then never touches the cycle simulator again. A query
-//! routed to a remote node additionally pays the interconnect:
-//! broadcast of the hidden vector plus gather of the shard's candidate
-//! list, priced by [`Network::transfer_cycles`] (zero on a 1-node
-//! fleet, matching `scaleout::scale_out`).
+//! Everything runs in DRAM-clock cycles. A calibration pass fills one
+//! `[tier][batch-1]` service table per distinct degrade ladder through
+//! [`calibrate_service_table`] — the same bridge the offload planner
+//! uses — and the event loop then never touches the cycle simulator
+//! again. A query routed to a remote node additionally pays the
+//! interconnect: broadcast of the hidden vector plus gather of the
+//! shard's candidate list, priced by [`Network::transfer_cycles`] (zero
+//! on a 1-node fleet, matching `scaleout::scale_out`).
 //!
 //! # Determinism contract
 //!
@@ -24,14 +23,19 @@
 //! any output, so a fleet report is byte-identical for any
 //! `ENMC_THREADS` — worker counts only change how fast calibration runs.
 //!
-//! # Differential anchor
+//! # The single-node case
 //!
-//! With `nodes = shards = 1`, one tenant, and a zero replica budget, the
-//! loop degenerates statement-for-statement into the `serve-sim` loop:
-//! same shed check, same full-or-lingered dispatch condition, same
-//! one-tier-step-per-dispatch controller with hysteresis, same
-//! next-event arithmetic. `tests/fleet_differential.rs` pins this
-//! bit-for-bit.
+//! This is the workspace's only serving event loop. With `nodes = shards
+//! = 1`, one tenant, a zero replica budget and uniform popularity,
+//! routing and shard draws vanish and the interconnect costs nothing:
+//! the loop is one FIFO queue with a shed check, a full-or-lingered
+//! dispatch condition over `lanes` batch slots, and a
+//! one-tier-step-per-dispatch controller with hysteresis. `enmc
+//! serve-sim` runs exactly that configuration and renders its report,
+//! `serve.*` metrics and trace from the outcome afterwards
+//! ([`crate::serve`]), so the loop itself carries no per-event serving
+//! branches. `tests/serve_golden.rs` pins the single-node case and
+//! `tests/fleet_golden.rs` the multi-node one.
 
 use std::collections::VecDeque;
 
@@ -188,6 +192,8 @@ pub struct FleetBatchRecord {
     pub tier: usize,
     /// Lane index on the node.
     pub lane: usize,
+    /// Arrival cycle of the oldest request in the batch.
+    pub oldest_arrival: u64,
 }
 
 /// One tenant's aggregate outcome.
@@ -310,18 +316,23 @@ impl FleetOutcome {
         h
     }
 
-    /// Builds the schema-v8 [`RunReport`] for this run.
+    /// The headline fields every serving report carries, whichever
+    /// command renders it: makespan, SLO attainment, merged p99, shed and
+    /// degrade totals, the cost backend's audit figures, offload counts
+    /// and the metrics snapshot.
     ///
-    /// Fleet reports are **simulation-time only**, like serving reports:
-    /// phase wall time is zero and `threads` stays 0, preserving the
+    /// Serving reports are **simulation-time only**: phase wall time is
+    /// zero, `threads` stays 0 and `speedup` 1.0, preserving the
     /// byte-identical-across-`ENMC_THREADS` contract.
-    pub fn report(
+    pub(crate) fn headline_report(
         &self,
+        command: &str,
+        phase: &str,
         workload: &str,
         cfg: &FleetConfig,
         registry: &MetricsRegistry,
     ) -> RunReport {
-        let mut report = RunReport::new("fleet-sim", workload, "enmc");
+        let mut report = RunReport::new(command, workload, "enmc");
         report.batch = cfg.batch_max as u64;
         report.candidates = cfg
             .tenants
@@ -331,7 +342,7 @@ impl FleetOutcome {
             .unwrap_or(0);
         report.sim_cycles = self.makespan_cycles;
         report.headline_ns = self.makespan_cycles as f64 * self.ns_per_cycle;
-        report.push_phase("fleet", 0.0, self.makespan_cycles, report.headline_ns);
+        report.push_phase(phase, 0.0, self.makespan_cycles, report.headline_ns);
         report.protocol_violations = self.protocol_violations;
         report.slo_attainment = self.slo_attainment();
         report.p99_ns = self.merged_latency().p99() * self.ns_per_cycle;
@@ -344,6 +355,20 @@ impl FleetOutcome {
         report.audit_max_rel_err = self.audit_max_rel_err;
         report.offload_nmp = self.offload_nmp;
         report.offload_cpu = self.offload_cpu;
+        report.metrics = registry.snapshot();
+        report
+    }
+
+    /// Builds the schema-v10 `fleet-sim` [`RunReport`] for this run: the
+    /// shared headline fields plus the fleet's placement, network share
+    /// and per-tenant rows.
+    pub fn report(
+        &self,
+        workload: &str,
+        cfg: &FleetConfig,
+        registry: &MetricsRegistry,
+    ) -> RunReport {
+        let mut report = self.headline_report("fleet-sim", "fleet", workload, cfg, registry);
         report.nodes = self.nodes as u64;
         report.placement = self.placement.clone();
         report.hot_shard_replicas = self.hot_shard_replicas;
@@ -361,7 +386,6 @@ impl FleetOutcome {
                 degrade_transitions: t.degrade_transitions,
             })
             .collect();
-        report.metrics = registry.snapshot();
         report.notes.push(format!(
             "{} node(s), {} shard(s), {} placement, {} hot-shard replica(s), zipf {}",
             self.nodes, self.shards, self.placement, self.hot_shard_replicas, cfg.zipf_s
@@ -709,6 +733,7 @@ pub fn simulate_fleet(
                     size,
                     tier,
                     lane,
+                    oldest_arrival: reqs[front].arrival,
                 });
             }
         }
@@ -943,7 +968,7 @@ mod tests {
     }
 
     #[test]
-    fn report_is_consistent_schema_v8() {
+    fn report_is_consistent_and_round_trips() {
         let sys = SystemModel::table3();
         let job = small_job();
         let cfg = two_tenant_cfg(&job);

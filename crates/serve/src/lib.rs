@@ -1,32 +1,32 @@
-//! Online serving simulator for the ENMC accelerator.
+//! Shared building blocks of the ENMC serving studies.
 //!
-//! The rest of the workspace answers "how fast is one batch?"; this crate
-//! answers the question the ROADMAP north star actually poses — what
-//! happens when *traffic* hits the accelerator: requests arrive over
-//! time, queue, get batched, and miss or meet deadlines. It is a
-//! deterministic discrete-event simulator in DRAM-clock cycle time,
-//! layered on the cycle-level [`enmc_arch::system::SystemModel`]:
+//! The rest of the workspace answers "how fast is one batch?"; serving
+//! asks what happens when *traffic* hits the accelerator: requests
+//! arrive over time, queue, get batched, and miss or meet deadlines. The
+//! one discrete-event loop that answers it lives in `enmc-fleet`
+//! (`simulate_fleet`); `enmc serve-sim` runs it as a 1-node, 1-shard,
+//! 1-tenant fleet. This crate holds the pieces that loop, the offload
+//! planner in `enmc-tune` and the `perf_suite` benchmark share:
 //!
 //! 1. [`arrival`] — seeded arrival-process generators (Poisson, bursty
 //!    MMPP-2, diurnal ramp, replayed trace) producing timestamped
-//!    requests with per-request deadlines.
-//! 2. [`sim`] — a dynamic batcher (max-batch-size + max-linger) feeding
-//!    batches into service lanes whose service times come from a
-//!    calibration pass over the rank-sharded simulator, plus an
-//!    admission/backpressure controller that sheds load and steps the
-//!    screener down through configured [`tier::DegradeTier`]s.
-//! 3. [`hist`] — log-bucketed latency histograms for p50/p90/p99/p999
+//!    requests.
+//! 2. [`sim`] — the calibration pass that prices every `(degrade tier,
+//!    batch size)` point on the rank-sharded cycle simulator (or the
+//!    audited surrogate) and returns a [`ServiceTable`] in DRAM cycles.
+//! 3. [`tier`] — the [`tier::DegradeTier`] ladder the admission
+//!    controller steps through under load.
+//! 4. [`hist`] — log-bucketed latency histograms for p50/p90/p99/p999
 //!    tail reporting.
-//! 4. [`offload`] — the admission-time [`OffloadPlan`] hook an external
-//!    planner (enmc-tune) installs to route each `(tier, batch)` point
-//!    to NMP or the CPU roofline at its pre-planned cost.
+//! 5. [`offload`] — the [`OffloadPlan`] an external planner (enmc-tune)
+//!    computes to route each `(tier, batch)` point to NMP or the CPU
+//!    roofline at its pre-planned cost.
 //!
 //! # Determinism contract
 //!
 //! Everything is a function of the configuration and its seeds: arrivals
-//! come from a [`arrival::SplitMix64`] stream, service times from the
-//! thread-invariant sharded simulator, and the event loop itself is
-//! single-threaded cycle arithmetic. Host wall-clock time never enters
+//! come from a [`arrival::SplitMix64`] stream and service times from the
+//! thread-invariant sharded simulator. Host wall-clock time never enters
 //! any output, so a serving report is byte-identical for any
 //! `ENMC_THREADS` — worker counts only change how fast the calibration
 //! pass runs.
@@ -40,8 +40,5 @@ pub mod tier;
 pub use arrival::ArrivalProcess;
 pub use hist::LatencyHistogram;
 pub use offload::OffloadPlan;
-pub use sim::{
-    calibrate_service_table, simulate, simulate_with_cost, BatchRecord, RequestRecord,
-    ServeConfig, ServeOutcome, ServiceTable,
-};
+pub use sim::{calibrate_service_table, ServiceTable};
 pub use tier::{parse_tiers, DegradeTier};

@@ -1,249 +1,23 @@
-//! The discrete-event serving loop: queue → batcher → service lanes,
-//! with SLO-aware admission control and screener degradation.
+//! The serving calibration pass: the bridge between event-loop time and
+//! cycle-simulator time.
 //!
-//! # Time model
-//!
-//! Everything runs in DRAM-clock cycles. A **calibration pass** first
-//! runs the rank-sharded cycle simulator ([`SystemModel::run_sharded`])
-//! once per `(degrade tier, batch size)` point, recording the straggler
-//! rank's cycle count as that point's service time. The event loop then
-//! never touches the cycle simulator again: dispatching a batch of size
-//! `b` at tier `t` occupies a lane for `service[t][b-1]` cycles. The
-//! calibration is the only parallelizable phase, and it is
-//! thread-invariant by the PR-2 determinism contract — so the entire
-//! serving outcome is a pure function of the configuration.
-//!
-//! # Event loop
-//!
-//! Open-loop arrivals enter a FIFO queue (or are **shed** when the queue
-//! is at `shed_queue_depth`). A batch dispatches onto the earliest free
-//! lane as soon as one is free and either `batch_max` requests are
-//! waiting or the oldest has waited `linger_cycles`. At each dispatch the
-//! controller steps the degrade tier: down when the queue is deeper than
-//! `degrade_queue_depth` or the oldest waiter's deadline would be missed
-//! at the current tier, up (hysteresis) when the queue has drained to
-//! `upgrade_queue_depth`.
-
-use std::collections::VecDeque;
+//! Everything a serving loop does runs in DRAM-clock cycles. The
+//! calibration pass runs the rank-sharded cycle simulator
+//! ([`SystemModel::run_sharded`]) once per `(degrade tier, batch size)`
+//! point and records the straggler rank's cycle count as that point's
+//! service time. The event loop (`enmc_fleet::simulate_fleet`, which
+//! `serve-sim` runs as a 1-node, 1-tenant fleet) then never touches the
+//! cycle simulator again: dispatching a batch of size `b` at tier `t`
+//! occupies a lane for `cycles[t][b-1]` cycles. The calibration is the
+//! only parallelizable phase, and it is thread-invariant by the
+//! workspace's determinism contract — so a whole serving outcome is a
+//! pure function of its configuration.
 
 use enmc_arch::system::{ClassificationJob, SystemModel};
-use enmc_obs::report::RunReport;
-use enmc_obs::trace::{TraceBuffer, TraceEvent, TraceSink};
-use enmc_obs::MetricsRegistry;
 use enmc_par::SimConfig;
-use enmc_surrogate::{CostBackend, CostModel, SurrogateViolation};
+use enmc_surrogate::{CostModel, SurrogateViolation};
 
-use crate::arrival::ArrivalProcess;
-use crate::hist::{cycle_bounds, LatencyHistogram};
-use crate::offload::OffloadPlan;
 use crate::tier::DegradeTier;
-
-/// Trace category for serving-layer events.
-pub const CAT_SERVE: &str = "serve";
-/// Trace pid for the serving layer (one pid: the queue plus its lanes).
-pub const PID_SERVE: u32 = 7;
-/// Trace tid for queue-level events (arrive/shed/degrade markers).
-pub const TID_QUEUE: u32 = 0;
-/// Trace tid of batcher lane 0; lane `i` is `TID_LANE0 + i`.
-pub const TID_LANE0: u32 = 1;
-
-/// Configuration of one serving scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeConfig {
-    /// The arrival process.
-    pub arrival: ArrivalProcess,
-    /// Requests to generate (a replayed trace may yield fewer).
-    pub requests: usize,
-    /// Per-request deadline: arrival cycle + this.
-    pub slo_cycles: u64,
-    /// Maximum requests per dispatched batch.
-    pub batch_max: usize,
-    /// Longest a request may wait before the batcher must dispatch.
-    pub linger_cycles: u64,
-    /// Independent service lanes (parallel batch slots).
-    pub lanes: usize,
-    /// Degrade ladder, full quality first. Must be non-empty.
-    pub tiers: Vec<DegradeTier>,
-    /// Step one tier down when the queue is deeper than this at dispatch.
-    pub degrade_queue_depth: usize,
-    /// Step one tier up when the queue is at most this deep at dispatch.
-    pub upgrade_queue_depth: usize,
-    /// Shed arrivals once the queue holds this many requests.
-    pub shed_queue_depth: usize,
-    /// Seed for the arrival stream.
-    pub seed: u64,
-    /// Admission-time offload plan installed by an external planner
-    /// (`None` = serve every point on NMP at calibrated cost).
-    pub offload: Option<OffloadPlan>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            arrival: ArrivalProcess::Poisson { rate: 0.5 },
-            requests: 256,
-            slo_cycles: 100_000,
-            batch_max: 4,
-            linger_cycles: 2_000,
-            lanes: 2,
-            tiers: Vec::new(),
-            degrade_queue_depth: 12,
-            upgrade_queue_depth: 3,
-            shed_queue_depth: 48,
-            seed: 7,
-            offload: None,
-        }
-    }
-}
-
-/// One request's life, for invariant checking and latency accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestRecord {
-    /// Arrival cycle.
-    pub arrival: u64,
-    /// Deadline cycle (`arrival + slo_cycles`).
-    pub deadline: u64,
-    /// Completion cycle, `None` while queued or when shed.
-    pub completion: Option<u64>,
-    /// `true` when admission control rejected the request.
-    pub shed: bool,
-}
-
-/// One dispatched batch, for invariant checking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchRecord {
-    /// Dispatch cycle.
-    pub start: u64,
-    /// Completion cycle (`start` + tier/size service time).
-    pub end: u64,
-    /// Requests in the batch.
-    pub size: usize,
-    /// Degrade tier the batch ran at.
-    pub tier: usize,
-    /// Lane index the batch occupied.
-    pub lane: usize,
-    /// Arrival cycle of the oldest request in the batch.
-    pub oldest_arrival: u64,
-}
-
-/// Everything one serving run produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeOutcome {
-    /// Requests the arrival process generated.
-    pub generated: u64,
-    /// Requests admitted to the queue.
-    pub admitted: u64,
-    /// Requests that completed service.
-    pub completed: u64,
-    /// Requests shed at admission.
-    pub shed: u64,
-    /// Completed requests that met their deadline.
-    pub slo_met: u64,
-    /// Degrade-tier steps taken, both directions.
-    pub degrade_transitions: u64,
-    /// Cycle the last batch completed (0 when nothing ran).
-    pub makespan_cycles: u64,
-    /// Simulated nanoseconds per DRAM cycle (from calibration).
-    pub ns_per_cycle: f64,
-    /// Deepest the queue ever got.
-    pub max_queue_depth: usize,
-    /// DDR4 protocol violations observed during calibration runs.
-    pub protocol_violations: u64,
-    /// Request latencies, log-bucketed.
-    pub latency: LatencyHistogram,
-    /// Completed requests per tier (`tiers.len()` entries).
-    pub per_tier_completed: Vec<u64>,
-    /// Batches dispatched per tier.
-    pub per_tier_batches: Vec<u64>,
-    /// Calibrated service cycles, indexed `[tier][batch_size - 1]`.
-    pub service_cycles: Vec<Vec<u64>>,
-    /// Per-request life records, in arrival order.
-    pub requests: Vec<RequestRecord>,
-    /// Per-batch records, in dispatch order.
-    pub batches: Vec<BatchRecord>,
-    /// Cost backend that answered the calibration points
-    /// (`cycle-accurate` or `surrogate`).
-    pub cost_backend: String,
-    /// Cycle-accurate anchor simulations run by surrogate fits (0 on the
-    /// cycle-accurate backend).
-    pub fit_anchors: u64,
-    /// Calibration points the audit lottery re-ran cycle-accurately.
-    pub audit_points: u64,
-    /// Worst bound-normalized relative leaf error over audited points.
-    pub audit_max_rel_err: f64,
-    /// Dispatched batches the offload plan kept on NMP (0 without a
-    /// plan).
-    pub offload_nmp: u64,
-    /// Dispatched batches the offload plan sent to the CPU roofline (0
-    /// without a plan).
-    pub offload_cpu: u64,
-}
-
-impl ServeOutcome {
-    /// Fraction of completed requests that met their deadline (0 when
-    /// nothing completed).
-    pub fn slo_attainment(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.slo_met as f64 / self.completed as f64
-        }
-    }
-
-    /// Builds the schema-v4 [`RunReport`] for this run.
-    ///
-    /// Serving reports are **simulation-time only**: phase wall time is
-    /// zero, `threads` stays 0 and `speedup` 1.0, because host timing
-    /// would break the byte-identical-across-`ENMC_THREADS` contract the
-    /// golden fixture and CI rely on.
-    pub fn report(
-        &self,
-        workload: &str,
-        cfg: &ServeConfig,
-        registry: &MetricsRegistry,
-    ) -> RunReport {
-        let mut report = RunReport::new("serve-sim", workload, "enmc");
-        report.batch = cfg.batch_max as u64;
-        report.candidates = cfg.tiers.first().map(|t| t.candidates as u64).unwrap_or(0);
-        report.sim_cycles = self.makespan_cycles;
-        report.headline_ns = self.makespan_cycles as f64 * self.ns_per_cycle;
-        report.push_phase("serve", 0.0, self.makespan_cycles, report.headline_ns);
-        report.protocol_violations = self.protocol_violations;
-        report.slo_attainment = self.slo_attainment();
-        report.p99_ns = self.latency.p99() * self.ns_per_cycle;
-        report.shed = self.shed;
-        report.degrade_transitions = self.degrade_transitions;
-        report.cost_backend = self.cost_backend.clone();
-        report.fit_anchors = self.fit_anchors;
-        report.audit_points = self.audit_points;
-        report.audit_max_rel_err = self.audit_max_rel_err;
-        report.offload_nmp = self.offload_nmp;
-        report.offload_cpu = self.offload_cpu;
-        report.metrics = registry.snapshot();
-        report.notes.push(format!(
-            "open-loop {} arrivals, seed {}, {} request(s)",
-            cfg.arrival.kind(),
-            cfg.seed,
-            self.generated
-        ));
-        report.notes.push(format!(
-            "service table calibrated over {} tier(s) x batch 1..={}",
-            cfg.tiers.len(),
-            cfg.batch_max
-        ));
-        report.notes.push(
-            "host wall time excluded: serving reports are simulation-time only".to_string(),
-        );
-        report
-    }
-}
-
-/// Label for a tier index, for metric series (ladders deeper than 8 fold
-/// into one series).
-fn tier_label(t: usize) -> &'static str {
-    const NAMES: [&str; 8] = ["0", "1", "2", "3", "4", "5", "6", "7"];
-    NAMES.get(t).copied().unwrap_or("8+")
-}
 
 /// A calibrated `[tier][batch-1]` service-time table plus the clock
 /// scale and protocol-violation count the calibration pass observed.
@@ -263,13 +37,11 @@ pub struct ServiceTable {
 /// point through the cost model — the rank-sharded cycle simulator on
 /// the cycle-accurate backend, pure arithmetic (with seeded audits) on
 /// the surrogate backend. `context` prefixes the per-point audit context
-/// (`"serve-sim calibration"`, `"fleet-sim calibration (tenant t0)"`, …)
-/// so a surrogate violation names the point that produced it.
+/// (`"fleet-sim calibration (ladder 0)"`, `"offload-plan calibration"`,
+/// …) so a surrogate violation names the point that produced it.
 ///
-/// This is the single bridge between event-loop time and cycle-simulator
-/// time: both `serve-sim` and the fleet simulator fill their tables here,
-/// which is what makes a 1-node, 1-tenant fleet bit-identical to the
-/// single-node simulator.
+/// The serving loop and the offload planner both fill their tables here,
+/// so a planned ladder and a served ladder see the same service times.
 ///
 /// # Errors
 ///
@@ -308,420 +80,35 @@ pub fn calibrate_service_table(
     Ok(ServiceTable { cycles: table, ns_per_cycle, protocol_violations: violations })
 }
 
-/// [`calibrate_service_table`] over a [`ServeConfig`]'s ladder.
-fn calibrate(
-    sys: &SystemModel,
-    job: &ClassificationJob,
-    cfg: &ServeConfig,
-    sim: &SimConfig,
-    cost: &mut CostModel,
-) -> Result<(Vec<Vec<u64>>, f64, u64), SurrogateViolation> {
-    let t = calibrate_service_table(
-        sys,
-        job,
-        &cfg.tiers,
-        cfg.batch_max,
-        sim,
-        cost,
-        "serve-sim calibration",
-    )?;
-    Ok((t.cycles, t.ns_per_cycle, t.protocol_violations))
-}
-
-/// Runs one serving scenario.
-///
-/// `sim` controls only how the calibration pass executes (worker count,
-/// protocol checking); the outcome is bit-identical for any worker
-/// count. Serving metrics are recorded into `registry` under the
-/// `serve.*` prefix; pass `trace` to collect queue/lane spans.
-///
-/// # Panics
-///
-/// Panics when `cfg.tiers` is empty or `cfg.batch_max` is zero.
-pub fn simulate(
-    sys: &SystemModel,
-    job: &ClassificationJob,
-    cfg: &ServeConfig,
-    sim: &SimConfig,
-    registry: &mut MetricsRegistry,
-    trace: Option<&mut TraceBuffer>,
-) -> ServeOutcome {
-    let mut cost = CostModel::new(CostBackend::CycleAccurate, cfg.seed);
-    simulate_with_cost(sys, job, cfg, sim, registry, trace, &mut cost)
-        .expect("cycle-accurate backend cannot violate an audit")
-}
-
-/// [`simulate`] with an explicit cost backend: the calibration pass runs
-/// through `cost`, so a surrogate backend fills the service table in pure
-/// arithmetic (auditing a seeded fraction cycle-accurately) while the
-/// event loop is untouched. The outcome is bit-identical to [`simulate`]
-/// on the cycle-accurate backend, and identical across audit rates on
-/// the surrogate backend (audits never change predictions).
-///
-/// # Errors
-///
-/// Returns the [`SurrogateViolation`] when an audited calibration point
-/// misses the declared bound.
-///
-/// # Panics
-///
-/// Panics when `cfg.tiers` is empty or `cfg.batch_max` is zero.
-pub fn simulate_with_cost(
-    sys: &SystemModel,
-    job: &ClassificationJob,
-    cfg: &ServeConfig,
-    sim: &SimConfig,
-    registry: &mut MetricsRegistry,
-    mut trace: Option<&mut TraceBuffer>,
-    cost: &mut CostModel,
-) -> Result<ServeOutcome, SurrogateViolation> {
-    assert!(!cfg.tiers.is_empty(), "serve config needs at least one degrade tier");
-    assert!(cfg.batch_max > 0, "batch_max must be positive");
-    let (service, ns_per_cycle, protocol_violations) = calibrate(sys, job, cfg, sim, cost)?;
-    // An installed offload plan overrides the calibrated table with the
-    // planner's per-point choice of executor.
-    let service = match &cfg.offload {
-        Some(plan) => {
-            plan.check_shape(cfg.tiers.len(), cfg.batch_max);
-            plan.cycles.clone()
-        }
-        None => service,
-    };
-
-    let arrivals = cfg.arrival.generate(cfg.requests, cfg.seed);
-    let mut requests: Vec<RequestRecord> = arrivals
-        .iter()
-        .map(|&at| RequestRecord {
-            arrival: at,
-            deadline: at.saturating_add(cfg.slo_cycles),
-            completion: None,
-            shed: false,
-        })
-        .collect();
-
-    let lanes_n = cfg.lanes.max(1);
-    let mut lane_free = vec![0u64; lanes_n];
-    let mut pending: VecDeque<usize> = VecDeque::new();
-    let mut batches: Vec<BatchRecord> = Vec::new();
-    let mut latency = LatencyHistogram::new();
-    let mut per_tier_completed = vec![0u64; cfg.tiers.len()];
-    let mut per_tier_batches = vec![0u64; cfg.tiers.len()];
-    let (mut admitted, mut shed, mut completed, mut slo_met) = (0u64, 0u64, 0u64, 0u64);
-    let (mut offload_nmp, mut offload_cpu) = (0u64, 0u64);
-    let mut degrade_transitions = 0u64;
-    let mut max_queue_depth = 0usize;
-    let mut tier = 0usize;
-    let mut now = 0u64;
-    let mut next_arrival = 0usize;
-    let n = requests.len();
-
-    loop {
-        // Admit (or shed) every arrival due by `now`, in arrival order.
-        while next_arrival < n && requests[next_arrival].arrival <= now {
-            let id = next_arrival;
-            next_arrival += 1;
-            if pending.len() >= cfg.shed_queue_depth.max(1) {
-                requests[id].shed = true;
-                shed += 1;
-                if let Some(tb) = trace.as_deref_mut() {
-                    tb.record(
-                        TraceEvent::instant("shed", CAT_SERVE, requests[id].arrival, PID_SERVE, TID_QUEUE)
-                            .with_arg("request", id as u64),
-                    );
-                }
-            } else {
-                pending.push_back(id);
-                admitted += 1;
-                max_queue_depth = max_queue_depth.max(pending.len());
-            }
-        }
-
-        // Dispatch while a lane is free and a batch is ready.
-        loop {
-            let Some(&front) = pending.front() else { break };
-            let Some(lane) = lane_free.iter().position(|&f| f <= now) else { break };
-            let full = pending.len() >= cfg.batch_max;
-            let lingered = now >= requests[front].arrival.saturating_add(cfg.linger_cycles);
-            if !(full || lingered) {
-                break;
-            }
-
-            // Controller: one tier step per dispatch, with hysteresis.
-            let depth = pending.len();
-            let size = depth.min(cfg.batch_max);
-            let predicted_end = now.saturating_add(service[tier][size - 1]);
-            if (depth > cfg.degrade_queue_depth || predicted_end > requests[front].deadline)
-                && tier + 1 < cfg.tiers.len()
-            {
-                tier += 1;
-                degrade_transitions += 1;
-                if let Some(tb) = trace.as_deref_mut() {
-                    tb.record(
-                        TraceEvent::instant("degrade", CAT_SERVE, now, PID_SERVE, TID_QUEUE)
-                            .with_arg("tier", tier as u64),
-                    );
-                }
-            } else if depth <= cfg.upgrade_queue_depth && tier > 0 {
-                tier -= 1;
-                degrade_transitions += 1;
-                if let Some(tb) = trace.as_deref_mut() {
-                    tb.record(
-                        TraceEvent::instant("upgrade", CAT_SERVE, now, PID_SERVE, TID_QUEUE)
-                            .with_arg("tier", tier as u64),
-                    );
-                }
-            }
-
-            let svc = service[tier][size - 1];
-            let end = now.saturating_add(svc);
-            let oldest_arrival = requests[front].arrival;
-            for _ in 0..size {
-                let id = pending.pop_front().expect("size <= queue depth");
-                requests[id].completion = Some(end);
-                let lat = end - requests[id].arrival;
-                latency.observe(lat);
-                completed += 1;
-                per_tier_completed[tier] += 1;
-                if end <= requests[id].deadline {
-                    slo_met += 1;
-                }
-            }
-            lane_free[lane] = end;
-            per_tier_batches[tier] += 1;
-            if let Some(plan) = &cfg.offload {
-                if plan.nmp[tier][size - 1] {
-                    offload_nmp += 1;
-                } else {
-                    offload_cpu += 1;
-                }
-            }
-            batches.push(BatchRecord { start: now, end, size, tier, lane, oldest_arrival });
-            if let Some(tb) = trace.as_deref_mut() {
-                let tid = TID_LANE0 + lane as u32;
-                tb.record(
-                    TraceEvent::begin("batch", CAT_SERVE, now, PID_SERVE, tid)
-                        .with_arg("size", size as u64)
-                        .with_arg("tier", tier as u64),
-                );
-                tb.record(TraceEvent::end("batch", CAT_SERVE, end, PID_SERVE, tid));
-            }
-        }
-
-        // Advance to the next event: an arrival, or the moment the oldest
-        // waiter can actually dispatch (its linger expiry and a free lane).
-        let mut next = u64::MAX;
-        if next_arrival < n {
-            next = requests[next_arrival].arrival;
-        }
-        if let Some(&front) = pending.front() {
-            let earliest_lane = lane_free.iter().copied().min().expect("at least one lane");
-            let readiness = if pending.len() >= cfg.batch_max {
-                now
-            } else {
-                requests[front].arrival.saturating_add(cfg.linger_cycles)
-            };
-            next = next.min(readiness.max(earliest_lane).max(now + 1));
-        }
-        if next == u64::MAX {
-            break;
-        }
-        debug_assert!(next > now, "event time must advance");
-        now = next;
-    }
-
-    let makespan_cycles = batches.iter().map(|b| b.end).max().unwrap_or(0);
-
-    // Metrics: recorded once, after the loop, so the hot path stays pure.
-    registry.counter_add("serve.generated", &[], n as u64);
-    registry.counter_add("serve.admitted", &[], admitted);
-    registry.counter_add("serve.completed", &[], completed);
-    registry.counter_add("serve.shed", &[], shed);
-    registry.counter_add("serve.slo_met", &[], slo_met);
-    registry.counter_add("serve.batches", &[], batches.len() as u64);
-    registry.counter_add("serve.degrade_transitions", &[], degrade_transitions);
-    registry.gauge_set("serve.queue_depth_max", &[], max_queue_depth as f64);
-    registry.gauge_set("serve.tier_final", &[], tier as f64);
-    for (t, (&done, &b)) in per_tier_completed.iter().zip(&per_tier_batches).enumerate() {
-        registry.counter_add("serve.tier_completed", &[("tier", tier_label(t))], done);
-        registry.counter_add("serve.tier_batches", &[("tier", tier_label(t))], b);
-    }
-    let bounds = cycle_bounds();
-    for r in &requests {
-        if let Some(end) = r.completion {
-            registry.observe_with("serve.latency_cycles", &[], &bounds, (end - r.arrival) as f64);
-        }
-    }
-
-    let stats = cost.stats();
-    Ok(ServeOutcome {
-        generated: n as u64,
-        admitted,
-        completed,
-        shed,
-        slo_met,
-        degrade_transitions,
-        makespan_cycles,
-        ns_per_cycle,
-        max_queue_depth,
-        protocol_violations,
-        latency,
-        per_tier_completed,
-        per_tier_batches,
-        service_cycles: service,
-        requests,
-        batches,
-        cost_backend: cost.backend().name().to_string(),
-        fit_anchors: stats.fit_anchors,
-        audit_points: stats.audited,
-        audit_max_rel_err: stats.max_rel_err,
-        offload_nmp,
-        offload_cpu,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tier::default_tiers;
-
-    fn small_job() -> ClassificationJob {
-        ClassificationJob { categories: 2048, hidden: 64, reduced: 16, batch: 1, candidates: 128 }
-    }
-
-    fn small_cfg() -> ServeConfig {
-        ServeConfig {
-            arrival: ArrivalProcess::Poisson { rate: 0.05 },
-            requests: 48,
-            slo_cycles: 400_000,
-            batch_max: 3,
-            linger_cycles: 5_000,
-            lanes: 2,
-            tiers: default_tiers(&small_job()),
-            seed: 11,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn conservation_and_makespan() {
-        let sys = SystemModel::table3();
-        let mut reg = MetricsRegistry::new();
-        let out = simulate(
-            &sys,
-            &small_job(),
-            &small_cfg(),
-            &SimConfig::sequential(),
-            &mut reg,
-            None,
-        );
-        assert_eq!(out.generated, 48);
-        assert_eq!(out.admitted + out.shed, out.generated);
-        assert_eq!(out.completed, out.admitted, "open queue drains completely");
-        assert_eq!(out.latency.count(), out.completed);
-        assert_eq!(out.per_tier_completed.iter().sum::<u64>(), out.completed);
-        assert!(out.makespan_cycles > 0);
-        assert!(out.ns_per_cycle > 0.0);
-        assert_eq!(reg.counter_value("serve.completed", &[]), out.completed);
-    }
+    use enmc_surrogate::CostBackend;
 
     #[test]
     fn service_table_is_monotone_enough_and_tiers_cheaper() {
-        let sys = SystemModel::table3();
-        let mut reg = MetricsRegistry::new();
-        let out = simulate(
-            &sys,
-            &small_job(),
-            &small_cfg(),
+        let job =
+            ClassificationJob { categories: 2048, hidden: 64, reduced: 16, batch: 1, candidates: 128 };
+        let mut cost = CostModel::new(CostBackend::CycleAccurate, 11);
+        let table = calibrate_service_table(
+            &SystemModel::table3(),
+            &job,
+            &default_tiers(&job),
+            3,
             &SimConfig::sequential(),
-            &mut reg,
-            None,
-        );
+            &mut cost,
+            "test",
+        )
+        .unwrap();
         // Bigger batches never get cheaper in total time.
-        for row in &out.service_cycles {
+        for row in &table.cycles {
             assert!(row.windows(2).all(|w| w[1] >= w[0]), "batch scaling: {row:?}");
         }
         // A degraded tier is never slower than full quality at batch 1.
-        let full = out.service_cycles[0][0];
-        let degraded = *out.service_cycles.last().unwrap().first().unwrap();
+        let full = table.cycles[0][0];
+        let degraded = *table.cycles.last().unwrap().first().unwrap();
         assert!(degraded <= full, "degraded {degraded} vs full {full}");
-    }
-
-    #[test]
-    fn outcome_is_identical_across_worker_counts() {
-        let sys = SystemModel::table3();
-        let job = small_job();
-        let cfg = small_cfg();
-        let mut reg1 = MetricsRegistry::new();
-        let seq = simulate(&sys, &job, &cfg, &SimConfig::sequential(), &mut reg1, None);
-        let mut reg4 = MetricsRegistry::new();
-        let par = simulate(&sys, &job, &cfg, &SimConfig::with_threads(4), &mut reg4, None);
-        assert_eq!(seq, par);
-        assert_eq!(reg1.snapshot(), reg4.snapshot());
-        let r1 = seq.report("test", &cfg, &reg1);
-        let r4 = par.report("test", &cfg, &reg4);
-        assert_eq!(r1.to_json(), r4.to_json());
-    }
-
-    #[test]
-    fn overload_sheds_and_degrades() {
-        let sys = SystemModel::table3();
-        let job = small_job();
-        let cfg = ServeConfig {
-            arrival: ArrivalProcess::Burst {
-                calm_rate: 0.05,
-                burst_rate: 50.0,
-                calm_cycles: 20_000.0,
-                burst_cycles: 10_000.0,
-            },
-            requests: 200,
-            slo_cycles: 1_500,
-            batch_max: 4,
-            linger_cycles: 300,
-            lanes: 1,
-            tiers: default_tiers(&job),
-            degrade_queue_depth: 4,
-            upgrade_queue_depth: 1,
-            shed_queue_depth: 12,
-            seed: 3,
-            ..Default::default()
-        };
-        let mut reg = MetricsRegistry::new();
-        let out = simulate(&sys, &job, &cfg, &SimConfig::sequential(), &mut reg, None);
-        assert!(out.shed > 0, "burst overload must shed");
-        assert!(out.degrade_transitions > 0, "burst overload must degrade");
-        assert!(out.per_tier_completed[1..].iter().sum::<u64>() > 0, "degraded tiers served");
-    }
-
-    #[test]
-    fn report_is_consistent_schema_v4() {
-        let sys = SystemModel::table3();
-        let cfg = small_cfg();
-        let mut reg = MetricsRegistry::new();
-        let out = simulate(&sys, &small_job(), &cfg, &SimConfig::sequential(), &mut reg, None);
-        let report = out.report("synthetic", &cfg, &reg);
-        assert_eq!(report.schema_version, enmc_obs::report::SCHEMA_VERSION);
-        assert!(report.is_consistent());
-        assert_eq!(report.command, "serve-sim");
-        assert!(report.slo_attainment > 0.0);
-        assert_eq!(report.shed, out.shed);
-        assert_eq!(report.threads, 0, "serving reports carry no host threading");
-        let back = RunReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn trace_spans_pair_up_per_lane() {
-        let sys = SystemModel::table3();
-        let cfg = small_cfg();
-        let mut reg = MetricsRegistry::new();
-        let mut tb = TraceBuffer::unbounded();
-        let out =
-            simulate(&sys, &small_job(), &cfg, &SimConfig::sequential(), &mut reg, Some(&mut tb));
-        let events = tb.drain();
-        let begins = events.iter().filter(|e| e.name == "batch").count();
-        assert_eq!(begins as u64 / 2, out.batches.len() as u64);
-        assert!(events.iter().all(|e| e.pid == PID_SERVE));
-        let chrome = enmc_obs::trace::export_chrome(&events, out.ns_per_cycle);
-        enmc_obs::trace::validate_chrome(&chrome).unwrap();
+        assert!(table.ns_per_cycle > 0.0);
     }
 }

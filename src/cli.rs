@@ -477,6 +477,18 @@ pub fn parse_zipf(raw: &str) -> Result<f64, String> {
     }
 }
 
+/// `fleet-sim`'s priority rule for tenant `i` (0-based): a looser
+/// deadline of `slo_cycles * (i + 1)` and an earlier shed threshold of
+/// `48 >> i` queued requests, floored at 4. Both saturate instead of
+/// wrapping, so SLOs never decrease and shed depths never increase with
+/// `i`, whatever `--slo-cycles` and `--tenants` are.
+pub fn tenant_priority(slo_cycles: u64, i: usize) -> (u64, usize) {
+    let slo = slo_cycles.saturating_mul((i as u64).saturating_add(1));
+    let shift = u32::try_from(i).unwrap_or(u32::MAX);
+    let shed_queue_depth = 48usize.checked_shr(shift).unwrap_or(0).max(4);
+    (slo, shed_queue_depth)
+}
+
 /// Validates a `--report` value.
 ///
 /// # Errors
@@ -817,6 +829,21 @@ mod tests {
         assert_eq!(parse_placement("popularity"), Ok(PlacementPolicy::PopularityAware));
         assert_eq!(parse_placement("popularity-aware"), Ok(PlacementPolicy::PopularityAware));
         assert!(parse_placement("random").unwrap_err().contains("'random'"));
+    }
+
+    #[test]
+    fn tenant_priority_is_monotone_without_overflow() {
+        let slos: Vec<u64> = (0..2).map(|i| tenant_priority(1 << 63, i).0).collect();
+        assert_eq!(slos, vec![1 << 63, u64::MAX], "t1's SLO saturates, never wraps to 0");
+        let sheds: Vec<usize> = (0..65).map(|i| tenant_priority(100_000, i).1).collect();
+        assert_eq!(&sheds[..5], &[48, 24, 12, 6, 4]);
+        assert!(sheds.windows(2).all(|w| w[1] <= w[0]), "shed depths never increase");
+        assert!(sheds.iter().all(|&d| d >= 4), "shed depths never drop below 4");
+        assert_eq!(tenant_priority(100_000, usize::MAX), (u64::MAX, 4));
+        for slo in [0, 1, 100_000, 1 << 63, u64::MAX] {
+            let s: Vec<u64> = (0..65).map(|i| tenant_priority(slo, i).0).collect();
+            assert!(s.windows(2).all(|w| w[1] >= w[0]), "SLOs never decrease: {slo}");
+        }
     }
 
     #[test]

@@ -153,7 +153,7 @@ use enmc::cli::{
     parse_budget_cap, parse_candidate_fraction, parse_count, parse_degrade_tiers,
     parse_ecc_levels, parse_memory, parse_multipliers, parse_placement, parse_rate,
     parse_report_format, parse_search_mode, parse_shape, parse_threads, parse_wall_tolerance,
-    parse_zipf, ArrivalKind, CommonArgs, CostModelKind, ReportFormat,
+    parse_zipf, tenant_priority, ArrivalKind, CommonArgs, CostModelKind, ReportFormat,
 };
 use enmc::compiler::{lower_screening, MemoryLayout, TaskDescriptor};
 use enmc::dram::fuzz;
@@ -528,11 +528,11 @@ fn build_arrival(
 }
 
 fn cmd_serve_sim(args: &[String]) -> i32 {
+    use enmc::fleet::serve::tier_label;
+    use enmc::fleet::{FleetConfig, TenantConfig};
     use enmc::obs::MetricsRegistry;
     use enmc::screen::infer::SelectionPolicy;
-    use enmc::serve::{simulate_with_cost, ServeConfig};
     use enmc::serve::tier::default_tiers;
-    use enmc::surrogate::CostModel;
 
     let workload = match parse_workload(flag_value(args, "--workload").unwrap_or("lstm")) {
         Some(w) => w,
@@ -612,7 +612,6 @@ fn cmd_serve_sim(args: &[String]) -> i32 {
     // Threads only speed up the calibration pass; the outcome and report
     // are byte-identical for any worker count.
     let sim_cfg = SimConfig::resolve(common.threads, check_protocol);
-    let backend = common.backend(CostModelKind::CycleAccurate);
     let memory = match common.single_memory() {
         Ok(m) => m,
         Err(e) => {
@@ -646,83 +645,52 @@ fn cmd_serve_sim(args: &[String]) -> i32 {
         None => default_tiers(&job),
     };
 
-    let mut cfg = ServeConfig {
-        arrival,
-        requests,
-        slo_cycles,
-        batch_max,
-        linger_cycles,
-        lanes,
-        tiers,
-        degrade_queue_depth,
-        upgrade_queue_depth,
-        shed_queue_depth,
-        seed,
-        offload: None,
-    };
     eprintln!(
         "serving {} (l={}, d={}): {} {} request(s) at rate {rate}/kcycle, {} tier(s)",
         workload.abbr,
         workload.categories,
         workload.hidden,
-        cfg.requests,
-        cfg.arrival.kind(),
-        cfg.tiers.len()
+        requests,
+        arrival.kind(),
+        tiers.len()
     );
+    // serve-sim is the fleet loop on one node, one shard and one tenant
+    // that carries the queue thresholds.
+    let tenant = TenantConfig {
+        name: "t0".to_string(),
+        arrival,
+        requests,
+        slo_cycles,
+        tiers,
+        degrade_queue_depth,
+        upgrade_queue_depth,
+        shed_queue_depth,
+        seed,
+    };
+    let cfg = FleetConfig {
+        nodes: 1,
+        shards: 1,
+        replicas: 0,
+        zipf_s: 0.0,
+        batch_max,
+        linger_cycles,
+        lanes,
+        tenants: vec![tenant],
+        seed,
+        offload: args.iter().any(|a| a == "--offload"),
+        ..Default::default()
+    };
 
     let sys = SystemModel::table3().with_memory(memory);
-    let mut registry = MetricsRegistry::new();
-    let trace_out = flag_value(args, "--trace-out");
-    let mut trace = trace_out.map(|_| TraceBuffer::unbounded());
-    let mut cost = CostModel::new(backend, seed);
-    if let Some(path) = flag_value(args, "--coeffs") {
-        let raw = match std::fs::read_to_string(path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return 1;
-            }
-        };
-        if let Err(e) = cost.load_coeffs(&raw) {
-            eprintln!("cannot load coefficients from {path}: {e}");
-            return 1;
-        }
-    }
-    if args.iter().any(|a| a == "--offload") {
-        // Plan before serving: calibrate the ladder once more through the
-        // same cost model and install the cheaper executor per admission
-        // point. Deterministic, so reports stay thread-invariant.
-        match enmc::tune::plan_ladder(&sys, &job, &cfg.tiers, cfg.batch_max, &sim_cfg, &mut cost)
-        {
-            Ok((_, decisions, plan)) => {
-                let nmp = decisions.iter().filter(|d| d.nmp).count();
-                eprintln!(
-                    "offload plan: {nmp}/{} (tier, batch) point(s) stay on NMP",
-                    decisions.len()
-                );
-                cfg.offload = Some(plan);
-            }
-            Err(v) => {
-                eprintln!("error: {v}");
-                return 1;
-            }
-        }
-    }
+    // The loop's fleet.* metrics stay out of the serve-sim report.
     let outcome =
-        match simulate_with_cost(&sys, &job, &cfg, &sim_cfg, &mut registry, trace.as_mut(), &mut cost)
-        {
+        match run_fleet(args, &common, &sys, &job, &cfg, &sim_cfg, &mut MetricsRegistry::new()) {
             Ok(o) => o,
-            Err(v) => {
-                eprintln!("error: {v}");
-                return 1;
-            }
+            Err(code) => return code,
         };
-    if let Some(path) = flag_value(args, "--coeffs-out") {
-        if let Err(e) = std::fs::write(path, cost.coeffs_to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-    }
+    let mut registry = MetricsRegistry::new();
+    outcome.record_serve_metrics(&mut registry);
+    let tiers = &cfg.tenants[0].tiers;
 
     // Price the degrade ladder: each tier's quality over the same seeded
     // query stream, on a pipeline-scale model (the workload's full
@@ -737,8 +705,7 @@ fn cmd_serve_sim(args: &[String]) -> i32 {
             }
         };
         let pipe_l = pipeline.config().categories;
-        const TIER_NAMES: [&str; 8] = ["0", "1", "2", "3", "4", "5", "6", "7"];
-        for (t, tier) in cfg.tiers.iter().enumerate() {
+        for (t, tier) in tiers.iter().enumerate() {
             let scaled = ((tier.candidates as f64 / job.candidates.max(1) as f64
                 * pipeline.config().candidates as f64)
                 .round() as usize)
@@ -748,15 +715,17 @@ fn cmd_serve_sim(args: &[String]) -> i32 {
                 SelectionPolicy::TopM(scaled),
                 &sim_cfg,
             );
-            let label = TIER_NAMES.get(t).copied().unwrap_or("8+");
+            let label = tier_label(t);
             registry.gauge_set("serve.quality_top1", &[("tier", label)], q.top1_agreement);
             registry.gauge_set("serve.quality_p_at_10", &[("tier", label)], q.precision_at_k);
         }
     }
 
-    let mut report = outcome.report(workload.abbr, &cfg, &registry);
+    let mut report = outcome.serve_report(workload.abbr, &cfg, &registry);
     stamp_memory(&mut report, memory);
-    if let (Some(path), Some(tb)) = (trace_out, trace.as_mut()) {
+    if let Some(path) = flag_value(args, "--trace-out") {
+        let mut tb = TraceBuffer::unbounded();
+        outcome.serve_trace(&mut tb);
         let chrome = export_chrome(&tb.drain(), outcome.ns_per_cycle);
         match std::fs::write(path, chrome) {
             Ok(()) => eprintln!("trace written to {path}"),
@@ -771,27 +740,28 @@ fn cmd_serve_sim(args: &[String]) -> i32 {
         println!("{}", report.to_json());
         return i32::from(check_protocol && violations > 0);
     }
+    let t = &outcome.tenants[0];
     println!(
         "  requests: {} generated, {} admitted, {} completed, {} shed",
-        outcome.generated, outcome.admitted, outcome.completed, outcome.shed
+        t.generated, t.admitted, t.completed, t.shed
     );
     let us = |cycles: f64| cycles * outcome.ns_per_cycle / 1e3;
     println!(
         "  latency : p50 {:.1} us, p90 {:.1} us, p99 {:.1} us, p999 {:.1} us",
-        us(outcome.latency.p50()),
-        us(outcome.latency.p90()),
-        us(outcome.latency.p99()),
-        us(outcome.latency.p999())
+        us(t.latency.p50()),
+        us(t.latency.p90()),
+        us(t.latency.p99()),
+        us(t.latency.p999())
     );
     println!(
         "  slo     : {:.1}% within {} cycles ({:.1} us)",
-        100.0 * outcome.slo_attainment(),
-        cfg.slo_cycles,
-        us(cfg.slo_cycles as f64)
+        100.0 * t.slo_attainment(),
+        slo_cycles,
+        us(slo_cycles as f64)
     );
     println!(
         "  degrade : {} transition(s); per-tier completions {:?}",
-        outcome.degrade_transitions, outcome.per_tier_completed
+        t.degrade_transitions, t.per_tier_completed
     );
     println!(
         "  queue   : max depth {}, {} batch(es), makespan {:.1} us",
@@ -799,7 +769,7 @@ fn cmd_serve_sim(args: &[String]) -> i32 {
         outcome.batches.len(),
         us(outcome.makespan_cycles as f64)
     );
-    if cfg.offload.is_some() {
+    if cfg.offload {
         println!(
             "  offload : {} batch(es) on NMP, {} on the CPU roofline",
             outcome.offload_nmp, outcome.offload_cpu
@@ -815,10 +785,9 @@ fn cmd_serve_sim(args: &[String]) -> i32 {
 }
 
 fn cmd_fleet_sim(args: &[String]) -> i32 {
-    use enmc::fleet::{simulate_fleet, FleetConfig, PlacementPolicy, TenantConfig};
+    use enmc::fleet::{FleetConfig, PlacementPolicy, TenantConfig};
     use enmc::obs::MetricsRegistry;
     use enmc::serve::tier::default_tiers;
-    use enmc::surrogate::CostModel;
 
     let workload = match parse_workload(flag_value(args, "--shape").unwrap_or("lstm")) {
         Some(w) => w,
@@ -919,7 +888,6 @@ fn cmd_fleet_sim(args: &[String]) -> i32 {
     // Threads only speed up the calibration pass; the outcome and report
     // are byte-identical for any worker count.
     let sim_cfg = SimConfig::resolve(common.threads, check_protocol);
-    let backend = common.backend(CostModelKind::CycleAccurate);
     let memory = match common.single_memory() {
         Ok(m) => m,
         Err(e) => {
@@ -946,15 +914,16 @@ fn cmd_fleet_sim(args: &[String]) -> i32 {
                 Ok(a) => a,
                 Err(_) => unreachable!("trace arrivals rejected above"),
             };
+            let (slo, shed_queue_depth) = tenant_priority(slo_cycles, i);
             let mut t = TenantConfig::new(
                 &format!("t{i}"),
                 arrival,
                 requests,
-                slo_cycles * (i as u64 + 1),
+                slo,
                 tiers.clone(),
                 seed.wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
             );
-            t.shed_queue_depth = (48usize >> i).max(4);
+            t.shed_queue_depth = shed_queue_depth;
             t
         })
         .collect();
@@ -987,33 +956,10 @@ fn cmd_fleet_sim(args: &[String]) -> i32 {
 
     let sys = SystemModel::table3().with_memory(memory);
     let mut registry = MetricsRegistry::new();
-    let mut cost = CostModel::new(backend, seed);
-    if let Some(path) = flag_value(args, "--coeffs") {
-        let raw = match std::fs::read_to_string(path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return 1;
-            }
-        };
-        if let Err(e) = cost.load_coeffs(&raw) {
-            eprintln!("cannot load coefficients from {path}: {e}");
-            return 1;
-        }
-    }
-    let outcome = match simulate_fleet(&sys, &job, &cfg, &sim_cfg, &mut registry, &mut cost) {
+    let outcome = match run_fleet(args, &common, &sys, &job, &cfg, &sim_cfg, &mut registry) {
         Ok(o) => o,
-        Err(v) => {
-            eprintln!("error: {v}");
-            return 1;
-        }
+        Err(code) => return code,
     };
-    if let Some(path) = flag_value(args, "--coeffs-out") {
-        if let Err(e) = std::fs::write(path, cost.coeffs_to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return 1;
-        }
-    }
 
     let mut report = outcome.report(workload.abbr, &cfg, &registry);
     stamp_memory(&mut report, memory);
@@ -1063,6 +1009,47 @@ fn cmd_fleet_sim(args: &[String]) -> i32 {
         }
     }
     0
+}
+
+/// The cost-model set-up, fleet run and `--coeffs-out` tail `serve-sim`
+/// and `fleet-sim` share: builds the `--cost-model` backend (default
+/// cycle-accurate) seeded by `--seed`, loads `--coeffs` into it, runs the
+/// fleet loop, and writes the fitted coefficients to `--coeffs-out`. On
+/// failure the message is already on stderr and `Err` carries the exit
+/// code.
+fn run_fleet(
+    args: &[String],
+    common: &CommonArgs,
+    sys: &SystemModel,
+    job: &ClassificationJob,
+    cfg: &enmc::fleet::FleetConfig,
+    sim_cfg: &SimConfig,
+    registry: &mut enmc::obs::MetricsRegistry,
+) -> Result<enmc::fleet::FleetOutcome, i32> {
+    let mut cost =
+        enmc::surrogate::CostModel::new(common.backend(CostModelKind::CycleAccurate), common.seed);
+    if let Some(path) = flag_value(args, "--coeffs") {
+        let raw = std::fs::read_to_string(path).map_err(|e| {
+            eprintln!("cannot read {path}: {e}");
+            1
+        })?;
+        cost.load_coeffs(&raw).map_err(|e| {
+            eprintln!("cannot load coefficients from {path}: {e}");
+            1
+        })?;
+    }
+    let outcome = enmc::fleet::simulate_fleet(sys, job, cfg, sim_cfg, registry, &mut cost)
+        .map_err(|v| {
+            eprintln!("error: {v}");
+            1
+        })?;
+    if let Some(path) = flag_value(args, "--coeffs-out") {
+        std::fs::write(path, cost.coeffs_to_json()).map_err(|e| {
+            eprintln!("cannot write {path}: {e}");
+            1
+        })?;
+    }
+    Ok(outcome)
 }
 
 fn cmd_tune(args: &[String]) -> i32 {

@@ -1,16 +1,12 @@
-//! Differential conformance for the fleet simulator: a 1-node, 1-shard,
-//! 1-tenant, replica-free fleet must be **bit-identical** to the same
-//! scenario run through the single-node serving simulator — admissions,
-//! sheds, degrade transitions, batches, the latency histogram and the
-//! calibrated service table all diff clean. And like every simulator in
-//! this workspace, the fleet report itself must be byte-identical across
-//! worker counts for every paper shape.
+//! Differential conformance for the fleet simulator: like every
+//! simulator in this workspace, the fleet report must be byte-identical
+//! across worker counts for every paper shape.
 
 use enmc::arch::system::{ClassificationJob, SystemModel};
 use enmc::fleet::{simulate_fleet, FleetConfig, PlacementPolicy, TenantConfig};
 use enmc::obs::MetricsRegistry;
 use enmc::par::SimConfig;
-use enmc::serve::{simulate, ArrivalProcess, DegradeTier, ServeConfig};
+use enmc::serve::{ArrivalProcess, DegradeTier};
 use enmc::surrogate::{CostBackend, CostModel};
 
 /// Paper Table 2 shapes (categories x hidden) plus the S1M stress point,
@@ -24,133 +20,6 @@ const SHAPES: &[(&str, usize, usize, usize)] = &[
     ("xmlcnn", 670_091, 512, 670),
     ("s1m", 1_000_000, 512, 1_000),
 ];
-
-/// The serve-sim scenario the equivalence is checked on: a burst
-/// overload on a small job, tuned so the controller sheds, walks the
-/// degrade ladder, and still completes work — every interesting path.
-fn serve_scenario() -> (ClassificationJob, ServeConfig) {
-    let job =
-        ClassificationJob { categories: 2048, hidden: 64, reduced: 16, batch: 1, candidates: 128 };
-    let cfg = ServeConfig {
-        arrival: ArrivalProcess::Burst {
-            calm_rate: 0.05,
-            burst_rate: 50.0,
-            calm_cycles: 20_000.0,
-            burst_cycles: 10_000.0,
-        },
-        requests: 200,
-        slo_cycles: 1_500,
-        batch_max: 4,
-        linger_cycles: 300,
-        lanes: 1,
-        tiers: vec![
-            DegradeTier { candidates: 128, screen_shift: 0 },
-            DegradeTier { candidates: 64, screen_shift: 1 },
-            DegradeTier { candidates: 32, screen_shift: 2 },
-        ],
-        degrade_queue_depth: 4,
-        upgrade_queue_depth: 1,
-        shed_queue_depth: 12,
-        seed: 3,
-        offload: None,
-    };
-    (job, cfg)
-}
-
-/// The same scenario expressed as a degenerate fleet: one node, one
-/// shard, no replication, one tenant carrying the serve config verbatim.
-fn degenerate_fleet(cfg: &ServeConfig, placement: PlacementPolicy) -> FleetConfig {
-    let mut tenant = TenantConfig::new(
-        "t0",
-        cfg.arrival.clone(),
-        cfg.requests,
-        cfg.slo_cycles,
-        cfg.tiers.clone(),
-        cfg.seed,
-    );
-    tenant.degrade_queue_depth = cfg.degrade_queue_depth;
-    tenant.upgrade_queue_depth = cfg.upgrade_queue_depth;
-    tenant.shed_queue_depth = cfg.shed_queue_depth;
-    FleetConfig {
-        nodes: 1,
-        shards: 1,
-        replicas: 0,
-        placement,
-        zipf_s: 0.0,
-        batch_max: cfg.batch_max,
-        linger_cycles: cfg.linger_cycles,
-        lanes: cfg.lanes,
-        tenants: vec![tenant],
-        seed: cfg.seed,
-        ..Default::default()
-    }
-}
-
-#[test]
-fn one_node_one_tenant_fleet_reproduces_serve_sim_bit_for_bit() {
-    let sys = SystemModel::table3();
-    let (job, cfg) = serve_scenario();
-    let mut serve_reg = MetricsRegistry::new();
-    let serve = simulate(&sys, &job, &cfg, &SimConfig::sequential(), &mut serve_reg, None);
-    // The scenario must exercise shed + degrade or the equivalence is
-    // vacuous.
-    assert!(serve.shed > 0, "scenario must shed");
-    assert!(serve.degrade_transitions > 0, "scenario must walk the ladder");
-
-    for placement in [PlacementPolicy::ConsistentHash, PlacementPolicy::PopularityAware] {
-        let fcfg = degenerate_fleet(&cfg, placement);
-        let mut fleet_reg = MetricsRegistry::new();
-        let mut cost = CostModel::new(CostBackend::CycleAccurate, cfg.seed);
-        let fleet = simulate_fleet(
-            &sys,
-            &job,
-            &fcfg,
-            &SimConfig::sequential(),
-            &mut fleet_reg,
-            &mut cost,
-        )
-        .expect("cycle-accurate backend cannot violate an audit");
-
-        // Aggregate equivalence, field by field.
-        let t = &fleet.tenants[0];
-        assert_eq!(t.generated, serve.generated, "{placement:?}: generated");
-        assert_eq!(t.admitted, serve.admitted, "{placement:?}: admitted");
-        assert_eq!(t.completed, serve.completed, "{placement:?}: completed");
-        assert_eq!(t.shed, serve.shed, "{placement:?}: shed");
-        assert_eq!(t.slo_met, serve.slo_met, "{placement:?}: slo_met");
-        assert_eq!(
-            t.degrade_transitions, serve.degrade_transitions,
-            "{placement:?}: degrade transitions"
-        );
-        assert_eq!(t.latency, serve.latency, "{placement:?}: latency histogram");
-        assert_eq!(t.per_tier_completed, serve.per_tier_completed, "{placement:?}: per-tier");
-        assert_eq!(t.per_tier_batches, serve.per_tier_batches, "{placement:?}: tier batches");
-        assert_eq!(t.service_cycles, serve.service_cycles, "{placement:?}: service table");
-        assert_eq!(fleet.makespan_cycles, serve.makespan_cycles, "{placement:?}: makespan");
-        assert_eq!(fleet.ns_per_cycle, serve.ns_per_cycle, "{placement:?}: clock scale");
-        assert_eq!(fleet.max_queue_depth, serve.max_queue_depth, "{placement:?}: queue depth");
-        assert_eq!(fleet.network_cycles, 0, "{placement:?}: 1 node pays no network");
-
-        // Per-request equivalence: same life for every request id.
-        assert_eq!(fleet.requests.len(), serve.requests.len());
-        for (i, (f, s)) in fleet.requests.iter().zip(&serve.requests).enumerate() {
-            assert_eq!(f.arrival, s.arrival, "request {i} arrival");
-            assert_eq!(f.deadline, s.deadline, "request {i} deadline");
-            assert_eq!(f.completion, s.completion, "request {i} completion");
-            assert_eq!(f.shed, s.shed, "request {i} shed");
-        }
-        // Per-batch equivalence: same dispatch schedule on the same lane.
-        assert_eq!(fleet.batches.len(), serve.batches.len());
-        for (i, (f, s)) in fleet.batches.iter().zip(&serve.batches).enumerate() {
-            assert_eq!(
-                (f.start, f.end, f.size, f.tier, f.lane),
-                (s.start, s.end, s.size, s.tier, s.lane),
-                "batch {i}"
-            );
-            assert_eq!(f.node, 0, "batch {i} must run on the only node");
-        }
-    }
-}
 
 #[test]
 fn fleet_report_is_byte_identical_across_worker_counts_for_every_paper_shape() {

@@ -1,7 +1,8 @@
 //! Distributed-systems invariants of the fleet simulator: consistent-hash
 //! ring balance and minimal disruption, query conservation per tenant and
-//! fleet-wide, and placement-policy invariance of the routed work — over
-//! randomized cluster shapes and traffic.
+//! fleet-wide, realizable per-node batch schedules, and placement-policy
+//! invariance of the routed work — over randomized cluster shapes and
+//! traffic.
 
 use enmc::arch::system::{ClassificationJob, SystemModel};
 use enmc::fleet::{simulate_fleet, FleetConfig, HashRing, PlacementPolicy, TenantConfig};
@@ -147,6 +148,38 @@ proptest! {
         prop_assert_eq!(routed, admitted, "router tally");
         let in_batches: u64 = out.batches.iter().map(|b| b.size as u64).sum();
         prop_assert_eq!(in_batches, admitted, "batch membership");
+    }
+
+    /// Every node's batch schedule is realizable: no lane is
+    /// double-booked, every batch is non-empty, within `batch_max`, on a
+    /// real lane and takes time, and each tenant's batches on a node
+    /// leave in FIFO order — dispatch times and oldest-member arrivals
+    /// never decrease within a (node, tenant) pair.
+    #[test]
+    fn per_node_batches_are_realizable_and_fifo(cfg in scenario()) {
+        let out = run(&small_job(), &cfg);
+        let mut lane_free = vec![vec![0u64; cfg.lanes]; cfg.nodes];
+        let mut last = vec![vec![(0u64, 0u64); cfg.tenants.len()]; cfg.nodes];
+        for b in &out.batches {
+            prop_assert!(b.size >= 1 && b.size <= cfg.batch_max, "size {}", b.size);
+            prop_assert!(b.lane < cfg.lanes, "lane {} of {}", b.lane, cfg.lanes);
+            prop_assert!(b.end > b.start, "empty service {}..{}", b.start, b.end);
+            prop_assert!(b.start >= b.oldest_arrival, "dispatched before its arrival");
+            prop_assert!(
+                lane_free[b.node][b.lane] <= b.start,
+                "node {} lane {} double-booked at {}",
+                b.node, b.lane, b.start
+            );
+            lane_free[b.node][b.lane] = b.end;
+            let (start, oldest) = last[b.node][b.tenant];
+            prop_assert!(b.start >= start, "node {} tenant {} start went back", b.node, b.tenant);
+            prop_assert!(
+                b.oldest_arrival >= oldest,
+                "node {} tenant {} dispatched out of FIFO order",
+                b.node, b.tenant
+            );
+            last[b.node][b.tenant] = (b.start, b.oldest_arrival);
+        }
     }
 
     /// With no replication, no shedding, and a flat ladder, the *routed
