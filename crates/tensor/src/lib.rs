@@ -1,6 +1,8 @@
 // Numeric kernels and their tests index arrays directly; iterator
 // rewrites would obscure the math.
 #![allow(clippy::needless_range_loop)]
+// Every unsafe block (the SIMD kernels) states why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Dense linear algebra, quantization, and numeric kernels for the ENMC
 //! reproduction.

@@ -169,17 +169,25 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a `rows x cols` matrix of zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows * cols` overflows `usize`.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix { rows, cols, data: vec![0.0; rows * cols] }
+        let len = rows
+            .checked_mul(cols)
+            .unwrap_or_else(|| panic!("Matrix::zeros: {rows}x{cols} overflows usize"));
+        Matrix { rows, cols, data: vec![0.0; len] }
     }
 
     /// Creates a matrix from row-major data.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] if `data.len() != rows * cols`.
+    /// Returns [`TensorError::ShapeMismatch`] if `data.len() != rows * cols`
+    /// (including when `rows * cols` overflows).
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self, TensorError> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(TensorError::ShapeMismatch {
                 op: "Matrix::from_vec",
                 expected: (rows, cols),
@@ -278,9 +286,7 @@ impl Matrix {
     pub fn matvec(&self, h: &Vector) -> Vector {
         assert_eq!(h.len(), self.cols, "matvec: dimension mismatch");
         let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            out.push(dot(self.row(r), h.as_slice()));
-        }
+        self.row_dots(0..self.rows, h.as_slice(), |_, z| out.push(z));
         Vector::from(out)
     }
 
@@ -308,10 +314,35 @@ impl Matrix {
     pub fn matvec_rows(&self, indices: &[usize], h: &Vector, b: &Vector) -> Vec<(usize, f32)> {
         assert_eq!(h.len(), self.cols, "matvec_rows: dimension mismatch");
         assert_eq!(b.len(), self.rows, "matvec_rows: bias length mismatch");
-        indices
-            .iter()
-            .map(|&i| (i, dot(self.row(i), h.as_slice()) + b[i]))
-            .collect()
+        let mut out = Vec::with_capacity(indices.len());
+        self.row_dots(indices.iter().copied(), h.as_slice(), |i, z| out.push((i, z + b[i])));
+        out
+    }
+
+    /// Calls `emit(i, dot(self.row(i), h))` for each `i` of `rows`, in order,
+    /// computing four rows at a time with [`dot_rows`].
+    fn row_dots(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        h: &[f32],
+        mut emit: impl FnMut(usize, f32),
+    ) {
+        let mut block = [0; 4];
+        let mut n = 0;
+        for i in rows {
+            block[n] = i;
+            n += 1;
+            if n == 4 {
+                let z = dot_rows(block.map(|i| self.row(i)), h);
+                for (&i, z) in block.iter().zip(z) {
+                    emit(i, z);
+                }
+                n = 0;
+            }
+        }
+        for &i in &block[..n] {
+            emit(i, dot(self.row(i), h));
+        }
     }
 
     /// Transposed matrix-vector product `y = Wᵀ x` (used by SGD gradients).
@@ -431,6 +462,61 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
+/// [`dot`] of four rows against `b` at once: the same result, bit for
+/// bit, for each row.
+///
+/// Each row keeps `dot`'s arithmetic exactly: four lane accumulators over
+/// chunks of four, then `s0 + s1 + s2 + s3`, then the sequential tail, with
+/// multiply and add kept separate. Interleaving rows only gives the CPU
+/// four independent accumulator chains instead of one.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `b`'s.
+fn dot_rows(rows: [&[f32]; 4], b: &[f32]) -> [f32; 4] {
+    for r in rows {
+        assert_eq!(r.len(), b.len(), "dot_rows: length mismatch");
+    }
+    let (b_body, b_tail) = b.as_chunks::<4>();
+    let [r0, r1, r2, r3] = rows.map(|r| &r.as_chunks::<4>().0[..b_body.len()]);
+    let mut acc = [[0.0_f32; 4]; 4];
+    // Indexing rather than an iterator chain: as fast in release, and
+    // unoptimized builds, which the test suite runs, stay faster than `dot`.
+    for c in 0..b_body.len() {
+        let b = &b_body[c];
+        mac4(&mut acc[0], &r0[c], b);
+        mac4(&mut acc[1], &r1[c], b);
+        mac4(&mut acc[2], &r2[c], b);
+        mac4(&mut acc[3], &r3[c], b);
+    }
+    let tail = b_body.len() * 4;
+    std::array::from_fn(|r| finish(acc[r], &rows[r][tail..], b_tail))
+}
+
+/// [`dot`]'s end for one row: `s0 + s1 + s2 + s3` of the lane sums, then
+/// the sequential tail `a · b`.
+///
+/// Out of line on purpose: inlined into [`dot_rows`], LLVM vectorizes the
+/// four rows' sums together and so transposes the accumulators on every
+/// step of the loop, which made the gather about 1.5× slower.
+#[inline(never)]
+fn finish(lanes: [f32; 4], a: &[f32], b: &[f32]) -> f32 {
+    let [s0, s1, s2, s3] = lanes;
+    let mut s = s0 + s1 + s2 + s3;
+    for (a, b) in a.iter().zip(b) {
+        s += a * b;
+    }
+    s
+}
+
+/// One chunk of [`dot`]'s lane accumulation: `s[l] += a[l] * b[l]`.
+fn mac4(s: &mut [f32; 4], a: &[f32; 4], b: &[f32; 4]) {
+    s[0] += a[0] * b[0];
+    s[1] += a[1] * b[1];
+    s[2] += a[2] * b[2];
+    s[3] += a[3] * b[3];
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,6 +557,21 @@ mod tests {
         assert!(Matrix::from_vec(2, 2, vec![0.0; 4]).is_ok());
         let err = Matrix::from_vec(2, 2, vec![0.0; 3]).unwrap_err();
         assert!(matches!(err, TensorError::ShapeMismatch { .. }));
+    }
+
+    #[test]
+    fn from_vec_rejects_a_shape_whose_size_overflows() {
+        // 2^63 x 2 wraps to 0 elements, 2^63+1 x 2 to 2.
+        for (rows, data) in [(1usize << 63, vec![]), ((1 << 63) + 1, vec![0.0; 2])] {
+            let err = Matrix::from_vec(rows, 2, data).unwrap_err();
+            assert!(matches!(err, TensorError::ShapeMismatch { .. }), "{rows}x2");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Matrix::zeros: 9223372036854775808x2 overflows usize")]
+    fn zeros_names_a_shape_whose_size_overflows() {
+        Matrix::zeros(1 << 63, 2);
     }
 
     #[test]
@@ -522,6 +623,88 @@ mod tests {
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().shape(), (3, 2));
         assert_eq!(m.transpose().get(2, 1), 6.0);
+    }
+
+    /// Deterministic test values: mostly ordinary, with NaN, ±inf, -0.0 and
+    /// subnormals mixed in when `special` is set.
+    fn values(n: usize, seed: u64, special: bool) -> Vec<f32> {
+        let mut s = seed;
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let u = (s >> 40) as f32 / (1u32 << 24) as f32;
+                match (s >> 32) % 16 {
+                    0 if special => f32::NAN,
+                    1 if special => f32::INFINITY,
+                    2 if special => f32::NEG_INFINITY,
+                    3 if special => -0.0,
+                    4 if special => f32::from_bits((s >> 42) as u32 | 1), // subnormal
+                    _ => (u - 0.5) * 8.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Bit identity, except that a NaN result need only be NaN: Rust leaves
+    /// the payload of a NaN produced by arithmetic unspecified.
+    fn assert_same(got: f32, want: f32, what: &str) {
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{what}: {got:e} ({:#x}) != {want:e} ({:#x})",
+            got.to_bits(),
+            want.to_bits()
+        );
+    }
+
+    #[test]
+    fn matvec_and_matvec_rows_match_dot_bit_for_bit() {
+        for rows in [1, 7, 8, 9, 33] {
+            for cols in [1, 3, 15, 16, 17, 64, 100, 256] {
+                for special in [false, true] {
+                    let seed = (rows * 1000 + cols) as u64;
+                    let m =
+                        Matrix::from_vec(rows, cols, values(rows * cols, seed, special)).unwrap();
+                    let h = Vector::from(values(cols, !seed, special));
+                    let b = Vector::from(values(rows, seed ^ 0x55, false));
+                    let what = format!("{rows}x{cols} special={special}");
+                    let z = m.matvec(&h);
+                    for r in 0..rows {
+                        assert_same(
+                            z[r],
+                            dot(m.row(r), h.as_slice()),
+                            &format!("matvec {what} row {r}"),
+                        );
+                    }
+                    let descending: Vec<usize> = (0..rows).rev().collect();
+                    let duplicates: Vec<usize> =
+                        (0..2 * rows + 1).map(|i| (i * 5) % rows).collect();
+                    for idx in [vec![], descending, duplicates] {
+                        let out = m.matvec_rows(&idx, &h, &b);
+                        assert_eq!(out.len(), idx.len());
+                        for (&(i, z), &want) in out.iter().zip(&idx) {
+                            assert_eq!(i, want);
+                            let expect = dot(m.row(i), h.as_slice()) + b[i];
+                            assert_same(z, expect, &format!("matvec_rows {what} row {i}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_rows_matches_dot_on_each_row() {
+        for n in [0, 1, 3, 4, 5, 15, 16, 17, 64, 100, 256] {
+            for special in [false, true] {
+                let rows: Vec<Vec<f32>> =
+                    (0..4).map(|r| values(n, r as u64 + 7, special)).collect();
+                let b = values(n, 99, special);
+                let z = dot_rows([&rows[0], &rows[1], &rows[2], &rows[3]], &b);
+                for r in 0..4 {
+                    assert_same(z[r], dot(&rows[r], &b), &format!("n={n} row {r}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -252,9 +252,10 @@ impl QuantMatrixPerRow {
     /// Panics if `x.len() != cols`.
     pub fn matvec_quant(&self, x: &QuantVector) -> Vector {
         assert_eq!(x.len(), self.cols, "matvec_quant: dimension mismatch");
-        let xcodes = x.codes();
-        (0..self.rows)
-            .map(|r| dot_i8(self.row(r), xcodes) as f32 * (self.scales[r] * x.scale()))
+        scan_i8(&self.codes, x.codes(), self.rows)
+            .into_iter()
+            .zip(&self.scales)
+            .map(|(acc, &s)| acc as f32 * (s * x.scale()))
             .collect()
     }
 
@@ -315,7 +316,7 @@ impl QuantMatrix {
         if rows == 0 || cols == 0 {
             return Err(TensorError::InvalidArgument("from_parts: zero dimension"));
         }
-        if codes.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(codes.len()) {
             return Err(TensorError::InvalidArgument("from_parts: codes.len() != rows*cols"));
         }
         if !(scale.is_finite() && scale > 0.0) {
@@ -382,13 +383,10 @@ impl QuantMatrix {
     pub fn matvec_quant(&self, x: &QuantVector) -> Vector {
         assert_eq!(x.len(), self.cols, "matvec_quant: dimension mismatch");
         let rescale = self.scale * x.scale();
-        let xcodes = x.codes();
-        let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            let acc = dot_i8(self.row(r), xcodes);
-            out.push(acc as f32 * rescale);
-        }
-        Vector::from(out)
+        scan_i8(&self.codes, x.codes(), self.rows)
+            .into_iter()
+            .map(|acc| acc as f32 * rescale)
+            .collect()
     }
 
     /// Packed storage size in bytes at the nominal bit width — the quantity
@@ -412,6 +410,125 @@ fn quantize_one(x: f32, scale: f32, qmax: i32) -> i8 {
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_eq!(a.len(), b.len(), "dot_i8: length mismatch");
     a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
+}
+
+/// The Screener's integer scan: `dot_i8(row, x)` for each of the `rows`
+/// rows of the row-major `codes`, each `x.len()` wide.
+///
+/// Integer accumulation is exact in any order, so the AVX2 kernel (chosen
+/// when the CPU has it) returns exactly what [`scan_i8_scalar`], the
+/// reference and the path on every other host, returns.
+///
+/// # Panics
+///
+/// Panics if `codes.len() != rows * x.len()`.
+fn scan_i8(codes: &[i8], x: &[i8], rows: usize) -> Vec<i32> {
+    assert_eq!(rows.checked_mul(x.len()), Some(codes.len()), "scan_i8: shape mismatch");
+    let mut out = vec![0; rows];
+    #[cfg(target_arch = "x86_64")]
+    if x.len() >= avx2::LANES && std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, detected just above.
+        unsafe { avx2::scan_i8(codes, x, &mut out) };
+        return out;
+    }
+    scan_i8_scalar(codes, x, &mut out);
+    out
+}
+
+/// Reference [`scan_i8`]: one [`dot_i8`] per row of `codes`, each
+/// `x.len()` wide, into `out` (one entry per row).
+fn scan_i8_scalar(codes: &[i8], x: &[i8], out: &mut [i32]) {
+    let cols = x.len();
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = dot_i8(&codes[r * cols..(r + 1) * cols], x);
+    }
+}
+
+/// The AVX2 row-block scan: eight rows at a time, sixteen codes per step.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::dot_i8;
+    use std::arch::x86_64::*;
+
+    /// Codes per step: one 128-bit load, sign-extended to sixteen `i16`.
+    pub(super) const LANES: usize = 16;
+    /// Rows reduced together.
+    const BLOCK: usize = 8;
+
+    /// [`super::scan_i8_scalar`] with AVX2, for `x.len() >= LANES`.
+    ///
+    /// Each step sign-extends sixteen codes of a row and of `x` to `i16`
+    /// and multiplies them pairwise into eight `i32` (`vpmaddwd`): each
+    /// product is at most `128 · 128`, so a pair sum fits `i32` and the
+    /// step is exact for every `i8` code. Eight rows accumulate side by
+    /// side and are reduced into one vector of eight row sums. Columns past
+    /// the last full step and rows past the last full block go through
+    /// [`dot_i8`]. All bounds come from the slice lengths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() < LANES` or `codes` holds fewer than
+    /// `out.len()` rows of `x.len()` codes.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn scan_i8(codes: &[i8], x: &[i8], out: &mut [i32]) {
+        assert!(x.len() >= LANES, "scan_i8: row shorter than one step");
+        let (x_steps, x_tail) = x.as_chunks::<LANES>();
+        let xw: Vec<__m256i> = x_steps.iter().map(|c| widen(c)).collect();
+        let body = xw.len() * LANES;
+        let mut rows = codes.chunks_exact(x.len());
+        let (blocks, rest) = out.as_chunks_mut::<BLOCK>();
+        for block in blocks {
+            let r: [&[i8]; BLOCK] =
+                std::array::from_fn(|_| rows.next().expect("scan_i8: too few rows"));
+            let steps = r.map(|row| &row[..body].as_chunks::<LANES>().0[..xw.len()]);
+            let mut acc = [_mm256_setzero_si256(); BLOCK];
+            for (c, &xc) in xw.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(&steps) {
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(widen(&row[c]), xc));
+                }
+            }
+            store(block, reduce(acc));
+            for (o, row) in block.iter_mut().zip(r) {
+                *o = o.wrapping_add(dot_i8(&row[body..], x_tail));
+            }
+        }
+        for o in rest {
+            *o = dot_i8(rows.next().expect("scan_i8: too few rows"), x);
+        }
+    }
+
+    /// Sixteen codes sign-extended to sixteen `i16`.
+    #[target_feature(enable = "avx2")]
+    fn widen(codes: &[i8; LANES]) -> __m256i {
+        // SAFETY: `codes` is 16 readable bytes, exactly one unaligned
+        // 128-bit load.
+        _mm256_cvtepi8_epi16(unsafe { _mm_loadu_si128(codes.as_ptr().cast()) })
+    }
+
+    /// Horizontal sums of eight accumulators, one row's per lane.
+    #[target_feature(enable = "avx2")]
+    fn reduce(acc: [__m256i; BLOCK]) -> __m256i {
+        let h01 = _mm256_hadd_epi32(acc[0], acc[1]);
+        let h23 = _mm256_hadd_epi32(acc[2], acc[3]);
+        let h45 = _mm256_hadd_epi32(acc[4], acc[5]);
+        let h67 = _mm256_hadd_epi32(acc[6], acc[7]);
+        // Row j of 0-3 sits in lane j: its accumulator lanes 0-3 summed in
+        // the low half, lanes 4-7 in the high half; likewise rows 4-7.
+        let h0123 = _mm256_hadd_epi32(h01, h23);
+        let h4567 = _mm256_hadd_epi32(h45, h67);
+        _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(h0123, h4567),
+            _mm256_permute2x128_si256::<0x31>(h0123, h4567),
+        )
+    }
+
+    /// Writes the eight lanes of `v` to `out`.
+    #[target_feature(enable = "avx2")]
+    fn store(out: &mut [i32; BLOCK], v: __m256i) {
+        // SAFETY: `out` is 32 writable bytes, exactly one unaligned
+        // 256-bit store.
+        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) }
+    }
 }
 
 #[cfg(test)]
@@ -598,6 +715,126 @@ mod tests {
         assert!(QuantMatrix::from_parts(1, 2, vec![0, 0], f32::NAN, Precision::Int4).is_err());
         assert!(QuantMatrix::from_parts(1, 2, vec![8, 0], 1.0, Precision::Int4).is_err());
         assert!(QuantMatrix::from_parts(1, 2, vec![2, 0], 1.0, Precision::Int2).is_err());
+    }
+
+    #[test]
+    fn from_parts_rejects_a_shape_whose_size_overflows() {
+        // (2^63 + 1) x 2 wraps to 2 codes, 2^63 x 2 to none.
+        let rows = (1usize << 63) + 1;
+        assert!(QuantMatrix::from_parts(rows, 2, vec![0, 0], 1.0, Precision::Int4).is_err());
+        assert!(QuantMatrix::from_parts(1 << 63, 2, vec![], 1.0, Precision::Int4).is_err());
+    }
+
+    /// Deterministic codes drawn uniformly from `lo..=hi`.
+    fn codes(n: usize, seed: u64, lo: i8, hi: i8) -> Vec<i8> {
+        let mut s = seed;
+        let span = (hi as i64 - lo as i64 + 1) as u64;
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (lo as i64 + ((s >> 33) % span) as i64) as i8
+            })
+            .collect()
+    }
+
+    const ROWS: [usize; 5] = [1, 7, 8, 9, 33];
+    const COLS: [usize; 8] = [1, 3, 15, 16, 17, 64, 100, 256];
+
+    #[test]
+    fn scan_matches_the_scalar_reference_over_the_full_i8_range() {
+        for rows in ROWS {
+            for cols in COLS {
+                let seed = (rows * 1000 + cols) as u64;
+                // Random codes, and constant extremes: the largest products
+                // a step can see.
+                let fill = |n: usize, seed: u64| {
+                    [codes(n, seed, i8::MIN, i8::MAX), vec![i8::MIN; n], vec![i8::MAX; n]]
+                };
+                let mut weights = fill(rows * cols, seed).to_vec();
+                weights.push(vec![-127; rows * cols]);
+                for w in &weights {
+                    for x in fill(cols, !seed) {
+                        let mut want = vec![0; rows];
+                        scan_i8_scalar(w, &x, &mut want);
+                        assert_eq!(scan_i8(w, &x, rows), want, "{rows}x{cols}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_of_an_empty_row_is_zero() {
+        assert_eq!(scan_i8(&[], &[], 3), vec![0; 3]);
+        assert_eq!(scan_i8(&[], &[1, 2], 0), Vec::<i32>::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "scan_i8: shape mismatch")]
+    fn scan_rejects_codes_that_are_not_rows_by_cols() {
+        scan_i8(&[0; 31], &[0; 16], 2);
+    }
+
+    /// Scalar reference logits: one `dot_i8` per row, rescaled as the kernels
+    /// document.
+    fn reference(codes: &[i8], x: &QuantVector, scale_of_row: impl Fn(usize) -> f32) -> Vec<u32> {
+        codes
+            .chunks_exact(x.len())
+            .enumerate()
+            .map(|(r, row)| {
+                (dot_i8(row, x.codes()) as f32 * (scale_of_row(r) * x.scale())).to_bits()
+            })
+            .collect()
+    }
+
+    fn bits(v: &Vector) -> Vec<u32> {
+        v.as_slice().iter().map(|z| z.to_bits()).collect()
+    }
+
+    #[test]
+    fn matvec_quant_matches_the_scalar_reference_bit_for_bit() {
+        for precision in [Precision::Int8, Precision::Int4, Precision::Int2] {
+            let qmax = precision.qmax().unwrap() as f32;
+            // The storage range, one below -qmax: what a flipped sign bit yields.
+            let (lo, hi) = (-(qmax as i8) - 1, qmax as i8);
+            for rows in ROWS {
+                for cols in COLS {
+                    let seed = (rows * 1000 + cols) as u64 ^ precision.bits() as u64;
+                    let w = codes(rows * cols, seed, lo, hi);
+                    let per_tensor =
+                        QuantMatrix::from_parts(rows, cols, w.clone(), 0.37, precision).unwrap();
+                    let scales: Vec<f32> = (0..rows).map(|r| 0.01 + r as f32 * 0.13).collect();
+                    let per_row = QuantMatrixPerRow {
+                        rows,
+                        cols,
+                        codes: w.clone(),
+                        scales: scales.clone(),
+                        precision,
+                    };
+                    // Activations at +qmax, -qmax and alternating between them.
+                    let patterns: [Vec<f32>; 3] = [
+                        vec![1.0; cols],
+                        vec![-1.0; cols],
+                        (0..cols).map(|c| if c % 2 == 0 { 1.0 } else { -1.0 }).collect(),
+                    ];
+                    for h in patterns {
+                        let x = QuantVector::quantize(&Vector::from(h), precision).unwrap();
+                        assert!(x.codes().iter().all(|&c| (c as f32).abs() == qmax));
+                        let what = format!("{precision} {rows}x{cols}");
+                        assert_eq!(
+                            bits(&per_tensor.matvec_quant(&x)),
+                            reference(&w, &x, |_| 0.37),
+                            "{what}"
+                        );
+                        assert_eq!(
+                            bits(&per_row.matvec_quant(&x)),
+                            reference(&w, &x, |r| scales[r]),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,57 +20,95 @@ pub struct Candidate {
 /// Returns the indices of the `k` largest values, sorted by descending
 /// value (ties broken by lower index first).
 ///
-/// If `k >= values.len()` all indices are returned.
+/// NaN ranks as `-inf` and `-0.0` equals `+0.0`. If `k >= values.len()` all
+/// indices are returned.
 ///
-/// This is an O(l log k) partial selection over a binary heap — the software
-/// analogue of the comparator array.
+/// This is an exact buffered selection — the software analogue of the
+/// comparator array. Each value is packed with its index into one `u64`
+/// key whose integer order is the output order. Keys collect in a buffer of
+/// `2·max(k, 16)`; a full buffer is cut to its best `k` by a partial
+/// selection, and the `k`-th best value becomes a floor that every later
+/// value must strictly exceed to enter (a later index never wins a tie);
+/// blocks of sixteen values are tested against the floor at once. Memory
+/// is O(k) and time O(l) plus O(k log k) for the final sort.
 pub fn top_k_indices(values: &[f32], k: usize) -> Vec<usize> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    if k == 0 || values.is_empty() {
+    let k = k.min(values.len());
+    if k == 0 {
         return Vec::new();
     }
-    // Min-heap of (value, Reverse(index)) keeps the k best seen so far.
-    let mut heap: BinaryHeap<Reverse<(Ordered, Reverse<usize>)>> = BinaryHeap::new();
-    for (i, &v) in values.iter().enumerate() {
-        let item = Reverse((ordered(v), Reverse(i)));
-        if heap.len() < k {
-            heap.push(item);
-        } else if let Some(&Reverse((top, _))) = heap.peek() {
-            if ordered(v) > top {
-                heap.pop();
-                heap.push(item);
+    if u32::try_from(values.len() - 1).is_err() {
+        // Indices no longer fit the key's low half.
+        return top_k_sorted(values, k);
+    }
+    let cap = 2 * k.max(16);
+    let head = values.len().min(cap);
+    let mut keys = Vec::with_capacity(head);
+    keys.extend(values[..head].iter().enumerate().map(|(i, &v)| key(v, i)));
+    if values.len() > head {
+        let mut floor = keep_best(&mut keys, k);
+        for (b, block) in values[head..].chunks(16).enumerate() {
+            // Most blocks hold no value above the floor: test them whole.
+            if !block.iter().fold(false, |any, &v| any | (v > floor)) {
+                continue;
+            }
+            for (i, &v) in (head + 16 * b..).zip(block) {
+                if v > floor {
+                    keys.push(key(v, i));
+                    if keys.len() == cap {
+                        floor = keep_best(&mut keys, k);
+                    }
+                }
             }
         }
     }
-    let mut out: Vec<(f32, usize)> =
-        heap.into_iter().map(|Reverse((v, Reverse(i)))| (v.0, i)).collect();
-    out.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1)));
-    out.into_iter().map(|(_, i)| i).collect()
+    if keys.len() > k {
+        keep_best(&mut keys, k);
+    }
+    keys.sort_unstable_by(|a, b| b.cmp(a));
+    keys.into_iter().map(|key| !(key as u32) as usize).collect()
 }
 
-/// Total-order wrapper so NaN logits sort below everything instead of
-/// poisoning comparisons.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Ordered(f32);
-
-fn ordered(v: f32) -> Ordered {
-    Ordered(if v.is_nan() { f32::NEG_INFINITY } else { v })
+/// Packs `v` and its index `i` into a key: the value's order-preserving
+/// `u32` (NaN as `-inf`, `-0.0` as `+0.0`) in the high half and `!i` in the
+/// low half, so a larger key is a larger value, then a lower index.
+fn key(v: f32, i: usize) -> u64 {
+    let bits = rank(v).to_bits();
+    let ord = if bits >> 31 == 1 { !bits } else { bits | 1 << 31 };
+    (u64::from(ord) << 32) | u64::from(!(i as u32))
 }
 
-impl Eq for Ordered {}
-
-impl PartialOrd for Ordered {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// The value `v` ranks as: NaN as `-inf`, and `-0.0` as `+0.0` (adding
+/// `+0.0` changes no other value).
+fn rank(v: f32) -> f32 {
+    if v.is_nan() {
+        f32::NEG_INFINITY
+    } else {
+        v + 0.0
     }
 }
 
-impl Ord for Ordered {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("NaN mapped to -inf")
-    }
+/// Inverse of [`key`]'s high half: the (NaN-free) value a key ranks by.
+fn key_value(key: u64) -> f32 {
+    let ord = (key >> 32) as u32;
+    f32::from_bits(if ord >> 31 == 1 { ord & !(1 << 31) } else { !ord })
+}
+
+/// Cuts `keys` to its `k` largest (in any order, `1 <= k < keys.len()`)
+/// and returns the value of the smallest kept key.
+fn keep_best(keys: &mut Vec<u64>, k: usize) -> f32 {
+    let (_, kth, _) = keys.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+    let floor = key_value(*kth);
+    keys.truncate(k);
+    floor
+}
+
+/// Reference selection by a full sort of the indices, in the same order as
+/// [`top_k_indices`]; used where indices exceed `u32`.
+fn top_k_sorted(values: &[f32], k: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_by(|&a, &b| rank(values[b]).total_cmp(&rank(values[a])).then(a.cmp(&b)));
+    order.truncate(k);
+    order
 }
 
 /// The hardware FILTER semantics: every value strictly greater than
@@ -145,6 +183,42 @@ mod tests {
     fn top_k_ignores_nan() {
         let v = [f32::NAN, 1.0, 2.0];
         assert_eq!(top_k_indices(&v, 2), vec![2, 1]);
+        // NaN ranks as -inf and -0.0 equals +0.0; with k = 4 the k-th
+        // value is NaN, tied with every NaN and -inf for the last slot.
+        let v = [-0.0, f32::NAN, 0.0, f32::NEG_INFINITY, -1.0, f32::NAN];
+        assert_eq!(top_k_indices(&v, 6), vec![0, 2, 4, 1, 3, 5]);
+        assert_eq!(top_k_indices(&v, 4), vec![0, 2, 4, 1]);
+    }
+
+    #[test]
+    fn top_k_matches_a_full_sort() {
+        let mut s = 1u64;
+        let mut next = || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        let pool = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1.0, -1.0, 2.5];
+        for n in [1, 15, 16, 17, 31, 32, 33, 100, 1000] {
+            // Few distinct values: long runs of ties, NaNs and zeros.
+            let tied: Vec<f32> = (0..n).map(|_| pool[next() as usize % pool.len()]).collect();
+            let spread: Vec<f32> = (0..n).map(|_| next() as f32 / 7.0 - 1e8).collect();
+            let ascending: Vec<f32> = (0..n).map(|i| i as f32).collect();
+            let descending: Vec<f32> = (0..n).rev().map(|i| i as f32).collect();
+            // A NaN and -inf prefix: the first floor is -inf.
+            let masked: Vec<f32> = (0..n)
+                .map(|i| match i {
+                    i if i < n * 3 / 4 && i % 2 == 0 => f32::NAN,
+                    i if i < n * 3 / 4 => f32::NEG_INFINITY,
+                    i => i as f32,
+                })
+                .collect();
+            for values in [tied, spread, ascending, descending, masked] {
+                for k in [1, 2, 10, 16, 17, 33, n / 2, n, n + 2] {
+                    let want = top_k_sorted(&values, k.min(n));
+                    assert_eq!(top_k_indices(&values, k), want, "n={n} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

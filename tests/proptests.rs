@@ -18,6 +18,62 @@ fn finite_f32() -> impl Strategy<Value = f32> {
     (-1e4f32..1e4).prop_filter("finite", |x| x.is_finite())
 }
 
+/// Logits as selection meets them: finite values, repeated values, NaN,
+/// ±0.0 and ±inf; with a `k` from 0 to two past the length.
+fn logits_and_k() -> impl Strategy<Value = (Vec<f32>, usize)> {
+    let logit = prop_oneof![
+        finite_f32(),
+        finite_f32(),
+        (-3i32..3).prop_map(|v| v as f32),
+        Just(f32::NAN),
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+    ];
+    (prop::collection::vec(logit, 0..256), any::<usize>(), any::<usize>()).prop_map(
+        |(mut values, k, masked)| {
+            // In half the cases a prefix is masked (NaN or -inf), so the k-th
+            // best value early in the scan is often NaN or -inf.
+            let masked = masked % (2 * values.len() + 1);
+            for (i, v) in values.iter_mut().take(masked).enumerate() {
+                *v = if i % 2 == 0 { f32::NAN } else { f32::NEG_INFINITY };
+            }
+            let k = k % (values.len() + 3);
+            (values, k)
+        },
+    )
+}
+
+/// The top-k order by a full sort: descending value with NaN as -inf and
+/// -0.0 equal to +0.0, ties to the lower index.
+fn sorted_top_k(values: &[f32], k: usize) -> Vec<usize> {
+    let rank = |v: f32| {
+        if v.is_nan() {
+            f32::NEG_INFINITY
+        } else if v == 0.0 {
+            0.0
+        } else {
+            v
+        }
+    };
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_by(|&a, &b| {
+        rank(values[b]).partial_cmp(&rank(values[a])).expect("NaN ranked as -inf").then(a.cmp(&b))
+    });
+    order.truncate(k);
+    order
+}
+
+#[test]
+fn top_k_of_an_ascending_run() {
+    // Every value beats the floor: the buffer refills and compacts throughout.
+    let values: Vec<f32> = (0..2000).map(|i| i as f32).collect();
+    for k in [1, 10, 100] {
+        assert_eq!(top_k_indices(&values, k), sorted_top_k(&values, k), "k={k}");
+    }
+}
+
 fn buffer_strategy() -> impl Strategy<Value = BufferId> {
     (0u8..8).prop_map(|c| BufferId::from_code(c).expect("in range"))
 }
@@ -195,12 +251,9 @@ proptest! {
     }
 
     #[test]
-    fn top_k_matches_sorting(values in prop::collection::vec(finite_f32(), 0..128), k in 0usize..130) {
-        let got = top_k_indices(&values, k);
-        let mut order: Vec<usize> = (0..values.len()).collect();
-        order.sort_by(|&a, &b| values[b].partial_cmp(&values[a]).expect("finite").then(a.cmp(&b)));
-        order.truncate(k);
-        prop_assert_eq!(got, order);
+    fn top_k_matches_sorting(case in logits_and_k()) {
+        let (values, k) = case;
+        prop_assert_eq!(top_k_indices(&values, k), sorted_top_k(&values, k));
     }
 
     #[test]
