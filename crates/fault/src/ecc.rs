@@ -30,26 +30,72 @@ const fn build_data_positions() -> [u8; 64] {
     out
 }
 
-/// XOR of the codeword positions of all set data bits — the Hamming parity
-/// vector (bit `j` of the result is parity bit `2^j`).
-fn position_xor(data: u64) -> u8 {
-    let mut acc = 0u8;
-    let mut rest = data;
-    while rest != 0 {
-        let i = rest.trailing_zeros() as usize;
-        acc ^= DATA_POS[i];
-        rest &= rest - 1;
+/// The parity byte's share of data byte `k` holding `b`, for all eight
+/// bytes of a word: bits `0..=6` are the XOR of the codeword positions of
+/// its set data bits, bit 7 the parity of its set data bits and of those
+/// seven bits. XOR is linear, so the XOR of a word's eight entries is its
+/// whole parity byte: Hamming bits and overall parity in one pass, with no
+/// population count (the build targets no CPU with `popcnt`).
+const BYTE_PARITY: [[u8; 256]; 8] = build_byte_parity();
+
+const fn build_byte_parity() -> [[u8; 256]; 8] {
+    let mut out = [[0u8; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let mut hamming = 0u8;
+            let mut j = 0;
+            while j < 8 {
+                if b >> j & 1 == 1 {
+                    hamming ^= DATA_POS[8 * k + j];
+                }
+                j += 1;
+            }
+            let odd = (b as u32).count_ones() + hamming.count_ones();
+            out[k][b] = hamming | ((odd & 1) as u8) << 7;
+            b += 1;
+        }
+        k += 1;
     }
-    acc
+    out
+}
+
+/// What a Hamming syndrome points at: the index of the data bit at that
+/// codeword position, [`PARITY_BIT`] for position 0 (the overall bit) and
+/// the Hamming parity positions, or [`OUTSIDE`] past position 71.
+const SYNDROME_BIT: [u8; 128] = build_syndrome_bits();
+const PARITY_BIT: u8 = 64;
+const OUTSIDE: u8 = 65;
+
+const fn build_syndrome_bits() -> [u8; 128] {
+    let mut out = [OUTSIDE; 128];
+    let mut s = 0;
+    while s < 128 {
+        if s == 0 || (s as u8).is_power_of_two() {
+            out[s] = PARITY_BIT;
+        }
+        s += 1;
+    }
+    let mut i = 0;
+    while i < 64 {
+        out[DATA_POS[i] as usize] = i as u8;
+        i += 1;
+    }
+    out
+}
+
+/// Parity of the eight bits of `x`.
+fn parity8(x: u8) -> bool {
+    let x = x ^ x >> 4;
+    let x = x ^ x >> 2;
+    (x ^ x >> 1) & 1 == 1
 }
 
 /// Encodes 64 data bits into the (72,64) parity byte: Hamming parity in
 /// bits `0..=6`, overall parity in bit 7.
 pub fn encode(data: u64) -> u8 {
-    let hamming = position_xor(data) & 0x7f;
-    let overall =
-        ((data.count_ones() + u32::from(hamming).count_ones()) & 1) as u8;
-    hamming | (overall << 7)
+    data.to_le_bytes().iter().zip(&BYTE_PARITY).fold(0, |acc, (&b, table)| acc ^ table[b as usize])
 }
 
 /// Decode outcome of one (72,64) word.
@@ -78,24 +124,21 @@ impl Decoded {
 
 /// Decodes a received `(data, parity)` pair.
 pub fn decode(data: u64, parity: u8) -> Decoded {
-    let syndrome = (position_xor(data) ^ parity) & 0x7f;
-    // Overall parity covers all 72 stored bits; odd total ⇒ odd error count.
-    let odd = (data.count_ones() + u32::from(parity).count_ones()) & 1 == 1;
-    match (syndrome, odd) {
+    // Bits 0..=6: the Hamming syndrome. The parity of all eight bits is the
+    // parity of all 72 stored bits; odd total ⇒ odd error count.
+    let s = encode(data) ^ parity;
+    let syndrome = s & 0x7f;
+    match (syndrome, parity8(s)) {
         (0, false) => Decoded::Clean(data),
-        (0, true) => Decoded::Corrected(data), // the overall parity bit itself
-        (s, true) => {
-            if s.is_power_of_two() {
-                // A Hamming parity bit flipped; the data is intact.
-                Decoded::Corrected(data)
-            } else if let Some(i) = DATA_POS.iter().position(|&p| p == s) {
-                Decoded::Corrected(data ^ (1u64 << i))
-            } else {
-                // Syndrome points outside the codeword: ≥3 errors.
-                Decoded::Uncorrectable(data)
-            }
-        }
         (_, false) => Decoded::Uncorrectable(data),
+        (s, true) => match SYNDROME_BIT[s as usize] {
+            // The overall bit or a Hamming parity bit flipped; the data is
+            // intact.
+            PARITY_BIT => Decoded::Corrected(data),
+            // Syndrome points outside the codeword: ≥3 errors.
+            OUTSIDE => Decoded::Uncorrectable(data),
+            i => Decoded::Corrected(data ^ (1u64 << i)),
+        },
     }
 }
 
@@ -148,6 +191,117 @@ pub const ECC_NS_PER_BURST: f64 = 0.833;
 mod tests {
     use super::*;
 
+    /// XOR of the codeword positions of all set data bits — the Hamming
+    /// parity vector (bit `j` of the result is parity bit `2^j`).
+    fn position_xor(data: u64) -> u8 {
+        let mut acc = 0u8;
+        let mut rest = data;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            acc ^= DATA_POS[i];
+            rest &= rest - 1;
+        }
+        acc
+    }
+
+    /// Bit-serial reference [`encode`].
+    fn encode_ref(data: u64) -> u8 {
+        let hamming = position_xor(data) & 0x7f;
+        let overall = ((data.count_ones() + u32::from(hamming).count_ones()) & 1) as u8;
+        hamming | (overall << 7)
+    }
+
+    /// Bit-serial reference [`decode`].
+    fn decode_ref(data: u64, parity: u8) -> Decoded {
+        let syndrome = (position_xor(data) ^ parity) & 0x7f;
+        let odd = (data.count_ones() + u32::from(parity).count_ones()) & 1 == 1;
+        match (syndrome, odd) {
+            (0, false) => Decoded::Clean(data),
+            (0, true) => Decoded::Corrected(data),
+            (s, true) => {
+                if s.is_power_of_two() {
+                    Decoded::Corrected(data)
+                } else if let Some(i) = DATA_POS.iter().position(|&p| p == s) {
+                    Decoded::Corrected(data ^ (1u64 << i))
+                } else {
+                    Decoded::Uncorrectable(data)
+                }
+            }
+            (_, false) => Decoded::Uncorrectable(data),
+        }
+    }
+
+    /// `SAMPLES` followed by `n` SplitMix64 words.
+    fn words(n: usize) -> Vec<u64> {
+        let mut x = 0x5eed_u64;
+        SAMPLES
+            .into_iter()
+            .chain((0..n).map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (x ^ x >> 30).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ z >> 27).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ z >> 31
+            }))
+            .collect()
+    }
+
+    /// Flips codeword bit `b` of `(data, parity)`: data bits `0..64`, then
+    /// the parity byte's bits at `64..72`.
+    fn flip(word: (u64, u8), b: u32) -> (u64, u8) {
+        if b < 64 {
+            (word.0 ^ 1 << b, word.1)
+        } else {
+            (word.0, word.1 ^ 1 << (b - 64))
+        }
+    }
+
+    #[test]
+    fn every_single_bit_error_is_corrected() {
+        // All 64 data bits and all 8 parity-byte bits, against the
+        // bit-serial reference too.
+        for d in words(26) {
+            let parity = encode(d);
+            assert_eq!(parity, encode_ref(d), "encode {d:#x}");
+            for b in 0..72 {
+                let (data, p) = flip((d, parity), b);
+                let got = decode(data, p);
+                assert_eq!(got, Decoded::Corrected(d), "bit {b} of {d:#x}");
+                assert_eq!(got, decode_ref(data, p), "bit {b} of {d:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn double_bit_errors_are_detected_not_miscorrected() {
+        // All 2,556 pairs of the 72 codeword bits: data + data, data +
+        // Hamming parity, data + overall parity, parity + parity.
+        for d in words(26) {
+            let parity = encode(d);
+            let mut pairs = 0;
+            for a in 0..72 {
+                for b in a + 1..72 {
+                    let (data, p) = flip(flip((d, parity), a), b);
+                    let got = decode(data, p);
+                    assert_eq!(got, Decoded::Uncorrectable(data), "bits {a},{b} of {d:#x}");
+                    assert_eq!(got, decode_ref(data, p), "bits {a},{b} of {d:#x}");
+                    pairs += 1;
+                }
+            }
+            assert_eq!(pairs, 2556);
+        }
+    }
+
+    #[test]
+    fn table_decoder_matches_the_reference_on_every_syndrome() {
+        // Every parity byte against a few words reaches all 256 syndromes,
+        // including the ones past position 71 that only ≥3 flips produce.
+        for d in words(4) {
+            for parity in 0..=255u8 {
+                assert_eq!(decode(d, parity), decode_ref(d, parity), "{d:#x} parity {parity:#x}");
+            }
+        }
+    }
+
     const SAMPLES: [u64; 6] = [
         0,
         u64::MAX,
@@ -174,50 +328,6 @@ mod tests {
     fn clean_words_decode_clean() {
         for d in SAMPLES {
             assert_eq!(decode(d, encode(d)), Decoded::Clean(d));
-        }
-    }
-
-    #[test]
-    fn every_single_bit_error_is_corrected() {
-        for d in SAMPLES {
-            let parity = encode(d);
-            // Flip each of the 64 data bits.
-            for b in 0..64 {
-                let got = decode(d ^ (1u64 << b), parity);
-                assert_eq!(got, Decoded::Corrected(d), "data bit {b} of {d:#x}");
-            }
-            // Flip each of the 8 parity-byte bits.
-            for b in 0..8 {
-                let got = decode(d, parity ^ (1u8 << b));
-                assert_eq!(got, Decoded::Corrected(d), "parity bit {b} of {d:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn double_bit_errors_are_detected_not_miscorrected() {
-        for d in SAMPLES {
-            let parity = encode(d);
-            for (a, b) in [(0u32, 1u32), (5, 40), (63, 17), (2, 33)] {
-                let corrupted = d ^ (1u64 << a) ^ (1u64 << b);
-                assert_eq!(
-                    decode(corrupted, parity),
-                    Decoded::Uncorrectable(corrupted),
-                    "data bits {a},{b} of {d:#x}"
-                );
-            }
-            // One data bit + one Hamming parity bit.
-            let corrupted = d ^ 1;
-            assert_eq!(
-                decode(corrupted, parity ^ 0b0000_0100),
-                Decoded::Uncorrectable(corrupted)
-            );
-            // One data bit + the overall parity bit.
-            let corrupted = d ^ (1u64 << 9);
-            assert_eq!(
-                decode(corrupted, parity ^ 0x80),
-                Decoded::Uncorrectable(corrupted)
-            );
         }
     }
 

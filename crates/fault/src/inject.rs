@@ -20,8 +20,8 @@
 //! in the pad bits are counted as raw channel flips but cannot reach any
 //! consumer.
 
-use crate::ecc::{encode, Decoded, EccCounters};
-use crate::model::FaultModel;
+use crate::ecc::{encode, EccCounters};
+use crate::model::{Channel, FaultModel};
 use enmc_screen::screener::Screener;
 use enmc_tensor::{pack_codes, unpack_codes, Matrix, TensorError};
 
@@ -66,28 +66,44 @@ pub fn corrupt_image(
     ecc: bool,
     stats: &mut InjectionStats,
 ) {
-    for (i, chunk) in bytes.chunks_mut(8).enumerate() {
-        let addr = base_addr + i as u64;
+    let channel = channel(model);
+    for (addr, chunk) in (base_addr..).zip(bytes.chunks_mut(8)) {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
-        let clean = u64::from_le_bytes(word);
-        stats.words += 1;
-        let out = if ecc {
-            let parity = encode(clean);
-            let (cd, cp) = model.corrupt_codeword(addr, clean, parity);
-            stats.raw_flips +=
-                u64::from((cd ^ clean).count_ones() + (cp ^ parity).count_ones());
-            match stats.ecc.decode_counted(cd, cp) {
-                Decoded::Clean(d) | Decoded::Corrected(d) | Decoded::Uncorrectable(d) => d,
-            }
-        } else {
-            let cd = model.corrupt_word(addr, clean);
-            stats.raw_flips += u64::from((cd ^ clean).count_ones());
-            cd
-        };
-        stats.residual_flips += u64::from((out ^ clean).count_ones());
+        let out = read_word(channel.as_ref(), addr, u64::from_le_bytes(word), ecc, stats);
         chunk.copy_from_slice(&out.to_le_bytes()[..chunk.len()]);
     }
+}
+
+/// The channel of `model`, or `None` when it is the identity.
+fn channel(model: &FaultModel) -> Option<Channel> {
+    (!model.is_nominal()).then(|| Channel::new(model))
+}
+
+/// Reads the word `clean` stored at `addr` through `channel` (`None`: the
+/// identity) and, with `ecc`, through the SEC-DED codec — every word is
+/// encoded and decoded, even on a clean channel — and counts it into
+/// `stats`. Returns the word the consumer sees.
+fn read_word(
+    channel: Option<&Channel>,
+    addr: u64,
+    clean: u64,
+    ecc: bool,
+    stats: &mut InjectionStats,
+) -> u64 {
+    stats.words += 1;
+    let out = if ecc {
+        let parity = encode(clean);
+        let (cd, cp) = channel.map_or((clean, parity), |c| c.corrupt_codeword(addr, clean, parity));
+        stats.raw_flips += u64::from((cd ^ clean).count_ones() + (cp ^ parity).count_ones());
+        stats.ecc.decode_counted(cd, cp).payload()
+    } else {
+        let cd = channel.map_or(clean, |c| c.corrupt_word(addr, clean));
+        stats.raw_flips += u64::from((cd ^ clean).count_ones());
+        cd
+    };
+    stats.residual_flips += u64::from((out ^ clean).count_ones());
+    out
 }
 
 /// Marks which logical rows of a corrupted image differ from the clean one.
@@ -134,26 +150,42 @@ pub fn corrupt_screener(
 /// the corrupted matrix, flip accounting, and a per-row corruption flag.
 /// Bit flips may produce NaN/Inf values — realistic, and the selection
 /// kernels tolerate them.
+///
+/// The same walk as [`corrupt_image`] over the matrix's little-endian byte
+/// image, on `u64` words read straight from pairs of `f32` bit patterns.
 pub fn corrupt_matrix(
     m: &Matrix,
     base_addr: u64,
     model: &FaultModel,
     ecc: bool,
 ) -> (Matrix, InjectionStats, Vec<bool>) {
+    let channel = channel(model);
     let mut stats = InjectionStats::default();
-    let mut bytes = Vec::with_capacity(m.as_slice().len() * 4);
-    for &v in m.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
+    let mut rows = vec![false; m.rows()];
+    let cols = m.cols();
+    let clean = m.as_slice();
+    let mut data = Vec::with_capacity(clean.len());
+    // Word `i` holds elements `2i` (low half) and `2i + 1`; an odd count
+    // ends on a word whose high half is zero pad.
+    for (addr, pair) in (base_addr..).zip(clean.chunks(2)) {
+        let lo = pair[0].to_bits();
+        let hi = pair.get(1).map_or(0, |v| v.to_bits());
+        let word = u64::from(lo) | u64::from(hi) << 32;
+        let out = read_word(channel.as_ref(), addr, word, ecc, &mut stats);
+        // With odd `cols` a word straddles two rows: flag each half's own.
+        let first = data.len();
+        if out as u32 != lo {
+            rows[first / cols] = true;
+        }
+        if (out >> 32) as u32 != hi && pair.len() == 2 {
+            rows[(first + 1) / cols] = true;
+        }
+        data.push(f32::from_bits(out as u32));
+        if pair.len() == 2 {
+            data.push(f32::from_bits((out >> 32) as u32));
+        }
     }
-    corrupt_image(&mut bytes, base_addr, model, ecc, &mut stats);
-    let data: Vec<f32> = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    let clean_bits: Vec<u32> = m.as_slice().iter().map(|v| v.to_bits()).collect();
-    let dirty_bits: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
-    let rows = rows_touched(&clean_bits, &dirty_bits, m.rows(), m.cols());
-    let corrupted = Matrix::from_vec(m.rows(), m.cols(), data).expect("shape preserved");
+    let corrupted = Matrix::from_vec(m.rows(), cols, data).expect("shape preserved");
     (corrupted, stats, rows)
 }
 
@@ -261,14 +293,52 @@ mod tests {
 
     #[test]
     fn corrupt_matrix_rows_match_bit_differences() {
-        let m = Matrix::from_vec(8, 16, (0..128).map(|i| (i as f32 * 0.3).sin()).collect())
+        // `corrupt_matrix` must be `corrupt_image` on the matrix's
+        // little-endian byte image (data and stats), and flag exactly the
+        // rows whose bits moved.
+        let models = [
+            FaultModel::nominal(3),
+            FaultModel::nominal(3).with_ber(1e-3),
+            FaultModel::nominal(4).with_ber(0.03).with_weak_columns(0.05),
+            FaultModel::nominal(5).with_refresh_multiplier(32.0),
+            // Retention at its cap: stuck-at cells depend on the stored
+            // value, so the zero pad must be what `corrupt_image` pads with.
+            FaultModel::nominal(6).with_refresh_multiplier(1e3),
+        ];
+        // Even and odd `cols` (words straddle rows), and an odd element
+        // count (a pad word).
+        for (rows, cols) in [(8, 16), (9, 7), (5, 3), (1, 1), (64, 33)] {
+            let m = Matrix::from_vec(
+                rows,
+                cols,
+                (0..rows * cols).map(|i| (i as f32 * 0.3).sin()).collect(),
+            )
             .unwrap();
-        let model = FaultModel::nominal(3).with_ber(1e-3);
-        let (dirty, stats, rows) = corrupt_matrix(&m, WEIGHTS_BASE_ADDR, &model, false);
-        assert!(stats.raw_flips > 0);
-        for r in 0..8 {
-            let differs = m.row(r).iter().zip(dirty.row(r)).any(|(a, b)| a.to_bits() != b.to_bits());
-            assert_eq!(differs, rows[r], "row {r}");
+            for model in &models {
+                for ecc in [false, true] {
+                    let what = format!("{rows}x{cols} {model:?} ecc {ecc}");
+                    let (dirty, stats, flags) = corrupt_matrix(&m, WEIGHTS_BASE_ADDR, model, ecc);
+                    if (rows, cols) == (8, 16) && !model.is_nominal() {
+                        assert!(stats.raw_flips > 0, "{what}");
+                    }
+                    for (r, &flag) in flags.iter().enumerate() {
+                        let mut pairs = m.row(r).iter().zip(dirty.row(r));
+                        let differs = pairs.any(|(a, b)| a.to_bits() != b.to_bits());
+                        assert_eq!(differs, flag, "{what} row {r}");
+                    }
+                    let mut bytes: Vec<u8> =
+                        m.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+                    let mut want = InjectionStats::default();
+                    corrupt_image(&mut bytes, WEIGHTS_BASE_ADDR, model, ecc, &mut want);
+                    let want_bits: Vec<u32> = bytes
+                        .chunks_exact(4)
+                        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                        .collect();
+                    let got_bits: Vec<u32> = dirty.as_slice().iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got_bits, want_bits, "{what}");
+                    assert_eq!(stats, want, "{what}");
+                }
+            }
         }
     }
 

@@ -29,6 +29,8 @@
 //! the fault-free pipeline at any worker count — the CI `fault-smoke` job
 //! diffs exactly that.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod ecc;
 pub mod inject;
 pub mod model;

@@ -36,12 +36,31 @@ pub const RETENTION_BASE: f64 = 2.0e-5;
 /// Words per DRAM row for the weak-column geometry (1 KiB row / 8 B word).
 const WORDS_PER_ROW: u64 = 128;
 
-/// Stateless per-bit hash: SplitMix64 finalizer over a mixed key.
-fn mix(seed: u64, tag: u64, addr: u64, bit: u32) -> u64 {
-    let mut x = seed
-        ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ addr.wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ (bit as u64).wrapping_mul(0x94D0_49BB_1331_11EB);
+/// Multipliers of the tag, address and bit terms of a hash key.
+const TAG_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+const ADDR_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
+const BIT_MUL: u64 = 0x94D0_49BB_1331_11EB;
+
+/// Bits of a (72,64) codeword: 64 data bits, then the 8 check bits.
+const CODEWORD_BITS: usize = 72;
+
+/// The bit term `bit · BIT_MUL` of every codeword bit's hash key.
+const BIT_KEY: [u64; CODEWORD_BITS] = build_bit_keys();
+
+const fn build_bit_keys() -> [u64; CODEWORD_BITS] {
+    let mut out = [0u64; CODEWORD_BITS];
+    let mut b = 0;
+    while b < CODEWORD_BITS {
+        out[b] = (b as u64).wrapping_mul(BIT_MUL);
+        b += 1;
+    }
+    out
+}
+
+/// SplitMix64 finalizer.
+#[inline(always)]
+fn finalize(key: u64) -> u64 {
+    let mut x = key;
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -50,9 +69,58 @@ fn mix(seed: u64, tag: u64, addr: u64, bit: u32) -> u64 {
     x
 }
 
+/// The key of every hash at `(seed, tag, addr)`, before the bit term.
+fn word_key(seed: u64, tag: u64, addr: u64) -> u64 {
+    seed ^ tag.wrapping_mul(TAG_MUL) ^ addr.wrapping_mul(ADDR_MUL)
+}
+
+/// Stateless per-bit hash: SplitMix64 finalizer over a mixed key.
+#[cfg(test)]
+fn mix(seed: u64, tag: u64, addr: u64, bit: u32) -> u64 {
+    finalize(word_key(seed, tag, addr) ^ BIT_KEY[bit as usize])
+}
+
 /// Uniform in `[0, 1)` from the top 53 bits of a hash.
+#[cfg(test)]
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The integer form of the test `unit(h) < p`: `h >> 11 < threshold(p)`.
+///
+/// Exact for every `p`: `h >> 11` is an integer below 2^53, so `unit`
+/// converts and scales it by 2^-53 without rounding, and `p · 2^53` is
+/// exact too, so `unit(h) < p` holds exactly when `h >> 11 < p · 2^53`,
+/// that is, when `h >> 11 < ceil(p · 2^53)`. A `p` of zero, below zero or
+/// NaN gives 0, which no hash passes; a `p` of 1 or more gives at least
+/// 2^53, which every hash passes.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Bits `b < N` of a word whose hash `finalize(key ^ BIT_KEY[b])` passes
+/// `threshold`. This loop is where a channel spends its time.
+#[inline(always)]
+fn hashes_below<const N: usize>(key: u64, threshold: u64) -> u128 {
+    let pass = |keys: &[u64]| {
+        keys.iter().enumerate().fold(0u64, |mask, (b, &k)| {
+            mask | u64::from(finalize(key ^ k) >> 11 < threshold) << b
+        })
+    };
+    u128::from(pass(&BIT_KEY[..64])) | u128::from(pass(&BIT_KEY[64..N])) << 64
+}
+
+/// The bits of `bits` whose hash `finalize(key ^ BIT_KEY[b])` is odd.
+#[inline(always)]
+fn odd_hashes(key: u64, bits: u128) -> u128 {
+    let mut rest = bits;
+    let mut out = 0u128;
+    while rest != 0 {
+        let b = rest.trailing_zeros();
+        out |= u128::from(finalize(key ^ BIT_KEY[b as usize]) & 1) << b;
+        rest &= rest - 1;
+    }
+    out
 }
 
 /// A composed approximate-DRAM error model (all mechanisms seeded and
@@ -148,6 +216,136 @@ impl FaultModel {
         self.ber == 0.0 && self.retention_fail_prob() == 0.0 && self.weak_column_frac == 0.0
     }
 
+    /// Corrupts a 64-bit word read from `addr`.
+    ///
+    /// Prepares a channel on every call: with weak columns on, that is
+    /// 128 × 72 column hashes for one word. To corrupt many words, use
+    /// [`crate::inject::corrupt_image`] or [`crate::inject::corrupt_matrix`],
+    /// which prepare it once per image.
+    pub fn corrupt_word(&self, addr: u64, data: u64) -> u64 {
+        if self.is_nominal() {
+            return data;
+        }
+        Channel::new(self).corrupt_word(addr, data)
+    }
+
+    /// Corrupts a full (72,64) codeword read from `addr`: the 64 data bits
+    /// at bit indices `0..64` and the 8 parity-byte bits at `64..72` —
+    /// check bits live in the same DRAM row and decay like everything else.
+    ///
+    /// Prepares a channel on every call, like [`FaultModel::corrupt_word`].
+    pub fn corrupt_codeword(&self, addr: u64, data: u64, parity: u8) -> (u64, u8) {
+        if self.is_nominal() {
+            return (data, parity);
+        }
+        Channel::new(self).corrupt_codeword(addr, data, parity)
+    }
+}
+
+/// A [`FaultModel`] prepared for one image: the model's constants worked
+/// out once, and every word's bits decided together.
+///
+/// Bit-identical to deciding each bit on its own (the module docs): each
+/// bit is still decided by the same hash of `(seed, tag, addr, bit)`,
+/// each probability test is the same test in integer form
+/// ([`threshold`]), and the mechanisms apply in the same order —
+/// retention, then weak columns, then BER — as masks over the word.
+pub(crate) struct Channel {
+    seed: u64,
+    /// [`threshold`] of the retention failure probability.
+    retention: u64,
+    /// [`threshold`] of the BER.
+    ber: u64,
+    /// The tRCD-marginal lanes of each column (word position within its
+    /// DRAM row); empty when the mechanism is off.
+    weak_lanes: Vec<u128>,
+    /// Whether the CPU runs the AVX2 hash loop, detected once per channel.
+    #[cfg(target_arch = "x86_64")]
+    avx2: bool,
+}
+
+impl Channel {
+    /// Prepares `model` for an image: its thresholds, its weak lanes
+    /// (128 columns × 72 hashes, when the mechanism is on) and the CPU's
+    /// hash loop.
+    pub(crate) fn new(model: &FaultModel) -> Self {
+        let weak = threshold(model.weak_column_frac);
+        let weak_lanes = if weak == 0 {
+            Vec::new()
+        } else {
+            (0..WORDS_PER_ROW)
+                .map(|col| {
+                    hashes_below::<CODEWORD_BITS>(word_key(model.seed, TAG_WEAK_COLUMN, col), weak)
+                })
+                .collect()
+        };
+        Channel {
+            seed: model.seed,
+            retention: threshold(model.retention_fail_prob()),
+            ber: threshold(model.ber),
+            weak_lanes,
+            #[cfg(target_arch = "x86_64")]
+            avx2: std::is_x86_feature_detected!("avx2"),
+        }
+    }
+
+    /// [`FaultModel::corrupt_word`] on this channel.
+    pub(crate) fn corrupt_word(&self, addr: u64, data: u64) -> u64 {
+        self.corrupt::<64>(addr, u128::from(data)) as u64
+    }
+
+    /// [`FaultModel::corrupt_codeword`] on this channel.
+    pub(crate) fn corrupt_codeword(&self, addr: u64, data: u64, parity: u8) -> (u64, u8) {
+        let out = self.corrupt::<CODEWORD_BITS>(addr, u128::from(data) | u128::from(parity) << 64);
+        (out as u64, (out >> 64) as u8)
+    }
+
+    /// The `N` low bits of `bits` read from `addr`, corrupted.
+    fn corrupt<const N: usize>(&self, addr: u64, bits: u128) -> u128 {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `Channel::new` detected AVX2 on this CPU.
+            return unsafe { self.corrupt_avx2::<N>(addr, bits) };
+        }
+        self.corrupt_bits::<N>(addr, bits)
+    }
+
+    /// [`Self::corrupt`] compiled with AVX2, where LLVM runs the 64-bit
+    /// multiplies of [`hashes_below`] four lanes at a time.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn corrupt_avx2<const N: usize>(&self, addr: u64, bits: u128) -> u128 {
+        self.corrupt_bits::<N>(addr, bits)
+    }
+
+    /// The scalar channel loop, also inlined into [`Self::corrupt_avx2`]
+    /// as its AVX2 copy.
+    #[inline(always)]
+    fn corrupt_bits<const N: usize>(&self, addr: u64, bits: u128) -> u128 {
+        const { assert!(N == 64 || N == CODEWORD_BITS) };
+        let key = |tag| word_key(self.seed, tag, addr);
+        let mut v = bits;
+        // Retention: failed cells read as their stuck-at polarity. Only a
+        // failed cell's polarity is ever hashed.
+        if self.retention > 0 {
+            let failed = hashes_below::<N>(key(TAG_RETENTION_CELL), self.retention);
+            v = v & !failed | odd_hashes(key(TAG_RETENTION_POLARITY), failed);
+        }
+        // Reduced tRCD: marginal lanes sample wrong on ~half the reads.
+        if let Some(&lanes) = self.weak_lanes.get((addr % WORDS_PER_ROW) as usize) {
+            v ^= odd_hashes(key(TAG_WEAK_SAMPLE), lanes & (u128::MAX >> (128 - N)));
+        }
+        // Transient channel noise.
+        if self.ber > 0 {
+            v ^= hashes_below::<N>(key(TAG_UNIFORM), self.ber);
+        }
+        v
+    }
+}
+
+/// The per-bit reference the channel must reproduce bit for bit.
+#[cfg(test)]
+impl FaultModel {
     /// Whether the retention cell at `(addr, bit)` has failed, and if so
     /// its stuck-at polarity. The failed-cell set is nested in the
     /// refresh multiplier by construction (`u < p(m)` with `p` monotone).
@@ -184,41 +382,93 @@ impl FaultModel {
         v
     }
 
-    /// Corrupts a 64-bit word read from `addr`.
-    pub fn corrupt_word(&self, addr: u64, data: u64) -> u64 {
-        if self.is_nominal() {
-            return data;
-        }
-        let mut out = 0u64;
-        for bit in 0..64 {
-            if self.corrupt_bit(addr, bit, data >> bit & 1 == 1) {
-                out |= 1 << bit;
-            }
-        }
-        out
-    }
-
-    /// Corrupts a full (72,64) codeword read from `addr`: the 64 data bits
-    /// at bit indices `0..64` and the 8 parity-byte bits at `64..72` —
-    /// check bits live in the same DRAM row and decay like everything else.
-    pub fn corrupt_codeword(&self, addr: u64, data: u64, parity: u8) -> (u64, u8) {
-        if self.is_nominal() {
-            return (data, parity);
-        }
-        let data = self.corrupt_word(addr, data);
-        let mut p = 0u8;
-        for bit in 0..8u32 {
-            if self.corrupt_bit(addr, 64 + bit, parity >> bit & 1 == 1) {
-                p |= 1 << bit;
-            }
-        }
-        (data, p)
+    /// The `n` low bits of `bits` read from `addr`, corrupted bit by bit.
+    fn corrupt_bits_ref(&self, addr: u64, bits: u128, n: u32) -> u128 {
+        (0..n).fold(0, |out, bit| {
+            out | u128::from(self.corrupt_bit(addr, bit, bits >> bit & 1 == 1)) << bit
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inject::WEIGHTS_BASE_ADDR;
+
+    /// One model per mechanism alone, all three together, and the edges:
+    /// every bit flipped or weak, the retention cap, and probabilities
+    /// below 2^-53 (threshold 1).
+    fn model_grid(seed: u64) -> Vec<FaultModel> {
+        let nominal = FaultModel::nominal(seed);
+        vec![
+            nominal.with_ber(1e-3),
+            nominal.with_ber(0.05),
+            nominal.with_ber(1.0),
+            nominal.with_ber(1e-17),
+            nominal.with_refresh_multiplier(8.0),
+            nominal.with_refresh_multiplier(32.0),
+            nominal.with_refresh_multiplier(1e3),
+            nominal.with_retention_base(1e-17).with_refresh_multiplier(2.0),
+            nominal.with_weak_columns(0.02),
+            nominal.with_weak_columns(1.0),
+            nominal.with_ber(0.01).with_refresh_multiplier(32.0).with_weak_columns(0.05),
+        ]
+    }
+
+    #[test]
+    fn channel_matches_the_per_bit_reference_on_both_hash_loops() {
+        let data = [0u128, u128::MAX, 0x00A5_DEAD_BEEF_CAFE_F00D, 0x005A_0123_4567_89AB_CDEF];
+        for seed in [1u64, 0xfa17] {
+            for model in model_grid(seed) {
+                let channel = Channel::new(&model);
+                for addr in (0..260u64).chain(WEIGHTS_BASE_ADDR..WEIGHTS_BASE_ADDR + 4) {
+                    for (i, &d) in data.iter().enumerate() {
+                        let bits = d.rotate_left((addr as u32).wrapping_mul(7) + i as u32);
+                        let want64 = model.corrupt_bits_ref(addr, bits, 64);
+                        let want72 = model.corrupt_bits_ref(addr, bits, 72);
+                        let low64 = bits & u128::from(u64::MAX);
+                        let low72 = bits & (u128::MAX >> 56);
+                        let what = format!("{model:?} addr {addr} bits {bits:#x}");
+                        assert_eq!(channel.corrupt_bits::<64>(addr, low64), want64, "{what}");
+                        assert_eq!(channel.corrupt_bits::<72>(addr, low72), want72, "{what}");
+                        #[cfg(target_arch = "x86_64")]
+                        if std::is_x86_feature_detected!("avx2") {
+                            // SAFETY: AVX2 detected just above.
+                            let (a64, a72) = unsafe {
+                                (
+                                    channel.corrupt_avx2::<64>(addr, low64),
+                                    channel.corrupt_avx2::<72>(addr, low72),
+                                )
+                            };
+                            assert_eq!(a64, want64, "{what}");
+                            assert_eq!(a72, want72, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_threshold_is_the_float_test_at_its_boundary() {
+        let mut h = 0x1234_5678_u64;
+        let mut probes: Vec<f64> =
+            vec![0.0, -0.0, -1.0, f64::NAN, 1.0, 2.0, 0.5, 5e-324, 1e-17, 2e-5 * 31.0 * 31.0];
+        probes.extend((0..200).map(|_| {
+            h = finalize(h);
+            unit(h)
+        }));
+        for p in probes {
+            let t = threshold(p);
+            // The largest hash that passes and the smallest that fails.
+            for x in [t.saturating_sub(1), t].into_iter().filter(|&x| x < 1 << 53) {
+                for low in [0, 0x7ff] {
+                    let hash = x << 11 | low;
+                    assert_eq!(hash >> 11 < t, unit(hash) < p, "p {p:e}, x {x}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn nominal_model_is_the_identity() {

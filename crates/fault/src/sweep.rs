@@ -148,8 +148,8 @@ impl SweepPoint {
     }
 }
 
-/// Per-shard partial result of one (point, tier) evaluation.
-struct ShardOutcome {
+/// Per-shard partial result of one tier at one point.
+struct TierShard {
     acc: QualityAccumulator,
     flips: u64,
     drops: u64,
@@ -159,6 +159,12 @@ struct ShardOutcome {
 
 /// Runs the quality half of the sweep (no energy join): one [`SweepPoint`]
 /// per multiplier, energy fields left at zero.
+///
+/// Per point, each query's full logits, clean screen and faulted screen
+/// are computed once and shared by every tier; each tier then finishes
+/// both screens through [`ApproxClassifier::mix_candidates`], the steps
+/// [`ApproxClassifier::classify_ref_with`] runs after screening, so a
+/// nominal channel is bit-identical to the clean classifier.
 ///
 /// # Errors
 ///
@@ -177,87 +183,103 @@ pub fn run_sweep(
     assert!(!spec.tiers.is_empty(), "sweep needs at least one candidate tier");
     assert!(spec.queries > 0, "sweep needs at least one query");
     let queries = synth.sample_queries_seeded(spec.queries, spec.query_seed);
+    let policies: Vec<SelectionPolicy> =
+        spec.tiers.iter().map(|&tier| SelectionPolicy::TopM(tier)).collect();
+    let (weights, bias) = (classifier.weights(), classifier.bias());
     let mut points = Vec::with_capacity(spec.multipliers.len());
     for &m in &spec.multipliers {
         let model = spec.model.with_refresh_multiplier(m);
         let (faulted_screener, screener_stats, screener_rows) =
             corrupt_screener(classifier.screener(), &model, spec.ecc)?;
         let (faulted_weights, weights_stats, weights_rows) =
-            corrupt_matrix(classifier.weights(), WEIGHTS_BASE_ADDR, &model, spec.ecc);
+            corrupt_matrix(weights, WEIGHTS_BASE_ADDR, &model, spec.ecc);
 
-        let mut tiers = Vec::with_capacity(spec.tiers.len());
-        for &tier in &spec.tiers {
-            let policy = SelectionPolicy::TopM(tier);
-            let ranges = enmc_par::shard_ranges(queries.len(), FAULT_SHARDS);
-            let shards: Vec<ShardOutcome> =
-                enmc_par::par_map(workers, ranges, |_, range| {
-                    let mut out = ShardOutcome {
-                        acc: QualityAccumulator::new(PRECISION_AT),
-                        flips: 0,
-                        drops: 0,
-                        spikes: 0,
-                        read_rows: vec![false; classifier.categories()],
-                    };
-                    for q in &queries[range] {
-                        let full = synth.full_logits(&q.hidden);
-                        let clean = classifier.classify_ref_with(&q.hidden, policy);
-                        // The faulted pipeline, step for step the same as
-                        // `classify_ref_with` so a nominal channel is
-                        // bit-identical to the clean path.
-                        let approx = faulted_screener.screen_ref(&q.hidden);
-                        let candidates = policy.select(approx.as_slice());
-                        let exact =
-                            faulted_weights.matvec_rows(&candidates, &q.hidden, classifier.bias());
-                        let mut logits = approx;
-                        for &(idx, val) in &exact {
-                            logits[idx] = val;
-                        }
-                        for &idx in &candidates {
-                            out.read_rows[idx] = true;
-                        }
-                        out.acc.add(full.as_slice(), logits.as_slice(), q.target);
-                        let clean_top1 = top_k_indices(clean.logits.as_slice(), 1)[0];
-                        let fault_top1 = top_k_indices(logits.as_slice(), 1)[0];
-                        if fault_top1 != clean_top1 {
-                            out.flips += 1;
-                            if candidates.contains(&clean_top1) {
-                                out.spikes += 1;
-                            } else {
-                                out.drops += 1;
-                            }
+        let ranges = enmc_par::shard_ranges(queries.len(), FAULT_SHARDS);
+        let shards: Vec<Vec<TierShard>> = enmc_par::par_map(workers, ranges, |_, range| {
+            let mut out: Vec<TierShard> = policies
+                .iter()
+                .map(|_| TierShard {
+                    acc: QualityAccumulator::new(PRECISION_AT),
+                    flips: 0,
+                    drops: 0,
+                    spikes: 0,
+                    read_rows: vec![false; classifier.categories()],
+                })
+                .collect();
+            for q in &queries[range] {
+                let h = &q.hidden;
+                let full = synth.full_logits(h);
+                let clean_screen = classifier.screener().screen_ref(h);
+                let faulted_screen = faulted_screener.screen_ref(h);
+                for (t, &policy) in out.iter_mut().zip(&policies) {
+                    let (clean, _) = ApproxClassifier::mix_candidates(
+                        clean_screen.clone(),
+                        weights,
+                        bias,
+                        h,
+                        policy,
+                    );
+                    let (logits, candidates) = ApproxClassifier::mix_candidates(
+                        faulted_screen.clone(),
+                        &faulted_weights,
+                        bias,
+                        h,
+                        policy,
+                    );
+                    for &idx in &candidates {
+                        t.read_rows[idx] = true;
+                    }
+                    t.acc.add(full.as_slice(), logits.as_slice(), q.target);
+                    let clean_top1 = top_k_indices(clean.as_slice(), 1)[0];
+                    let fault_top1 = top_k_indices(logits.as_slice(), 1)[0];
+                    if fault_top1 != clean_top1 {
+                        t.flips += 1;
+                        if candidates.contains(&clean_top1) {
+                            t.spikes += 1;
+                        } else {
+                            t.drops += 1;
                         }
                     }
-                    out
-                });
-            // Merge in shard order: worker-count invariant.
-            let mut acc = QualityAccumulator::new(PRECISION_AT);
-            let (mut flips, mut drops, mut spikes) = (0u64, 0u64, 0u64);
-            let mut read_rows = vec![false; classifier.categories()];
-            for s in &shards {
-                acc.merge(&s.acc);
-                flips += s.flips;
-                drops += s.drops;
-                spikes += s.spikes;
-                for (dst, &src) in read_rows.iter_mut().zip(&s.read_rows) {
-                    *dst |= src;
                 }
             }
-            let corrupted_rows_read = weights_rows
-                .iter()
-                .zip(&read_rows)
-                .filter(|&(&corrupt, &read)| corrupt && read)
-                .count();
-            let corrupted_total = weights_rows.iter().filter(|&&c| c).count();
-            tiers.push(TierOutcome {
-                candidates: tier,
-                quality: acc.finish(),
-                fault_top1_flips: flips,
-                flips_candidate_drop: drops,
-                flips_logit_spike: spikes,
-                corrupted_rows_read,
-                corrupted_rows_masked: corrupted_total - corrupted_rows_read,
-            });
-        }
+            out
+        });
+
+        let corrupted_total = weights_rows.iter().filter(|&&c| c).count();
+        let tiers = spec
+            .tiers
+            .iter()
+            .enumerate()
+            .map(|(t, &tier)| {
+                // Merge in shard order: worker-count invariant.
+                let mut acc = QualityAccumulator::new(PRECISION_AT);
+                let (mut flips, mut drops, mut spikes) = (0u64, 0u64, 0u64);
+                let mut read_rows = vec![false; classifier.categories()];
+                for s in shards.iter().map(|shard| &shard[t]) {
+                    acc.merge(&s.acc);
+                    flips += s.flips;
+                    drops += s.drops;
+                    spikes += s.spikes;
+                    for (dst, &src) in read_rows.iter_mut().zip(&s.read_rows) {
+                        *dst |= src;
+                    }
+                }
+                let corrupted_rows_read = weights_rows
+                    .iter()
+                    .zip(&read_rows)
+                    .filter(|&(&corrupt, &read)| corrupt && read)
+                    .count();
+                TierOutcome {
+                    candidates: tier,
+                    quality: acc.finish(),
+                    fault_top1_flips: flips,
+                    flips_candidate_drop: drops,
+                    flips_logit_spike: spikes,
+                    corrupted_rows_read,
+                    corrupted_rows_masked: corrupted_total - corrupted_rows_read,
+                }
+            })
+            .collect();
         points.push(SweepPoint {
             refresh_multiplier: m,
             ber: spec.model.ber,
@@ -265,7 +287,7 @@ pub fn run_sweep(
             screener: screener_stats,
             weights: weights_stats,
             screener_rows_corrupted: screener_rows.iter().filter(|&&r| r).count(),
-            weights_rows_corrupted: weights_rows.iter().filter(|&&r| r).count(),
+            weights_rows_corrupted: corrupted_total,
             tiers,
             refresh_energy_nj: 0.0,
             total_energy_nj: 0.0,

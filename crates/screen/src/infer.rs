@@ -211,17 +211,10 @@ impl ApproxClassifier {
         // (1) screening at the configured precision.
         let approx = self.screener.screen_ref(h);
 
-        // (2) candidate selection.
-        let candidates = policy.select(approx.as_slice());
-
-        // (3) candidates-only exact computation.
-        let exact = self.weights.matvec_rows(&candidates, h, &self.bias);
-
-        // (4) mix.
-        let mut logits = approx;
-        for (idx, val) in exact {
-            logits[idx] = val;
-        }
+        // (2)–(4) candidate selection, candidates-only exact computation,
+        // mix.
+        let (logits, candidates) =
+            Self::mix_candidates(approx, &self.weights, &self.bias, h, policy);
 
         let m = candidates.len();
         let cost = ClassificationCost {
@@ -234,6 +227,34 @@ impl ApproxClassifier {
             bytes_written: (l * 4) as u64,
         };
         ApproxOutput { logits, candidates, cost }
+    }
+
+    /// Steps (2)–(4) of [`ApproxClassifier::classify_ref_with`] on a screen
+    /// computed elsewhere: select candidates from `screen` under `policy`,
+    /// compute their rows of `weights` and `bias` exactly, and write those
+    /// logits into `screen`. Returns the mixed logits and the candidates.
+    ///
+    /// The resilience sweep runs it on clean and on fault-injected screens
+    /// and weights, so both its paths are this pipeline step for step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h.len()` differs from `weights.cols()` or a selected
+    /// candidate is out of range for `weights` or `bias`.
+    pub fn mix_candidates(
+        screen: Vector,
+        weights: &Matrix,
+        bias: &Vector,
+        h: &Vector,
+        policy: SelectionPolicy,
+    ) -> (Vector, Vec<usize>) {
+        let candidates = policy.select(screen.as_slice());
+        let exact = weights.matvec_rows(&candidates, h, bias);
+        let mut logits = screen;
+        for (idx, val) in exact {
+            logits[idx] = val;
+        }
+        (logits, candidates)
     }
 }
 

@@ -66,6 +66,26 @@ pub fn parse_count(flag: &str, raw: &str) -> Result<u64, String> {
     }
 }
 
+/// Largest `fault-sweep --queries`: 256× the default. Every query's
+/// hidden vector is drawn before the sweep starts, so the flag bounds an
+/// allocation.
+pub const MAX_QUERIES: u64 = 65_536;
+
+/// Validates a `fault-sweep --queries` value: an integer in
+/// `1..=MAX_QUERIES`.
+///
+/// # Errors
+///
+/// Returns a user-facing message naming the flag and the accepted range.
+pub fn parse_queries(raw: &str) -> Result<usize, String> {
+    match parse_count("--queries", raw)? {
+        n if n > MAX_QUERIES => {
+            Err(format!("--queries must be at most {MAX_QUERIES}, got '{raw}'"))
+        }
+        n => Ok(n as usize),
+    }
+}
+
 /// Validates a `--rate` value: a finite arrival rate > 0, in requests
 /// per kilocycle (1000 DRAM cycles).
 ///
@@ -662,6 +682,18 @@ mod tests {
         assert!(parse_count("--seeds", "0").unwrap_err().contains("--seeds"));
         assert!(parse_count("--len", "-4").unwrap_err().contains("--len"));
         assert!(parse_count("--seeds", "many").unwrap_err().contains("'many'"));
+    }
+
+    #[test]
+    fn queries_are_bounded_and_name_the_flag() {
+        assert_eq!(parse_queries("1"), Ok(1));
+        assert_eq!(parse_queries("65536"), Ok(65_536));
+        for raw in ["65537", "18446744073709551615"] {
+            let e = parse_queries(raw).unwrap_err();
+            assert!(e.contains("--queries") && e.contains("65536"), "{e}");
+        }
+        assert!(parse_queries("0").unwrap_err().contains("--queries"));
+        assert!(parse_queries("18446744073709551616").unwrap_err().contains("--queries"));
     }
 
     #[test]

@@ -118,7 +118,7 @@
 //!     --memory <preset>              preset whose error profile scales the
 //!                                    injected faults (default ddr4-2666)
 //!     --ecc                          protect weights with SEC-DED (72,64)
-//!     --queries <n>                  queries per sweep point (default 256)
+//!     --queries <n>                  queries per sweep point, at most 65536 (default 256)
 //!     --seed <n>                     fault-map + query seed (flag > ENMC_SEED > 7)
 //!     --threads <n>                  workers (output is bit-identical for any n)
 //!     --trace-out / --report as simulate
@@ -151,7 +151,7 @@ use enmc::arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc::cli::{
     flag_value, parse_arrival_kind, parse_axis_counts, parse_axis_levels, parse_batch, parse_ber,
     parse_budget_cap, parse_candidate_fraction, parse_count, parse_degrade_tiers,
-    parse_ecc_levels, parse_memory, parse_multipliers, parse_placement, parse_rate,
+    parse_ecc_levels, parse_memory, parse_multipliers, parse_placement, parse_queries, parse_rate,
     parse_report_format, parse_search_mode, parse_shape, parse_threads, parse_wall_tolerance,
     parse_zipf, tenant_priority, ArrivalKind, CommonArgs, CostModelKind, ReportFormat,
 };
@@ -1389,11 +1389,8 @@ fn cmd_fault_sweep(args: &[String]) -> i32 {
         }
     };
     let ecc = args.iter().any(|a| a == "--ecc");
-    let queries = match flag_value(args, "--queries")
-        .map(|r| parse_count("--queries", r))
-        .unwrap_or(Ok(256))
-    {
-        Ok(n) => n as usize,
+    let queries = match flag_value(args, "--queries").map(parse_queries).unwrap_or(Ok(256)) {
+        Ok(n) => n,
         Err(e) => {
             eprintln!("{e}");
             return 2;
