@@ -26,7 +26,7 @@ use enmc_obs::trace::{
     TraceBuffer, TraceEvent, TraceSink, CAT_PIPELINE, TID_COUNTERS, TID_EXECUTOR, TID_PHASES,
     TID_SCREENER, TID_SFU,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Ring capacity per DRAM channel when a traced simulation turns the
 /// controller's command trace on.
@@ -224,7 +224,7 @@ pub struct RankUnit {
 }
 
 /// Who a completed burst belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
     ScreenTile(usize),
     ExecRow(usize),
@@ -242,6 +242,34 @@ struct Fetch {
     write: bool,
 }
 
+/// Tags of the bursts in flight, by request id. The unit's fresh
+/// [`DramSystem`] hands out sequential ids, so a window that starts at the
+/// oldest outstanding id stands in for a map.
+#[derive(Debug, Default)]
+struct InFlight {
+    /// Request id of `tags[0]`.
+    first: u64,
+    /// `None` once the burst has completed.
+    tags: VecDeque<Option<Tag>>,
+}
+
+impl InFlight {
+    fn insert(&mut self, id: RequestId, tag: Tag) {
+        debug_assert_eq!(id.0, self.first + self.tags.len() as u64, "ids are sequential");
+        self.tags.push_back(Some(tag));
+    }
+
+    fn remove(&mut self, id: RequestId) -> Option<Tag> {
+        let slot = id.0.checked_sub(self.first)?;
+        let tag = self.tags.get_mut(slot as usize)?.take();
+        while let Some(None) = self.tags.front() {
+            self.tags.pop_front();
+            self.first += 1;
+        }
+        tag
+    }
+}
+
 /// Per-pipeline fetch queue that tolerates a full DRAM queue by resuming
 /// partially issued transfers on later cycles.
 #[derive(Debug, Default)]
@@ -255,7 +283,7 @@ impl Fetcher {
     }
 
     /// Issues as many bursts as the DRAM queue accepts, front first.
-    fn pump(&mut self, dram: &mut DramSystem, inflight: &mut HashMap<RequestId, Tag>) {
+    fn pump(&mut self, dram: &mut DramSystem, inflight: &mut InFlight) {
         while let Some(f) = self.queue.front_mut() {
             while f.issued < f.total {
                 let addr = f.base + (f.issued * 64) as u64;
@@ -374,8 +402,9 @@ impl RankUnit {
             .collect();
 
         // ---- pipeline state -------------------------------------------------
-        let mut inflight: HashMap<RequestId, Tag> = HashMap::new();
-        let mut remaining: HashMap<Tag, usize> = HashMap::new();
+        let mut inflight = InFlight::default();
+        // Bursts still owed per multi-burst fetch; a handful at a time.
+        let mut remaining: Vec<(Tag, usize)> = Vec::new();
         let mut screen_fetch = Fetcher::default();
         let mut exec_fetch = Fetcher::default();
         let mut spill_fetch = Fetcher::default();
@@ -440,7 +469,7 @@ impl RankUnit {
                 let pos = next_tile % screen_tiles;
                 let tag = Tag::ScreenTile(next_tile);
                 screen_fetch.push(tag, screen_base + (pos * p.buffer_bytes) as u64, bursts_per_tile, false);
-                remaining.insert(tag, bursts_per_tile);
+                remaining.push((tag, bursts_per_tile));
                 report.screen_bytes += (bursts_per_tile * 64) as u64;
                 next_tile += 1;
             }
@@ -451,7 +480,7 @@ impl RankUnit {
             {
                 let tag = Tag::ExecRow(candidates_fetched);
                 exec_fetch.push(tag, next_row_addr(), bursts_per_row, false);
-                remaining.insert(tag, bursts_per_row);
+                remaining.push((tag, bursts_per_row));
                 report.exact_bytes += (bursts_per_row * 64) as u64;
                 candidates_fetched += 1;
             }
@@ -463,13 +492,13 @@ impl RankUnit {
 
             // (4) Drain DRAM completions.
             for c in dram.drain_completions() {
-                let Some(tag) = inflight.remove(&c.id) else { continue };
-                let Some(left) = remaining.get_mut(&tag) else { continue };
-                *left -= 1;
-                if *left > 0 {
+                let Some(tag) = inflight.remove(c.id) else { continue };
+                let Some(pos) = remaining.iter().position(|&(t, _)| t == tag) else { continue };
+                remaining[pos].1 -= 1;
+                if remaining[pos].1 > 0 {
                     continue;
                 }
-                remaining.remove(&tag);
+                remaining.swap_remove(pos);
                 match tag {
                     Tag::ScreenTile(t) => tiles_ready.push_back(t),
                     Tag::ExecRow(cand) => rows_ready.push_back(cand),
@@ -482,7 +511,7 @@ impl RankUnit {
                             spill_bursts_per_group,
                             false,
                         );
-                        remaining.insert(tag, spill_bursts_per_group);
+                        remaining.push((tag, spill_bursts_per_group));
                         report.spill_bytes += (spill_bursts_per_group * 64) as u64;
                     }
                     Tag::SpillRead(group) => {
@@ -556,7 +585,7 @@ impl RankUnit {
                             spill_bursts_per_group,
                             true,
                         );
-                        remaining.insert(tag, spill_bursts_per_group);
+                        remaining.push((tag, spill_bursts_per_group));
                         report.spill_bytes += (spill_bursts_per_group * 64) as u64;
                     }
                 }
@@ -687,6 +716,23 @@ mod tests {
             sfu_per_cycle: 1.0,
             dram: DramConfig::enmc_single_rank(),
         })
+    }
+
+    #[test]
+    fn in_flight_window_follows_out_of_order_completions() {
+        let mut w = InFlight::default();
+        let tags = [Tag::ScreenTile(0), Tag::ExecRow(1), Tag::SpillWrite(2)];
+        for (id, tag) in tags.into_iter().enumerate() {
+            w.insert(RequestId(id as u64), tag);
+        }
+        assert_eq!(w.remove(RequestId(1)), Some(Tag::ExecRow(1)));
+        assert_eq!(w.remove(RequestId(1)), None);
+        assert_eq!(w.remove(RequestId(0)), Some(Tag::ScreenTile(0)));
+        // The completed prefix is dropped; the window starts at id 2.
+        assert_eq!((w.first, w.tags.len()), (2, 1));
+        assert_eq!(w.remove(RequestId(0)), None);
+        assert_eq!(w.remove(RequestId(2)), Some(Tag::SpillWrite(2)));
+        assert!(w.tags.is_empty());
     }
 
     #[test]

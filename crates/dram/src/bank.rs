@@ -29,8 +29,6 @@ pub struct Bank {
     next_rd: u64,
     /// Earliest cycle a WR may issue.
     next_wr: u64,
-    /// Row hits/misses bookkeeping.
-    opened_row_accesses: u64,
 }
 
 impl Default for Bank {
@@ -48,18 +46,12 @@ impl Bank {
             next_pre: 0,
             next_rd: 0,
             next_wr: 0,
-            opened_row_accesses: 0,
         }
     }
 
     /// Current row-buffer state.
     pub fn state(&self) -> RowState {
         self.state
-    }
-
-    /// Number of column accesses served by the currently open row.
-    pub fn open_row_accesses(&self) -> u64 {
-        self.opened_row_accesses
     }
 
     /// `true` if `row` is open in the buffer.
@@ -106,7 +98,6 @@ impl Bank {
         match kind {
             CommandKind::Act => {
                 self.state = RowState::Open(row);
-                self.opened_row_accesses = 0;
                 self.next_act = now + t.trc;
                 self.next_pre = now + t.tras;
                 self.next_rd = now + t.trcd;
@@ -117,7 +108,6 @@ impl Bank {
                 self.next_act = self.next_act.max(now + t.trp);
             }
             CommandKind::Rd | CommandKind::Rda => {
-                self.opened_row_accesses += 1;
                 // Read-to-precharge.
                 self.next_pre = self.next_pre.max(now + t.trtp);
                 if kind == CommandKind::Rda {
@@ -126,7 +116,6 @@ impl Bank {
                 }
             }
             CommandKind::Wr | CommandKind::Wra => {
-                self.opened_row_accesses += 1;
                 // Write recovery before precharge.
                 self.next_pre = self.next_pre.max(now + t.cwl + t.tbl + t.twr);
                 if kind == CommandKind::Wra {
@@ -202,17 +191,23 @@ mod tests {
     }
 
     #[test]
-    fn row_access_counter_resets_on_act() {
+    fn reads_then_precharge_at_tras_then_act_at_trc_are_legal() {
         let t = t();
         let mut b = Bank::new();
-        b.issue(CommandKind::Act, 1, 0, &t);
-        b.issue(CommandKind::Rd, 1, t.trcd, &t);
-        b.issue(CommandKind::Rd, 1, t.trcd + t.tccd_s, &t);
-        assert_eq!(b.open_row_accesses(), 2);
         // Precharge as soon as tRAS allows; the next ACT is gated by tRC.
-        b.issue(CommandKind::Pre, 1, t.tras, &t);
-        b.issue(CommandKind::Act, 2, t.trc, &t);
-        assert_eq!(b.open_row_accesses(), 0);
+        let steps = [
+            (CommandKind::Act, 1, 0),
+            (CommandKind::Rd, 1, t.trcd),
+            (CommandKind::Rd, 1, t.trcd + t.tccd_s),
+            (CommandKind::Pre, 1, t.tras),
+            (CommandKind::Act, 2, t.trc),
+        ];
+        for (kind, row, at) in steps {
+            assert!(b.permits(kind, row), "{kind:?} not permitted");
+            assert!(b.earliest(kind) <= at, "{kind:?} at {at} is too early");
+            b.issue(kind, row, at, &t);
+        }
+        assert!(b.is_open(2));
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! This mirrors the paper's note that the on-DIMM DRAM controller is a
 //! simplified host-style controller ("we do not deploy unnecessary
 //! features like queue prioritizing, request coalescing").
+//!
+//! The scan is event-aware without changing a single decision: each
+//! queued entry counts its older same-address entries at enqueue (the
+//! reorder hazard), and a scan that issues nothing records the least
+//! [`RankState::earliest`] it saw. Until that cycle, or until a refresh
+//! falls due, a request arrives or a command issues, the scan would
+//! issue nothing again, so [`ChannelController::tick`] skips it.
 
 use crate::checker::{ProtocolViolation, TimingChecker};
 use crate::command::{Command, CommandKind, TimedCommand};
@@ -41,6 +48,10 @@ struct Entry {
     /// Set once this entry has caused a PRE (conflict) so it is only
     /// classified once in the stats.
     classified: bool,
+    /// Older queued entries with the same coordinate. Same-address
+    /// requests must not reorder (RAW/WAR/WAW), so the entry is held back
+    /// while this is nonzero.
+    blocked: usize,
 }
 
 /// One channel's controller and its ranks.
@@ -53,6 +64,10 @@ pub struct ChannelController {
     next_refresh: Vec<u64>,
     /// Ranks with an overdue refresh.
     refresh_due: Vec<bool>,
+    /// First cycle at which the FR-FCFS scan can issue again: the least
+    /// issue cycle the last idle scan saw, or 0 once a request arrives or
+    /// a command issues.
+    wake: u64,
     stats: DramStats,
     /// Command-event trace collector; `None` (the default) costs one
     /// branch per issued command and nothing else.
@@ -80,6 +95,7 @@ impl ChannelController {
             queue: Vec::with_capacity(config.queue_depth),
             next_refresh: (0..config.organization.ranks).map(|_| trefi).collect(),
             refresh_due: vec![false; config.organization.ranks],
+            wake: 0,
             stats: DramStats::default(),
             trace: None,
             trace_pid: 0,
@@ -182,11 +198,14 @@ impl ChannelController {
         self.cmd_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Single funnel for every issued command: trace event, command log,
-    /// and protocol check. Fresh violations are mirrored into the trace
-    /// (category [`CAT_PROTOCOL`]) so they land next to the offending
-    /// command in timeline views.
+    /// Single funnel for every issued command: scan wake-up, trace event,
+    /// command log, and protocol check. Fresh violations are mirrored
+    /// into the trace (category [`CAT_PROTOCOL`]) so they land next to
+    /// the offending command in timeline views.
     fn observe_cmd(&mut self, now: u64, kind: CommandKind, coord: &Coord) {
+        // The command changed rank state, so every entry's issue cycle
+        // may have moved: scan again next cycle.
+        self.wake = 0;
         self.trace_cmd(now, kind, coord);
         if let Some(log) = self.cmd_log.as_mut() {
             log.push(TimedCommand { cycle: now, command: Command::new(kind, *coord) });
@@ -234,7 +253,9 @@ impl ChannelController {
         if self.queue.len() >= self.config.queue_depth {
             return false;
         }
-        self.queue.push(Entry { id, kind, coord, arrived: now, classified: false });
+        let blocked = self.queue.iter().filter(|e| e.coord == coord).count();
+        self.queue.push(Entry { id, kind, coord, arrived: now, classified: false, blocked });
+        self.wake = 0;
         true
     }
 
@@ -254,6 +275,9 @@ impl ChannelController {
             if now >= self.next_refresh[r] {
                 self.refresh_due[r] = true;
             }
+        }
+        if now < self.wake && !self.refresh_due.contains(&true) {
+            return None; // the scan below would issue nothing
         }
         // 1. Refresh has priority.
         for r in 0..self.ranks.len() {
@@ -280,16 +304,16 @@ impl ChannelController {
         }
 
         // 2. FR-FCFS: oldest-first row hit. Same-address requests must not
-        // reorder (RAW/WAR/WAW): a younger request to a coordinate an older
-        // queued request also targets is held back.
+        // reorder (RAW/WAR/WAW): an entry with an older same-address entry
+        // still queued is held back. `wake` collects the least issue cycle
+        // of the entries that are not ready yet; it only matters when the
+        // scan issues nothing, since an issued command resets it.
         let mut hit_idx: Option<usize> = None;
         let mut act_idx: Option<usize> = None;
         let mut pre_idx: Option<usize> = None;
-        let mut seen: Vec<Coord> = Vec::with_capacity(self.queue.len());
+        let mut wake = u64::MAX;
         for (i, e) in self.queue.iter().enumerate() {
-            let hazard = seen.contains(&e.coord);
-            seen.push(e.coord);
-            if hazard {
+            if e.blocked > 0 {
                 continue; // an older same-address request must go first
             }
             if self.refresh_due[e.coord.rank] {
@@ -297,29 +321,33 @@ impl ChannelController {
             }
             let rank = &self.ranks[e.coord.rank];
             let flat = e.coord.flat_bank(&self.config.organization);
-            match rank.open_row(flat) {
-                Some(row) if row == e.coord.row => {
-                    let cmd = column_command(e.kind);
-                    if rank.earliest(cmd, &e.coord) <= now && hit_idx.is_none() {
-                        hit_idx = Some(i);
-                        break; // oldest ready hit wins immediately
-                    }
-                }
-                Some(_) => {
-                    if pre_idx.is_none() && rank.earliest(CommandKind::Pre, &e.coord) <= now {
-                        pre_idx = Some(i);
-                    }
-                }
-                None => {
-                    if act_idx.is_none() && rank.earliest(CommandKind::Act, &e.coord) <= now {
-                        act_idx = Some(i);
-                    }
-                }
+            let (slot, cmd) = match rank.open_row(flat) {
+                Some(row) if row == e.coord.row => (&mut hit_idx, column_command(e.kind)),
+                Some(_) => (&mut pre_idx, CommandKind::Pre),
+                None => (&mut act_idx, CommandKind::Act),
+            };
+            if slot.is_some() {
+                continue; // an older entry already claimed this command
+            }
+            let at = rank.earliest(cmd, &e.coord);
+            if at > now {
+                wake = wake.min(at);
+                continue;
+            }
+            *slot = Some(i);
+            if cmd.is_column() {
+                break; // oldest ready hit wins immediately
             }
         }
+        self.wake = wake;
 
         if let Some(i) = hit_idx {
             let mut e = self.queue.remove(i);
+            for younger in &mut self.queue[i..] {
+                if younger.coord == e.coord {
+                    younger.blocked -= 1;
+                }
+            }
             let cmd = match (self.config.page_policy, e.kind) {
                 (PagePolicy::Open, _) => column_command(e.kind),
                 (PagePolicy::Closed, RequestKind::Read) => CommandKind::Rda,
@@ -396,6 +424,7 @@ fn column_command(kind: RequestKind) -> CommandKind {
 mod tests {
     use super::*;
     use crate::config::{DramConfig, PagePolicy};
+    use crate::fuzz::PatternKind;
     use crate::mapping::AddressMapping;
 
     fn controller() -> ChannelController {
@@ -687,5 +716,112 @@ mod tests {
         };
         assert_eq!(finish, t.trcd + t.cwl + t.tbl);
         assert_eq!(ctrl.stats().writes, 1);
+    }
+
+    /// The command the scheduler issued before it learnt to skip idle
+    /// scans: refresh priority, then the FR-FCFS scan that rebuilds the
+    /// same-address hazard from a `seen` list, evaluated on every cycle.
+    fn reference_pick(ctrl: &ChannelController, now: u64) -> Option<Command> {
+        let due = |r: usize| ctrl.refresh_due[r] || now >= ctrl.next_refresh[r];
+        for (r, rank) in ctrl.ranks.iter().enumerate().filter(|&(r, _)| due(r)) {
+            let any = Coord { channel: 0, rank: r, bank_group: 0, bank: 0, row: 0, column: 0 };
+            if rank.all_closed() {
+                if rank.earliest(CommandKind::Ref, &any) <= now {
+                    return Some(Command::new(CommandKind::Ref, any));
+                }
+            } else if rank.earliest(CommandKind::PreA, &any) <= now {
+                return Some(Command::new(CommandKind::PreA, any));
+            }
+        }
+        let mut act = None;
+        let mut pre = None;
+        let mut seen: Vec<Coord> = Vec::new();
+        for e in &ctrl.queue {
+            let hazard = seen.contains(&e.coord);
+            seen.push(e.coord);
+            if hazard || due(e.coord.rank) {
+                continue;
+            }
+            let rank = &ctrl.ranks[e.coord.rank];
+            match rank.open_row(e.coord.flat_bank(&ctrl.config.organization)) {
+                Some(row) if row == e.coord.row => {
+                    if rank.earliest(column_command(e.kind), &e.coord) <= now {
+                        let kind = match (ctrl.config.page_policy, e.kind) {
+                            (PagePolicy::Open, k) => column_command(k),
+                            (PagePolicy::Closed, RequestKind::Read) => CommandKind::Rda,
+                            (PagePolicy::Closed, RequestKind::Write) => CommandKind::Wra,
+                        };
+                        return Some(Command::new(kind, e.coord));
+                    }
+                }
+                Some(_) => {
+                    if pre.is_none() && rank.earliest(CommandKind::Pre, &e.coord) <= now {
+                        pre = Some(e.coord);
+                    }
+                }
+                None => {
+                    if act.is_none() && rank.earliest(CommandKind::Act, &e.coord) <= now {
+                        act = Some(e.coord);
+                    }
+                }
+            }
+        }
+        act.map(|c| Command::new(CommandKind::Act, c))
+            .or(pre.map(|c| Command::new(CommandKind::Pre, c)))
+    }
+
+    #[test]
+    fn scheduler_issues_what_the_per_cycle_scan_picks() {
+        let mut multi_rank = DramConfig::enmc_table3();
+        multi_rank.organization.channels = 1;
+        let mut closed = DramConfig::enmc_single_rank();
+        closed.page_policy = PagePolicy::Closed;
+        let mapping = AddressMapping::RoRaBaCoBg;
+        for cfg in [DramConfig::enmc_single_rank(), multi_rank, closed] {
+            let org = cfg.organization;
+            for pattern in PatternKind::ALL {
+                for seed in 0..2 {
+                    let reqs = pattern.generate(seed, 96, &cfg, mapping);
+                    // Two refresh intervals past the last arrival: the queue
+                    // drains, then every rank refreshes while idle.
+                    let horizon = reqs.last().map_or(0, |r| r.at) + 2 * cfg.timing.trefi;
+                    let mut ctrl = ChannelController::new(cfg);
+                    ctrl.enable_command_log();
+                    let mut next = 0;
+                    for now in 0..horizon {
+                        while let Some(r) = reqs.get(next).filter(|r| r.at <= now) {
+                            // The generators target rank 0; spreading rows
+                            // over ranks keeps same-address pairs together.
+                            let mut coord = mapping.decode(r.addr, &org);
+                            coord.rank = coord.row % org.ranks;
+                            let kind = if r.write { RequestKind::Write } else { RequestKind::Read };
+                            if !ctrl.enqueue(RequestId(next as u64), kind, coord, now) {
+                                break;
+                            }
+                            next += 1;
+                        }
+                        for (i, e) in ctrl.queue.iter().enumerate() {
+                            let older = ctrl.queue[..i].iter().filter(|o| o.coord == e.coord);
+                            assert_eq!(e.blocked, older.count(), "entry {i} at cycle {now}");
+                        }
+                        let expected: Vec<TimedCommand> = reference_pick(&ctrl, now)
+                            .map(|command| TimedCommand { cycle: now, command })
+                            .into_iter()
+                            .collect();
+                        ctrl.tick(now);
+                        assert_eq!(
+                            ctrl.take_command_log(),
+                            expected,
+                            "{} seed {seed}, {} rank(s), {:?} page, cycle {now}",
+                            pattern.name(),
+                            org.ranks,
+                            cfg.page_policy
+                        );
+                    }
+                    let drained = next == reqs.len() && ctrl.is_idle();
+                    assert!(drained, "{} did not drain", pattern.name());
+                }
+            }
+        }
     }
 }

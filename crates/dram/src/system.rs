@@ -136,12 +136,16 @@ impl DramSystem {
             }
         }
         self.cycle += 1;
-        // Promote completions whose data has fully transferred.
+        // Promote completions whose data has fully transferred, in order.
         let now = self.cycle;
-        let (done, still): (Vec<_>, Vec<_>) =
-            self.pending.drain(..).partition(|c| c.finish_cycle <= now);
-        self.pending = still;
-        self.ready.extend(done);
+        let ready = &mut self.ready;
+        self.pending.retain(|c| {
+            let done = c.finish_cycle <= now;
+            if done {
+                ready.push(*c);
+            }
+            !done
+        });
     }
 
     /// Removes and returns all completions available so far.

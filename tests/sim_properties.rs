@@ -92,7 +92,10 @@ proptest! {
     /// traffic shape (this is the fuzzer's full harness: checker, command
     /// replay audit, completion-set equality, serial bound).
     #[test]
-    fn controller_conforms_under_seeded_traffic(seed in 0u64..4096, pidx in 0usize..6) {
+    fn controller_conforms_under_seeded_traffic(
+        seed in 0u64..4096,
+        pidx in 0usize..PatternKind::ALL.len(),
+    ) {
         let p = PatternKind::ALL[pidx];
         let (_, out) = fuzz::run_seed(p, seed, 40, None);
         prop_assert!(
