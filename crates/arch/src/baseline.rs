@@ -6,7 +6,7 @@ use crate::config::NmpConfig;
 use crate::unit::{RankUnit, UnitParams};
 
 /// Which baseline architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaselineKind {
     /// NDA: CGRA-based near-DRAM acceleration (HPCA'15).
     Nda,

@@ -1,7 +1,7 @@
 //! Hardware configurations (paper Tables 3 and 4).
 
 /// Configuration of the ENMC logic on one rank (Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnmcConfig {
     /// Logic frequency in MHz (Table 3: 400).
     pub freq_mhz: u64,
@@ -51,7 +51,7 @@ impl EnmcConfig {
 /// All baselines carry only FP32-class lanes; screening data must therefore
 /// be stored and streamed at full precision, and filtering requires
 /// materializing the approximate logits (no comparator array).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NmpConfig {
     /// Display name.
     pub name: &'static str,

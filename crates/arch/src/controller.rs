@@ -12,7 +12,7 @@
 use enmc_isa::{Instruction, Program};
 
 /// Controller hardware parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Instruction FIFO depth (entries).
     pub fifo_depth: usize,
@@ -43,7 +43,7 @@ impl ControllerConfig {
 }
 
 /// Which resource limits instruction delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontEndBound {
     /// The C/A bus (frame transport) is the limit.
     Wire,
@@ -54,7 +54,7 @@ pub enum FrontEndBound {
 }
 
 /// Front-end analysis of one program.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerReport {
     /// Host-issued instructions (the static program).
     pub host_instructions: usize,

@@ -9,7 +9,7 @@
 use enmc_screen::cost::{ClassificationCost, CpuCostModel};
 
 /// The host-CPU performance model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     cost_model: CpuCostModel,
 }

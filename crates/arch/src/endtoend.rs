@@ -10,7 +10,7 @@ use crate::cpu::CpuModel;
 use crate::system::{ClassificationJob, Scheme, SystemModel};
 
 /// End-to-end latency/throughput of one scheme on one workload.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EndToEnd {
     /// Front-end nanoseconds (host).
     pub front_end_ns: f64,

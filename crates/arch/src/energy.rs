@@ -11,7 +11,7 @@ use enmc_dram::energy::{EnergyBreakdown, EnergyModel};
 
 /// Power of each logic component, in milliwatts (Table 5 values for the
 /// ENMC configuration; scaled for baselines by the physical model).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogicEnergyModel {
     /// Integer MAC array power when busy.
     pub int_array_mw: f64,
@@ -96,7 +96,7 @@ impl LogicEnergyModel {
 }
 
 /// The Fig. 14 energy decomposition for one scheme on one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SystemEnergy {
     /// Background + refresh DRAM energy, nJ.
     pub dram_static_nj: f64,

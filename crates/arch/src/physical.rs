@@ -7,7 +7,7 @@
 //! controllers.
 
 /// Area (mm²) and power (mW) of one design or component.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AreaPower {
     /// Silicon area in mm².
     pub area_mm2: f64,
@@ -31,7 +31,7 @@ impl AreaPower {
 }
 
 /// Per-primitive synthesis costs at 28 nm / 400 MHz.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysicalModel {
     /// One INT4 multiply-accumulate lane.
     pub int4_mac: AreaPower,

@@ -19,7 +19,7 @@ use enmc_obs::trace::{
 use std::collections::{HashMap, VecDeque};
 
 /// Timing of one program execution.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProgramTiming {
     /// Total DRAM-bus cycles.
     pub dram_cycles: u64,

@@ -20,7 +20,7 @@
 use crate::system::{ClassificationJob, Scheme, SchemeResult, SystemModel};
 
 /// A cluster interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Network {
     /// One-way latency per message, nanoseconds.
     pub latency_ns: f64,
@@ -49,7 +49,7 @@ impl Network {
 }
 
 /// Result of a scale-out projection.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleOutResult {
     /// Number of nodes.
     pub nodes: usize,

@@ -35,7 +35,7 @@ fn baseline_total_mw(kind: BaselineKind) -> f64 {
 }
 
 /// A classification job at system scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassificationJob {
     /// Total categories `l`.
     pub categories: usize,
@@ -122,7 +122,7 @@ impl ClassificationJob {
 }
 
 /// Which scheme executed a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Host CPU running full classification (the normalization baseline).
     CpuFull,
@@ -135,7 +135,7 @@ pub enum Scheme {
 }
 
 /// Result of running a job under one scheme.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeResult {
     /// The scheme.
     pub scheme: Scheme,

@@ -38,7 +38,7 @@ const DRAM_TRACE_CAPACITY: usize = 1 << 20;
 const BUSY_SAMPLE_INTERVAL: u64 = 256;
 
 /// What one rank has to do for one classification job.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankJob {
     /// Categories assigned to this rank (`l / total_ranks`).
     pub categories: usize,
@@ -60,7 +60,7 @@ impl RankJob {
 }
 
 /// Microarchitectural parameters of the engine (ENMC or baseline).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitParams {
     /// Bits per screening-weight element (4 for ENMC, 32 for baselines).
     pub screen_bits: u32,
@@ -121,7 +121,7 @@ impl UnitParams {
 }
 
 /// Timing and traffic produced by one rank for one job.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UnitReport {
     /// Total DRAM-bus cycles to finish the job.
     pub dram_cycles: u64,

@@ -5,9 +5,10 @@
 //!
 //! * [`eval_shape`] — the scaled-down "evaluation shapes" used for
 //!   algorithm-level experiments (quality needs real matrices in memory;
-//!   performance experiments always use the full nominal shapes);
-//! * [`candidate_fraction`] — the per-workload candidate budgets implied
-//!   by the paper's reported speedups;
+//!   performance experiments always use the full nominal shapes), and
+//!   [`candidate_fraction`] — the per-workload candidate budgets implied
+//!   by the paper's reported speedups; both live in
+//!   [`enmc_model::workloads`], re-exported here;
 //! * [`fit_pipeline`] — synthesize + distill for one workload;
 //! * [`table`] — fixed-width table printing for harness output;
 //! * [`report`] — the shared JSON report emitter: every binary mirrors its
@@ -19,6 +20,8 @@
 pub mod report;
 pub mod table;
 pub mod trajectory;
+
+pub use enmc_model::workloads::{candidate_fraction, eval_shape};
 
 use enmc_par::SimConfig;
 use enmc_model::synth::{SynthesisConfig, SyntheticClassifier};
@@ -101,22 +104,6 @@ pub fn fit_pipelines(
     par_rows(cfg, ids.to_vec(), |&id| fit_pipeline(id, scale, precision, seed))
 }
 
-/// Algorithm-level evaluation shape for a workload: a representative slice
-/// of the category space that fits comfortably in memory, with the hidden
-/// dimension capped so the SVD baseline's `O(d³)` factorization stays
-/// tractable. The caps preserve each workload's relative geometry (LSTM
-/// keeps the widest hidden dimension, XMLCNN the most categories).
-/// Performance experiments never use this — they use the nominal `(l, d)`.
-pub fn eval_shape(w: &Workload) -> (usize, usize) {
-    let (l_cap, d_cap) = match w.id {
-        WorkloadId::LstmW33K => (4000, 256),
-        WorkloadId::TransformerW268K => (5500, 224),
-        WorkloadId::GnmtE32K => (4500, 240),
-        _ => (6000, 192),
-    };
-    (w.categories.min(l_cap), w.hidden.min(d_cap))
-}
-
 /// Stable per-workload seed perturbation so each workload's synthetic data
 /// is distinct even under a shared base seed.
 fn workload_seed(id: WorkloadId, seed: u64) -> u64 {
@@ -130,24 +117,6 @@ fn workload_seed(id: WorkloadId, seed: u64) -> u64 {
         WorkloadId::S100M => 7,
     };
     seed ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// Fraction of categories that must be computed exactly for each workload,
-/// back-derived from the paper's Fig. 11 speedups via
-/// `speedup ≈ 1 / (3.1% screening + candidate fraction)`.
-pub fn candidate_fraction(id: WorkloadId) -> f64 {
-    match id {
-        WorkloadId::LstmW33K => 0.144,         // 5.7×
-        WorkloadId::TransformerW268K => 0.128, // 6.3×
-        WorkloadId::GnmtE32K => 0.054,         // 11.8×
-        WorkloadId::Xmlcnn670K => 0.020,       // 17.4× ("candidates reduced by 50×")
-        // Quality needs a roughly fixed *absolute* top-K candidate set, so
-        // the fraction decays as the synthetic catalogues scale (this is
-        // what lets ENMC's streaming advantage widen in Fig. 15).
-        WorkloadId::S1M => 0.015,
-        WorkloadId::S10M => 0.006,
-        WorkloadId::S100M => 0.0025,
-    }
 }
 
 /// A fitted algorithm-level pipeline for one workload's eval shape.

@@ -6,7 +6,7 @@
 use crate::TaskDescriptor;
 
 /// Base addresses of each tensor in one rank's address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryLayout {
     /// Quantized screening weights `W̃` (packed codes).
     pub screen_weights: u64,

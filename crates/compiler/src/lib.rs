@@ -31,7 +31,7 @@ pub use tile::Tiling;
 use enmc_tensor::quant::Precision;
 
 /// A classification task to compile.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskDescriptor {
     /// Category count `l`.
     pub categories: usize,

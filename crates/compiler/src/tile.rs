@@ -10,7 +10,7 @@
 use crate::{CompileError, TaskDescriptor};
 
 /// Tiling parameters derived from the hardware configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tiling {
     /// Weight-buffer capacity in bytes (256 in Table 3).
     pub buffer_bytes: usize,

@@ -32,7 +32,7 @@ pub const MAX_RECORDED_VIOLATIONS: usize = 4096;
 pub const REFI_POSTPONE_WINDOW: u64 = 9;
 
 /// The specific DDR4 rule a command violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// ACT to a bank that already has a row open.
     DoubleAct,
@@ -133,7 +133,7 @@ impl Rule {
 }
 
 /// One detected protocol violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolViolation {
     /// Cycle the offending command was issued at.
     pub cycle: u64,

@@ -3,7 +3,7 @@
 use crate::mapping::Coord;
 
 /// The kind of a DDR command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Activate a row into the bank's row buffer.
     Act,

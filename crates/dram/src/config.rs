@@ -7,7 +7,7 @@
 //! DDR4-2400 JEDEC speed bin.
 
 /// Device organization: the shape of the memory subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Organization {
     /// Independent memory channels.
     pub channels: usize,
@@ -62,7 +62,7 @@ impl Organization {
 }
 
 /// DDR timing constraints, in memory-clock cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timing {
     /// Clock period in picoseconds (DDR4-2400: 833 ps).
     pub tck_ps: u64,
@@ -166,7 +166,7 @@ impl Timing {
 }
 
 /// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PagePolicy {
     /// Leave rows open after column accesses (exploits streaming locality;
     /// the ENMC default).
@@ -177,7 +177,7 @@ pub enum PagePolicy {
 }
 
 /// Complete DRAM configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Subsystem shape.
     pub organization: Organization,

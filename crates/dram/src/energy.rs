@@ -11,7 +11,7 @@ use crate::stats::DramStats;
 
 /// Per-event energies (nanojoules) and background power (watts) for one
 /// rank.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy of one ACT+PRE pair (row activation), nJ.
     pub act_nj: f64,
@@ -110,7 +110,7 @@ impl EnergyModel {
 }
 
 /// DRAM energy split the way Fig. 14 plots it.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Activate + read/write burst energy ("DRAM access").
     pub access_nj: f64,

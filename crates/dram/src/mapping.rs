@@ -17,7 +17,7 @@
 use crate::config::Organization;
 
 /// Bank-level coordinates of one 64-byte burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// Channel index.
     pub channel: usize,
@@ -41,7 +41,7 @@ impl Coord {
 }
 
 /// Supported address-interleaving schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddressMapping {
     /// Row:Bank:Rank:Column:Channel — channel-interleaved (host default).
     RoBaRaCoCh,

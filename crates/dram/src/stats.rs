@@ -6,7 +6,7 @@
 pub const MAX_BANK_GROUPS: usize = 4;
 
 /// Counters accumulated by a channel controller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Column reads issued.
     pub reads: u64,

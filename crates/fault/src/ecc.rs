@@ -143,7 +143,7 @@ pub fn decode(data: u64, parity: u8) -> Decoded {
 }
 
 /// Corrected / detected-uncorrectable counters across many decoded words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EccCounters {
     /// Words decoded.
     pub words: u64,

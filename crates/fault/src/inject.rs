@@ -32,7 +32,7 @@ pub const SCREENER_BASE_ADDR: u64 = 0x0010_0000;
 pub const WEIGHTS_BASE_ADDR: u64 = 0x0800_0000;
 
 /// Flip accounting for one corrupted surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InjectionStats {
     /// 64-bit words processed.
     pub words: u64,

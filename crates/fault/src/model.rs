@@ -125,7 +125,7 @@ fn odd_hashes(key: u64, bits: u128) -> u128 {
 
 /// A composed approximate-DRAM error model (all mechanisms seeded and
 /// deterministic; see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     /// Seed shared by all three hash families.
     pub seed: u64,

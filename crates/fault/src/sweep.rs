@@ -50,7 +50,7 @@ pub const FAULT_SHARDS: usize = 8;
 const PRECISION_AT: usize = 10;
 
 /// One resilience sweep: which channel to model and where to sample it.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSweepSpec {
     /// Base error model; `refresh_multiplier` is overridden per point.
     pub model: FaultModel,
@@ -68,7 +68,7 @@ pub struct FaultSweepSpec {
 }
 
 /// Per-tier quality and attribution at one sweep point.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierOutcome {
     /// Candidate count (top-M) of this tier.
     pub candidates: usize,
@@ -91,7 +91,7 @@ pub struct TierOutcome {
 /// One point of the sweep: injection accounting, per-tier quality, and
 /// (when run through [`run_resilience_sweep`]) the system energy at this
 /// refresh setting.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Refresh-interval multiplier of this point.
     pub refresh_multiplier: f64,
@@ -465,7 +465,7 @@ pub fn record_metrics(points: &[SweepPoint], registry: &mut MetricsRegistry) {
 }
 
 /// One row of the quality-vs-refresh-energy Pareto frontier.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParetoRow {
     /// Refresh-interval multiplier.
     pub refresh_multiplier: f64,

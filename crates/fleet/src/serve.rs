@@ -66,9 +66,9 @@ impl FleetOutcome {
         }
     }
 
-    /// Builds the schema-v10 `serve-sim` [`RunReport`] for a one-tenant
-    /// run: the shared headline fields plus the arrival, calibration and
-    /// wall-time notes.
+    /// Builds the `serve-sim` [`RunReport`] for a one-tenant run: the
+    /// shared headline fields plus the arrival, calibration and wall-time
+    /// notes.
     pub fn serve_report(
         &self,
         workload: &str,
@@ -192,8 +192,7 @@ mod tests {
         let report = out.serve_report("synthetic", &cfg, &reg);
         assert_eq!(report.command, "serve-sim");
         assert!(report.is_consistent());
-        assert_eq!(report.nodes, 0, "no fleet fields on a serve report");
-        assert!(report.tenants.is_empty());
+        assert_eq!(report.sections(), ["serving", "surrogate"], "no fleet section on serve-sim");
         assert_eq!(report.notes.len(), 3);
         assert_eq!(reg.counter_value("serve.completed", &[]), out.tenants[0].completed);
         assert!(report.metrics.counters.iter().all(|c| c.name.starts_with("serve.")));

@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 
 use enmc_arch::scaleout::Network;
 use enmc_arch::system::{ClassificationJob, SystemModel};
-use enmc_obs::report::{RunReport, TenantRow};
+use enmc_obs::report::{Fleet, Offload, RunReport, Serving, Surrogate, TenantRow};
 use enmc_obs::MetricsRegistry;
 use enmc_par::SimConfig;
 use enmc_serve::arrival::SplitMix64;
@@ -269,14 +269,9 @@ pub struct FleetOutcome {
     pub requests: Vec<FleetRequest>,
     /// Per-batch records, in dispatch order.
     pub batches: Vec<FleetBatchRecord>,
-    /// Cost backend that answered the calibration points.
-    pub cost_backend: String,
-    /// Cycle-accurate anchor simulations run by surrogate fits.
-    pub fit_anchors: u64,
-    /// Calibration points the audit lottery re-ran cycle-accurately.
-    pub audit_points: u64,
-    /// Worst bound-normalized relative leaf error over audited points.
-    pub audit_max_rel_err: f64,
+    /// The cost backend that answered the calibration points, and its
+    /// audit figures.
+    pub surrogate: Surrogate,
     /// Dispatched batches the offload planner kept on NMP (0 without
     /// `offload`).
     pub offload_nmp: u64,
@@ -317,9 +312,9 @@ impl FleetOutcome {
     }
 
     /// The headline fields every serving report carries, whichever
-    /// command renders it: makespan, SLO attainment, merged p99, shed and
-    /// degrade totals, the cost backend's audit figures, offload counts
-    /// and the metrics snapshot.
+    /// command renders it: makespan, the `serving` and `surrogate`
+    /// sections, the `offload` section when the planner ran, and the
+    /// metrics snapshot.
     ///
     /// Serving reports are **simulation-time only**: phase wall time is
     /// zero, `threads` stays 0 and `speedup` 1.0, preserving the
@@ -344,24 +339,23 @@ impl FleetOutcome {
         report.headline_ns = self.makespan_cycles as f64 * self.ns_per_cycle;
         report.push_phase(phase, 0.0, self.makespan_cycles, report.headline_ns);
         report.protocol_violations = self.protocol_violations;
-        report.slo_attainment = self.slo_attainment();
-        report.p99_ns = self.merged_latency().p99() * self.ns_per_cycle;
-        report.shed = self.tenants.iter().map(|t| t.shed).sum();
-        report.degrade_transitions =
-            self.tenants.iter().map(|t| t.degrade_transitions).sum();
-        report.cost_backend = self.cost_backend.clone();
-        report.fit_anchors = self.fit_anchors;
-        report.audit_points = self.audit_points;
-        report.audit_max_rel_err = self.audit_max_rel_err;
-        report.offload_nmp = self.offload_nmp;
-        report.offload_cpu = self.offload_cpu;
+        report.serving = Some(Serving {
+            slo_attainment: self.slo_attainment(),
+            p99_ns: self.merged_latency().p99() * self.ns_per_cycle,
+            shed: self.tenants.iter().map(|t| t.shed).sum(),
+            degrade_transitions: self.tenants.iter().map(|t| t.degrade_transitions).sum(),
+        });
+        report.surrogate = Some(self.surrogate.clone());
+        report.offload = cfg
+            .offload
+            .then_some(Offload { offload_nmp: self.offload_nmp, offload_cpu: self.offload_cpu });
         report.metrics = registry.snapshot();
         report
     }
 
-    /// Builds the schema-v10 `fleet-sim` [`RunReport`] for this run: the
-    /// shared headline fields plus the fleet's placement, network share
-    /// and per-tenant rows.
+    /// Builds the `fleet-sim` [`RunReport`] for this run: the shared
+    /// headline fields plus the `fleet` section (placement, network share
+    /// and per-tenant rows).
     pub fn report(
         &self,
         workload: &str,
@@ -369,23 +363,22 @@ impl FleetOutcome {
         registry: &MetricsRegistry,
     ) -> RunReport {
         let mut report = self.headline_report("fleet-sim", "fleet", workload, cfg, registry);
-        report.nodes = self.nodes as u64;
-        report.placement = self.placement.clone();
-        report.hot_shard_replicas = self.hot_shard_replicas;
-        report.network_share = self.network_share();
-        report.tenants = self
-            .tenants
-            .iter()
-            .map(|t| TenantRow {
-                name: t.name.clone(),
-                slo_attainment: t.slo_attainment(),
-                p99_ns: t.latency.p99() * self.ns_per_cycle,
-                shed: t.shed,
-                admitted: t.admitted,
-                completed: t.completed,
-                degrade_transitions: t.degrade_transitions,
-            })
-            .collect();
+        let tenants = self.tenants.iter().map(|t| TenantRow {
+            name: t.name.clone(),
+            slo_attainment: t.slo_attainment(),
+            p99_ns: t.latency.p99() * self.ns_per_cycle,
+            shed: t.shed,
+            admitted: t.admitted,
+            completed: t.completed,
+            degrade_transitions: t.degrade_transitions,
+        });
+        report.fleet = Some(Fleet {
+            nodes: self.nodes as u64,
+            placement: self.placement.clone(),
+            hot_shard_replicas: self.hot_shard_replicas,
+            network_share: self.network_share(),
+            tenants: tenants.collect(),
+        });
         report.notes.push(format!(
             "{} node(s), {} shard(s), {} placement, {} hot-shard replica(s), zipf {}",
             self.nodes, self.shards, self.placement, self.hot_shard_replicas, cfg.zipf_s
@@ -817,10 +810,7 @@ pub fn simulate_fleet(
         node_busy_cycles: nodes.iter().map(|s| s.busy_cycles).collect(),
         requests: reqs,
         batches,
-        cost_backend: cost.backend().name().to_string(),
-        fit_anchors: stats.fit_anchors,
-        audit_points: stats.audited,
-        audit_max_rel_err: stats.max_rel_err,
+        surrogate: stats.section(cost.backend()),
         offload_nmp,
         offload_cpu,
     })
@@ -916,8 +906,10 @@ mod tests {
         // slower and the makespan cannot grow.
         assert!(planned.makespan_cycles <= plain.makespan_cycles);
         let r = planned.report("lstm", &offload, &reg2);
-        assert_eq!(r.offload_nmp, planned.offload_nmp);
-        assert_eq!(r.offload_cpu, planned.offload_cpu);
+        let decided = r.offload.expect("an offload run reports its decisions");
+        assert_eq!(decided.offload_nmp, planned.offload_nmp);
+        assert_eq!(decided.offload_cpu, planned.offload_cpu);
+        assert!(plain.report("lstm", &base, &reg1).offload.is_none());
     }
 
     #[test]
@@ -980,9 +972,11 @@ mod tests {
         assert_eq!(report.schema_version, enmc_obs::report::SCHEMA_VERSION);
         assert!(report.is_consistent());
         assert_eq!(report.command, "fleet-sim");
-        assert_eq!(report.nodes, 2);
-        assert_eq!(report.placement, "popularity");
-        assert_eq!(report.tenants.len(), 2);
+        assert_eq!(report.sections(), ["serving", "surrogate", "fleet"]);
+        let fleet = report.fleet.as_ref().unwrap();
+        assert_eq!(fleet.nodes, 2);
+        assert_eq!(fleet.placement, "popularity");
+        assert_eq!(fleet.tenants.len(), 2);
         assert_eq!(report.threads, 0, "fleet reports carry no host threading");
         let back = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back, report);

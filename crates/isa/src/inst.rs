@@ -3,7 +3,7 @@
 /// On-DIMM buffers addressable by data-transfer and compute instructions
 /// (paper Fig. 7: two input buffers + PSUM per unit, plus output and index
 /// buffers). Encoded in 4 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufferId {
     /// Screener input: quantized feature vector.
     FeatureInt4,
@@ -55,7 +55,7 @@ impl BufferId {
 /// Status registers in the ENMC controller (paper §5.2: "addresses and
 /// sizes of input features, vocabulary, and screening weight", plus the
 /// instruction counter). Encoded in 5 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegId {
     /// Base DRAM address of the input feature vectors.
     FeatureAddr,
@@ -126,7 +126,7 @@ impl RegId {
 }
 
 /// One ENMC instruction (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instruction {
     /// Initialize a status register with a 64-bit value (DQ burst).
     Init {

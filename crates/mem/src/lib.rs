@@ -27,7 +27,7 @@ use enmc_dram::config::{DramConfig, Organization, PagePolicy, Timing};
 use enmc_dram::energy::EnergyModel;
 
 /// The four supported memory technologies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemTech {
     /// The paper's Table 3 DDR4 reference bin (the docs' "DDR4-2666"
     /// platform). Bit-exact alias of the pre-preset configuration.
@@ -99,7 +99,7 @@ impl std::fmt::Display for MemTech {
 /// Per-technology error behavior, consumed by `enmc-fault` (EDEN-style:
 /// different DRAM families sit at different points on the
 /// retention/variation curves).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorProfile {
     /// Multiplier on the ambient bit-error rate a fault sweep requests
     /// (on-die ECC pushes it below 1; LPDDR's density/voltage push above).
@@ -121,7 +121,7 @@ impl ErrorProfile {
 }
 
 /// Everything device-specific, bundled: timing, geometry, energy, errors.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemPreset {
     /// Which technology this is.
     pub tech: MemTech,

@@ -9,7 +9,7 @@
 use crate::workloads::{Workload, WorkloadId};
 
 /// One row of the Fig. 4 breakdown.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreakdownRow {
     /// Workload abbreviation.
     pub workload: &'static str,

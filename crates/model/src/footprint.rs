@@ -9,7 +9,7 @@
 use enmc_tensor::quant::Precision;
 
 /// Memory footprint of one classification configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Footprint {
     /// Category count `l`.
     pub categories: usize,

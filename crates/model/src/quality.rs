@@ -32,7 +32,7 @@ pub struct QualityAccumulator {
 }
 
 /// Summary statistics produced by [`QualityAccumulator::finish`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityReport {
     /// Number of queries accumulated.
     pub queries: usize,

@@ -7,7 +7,7 @@
 //! unlike the compute-bound front-end, so they benefit from NMP bandwidth.
 
 /// A machine roofline: peak compute and peak memory bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak floating-point throughput in GFLOP/s.
     pub peak_gflops: f64,
@@ -41,7 +41,7 @@ impl Roofline {
 }
 
 /// A kernel characterized by its FLOPs and bytes moved per query.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelPoint {
     /// Display name.
     pub name: &'static str,

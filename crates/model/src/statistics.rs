@@ -11,7 +11,7 @@ use enmc_tensor::activation::softmax;
 use enmc_tensor::select::top_k_indices;
 
 /// Distributional statistics of a synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadStats {
     /// Mean probability mass captured by the top-10 categories per query
     /// (concentration — high for trained models on in-distribution data).

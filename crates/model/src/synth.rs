@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Configuration for synthetic classifier generation.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthesisConfig {
     /// Number of categories `l` to materialize. For algorithm-level
     /// experiments this may be smaller than the workload's nominal `l`

@@ -113,7 +113,7 @@ pub fn generate_traces(
 }
 
 /// Sequence-level decoding metrics.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequenceReport {
     /// Fraction of steps where the approximate argmax equals the exact
     /// argmax (per-step agreement).

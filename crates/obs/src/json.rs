@@ -153,16 +153,16 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a description with a byte offset on malformed input.
+    /// Returns a description with a byte offset on malformed input,
+    /// naming the last object key read before the fault.
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.parse_value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing characters at byte {}", p.pos));
-        }
-        Ok(v)
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, key: 0..0 };
+        p.parse_document().map_err(|e| match p.bytes.get(p.key.clone()) {
+            Some(key) if !key.is_empty() => {
+                format!("{e} (after key {})", String::from_utf8_lossy(key))
+            }
+            _ => e,
+        })
     }
 }
 
@@ -200,9 +200,21 @@ const MAX_DEPTH: usize = 128;
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Byte range of the last object key read, quotes included.
+    key: std::ops::Range<usize>,
 }
 
 impl<'a> Parser<'a> {
+    fn parse_document(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        let v = self.parse_value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing characters at byte {}", self.pos));
+        }
+        Ok(v)
+    }
+
     fn skip_ws(&mut self) {
         while let Some(b) = self.bytes.get(self.pos) {
             match b {
@@ -296,7 +308,9 @@ impl<'a> Parser<'a> {
                 }
                 loop {
                     self.skip_ws();
+                    let start = self.pos;
                     let key = self.parse_string()?;
+                    self.key = start..self.pos;
                     self.skip_ws();
                     self.expect(b':')?;
                     let value = self.parse_value(depth + 1)?;
@@ -482,6 +496,15 @@ mod tests {
         for text in ["", "{", "[1,", "\"abc", "{\"a\":}", "tru", "1 2", "\"\\u12\""] {
             assert!(Value::parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn errors_name_the_last_key_read() {
+        let err = Value::parse(r#"{"a":1,"ns_per_cycle":NaN}"#).unwrap_err();
+        assert!(err.contains("after key \"ns_per_cycle\""), "{err}");
+        let err = Value::parse(r#"{"fits":[{"table":[[1,"#).unwrap_err();
+        assert!(err.contains("after key \"table\""), "{err}");
+        assert!(!Value::parse("[1,").unwrap_err().contains("after key"));
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //!   figure/table harness.
 //!
 //! Serialization uses the built-in [`json`] codec, so none of this
-//! requires external crates; enabling the `serde` feature additionally
-//! derives `Serialize`/`Deserialize` on the report and metrics types.
+//! requires external crates.
 //!
 //! # Conventions
 //!

@@ -46,7 +46,6 @@ impl MetricKey {
 
 /// A histogram with explicit upper bucket bounds plus an overflow bucket.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     /// Inclusive upper bounds, ascending; an implicit `+inf` bucket
     /// follows.
@@ -140,7 +139,6 @@ impl Histogram {
 
 /// One counter series in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CounterSample {
     /// Metric name.
     pub name: String,
@@ -152,7 +150,6 @@ pub struct CounterSample {
 
 /// One gauge series in a snapshot.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GaugeSample {
     /// Metric name.
     pub name: String,
@@ -164,7 +161,6 @@ pub struct GaugeSample {
 
 /// One histogram series in a snapshot.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HistogramSample {
     /// Metric name.
     pub name: String,
@@ -176,7 +172,6 @@ pub struct HistogramSample {
 
 /// An immutable snapshot of a [`MetricsRegistry`], ordered by metric key.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetricsReport {
     /// Counter series.
     pub counters: Vec<CounterSample>,

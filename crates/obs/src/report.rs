@@ -7,246 +7,399 @@
 //! invariant the evaluation relies on — per-phase cycle totals summing to
 //! the headline latency — is checked by [`RunReport::is_consistent`].
 //!
+//! Every command fills the core; the typed sections ([`Attribution`],
+//! [`Serving`], [`Fault`], [`Surrogate`], [`Fleet`], [`Tune`],
+//! [`Offload`]) are `Some` only on the commands that produce them, and a
+//! section that is `None` is left out of the JSON.
+//!
 //! # Example
 //!
 //! ```
-//! use enmc_obs::report::RunReport;
+//! use enmc_obs::report::{Offload, RunReport};
 //!
 //! let mut report = RunReport::new("simulate", "lstm", "enmc");
 //! report.push_phase("screen", 1.0e6, 800, 666.4);
 //! report.push_phase("gather", 2.5e5, 200, 166.6);
 //! report.sim_cycles = 1000;
 //! assert!(report.is_consistent());
+//! report.offload = Some(Offload { offload_nmp: 3, offload_cpu: 1 });
 //! let back = RunReport::from_json(&report.to_json()).unwrap();
 //! assert_eq!(back.phases.len(), 2);
+//! assert_eq!(back.offload, report.offload);
+//! assert!(back.serving.is_none());
 //! ```
 
 use crate::json::Value;
 use crate::metrics::MetricsReport;
 
-/// Schema version stamped into every report.
+/// Schema version stamped into every report; [`RunReport::from_json`]
+/// reads this version only.
 ///
-/// # Field history (the single source of truth)
+/// # Sections (the single source of truth)
 ///
-/// Every schema bump is **additive**: a report written at version `n`
-/// parses under any reader that understands version `m >= n`, with the
-/// newer fields defaulted as listed below. Readers must never require a
-/// field introduced after the report's own `schema_version`.
+/// A v11 report is the core — `schema_version`, `command`, `workload`,
+/// `scheme`, `batch`, `candidates`, `headline_ns`, `sim_cycles`,
+/// `threads`, `speedup`, `protocol_violations`, `memory_tech` — then the
+/// sections its command produced, each a nested object, then `phases`,
+/// `metrics` and `notes`. Which command writes which section:
 ///
-/// | Version | Fields added | Default when absent |
+/// | Section | Keys | Written by |
 /// |---|---|---|
-/// | v1 | `command`, `workload`, `scheme`, `batch`, `candidates`, `headline_ns`, `sim_cycles`, `phases`, `metrics`, `notes` | — (required) |
-/// | v2 | `threads` (worker count; 0 = representative-rank shortcut), `speedup` (observed parallel speedup; 1.0 sequential) | `0`, `1.0` |
-/// | v3 | `protocol_violations` (DDR4 conformance violations under `--check-protocol`) | `0` |
-/// | v4 | `slo_attainment` (fraction of completed requests meeting their deadline — serving runs only), `p99_ns` (99th-percentile request latency, ns), `shed` (requests rejected by admission control), `degrade_transitions` (screener degrade-tier steps, both directions) | `0.0`, `0.0`, `0`, `0` |
-/// | v5 | `ber` (injected uniform bit-error rate — fault runs only), `refresh_multiplier` (refresh-interval multiplier; 1.0 nominal), `ecc_corrected` (SEC-DED single-bit corrections), `ecc_uncorrected` (detected-uncorrectable words), `quality_degradation_pct` (top-1 agreement loss vs the fault-free model, percent) | `0.0`, `1.0`, `0`, `0`, `0.0` |
-/// | v6 | `energy_nj` (total attributed system energy; deterministic, derived from simulation counters only), `breakdown` (flattened cost-attribution leaves: `path`/`cycles`/`nj` rows whose sums reproduce the headline totals exactly) | `0.0`, `[]` |
-/// | v7 | `cost_backend` (which cost model answered sweep points: `cycle-accurate` or `surrogate`), `fit_anchors` (cycle-accurate anchor simulations run by surrogate fits), `audit_points` (surrogate predictions re-run cycle-accurately), `audit_max_rel_err` (worst bound-normalized relative leaf error over the audited points) | `"cycle-accurate"`, `0`, `0`, `0.0` |
-/// | v8 | `nodes` (simulated DIMM-group nodes — fleet runs only), `placement` (shard placement policy: `consistent-hash` or `popularity`), `hot_shard_replicas` (extra hot-shard copies the placement placed), `network_share` (fraction of completed-request latency cycles spent on the interconnect), `tenants` (per-tenant rows: `name`/`slo_attainment`/`p99_ns`/`shed`/`admitted`/`completed`/`degrade_transitions`) | `0`, `""`, `0`, `0.0`, `[]` |
-/// | v9 | `space_size` (designs in the declared tune space), `evaluated_designs` (designs the search actually simulated), `audited_designs` (evaluated designs the audit lottery re-ran cycle-accurately), `frontier_points` (Pareto-optimal designs), `dominated_points` (evaluated designs dominated by the frontier), `max_area_mm2` (declared area budget; 0.0 = unconstrained), `max_power_mw` (declared power budget; 0.0 = unconstrained), `offload_nmp` (admission-time planner decisions that kept NMP execution), `offload_cpu` (planner decisions that chose the CPU roofline) | `0`, `0`, `0`, `0`, `0`, `0.0`, `0.0`, `0`, `0` |
-/// | v10 | `memory_tech` (memory-technology preset the run simulated: `ddr4-2666`, `ddr5-4800`, `lpddr4-3200`, or `hbm2`; empty for analytic commands with no DRAM domain), `ber_scale` (the preset's bit-error-rate multiplier relative to the DDR4 baseline), `retention_base` (the preset's retention-failure coefficient; 0.0 when the run injected no faults), `weak_column_scale` (the preset's weak-column incidence multiplier) | `""`, `1.0`, `0.0`, `1.0` |
+/// | `attribution` | `energy_nj`, `breakdown` | `profile`; `simulate --threads N` on a simulated scheme |
+/// | `serving` | `slo_attainment`, `p99_ns`, `shed`, `degrade_transitions` | `serve-sim`, `fleet-sim` |
+/// | `fault` | `ber`, `refresh_multiplier`, `ecc_corrected`, `ecc_uncorrected`, `quality_degradation_pct`, `ber_scale`, `retention_base`, `weak_column_scale` | `fault-sweep` |
+/// | `surrogate` | `cost_backend`, `fit_anchors`, `audit_points`, `audit_max_rel_err` | every command that takes `--cost-model`: `serve-sim`, `fleet-sim`, `fault-sweep`, `tune`, `offload-plan` |
+/// | `fleet` | `nodes`, `placement`, `hot_shard_replicas`, `network_share`, `tenants` | `fleet-sim` |
+/// | `tune` | `space_size`, `evaluated_designs`, `audited_designs`, `frontier_points`, `dominated_points`, `max_area_mm2`, `max_power_mw` | `tune` |
+/// | `offload` | `offload_nmp`, `offload_cpu` | `offload-plan`; `serve-sim`, `fleet-sim` under `--offload` |
 ///
-/// The v4 serving fields are only meaningful for `serve-sim` reports,
-/// the v5 fault fields only for `fault-sweep` reports, the v6
-/// attribution fields only for cycle-level runs (`profile`, sharded
-/// `simulate`), the v7 surrogate fields only for commands that accept
-/// `--cost-model`, the v8 fleet fields only for `fleet-sim` reports, and
-/// the v9 tune fields only for `tune`/`offload-plan` runs and the
-/// serving commands under `--offload`; other commands write them at
-/// their defaults. The v10 memory fields are stamped by every command
-/// that accepts `--memory`; the error-profile triplet is only
-/// interpreted by fault sweeps.
-pub const SCHEMA_VERSION: u32 = 10;
+/// A present section writes every key, zeros included (a `shed` of 0 is
+/// a result); an absent one writes nothing.
+pub const SCHEMA_VERSION: u32 = 11;
 
-/// One timed phase of a run.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct PhaseSpan {
-    /// Phase name (`synthesize`, `distill`, `screen`, …).
-    pub name: String,
-    /// Host wall-clock time spent in the phase, nanoseconds.
-    pub wall_ns: f64,
-    /// Simulated DRAM-clock cycles attributed to the phase (0 for
-    /// host-only phases).
-    pub sim_cycles: u64,
-    /// Simulated nanoseconds attributed to the phase.
-    pub sim_ns: f64,
+/// One report value: its JSON form and the reader that takes it back.
+trait Field: Sized {
+    /// The JSON form; `None` leaves the key out (an absent section).
+    fn to_value(&self) -> Option<Value>;
+    /// Reads the value of the key at `path`; `v` is `None` when the key
+    /// is absent. Errors name `path` (`fault.ber`, `phases[2].name`).
+    fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String>;
 }
 
-/// One flattened leaf of a hierarchical cost attribution.
-///
-/// `path` is a `/`-separated position in the tree
-/// (`energy/dram/access/ch0/act`); sibling leaves partition their parent,
-/// so summing any complete leaf set reproduces the corresponding total
-/// exactly. Rows are derived from simulation counters only — never host
-/// wall time — which keeps them bit-identical across worker counts.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct BreakdownRow {
-    /// `/`-separated path of the leaf in the attribution tree.
-    pub path: String,
-    /// Simulated DRAM-clock cycles attributed to the leaf (0 for
-    /// energy-only leaves).
-    pub cycles: u64,
-    /// Energy attributed to the leaf, nanojoules (0.0 for cycle-only
-    /// leaves).
-    pub nj: f64,
+fn missing(path: &str) -> String {
+    format!("missing or mistyped field '{path}'")
 }
 
-/// One tenant's serving outcome inside a fleet run.
-///
-/// Fleet reports fold per-node state in fixed shard order, so these rows
-/// are listed in tenant-configuration order and carry simulation-derived
-/// numbers only — never host wall clock.
-#[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct TenantRow {
-    /// Tenant name (`t0`, `t1`, … by CLI convention).
-    pub name: String,
-    /// Fraction of the tenant's completed requests that met its deadline.
-    pub slo_attainment: f64,
-    /// The tenant's 99th-percentile request latency, simulated ns.
-    pub p99_ns: f64,
-    /// Requests of this tenant rejected by admission control.
-    pub shed: u64,
-    /// Requests of this tenant admitted to a node queue.
-    pub admitted: u64,
-    /// Requests of this tenant that completed service.
-    pub completed: u64,
-    /// Degrade-tier steps the tenant's ladder took, both directions.
-    pub degrade_transitions: u64,
+macro_rules! scalar {
+    ($ty:ty, $to:expr, $from:expr) => {
+        impl Field for $ty {
+            fn to_value(&self) -> Option<Value> {
+                Some($to(self))
+            }
+            fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
+                v.and_then($from).ok_or_else(|| missing(path))
+            }
+        }
+    };
 }
 
-/// Machine-readable summary of one run.
-#[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct RunReport {
-    /// Report schema version ([`SCHEMA_VERSION`]).
-    pub schema_version: u32,
-    /// The command that produced the report (`simulate`, `demo`, …).
-    pub command: String,
-    /// Workload identifier.
-    pub workload: String,
-    /// Scheme identifier (`enmc`, `cpu`, …).
-    pub scheme: String,
-    /// Batch size.
-    pub batch: u64,
-    /// Exact candidates per batch item.
-    pub candidates: u64,
-    /// Headline simulated latency in nanoseconds.
-    pub headline_ns: f64,
-    /// Headline simulated latency in DRAM-clock cycles (0 for analytic
-    /// models with no cycle-level simulation).
-    pub sim_cycles: u64,
-    /// Worker threads the simulation ran on (0 when the run had no
-    /// parallelizable region, e.g. the representative-rank shortcut).
-    pub threads: u64,
-    /// Observed host-side parallel speedup of the simulation region
-    /// (summed shard wall time over region wall time; 1.0 sequential).
-    pub speedup: f64,
-    /// DDR4 protocol violations the conformance checker observed (always
-    /// 0 unless the run enabled `--check-protocol`).
-    pub protocol_violations: u64,
-    /// Fraction of completed requests that met their deadline (serving
-    /// runs only; 0.0 for batch-simulation commands).
-    pub slo_attainment: f64,
-    /// 99th-percentile request latency in simulated nanoseconds (serving
-    /// runs only; 0.0 otherwise).
-    pub p99_ns: f64,
-    /// Requests rejected by admission control (serving runs only).
-    pub shed: u64,
-    /// Screener degrade-tier transitions, counting steps in both
-    /// directions (serving runs only).
-    pub degrade_transitions: u64,
-    /// Injected uniform bit-error rate (fault runs only; 0.0 otherwise).
-    pub ber: f64,
-    /// Refresh-interval multiplier the run modeled (1.0 = nominal
-    /// schedule).
-    pub refresh_multiplier: f64,
-    /// SEC-DED words corrected (single-bit errors repaired).
-    pub ecc_corrected: u64,
-    /// SEC-DED words with a detected but uncorrectable multi-bit error.
-    pub ecc_uncorrected: u64,
-    /// Fraction of queries whose top-1 flipped due to injected faults,
-    /// in percent (0.0 when no faults were injected).
-    pub quality_degradation_pct: f64,
-    /// Total attributed system energy in nanojoules (0.0 when the run
-    /// produced no attribution; equals the sum of energy leaves in
-    /// [`RunReport::breakdown`] when it did).
-    pub energy_nj: f64,
-    /// Flattened cost-attribution leaves (empty when the run produced no
-    /// attribution).
-    pub breakdown: Vec<BreakdownRow>,
-    /// The cost backend that answered the run's sweep points
-    /// (`cycle-accurate` or `surrogate`).
-    pub cost_backend: String,
-    /// Cycle-accurate anchor simulations the surrogate fits ran (0 on
-    /// the cycle-accurate backend).
-    pub fit_anchors: u64,
-    /// Surrogate predictions that were re-run cycle-accurately by the
-    /// audit lottery.
-    pub audit_points: u64,
-    /// Worst bound-normalized relative leaf error observed over the
-    /// audited points (≤ the declared bound or the run would have
-    /// failed with a `SurrogateViolation`).
-    pub audit_max_rel_err: f64,
-    /// Simulated DIMM-group nodes in a fleet run (0 for single-node
-    /// commands).
-    pub nodes: u64,
-    /// Shard placement policy of a fleet run (`consistent-hash` or
-    /// `popularity`; empty for single-node commands).
-    pub placement: String,
-    /// Extra hot-shard copies the placement actually placed.
-    pub hot_shard_replicas: u64,
-    /// Fraction of completed-request latency cycles spent on the
-    /// interconnect (0.0 for single-node commands).
-    pub network_share: f64,
-    /// Per-tenant serving rows (fleet runs only; empty otherwise).
-    pub tenants: Vec<TenantRow>,
-    /// Designs in the declared tune space (tune runs only).
-    pub space_size: u64,
-    /// Designs the search driver actually evaluated (≤ `space_size`;
-    /// equal on exhaustive search).
-    pub evaluated_designs: u64,
-    /// Evaluated designs whose surrogate prediction the audit lottery
-    /// re-ran cycle-accurately (0 on the cycle-accurate backend).
-    pub audited_designs: u64,
-    /// Pareto-optimal designs on the emitted frontier.
-    pub frontier_points: u64,
-    /// Evaluated designs dominated by some frontier point.
-    pub dominated_points: u64,
-    /// Declared area budget in mm² (0.0 = unconstrained).
-    pub max_area_mm2: f64,
-    /// Declared power budget in mW (0.0 = unconstrained).
-    pub max_power_mw: f64,
-    /// Admission-time offload-planner decisions that kept NMP execution.
-    pub offload_nmp: u64,
-    /// Admission-time offload-planner decisions that chose the CPU
-    /// roofline instead.
-    pub offload_cpu: u64,
-    /// Memory-technology preset the run simulated (`ddr4-2666`,
-    /// `ddr5-4800`, `lpddr4-3200`, `hbm2`; empty when the command has no
-    /// DRAM timing domain).
-    pub memory_tech: String,
-    /// The preset's bit-error-rate multiplier relative to the DDR4
-    /// baseline (1.0 = baseline incidence).
-    pub ber_scale: f64,
-    /// The preset's retention-failure coefficient (0.0 when the run
-    /// injected no retention faults).
-    pub retention_base: f64,
-    /// The preset's weak-column incidence multiplier relative to the
-    /// DDR4 baseline (1.0 = baseline incidence).
-    pub weak_column_scale: f64,
-    /// Timed phases, in execution order.
-    pub phases: Vec<PhaseSpan>,
-    /// Metrics snapshot.
-    pub metrics: MetricsReport,
-    /// Free-form annotations.
-    pub notes: Vec<String>,
+scalar!(u32, |x: &u32| Value::Int(i64::from(*x)), |v: &Value| {
+    v.as_u64().and_then(|n| u32::try_from(n).ok())
+});
+scalar!(u64, |x: &u64| Value::Int(*x as i64), Value::as_u64);
+scalar!(f64, |x: &f64| Value::Num(*x), Value::as_f64);
+scalar!(String, |x: &String| Value::Str(x.clone()), |v: &Value| v.as_str().map(str::to_string));
+
+impl<T: Field> Field for Vec<T> {
+    fn to_value(&self) -> Option<Value> {
+        Some(Value::Arr(self.iter().filter_map(Field::to_value).collect()))
+    }
+    fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
+        let items = v.and_then(Value::as_arr).ok_or_else(|| missing(path))?;
+        let at = |(i, item)| T::from_value(Some(item), &format!("{path}[{i}]"));
+        items.iter().enumerate().map(at).collect()
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn to_value(&self) -> Option<Value> {
+        self.as_ref().and_then(Field::to_value)
+    }
+    fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
+        v.map(|v| T::from_value(Some(v), path)).transpose()
+    }
+}
+
+impl Field for MetricsReport {
+    fn to_value(&self) -> Option<Value> {
+        Some(self.to_json_value())
+    }
+    fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
+        MetricsReport::from_json_value(v.ok_or_else(|| missing(path))?)
+            .map_err(|e| format!("{path}: {e}"))
+    }
+}
+
+/// Declares a report object: the struct, and its JSON form with one key
+/// per field, in field order.
+macro_rules! record {
+    ($(#[$meta:meta])* $name:ident { $($(#[$fmeta:meta])* $field:ident: $ty:ty,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl Field for $name {
+            fn to_value(&self) -> Option<Value> {
+                let mut pairs = Vec::new();
+                $(if let Some(v) = self.$field.to_value() {
+                    pairs.push((stringify!($field).to_string(), v));
+                })*
+                Some(Value::Obj(pairs))
+            }
+            fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
+                let v = v.filter(|v| v.as_obj().is_some()).ok_or_else(|| missing(path))?;
+                let at = |key: &str| match path {
+                    "" => key.to_string(),
+                    _ => format!("{path}.{key}"),
+                };
+                Ok($name {
+                    $($field: Field::from_value(
+                        v.get(stringify!($field)),
+                        &at(stringify!($field)),
+                    )?,)*
+                })
+            }
+        }
+    };
+}
+
+record! {
+    /// One timed phase of a run.
+    PhaseSpan {
+        /// Phase name (`synthesize`, `distill`, `screen`, …).
+        name: String,
+        /// Host wall-clock time spent in the phase, nanoseconds.
+        wall_ns: f64,
+        /// Simulated DRAM-clock cycles attributed to the phase (0 for
+        /// host-only phases).
+        sim_cycles: u64,
+        /// Simulated nanoseconds attributed to the phase.
+        sim_ns: f64,
+    }
+}
+
+record! {
+    /// One flattened leaf of a hierarchical cost attribution.
+    ///
+    /// `path` is a `/`-separated position in the tree
+    /// (`energy/dram/access/ch0/act`); sibling leaves partition their
+    /// parent, so summing any complete leaf set reproduces the
+    /// corresponding total exactly. Rows are derived from simulation
+    /// counters only — never host wall time — which keeps them
+    /// bit-identical across worker counts.
+    BreakdownRow {
+        /// `/`-separated path of the leaf in the attribution tree.
+        path: String,
+        /// Simulated DRAM-clock cycles attributed to the leaf (0 for
+        /// energy-only leaves).
+        cycles: u64,
+        /// Energy attributed to the leaf, nanojoules (0.0 for cycle-only
+        /// leaves).
+        nj: f64,
+    }
+}
+
+record! {
+    /// One tenant's serving outcome inside a fleet run.
+    ///
+    /// Fleet reports fold per-node state in fixed shard order, so these
+    /// rows are listed in tenant-configuration order and carry
+    /// simulation-derived numbers only — never host wall clock.
+    TenantRow {
+        /// Tenant name (`t0`, `t1`, … by CLI convention).
+        name: String,
+        /// Fraction of the tenant's completed requests that met its
+        /// deadline.
+        slo_attainment: f64,
+        /// The tenant's 99th-percentile request latency, simulated ns.
+        p99_ns: f64,
+        /// Requests of this tenant rejected by admission control.
+        shed: u64,
+        /// Requests of this tenant admitted to a node queue.
+        admitted: u64,
+        /// Requests of this tenant that completed service.
+        completed: u64,
+        /// Degrade-tier steps the tenant's ladder took, both directions.
+        degrade_transitions: u64,
+    }
+}
+
+record! {
+    /// Cost attribution of a cycle-level whole-system run.
+    Attribution {
+        /// Total attributed system energy in nanojoules; equals the sum
+        /// of the energy leaves in `breakdown`.
+        energy_nj: f64,
+        /// Flattened cost-attribution leaves whose sums reproduce the
+        /// headline cycles and `energy_nj` exactly.
+        breakdown: Vec<BreakdownRow>,
+    }
+}
+
+record! {
+    /// Request-level outcome of a serving run.
+    Serving {
+        /// Fraction of completed requests that met their deadline.
+        slo_attainment: f64,
+        /// 99th-percentile request latency in simulated nanoseconds.
+        p99_ns: f64,
+        /// Requests rejected by admission control.
+        shed: u64,
+        /// Screener degrade-tier transitions, counting steps in both
+        /// directions.
+        degrade_transitions: u64,
+    }
+}
+
+record! {
+    /// Injected faults and what they cost a fault sweep; the scalars
+    /// summarize the worst sweep point.
+    Fault {
+        /// Injected uniform bit-error rate, before the preset's scale.
+        ber: f64,
+        /// Largest refresh-interval multiplier swept (1.0 = nominal).
+        refresh_multiplier: f64,
+        /// SEC-DED words corrected (single-bit errors repaired).
+        ecc_corrected: u64,
+        /// SEC-DED words with a detected but uncorrectable multi-bit
+        /// error.
+        ecc_uncorrected: u64,
+        /// Fraction of queries whose top-1 flipped due to injected
+        /// faults, in percent.
+        quality_degradation_pct: f64,
+        /// The preset's bit-error-rate multiplier relative to the DDR4
+        /// baseline (1.0 = baseline incidence).
+        ber_scale: f64,
+        /// The preset's retention-failure coefficient.
+        retention_base: f64,
+        /// The preset's weak-column incidence multiplier relative to the
+        /// DDR4 baseline (1.0 = baseline incidence).
+        weak_column_scale: f64,
+    }
+}
+
+record! {
+    /// Which cost model answered the run, and how its audit went.
+    Surrogate {
+        /// The cost backend (`cycle-accurate` or `surrogate`).
+        cost_backend: String,
+        /// Cycle-accurate anchor simulations the surrogate fits ran (0
+        /// on the cycle-accurate backend).
+        fit_anchors: u64,
+        /// Surrogate predictions that were re-run cycle-accurately by
+        /// the audit lottery.
+        audit_points: u64,
+        /// Worst bound-normalized relative leaf error observed over the
+        /// audited points (≤ the declared bound or the run would have
+        /// failed with a `SurrogateViolation`).
+        audit_max_rel_err: f64,
+    }
+}
+
+record! {
+    /// Placement, interconnect and per-tenant outcome of a fleet run.
+    Fleet {
+        /// Simulated DIMM-group nodes.
+        nodes: u64,
+        /// Shard placement policy (`consistent-hash` or `popularity`).
+        placement: String,
+        /// Extra hot-shard copies the placement actually placed.
+        hot_shard_replicas: u64,
+        /// Fraction of completed-request latency cycles spent on the
+        /// interconnect.
+        network_share: f64,
+        /// Per-tenant serving rows.
+        tenants: Vec<TenantRow>,
+    }
+}
+
+record! {
+    /// Design counts and budgets of a tuning run.
+    Tune {
+        /// Designs in the declared tune space.
+        space_size: u64,
+        /// Designs the search driver actually evaluated (≤ `space_size`;
+        /// equal on exhaustive search).
+        evaluated_designs: u64,
+        /// Evaluated designs whose surrogate prediction the audit
+        /// lottery re-ran cycle-accurately (0 on the cycle-accurate
+        /// backend).
+        audited_designs: u64,
+        /// Pareto-optimal designs on the emitted frontier.
+        frontier_points: u64,
+        /// Evaluated designs dominated by some frontier point.
+        dominated_points: u64,
+        /// Declared area budget in mm² (0.0 = unconstrained).
+        max_area_mm2: f64,
+        /// Declared power budget in mW (0.0 = unconstrained).
+        max_power_mw: f64,
+    }
+}
+
+record! {
+    /// Offload-planner decisions.
+    Offload {
+        /// Decisions that kept NMP execution.
+        offload_nmp: u64,
+        /// Decisions that chose the CPU roofline instead.
+        offload_cpu: u64,
+    }
+}
+
+record! {
+    /// Machine-readable summary of one run: the core, the sections its
+    /// command produced, then phases, metrics and notes.
+    RunReport {
+        /// Report schema version ([`SCHEMA_VERSION`]).
+        schema_version: u32,
+        /// The command that produced the report (`simulate`, `demo`, …).
+        command: String,
+        /// Workload identifier.
+        workload: String,
+        /// Scheme identifier (`enmc`, `cpu`, …).
+        scheme: String,
+        /// Batch size.
+        batch: u64,
+        /// Exact candidates per batch item.
+        candidates: u64,
+        /// Headline simulated latency in nanoseconds.
+        headline_ns: f64,
+        /// Headline simulated latency in DRAM-clock cycles (0 for
+        /// analytic models with no cycle-level simulation).
+        sim_cycles: u64,
+        /// Worker threads the simulation ran on (0 when the run had no
+        /// parallelizable region, e.g. the representative-rank shortcut).
+        threads: u64,
+        /// Observed host-side parallel speedup of the simulation region
+        /// (summed shard wall time over region wall time; 1.0
+        /// sequential).
+        speedup: f64,
+        /// Protocol violations the conformance checker observed (always
+        /// 0 unless the run enabled `--check-protocol`).
+        protocol_violations: u64,
+        /// Memory-technology preset the run simulated (`ddr4-2666`,
+        /// `ddr5-4800`, `lpddr4-3200`, `hbm2`, or a comma list for a
+        /// tune memory axis; empty when the command has no DRAM timing
+        /// domain).
+        memory_tech: String,
+        /// Cost attribution ([`Attribution`]).
+        attribution: Option<Attribution>,
+        /// Serving outcome ([`Serving`]).
+        serving: Option<Serving>,
+        /// Fault-injection outcome ([`Fault`]).
+        fault: Option<Fault>,
+        /// Cost backend and audit figures ([`Surrogate`]).
+        surrogate: Option<Surrogate>,
+        /// Fleet placement and tenants ([`Fleet`]).
+        fleet: Option<Fleet>,
+        /// Tuning counts and budgets ([`Tune`]).
+        tune: Option<Tune>,
+        /// Offload-planner decisions ([`Offload`]).
+        offload: Option<Offload>,
+        /// Timed phases, in execution order.
+        phases: Vec<PhaseSpan>,
+        /// Metrics snapshot.
+        metrics: MetricsReport,
+        /// Free-form annotations.
+        notes: Vec<String>,
+    }
 }
 
 impl RunReport {
-    /// A fresh report for `command` on `workload` under `scheme`.
+    /// A fresh report for `command` on `workload` under `scheme`, with no
+    /// sections.
     pub fn new(command: &str, workload: &str, scheme: &str) -> Self {
         RunReport {
             schema_version: SCHEMA_VERSION,
@@ -254,10 +407,6 @@ impl RunReport {
             workload: workload.to_string(),
             scheme: scheme.to_string(),
             speedup: 1.0,
-            refresh_multiplier: 1.0,
-            cost_backend: "cycle-accurate".to_string(),
-            ber_scale: 1.0,
-            weak_column_scale: 1.0,
             ..Default::default()
         }
     }
@@ -293,321 +442,41 @@ impl RunReport {
         self.phase_sim_cycles() == self.sim_cycles
     }
 
+    /// The names of the sections present, in JSON order.
+    pub fn sections(&self) -> Vec<&'static str> {
+        let present = [
+            ("attribution", self.attribution.is_some()),
+            ("serving", self.serving.is_some()),
+            ("fault", self.fault.is_some()),
+            ("surrogate", self.surrogate.is_some()),
+            ("fleet", self.fleet.is_some()),
+            ("tune", self.tune.is_some()),
+            ("offload", self.offload.is_some()),
+        ];
+        present.iter().filter(|(_, on)| *on).map(|(name, _)| *name).collect()
+    }
+
     /// Serializes the report to compact JSON.
     pub fn to_json(&self) -> String {
-        let phases = self
-            .phases
-            .iter()
-            .map(|p| {
-                Value::Obj(vec![
-                    ("name".to_string(), Value::Str(p.name.clone())),
-                    ("wall_ns".to_string(), Value::Num(p.wall_ns)),
-                    ("sim_cycles".to_string(), Value::Int(p.sim_cycles as i64)),
-                    ("sim_ns".to_string(), Value::Num(p.sim_ns)),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("schema_version".to_string(), Value::Int(self.schema_version as i64)),
-            ("command".to_string(), Value::Str(self.command.clone())),
-            ("workload".to_string(), Value::Str(self.workload.clone())),
-            ("scheme".to_string(), Value::Str(self.scheme.clone())),
-            ("batch".to_string(), Value::Int(self.batch as i64)),
-            ("candidates".to_string(), Value::Int(self.candidates as i64)),
-            ("headline_ns".to_string(), Value::Num(self.headline_ns)),
-            ("sim_cycles".to_string(), Value::Int(self.sim_cycles as i64)),
-            ("threads".to_string(), Value::Int(self.threads as i64)),
-            ("speedup".to_string(), Value::Num(self.speedup)),
-            ("protocol_violations".to_string(), Value::Int(self.protocol_violations as i64)),
-            ("slo_attainment".to_string(), Value::Num(self.slo_attainment)),
-            ("p99_ns".to_string(), Value::Num(self.p99_ns)),
-            ("shed".to_string(), Value::Int(self.shed as i64)),
-            ("degrade_transitions".to_string(), Value::Int(self.degrade_transitions as i64)),
-            ("ber".to_string(), Value::Num(self.ber)),
-            ("refresh_multiplier".to_string(), Value::Num(self.refresh_multiplier)),
-            ("ecc_corrected".to_string(), Value::Int(self.ecc_corrected as i64)),
-            ("ecc_uncorrected".to_string(), Value::Int(self.ecc_uncorrected as i64)),
-            ("quality_degradation_pct".to_string(), Value::Num(self.quality_degradation_pct)),
-            ("energy_nj".to_string(), Value::Num(self.energy_nj)),
-            (
-                "breakdown".to_string(),
-                Value::Arr(
-                    self.breakdown
-                        .iter()
-                        .map(|b| {
-                            Value::Obj(vec![
-                                ("path".to_string(), Value::Str(b.path.clone())),
-                                ("cycles".to_string(), Value::Int(b.cycles as i64)),
-                                ("nj".to_string(), Value::Num(b.nj)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("cost_backend".to_string(), Value::Str(self.cost_backend.clone())),
-            ("fit_anchors".to_string(), Value::Int(self.fit_anchors as i64)),
-            ("audit_points".to_string(), Value::Int(self.audit_points as i64)),
-            ("audit_max_rel_err".to_string(), Value::Num(self.audit_max_rel_err)),
-            ("nodes".to_string(), Value::Int(self.nodes as i64)),
-            ("placement".to_string(), Value::Str(self.placement.clone())),
-            ("hot_shard_replicas".to_string(), Value::Int(self.hot_shard_replicas as i64)),
-            ("network_share".to_string(), Value::Num(self.network_share)),
-            (
-                "tenants".to_string(),
-                Value::Arr(
-                    self.tenants
-                        .iter()
-                        .map(|t| {
-                            Value::Obj(vec![
-                                ("name".to_string(), Value::Str(t.name.clone())),
-                                ("slo_attainment".to_string(), Value::Num(t.slo_attainment)),
-                                ("p99_ns".to_string(), Value::Num(t.p99_ns)),
-                                ("shed".to_string(), Value::Int(t.shed as i64)),
-                                ("admitted".to_string(), Value::Int(t.admitted as i64)),
-                                ("completed".to_string(), Value::Int(t.completed as i64)),
-                                (
-                                    "degrade_transitions".to_string(),
-                                    Value::Int(t.degrade_transitions as i64),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("space_size".to_string(), Value::Int(self.space_size as i64)),
-            ("evaluated_designs".to_string(), Value::Int(self.evaluated_designs as i64)),
-            ("audited_designs".to_string(), Value::Int(self.audited_designs as i64)),
-            ("frontier_points".to_string(), Value::Int(self.frontier_points as i64)),
-            ("dominated_points".to_string(), Value::Int(self.dominated_points as i64)),
-            ("max_area_mm2".to_string(), Value::Num(self.max_area_mm2)),
-            ("max_power_mw".to_string(), Value::Num(self.max_power_mw)),
-            ("offload_nmp".to_string(), Value::Int(self.offload_nmp as i64)),
-            ("offload_cpu".to_string(), Value::Int(self.offload_cpu as i64)),
-            ("memory_tech".to_string(), Value::Str(self.memory_tech.clone())),
-            ("ber_scale".to_string(), Value::Num(self.ber_scale)),
-            ("retention_base".to_string(), Value::Num(self.retention_base)),
-            ("weak_column_scale".to_string(), Value::Num(self.weak_column_scale)),
-            ("phases".to_string(), Value::Arr(phases)),
-            ("metrics".to_string(), self.metrics.to_json_value()),
-            (
-                "notes".to_string(),
-                Value::Arr(self.notes.iter().map(|n| Value::Str(n.clone())).collect()),
-            ),
-        ])
-        .to_json()
+        self.to_value().expect("a record always writes an object").to_json()
     }
 
     /// Parses a report produced by [`RunReport::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns a description when the text is not valid JSON or a field is
-    /// missing or mistyped.
+    /// Returns a description when the text is not valid JSON, its
+    /// `schema_version` is not [`SCHEMA_VERSION`], or a key is missing or
+    /// mistyped (named as `section.key`).
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = Value::parse(text)?;
-        let str_field = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing field '{name}'"))
-        };
-        let u64_field = |name: &str| -> Result<u64, String> {
-            v.get(name).and_then(Value::as_u64).ok_or_else(|| format!("missing field '{name}'"))
-        };
-        let f64_field = |name: &str| -> Result<f64, String> {
-            v.get(name).and_then(Value::as_f64).ok_or_else(|| format!("missing field '{name}'"))
-        };
-        let mut phases = Vec::new();
-        for p in v
-            .get("phases")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| "missing field 'phases'".to_string())?
-        {
-            phases.push(PhaseSpan {
-                name: p
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "phase missing name".to_string())?
-                    .to_string(),
-                wall_ns: p
-                    .get("wall_ns")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| "phase missing wall_ns".to_string())?,
-                sim_cycles: p
-                    .get("sim_cycles")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| "phase missing sim_cycles".to_string())?,
-                sim_ns: p
-                    .get("sim_ns")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| "phase missing sim_ns".to_string())?,
-            });
+        match v.get("schema_version").and_then(Value::as_u64) {
+            Some(n) if n == u64::from(SCHEMA_VERSION) => Self::from_value(Some(&v), ""),
+            Some(n) => Err(format!(
+                "unsupported schema_version {n}: this reader reads version {SCHEMA_VERSION} only"
+            )),
+            None => Err(missing("schema_version")),
         }
-        let mut breakdown = Vec::new();
-        if let Some(rows) = v.get("breakdown").and_then(Value::as_arr) {
-            for b in rows {
-                breakdown.push(BreakdownRow {
-                    path: b
-                        .get("path")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| "breakdown row missing path".to_string())?
-                        .to_string(),
-                    cycles: b
-                        .get("cycles")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| "breakdown row missing cycles".to_string())?,
-                    nj: b
-                        .get("nj")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| "breakdown row missing nj".to_string())?,
-                });
-            }
-        }
-        // v8 fleet rows; default when reading an older report.
-        let mut tenants = Vec::new();
-        if let Some(rows) = v.get("tenants").and_then(Value::as_arr) {
-            for t in rows {
-                tenants.push(TenantRow {
-                    name: t
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| "tenant row missing name".to_string())?
-                        .to_string(),
-                    slo_attainment: t
-                        .get("slo_attainment")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| "tenant row missing slo_attainment".to_string())?,
-                    p99_ns: t
-                        .get("p99_ns")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| "tenant row missing p99_ns".to_string())?,
-                    shed: t
-                        .get("shed")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| "tenant row missing shed".to_string())?,
-                    admitted: t
-                        .get("admitted")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| "tenant row missing admitted".to_string())?,
-                    completed: t
-                        .get("completed")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| "tenant row missing completed".to_string())?,
-                    degrade_transitions: t
-                        .get("degrade_transitions")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| "tenant row missing degrade_transitions".to_string())?,
-                });
-            }
-        }
-        let metrics = MetricsReport::from_json_value(
-            v.get("metrics").ok_or_else(|| "missing field 'metrics'".to_string())?,
-        )?;
-        let mut notes = Vec::new();
-        for n in v
-            .get("notes")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| "missing field 'notes'".to_string())?
-        {
-            notes.push(
-                n.as_str().ok_or_else(|| "note must be a string".to_string())?.to_string(),
-            );
-        }
-        Ok(RunReport {
-            schema_version: u64_field("schema_version")? as u32,
-            command: str_field("command")?,
-            workload: str_field("workload")?,
-            scheme: str_field("scheme")?,
-            batch: u64_field("batch")?,
-            candidates: u64_field("candidates")?,
-            headline_ns: f64_field("headline_ns")?,
-            sim_cycles: u64_field("sim_cycles")?,
-            // v2/v3 fields; default when reading an older report.
-            threads: v.get("threads").and_then(Value::as_u64).unwrap_or(0),
-            speedup: v.get("speedup").and_then(Value::as_f64).unwrap_or(1.0),
-            protocol_violations: v
-                .get("protocol_violations")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            // v4 serving fields; default when reading an older report.
-            slo_attainment: v.get("slo_attainment").and_then(Value::as_f64).unwrap_or(0.0),
-            p99_ns: v.get("p99_ns").and_then(Value::as_f64).unwrap_or(0.0),
-            shed: v.get("shed").and_then(Value::as_u64).unwrap_or(0),
-            degrade_transitions: v
-                .get("degrade_transitions")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            // v5 fault fields; default when reading an older report.
-            ber: v.get("ber").and_then(Value::as_f64).unwrap_or(0.0),
-            refresh_multiplier: v
-                .get("refresh_multiplier")
-                .and_then(Value::as_f64)
-                .unwrap_or(1.0),
-            ecc_corrected: v.get("ecc_corrected").and_then(Value::as_u64).unwrap_or(0),
-            ecc_uncorrected: v.get("ecc_uncorrected").and_then(Value::as_u64).unwrap_or(0),
-            quality_degradation_pct: v
-                .get("quality_degradation_pct")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-            // v6 attribution fields; default when reading an older report.
-            energy_nj: v.get("energy_nj").and_then(Value::as_f64).unwrap_or(0.0),
-            breakdown,
-            // v7 surrogate fields; default when reading an older report.
-            cost_backend: v
-                .get("cost_backend")
-                .and_then(Value::as_str)
-                .unwrap_or("cycle-accurate")
-                .to_string(),
-            fit_anchors: v.get("fit_anchors").and_then(Value::as_u64).unwrap_or(0),
-            audit_points: v.get("audit_points").and_then(Value::as_u64).unwrap_or(0),
-            audit_max_rel_err: v
-                .get("audit_max_rel_err")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-            // v8 fleet fields; default when reading an older report.
-            nodes: v.get("nodes").and_then(Value::as_u64).unwrap_or(0),
-            placement: v
-                .get("placement")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            hot_shard_replicas: v
-                .get("hot_shard_replicas")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            network_share: v.get("network_share").and_then(Value::as_f64).unwrap_or(0.0),
-            tenants,
-            // v9 tune fields; default when reading an older report.
-            space_size: v.get("space_size").and_then(Value::as_u64).unwrap_or(0),
-            evaluated_designs: v
-                .get("evaluated_designs")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            audited_designs: v.get("audited_designs").and_then(Value::as_u64).unwrap_or(0),
-            frontier_points: v.get("frontier_points").and_then(Value::as_u64).unwrap_or(0),
-            dominated_points: v.get("dominated_points").and_then(Value::as_u64).unwrap_or(0),
-            max_area_mm2: v.get("max_area_mm2").and_then(Value::as_f64).unwrap_or(0.0),
-            max_power_mw: v.get("max_power_mw").and_then(Value::as_f64).unwrap_or(0.0),
-            offload_nmp: v.get("offload_nmp").and_then(Value::as_u64).unwrap_or(0),
-            offload_cpu: v.get("offload_cpu").and_then(Value::as_u64).unwrap_or(0),
-            // v10 memory-technology fields; default when reading an older
-            // report (pre-preset reports always simulated the DDR4
-            // baseline profile).
-            memory_tech: v
-                .get("memory_tech")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            ber_scale: v.get("ber_scale").and_then(Value::as_f64).unwrap_or(1.0),
-            retention_base: v.get("retention_base").and_then(Value::as_f64).unwrap_or(0.0),
-            weak_column_scale: v
-                .get("weak_column_scale")
-                .and_then(Value::as_f64)
-                .unwrap_or(1.0),
-            phases,
-            metrics,
-            notes,
-        })
     }
 }
 
@@ -656,11 +525,101 @@ mod tests {
         r
     }
 
+    /// `sample()` with every section present and nonzero.
+    fn full() -> RunReport {
+        let mut r = sample();
+        r.attribution = Some(Attribution {
+            energy_nj: 10.5,
+            breakdown: vec![
+                BreakdownRow { path: "energy/dram/access/ch0/act".into(), cycles: 0, nj: 4.2 },
+                BreakdownRow { path: "cycles/screen".into(), cycles: 700, nj: 0.0 },
+            ],
+        });
+        r.serving = Some(Serving {
+            slo_attainment: 0.97,
+            p99_ns: 41_000.0,
+            shed: 3,
+            degrade_transitions: 2,
+        });
+        r.fault = Some(Fault {
+            ber: 1e-4,
+            refresh_multiplier: 32.0,
+            ecc_corrected: 12,
+            ecc_uncorrected: 1,
+            quality_degradation_pct: 0.5,
+            ber_scale: 1.5,
+            retention_base: 2e-5,
+            weak_column_scale: 1.25,
+        });
+        r.surrogate = Some(Surrogate {
+            cost_backend: "surrogate".into(),
+            fit_anchors: 36,
+            audit_points: 4,
+            audit_max_rel_err: 0.012,
+        });
+        let tenant = |name: &str, shed| TenantRow {
+            name: name.into(),
+            slo_attainment: 0.75,
+            p99_ns: 220_000.0,
+            shed,
+            admitted: 175,
+            completed: 175,
+            degrade_transitions: 9,
+        };
+        r.fleet = Some(Fleet {
+            nodes: 4,
+            placement: "popularity".into(),
+            hot_shard_replicas: 2,
+            network_share: 0.125,
+            tenants: vec![tenant("t0", 0), tenant("t1", 17)],
+        });
+        r.tune = Some(Tune {
+            space_size: 32,
+            evaluated_designs: 20,
+            audited_designs: 2,
+            frontier_points: 5,
+            dominated_points: 15,
+            max_area_mm2: 28.3,
+            max_power_mw: 0.0,
+        });
+        r.offload = Some(Offload { offload_nmp: 6, offload_cpu: 2 });
+        r
+    }
+
     #[test]
     fn json_round_trip_preserves_everything() {
         let r = sample();
+        assert!(r.sections().is_empty());
         let back = RunReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn a_report_with_every_section_round_trips() {
+        let r = full();
+        assert_eq!(
+            r.sections(),
+            ["attribution", "serving", "fault", "surrogate", "fleet", "tune", "offload"]
+        );
+        let json = r.to_json();
+        let back = RunReport::from_json(&json).unwrap();
+        assert_eq!(back, r);
+        assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn sections_nest_after_the_core_and_absent_ones_are_left_out() {
+        let mut r = sample();
+        r.serving = Some(Serving::default());
+        let json = r.to_json();
+        // A present section writes its zeros; an absent one writes nothing.
+        assert!(json.contains(
+            "\"memory_tech\":\"\",\"serving\":{\"slo_attainment\":0,\"p99_ns\":0,\"shed\":0,\
+             \"degrade_transitions\":0},\"phases\":"
+        ));
+        for absent in ["attribution", "fault", "surrogate", "fleet", "tune", "offload"] {
+            assert!(!json.contains(&format!("\"{absent}\"")), "{absent} leaked");
+        }
     }
 
     #[test]
@@ -678,202 +637,29 @@ mod tests {
     }
 
     #[test]
-    fn v1_reports_parse_with_defaulted_parallel_fields() {
-        // A v1 report has no threads/speedup keys.
-        let mut r = sample();
-        r.schema_version = 1;
-        let v1_json = {
-            let json = r.to_json();
-            json.replace("\"threads\":0,", "").replace("\"speedup\":1,", "")
-        };
-        assert!(!v1_json.contains("threads"));
-        let back = RunReport::from_json(&v1_json).unwrap();
-        assert_eq!(back.threads, 0);
-        assert_eq!(back.speedup, 1.0);
-        assert_eq!(back.phases, r.phases);
+    fn older_schema_versions_are_rejected_by_number() {
+        let json = sample().to_json().replace("\"schema_version\":11,", "\"schema_version\":10,");
+        let err = RunReport::from_json(&json).unwrap_err();
+        assert!(err.contains("schema_version 10"), "{err}");
     }
 
     #[test]
-    fn v2_reports_parse_with_defaulted_protocol_field() {
-        // A v2 report has no protocol_violations key.
-        let mut r = sample();
-        r.schema_version = 2;
-        let v2_json = r.to_json().replace("\"protocol_violations\":0,", "");
-        assert!(!v2_json.contains("protocol_violations"));
-        let back = RunReport::from_json(&v2_json).unwrap();
-        assert_eq!(back.protocol_violations, 0);
-        assert_eq!(back.threads, r.threads);
-    }
-
-    #[test]
-    fn v3_reports_parse_with_defaulted_serving_fields() {
-        // A v3 report has none of the v4 serving keys.
-        let mut r = sample();
-        r.schema_version = 3;
-        let v3_json = r
-            .to_json()
-            .replace("\"slo_attainment\":0,", "")
-            .replace("\"p99_ns\":0,", "")
-            .replace("\"shed\":0,", "")
-            .replace("\"degrade_transitions\":0,", "");
-        assert!(!v3_json.contains("slo_attainment"));
-        let back = RunReport::from_json(&v3_json).unwrap();
-        assert_eq!(back.slo_attainment, 0.0);
-        assert_eq!(back.p99_ns, 0.0);
-        assert_eq!(back.shed, 0);
-        assert_eq!(back.degrade_transitions, 0);
-        assert_eq!(back.protocol_violations, r.protocol_violations);
-    }
-
-    #[test]
-    fn v4_reports_parse_with_defaulted_fault_fields() {
-        // A v4 report has none of the v5 fault keys.
-        let mut r = sample();
-        r.schema_version = 4;
-        let v4_json = r
-            .to_json()
-            .replace("\"ber\":0,", "")
-            .replace("\"refresh_multiplier\":1,", "")
-            .replace("\"ecc_corrected\":0,", "")
-            .replace("\"ecc_uncorrected\":0,", "")
-            .replace("\"quality_degradation_pct\":0,", "");
-        assert!(!v4_json.contains("refresh_multiplier"));
-        let back = RunReport::from_json(&v4_json).unwrap();
-        assert_eq!(back.ber, 0.0);
-        assert_eq!(back.refresh_multiplier, 1.0);
-        assert_eq!(back.ecc_corrected, 0);
-        assert_eq!(back.ecc_uncorrected, 0);
-        assert_eq!(back.quality_degradation_pct, 0.0);
-        assert_eq!(back.slo_attainment, r.slo_attainment);
-    }
-
-    #[test]
-    fn v5_reports_parse_with_defaulted_attribution_fields() {
-        // A v5 report has none of the v6 attribution keys.
-        let mut r = sample();
-        r.schema_version = 5;
-        let v5_json =
-            r.to_json().replace("\"energy_nj\":0,", "").replace("\"breakdown\":[],", "");
-        assert!(!v5_json.contains("energy_nj"));
-        let back = RunReport::from_json(&v5_json).unwrap();
-        assert_eq!(back.energy_nj, 0.0);
-        assert!(back.breakdown.is_empty());
-        assert_eq!(back.ber, r.ber);
-    }
-
-    #[test]
-    fn v7_reports_parse_with_defaulted_fleet_fields() {
-        // A v7 report has none of the v8 fleet keys.
-        let mut r = sample();
-        r.schema_version = 7;
-        let v7_json = r
-            .to_json()
-            .replace("\"nodes\":0,", "")
-            .replace("\"placement\":\"\",", "")
-            .replace("\"hot_shard_replicas\":0,", "")
-            .replace("\"network_share\":0,", "")
-            .replace("\"tenants\":[],", "");
-        assert!(!v7_json.contains("hot_shard_replicas"));
-        let back = RunReport::from_json(&v7_json).unwrap();
-        assert_eq!(back.nodes, 0);
-        assert_eq!(back.placement, "");
-        assert_eq!(back.hot_shard_replicas, 0);
-        assert_eq!(back.network_share, 0.0);
-        assert!(back.tenants.is_empty());
-        assert_eq!(back.cost_backend, r.cost_backend);
-    }
-
-    #[test]
-    fn v8_reports_parse_with_defaulted_tune_fields() {
-        // A v8 report has none of the v9 tune keys.
-        let mut r = sample();
-        r.schema_version = 8;
-        let v8_json = r
-            .to_json()
-            .replace("\"space_size\":0,", "")
-            .replace("\"evaluated_designs\":0,", "")
-            .replace("\"audited_designs\":0,", "")
-            .replace("\"frontier_points\":0,", "")
-            .replace("\"dominated_points\":0,", "")
-            .replace("\"max_area_mm2\":0,", "")
-            .replace("\"max_power_mw\":0,", "")
-            .replace("\"offload_nmp\":0,", "")
-            .replace("\"offload_cpu\":0,", "");
-        assert!(!v8_json.contains("frontier_points"));
-        let back = RunReport::from_json(&v8_json).unwrap();
-        assert_eq!(back.space_size, 0);
-        assert_eq!(back.evaluated_designs, 0);
-        assert_eq!(back.audited_designs, 0);
-        assert_eq!(back.frontier_points, 0);
-        assert_eq!(back.dominated_points, 0);
-        assert_eq!(back.max_area_mm2, 0.0);
-        assert_eq!(back.max_power_mw, 0.0);
-        assert_eq!(back.offload_nmp, 0);
-        assert_eq!(back.offload_cpu, 0);
-        assert_eq!(back.nodes, r.nodes);
-    }
-
-    #[test]
-    fn v9_reports_parse_with_defaulted_memory_fields() {
-        // A v9 report has none of the v10 memory-technology keys.
-        let mut r = sample();
-        r.schema_version = 9;
-        let v9_json = r
-            .to_json()
-            .replace("\"memory_tech\":\"\",", "")
-            .replace("\"ber_scale\":1,", "")
-            .replace("\"retention_base\":0,", "")
-            .replace("\"weak_column_scale\":1,", "");
-        assert!(!v9_json.contains("memory_tech"));
-        let back = RunReport::from_json(&v9_json).unwrap();
-        assert_eq!(back.memory_tech, "");
-        assert_eq!(back.ber_scale, 1.0);
-        assert_eq!(back.retention_base, 0.0);
-        assert_eq!(back.weak_column_scale, 1.0);
-        assert_eq!(back.space_size, r.space_size);
-    }
-
-    #[test]
-    fn tenant_rows_round_trip() {
-        let mut r = sample();
-        r.nodes = 4;
-        r.placement = "popularity".to_string();
-        r.hot_shard_replicas = 2;
-        r.network_share = 0.125;
-        r.tenants.push(TenantRow {
-            name: "t0".to_string(),
-            slo_attainment: 0.995,
-            p99_ns: 41_000.0,
-            shed: 0,
-            admitted: 192,
-            completed: 192,
-            degrade_transitions: 3,
-        });
-        r.tenants.push(TenantRow {
-            name: "t1".to_string(),
-            slo_attainment: 0.75,
-            p99_ns: 220_000.0,
-            shed: 17,
-            admitted: 175,
-            completed: 175,
-            degrade_transitions: 9,
-        });
-        let back = RunReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn breakdown_rows_round_trip() {
-        let mut r = sample();
-        r.energy_nj = 10.5;
-        r.breakdown.push(BreakdownRow {
-            path: "energy/dram/access/ch0/act".to_string(),
-            cycles: 0,
-            nj: 4.2,
-        });
-        r.breakdown.push(BreakdownRow { path: "cycles/screen".to_string(), cycles: 700, nj: 0.0 });
-        let back = RunReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
+    fn a_section_missing_a_key_is_rejected_by_path() {
+        let json = full().to_json();
+        for (key, path) in [
+            ("\"shed\":3,", "serving.shed"),
+            ("\"retention_base\":0.00002,", "fault.retention_base"),
+            ("\"cost_backend\":\"surrogate\",", "surrogate.cost_backend"),
+            ("\"offload_cpu\":2", "offload.offload_cpu"),
+        ] {
+            assert!(json.contains(key), "{key} not in the sample");
+            let stripped = json.replacen(key, "", 1).replace(",}", "}");
+            let err = RunReport::from_json(&stripped).unwrap_err();
+            assert!(err.contains(&format!("'{path}'")), "{path}: {err}");
+        }
+        let bad_row = json.replacen("\"nj\":4.2", "\"nj\":\"x\"", 1);
+        let err = RunReport::from_json(&bad_row).unwrap_err();
+        assert!(err.contains("'attribution.breakdown[0].nj'"), "{err}");
     }
 
     #[test]
@@ -889,305 +675,6 @@ mod tests {
         assert_eq!(r.phases[0].sim_ns, 249.0);
         assert_eq!(r.phases[1].name, "screen");
         assert_eq!(r.phase_sim_cycles(), 350);
-    }
-
-    #[test]
-    fn every_documented_schema_version_parses() {
-        // Emit the sample report at each historical schema version by
-        // stripping exactly the fields that version lacked, per the field
-        // history on SCHEMA_VERSION, and assert each still parses.
-        const V5_KEYS: [&str; 5] = [
-            "\"ber\":0,",
-            "\"refresh_multiplier\":1,",
-            "\"ecc_corrected\":0,",
-            "\"ecc_uncorrected\":0,",
-            "\"quality_degradation_pct\":0,",
-        ];
-        const V6_KEYS: [&str; 2] = ["\"energy_nj\":0,", "\"breakdown\":[],"];
-        const V7_KEYS: [&str; 4] = [
-            "\"cost_backend\":\"cycle-accurate\",",
-            "\"fit_anchors\":0,",
-            "\"audit_points\":0,",
-            "\"audit_max_rel_err\":0,",
-        ];
-        const V8_KEYS: [&str; 5] = [
-            "\"nodes\":0,",
-            "\"placement\":\"\",",
-            "\"hot_shard_replicas\":0,",
-            "\"network_share\":0,",
-            "\"tenants\":[],",
-        ];
-        const V9_KEYS: [&str; 9] = [
-            "\"space_size\":0,",
-            "\"evaluated_designs\":0,",
-            "\"audited_designs\":0,",
-            "\"frontier_points\":0,",
-            "\"dominated_points\":0,",
-            "\"max_area_mm2\":0,",
-            "\"max_power_mw\":0,",
-            "\"offload_nmp\":0,",
-            "\"offload_cpu\":0,",
-        ];
-        const V10_KEYS: [&str; 4] = [
-            "\"memory_tech\":\"\",",
-            "\"ber_scale\":1,",
-            "\"retention_base\":0,",
-            "\"weak_column_scale\":1,",
-        ];
-        let strip: [&[&str]; 10] = [
-            // v1: no v2/v3/v4/v5/v6/v7/v8/v9 fields.
-            &[
-                "\"threads\":0,",
-                "\"speedup\":1,",
-                "\"protocol_violations\":0,",
-                "\"slo_attainment\":0,",
-                "\"p99_ns\":0,",
-                "\"shed\":0,",
-                "\"degrade_transitions\":0,",
-                V5_KEYS[0],
-                V5_KEYS[1],
-                V5_KEYS[2],
-                V5_KEYS[3],
-                V5_KEYS[4],
-                V6_KEYS[0],
-                V6_KEYS[1],
-                V7_KEYS[0],
-                V7_KEYS[1],
-                V7_KEYS[2],
-                V7_KEYS[3],
-                V8_KEYS[0],
-                V8_KEYS[1],
-                V8_KEYS[2],
-                V8_KEYS[3],
-                V8_KEYS[4],
-                V9_KEYS[0],
-                V9_KEYS[1],
-                V9_KEYS[2],
-                V9_KEYS[3],
-                V9_KEYS[4],
-                V9_KEYS[5],
-                V9_KEYS[6],
-                V9_KEYS[7],
-                V9_KEYS[8],
-                V10_KEYS[0],
-                V10_KEYS[1],
-                V10_KEYS[2],
-                V10_KEYS[3],
-            ],
-            // v2: no v3/v4/v5/v6/v7/v8/v9 fields.
-            &[
-                "\"protocol_violations\":0,",
-                "\"slo_attainment\":0,",
-                "\"p99_ns\":0,",
-                "\"shed\":0,",
-                "\"degrade_transitions\":0,",
-                V5_KEYS[0],
-                V5_KEYS[1],
-                V5_KEYS[2],
-                V5_KEYS[3],
-                V5_KEYS[4],
-                V6_KEYS[0],
-                V6_KEYS[1],
-                V7_KEYS[0],
-                V7_KEYS[1],
-                V7_KEYS[2],
-                V7_KEYS[3],
-                V8_KEYS[0],
-                V8_KEYS[1],
-                V8_KEYS[2],
-                V8_KEYS[3],
-                V8_KEYS[4],
-                V9_KEYS[0],
-                V9_KEYS[1],
-                V9_KEYS[2],
-                V9_KEYS[3],
-                V9_KEYS[4],
-                V9_KEYS[5],
-                V9_KEYS[6],
-                V9_KEYS[7],
-                V9_KEYS[8],
-                V10_KEYS[0],
-                V10_KEYS[1],
-                V10_KEYS[2],
-                V10_KEYS[3],
-            ],
-            // v3: no v4/v5/v6/v7/v8/v9 fields.
-            &[
-                "\"slo_attainment\":0,",
-                "\"p99_ns\":0,",
-                "\"shed\":0,",
-                "\"degrade_transitions\":0,",
-                V5_KEYS[0],
-                V5_KEYS[1],
-                V5_KEYS[2],
-                V5_KEYS[3],
-                V5_KEYS[4],
-                V6_KEYS[0],
-                V6_KEYS[1],
-                V7_KEYS[0],
-                V7_KEYS[1],
-                V7_KEYS[2],
-                V7_KEYS[3],
-                V8_KEYS[0],
-                V8_KEYS[1],
-                V8_KEYS[2],
-                V8_KEYS[3],
-                V8_KEYS[4],
-                V9_KEYS[0],
-                V9_KEYS[1],
-                V9_KEYS[2],
-                V9_KEYS[3],
-                V9_KEYS[4],
-                V9_KEYS[5],
-                V9_KEYS[6],
-                V9_KEYS[7],
-                V9_KEYS[8],
-                V10_KEYS[0],
-                V10_KEYS[1],
-                V10_KEYS[2],
-                V10_KEYS[3],
-            ],
-            // v4: no v5/v6/v7/v8/v9 fields.
-            &[
-                V5_KEYS[0],
-                V5_KEYS[1],
-                V5_KEYS[2],
-                V5_KEYS[3],
-                V5_KEYS[4],
-                V6_KEYS[0],
-                V6_KEYS[1],
-                V7_KEYS[0],
-                V7_KEYS[1],
-                V7_KEYS[2],
-                V7_KEYS[3],
-                V8_KEYS[0],
-                V8_KEYS[1],
-                V8_KEYS[2],
-                V8_KEYS[3],
-                V8_KEYS[4],
-                V9_KEYS[0],
-                V9_KEYS[1],
-                V9_KEYS[2],
-                V9_KEYS[3],
-                V9_KEYS[4],
-                V9_KEYS[5],
-                V9_KEYS[6],
-                V9_KEYS[7],
-                V9_KEYS[8],
-                V10_KEYS[0],
-                V10_KEYS[1],
-                V10_KEYS[2],
-                V10_KEYS[3],
-            ],
-            // v5: no v6/v7/v8/v9 fields.
-            &[
-                V6_KEYS[0],
-                V6_KEYS[1],
-                V7_KEYS[0],
-                V7_KEYS[1],
-                V7_KEYS[2],
-                V7_KEYS[3],
-                V8_KEYS[0],
-                V8_KEYS[1],
-                V8_KEYS[2],
-                V8_KEYS[3],
-                V8_KEYS[4],
-                V9_KEYS[0],
-                V9_KEYS[1],
-                V9_KEYS[2],
-                V9_KEYS[3],
-                V9_KEYS[4],
-                V9_KEYS[5],
-                V9_KEYS[6],
-                V9_KEYS[7],
-                V9_KEYS[8],
-                V10_KEYS[0],
-                V10_KEYS[1],
-                V10_KEYS[2],
-                V10_KEYS[3],
-            ],
-            // v6: no v7/v8/v9 fields.
-            &[
-                V7_KEYS[0],
-                V7_KEYS[1],
-                V7_KEYS[2],
-                V7_KEYS[3],
-                V8_KEYS[0],
-                V8_KEYS[1],
-                V8_KEYS[2],
-                V8_KEYS[3],
-                V8_KEYS[4],
-                V9_KEYS[0],
-                V9_KEYS[1],
-                V9_KEYS[2],
-                V9_KEYS[3],
-                V9_KEYS[4],
-                V9_KEYS[5],
-                V9_KEYS[6],
-                V9_KEYS[7],
-                V9_KEYS[8],
-                V10_KEYS[0],
-                V10_KEYS[1],
-                V10_KEYS[2],
-                V10_KEYS[3],
-            ],
-            // v7: no v8/v9 fields.
-            &[
-                V8_KEYS[0],
-                V8_KEYS[1],
-                V8_KEYS[2],
-                V8_KEYS[3],
-                V8_KEYS[4],
-                V9_KEYS[0],
-                V9_KEYS[1],
-                V9_KEYS[2],
-                V9_KEYS[3],
-                V9_KEYS[4],
-                V9_KEYS[5],
-                V9_KEYS[6],
-                V9_KEYS[7],
-                V9_KEYS[8],
-                V10_KEYS[0],
-                V10_KEYS[1],
-                V10_KEYS[2],
-                V10_KEYS[3],
-            ],
-            // v8: no v9 fields.
-            &[
-                V9_KEYS[0],
-                V9_KEYS[1],
-                V9_KEYS[2],
-                V9_KEYS[3],
-                V9_KEYS[4],
-                V9_KEYS[5],
-                V9_KEYS[6],
-                V9_KEYS[7],
-                V9_KEYS[8],
-                V10_KEYS[0],
-                V10_KEYS[1],
-                V10_KEYS[2],
-                V10_KEYS[3],
-            ],
-            // v9: no v10 fields.
-            &[V10_KEYS[0], V10_KEYS[1], V10_KEYS[2], V10_KEYS[3]],
-            // v10: current — nothing stripped.
-            &[],
-        ];
-        for (i, removals) in strip.iter().enumerate() {
-            let version = (i + 1) as u32;
-            let mut r = sample();
-            r.schema_version = version;
-            let mut json = r.to_json();
-            for needle in removals.iter() {
-                assert!(json.contains(needle), "v{version} sample must carry {needle}");
-                json = json.replace(needle, "");
-            }
-            let back = RunReport::from_json(&json)
-                .unwrap_or_else(|e| panic!("v{version} report failed to parse: {e}"));
-            assert_eq!(back.schema_version, version);
-            assert_eq!(back.phases, r.phases, "v{version} phases survived");
-        }
-        assert_eq!(strip.len() as u32, SCHEMA_VERSION, "history covers every version");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 /// Operation and byte counts of one classification strategy for one query
 /// batch.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassificationCost {
     /// Multiply-accumulate operations at full (FP32) precision.
     pub fp32_macs: u64,
@@ -57,7 +57,7 @@ impl ClassificationCost {
 }
 
 /// Bandwidth/compute model of the CPU baseline (Xeon 8280, §6.2).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuCostModel {
     /// Sustained memory bandwidth in bytes/second.
     pub bandwidth: f64,

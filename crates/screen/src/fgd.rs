@@ -25,7 +25,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 /// Build-time parameters for the FGD graph.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FgdConfig {
     /// Out-degree of each node.
     pub degree: usize,

@@ -13,7 +13,7 @@ use enmc_tensor::{Matrix, TensorError, Vector};
 /// How candidates are selected from the approximate logits (paper §4.2:
 /// "top-m searching or thresholding, where the threshold value can be tuned
 /// on validation sets").
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SelectionPolicy {
     /// Select exactly the `m` highest approximate logits.
     TopM(usize),

@@ -20,7 +20,7 @@ use crate::cost::ClassificationCost;
 use enmc_tensor::{Matrix, TensorError, Vector};
 
 /// Configuration of a MACH index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachConfig {
     /// Hash repetitions `R`.
     pub repetitions: usize,

@@ -4,7 +4,7 @@ use enmc_tensor::quant::{Precision, QuantMatrix, QuantMatrixPerRow, QuantVector}
 use enmc_tensor::{Matrix, SparseProjection, TensorError, Vector};
 
 /// Configuration of a screening module.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScreenerConfig {
     /// Parameter-reduction scale: `k = round(scale · d)`. The paper
     /// chooses 0.25 (Fig. 12a).

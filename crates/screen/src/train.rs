@@ -19,7 +19,7 @@ use crate::screener::Screener;
 use enmc_tensor::{Matrix, Vector};
 
 /// Hyper-parameters of the SGD distillation loop.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -38,7 +38,7 @@ impl Default for TrainConfig {
 }
 
 /// Outcome of a training run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Mean MSE loss at the end of each epoch.
     pub epoch_losses: Vec<f64>,

@@ -29,6 +29,8 @@ use enmc_arch::system::{ClassificationJob, Scheme, SchemeResult, ShardedRun, CHA
 use enmc_arch::unit::UnitReport;
 use enmc_arch::{LogicEnergyModel, SystemEnergy, SystemModel};
 use enmc_dram::DramStats;
+use enmc_obs::json::Value;
+use enmc_obs::report::Surrogate;
 use enmc_par::SimConfig;
 use fit::{splitmix64, ShapeFit, N_FEATURES, N_TABLE, TABLE_COLS, TARGETS};
 use std::collections::BTreeMap;
@@ -133,8 +135,8 @@ impl fmt::Display for SurrogateViolation {
 
 impl std::error::Error for SurrogateViolation {}
 
-/// Running audit statistics of one [`CostModel`], reported in the v7
-/// `RunReport` fields.
+/// Running audit statistics of one [`CostModel`], reported in the run
+/// report's [`Surrogate`] section.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AuditStats {
     /// Cycle-accurate anchor simulations run by fits.
@@ -145,6 +147,19 @@ pub struct AuditStats {
     pub audited: u64,
     /// Worst observed relative leaf error over all audited points.
     pub max_rel_err: f64,
+}
+
+impl AuditStats {
+    /// The run report's [`Surrogate`] section: `backend` plus these
+    /// audit figures.
+    pub fn section(&self, backend: CostBackend) -> Surrogate {
+        Surrogate {
+            cost_backend: backend.name().to_string(),
+            fit_anchors: self.fit_anchors,
+            audit_points: self.audited,
+            audit_max_rel_err: self.max_rel_err,
+        }
+    }
 }
 
 /// A cost backend with its fitted state: either a thin pass-through to
@@ -431,77 +446,34 @@ impl CostModel {
     /// reuse a fit — and so CI can perturb one coefficient and prove the
     /// audit catches it.
     pub fn coeffs_to_json(&self) -> String {
-        let mut out = String::from("{\"surrogate_coeffs\":1,");
-        out.push_str(&format!("\"seed\":{},\"fits\":[", self.seed));
-        for (i, fit) in self.fits.values().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"categories\":{},\"hidden\":{},\"reduced\":{},\"batch_reuse\":{},\
-                 \"anchors\":{},\"batch_hi\":{},\"cand_hi\":{},\"ns_per_cycle\":{},",
-                fit.categories,
-                fit.hidden,
-                fit.reduced,
-                fit.batch_reuse,
-                fit.anchors,
-                fit.batch_hi,
-                fit.cand_hi,
-                fit.ns_per_cycle
-            ));
-            out.push_str("\"grid_batches\":[");
-            for (j, b) in fit.grid_batches.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{b}"));
-            }
-            out.push_str("],\"grid_cands\":[");
-            for (j, c) in fit.grid_cands.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{c}"));
-            }
-            out.push_str("],\"table\":[");
-            for (bi, row) in fit.table.iter().enumerate() {
-                if bi > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (ci, cell) in row.iter().enumerate() {
-                    if ci > 0 {
-                        out.push(',');
-                    }
-                    out.push('[');
-                    for (k, v) in cell.iter().enumerate() {
-                        if k > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("{v}"));
-                    }
-                    out.push(']');
-                }
-                out.push(']');
-            }
-            out.push_str("],\"targets\":{");
-            for (t, name) in TARGETS.iter().enumerate() {
-                if t > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{name}\":["));
-                for (j, c) in fit.coeffs[t].iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{c}"));
-                }
-                out.push(']');
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+        let int = |x: usize| Value::Int(x as i64);
+        let ints = |xs: &[usize]| Value::Arr(xs.iter().map(|&x| int(x)).collect());
+        let nums = |xs: &[f64]| Value::Arr(xs.iter().map(|&x| Value::Num(x)).collect());
+        let fits = self.fits.values().map(|fit| {
+            let table =
+                fit.table.iter().map(|row| Value::Arr(row.iter().map(|c| nums(c)).collect()));
+            let targets = TARGETS.iter().zip(&fit.coeffs).map(|(t, c)| (t.to_string(), nums(c)));
+            Value::Obj(vec![
+                ("categories".into(), int(fit.categories)),
+                ("hidden".into(), int(fit.hidden)),
+                ("reduced".into(), int(fit.reduced)),
+                ("batch_reuse".into(), int(fit.batch_reuse)),
+                ("anchors".into(), int(fit.anchors)),
+                ("batch_hi".into(), int(fit.batch_hi)),
+                ("cand_hi".into(), int(fit.cand_hi)),
+                ("ns_per_cycle".into(), Value::Num(fit.ns_per_cycle)),
+                ("grid_batches".into(), ints(&fit.grid_batches)),
+                ("grid_cands".into(), ints(&fit.grid_cands)),
+                ("table".into(), Value::Arr(table.collect())),
+                ("targets".into(), Value::Obj(targets.collect())),
+            ])
+        });
+        // `Value::Int` holds an `i64`, and the seed may be any `u64`.
+        format!(
+            "{{\"surrogate_coeffs\":1,\"seed\":{},\"fits\":{}}}",
+            self.seed,
+            Value::Arr(fits.collect()).to_json()
+        )
     }
 
     /// Loads coefficients serialized by [`CostModel::coeffs_to_json`]
@@ -510,37 +482,21 @@ impl CostModel {
     ///
     /// # Errors
     ///
-    /// Returns a description when the text is not a coefficient file.
+    /// Returns a description naming the offending field when the text is
+    /// not a coefficient file: bad JSON, a missing tag, field or fit, a
+    /// grid, table or coefficient row of the wrong size, or a number that
+    /// is not finite.
     pub fn load_coeffs(&mut self, json: &str) -> Result<(), String> {
-        if !json.trim_start().starts_with("{\"surrogate_coeffs\":1,") {
+        let doc = Value::parse(json)?;
+        if doc.get("surrogate_coeffs").and_then(Value::as_u64) != Some(1) {
             return Err("not a surrogate coefficient file (missing surrogate_coeffs:1)".into());
         }
+        let list =
+            doc.get("fits").and_then(Value::as_arr).ok_or("coefficient file missing field fits")?;
         let mut fits = BTreeMap::new();
-        for obj in split_objects(json) {
-            let categories = field_usize(&obj, "categories")?;
-            let hidden = field_usize(&obj, "hidden")?;
-            let reduced = field_usize(&obj, "reduced")?;
-            let grid_batches = field_usize_list(&obj, "grid_batches")?;
-            let grid_cands = field_usize_list(&obj, "grid_cands")?;
-            let table = field_table(&obj, grid_batches.len(), grid_cands.len())?;
-            let fit = ShapeFit {
-                categories,
-                hidden,
-                reduced,
-                batch_reuse: field_usize(&obj, "batch_reuse")?,
-                anchors: field_usize(&obj, "anchors")?,
-                batch_hi: field_usize(&obj, "batch_hi")?,
-                cand_hi: field_usize(&obj, "cand_hi")?,
-                ns_per_cycle: field_f64(&obj, "ns_per_cycle")?,
-                coeffs: TARGETS
-                    .iter()
-                    .map(|name| coeff_row(&obj, name))
-                    .collect::<Result<Vec<_>, _>>()?,
-                grid_batches,
-                grid_cands,
-                table,
-            };
-            fits.insert((categories, hidden, reduced), fit);
+        for (i, obj) in list.iter().enumerate() {
+            let fit = read_fit(obj, &format!("fits[{i}]"))?;
+            fits.insert((fit.categories, fit.hidden, fit.reduced), fit);
         }
         if fits.is_empty() {
             return Err("surrogate coefficient file contains no fitted shapes".into());
@@ -584,144 +540,77 @@ impl CostModel {
     }
 }
 
-/// The `"fits":[...]` objects of a coefficient file, one string each
-/// (objects never nest beyond the `targets` map, so brace counting is
-/// enough for the format we wrote).
-fn split_objects(json: &str) -> Vec<String> {
-    let Some(start) = json.find("\"fits\":[") else { return Vec::new() };
-    let body = &json[start + "\"fits\":[".len()..];
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut obj = String::new();
-    for ch in body.chars() {
-        match ch {
-            '{' => {
-                depth += 1;
-                obj.push(ch);
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                obj.push(ch);
-                if depth == 0 {
-                    out.push(std::mem::take(&mut obj));
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {
-                if depth > 0 {
-                    obj.push(ch);
-                }
-            }
-        }
+/// Reads one fitted shape, `at` being its path in the file
+/// (`fits[0]`); every error names the field it stopped at.
+fn read_fit(obj: &Value, at: &str) -> Result<ShapeFit, String> {
+    let get = |name: &str| {
+        obj.get(name).ok_or_else(|| format!("coefficient file missing field {at}.{name}"))
+    };
+    let int = |v: &Value, path: &str| {
+        v.as_u64().map(|n| n as usize).ok_or_else(|| format!("field {path} is not an integer"))
+    };
+    let field = |name: &str| int(get(name)?, &format!("{at}.{name}"));
+    let grid = |name: &str| -> Result<Vec<usize>, String> {
+        let path = format!("{at}.{name}");
+        let items = get(name)?.as_arr().filter(|a| !a.is_empty());
+        let items = items.ok_or_else(|| format!("field {path} is not a non-empty list"))?;
+        items.iter().enumerate().map(|(j, v)| int(v, &format!("{path}[{j}]"))).collect()
+    };
+    let grid_batches = grid("grid_batches")?;
+    let grid_cands = grid("grid_cands")?;
+    let (nb, nc) = (grid_batches.len(), grid_cands.len());
+    let rows = get("table")?.as_arr().ok_or_else(|| format!("field {at}.table is not a list"))?;
+    let mut table = Vec::with_capacity(rows.len());
+    for (bi, row) in rows.iter().enumerate() {
+        let path = format!("{at}.table[{bi}]");
+        let cells = row.as_arr().ok_or_else(|| format!("field {path} is not a list"))?;
+        let cell = |(ci, c)| numbers(c, &format!("{path}[{ci}]"), N_TABLE);
+        let cells = cells.iter().enumerate().map(cell).collect::<Result<Vec<_>, _>>()?;
+        table.push(
+            cells.into_iter().map(|c| <[f64; N_TABLE]>::try_from(c).expect("sized")).collect(),
+        );
     }
-    out
-}
-
-fn field_raw<'a>(obj: &'a str, name: &str) -> Result<&'a str, String> {
-    let key = format!("\"{name}\":");
-    let at = obj.find(&key).ok_or_else(|| format!("coefficient file missing field {name}"))?;
-    let rest = &obj[at + key.len()..];
-    let end = rest
-        .find([',', '}', ']'])
-        .ok_or_else(|| format!("unterminated field {name}"))?;
-    Ok(rest[..end].trim())
-}
-
-fn field_usize(obj: &str, name: &str) -> Result<usize, String> {
-    field_raw(obj, name)?
-        .parse()
-        .map_err(|e| format!("field {name} is not an integer: {e}"))
-}
-
-fn field_f64(obj: &str, name: &str) -> Result<f64, String> {
-    field_raw(obj, name)?
-        .parse()
-        .map_err(|e| format!("field {name} is not a number: {e}"))
-}
-
-/// A flat integer list field like `"grid_batches":[1,2,3]`.
-fn field_usize_list(obj: &str, name: &str) -> Result<Vec<usize>, String> {
-    let key = format!("\"{name}\":[");
-    let at = obj.find(&key).ok_or_else(|| format!("coefficient file missing field {name}"))?;
-    let rest = &obj[at + key.len()..];
-    let end = rest.find(']').ok_or_else(|| format!("unterminated field {name}"))?;
-    rest[..end]
-        .split(',')
-        .map(|v| v.trim().parse().map_err(|e| format!("bad entry in {name}: {e}")))
-        .collect()
-}
-
-/// The nested `"table":[[[...],...],...]` anchor table: `nb` batch rows
-/// of `nc` cells of [`N_TABLE`] values each.
-fn field_table(obj: &str, nb: usize, nc: usize) -> Result<Vec<Vec<[f64; N_TABLE]>>, String> {
-    let key = "\"table\":[";
-    let at = obj.find(key).ok_or("coefficient file missing field table")?;
-    let body = &obj[at + key.len()..];
-    // Collect the innermost [..] number groups in order; the fixed
-    // grid dimensions say where each row and cell boundary falls.
-    let mut cells: Vec<[f64; N_TABLE]> = Vec::new();
-    let mut depth = 1usize;
-    let mut num = String::new();
-    let mut cell: Vec<f64> = Vec::new();
-    for ch in body.chars() {
-        match ch {
-            '[' => {
-                depth += 1;
-                if depth == 3 {
-                    cell.clear();
-                }
-            }
-            ']' | ',' => {
-                if !num.is_empty() {
-                    cell.push(
-                        num.trim().parse().map_err(|e| format!("bad table value: {e}"))?,
-                    );
-                    num.clear();
-                }
-                if ch == ']' {
-                    if depth == 3 {
-                        if cell.len() != N_TABLE {
-                            return Err(format!(
-                                "table cell has {} values, expected {N_TABLE}",
-                                cell.len()
-                            ));
-                        }
-                        let mut arr = [0.0f64; N_TABLE];
-                        arr.copy_from_slice(&cell);
-                        cells.push(arr);
-                    }
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-            }
-            _ => {
-                if depth == 3 {
-                    num.push(ch);
-                }
-            }
-        }
+    if table.len() != nb || table.iter().any(|r: &Vec<_>| r.len() != nc) {
+        let cells: usize = table.iter().map(Vec::len).sum();
+        return Err(format!("field {at}.table has {cells} cells, expected {nb}×{nc}"));
     }
-    if cells.len() != nb * nc {
-        return Err(format!("table has {} cells, expected {nb}×{nc}", cells.len()));
-    }
-    Ok(cells.chunks(nc.max(1)).map(|chunk| chunk.to_vec()).collect())
+    let targets = get("targets")?;
+    let row = |name: &&str| {
+        let path = format!("{at}.targets.{name}");
+        let v =
+            targets.get(name).ok_or_else(|| format!("coefficient file missing target {path}"))?;
+        numbers(v, &path, N_FEATURES)
+    };
+    Ok(ShapeFit {
+        categories: field("categories")?,
+        hidden: field("hidden")?,
+        reduced: field("reduced")?,
+        batch_reuse: field("batch_reuse")?,
+        anchors: field("anchors")?,
+        batch_hi: field("batch_hi")?,
+        cand_hi: field("cand_hi")?,
+        ns_per_cycle: number(get("ns_per_cycle")?, &format!("{at}.ns_per_cycle"))?,
+        coeffs: TARGETS.iter().map(row).collect::<Result<_, _>>()?,
+        grid_batches,
+        grid_cands,
+        table,
+    })
 }
 
-fn coeff_row(obj: &str, name: &str) -> Result<Vec<f64>, String> {
-    let key = format!("\"{name}\":[");
-    let at = obj.find(&key).ok_or_else(|| format!("coefficient file missing target {name}"))?;
-    let rest = &obj[at + key.len()..];
-    let end = rest.find(']').ok_or_else(|| format!("unterminated coefficients for {name}"))?;
-    let row: Vec<f64> = rest[..end]
-        .split(',')
-        .map(|v| v.trim().parse().map_err(|e| format!("bad coefficient for {name}: {e}")))
-        .collect::<Result<Vec<_>, String>>()?;
-    if row.len() != N_FEATURES {
-        return Err(format!("target {name} has {} coefficients, expected {N_FEATURES}", row.len()));
+/// The finite number at `path`.
+fn number(v: &Value, path: &str) -> Result<f64, String> {
+    v.as_f64()
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| format!("field {path} is not a finite number"))
+}
+
+/// The list of exactly `len` finite numbers at `path`.
+fn numbers(v: &Value, path: &str, len: usize) -> Result<Vec<f64>, String> {
+    let items = v.as_arr().ok_or_else(|| format!("field {path} is not a list"))?;
+    if items.len() != len {
+        return Err(format!("field {path} has {} values, expected {len}", items.len()));
     }
-    Ok(row)
+    items.iter().enumerate().map(|(i, x)| number(x, &format!("{path}[{i}]"))).collect()
 }
 
 #[cfg(test)]
@@ -804,6 +693,53 @@ mod tests {
         let mut cost = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, 7);
         assert!(cost.load_coeffs("{}").is_err());
         assert!(cost.load_coeffs("{\"surrogate_coeffs\":1,\"seed\":7,\"fits\":[]}").is_err());
+    }
+
+    /// The coefficient file of one hand-built fit (no simulation).
+    fn tiny_coeffs() -> String {
+        let mut cost = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, u64::MAX);
+        let fit = ShapeFit {
+            categories: 520,
+            hidden: 1500,
+            reduced: 32,
+            batch_reuse: 4,
+            anchors: 0,
+            batch_hi: 8,
+            cand_hi: 1,
+            ns_per_cycle: 0.75,
+            coeffs: vec![vec![0.5; N_FEATURES]; TARGETS.len()],
+            grid_batches: vec![1, 2],
+            grid_cands: vec![0, 1],
+            table: vec![vec![[1.0, 2.0, 0.25, 1e-3]; 2]; 2],
+        };
+        cost.fits.insert((520, 1500, 32), fit);
+        cost.coeffs_to_json()
+    }
+
+    #[test]
+    fn load_rejects_bad_numbers_and_shapes_naming_the_field() {
+        let good = tiny_coeffs();
+        assert!(good.starts_with("{\"surrogate_coeffs\":1,\"seed\":18446744073709551615,"));
+        let mut cost = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, u64::MAX);
+        cost.load_coeffs(&good).unwrap();
+        assert_eq!(cost.coeffs_to_json(), good, "a loaded file writes back byte for byte");
+        let table = good.find("\"table\"").unwrap();
+        for (bad, field) in [
+            (good.replace("\"ns_per_cycle\":0.75", "\"ns_per_cycle\":NaN"), "\"ns_per_cycle\""),
+            (
+                good.replace("\"ns_per_cycle\":0.75", "\"ns_per_cycle\":1e999"),
+                "fits[0].ns_per_cycle",
+            ),
+            (good.replacen("0.25", "-1e999", 1), "fits[0].table[0][0][2]"),
+            (good[..table + 12].to_string(), "\"table\""),
+            (good.replace("\"grid_cands\":[0,1]", "\"grid_cands\":[]"), "fits[0].grid_cands"),
+            (good.replacen(",0.001]", "]", 1), "fits[0].table[0][0]"),
+            (good.replacen("0.5,", "", 1), "fits[0].targets.screener_busy"),
+            (good.replace("\"grid_batches\":[1,2]", "\"grid_batches\":[1]"), "fits[0].table"),
+        ] {
+            let err = cost.load_coeffs(&bad).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]

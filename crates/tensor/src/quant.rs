@@ -25,7 +25,7 @@ use crate::TensorError;
 /// `Fp32` is included so the sensitivity sweep of paper Fig. 12(b) can
 /// compare quantized screening against single-precision screening with the
 /// same code path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// IEEE-754 single precision (no quantization).
     Fp32,

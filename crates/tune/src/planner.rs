@@ -31,6 +31,15 @@ pub struct OffloadDecision {
 }
 
 impl OffloadDecision {
+    /// The winning executor's name: `nmp` or `cpu`.
+    pub fn executor(&self) -> &'static str {
+        if self.nmp {
+            "nmp"
+        } else {
+            "cpu"
+        }
+    }
+
     /// The planned service time: the winner's cycles.
     pub fn cycles(&self) -> u64 {
         if self.nmp {

@@ -1,5 +1,5 @@
 //! The search driver: exhaustive and guided exploration of a budgeted
-//! [`TuneSpace`], and the schema-v9 tuning report.
+//! [`TuneSpace`], and the `tune` and `offload-plan` run reports.
 //!
 //! Both strategies share one invariant: a design's evaluation is a pure
 //! function of `(space, seed, lattice index)` — see [`crate::eval`] — so
@@ -14,11 +14,12 @@
 
 use crate::eval::{admit_by_budget, evaluate_designs, EvaluatedDesign};
 use crate::pareto::{dominated_count, pareto_frontier, FrontierPoint};
+use crate::planner::OffloadDecision;
 use crate::space::{Budget, TuneSpace};
 use enmc_arch::{ClassificationJob, SystemModel};
-use enmc_obs::report::RunReport;
+use enmc_obs::report::{Offload, RunReport, Tune};
 use enmc_serve::arrival::SplitMix64;
-use enmc_surrogate::{CostBackend, CostModel, SurrogateViolation};
+use enmc_surrogate::{AuditStats, CostBackend, CostModel, SurrogateViolation};
 use std::collections::BTreeSet;
 
 /// How the driver walks the admitted lattice.
@@ -183,10 +184,12 @@ fn guided(
     Ok(evaluated)
 }
 
-/// Builds the schema-v9 tuning [`RunReport`]. `cost` is the CLI-level
-/// cost model carrying nothing (per-design models do the work); only its
-/// backend name is reported. Simulation cycles stay zero — a tuning run
-/// has no single timeline — so the report is trivially phase-consistent.
+/// Builds the tuning [`RunReport`]: the `tune` and `surrogate`
+/// sections. `cost` is the CLI-level cost model carrying nothing
+/// (per-design models do the work); only its backend name is reported,
+/// with the anchors and worst audit error summed over the designs.
+/// Simulation cycles stay zero — a tuning run has no single timeline — so
+/// the report is trivially phase-consistent.
 pub fn tune_report(
     workload: &str,
     cfg: &TuneConfig,
@@ -194,20 +197,21 @@ pub fn tune_report(
     cost: &CostModel,
 ) -> RunReport {
     let mut report = RunReport::new("tune", workload, "enmc");
-    report.cost_backend = cost.backend().name().to_string();
-    report.space_size = result.space_size as u64;
-    report.evaluated_designs = result.evaluated.len() as u64;
-    report.audited_designs = result.audited();
-    report.frontier_points = result.frontier.len() as u64;
-    report.dominated_points = result.dominated;
-    report.max_area_mm2 = cfg.budget.max_area_mm2.unwrap_or(0.0);
-    report.max_power_mw = cfg.budget.max_power_mw.unwrap_or(0.0);
-    report.fit_anchors = result.evaluated.iter().map(|d| d.fit_anchors).sum();
-    report.audit_max_rel_err = result
-        .evaluated
-        .iter()
-        .map(|d| d.audit_max_rel_err)
-        .fold(0.0, f64::max);
+    let stats = AuditStats {
+        fit_anchors: result.evaluated.iter().map(|d| d.fit_anchors).sum(),
+        max_rel_err: result.evaluated.iter().map(|d| d.audit_max_rel_err).fold(0.0, f64::max),
+        ..AuditStats::default()
+    };
+    report.surrogate = Some(stats.section(cost.backend()));
+    report.tune = Some(Tune {
+        space_size: result.space_size as u64,
+        evaluated_designs: result.evaluated.len() as u64,
+        audited_designs: result.audited(),
+        frontier_points: result.frontier.len() as u64,
+        dominated_points: result.dominated,
+        max_area_mm2: cfg.budget.max_area_mm2.unwrap_or(0.0),
+        max_power_mw: cfg.budget.max_power_mw.unwrap_or(0.0),
+    });
     if let Some(best) = result.frontier.first() {
         report.headline_ns = best.design.latency_ns;
         report.batch = best.design.point.batch_max as u64;
@@ -233,6 +237,36 @@ pub fn tune_report(
             d.cost.power_mw,
             d.provenance(),
             p.dominates,
+        ));
+    }
+    report
+}
+
+/// Builds the `offload-plan` [`RunReport`]: the ladder's largest batch
+/// and the job's candidates, the `offload` and `surrogate` sections, and
+/// one note per admission point.
+pub fn offload_report(
+    workload: &str,
+    job: &ClassificationJob,
+    batch_max: usize,
+    decisions: &[OffloadDecision],
+    cost: &CostModel,
+) -> RunReport {
+    let mut report = RunReport::new("offload-plan", workload, "enmc");
+    report.batch = batch_max as u64;
+    report.candidates = job.candidates as u64;
+    let offload_nmp = decisions.iter().filter(|d| d.nmp).count() as u64;
+    let offload_cpu = decisions.len() as u64 - offload_nmp;
+    report.offload = Some(Offload { offload_nmp, offload_cpu });
+    report.surrogate = Some(cost.stats().section(cost.backend()));
+    for d in decisions {
+        report.notes.push(format!(
+            "tier {} batch {}: cpu {} cy, nmp {} cy -> {}",
+            d.tier,
+            d.batch,
+            d.cpu_cycles,
+            d.nmp_cycles,
+            d.executor()
         ));
     }
     report
@@ -318,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn report_is_consistent_and_v9() {
+    fn report_is_consistent_and_carries_its_sections() {
         let sys = SystemModel::table3();
         let job = small_job();
         let cfg = base_cfg();
@@ -327,11 +361,11 @@ mod tests {
         let report = tune_report("lstm", &cfg, &r, &cost);
         assert_eq!(report.schema_version, enmc_obs::report::SCHEMA_VERSION);
         assert!(report.is_consistent());
-        assert_eq!(report.space_size, 32);
-        assert_eq!(report.frontier_points, r.frontier.len() as u64);
-        assert_eq!(report.cost_backend, "surrogate");
-        let parsed = RunReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.space_size, report.space_size);
-        assert_eq!(parsed.frontier_points, report.frontier_points);
+        assert_eq!(report.sections(), ["surrogate", "tune"]);
+        let tune = report.tune.as_ref().unwrap();
+        assert_eq!(tune.space_size, 32);
+        assert_eq!(tune.frontier_points, r.frontier.len() as u64);
+        assert_eq!(report.surrogate.as_ref().unwrap().cost_backend, "surrogate");
+        assert_eq!(RunReport::from_json(&report.to_json()).unwrap(), report);
     }
 }

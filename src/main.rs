@@ -97,16 +97,6 @@ fn write_file(path: &str, what: &str, data: &str) -> Result<(), Fail> {
     Ok(())
 }
 
-/// Stamps the schema-v10 memory-technology fields (preset name plus its
-/// error profile) into a report.
-fn stamp_memory(report: &mut RunReport, tech: MemTech) {
-    let p = tech.preset();
-    report.memory_tech = tech.name().to_string();
-    report.ber_scale = p.error.ber_scale;
-    report.retention_base = p.error.retention_base;
-    report.weak_column_scale = p.error.weak_column_scale;
-}
-
 fn cmd_demo() -> Result<i32, Fail> {
     let mut pipeline = Pipeline::build(&PipelineConfig::default()).map_err(error)?;
     let q = pipeline.evaluate_quality(60);
@@ -182,7 +172,7 @@ fn cmd_simulate(a: &Args) -> Result<i32, Fail> {
         }
     };
     report.notes.push(format!("seed {seed}"));
-    stamp_memory(&mut report, memory);
+    report.memory_tech = memory.name().to_string();
     if let (Some(path), Some(tb)) = (trace_out, trace.as_mut()) {
         // Timestamps are DRAM-clock cycles; Chrome wants microseconds.
         let chrome = export_chrome(&tb.drain(), sys.memory().ns_per_cycle());
@@ -371,7 +361,7 @@ impl Fleet {
     /// the offload and protocol lines. Exits 1 only for a checked run with
     /// timing violations.
     fn finish(&self, mut report: RunReport, outcome: &FleetOutcome, lines: impl FnOnce()) -> i32 {
-        stamp_memory(&mut report, self.memory);
+        report.memory_tech = self.memory.name().to_string();
         let violations = report.protocol_violations;
         let code = i32::from(self.check_protocol && violations > 0);
         if self.json {
@@ -636,15 +626,10 @@ fn cmd_tune(a: &Args) -> Result<i32, Fail> {
     }
     let cost = CostModel::new(backend, seed);
     let mut report = tune_report(workload.abbr, &cfg, &result, &cost);
-    match cfg.space.memory.as_slice() {
-        [one] => stamp_memory(&mut report, *one),
-        many => {
-            // A multi-technology axis has no single preset to stamp; the
-            // per-design labels carry it, and the joined list documents
-            // the swept axis.
-            report.memory_tech = many.iter().map(|t| t.name()).collect::<Vec<_>>().join(",");
-        }
-    }
+    // A multi-technology axis has no single preset; the per-design labels
+    // carry it, and the joined list documents the swept axis.
+    let techs: Vec<_> = cfg.space.memory.iter().map(|t| t.name()).collect();
+    report.memory_tech = techs.join(",");
     if json {
         println!("{}", report.to_json());
         return Ok(0);
@@ -678,7 +663,7 @@ fn cmd_tune(a: &Args) -> Result<i32, Fail> {
 }
 
 fn cmd_offload_plan(a: &Args) -> Result<i32, Fail> {
-    use enmc::tune::plan_ladder;
+    use enmc::tune::{offload_report, plan_ladder};
 
     let workload = a.get("--workload", one_of(WORKLOADS))?.workload();
     let job = job_of(&workload, 1, a.get("--candidates", fraction)?);
@@ -700,30 +685,8 @@ fn cmd_offload_plan(a: &Args) -> Result<i32, Fail> {
     );
     let (table, decisions, _plan) =
         plan_ladder(&sys, &job, &tiers, batch_max, &sim_cfg, &mut cost).map_err(error)?;
-    let nmp = decisions.iter().filter(|d| d.nmp).count() as u64;
-    let cpu = decisions.len() as u64 - nmp;
-    let mut report = RunReport::new("offload-plan", workload.abbr, "enmc");
-    stamp_memory(&mut report, memory);
-    report.cost_backend = cost.backend().name().to_string();
-    report.batch = batch_max as u64;
-    report.candidates = job.candidates as u64;
-    report.offload_nmp = nmp;
-    report.offload_cpu = cpu;
-    let stats = cost.stats();
-    report.fit_anchors = stats.fit_anchors;
-    report.audit_points = stats.audited;
-    report.audit_max_rel_err = stats.max_rel_err;
-    let executor = |nmp: bool| if nmp { "nmp" } else { "cpu" };
-    for d in &decisions {
-        report.notes.push(format!(
-            "tier {} batch {}: cpu {} cy, nmp {} cy -> {}",
-            d.tier,
-            d.batch,
-            d.cpu_cycles,
-            d.nmp_cycles,
-            executor(d.nmp)
-        ));
-    }
+    let mut report = offload_report(workload.abbr, &job, batch_max, &decisions, &cost);
+    report.memory_tech = memory.name().to_string();
     if json {
         println!("{}", report.to_json());
         return Ok(0);
@@ -737,10 +700,16 @@ fn cmd_offload_plan(a: &Args) -> Result<i32, Fail> {
             d.batch,
             d.cpu_cycles,
             d.nmp_cycles,
-            executor(d.nmp)
+            d.executor()
         );
     }
-    println!("  plan    : {nmp} point(s) on NMP, {cpu} on the CPU roofline");
+    let plan = report
+        .offload
+        .expect("an offload-plan report carries its decisions");
+    println!(
+        "  plan    : {} point(s) on NMP, {} on the CPU roofline",
+        plan.offload_nmp, plan.offload_cpu
+    );
     Ok(0)
 }
 
@@ -785,9 +754,12 @@ fn cmd_fault_sweep(a: &Args) -> Result<i32, Fail> {
         return Ok(0);
     }
     print!("{}", render_text(&points, &frontier));
+    let worst = report
+        .fault
+        .expect("a fault-sweep report carries its fault section");
     println!(
         "  worst point: {:.3} % top-1 degradation, ecc {} corrected / {} uncorrectable",
-        report.quality_degradation_pct, report.ecc_corrected, report.ecc_uncorrected
+        worst.quality_degradation_pct, worst.ecc_corrected, worst.ecc_uncorrected
     );
     Ok(0)
 }
@@ -960,7 +932,7 @@ fn cmd_profile(a: &Args) -> Result<i32, Fail> {
     prof.end("simulate");
     prof.begin("attribute");
     let mut report = report_from_sharded("profile", workload.abbr, &job, &sys, &run);
-    stamp_memory(&mut report, memory);
+    report.memory_tech = memory.name().to_string();
     let attr = attribute_run(&sys, &run).expect("simulated schemes always attribute");
     prof.end("attribute");
     if let Some(path) = trace_out {

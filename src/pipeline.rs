@@ -11,7 +11,7 @@ use enmc_arch::system::{ClassificationJob, Scheme, SchemeResult, ShardedRun, Sys
 use enmc_perf::CostAttribution;
 use enmc_model::quality::{QualityAccumulator, QualityReport};
 use enmc_par::SimConfig;
-use enmc_obs::report::{PhaseSpan, RunReport, Stopwatch};
+use enmc_obs::report::{Attribution, PhaseSpan, RunReport, Stopwatch};
 use enmc_obs::MetricsRegistry;
 use enmc_model::synth::{SynthesisConfig, SyntheticClassifier};
 use enmc_screen::infer::{ApproxClassifier, SelectionPolicy};
@@ -27,7 +27,7 @@ use enmc_tensor::quant::Precision;
 pub const QUALITY_SHARDS: usize = 8;
 
 /// Configuration for a complete pipeline run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Categories to materialize for the algorithm-level evaluation.
     pub categories: usize,
@@ -382,7 +382,7 @@ pub fn attribute_run(sys: &SystemModel, run: &ShardedRun) -> Option<CostAttribut
 /// the straggler-merge over every simulated rank unit, and the report
 /// additionally records the worker count, the observed parallel speedup
 /// (summed shard wall time over region wall time), and — for simulated
-/// schemes — the cost-attribution rows from [`attribute_run`], whose
+/// schemes — the `attribution` section from [`attribute_run`], whose
 /// leaves sum exactly to `sim_cycles` and `energy_nj`.
 pub fn report_from_sharded(
     command: &str,
@@ -404,10 +404,8 @@ pub fn report_from_sharded(
             run.speedup()
         ));
     }
-    if let Some(attr) = attribute_run(sys, run) {
-        report.energy_nj = attr.energy_nj();
-        report.breakdown = attr.rows();
-    }
+    report.attribution = attribute_run(sys, run)
+        .map(|attr| Attribution { energy_nj: attr.energy_nj(), breakdown: attr.rows() });
     report
 }
 
@@ -552,29 +550,28 @@ mod tests {
         })
         .unwrap();
         let (_, report) = p.run_report_with(Scheme::Enmc, 1, &SimConfig::with_threads(3));
-        assert!(!report.breakdown.is_empty());
-        let cyc: u64 = report
+        let attr = report.attribution.as_ref().expect("a simulated scheme attributes");
+        assert!(!attr.breakdown.is_empty());
+        let cyc: u64 = attr
             .breakdown
             .iter()
             .filter(|r| r.path.starts_with("cycles/"))
             .map(|r| r.cycles)
             .sum();
         assert_eq!(cyc, report.sim_cycles);
-        let nj: f64 = report
+        let nj: f64 = attr
             .breakdown
             .iter()
             .filter(|r| r.path.starts_with("energy/"))
             .map(|r| r.nj)
             .sum();
-        assert_eq!(nj.to_bits(), report.energy_nj.to_bits(), "leaves must sum exactly");
+        assert_eq!(nj.to_bits(), attr.energy_nj.to_bits(), "leaves must sum exactly");
         // Bit-identical attribution regardless of worker count.
         let (_, seq) = p.run_report_with(Scheme::Enmc, 1, &SimConfig::sequential());
-        assert_eq!(seq.breakdown, report.breakdown);
-        assert_eq!(seq.energy_nj.to_bits(), report.energy_nj.to_bits());
+        assert_eq!(seq.attribution, report.attribution);
         // Analytic CPU schemes carry no attribution.
         let (_, cpu) = p.run_report_with(Scheme::CpuFull, 1, &SimConfig::with_threads(2));
-        assert!(cpu.breakdown.is_empty());
-        assert_eq!(cpu.energy_nj, 0.0);
+        assert!(cpu.attribution.is_none());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Root glue for `enmc fault-sweep`: builds a paper-shape pipeline, runs
 //! the fault/resilience sweep from `enmc-fault`, and renders the
-//! quality-vs-refresh-energy Pareto table plus a structured [`RunReport`].
+//! quality-vs-refresh-energy Pareto table plus a structured [`RunReport`]
+//! carrying the `fault` and `surrogate` sections.
 //!
 //! The sweep is memory-technology aware: `--memory` swaps the system
 //! onto another preset, and the preset's error profile scales the
@@ -26,8 +27,8 @@ use enmc_fault::{
 };
 use enmc_surrogate::{CostBackend, CostModel};
 use enmc_mem::MemTech;
-use enmc_model::workloads::WorkloadId;
-use enmc_obs::report::RunReport;
+use enmc_model::workloads::{candidate_fraction, eval_shape, WorkloadId};
+use enmc_obs::report::{Fault, RunReport};
 use enmc_obs::{MetricsRegistry, TraceBuffer};
 
 /// The Table 2 workload behind a fault-sweep shape.
@@ -40,27 +41,14 @@ fn shape_workload(shape: FaultShape) -> WorkloadId {
     }
 }
 
-/// Evaluation-shape caps and the paper-implied exact-candidate fraction
-/// (mirrors the bench harness's `eval_shape` / `candidate_fraction`).
-fn shape_geometry(shape: FaultShape) -> (usize, usize, f64) {
-    match shape {
-        FaultShape::LstmWikitext2 => (4000, 256, 0.144),
-        FaultShape::TransformerWikitext103 => (5500, 224, 0.128),
-        FaultShape::GnmtWmt16 => (4500, 240, 0.054),
-        FaultShape::XmlcnnAmazon670k => (6000, 192, 0.020),
-    }
-}
-
 /// Pipeline configuration for one shape's algorithm-level evaluation.
 pub fn shape_config(shape: FaultShape, seed: u64) -> PipelineConfig {
-    let (l, d, frac) = shape_geometry(shape);
-    let w = shape_workload(shape).workload();
-    let l = w.categories.min(l);
-    let d = w.hidden.min(d);
+    let id = shape_workload(shape);
+    let (l, d) = eval_shape(&id.workload());
     PipelineConfig {
         categories: l,
         hidden: d,
-        candidates: (((l as f64) * frac).round() as usize).max(1),
+        candidates: (((l as f64) * candidate_fraction(id)).round() as usize).max(1),
         train_queries: 128,
         seed,
         ..Default::default()
@@ -70,14 +58,14 @@ pub fn shape_config(shape: FaultShape, seed: u64) -> PipelineConfig {
 /// The full nominal hardware job the energy join simulates. `batch`
 /// stretches the run so every rank issues several refresh windows.
 pub fn shape_job(shape: FaultShape, batch: usize) -> ClassificationJob {
-    let (_, _, frac) = shape_geometry(shape);
-    let w = shape_workload(shape).workload();
+    let id = shape_workload(shape);
+    let w = id.workload();
     ClassificationJob {
         categories: w.categories,
         hidden: w.hidden,
         reduced: (w.hidden / 4).max(1),
         batch,
-        candidates: (((w.categories as f64) * frac).round() as usize).max(1),
+        candidates: (((w.categories as f64) * candidate_fraction(id)).round() as usize).max(1),
     }
 }
 
@@ -188,27 +176,21 @@ pub fn run_fault_sweep(
     let mut report = RunReport::new("fault-sweep", args.shape.name(), "enmc");
     report.batch = job.batch as u64;
     report.candidates = job.candidates as u64;
-    report.ber = args.ber;
     report.memory_tech = args.memory.name().to_string();
-    report.ber_scale = profile.ber_scale;
-    report.retention_base = profile.retention_base;
-    report.weak_column_scale = profile.weak_column_scale;
-    report.refresh_multiplier = args
-        .multipliers
-        .iter()
-        .copied()
-        .fold(1.0f64, f64::max);
-    report.ecc_corrected = points.iter().map(SweepPoint::ecc_corrected).sum();
-    report.ecc_uncorrected = points.iter().map(SweepPoint::ecc_uncorrected).sum();
-    report.quality_degradation_pct = points
-        .iter()
-        .map(SweepPoint::quality_degradation_pct)
-        .fold(0.0f64, f64::max);
-    let stats = cost.stats();
-    report.cost_backend = cost.backend().name().to_string();
-    report.fit_anchors = stats.fit_anchors;
-    report.audit_points = stats.audited;
-    report.audit_max_rel_err = stats.max_rel_err;
+    report.fault = Some(Fault {
+        ber: args.ber,
+        refresh_multiplier: args.multipliers.iter().copied().fold(1.0f64, f64::max),
+        ecc_corrected: points.iter().map(SweepPoint::ecc_corrected).sum(),
+        ecc_uncorrected: points.iter().map(SweepPoint::ecc_uncorrected).sum(),
+        quality_degradation_pct: points
+            .iter()
+            .map(SweepPoint::quality_degradation_pct)
+            .fold(0.0f64, f64::max),
+        ber_scale: profile.ber_scale,
+        retention_base: profile.retention_base,
+        weak_column_scale: profile.weak_column_scale,
+    });
+    report.surrogate = Some(cost.stats().section(cost.backend()));
     report.metrics = registry.snapshot();
     let cfg = pipeline.config();
     report.notes.push(format!(
@@ -307,12 +289,14 @@ mod tests {
             coeffs_out: None,
         };
         let (points, frontier, report) = run_fault_sweep(&args, None).unwrap();
-        assert_eq!(report.quality_degradation_pct, 0.0);
+        let fault = report.fault.as_ref().unwrap();
+        let surrogate = report.surrogate.as_ref().unwrap();
+        assert_eq!(fault.quality_degradation_pct, 0.0);
         assert_eq!(report.memory_tech, "ddr4-2666");
-        assert_eq!(report.ber_scale, 1.0);
-        assert_eq!(report.ecc_corrected, 0);
-        assert_eq!(report.cost_backend, "cycle-accurate");
-        assert_eq!(report.fit_anchors, 0);
+        assert_eq!(fault.ber_scale, 1.0);
+        assert_eq!(fault.ecc_corrected, 0);
+        assert_eq!(surrogate.cost_backend, "cycle-accurate");
+        assert_eq!(surrogate.fit_anchors, 0);
         assert_eq!(points[0].primary().fault_top1_flips, 0);
         assert_eq!(frontier.len(), 1);
         assert!(points[0].refresh_energy_nj > 0.0, "energy join must see refreshes");
@@ -339,13 +323,14 @@ mod tests {
             coeffs_out: None,
         };
         let (points, _, report) = run_fault_sweep(&args, None).unwrap();
-        assert_eq!(report.cost_backend, "surrogate");
-        assert!(report.fit_anchors > 0, "surrogate must have fitted anchors");
-        assert_eq!(report.audit_points, 2, "audit rate 1.0 audits every point");
+        let surrogate = report.surrogate.unwrap();
+        assert_eq!(surrogate.cost_backend, "surrogate");
+        assert!(surrogate.fit_anchors > 0, "surrogate must have fitted anchors");
+        assert_eq!(surrogate.audit_points, 2, "audit rate 1.0 audits every point");
         assert!(
-            report.audit_max_rel_err <= enmc_surrogate::DECLARED_BOUND.rel,
+            surrogate.audit_max_rel_err <= enmc_surrogate::DECLARED_BOUND.rel,
             "observed {}",
-            report.audit_max_rel_err
+            surrogate.audit_max_rel_err
         );
         assert!(points[0].refresh_energy_nj > 0.0, "predicted energy join sees refreshes");
         assert!(
@@ -371,9 +356,10 @@ mod tests {
             coeffs_out: None,
         };
         let (points, frontier, report) = run_fault_sweep(&args, None).unwrap();
-        assert!(report.quality_degradation_pct > 0.0, "1e-4 BER without ECC must degrade");
-        assert_eq!(report.refresh_multiplier, 64.0);
-        assert_eq!(report.schema_version, 10);
+        let fault = report.fault.as_ref().unwrap();
+        assert!(fault.quality_degradation_pct > 0.0, "1e-4 BER without ECC must degrade");
+        assert_eq!(fault.refresh_multiplier, 64.0);
+        assert_eq!(report.schema_version, 11);
         for w in frontier.windows(2) {
             assert!(w[1].top1_agreement <= w[0].top1_agreement, "quality must not increase");
             assert!(
@@ -402,13 +388,14 @@ mod tests {
         };
         let (points, _, report) = run_fault_sweep(&args, None).unwrap();
         let profile = MemTech::Lpddr4_3200.preset().error;
+        let fault = report.fault.unwrap();
         assert_eq!(report.memory_tech, "lpddr4-3200");
-        assert_eq!(report.ber, 1e-4, "report.ber stays the requested channel BER");
-        assert_eq!(report.ber_scale, profile.ber_scale);
-        assert_eq!(report.retention_base, profile.retention_base);
-        assert_eq!(report.weak_column_scale, profile.weak_column_scale);
+        assert_eq!(fault.ber, 1e-4, "fault.ber stays the requested channel BER");
+        assert_eq!(fault.ber_scale, profile.ber_scale);
+        assert_eq!(fault.retention_base, profile.retention_base);
+        assert_eq!(fault.weak_column_scale, profile.weak_column_scale);
         assert!(
-            report.quality_degradation_pct > 0.0,
+            fault.quality_degradation_pct > 0.0,
             "scaled BER on LPDDR4 must still degrade quality"
         );
         // The energy join ran on the LPDDR4 timing/energy model, whose

@@ -67,15 +67,16 @@ fn sharded_enmc_is_bit_identical_for_every_paper_shape() {
         // The attribution rides along and is part of the bit-exact diff:
         // RunReport equality above covered it, and its leaves tile the
         // headline totals exactly.
-        assert!(!rep_par.breakdown.is_empty(), "{}: missing breakdown", shape.0);
-        let leaf_cycles: u64 = rep_par
+        let attr = rep_par.attribution.as_ref().expect("a simulated scheme attributes");
+        assert!(!attr.breakdown.is_empty(), "{}: missing breakdown", shape.0);
+        let leaf_cycles: u64 = attr
             .breakdown
             .iter()
             .filter(|r| r.path.starts_with("cycles/"))
             .map(|r| r.cycles)
             .sum();
         assert_eq!(leaf_cycles, rep_par.sim_cycles, "{}: breakdown cycle sum", shape.0);
-        let leaf_nj: f64 = rep_par
+        let leaf_nj: f64 = attr
             .breakdown
             .iter()
             .filter(|r| r.path.starts_with("energy/"))
@@ -83,7 +84,7 @@ fn sharded_enmc_is_bit_identical_for_every_paper_shape() {
             .sum();
         assert_eq!(
             leaf_nj.to_bits(),
-            rep_par.energy_nj.to_bits(),
+            attr.energy_nj.to_bits(),
             "{}: breakdown energy sum",
             shape.0
         );

@@ -1,7 +1,8 @@
-//! Golden fault-sweep regression: the schema-v10 `RunReport` of one fixed
+//! Golden fault-sweep regression: the schema-v11 `RunReport` of one fixed
 //! resilience scenario is checked in at `tests/golden/fault_report.json`.
-//! The report's byte output — v5 fault fields, metrics snapshot, notes —
-//! must stay stable; an intentional change is re-blessed with
+//! The report's byte output — the `fault` and `surrogate` sections,
+//! metrics snapshot, notes — must stay stable; only a change to the core
+//! or to those sections re-blesses it, with
 //! `ENMC_BLESS=1 cargo test --test fault_golden`.
 
 use enmc::cli::FaultShape;
@@ -34,7 +35,7 @@ fn golden_args() -> FaultSweepArgs {
 }
 
 /// Re-runs the golden scenario exactly as the CLI would and renders its
-/// schema-v10 report (trailing newline so the fixture is a POSIX file).
+/// schema-v11 report (trailing newline so the fixture is a POSIX file).
 fn current_report() -> String {
     let (_, _, report) = run_fault_sweep(&golden_args(), None).expect("golden sweep runs");
     format!("{}\n", report.to_json())
@@ -61,14 +62,16 @@ fn golden_fault_report_is_reproduced_exactly() {
 #[test]
 fn golden_fixture_parses_and_pins_the_fault_fields() {
     let report = RunReport::from_json(GOLDEN.trim_end()).expect("fixture parses");
-    assert_eq!(report.schema_version, 10);
+    assert_eq!(report.schema_version, 11);
     assert_eq!(report.command, "fault-sweep");
     assert_eq!(report.workload, "lstm-wikitext2");
     assert_eq!(report.memory_tech, "ddr4-2666");
-    assert_eq!(report.ber_scale, 1.0);
-    assert_eq!(report.ber, 1e-4);
-    assert_eq!(report.refresh_multiplier, 32.0);
-    assert!(report.ecc_corrected > 0, "fixture must exercise SEC-DED correction");
+    assert_eq!(report.sections(), ["fault", "surrogate"]);
+    let fault = report.fault.as_ref().unwrap();
+    assert_eq!(fault.ber_scale, 1.0);
+    assert_eq!(fault.ber, 1e-4);
+    assert_eq!(fault.refresh_multiplier, 32.0);
+    assert!(fault.ecc_corrected > 0, "fixture must exercise SEC-DED correction");
     assert_eq!(report.threads, 0, "no host timing in worker-invariant reports");
     assert!(
         report.metrics.gauges.iter().any(|g| g.name.starts_with("fault.")),

@@ -44,10 +44,11 @@ fn zero_ber_sweep_is_the_fault_free_path_and_worker_invariant() {
         assert_eq!(tier.corrupted_rows_masked, 0);
     }
     assert_eq!(p.quality_degradation_pct(), 0.0);
-    assert_eq!(report.quality_degradation_pct, 0.0);
-    assert_eq!(report.ecc_corrected, 0);
-    assert_eq!(report.ecc_uncorrected, 0);
-    assert_eq!(report.schema_version, 10);
+    let fault = report.fault.as_ref().expect("fault-sweep writes its fault section");
+    assert_eq!(fault.quality_degradation_pct, 0.0);
+    assert_eq!(fault.ecc_corrected, 0);
+    assert_eq!(fault.ecc_uncorrected, 0);
+    assert_eq!(report.schema_version, 11);
     // No host timing leaks into the report (that would break the
     // cross-worker byte-identity below).
     assert_eq!(report.threads, 0);
@@ -71,8 +72,9 @@ fn unprotected_bit_errors_degrade_quality_and_secded_recovers_it() {
         unprotected > 0.0,
         "1e-4 BER on unprotected FP32 weights must flip some top-1 decisions"
     );
-    assert_eq!(report.quality_degradation_pct, unprotected);
-    assert_eq!(report.ber, 1e-4);
+    let fault = report.fault.expect("fault-sweep writes its fault section");
+    assert_eq!(fault.quality_degradation_pct, unprotected);
+    assert_eq!(fault.ber, 1e-4);
 
     args.ecc = true;
     let (points_ecc, _, report_ecc) = run_fault_sweep(&args, None).expect("ECC sweep runs");
@@ -81,7 +83,8 @@ fn unprotected_bit_errors_degrade_quality_and_secded_recovers_it() {
         protected < unprotected,
         "SEC-DED must recover quality: {protected}% vs {unprotected}% unprotected"
     );
-    assert!(report_ecc.ecc_corrected > 0, "single-bit errors must be corrected");
+    let corrected = report_ecc.fault.map(|f| f.ecc_corrected);
+    assert!(corrected > Some(0), "single-bit errors must be corrected");
 }
 
 #[test]
@@ -109,6 +112,7 @@ fn retention_sweep_frontier_is_monotone_in_both_axes() {
         .map(|p| p.quality_degradation_pct())
         .fold(0.0f64, f64::max);
     assert!(worst > 0.0, "64x refresh must hit retention failures");
-    assert_eq!(report.refresh_multiplier, 64.0);
-    assert_eq!(report.quality_degradation_pct, worst);
+    let fault = report.fault.expect("fault-sweep writes its fault section");
+    assert_eq!(fault.refresh_multiplier, 64.0);
+    assert_eq!(fault.quality_degradation_pct, worst);
 }

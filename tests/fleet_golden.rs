@@ -1,8 +1,9 @@
-//! Golden fleet-report regression: the schema-v9 `RunReport` of one
+//! Golden fleet-report regression: the schema-v11 `RunReport` of one
 //! fixed two-tenant contention scenario is checked in at
-//! `tests/golden/fleet_report.json`. The report's byte output — the v8
-//! fleet fields, per-tenant rows, metrics snapshot, notes — must stay
-//! stable; an intentional change is re-blessed with
+//! `tests/golden/fleet_report.json`. The report's byte output — the
+//! `serving`, `surrogate` and `fleet` sections (per-tenant rows
+//! included), metrics snapshot, notes — must stay stable; only a change
+//! to the core or to those sections re-blesses it, with
 //! `ENMC_BLESS=1 cargo test --test fleet_golden`.
 //!
 //! The fixture runs on the **surrogate** cost backend with the audit
@@ -74,7 +75,7 @@ fn golden_scenario() -> (ClassificationJob, FleetConfig) {
 }
 
 /// Re-runs the golden scenario exactly as the CLI would — surrogate
-/// backend, every prediction audited — and renders its schema-v9 report
+/// backend, every prediction audited — and renders its schema-v11 report
 /// (trailing newline so the fixture is a POSIX file).
 fn current_report() -> (FleetOutcome, String) {
     let (job, cfg) = golden_scenario();
@@ -114,37 +115,41 @@ fn golden_fleet_report_is_reproduced_exactly() {
 #[test]
 fn golden_fixture_parses_and_pins_the_fleet_fields() {
     let report = RunReport::from_json(GOLDEN.trim_end()).expect("fixture parses");
-    assert_eq!(report.schema_version, 10);
+    assert_eq!(report.schema_version, 11);
     assert_eq!(report.command, "fleet-sim");
-    assert_eq!(report.nodes, 2);
-    assert_eq!(report.placement, "popularity");
-    assert_eq!(report.hot_shard_replicas, 1);
-    assert!(report.network_share > 0.0, "a 2-node fleet must pay the interconnect");
+    assert_eq!(report.sections(), ["serving", "surrogate", "fleet"]);
+    let fleet = report.fleet.as_ref().unwrap();
+    assert_eq!(fleet.nodes, 2);
+    assert_eq!(fleet.placement, "popularity");
+    assert_eq!(fleet.hot_shard_replicas, 1);
+    assert!(fleet.network_share > 0.0, "a 2-node fleet must pay the interconnect");
 
     // The priority asymmetry: only the low-priority tenant sheds.
-    assert_eq!(report.tenants.len(), 2);
-    assert_eq!(report.tenants[0].name, "t0");
-    assert_eq!(report.tenants[0].shed, 0, "high-priority tenant must lose nothing");
-    assert!(report.tenants[1].shed > 0, "low-priority tenant must shed under contention");
-    assert!(report.tenants[0].slo_attainment > 0.9, "t0 must mostly meet its SLO");
-    for row in &report.tenants {
+    assert_eq!(fleet.tenants.len(), 2);
+    assert_eq!(fleet.tenants[0].name, "t0");
+    assert_eq!(fleet.tenants[0].shed, 0, "high-priority tenant must lose nothing");
+    assert!(fleet.tenants[1].shed > 0, "low-priority tenant must shed under contention");
+    assert!(fleet.tenants[0].slo_attainment > 0.9, "t0 must mostly meet its SLO");
+    for row in &fleet.tenants {
         assert!(row.p99_ns > 0.0, "{} p99", row.name);
         assert_eq!(row.admitted, row.completed, "{} queue must drain", row.name);
     }
 
     // The surrogate ran and the audit lottery exercised it end to end.
-    assert_eq!(report.cost_backend, "surrogate");
-    assert!(report.fit_anchors > 0, "surrogate must have fitted anchors");
-    assert!(report.audit_points > 0, "the 100% audit lottery must have fired");
-    assert!(report.audit_max_rel_err >= 0.0);
+    let surrogate = report.surrogate.as_ref().unwrap();
+    assert_eq!(surrogate.cost_backend, "surrogate");
+    assert!(surrogate.fit_anchors > 0, "surrogate must have fitted anchors");
+    assert!(surrogate.audit_points > 0, "the 100% audit lottery must have fired");
+    assert!(surrogate.audit_max_rel_err >= 0.0);
     assert_eq!(report.protocol_violations, 0);
 
     // The fixture's claims match a fresh run of its scenario.
     let (out, _) = current_report();
-    assert_eq!(report.shed, out.tenants.iter().map(|t| t.shed).sum::<u64>());
+    let serving = report.serving.as_ref().unwrap();
+    assert_eq!(serving.shed, out.tenants.iter().map(|t| t.shed).sum::<u64>());
     assert_eq!(
-        report.degrade_transitions,
+        serving.degrade_transitions,
         out.tenants.iter().map(|t| t.degrade_transitions).sum::<u64>()
     );
-    assert_eq!(report.audit_points, out.audit_points);
+    assert_eq!(surrogate.audit_points, out.surrogate.audit_points);
 }

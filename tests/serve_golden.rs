@@ -1,10 +1,11 @@
-//! Golden serving-report regression: the schema-v10 `RunReport` of one
+//! Golden serving-report regression: the schema-v11 `RunReport` of one
 //! fixed burst scenario is checked in at `tests/golden/serve_report.json`.
 //! The scenario runs the serving loop as `serve-sim` does — a 1-node,
 //! 1-shard, 1-tenant fleet — and renders the single-node view of its
-//! outcome. The report's byte output — headline numbers, v4 serving
-//! fields, metrics snapshot, notes — must stay stable; an intentional
-//! change is re-blessed with `ENMC_BLESS=1 cargo test --test serve_golden`.
+//! outcome. The report's byte output — headline numbers, the `serving`
+//! and `surrogate` sections, metrics snapshot, notes — must stay stable;
+//! only a change to the core or to those sections re-blesses it, with
+//! `ENMC_BLESS=1 cargo test --test serve_golden`.
 
 use enmc::arch::system::{ClassificationJob, SystemModel};
 use enmc::fleet::{simulate_fleet, FleetConfig, FleetOutcome, TenantConfig};
@@ -61,7 +62,7 @@ fn golden_scenario() -> (ClassificationJob, FleetConfig) {
 }
 
 /// Re-runs the golden scenario exactly as the CLI would and renders its
-/// schema-v10 report (trailing newline so the fixture is a POSIX file).
+/// schema-v11 report (trailing newline so the fixture is a POSIX file).
 fn current_report() -> (FleetOutcome, String) {
     let (job, cfg) = golden_scenario();
     let mut cost = CostModel::new(CostBackend::CycleAccurate, 3);
@@ -96,12 +97,14 @@ fn golden_serve_report_is_reproduced_exactly() {
 #[test]
 fn golden_fixture_parses_and_exercises_the_interesting_paths() {
     let report = RunReport::from_json(GOLDEN.trim_end()).expect("fixture parses");
-    assert_eq!(report.schema_version, 10);
+    assert_eq!(report.schema_version, 11);
     assert_eq!(report.command, "serve-sim");
-    assert!(report.shed > 0, "fixture must shed");
-    assert!(report.degrade_transitions > 0, "fixture must walk the degrade ladder");
-    assert!(report.slo_attainment > 0.9, "fixture must mostly meet its SLO");
-    assert!(report.p99_ns > 0.0);
+    assert_eq!(report.sections(), ["serving", "surrogate"]);
+    let serving = report.serving.as_ref().unwrap();
+    assert!(serving.shed > 0, "fixture must shed");
+    assert!(serving.degrade_transitions > 0, "fixture must walk the degrade ladder");
+    assert!(serving.slo_attainment > 0.9, "fixture must mostly meet its SLO");
+    assert!(serving.p99_ns > 0.0);
     assert_eq!(report.protocol_violations, 0);
 
     // The single-node report carries only the serve.* series.
@@ -112,8 +115,8 @@ fn golden_fixture_parses_and_exercises_the_interesting_paths() {
     // The fixture's claims match a fresh run of its scenario.
     let (out, _) = current_report();
     let t = &out.tenants[0];
-    assert_eq!(report.shed, t.shed);
-    assert_eq!(report.degrade_transitions, t.degrade_transitions);
+    assert_eq!(serving.shed, t.shed);
+    assert_eq!(serving.degrade_transitions, t.degrade_transitions);
     let slo_cycles = golden_scenario().1.tenants[0].slo_cycles as f64;
     assert!(
         t.latency.p99() <= slo_cycles,

@@ -1,9 +1,10 @@
-//! Golden surrogate regression: the schema-v10 `RunReport` of one fixed
+//! Golden surrogate regression: the schema-v11 `RunReport` of one fixed
 //! fault-sweep scenario answered by the *surrogate* cost backend is
-//! checked in at `tests/golden/surrogate_report.json`. It pins the v7
-//! surrogate fields end to end — backend name, anchor count, audited
-//! points, worst bound-normalized audit error — plus the energy join the
-//! predictions feed. An intentional change is re-blessed with
+//! checked in at `tests/golden/surrogate_report.json`. It pins the
+//! `surrogate` section end to end — backend name, anchor count, audited
+//! points, worst bound-normalized audit error — plus the `fault` section
+//! the predicted energy join feeds. Only a change to the core or to those
+//! sections re-blesses it, with
 //! `ENMC_BLESS=1 cargo test --test surrogate_golden`.
 
 use enmc::cli::FaultShape;
@@ -37,7 +38,7 @@ fn golden_args() -> FaultSweepArgs {
 }
 
 /// Re-runs the golden scenario exactly as the CLI would and renders its
-/// schema-v10 report (trailing newline so the fixture is a POSIX file).
+/// schema-v11 report (trailing newline so the fixture is a POSIX file).
 fn current_report() -> String {
     let (_, _, report) = run_fault_sweep(&golden_args(), None).expect("golden sweep runs");
     format!("{}\n", report.to_json())
@@ -64,15 +65,17 @@ fn golden_surrogate_report_is_reproduced_exactly() {
 #[test]
 fn golden_fixture_parses_and_pins_the_surrogate_fields() {
     let report = RunReport::from_json(GOLDEN.trim_end()).expect("fixture parses");
-    assert_eq!(report.schema_version, 10);
+    assert_eq!(report.schema_version, 11);
     assert_eq!(report.command, "fault-sweep");
-    assert_eq!(report.cost_backend, "surrogate");
-    assert!(report.fit_anchors > 0, "fixture must record the fit's anchor simulations");
-    assert_eq!(report.audit_points, 2, "audit rate 1.0 audits both sweep points");
+    assert_eq!(report.sections(), ["fault", "surrogate"]);
+    let surrogate = report.surrogate.as_ref().unwrap();
+    assert_eq!(surrogate.cost_backend, "surrogate");
+    assert!(surrogate.fit_anchors > 0, "fixture must record the fit's anchor simulations");
+    assert_eq!(surrogate.audit_points, 2, "audit rate 1.0 audits both sweep points");
     assert!(
-        report.audit_max_rel_err > 0.0 && report.audit_max_rel_err <= DECLARED_BOUND.rel,
+        surrogate.audit_max_rel_err > 0.0 && surrogate.audit_max_rel_err <= DECLARED_BOUND.rel,
         "audit error must be recorded and within the declared bound, got {}",
-        report.audit_max_rel_err
+        surrogate.audit_max_rel_err
     );
     assert_eq!(report.threads, 0, "no host timing in worker-invariant reports");
 }
