@@ -97,28 +97,6 @@ impl ClassificationJob {
             })
             .collect()
     }
-
-    /// The *worst* rank's slice when candidates skew toward popular
-    /// categories instead of spreading uniformly. With round-robin row
-    /// interleaving across ranks a Zipf-`s` popularity still lands the
-    /// hottest rank roughly `1 + skew` times the mean candidate load;
-    /// system latency follows that straggler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `skew` is negative.
-    pub fn rank_slice_skewed(&self, ranks: usize, skew: f64) -> RankJob {
-        assert!(skew >= 0.0, "skew must be non-negative");
-        let mean = self.candidates as f64 / ranks as f64;
-        let hot = (mean * (1.0 + skew)).ceil() as usize;
-        RankJob {
-            categories: self.categories.div_ceil(ranks).max(1),
-            hidden: self.hidden,
-            reduced: self.reduced,
-            batch: self.batch,
-            candidates_per_item: vec![hot; self.batch],
-        }
-    }
 }
 
 /// Which scheme executed a job.
@@ -476,20 +454,6 @@ impl SystemModel {
         ShardedRun { result, workers, shards, wall_ns, shard_wall_ns, shard_dram }
     }
 
-    /// Runs `job` on ENMC with candidate load imbalance `skew` (system
-    /// latency = the straggler rank).
-    pub fn run_enmc_skewed(&self, job: &ClassificationJob, skew: f64) -> SchemeResult {
-        let unit = RankUnit::new(self.enmc_unit_params());
-        let report = unit.simulate(&job.rank_slice_skewed(self.total_ranks, skew));
-        let energy = SystemEnergy::from_rank(
-            &report,
-            self.total_ranks,
-            &self.energy_model,
-            &LogicEnergyModel::enmc_table5(),
-        );
-        SchemeResult { scheme: Scheme::Enmc, ns: report.ns, energy: Some(energy), rank_report: Some(report) }
-    }
-
     /// Runs the Fig. 13 scheme set on one job, returning results in the
     /// paper's order: CPU-screened, NDA, Chameleon, TensorDIMM, ENMC —
     /// all normalized against CPU-full by the caller.
@@ -674,18 +638,6 @@ mod tests {
             td.total_nj(),
             enmc.total_nj()
         );
-    }
-
-    #[test]
-    fn candidate_skew_slows_the_system() {
-        let sys = SystemModel::table3();
-        let j = job();
-        let uniform = sys.run_enmc_skewed(&j, 0.0);
-        let skewed = sys.run_enmc_skewed(&j, 1.0);
-        assert!(skewed.ns > uniform.ns, "{} vs {}", skewed.ns, uniform.ns);
-        // But the screening stream dominates, so even a 2x-hot rank costs
-        // far less than 2x end-to-end.
-        assert!(skewed.ns < 1.8 * uniform.ns, "{} vs {}", skewed.ns, uniform.ns);
     }
 
     #[test]

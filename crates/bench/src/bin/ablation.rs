@@ -11,7 +11,7 @@ use enmc_arch::config::EnmcConfig;
 use enmc_arch::unit::{RankJob, RankUnit, UnitParams};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{par_rows, sim_config};
+use enmc_bench::{or_exit, par_rows, sim_config};
 
 fn job() -> RankJob {
     // One rank's slice of a Transformer-W268K-like job with ~5% candidates.
@@ -29,6 +29,8 @@ fn run(params: UnitParams) -> f64 {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let cfg = or_exit(sim_config(&args));
     let base = UnitParams::enmc(&EnmcConfig::table3());
     let base_ns = run(base);
     println!("ENMC design-choice ablations (one rank, Transformer-like slice, batch 2)\n");
@@ -55,7 +57,7 @@ fn main() {
     ];
     // Each variant simulates independently; shard them across the bench
     // workers (rows keep the listed order).
-    let rows = par_rows(&sim_config(), variants, |&(name, params)| (name, run(params)));
+    let rows = par_rows(&cfg, variants, |&(name, params)| (name, run(params)));
     for (name, ns) in rows {
         t.row_owned(vec![name.into(), fmt(ns / 1e3, 2), format!("{:.2}x", ns / base_ns)]);
     }

@@ -17,7 +17,7 @@
 use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{candidate_fraction, cost_backend, fit_pipeline, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, cost_backend, fit_pipeline, or_exit, par_rows, sim_config};
 use enmc_fault::{
     pareto_frontier, run_resilience_sweep_with_cost, FaultModel, FaultSweepSpec, SweepError,
     SweepPoint,
@@ -79,7 +79,9 @@ fn sweep_cell(
 }
 
 fn main() {
-    let cfg = sim_config();
+    let args: Vec<String> = std::env::args().collect();
+    let cfg = or_exit(sim_config(&args));
+    let backend = or_exit(cost_backend(&args, "cycle-accurate"));
     println!("Resilience grid: screening quality vs refresh energy (retention faults)\n");
     let mut grid = Vec::new();
     for id in WorkloadId::table2() {
@@ -89,7 +91,6 @@ fn main() {
     }
     // One independent fitted pipeline per cell; shard cells across the
     // bench workers (within a cell the sweep runs sequentially).
-    let backend = cost_backend();
     let cells = par_rows(&cfg, grid, |&(id, ecc)| sweep_cell(id, ecc, 1, backend));
 
     let mut t = Table::new(&[

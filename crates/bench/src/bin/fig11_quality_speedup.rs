@@ -11,7 +11,7 @@
 
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, fmt_speedup, Table};
-use enmc_bench::{eval_shape, fit_pipeline, par_rows, sim_config};
+use enmc_bench::{eval_shape, fit_pipeline, or_exit, par_rows, sim_config};
 use enmc_model::quality::QualityAccumulator;
 use enmc_model::workloads::WorkloadId;
 use enmc_screen::cost::{ClassificationCost, CpuCostModel};
@@ -25,7 +25,7 @@ const FRACTIONS: [f64; 5] = [0.01, 0.02, 0.05, 0.10, 0.15];
 
 fn main() {
     let cpu = CpuCostModel::default();
-    let cfg = sim_config();
+    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     let mut rep = Reporter::from_env("fig11_quality_speedup");
     println!("Figure 11: quality vs speedup — AS vs SVD-softmax vs FGD");
     println!("(eval shapes; quality vs exact full classification on the same queries)\n");

@@ -3,7 +3,7 @@
 
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{eval_shape, fit_pipeline, par_rows, sim_config};
+use enmc_bench::{eval_shape, fit_pipeline, or_exit, par_rows, sim_config};
 use enmc_model::quality::QualityAccumulator;
 use enmc_model::workloads::WorkloadId;
 use enmc_screen::infer::SelectionPolicy;
@@ -32,6 +32,7 @@ fn evaluate(id: WorkloadId, scale: f64, precision: Precision) -> (f64, f64, f64)
 }
 
 fn main() {
+    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     let mut rep = Reporter::from_env("fig12_sensitivity");
     let id = WorkloadId::TransformerW268K;
     let w = id.workload();
@@ -44,7 +45,6 @@ fn main() {
         100.0 * TIGHT_FRACTION
     );
 
-    let cfg = sim_config();
     println!("(a) Parameter-reduction scale (at INT4):\n");
     let mut t = Table::new(&["scale", "k", "top-1 agree", "ppl ratio", "P@10"]);
     let scales = vec![0.0625, 0.125, 0.25, 0.5];

@@ -8,12 +8,13 @@
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, or_exit, par_rows, sim_config};
 use enmc_bench::table::{fmt_speedup, Table};
 use enmc_model::workloads::WorkloadId;
 use enmc_tensor::stats::geometric_mean;
 
 fn main() {
+    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     let sys = SystemModel::table3();
     println!("Figure 13: performance normalized to the full-classification CPU\n");
 
@@ -28,7 +29,6 @@ fn main() {
     let mut t = Table::new(&[
         "Workload", "Batch", "CPU+AS", "NDA", "Chameleon", "TensorDIMM", "ENMC",
     ]);
-    let cfg = sim_config();
     let points: Vec<(WorkloadId, usize)> = WorkloadId::table2()
         .iter()
         .flat_map(|&id| [1usize, 2, 4].map(|batch| (id, batch)))

@@ -7,10 +7,11 @@ use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, or_exit, par_rows, sim_config};
 use enmc_model::workloads::WorkloadId;
 
 fn main() {
+    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     let sys = SystemModel::table3();
     println!("Figure 14: energy breakdown normalized to TensorDIMM\n");
     let mut t = Table::new(&[
@@ -18,7 +19,6 @@ fn main() {
     ]);
     let mut ratios_td = Vec::new();
     let mut ratios_tdl = Vec::new();
-    let cfg = sim_config();
     let mut bench = BenchEmitter::from_env("fig14_energy");
     // One independent three-scheme simulation per workload; shard them
     // across the bench workers.

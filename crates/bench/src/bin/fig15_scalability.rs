@@ -13,15 +13,13 @@ use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt_speedup, Table};
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, or_exit, par_rows, scale, sim_config};
 use enmc_model::workloads::WorkloadId;
 
 fn main() {
-    let scale: usize = std::env::args()
-        .skip_while(|a| a != "--scale")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let args: Vec<String> = std::env::args().collect();
+    let scale = or_exit(scale(&args, 8));
+    let cfg = or_exit(sim_config(&args));
     let sys = SystemModel::table3();
     let cpu = CpuModel::xeon_8280();
     println!("Figure 15: end-to-end scalability (XMLCNN front-end), sim scale 1/{scale}\n");
@@ -29,7 +27,6 @@ fn main() {
     let mut t = Table::new(&["Dataset", "CPU", "TensorDIMM", "TensorDIMM-L", "ENMC"]);
     let mut adv_td = Vec::new();
     let mut adv_tdl = Vec::new();
-    let cfg = sim_config();
     // The three datasets simulate independently; shard them across the
     // bench workers.
     let rows = par_rows(&cfg, WorkloadId::scaling().to_vec(), |&id| {

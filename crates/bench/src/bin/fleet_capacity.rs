@@ -24,14 +24,14 @@ use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, cost_backend, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, cost_backend, or_exit, par_rows, scale, sim_config};
 use enmc_fleet::{simulate_fleet, FleetConfig, FleetOutcome, PlacementPolicy, TenantConfig};
 use enmc_model::workloads::WorkloadId;
 use enmc_obs::MetricsRegistry;
 use enmc_par::SimConfig;
 use enmc_serve::tier::DegradeTier;
 use enmc_serve::ArrivalProcess;
-use enmc_surrogate::{CostBackend, CostModel};
+use enmc_surrogate::CostModel;
 
 const NODES: usize = 4;
 const SHARDS: usize = 8;
@@ -142,19 +142,10 @@ fn capacity_search(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale: usize = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let backend = if args.iter().any(|a| a == "--cost-model") {
-        cost_backend()
-    } else {
-        CostBackend::Surrogate { audit_rate: 0.1 }
-    };
+    let scale = or_exit(scale(&args, 64));
+    let backend = or_exit(cost_backend(&args, "surrogate"));
     let sys = SystemModel::table3();
-    let cfg = sim_config();
+    let cfg = or_exit(sim_config(&args));
     println!(
         "Fleet capacity: qps/DIMM at {:.0}% SLO vs model size, sim scale 1/{scale}, \
          {NODES} nodes x {SHARDS} shards (zipf {ZIPF_S}), cost model {}\n",

@@ -16,11 +16,12 @@ use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, or_exit, par_rows, sim_config};
 use enmc_mem::MemTech;
 use enmc_model::workloads::WorkloadId;
 
 fn main() {
+    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     println!("Iso-quality memory-technology sweep (ENMC scheme, batch 1)\n");
     let shapes: Vec<WorkloadId> = {
         let mut v = WorkloadId::table2().to_vec();
@@ -31,7 +32,6 @@ fn main() {
         .iter()
         .flat_map(|&id| MemTech::ALL.map(|tech| (id, tech)))
         .collect();
-    let cfg = sim_config();
     let mut bench = BenchEmitter::from_env("memtech_iso_quality");
     // Every (shape, preset) point simulates independently; shard them
     // across the bench workers. Rows come back in sweep order.

@@ -8,7 +8,7 @@
 
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, fmt_speedup, Table};
-use enmc_bench::{fit_pipeline, sim_config};
+use enmc_bench::{fit_pipeline, or_exit, sim_config};
 use enmc_model::quality::{QualityAccumulator, QualityReport};
 use enmc_model::synth::Query;
 use enmc_model::workloads::WorkloadId;
@@ -55,7 +55,7 @@ where
 
 fn main() {
     let cpu = CpuCostModel::default();
-    let cfg = sim_config();
+    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     let id = WorkloadId::Xmlcnn670K;
     let fitted = fit_pipeline(id, 0.25, Precision::Int4, 42);
     let (l, d) = fitted.shape;

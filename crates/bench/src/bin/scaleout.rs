@@ -6,9 +6,10 @@ use enmc_arch::scaleout::{scale_out, Network};
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{par_rows, sim_config};
+use enmc_bench::{or_exit, par_rows, sim_config};
 
 fn main() {
+    let sim = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     let sys = SystemModel::table3();
     let net = Network::roce_100g();
     // An S10M-class shardable job (scaled 1/8 like fig15; latencies are
@@ -24,7 +25,7 @@ fn main() {
     let mut t = Table::new(&["nodes", "latency (us)", "speedup", "network share", "efficiency"]);
     let base = scale_out(&sys, &net, &job, Scheme::Enmc, 1);
     // Node counts simulate independently; shard them across the workers.
-    let rows = par_rows(&sim_config(), vec![1usize, 2, 4, 8, 16, 32], |&nodes| {
+    let rows = par_rows(&sim, vec![1usize, 2, 4, 8, 16, 32], |&nodes| {
         let r = scale_out(&sys, &net, &job, Scheme::Enmc, nodes);
         vec![
             nodes.to_string(),

@@ -19,7 +19,7 @@
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{par_rows, sim_config};
+use enmc_bench::{or_exit, par_rows, sim_config};
 use enmc_fleet::{simulate_fleet, FleetConfig, TenantConfig};
 use enmc_model::workloads::WorkloadId;
 use enmc_obs::MetricsRegistry;
@@ -50,7 +50,7 @@ fn serving_job(id: WorkloadId) -> ClassificationJob {
 }
 
 fn main() {
-    let sim = sim_config();
+    let sim = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     let sys = SystemModel::table3();
 
     println!("Serving load sweep: utilization x degrade policy, 4 paper shapes\n");
@@ -108,7 +108,7 @@ fn main() {
         };
         let mut registry = MetricsRegistry::new();
         let mut cost = CostModel::new(CostBackend::CycleAccurate, seed);
-        let out = simulate_fleet(&sys, &job, &cfg, &sim_config(), &mut registry, &mut cost)
+        let out = simulate_fleet(&sys, &job, &cfg, &sim, &mut registry, &mut cost)
             .expect("cycle-accurate backend cannot violate an audit");
         let served = &out.tenants[0];
         let us = |cycles: f64| cycles * out.ns_per_cycle / 1e3;

@@ -15,7 +15,7 @@
 
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{par_rows, sim_config};
+use enmc_bench::{or_exit, par_rows, sim_config};
 use enmc_dram::{AddressMapping, DramConfig, DramSystem, MemRequest};
 
 fn run_pattern(mapping: AddressMapping, addrs: &[u64]) -> (f64, f64, f64) {
@@ -42,6 +42,7 @@ fn run_pattern(mapping: AddressMapping, addrs: &[u64]) -> (f64, f64, f64) {
 }
 
 fn main() {
+    let sim = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     let cfg = DramConfig::enmc_single_rank();
     let t = cfg.timing;
     println!("DRAM model validation (single rank, DDR4-2400)\n");
@@ -89,7 +90,7 @@ fn main() {
     ];
     let peak_gbs = t.peak_channel_bandwidth() / 1e9;
     let ccd_cap = t.tbl as f64 / t.tccd_l as f64;
-    let rows = par_rows(&sim_config(), patterns, |(name, addrs)| {
+    let rows = par_rows(&sim, patterns, |(name, addrs)| {
         let (bw, hit, util) = run_pattern(AddressMapping::RoRaBaCoBg, addrs);
         match *name {
             "sequential (Bg-interleaved)" => {

@@ -4,18 +4,18 @@
 
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{eval_shape, fit_pipelines, sim_config};
+use enmc_bench::{eval_shape, fit_pipelines, or_exit, sim_config};
 use enmc_model::statistics::measure;
 use enmc_model::workloads::WorkloadId;
 use enmc_tensor::quant::Precision;
 
 fn main() {
+    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
     println!("Synthetic workload statistics (the screenability properties)\n");
     let mut t = Table::new(&[
         "Workload", "eval shape", "top-10 mass", "entropy (nats)", "spectral mass", "head mass",
     ]);
-    let fitted_all =
-        fit_pipelines(&WorkloadId::table2(), 0.25, Precision::Int4, 42, &sim_config());
+    let fitted_all = fit_pipelines(&WorkloadId::table2(), 0.25, Precision::Int4, 42, &cfg);
     for fitted in &fitted_all {
         let (l, d) = eval_shape(&fitted.workload);
         let s = measure(&fitted.synth, 80, 7);

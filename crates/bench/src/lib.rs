@@ -23,61 +23,104 @@ pub mod trajectory;
 
 pub use enmc_model::workloads::{candidate_fraction, eval_shape};
 
-use enmc_par::SimConfig;
 use enmc_model::synth::{SynthesisConfig, SyntheticClassifier};
 use enmc_model::workloads::{Workload, WorkloadId};
+use enmc_par::SimConfig;
 use enmc_screen::infer::{ApproxClassifier, SelectionPolicy};
 use enmc_screen::screener::{Screener, ScreenerConfig};
 use enmc_screen::train::fit_least_squares;
+use enmc_surrogate::CostBackend;
 use enmc_tensor::quant::Precision;
+use std::path::PathBuf;
 
-/// Bench-wide execution policy: `--threads N` on the command line wins,
-/// then the `ENMC_THREADS` environment hook, else sequential. Every
+/// The value after `name` on the command line `args`: `None` when the
+/// flag is absent, `""` when it is the last argument.
+fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == name)?;
+    Some(args.get(i + 1).map_or("", String::as_str))
+}
+
+/// `name`'s value as an integer >= 1; `None` when the flag is absent.
+fn positive(args: &[String], name: &str) -> Result<Option<usize>, String> {
+    let read = |raw: &str| {
+        let n = raw.parse::<usize>().ok().filter(|&n| n >= 1);
+        n.ok_or_else(|| format!("{name} expects an integer >= 1, got '{raw}'"))
+    };
+    flag(args, name).map(read).transpose()
+}
+
+/// Bench-wide execution policy: `--threads N` on the command line `args`
+/// wins, then the `ENMC_THREADS` environment hook, else sequential. Every
 /// figure/table binary reads its policy from here so the CI matrix can
 /// drive the whole harness through one environment variable.
-pub fn sim_config() -> SimConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    SimConfig::resolve(flag, false)
+///
+/// # Errors
+///
+/// Names the flag, the value and the range when `--threads` is not an
+/// integer >= 1 (`--threads expects an integer >= 1, got '0'`).
+pub fn sim_config(args: &[String]) -> Result<SimConfig, String> {
+    Ok(SimConfig::resolve(positive(args, "--threads")?, false))
+}
+
+/// `--scale N`: the binary simulates `1/N` of each category slice;
+/// `default` when the flag is absent.
+///
+/// # Errors
+///
+/// Names the flag, the value and the range when `N` is not an integer
+/// >= 1.
+pub fn scale(args: &[String], default: usize) -> Result<usize, String> {
+    Ok(positive(args, "--scale")?.unwrap_or(default))
 }
 
 /// Bench-wide cost backend: `--cost-model {cycle-accurate|surrogate}`
-/// picks who answers sweep points, `--audit-rate R` (surrogate only,
-/// default 0.1) sets the fraction of predictions re-run cycle-accurately.
-/// Mirrors the `enmc` CLI flags so the CI surrogate gate drives the grid
-/// benches the same way it drives the serving and fault commands.
+/// (`default` when absent) picks who answers sweep points, and
+/// `--audit-rate R` (default 0.1) the fraction of surrogate predictions
+/// re-run cycle-accurately. Mirrors the `enmc` CLI flags so the CI
+/// surrogate gate drives the grid benches the same way it drives the
+/// serving and fault commands.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (with the offending value) on an unknown model name or an
-/// audit rate outside `[0, 1]` — bench binaries fail fast on bad flags.
-pub fn cost_backend() -> enmc_surrogate::CostBackend {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+/// Names the flag, the value and the accepted values when the model is
+/// unknown or the audit rate is not in `[0, 1]` (checked whichever model
+/// is chosen).
+pub fn cost_backend(args: &[String], default: &str) -> Result<CostBackend, String> {
+    let audit_rate = match flag(args, "--audit-rate") {
+        None => 0.1,
+        Some(raw) => {
+            raw.parse::<f64>().ok().filter(|r| (0.0..=1.0).contains(r)).ok_or_else(|| {
+                format!("--audit-rate expects a finite number in [0, 1], got '{raw}'")
+            })?
+        }
     };
-    match get("--cost-model").as_deref() {
-        None | Some("cycle-accurate") | Some("cycle") => {
-            enmc_surrogate::CostBackend::CycleAccurate
-        }
-        Some("surrogate") => {
-            let audit_rate = get("--audit-rate")
-                .map(|r| {
-                    r.parse::<f64>()
-                        .ok()
-                        .filter(|v| v.is_finite() && (0.0..=1.0).contains(v))
-                        .unwrap_or_else(|| panic!("--audit-rate must be in [0, 1], got '{r}'"))
-                })
-                .unwrap_or(0.1);
-            enmc_surrogate::CostBackend::Surrogate { audit_rate }
-        }
-        Some(other) => panic!("--cost-model must be 'cycle-accurate' or 'surrogate', got '{other}'"),
+    match flag(args, "--cost-model").unwrap_or(default) {
+        "cycle-accurate" | "cycle" => Ok(CostBackend::CycleAccurate),
+        "surrogate" => Ok(CostBackend::Surrogate { audit_rate }),
+        raw => Err(format!(
+            "--cost-model expects one of cycle-accurate, cycle, surrogate, got '{raw}'"
+        )),
     }
+}
+
+/// Where a harness document goes: the path after `flag` on the command
+/// line, else `file` in the directory the `env` variable names, else
+/// nowhere.
+fn destination(flag: &str, env: &str, file: String) -> Option<PathBuf> {
+    let args: Vec<String> = std::env::args().collect();
+    let given = args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
+    given
+        .map(PathBuf::from)
+        .or_else(|| std::env::var_os(env).map(|dir| PathBuf::from(dir).join(file)))
+}
+
+/// The value of a flag reader, or its message on stderr and exit code 2,
+/// as `enmc` does for a bad flag value.
+pub fn or_exit<T>(read: Result<T, String>) -> T {
+    read.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// Maps `f` over `items` under the bench execution policy. Results keep
@@ -206,6 +249,38 @@ mod tests {
         let f = fit_pipeline(WorkloadId::GnmtE32K, 0.25, Precision::Fp32, 1);
         assert_eq!(f.classifier.categories(), f.shape.0);
         assert_eq!(f.synth.hidden(), f.shape.1);
+    }
+
+    #[test]
+    fn flag_readers_name_the_flag_the_value_and_the_range() {
+        let argv = |line: &str| -> Vec<String> { line.split(' ').map(str::to_string).collect() };
+        assert_eq!(sim_config(&argv("x --threads 4")), Ok(SimConfig::with_threads(4)));
+        assert_eq!((scale(&argv("x"), 8), scale(&argv("x --scale 2"), 8)), (Ok(8), Ok(2)));
+        let surrogate = Ok(CostBackend::Surrogate { audit_rate: 0.5 });
+        assert_eq!(cost_backend(&argv("x --audit-rate 0.5"), "surrogate"), surrogate);
+        assert_eq!(cost_backend(&argv("x"), "cycle-accurate"), Ok(CostBackend::CycleAccurate));
+        for (read, want) in [
+            (
+                sim_config(&argv("x --threads 0")).err(),
+                "--threads expects an integer >= 1, got '0'",
+            ),
+            (
+                sim_config(&argv("x --threads four")).err(),
+                "--threads expects an integer >= 1, got 'four'",
+            ),
+            (scale(&argv("x --scale 0"), 8).err(), "--scale expects an integer >= 1, got '0'"),
+            (scale(&argv("x --scale"), 8).err(), "--scale expects an integer >= 1, got ''"),
+            (
+                cost_backend(&argv("x --cost-model surogate"), "cycle").err(),
+                "--cost-model expects one of cycle-accurate, cycle, surrogate, got 'surogate'",
+            ),
+            (
+                cost_backend(&argv("x --audit-rate 2"), "surrogate").err(),
+                "--audit-rate expects a finite number in [0, 1], got '2'",
+            ),
+        ] {
+            assert_eq!(read.as_deref(), Some(want));
+        }
     }
 
     #[test]

@@ -13,17 +13,37 @@
 //! 3. otherwise the reporter is inert and costs nothing.
 
 use crate::table::Table;
-use enmc_obs::Value;
+use enmc_obs::{json, record};
 use std::path::PathBuf;
+
+record! {
+    /// One printed table: its header row and its cells, as text.
+    TableDoc {
+        /// Column headers.
+        columns: Vec<String>,
+        /// Rows of cells.
+        rows: Vec<Vec<String>>,
+    }
+}
+
+record! {
+    /// The document a [`Reporter`] writes.
+    HarnessReport {
+        /// The binary's name.
+        name: String,
+        /// The tables, keyed as recorded, in recording order.
+        tables: Vec<(String, TableDoc)>,
+        /// Free-form annotations.
+        notes: Vec<String>,
+    }
+}
 
 /// Collects tables and notes from one harness binary and writes them as a
 /// single JSON document on [`Reporter::finish`].
 #[derive(Debug)]
 pub struct Reporter {
-    name: String,
     dest: Option<PathBuf>,
-    tables: Vec<(String, Value)>,
-    notes: Vec<String>,
+    doc: HarnessReport,
 }
 
 impl Reporter {
@@ -31,27 +51,17 @@ impl Reporter {
     /// the process arguments (`--json <file>`) and the `ENMC_REPORT_DIR`
     /// environment variable.
     pub fn from_env(name: &str) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let dest = args
-            .iter()
-            .position(|a| a == "--json")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from)
-            .or_else(|| {
-                std::env::var_os("ENMC_REPORT_DIR")
-                    .map(|dir| PathBuf::from(dir).join(format!("{name}.json")))
-            });
-        Reporter { name: name.to_string(), dest, tables: Vec::new(), notes: Vec::new() }
+        let dest = crate::destination("--json", "ENMC_REPORT_DIR", format!("{name}.json"));
+        Reporter::with_dest(name, dest)
     }
 
     /// A reporter writing to an explicit path (primarily for tests).
     pub fn to_path(name: &str, path: impl Into<PathBuf>) -> Self {
-        Reporter {
-            name: name.to_string(),
-            dest: Some(path.into()),
-            tables: Vec::new(),
-            notes: Vec::new(),
-        }
+        Reporter::with_dest(name, Some(path.into()))
+    }
+
+    fn with_dest(name: &str, dest: Option<PathBuf>) -> Self {
+        Reporter { dest, doc: HarnessReport { name: name.to_string(), ..HarnessReport::default() } }
     }
 
     /// `true` when [`Reporter::finish`] will write somewhere.
@@ -64,39 +74,15 @@ impl Reporter {
         if !self.active() {
             return;
         }
-        let columns =
-            Value::Arr(table.headers().iter().map(|h| Value::Str(h.clone())).collect());
-        let rows = Value::Arr(
-            table
-                .rows()
-                .iter()
-                .map(|r| Value::Arr(r.iter().map(|c| Value::Str(c.clone())).collect()))
-                .collect(),
-        );
-        self.tables.push((
-            key.to_string(),
-            Value::Obj(vec![("columns".to_string(), columns), ("rows".to_string(), rows)]),
-        ));
+        let doc = TableDoc { columns: table.headers().to_vec(), rows: table.rows().to_vec() };
+        self.doc.tables.push((key.to_string(), doc));
     }
 
     /// Attaches a free-form annotation.
     pub fn note(&mut self, text: &str) {
         if self.active() {
-            self.notes.push(text.to_string());
+            self.doc.notes.push(text.to_string());
         }
-    }
-
-    /// Serializes everything collected so far.
-    pub fn to_json(&self) -> String {
-        Value::Obj(vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("tables".to_string(), Value::Obj(self.tables.clone())),
-            (
-                "notes".to_string(),
-                Value::Arr(self.notes.iter().map(|n| Value::Str(n.clone())).collect()),
-            ),
-        ])
-        .to_json()
     }
 
     /// Writes the report to the resolved destination, if any. Failures are
@@ -104,7 +90,7 @@ impl Reporter {
     /// tables remain the source of truth.
     pub fn finish(&self) {
         let Some(dest) = &self.dest else { return };
-        match std::fs::write(dest, self.to_json()) {
+        match std::fs::write(dest, json::encode(&self.doc)) {
             Ok(()) => eprintln!("report written to {}", dest.display()),
             Err(e) => eprintln!("cannot write report {}: {e}", dest.display()),
         }
@@ -124,16 +110,11 @@ mod tests {
 
     #[test]
     fn inactive_reporter_collects_nothing() {
-        let mut rep = Reporter {
-            name: "x".to_string(),
-            dest: None,
-            tables: Vec::new(),
-            notes: Vec::new(),
-        };
+        let mut rep = Reporter::with_dest("x", None);
         rep.table("t", &sample_table());
         rep.note("ignored");
         assert!(!rep.active());
-        assert!(rep.tables.is_empty() && rep.notes.is_empty());
+        assert!(rep.doc.tables.is_empty() && rep.doc.notes.is_empty());
         rep.finish(); // no destination: must be a no-op
     }
 
@@ -142,16 +123,12 @@ mod tests {
         let mut rep = Reporter::to_path("fig99", "/nonexistent/ignored.json");
         rep.table("speedups", &sample_table());
         rep.note("scaled shapes");
-        let v = Value::parse(&rep.to_json()).unwrap();
-        assert_eq!(v.get("name").and_then(Value::as_str), Some("fig99"));
-        let t = v.get("tables").and_then(|t| t.get("speedups")).expect("table present");
-        let cols = t.get("columns").and_then(Value::as_arr).unwrap();
-        assert_eq!(cols.len(), 2);
-        let rows = t.get("rows").and_then(Value::as_arr).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].as_arr().unwrap()[0].as_str(), Some("GNMT-E32K"));
-        let notes = v.get("notes").and_then(Value::as_arr).unwrap();
-        assert_eq!(notes.len(), 1);
+        let text = json::encode(&rep.doc);
+        assert_eq!(
+            text,
+            r#"{"name":"fig99","tables":{"speedups":{"columns":["workload","speedup"],"rows":[["GNMT-E32K","11.8"],["XMLCNN-670K","17.4"]]}},"notes":["scaled shapes"]}"#
+        );
+        assert_eq!(json::decode::<HarnessReport>(&text).unwrap(), rep.doc);
     }
 
     #[test]
@@ -161,8 +138,7 @@ mod tests {
         rep.table("t", &sample_table());
         rep.finish();
         let text = std::fs::read_to_string(&path).unwrap();
-        let v = Value::parse(&text).unwrap();
-        assert_eq!(v.get("name").and_then(Value::as_str), Some("fig00"));
+        assert_eq!(json::decode::<HarnessReport>(&text).unwrap(), rep.doc);
         let _ = std::fs::remove_file(&path);
     }
 }

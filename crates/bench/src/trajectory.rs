@@ -18,6 +18,7 @@
 //!    `<dir>/BENCH_<name>.json`;
 //! 3. otherwise the emitter is inert and costs nothing.
 
+use enmc_obs::json;
 use enmc_perf::bench::BenchRecord;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -35,16 +36,8 @@ impl BenchEmitter {
     /// the process arguments (`--bench-json <file>`) and the
     /// `ENMC_BENCH_DIR` environment variable.
     pub fn from_env(name: &str) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let dest = args
-            .iter()
-            .position(|a| a == "--bench-json")
-            .and_then(|i| args.get(i + 1))
-            .map(PathBuf::from)
-            .or_else(|| {
-                std::env::var_os("ENMC_BENCH_DIR")
-                    .map(|dir| PathBuf::from(dir).join(format!("BENCH_{name}.json")))
-            });
+        let dest =
+            crate::destination("--bench-json", "ENMC_BENCH_DIR", format!("BENCH_{name}.json"));
         BenchEmitter { record: BenchRecord::new(name), dest }
     }
 
@@ -85,16 +78,11 @@ impl BenchEmitter {
         out
     }
 
-    /// The record serialized as it will be written.
-    pub fn to_json(&self) -> String {
-        self.record.to_json()
-    }
-
     /// Writes the record to the resolved destination, if any. Failures are
     /// reported on stderr but never abort the harness run.
     pub fn finish(&self) {
         let Some(dest) = &self.dest else { return };
-        match std::fs::write(dest, format!("{}\n", self.record.to_json())) {
+        match std::fs::write(dest, format!("{}\n", json::encode(&self.record))) {
             Ok(()) => eprintln!("bench record written to {}", dest.display()),
             Err(e) => eprintln!("cannot write bench record {}: {e}", dest.display()),
         }
@@ -131,7 +119,7 @@ mod tests {
         em.det("cycles", 10.0);
         em.wall_ns("sim", &[1.0, 2.0]);
         assert!(!em.active());
-        let parsed = BenchRecord::parse(&em.to_json()).unwrap();
+        let parsed = json::decode::<BenchRecord>(&json::encode(&em.record)).unwrap();
         assert!(parsed.deterministic.is_empty() && parsed.wall.is_empty());
         em.finish();
     }
@@ -155,7 +143,7 @@ mod tests {
         em.wall_ns("harness/sum_ns", &ns);
         em.finish();
         let text = std::fs::read_to_string(&path).unwrap();
-        let rec = BenchRecord::parse(text.trim_end()).unwrap();
+        let rec = json::decode::<BenchRecord>(&text).unwrap();
         assert_eq!(rec.name, "fig00");
         assert_eq!(rec.deterministic.len(), 2);
         assert_eq!(rec.wall.len(), 1);

@@ -77,11 +77,6 @@ impl TaskDescriptor {
             + self.categories as u64 * 4
     }
 
-    /// Bytes of the packed screening-weight codes alone.
-    pub fn screen_code_bytes(&self) -> u64 {
-        self.screen_precision.nbytes(self.categories * self.reduced) as u64
-    }
-
     /// Bytes of the full classifier (`l × d` FP32 + bias).
     pub fn classifier_bytes(&self) -> u64 {
         self.categories as u64 * self.hidden as u64 * 4 + self.categories as u64 * 4

@@ -56,11 +56,6 @@ impl Tiling {
             tiles_per_row,
         })
     }
-
-    /// Total screening bursts per batch item.
-    pub fn screen_bursts(&self) -> usize {
-        self.screen_tiles * self.bursts_per_tile
-    }
 }
 
 #[cfg(test)]

@@ -17,17 +17,20 @@ use crate::config::{DramConfig, Timing};
 use crate::golden::{audit_channel, golden_closed_page, GoldenRequest};
 use crate::mapping::AddressMapping;
 use crate::system::{DramSystem, MemRequest, RequestKind};
-use enmc_obs::json::Value;
+use enmc_obs::json::{self, Nullable};
+use enmc_obs::record;
 
-/// One fuzzed memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuzzRequest {
-    /// Earliest cycle the request is presented to the controller.
-    pub at: u64,
-    /// Byte address (burst aligned by the generator).
-    pub addr: u64,
-    /// Write (vs read).
-    pub write: bool,
+record! {
+    /// One fuzzed memory request.
+    #[derive(Copy, Eq)]
+    FuzzRequest {
+        /// Earliest cycle the request is presented to the controller.
+        at: u64,
+        /// Byte address (burst aligned by the generator).
+        addr: u64,
+        /// Write (vs read).
+        write: bool,
+    }
 }
 
 impl FuzzRequest {
@@ -496,83 +499,39 @@ pub fn shrink<F: Fn(&[FuzzRequest]) -> bool>(reqs: &[FuzzRequest], fails: F) -> 
     cur
 }
 
-/// A minimized failing case, serializable for check-in under
-/// `tests/golden/fuzz_repro_*.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reproducer {
-    /// Pattern that produced the case.
-    pub pattern: String,
-    /// Seed that produced the case.
-    pub seed: u64,
-    /// The injected controller bug, if any.
-    pub bug: Option<String>,
-    /// Memory-technology preset name the case ran under (`None` = the
-    /// DDR4 baseline; resolved by the CLI, which knows the preset table).
-    pub memory: Option<String>,
-    /// The minimized request list.
-    pub requests: Vec<FuzzRequest>,
+record! {
+    /// A minimized failing case, serializable for check-in under
+    /// `tests/golden/fuzz_repro_*.json`.
+    #[derive(Eq)]
+    Reproducer {
+        /// Pattern that produced the case.
+        pattern: String,
+        /// Seed that produced the case.
+        seed: u64,
+        /// The injected controller bug ([`InjectedBug::name`]), `null`
+        /// when none.
+        bug: Nullable<String>,
+        /// Memory-technology preset name the case ran under (left out for
+        /// the DDR4 baseline, so pre-preset fixtures stay byte-identical;
+        /// resolved by the CLI, which knows the preset table).
+        memory: Option<String>,
+        /// The minimized request list.
+        requests: Vec<FuzzRequest>,
+    }
+    check Reproducer::check
 }
 
 impl Reproducer {
-    /// Serializes to pretty-stable compact JSON.
-    pub fn to_json(&self) -> String {
-        let reqs: Vec<Value> = self
-            .requests
-            .iter()
-            .map(|r| {
-                Value::Obj(vec![
-                    ("at".to_string(), Value::Int(r.at as i64)),
-                    ("addr".to_string(), Value::Int(r.addr as i64)),
-                    ("write".to_string(), Value::Bool(r.write)),
-                ])
-            })
-            .collect();
-        let mut fields = vec![
-            ("pattern".to_string(), Value::Str(self.pattern.clone())),
-            ("seed".to_string(), Value::Int(self.seed as i64)),
-            (
-                "bug".to_string(),
-                match &self.bug {
-                    Some(b) => Value::Str(b.clone()),
-                    None => Value::Null,
-                },
-            ),
-        ];
-        // Only non-baseline cases carry the field, so pre-preset fixtures
-        // stay byte-identical through a round-trip.
-        if let Some(m) = &self.memory {
-            fields.push(("memory".to_string(), Value::Str(m.clone())));
+    /// Rejects a bug name the fuzzer cannot plant, which would otherwise
+    /// replay with no bug.
+    fn check(&self, path: &str) -> Result<(), String> {
+        match self.bug.0.as_deref() {
+            Some(name) if InjectedBug::parse(name).is_none() => Err(json::field_error(
+                &json::key_path(path, "bug"),
+                format_args!("is '{name}', not an injected bug"),
+            )),
+            _ => Ok(()),
         }
-        fields.push(("requests".to_string(), Value::Arr(reqs)));
-        Value::Obj(fields).to_json()
-    }
-
-    /// Parses a reproducer back from JSON.
-    pub fn from_json(text: &str) -> Result<Reproducer, String> {
-        let v = Value::parse(text).map_err(|e| format!("bad reproducer JSON: {e:?}"))?;
-        let pattern = v
-            .get("pattern")
-            .and_then(Value::as_str)
-            .ok_or("missing pattern")?
-            .to_string();
-        let seed = v.get("seed").and_then(Value::as_u64).ok_or("missing seed")?;
-        let bug = match v.get("bug") {
-            Some(Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
-        let memory = match v.get("memory") {
-            Some(Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
-        let mut requests = Vec::new();
-        for r in v.get("requests").and_then(Value::as_arr).ok_or("missing requests")? {
-            requests.push(FuzzRequest {
-                at: r.get("at").and_then(Value::as_u64).ok_or("missing at")?,
-                addr: r.get("addr").and_then(Value::as_u64).ok_or("missing addr")?,
-                write: r.get("write").and_then(Value::as_bool).ok_or("missing write")?,
-            });
-        }
-        Ok(Reproducer { pattern, seed, bug, memory, requests })
     }
 
     /// Re-runs the minimized case exactly as the fuzzer would, on the
@@ -587,7 +546,7 @@ impl Reproducer {
     /// configuration of the preset named in `memory`).
     pub fn replay_on(&self, reference: &DramConfig) -> FuzzOutcome {
         let mut cfg = *reference;
-        if let Some(b) = self.bug.as_deref().and_then(InjectedBug::parse) {
+        if let Some(b) = self.bug.0.as_deref().and_then(InjectedBug::parse) {
             cfg.timing = b.apply(cfg.timing);
         }
         run_case(&self.requests, &cfg, AddressMapping::RoRaBaCoBg, &reference.timing)
@@ -655,16 +614,16 @@ mod tests {
         let repro = Reproducer {
             pattern: "row-thrash".to_string(),
             seed: 11,
-            bug: Some("trcd-1".to_string()),
+            bug: Nullable(Some("trcd-1".to_string())),
             memory: None,
             requests: vec![
                 FuzzRequest { at: 0, addr: 64, write: false },
                 FuzzRequest { at: 3, addr: 128, write: true },
             ],
         };
-        let text = repro.to_json();
+        let text = json::encode(&repro);
         assert!(!text.contains("memory"), "baseline cases must omit the field");
-        let back = Reproducer::from_json(&text).expect("parses");
+        let back = json::decode::<Reproducer>(&text).expect("parses");
         assert_eq!(back, repro);
         assert!(!back.replay().is_clean());
     }
@@ -674,13 +633,20 @@ mod tests {
         let repro = Reproducer {
             pattern: "moving-inversion".to_string(),
             seed: 1,
-            bug: None,
+            bug: Nullable(None),
             memory: Some("ddr5-4800".to_string()),
             requests: vec![FuzzRequest { at: 0, addr: 64, write: true }],
         };
-        let text = repro.to_json();
+        let text = json::encode(&repro);
         assert!(text.contains("\"memory\":\"ddr5-4800\""));
-        assert_eq!(Reproducer::from_json(&text).expect("parses"), repro);
+        assert_eq!(json::decode::<Reproducer>(&text).expect("parses"), repro);
+    }
+
+    #[test]
+    fn reproducer_reader_rejects_a_bug_it_cannot_plant() {
+        let text = r#"{"pattern":"row-thrash","seed":11,"bug":"trcd-2","requests":[]}"#;
+        let err = json::decode::<Reproducer>(text).unwrap_err();
+        assert!(err.contains("'bug' is 'trcd-2', not an injected bug"), "{err}");
     }
 
     #[test]

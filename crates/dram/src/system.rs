@@ -171,100 +171,6 @@ impl DramSystem {
         out
     }
 
-    /// [`DramSystem::run_until_idle`] with the channels stepped on
-    /// `workers` threads, bit-identical to the sequential drain.
-    ///
-    /// Channels never interact once their requests are enqueued, so each
-    /// controller can run to its own idle point independently; the system
-    /// then computes the common final cycle (the straggler channel or the
-    /// last in-flight data transfer, whichever is later) and pads every
-    /// channel with idle ticks up to it. Those padding ticks are exactly
-    /// the ticks the lockstep loop would have issued, so per-channel
-    /// statistics, refresh schedules, trace events, cursor position, and
-    /// the completion stream all match the sequential path bit for bit —
-    /// for any worker count, including one.
-    pub fn run_until_idle_par(&mut self, max_cycles: u64, workers: usize) -> Vec<Completion> {
-        if workers <= 1 || self.channels.len() < 2 {
-            return self.run_until_idle(max_cycles);
-        }
-        let start = self.cycle;
-        let deadline = start.saturating_add(max_cycles);
-        let mut out = std::mem::take(&mut self.ready);
-
-        // Phase 1: drain each channel's queue independently, recording the
-        // cycle each completion was produced at.
-        let channels = std::mem::take(&mut self.channels);
-        let drained = enmc_par::par_map(workers, channels, |_, mut ch| {
-            let mut produced: Vec<(u64, Completion)> = Vec::new();
-            let mut cycle = start;
-            while !ch.is_idle() && cycle < deadline {
-                if let Some(c) = ch.tick(cycle) {
-                    produced.push((cycle, c));
-                }
-                cycle += 1;
-            }
-            (ch, produced, cycle)
-        });
-
-        // The cycle the lockstep loop would stop at: every queue drained
-        // and every completion's data off the bus (or the deadline).
-        let mut final_cycle = start;
-        for (_, produced, stop) in &drained {
-            final_cycle = final_cycle.max(*stop);
-            for (_, c) in produced {
-                final_cycle = final_cycle.max(c.finish_cycle);
-            }
-        }
-        for c in &self.pending {
-            final_cycle = final_cycle.max(c.finish_cycle).max(start + 1);
-        }
-        let final_cycle = final_cycle.min(deadline);
-
-        // Phase 2: pad every channel to the common final cycle. A drained
-        // channel only accrues idle/refresh bookkeeping here, never new
-        // completions.
-        let padded = enmc_par::par_map(workers, drained, |_, (mut ch, produced, stop)| {
-            for cycle in stop..final_cycle {
-                let extra = ch.tick(cycle);
-                debug_assert!(extra.is_none(), "idle channel produced a completion");
-            }
-            (ch, produced)
-        });
-
-        // Merge the completion streams in the order the lockstep loop
-        // promotes them: by promotion cycle, then production order
-        // (production cycle, then channel index).
-        let mut keyed: Vec<(u64, u64, Completion)> = Vec::new();
-        let mut seq = 0u64;
-        for c in self.pending.drain(..) {
-            keyed.push((c.finish_cycle.max(start + 1), seq, c));
-            seq += 1;
-        }
-        let nch = padded.len() as u64;
-        self.channels = Vec::with_capacity(padded.len());
-        for (idx, (ch, produced)) in padded.into_iter().enumerate() {
-            self.channels.push(ch);
-            for (t, c) in produced {
-                keyed.push((c.finish_cycle.max(t + 1), seq + (t - start) * nch + idx as u64, c));
-            }
-        }
-        keyed.sort_by_key(|&(promote, order, _)| (promote, order));
-        self.cycle = final_cycle;
-        let mut leftover: Vec<(u64, Completion)> = Vec::new();
-        for (promote, order, c) in keyed {
-            if promote <= final_cycle {
-                out.push(c);
-            } else {
-                leftover.push((order, c));
-            }
-        }
-        // Unpromoted completions stay pending in production order, exactly
-        // as the lockstep loop leaves them.
-        leftover.sort_by_key(|&(order, _)| order);
-        self.pending = leftover.into_iter().map(|(_, c)| c).collect();
-        out
-    }
-
     /// Aggregated statistics over all channels. Channels tick in lockstep,
     /// so the parallel merge (max of clocks) is the right flavour.
     pub fn stats(&self) -> DramStats {
@@ -477,61 +383,6 @@ mod tests {
     }
 
     /// Loads a mixed read/write pattern spread over all channels.
-    fn load_mixed(sys: &mut DramSystem, n: u64) {
-        for i in 0..n {
-            let addr = i * 64 + (i % 7) * 4096;
-            let req = if i % 3 == 0 { MemRequest::write(addr) } else { MemRequest::read(addr) };
-            if sys.enqueue(req).is_none() {
-                sys.tick();
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_drain_is_bit_identical_to_sequential() {
-        for workers in [2usize, 4, 8] {
-            let mut seq = DramSystem::new(DramConfig::enmc_table3());
-            load_mixed(&mut seq, 512);
-            let mut par = seq.clone();
-            let a = seq.run_until_idle(10_000_000);
-            let b = par.run_until_idle_par(10_000_000, workers);
-            assert_eq!(a, b, "completion streams diverge at {workers} workers");
-            assert_eq!(seq.cycle(), par.cycle());
-            assert_eq!(seq.stats(), par.stats());
-            assert_eq!(seq.pending, par.pending);
-        }
-    }
-
-    #[test]
-    fn parallel_drain_matches_under_deadline_cutoff() {
-        // Cut the run short so some data is still in flight: the truncated
-        // completion stream and leftover pending set must match too.
-        let mut seq = DramSystem::new(DramConfig::enmc_table3());
-        load_mixed(&mut seq, 256);
-        let mut par = seq.clone();
-        let a = seq.run_until_idle(300);
-        let b = par.run_until_idle_par(300, 4);
-        assert_eq!(a, b);
-        assert_eq!(seq.cycle(), par.cycle());
-        assert_eq!(seq.pending, par.pending);
-        // Resuming both afterwards stays identical.
-        let a2 = seq.run_until_idle(10_000_000);
-        let b2 = par.run_until_idle_par(10_000_000, 4);
-        assert_eq!(a2, b2);
-        assert_eq!(seq.stats(), par.stats());
-    }
-
-    #[test]
-    fn parallel_drain_preserves_traces() {
-        let mut seq = DramSystem::new(DramConfig::enmc_table3());
-        seq.enable_trace(1 << 16);
-        load_mixed(&mut seq, 256);
-        let mut par = seq.clone();
-        seq.run_until_idle(10_000_000);
-        par.run_until_idle_par(10_000_000, 4);
-        assert_eq!(seq.take_trace(), par.take_trace());
-    }
-
     #[test]
     fn energy_grows_with_traffic() {
         let mut sys = DramSystem::new(DramConfig::enmc_single_rank());

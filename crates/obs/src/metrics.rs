@@ -22,7 +22,8 @@
 //! assert_eq!(report.counters[0].value, 128);
 //! ```
 
-use crate::json::Value;
+use crate::json;
+use crate::record;
 use std::collections::BTreeMap;
 
 /// Canonical identity of one metric series: name + sorted labels.
@@ -137,64 +138,75 @@ impl Histogram {
     }
 }
 
-/// One counter series in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterSample {
-    /// Metric name.
-    pub name: String,
-    /// Sorted label pairs.
-    pub labels: Vec<(String, String)>,
-    /// Accumulated value.
-    pub value: u64,
-}
-
-/// One gauge series in a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSample {
-    /// Metric name.
-    pub name: String,
-    /// Sorted label pairs.
-    pub labels: Vec<(String, String)>,
-    /// Last set value.
-    pub value: f64,
-}
-
-/// One histogram series in a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSample {
-    /// Metric name.
-    pub name: String,
-    /// Sorted label pairs.
-    pub labels: Vec<(String, String)>,
-    /// The histogram state.
-    pub histogram: Histogram,
-}
-
-/// An immutable snapshot of a [`MetricsRegistry`], ordered by metric key.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsReport {
-    /// Counter series.
-    pub counters: Vec<CounterSample>,
-    /// Gauge series.
-    pub gauges: Vec<GaugeSample>,
-    /// Histogram series.
-    pub histograms: Vec<HistogramSample>,
-}
-
-fn labels_to_json(labels: &[(String, String)]) -> Value {
-    Value::Obj(
-        labels.iter().map(|(k, v)| (k.clone(), Value::Str(v.clone()))).collect(),
-    )
-}
-
-fn labels_from_json(v: &Value) -> Result<Vec<(String, String)>, String> {
-    let pairs = v.as_obj().ok_or_else(|| "labels must be an object".to_string())?;
-    let mut out = Vec::with_capacity(pairs.len());
-    for (k, v) in pairs {
-        let v = v.as_str().ok_or_else(|| format!("label '{k}' must be a string"))?;
-        out.push((k.clone(), v.to_string()));
+record! {
+    /// One counter series in a snapshot.
+    #[derive(Eq)]
+    CounterSample {
+        /// Metric name.
+        name: String,
+        /// Sorted label pairs.
+        labels: Vec<(String, String)>,
+        /// Accumulated value.
+        value: u64,
     }
-    Ok(out)
+}
+
+record! {
+    /// One gauge series in a snapshot.
+    GaugeSample {
+        /// Metric name.
+        name: String,
+        /// Sorted label pairs.
+        labels: Vec<(String, String)>,
+        /// Last set value.
+        value: f64,
+    }
+}
+
+record! {
+    /// One histogram series in a snapshot: a [`Histogram`]'s state under
+    /// its name and labels.
+    HistogramSample {
+        /// Metric name.
+        name: String,
+        /// Sorted label pairs.
+        labels: Vec<(String, String)>,
+        /// Inclusive upper bucket bounds, ascending.
+        bounds: Vec<f64>,
+        /// Observation counts per bucket (`bounds.len() + 1` entries).
+        counts: Vec<u64>,
+        /// Total observations.
+        count: u64,
+        /// Sum of observed values.
+        sum: f64,
+    }
+    check HistogramSample::check
+}
+
+impl HistogramSample {
+    /// Rejects bucket counts that do not match the bounds plus overflow.
+    fn check(&self, path: &str) -> Result<(), String> {
+        let (n, want) = (self.counts.len(), self.bounds.len() + 1);
+        if n == want {
+            return Ok(());
+        }
+        Err(json::field_error(
+            &json::key_path(path, "counts"),
+            format_args!("has {n} values, expected {want} (bounds plus overflow)"),
+        ))
+    }
+}
+
+record! {
+    /// An immutable snapshot of a [`MetricsRegistry`], ordered by metric key.
+    MetricsReport {
+        /// Counter series.
+        counters: Vec<CounterSample>,
+        /// Gauge series.
+        gauges: Vec<GaugeSample>,
+        /// Histogram series.
+        histograms: Vec<HistogramSample>,
+    }
 }
 
 impl MetricsReport {
@@ -214,154 +226,6 @@ impl MetricsReport {
             .iter()
             .find(|g| g.name == key.name && g.labels == key.labels)
             .map(|g| g.value)
-    }
-
-    /// Serializes the report as a JSON value tree.
-    pub fn to_json_value(&self) -> Value {
-        let counters = self
-            .counters
-            .iter()
-            .map(|c| {
-                Value::Obj(vec![
-                    ("name".to_string(), Value::Str(c.name.clone())),
-                    ("labels".to_string(), labels_to_json(&c.labels)),
-                    ("value".to_string(), Value::Int(c.value as i64)),
-                ])
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|g| {
-                Value::Obj(vec![
-                    ("name".to_string(), Value::Str(g.name.clone())),
-                    ("labels".to_string(), labels_to_json(&g.labels)),
-                    ("value".to_string(), Value::Num(g.value)),
-                ])
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|h| {
-                Value::Obj(vec![
-                    ("name".to_string(), Value::Str(h.name.clone())),
-                    ("labels".to_string(), labels_to_json(&h.labels)),
-                    (
-                        "bounds".to_string(),
-                        Value::Arr(h.histogram.bounds.iter().map(|b| Value::Num(*b)).collect()),
-                    ),
-                    (
-                        "counts".to_string(),
-                        Value::Arr(
-                            h.histogram.counts.iter().map(|c| Value::Int(*c as i64)).collect(),
-                        ),
-                    ),
-                    ("count".to_string(), Value::Int(h.histogram.count as i64)),
-                    ("sum".to_string(), Value::Num(h.histogram.sum)),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("counters".to_string(), Value::Arr(counters)),
-            ("gauges".to_string(), Value::Arr(gauges)),
-            ("histograms".to_string(), Value::Arr(histograms)),
-        ])
-    }
-
-    /// Reconstructs a report from [`MetricsReport::to_json_value`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when a field is missing or mistyped.
-    pub fn from_json_value(v: &Value) -> Result<Self, String> {
-        let mut report = MetricsReport::default();
-        let counters = v
-            .get("counters")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| "missing counters".to_string())?;
-        for c in counters {
-            report.counters.push(CounterSample {
-                name: c
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "counter missing name".to_string())?
-                    .to_string(),
-                labels: labels_from_json(
-                    c.get("labels").ok_or_else(|| "counter missing labels".to_string())?,
-                )?,
-                value: c
-                    .get("value")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| "counter missing value".to_string())?,
-            });
-        }
-        let gauges = v
-            .get("gauges")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| "missing gauges".to_string())?;
-        for g in gauges {
-            report.gauges.push(GaugeSample {
-                name: g
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "gauge missing name".to_string())?
-                    .to_string(),
-                labels: labels_from_json(
-                    g.get("labels").ok_or_else(|| "gauge missing labels".to_string())?,
-                )?,
-                value: g
-                    .get("value")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| "gauge missing value".to_string())?,
-            });
-        }
-        let histograms = v
-            .get("histograms")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| "missing histograms".to_string())?;
-        for h in histograms {
-            let bounds: Vec<f64> = h
-                .get("bounds")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| "histogram missing bounds".to_string())?
-                .iter()
-                .map(|b| b.as_f64().ok_or_else(|| "histogram bound must be numeric".to_string()))
-                .collect::<Result<_, _>>()?;
-            let counts: Vec<u64> = h
-                .get("counts")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| "histogram missing counts".to_string())?
-                .iter()
-                .map(|c| c.as_u64().ok_or_else(|| "histogram count must be integer".to_string()))
-                .collect::<Result<_, _>>()?;
-            if counts.len() != bounds.len() + 1 {
-                return Err("histogram counts/bounds length mismatch".to_string());
-            }
-            report.histograms.push(HistogramSample {
-                name: h
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "histogram missing name".to_string())?
-                    .to_string(),
-                labels: labels_from_json(
-                    h.get("labels").ok_or_else(|| "histogram missing labels".to_string())?,
-                )?,
-                histogram: Histogram {
-                    bounds,
-                    counts,
-                    count: h
-                        .get("count")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| "histogram missing count".to_string())?,
-                    sum: h
-                        .get("sum")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| "histogram missing sum".to_string())?,
-                },
-            });
-        }
-        Ok(report)
     }
 }
 
@@ -474,7 +338,10 @@ impl MetricsRegistry {
                 .map(|(k, h)| HistogramSample {
                     name: k.name.clone(),
                     labels: k.labels.clone(),
-                    histogram: h.clone(),
+                    bounds: h.bounds.clone(),
+                    counts: h.counts.clone(),
+                    count: h.count,
+                    sum: h.sum,
                 })
                 .collect(),
         }
@@ -553,7 +420,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter_value("n", &[]), 7);
         let snap = a.snapshot();
-        assert_eq!(snap.histograms[0].histogram.count, 2);
+        assert_eq!(snap.histograms[0].count, 2);
     }
 
     #[test]
@@ -563,10 +430,7 @@ mod tests {
         reg.gauge_set("bus_util", &[], 0.75);
         reg.observe_with("latency", &[], &[8.0, 64.0], 17.0);
         let report = reg.snapshot();
-        let v = report.to_json_value();
-        let text = v.to_json();
-        let parsed = crate::json::Value::parse(&text).unwrap();
-        let back = MetricsReport::from_json_value(&parsed).unwrap();
+        let back: MetricsReport = json::decode(&json::encode(&report)).unwrap();
         assert_eq!(back, report);
     }
 }

@@ -29,8 +29,9 @@
 //! assert!(back.serving.is_none());
 //! ```
 
-use crate::json::Value;
+use crate::json::{self, Field, Value};
 use crate::metrics::MetricsReport;
+use crate::record;
 
 /// Schema version stamped into every report; [`RunReport::from_json`]
 /// reads this version only.
@@ -56,104 +57,6 @@ use crate::metrics::MetricsReport;
 /// A present section writes every key, zeros included (a `shed` of 0 is
 /// a result); an absent one writes nothing.
 pub const SCHEMA_VERSION: u32 = 11;
-
-/// One report value: its JSON form and the reader that takes it back.
-trait Field: Sized {
-    /// The JSON form; `None` leaves the key out (an absent section).
-    fn to_value(&self) -> Option<Value>;
-    /// Reads the value of the key at `path`; `v` is `None` when the key
-    /// is absent. Errors name `path` (`fault.ber`, `phases[2].name`).
-    fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String>;
-}
-
-fn missing(path: &str) -> String {
-    format!("missing or mistyped field '{path}'")
-}
-
-macro_rules! scalar {
-    ($ty:ty, $to:expr, $from:expr) => {
-        impl Field for $ty {
-            fn to_value(&self) -> Option<Value> {
-                Some($to(self))
-            }
-            fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
-                v.and_then($from).ok_or_else(|| missing(path))
-            }
-        }
-    };
-}
-
-scalar!(u32, |x: &u32| Value::Int(i64::from(*x)), |v: &Value| {
-    v.as_u64().and_then(|n| u32::try_from(n).ok())
-});
-scalar!(u64, |x: &u64| Value::Int(*x as i64), Value::as_u64);
-scalar!(f64, |x: &f64| Value::Num(*x), Value::as_f64);
-scalar!(String, |x: &String| Value::Str(x.clone()), |v: &Value| v.as_str().map(str::to_string));
-
-impl<T: Field> Field for Vec<T> {
-    fn to_value(&self) -> Option<Value> {
-        Some(Value::Arr(self.iter().filter_map(Field::to_value).collect()))
-    }
-    fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
-        let items = v.and_then(Value::as_arr).ok_or_else(|| missing(path))?;
-        let at = |(i, item)| T::from_value(Some(item), &format!("{path}[{i}]"));
-        items.iter().enumerate().map(at).collect()
-    }
-}
-
-impl<T: Field> Field for Option<T> {
-    fn to_value(&self) -> Option<Value> {
-        self.as_ref().and_then(Field::to_value)
-    }
-    fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
-        v.map(|v| T::from_value(Some(v), path)).transpose()
-    }
-}
-
-impl Field for MetricsReport {
-    fn to_value(&self) -> Option<Value> {
-        Some(self.to_json_value())
-    }
-    fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
-        MetricsReport::from_json_value(v.ok_or_else(|| missing(path))?)
-            .map_err(|e| format!("{path}: {e}"))
-    }
-}
-
-/// Declares a report object: the struct, and its JSON form with one key
-/// per field, in field order.
-macro_rules! record {
-    ($(#[$meta:meta])* $name:ident { $($(#[$fmeta:meta])* $field:ident: $ty:ty,)* }) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Default, PartialEq)]
-        pub struct $name {
-            $($(#[$fmeta])* pub $field: $ty,)*
-        }
-
-        impl Field for $name {
-            fn to_value(&self) -> Option<Value> {
-                let mut pairs = Vec::new();
-                $(if let Some(v) = self.$field.to_value() {
-                    pairs.push((stringify!($field).to_string(), v));
-                })*
-                Some(Value::Obj(pairs))
-            }
-            fn from_value(v: Option<&Value>, path: &str) -> Result<Self, String> {
-                let v = v.filter(|v| v.as_obj().is_some()).ok_or_else(|| missing(path))?;
-                let at = |key: &str| match path {
-                    "" => key.to_string(),
-                    _ => format!("{path}.{key}"),
-                };
-                Ok($name {
-                    $($field: Field::from_value(
-                        v.get(stringify!($field)),
-                        &at(stringify!($field)),
-                    )?,)*
-                })
-            }
-        }
-    };
-}
 
 record! {
     /// One timed phase of a run.
@@ -431,11 +334,6 @@ impl RunReport {
         self.phases.iter().map(|p| p.sim_cycles).sum()
     }
 
-    /// Sum of per-phase host wall time, nanoseconds.
-    pub fn phase_wall_ns(&self) -> f64 {
-        self.phases.iter().map(|p| p.wall_ns).sum()
-    }
-
     /// `true` when the per-phase cycle totals account exactly for the
     /// headline cycle count.
     pub fn is_consistent(&self) -> bool {
@@ -458,7 +356,7 @@ impl RunReport {
 
     /// Serializes the report to compact JSON.
     pub fn to_json(&self) -> String {
-        self.to_value().expect("a record always writes an object").to_json()
+        json::encode(self)
     }
 
     /// Parses a report produced by [`RunReport::to_json`].
@@ -466,16 +364,17 @@ impl RunReport {
     /// # Errors
     ///
     /// Returns a description when the text is not valid JSON, its
-    /// `schema_version` is not [`SCHEMA_VERSION`], or a key is missing or
-    /// mistyped (named as `section.key`).
+    /// `schema_version` is not [`SCHEMA_VERSION`], or the codec rejects a
+    /// field (named by its path, `fleet.tenants[1].shed`).
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = Value::parse(text)?;
-        match v.get("schema_version").and_then(Value::as_u64) {
-            Some(n) if n == u64::from(SCHEMA_VERSION) => Self::from_value(Some(&v), ""),
-            Some(n) => Err(format!(
+        // The version is read first, so an older report is named as such
+        // rather than by the first key it lacks.
+        match u32::from_value(v.get("schema_version"), "schema_version")? {
+            SCHEMA_VERSION => Self::from_value(Some(&v), ""),
+            n => Err(format!(
                 "unsupported schema_version {n}: this reader reads version {SCHEMA_VERSION} only"
             )),
-            None => Err(missing("schema_version")),
         }
     }
 }

@@ -184,11 +184,6 @@ impl TraceBuffer {
     pub fn drain(&mut self) -> Vec<TraceEvent> {
         self.events.drain(..).collect()
     }
-
-    /// Consumes the buffer into its events.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events.into()
-    }
 }
 
 impl TraceSink for TraceBuffer {

@@ -19,20 +19,13 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 
 /// How a simulation phase should be executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ParallelPolicy {
     /// Run every shard on the calling thread, in shard order.
+    #[default]
     Sequential,
     /// Run shards on exactly this many worker threads.
     Threads(NonZeroUsize),
-    /// Pick a thread count from the environment/machine at run time.
-    Auto,
-}
-
-impl Default for ParallelPolicy {
-    fn default() -> Self {
-        ParallelPolicy::Sequential
-    }
 }
 
 impl ParallelPolicy {
@@ -46,22 +39,11 @@ impl ParallelPolicy {
     }
 
     /// Resolves the policy to a concrete worker count (`1` = sequential).
-    ///
-    /// `Auto` honours the `ENMC_THREADS` environment variable when set to
-    /// a positive integer and otherwise uses `std::thread::available_parallelism`.
     pub fn worker_count(self) -> usize {
         match self {
             ParallelPolicy::Sequential => 1,
             ParallelPolicy::Threads(n) => n.get(),
-            ParallelPolicy::Auto => env_threads().unwrap_or_else(|| {
-                std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
-            }),
         }
-    }
-
-    /// True when [`worker_count`](Self::worker_count) would exceed one.
-    pub fn is_parallel(self) -> bool {
-        self.worker_count() > 1
     }
 }
 
@@ -110,7 +92,7 @@ impl SimConfig {
     ///
     /// `flag` is the parsed `--threads` value when the user passed one.
     /// With neither the flag nor the environment variable set, execution
-    /// is sequential — never `Auto` — so defaults stay deterministic and
+    /// is sequential, so defaults stay deterministic and
     /// machine-independent.
     pub fn resolve(flag: Option<usize>, check_protocol: bool) -> Self {
         let cfg = match flag.or_else(env_threads) {
@@ -273,9 +255,8 @@ mod tests {
         assert_eq!(ParallelPolicy::threads(0), ParallelPolicy::Sequential);
         assert_eq!(ParallelPolicy::threads(1), ParallelPolicy::Sequential);
         assert_eq!(ParallelPolicy::threads(4).worker_count(), 4);
-        assert!(!SimConfig::sequential().policy.is_parallel());
+        assert_eq!(SimConfig::sequential().worker_count(), 1);
         assert_eq!(SimConfig::with_threads(6).worker_count(), 6);
-        assert!(ParallelPolicy::Auto.worker_count() >= 1);
     }
 
     #[test]
@@ -288,8 +269,8 @@ mod tests {
         assert_eq!(cfg.policy, ParallelPolicy::Sequential);
         assert!(!cfg.check_protocol);
         // Without a flag the result is either sequential or the
-        // ENMC_THREADS count, depending on the ambient environment — but
-        // never Auto (env mutation in tests would race other threads).
+        // ENMC_THREADS count, depending on the ambient environment (env
+        // mutation in tests would race other threads).
         let cfg = SimConfig::resolve(None, false);
         match env_threads() {
             Some(n) if n > 1 => assert_eq!(cfg.worker_count(), n),

@@ -10,7 +10,8 @@
 //! wall metrics only fail when the new median regresses past a noise
 //! threshold.
 
-use enmc_obs::json::Value;
+use enmc_obs::record;
+use std::collections::BTreeMap;
 
 /// Version stamp of the `BENCH_<name>.json` format.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
@@ -24,26 +25,30 @@ pub enum MetricKind {
     Wall,
 }
 
-/// A recorded wall-time metric.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WallStat {
-    /// Median of the recorded samples, nanoseconds.
-    pub median_ns: f64,
-    /// How many samples the median was taken over.
-    pub samples: u64,
+record! {
+    /// A recorded wall-time metric.
+    #[derive(Copy)]
+    WallStat {
+        /// Median of the recorded samples, nanoseconds.
+        median_ns: f64,
+        /// How many samples the median was taken over.
+        samples: u64,
+    }
 }
 
-/// One bench run's stable record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Bench name (the `<name>` in `BENCH_<name>.json`).
-    pub name: String,
-    /// Format version ([`BENCH_SCHEMA_VERSION`]).
-    pub schema: u32,
-    /// Deterministic metrics, kept sorted by name.
-    pub deterministic: Vec<(String, f64)>,
-    /// Wall metrics, kept sorted by name.
-    pub wall: Vec<(String, WallStat)>,
+record! {
+    /// One bench run's stable record.
+    BenchRecord {
+        /// Bench name (the `<name>` in `BENCH_<name>.json`).
+        name: String,
+        /// Format version ([`BENCH_SCHEMA_VERSION`]).
+        schema: u32,
+        /// Deterministic metrics by name ([`BenchRecord::metric`] keeps
+        /// them sorted).
+        deterministic: Vec<(String, f64)>,
+        /// Wall metrics by name, kept sorted the same way.
+        wall: Vec<(String, WallStat)>,
+    }
 }
 
 /// Median of `samples` (midpoint average for even counts).
@@ -76,7 +81,9 @@ impl BenchRecord {
 
     /// Records (or overwrites) a deterministic metric.
     pub fn metric(&mut self, name: &str, value: f64) {
-        upsert(&mut self.deterministic, name, value);
+        // `+ 0.0` stores a negative zero as `0`, which is how records have
+        // always written it.
+        upsert(&mut self.deterministic, name, value + 0.0);
     }
 
     /// Records (or overwrites) a wall metric as the median of
@@ -86,84 +93,9 @@ impl BenchRecord {
     ///
     /// Panics if `samples_ns` is empty.
     pub fn wall_metric(&mut self, name: &str, samples_ns: &[f64]) {
-        let stat = WallStat { median_ns: median(samples_ns), samples: samples_ns.len() as u64 };
+        let stat =
+            WallStat { median_ns: median(samples_ns) + 0.0, samples: samples_ns.len() as u64 };
         upsert(&mut self.wall, name, stat);
-    }
-
-    /// Serializes to the stable JSON format (sorted keys, compact).
-    pub fn to_json(&self) -> String {
-        let num = |v: f64| {
-            if v.fract() == 0.0 && v.abs() < 9.0e15 {
-                Value::Int(v as i64)
-            } else {
-                Value::Num(v)
-            }
-        };
-        let deterministic = Value::Obj(
-            self.deterministic.iter().map(|(k, v)| (k.clone(), num(*v))).collect(),
-        );
-        let wall = Value::Obj(
-            self.wall
-                .iter()
-                .map(|(k, s)| {
-                    (
-                        k.clone(),
-                        Value::Obj(vec![
-                            ("median_ns".to_string(), num(s.median_ns)),
-                            ("samples".to_string(), Value::Int(s.samples as i64)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        Value::Obj(vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("schema".to_string(), Value::Int(self.schema as i64)),
-            ("deterministic".to_string(), deterministic),
-            ("wall".to_string(), wall),
-        ])
-        .to_json()
-    }
-
-    /// Parses a record produced by [`BenchRecord::to_json`].
-    pub fn parse(text: &str) -> Result<BenchRecord, String> {
-        let v = Value::parse(text).map_err(|e| format!("bench record: {e}"))?;
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("bench record: missing 'name'")?
-            .to_string();
-        let schema = v
-            .get("schema")
-            .and_then(Value::as_u64)
-            .ok_or("bench record: missing 'schema'")? as u32;
-        let mut deterministic = Vec::new();
-        for (k, m) in v
-            .get("deterministic")
-            .and_then(Value::as_obj)
-            .ok_or("bench record: missing 'deterministic'")?
-        {
-            let val =
-                m.as_f64().ok_or_else(|| format!("bench record: metric '{k}' not a number"))?;
-            deterministic.push((k.clone(), val));
-        }
-        let mut wall = Vec::new();
-        for (k, m) in
-            v.get("wall").and_then(Value::as_obj).ok_or("bench record: missing 'wall'")?
-        {
-            let median_ns = m
-                .get("median_ns")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("bench record: wall '{k}' missing median_ns"))?;
-            let samples = m
-                .get("samples")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("bench record: wall '{k}' missing samples"))?;
-            wall.push((k.clone(), WallStat { median_ns, samples }));
-        }
-        deterministic.sort_by(|a, b| a.0.cmp(&b.0));
-        wall.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(BenchRecord { name, schema, deterministic, wall })
     }
 }
 
@@ -335,44 +267,22 @@ pub fn diff(old: &BenchRecord, new: &BenchRecord, wall_tolerance: f64) -> Result
     Ok(DiffReport { rows })
 }
 
-/// Full outer join of two name-sorted metric lists, in name order.
+/// Full outer join of two metric lists, in name order.
 fn join(old: &[(String, f64)], new: &[(String, f64)]) -> Vec<(String, Option<f64>, Option<f64>)> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < old.len() || j < new.len() {
-        match (old.get(i), new.get(j)) {
-            (Some((ko, vo)), Some((kn, vn))) => match ko.cmp(kn) {
-                std::cmp::Ordering::Equal => {
-                    out.push((ko.clone(), Some(*vo), Some(*vn)));
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    out.push((ko.clone(), Some(*vo), None));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push((kn.clone(), None, Some(*vn)));
-                    j += 1;
-                }
-            },
-            (Some((ko, vo)), None) => {
-                out.push((ko.clone(), Some(*vo), None));
-                i += 1;
-            }
-            (None, Some((kn, vn))) => {
-                out.push((kn.clone(), None, Some(*vn)));
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
+    let mut rows: BTreeMap<&str, (Option<f64>, Option<f64>)> = BTreeMap::new();
+    for (name, v) in old {
+        rows.entry(name).or_default().0 = Some(*v);
     }
-    out
+    for (name, v) in new {
+        rows.entry(name).or_default().1 = Some(*v);
+    }
+    rows.into_iter().map(|(name, (o, n))| (name.to_string(), o, n)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enmc_obs::json;
 
     fn record() -> BenchRecord {
         let mut r = BenchRecord::new("fig13");
@@ -399,21 +309,21 @@ mod tests {
     #[test]
     fn record_round_trips_through_json() {
         let r = record();
-        let back = BenchRecord::parse(&r.to_json()).unwrap();
+        let back = json::decode::<BenchRecord>(&json::encode(&r)).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.wall[0].1, WallStat { median_ns: 1_000.0, samples: 3 });
     }
 
     #[test]
     fn json_is_byte_stable() {
-        assert_eq!(record().to_json(), record().to_json());
+        assert_eq!(json::encode(&record()), json::encode(&record()));
         let mut reordered = BenchRecord::new("fig13");
         reordered.metric("quality_pct", 99.5);
         reordered.metric("energy_nj", 789.25);
         reordered.metric("sim_cycles", 123_456.0);
         reordered.wall_metric("run_ns", &[1_000.0, 1_200.0, 900.0]);
         // Insertion order does not leak into the serialized form.
-        assert_eq!(reordered.to_json(), record().to_json());
+        assert_eq!(json::encode(&reordered), json::encode(&record()));
     }
 
     #[test]
@@ -510,11 +420,18 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_records() {
-        assert!(BenchRecord::parse("{}").is_err());
-        assert!(BenchRecord::parse("not json").is_err());
-        assert!(BenchRecord::parse(
+        assert!(json::decode::<BenchRecord>("{}").is_err());
+        assert!(json::decode::<BenchRecord>("not json").is_err());
+        assert!(json::decode::<BenchRecord>(
             r#"{"name":"x","schema":1,"deterministic":{"a":"oops"},"wall":{}}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn negative_zero_writes_as_zero() {
+        let mut r = BenchRecord::new("z");
+        r.metric("delta", -0.0);
+        assert!(json::encode(&r).contains(r#""delta":0"#), "{}", json::encode(&r));
     }
 }

@@ -24,6 +24,7 @@
 use enmc_arch::unit::{RankJob, RankUnit, UnitParams, UnitReport};
 use enmc_dram::stats::MAX_BANK_GROUPS;
 use enmc_dram::DramStats;
+use enmc_obs::{json, record};
 
 /// Counter targets fitted per shape by weighted monotone ridge, in
 /// serialization order. The DRAM statistics carry the `dram.` prefix.
@@ -174,41 +175,46 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One fitted shape: ridge coefficients for every smooth target, the
-/// anchor table for the timeline values, and the envelope the anchors
-/// covered. Queries inside the envelope interpolate; queries outside
-/// extrapolate linearly from the edge grid segment (the audit keeps
-/// that honest).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShapeFit {
-    /// Per-rank categories of the representative slice the anchors ran.
-    pub categories: usize,
-    /// Hidden dimension `d`.
-    pub hidden: usize,
-    /// Reduced dimension `k`.
-    pub reduced: usize,
-    /// Batch items sharing one streamed weight tile (fixed by `reduced`
-    /// and the unit's buffer, recorded so prediction needs no params).
-    pub batch_reuse: usize,
-    /// Cycle-accurate anchor simulations the fit consumed.
-    pub anchors: usize,
-    /// Largest anchored batch.
-    pub batch_hi: usize,
-    /// Largest anchored per-item candidate count.
-    pub cand_hi: usize,
-    /// Simulated nanoseconds per DRAM cycle (constant for a DDR4 speed
-    /// grade; averaged over anchors).
-    pub ns_per_cycle: f64,
-    /// `TARGETS.len()` coefficient rows of [`N_FEATURES`] each.
-    pub coeffs: Vec<Vec<f64>>,
-    /// Sorted batch values of the anchor grid rows.
-    pub grid_batches: Vec<usize>,
-    /// Sorted per-item candidate levels of the anchor grid columns.
-    pub grid_cands: Vec<usize>,
-    /// `[batch][cand]` anchor values for [`TABLE_COLS`]. Cells no anchor
-    /// covered hold zero (the DoE plan is a full factorial, so this only
-    /// happens for hand-built anchor sets).
-    pub table: Vec<Vec<[f64; N_TABLE]>>,
+record! {
+    /// One fitted shape: ridge coefficients for every smooth target, the
+    /// anchor table for the timeline values, and the envelope the anchors
+    /// covered. Queries inside the envelope interpolate; queries outside
+    /// extrapolate linearly from the edge grid segment (the audit keeps
+    /// that honest). It is one entry of a coefficient file
+    /// ([`crate::CoeffFile`]), whose reader checks the grid and table
+    /// sizes and the target rows.
+    ShapeFit {
+        /// Per-rank categories of the representative slice the anchors ran.
+        categories: usize,
+        /// Hidden dimension `d`.
+        hidden: usize,
+        /// Reduced dimension `k`.
+        reduced: usize,
+        /// Batch items sharing one streamed weight tile (fixed by `reduced`
+        /// and the unit's buffer, recorded so prediction needs no params).
+        batch_reuse: usize,
+        /// Cycle-accurate anchor simulations the fit consumed.
+        anchors: usize,
+        /// Largest anchored batch.
+        batch_hi: usize,
+        /// Largest anchored per-item candidate count.
+        cand_hi: usize,
+        /// Simulated nanoseconds per DRAM cycle (constant for a DDR4 speed
+        /// grade; averaged over anchors).
+        ns_per_cycle: f64,
+        /// Sorted batch values of the anchor grid rows.
+        grid_batches: Vec<usize>,
+        /// Sorted per-item candidate levels of the anchor grid columns.
+        grid_cands: Vec<usize>,
+        /// `[batch][cand]` anchor values for [`TABLE_COLS`]. Cells no anchor
+        /// covered hold zero (the DoE plan is a full factorial, so this only
+        /// happens for hand-built anchor sets).
+        table: Vec<Vec<[f64; N_TABLE]>>,
+        /// One coefficient row of [`N_FEATURES`] per target, keyed by its
+        /// [`TARGETS`] name, in that order.
+        targets: Vec<(String, Vec<f64>)>,
+    }
+    check ShapeFit::check
 }
 
 /// The deterministic anchor plan for one shape envelope: the full cross
@@ -282,15 +288,16 @@ pub fn fit_from_anchors(
     let refresh_window = if refresh_window.is_finite() { refresh_window } else { 0.0 };
 
     let mut coeffs = Vec::with_capacity(TARGETS.len());
-    for t in 0..TARGETS.len() {
+    for (t, name) in TARGETS.iter().enumerate() {
         let y: Vec<f64> = anchors.iter().map(|(_, r)| extract_targets(r)[t]).collect();
-        coeffs.push(if t == T_REFRESH_INTERVAL {
+        let row = if t == T_REFRESH_INTERVAL {
             let mut row = vec![0.0; N_FEATURES];
             row[0] = refresh_window;
             row
         } else {
             solve_monotone(&rows, &y)
-        });
+        };
+        coeffs.push((name.to_string(), row));
     }
 
     // Anchor table over the observed grid. The DoE plan is a full
@@ -343,10 +350,10 @@ pub fn fit_from_anchors(
         batch_hi: grid_batches.last().copied().unwrap_or(1),
         cand_hi: grid_cands.last().copied().unwrap_or(1),
         ns_per_cycle: if n > 0 { ns_per_cycle / n as f64 } else { 0.0 },
-        coeffs,
         grid_batches,
         grid_cands,
         table,
+        targets: coeffs,
     }
 }
 
@@ -371,6 +378,37 @@ fn interp1(xs: &[usize], ys: &[f64], x: f64) -> f64 {
 }
 
 impl ShapeFit {
+    /// What the field types leave open: non-empty grids, a table with one
+    /// cell per grid point, and one [`N_FEATURES`]-long row per target,
+    /// keyed in [`TARGETS`] order.
+    fn check(&self, path: &str) -> Result<(), String> {
+        let at = |key: &str| json::key_path(path, key);
+        for (key, grid) in [("grid_batches", &self.grid_batches), ("grid_cands", &self.grid_cands)]
+        {
+            if grid.is_empty() {
+                return Err(json::field_error(&at(key), "is empty"));
+            }
+        }
+        let (nb, nc) = (self.grid_batches.len(), self.grid_cands.len());
+        if self.table.len() != nb || self.table.iter().any(|row| row.len() != nc) {
+            let cells: usize = self.table.iter().map(Vec::len).sum();
+            let what = format_args!("has {cells} cells, expected {nb}×{nc}");
+            return Err(json::field_error(&at("table"), what));
+        }
+        let names: Vec<&str> = self.targets.iter().map(|(name, _)| name.as_str()).collect();
+        if names != TARGETS {
+            let what = format_args!("has keys {names:?}, expected {TARGETS:?}");
+            return Err(json::field_error(&at("targets"), what));
+        }
+        match self.targets.iter().find(|(_, row)| row.len() != N_FEATURES) {
+            Some((name, row)) => {
+                let what = format_args!("has {} values, expected {N_FEATURES}", row.len());
+                Err(json::field_error(&at(&format!("targets.{name}")), what))
+            }
+            None => Ok(()),
+        }
+    }
+
     /// Runs the deterministic DoE anchor plan on the cycle-accurate
     /// rank-unit and fits the shape. `categories` is the per-rank
     /// category count of the representative slice; `batch_hi` /
@@ -409,7 +447,7 @@ impl ShapeFit {
     /// Power-down idle is quantized to this window, so audit bounds on
     /// the background-power leaves carry a one-window quantum floor.
     pub fn refresh_window(&self) -> f64 {
-        self.coeffs[T_REFRESH_INTERVAL][0]
+        self.targets[T_REFRESH_INTERVAL].1[0]
     }
 
     /// Bilinear table lookup for column `k` at the job's (batch, mean
@@ -435,7 +473,7 @@ impl ShapeFit {
     pub fn predict(&self, job: &RankJob) -> UnitReport {
         let x = features(job, self.batch_reuse);
         let mut v = [0.0f64; 24];
-        for (t, row) in self.coeffs.iter().enumerate() {
+        for (t, (_, row)) in self.targets.iter().enumerate() {
             let mut y = 0.0;
             for (xi, ci) in x.iter().zip(row) {
                 y += xi * ci;
@@ -668,7 +706,7 @@ mod tests {
         let a = ShapeFit::fit(&p, 520, 64, 16, 8, 40, 7);
         let b = ShapeFit::fit(&p, 520, 64, 16, 8, 40, 7);
         assert_eq!(a, b);
-        for (ra, rb) in a.coeffs.iter().zip(&b.coeffs) {
+        for ((_, ra), (_, rb)) in a.targets.iter().zip(&b.targets) {
             for (ca, cb) in ra.iter().zip(rb) {
                 assert_eq!(ca.to_bits(), cb.to_bits(), "coefficients must match bitwise");
             }

@@ -29,10 +29,11 @@ use enmc_arch::system::{ClassificationJob, Scheme, SchemeResult, ShardedRun, CHA
 use enmc_arch::unit::UnitReport;
 use enmc_arch::{LogicEnergyModel, SystemEnergy, SystemModel};
 use enmc_dram::DramStats;
-use enmc_obs::json::Value;
+use enmc_obs::json;
+use enmc_obs::record;
 use enmc_obs::report::Surrogate;
 use enmc_par::SimConfig;
-use fit::{splitmix64, ShapeFit, N_FEATURES, N_TABLE, TABLE_COLS, TARGETS};
+use fit::{splitmix64, ShapeFit, TABLE_COLS, TARGETS};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -441,39 +442,13 @@ impl CostModel {
         Ok(())
     }
 
-    /// Serializes the fitted coefficients (one object per fitted shape,
-    /// shapes in key order, targets in [`TARGETS`] order) so a sweep can
-    /// reuse a fit — and so CI can perturb one coefficient and prove the
-    /// audit catches it.
+    /// Serializes the fitted coefficients as a [`CoeffFile`] (shapes in
+    /// key order, targets in [`TARGETS`] order) so a sweep can reuse a
+    /// fit — and so CI can perturb one coefficient and prove the audit
+    /// catches it.
     pub fn coeffs_to_json(&self) -> String {
-        let int = |x: usize| Value::Int(x as i64);
-        let ints = |xs: &[usize]| Value::Arr(xs.iter().map(|&x| int(x)).collect());
-        let nums = |xs: &[f64]| Value::Arr(xs.iter().map(|&x| Value::Num(x)).collect());
-        let fits = self.fits.values().map(|fit| {
-            let table =
-                fit.table.iter().map(|row| Value::Arr(row.iter().map(|c| nums(c)).collect()));
-            let targets = TARGETS.iter().zip(&fit.coeffs).map(|(t, c)| (t.to_string(), nums(c)));
-            Value::Obj(vec![
-                ("categories".into(), int(fit.categories)),
-                ("hidden".into(), int(fit.hidden)),
-                ("reduced".into(), int(fit.reduced)),
-                ("batch_reuse".into(), int(fit.batch_reuse)),
-                ("anchors".into(), int(fit.anchors)),
-                ("batch_hi".into(), int(fit.batch_hi)),
-                ("cand_hi".into(), int(fit.cand_hi)),
-                ("ns_per_cycle".into(), Value::Num(fit.ns_per_cycle)),
-                ("grid_batches".into(), ints(&fit.grid_batches)),
-                ("grid_cands".into(), ints(&fit.grid_cands)),
-                ("table".into(), Value::Arr(table.collect())),
-                ("targets".into(), Value::Obj(targets.collect())),
-            ])
-        });
-        // `Value::Int` holds an `i64`, and the seed may be any `u64`.
-        format!(
-            "{{\"surrogate_coeffs\":1,\"seed\":{},\"fits\":{}}}",
-            self.seed,
-            Value::Arr(fits.collect()).to_json()
-        )
+        let fits = self.fits.values().cloned().collect();
+        json::encode(&CoeffFile { surrogate_coeffs: 1, seed: self.seed, fits })
     }
 
     /// Loads coefficients serialized by [`CostModel::coeffs_to_json`]
@@ -482,26 +457,14 @@ impl CostModel {
     ///
     /// # Errors
     ///
-    /// Returns a description naming the offending field when the text is
-    /// not a coefficient file: bad JSON, a missing tag, field or fit, a
-    /// grid, table or coefficient row of the wrong size, or a number that
-    /// is not finite.
+    /// Returns the codec's error naming the field when the text is not a
+    /// [`CoeffFile`]: bad JSON, a missing, mistyped or non-finite value,
+    /// a wrong tag, no fit, or a grid, table or coefficient row of the
+    /// wrong size.
     pub fn load_coeffs(&mut self, json: &str) -> Result<(), String> {
-        let doc = Value::parse(json)?;
-        if doc.get("surrogate_coeffs").and_then(Value::as_u64) != Some(1) {
-            return Err("not a surrogate coefficient file (missing surrogate_coeffs:1)".into());
-        }
-        let list =
-            doc.get("fits").and_then(Value::as_arr).ok_or("coefficient file missing field fits")?;
-        let mut fits = BTreeMap::new();
-        for (i, obj) in list.iter().enumerate() {
-            let fit = read_fit(obj, &format!("fits[{i}]"))?;
-            fits.insert((fit.categories, fit.hidden, fit.reduced), fit);
-        }
-        if fits.is_empty() {
-            return Err("surrogate coefficient file contains no fitted shapes".into());
-        }
-        self.fits = fits;
+        let file: CoeffFile = json::decode(json)?;
+        let key = |fit: &ShapeFit| (fit.categories, fit.hidden, fit.reduced);
+        self.fits = file.fits.into_iter().map(|fit| (key(&fit), fit)).collect();
         Ok(())
     }
 
@@ -519,7 +482,7 @@ impl CostModel {
         let mut touched = 0;
         if let Some(t) = TARGETS.iter().position(|n| *n == target) {
             for fit in self.fits.values_mut() {
-                for c in &mut fit.coeffs[t] {
+                for c in &mut fit.targets[t].1 {
                     *c *= factor;
                 }
                 touched += 1;
@@ -540,77 +503,36 @@ impl CostModel {
     }
 }
 
-/// Reads one fitted shape, `at` being its path in the file
-/// (`fits[0]`); every error names the field it stopped at.
-fn read_fit(obj: &Value, at: &str) -> Result<ShapeFit, String> {
-    let get = |name: &str| {
-        obj.get(name).ok_or_else(|| format!("coefficient file missing field {at}.{name}"))
-    };
-    let int = |v: &Value, path: &str| {
-        v.as_u64().map(|n| n as usize).ok_or_else(|| format!("field {path} is not an integer"))
-    };
-    let field = |name: &str| int(get(name)?, &format!("{at}.{name}"));
-    let grid = |name: &str| -> Result<Vec<usize>, String> {
-        let path = format!("{at}.{name}");
-        let items = get(name)?.as_arr().filter(|a| !a.is_empty());
-        let items = items.ok_or_else(|| format!("field {path} is not a non-empty list"))?;
-        items.iter().enumerate().map(|(j, v)| int(v, &format!("{path}[{j}]"))).collect()
-    };
-    let grid_batches = grid("grid_batches")?;
-    let grid_cands = grid("grid_cands")?;
-    let (nb, nc) = (grid_batches.len(), grid_cands.len());
-    let rows = get("table")?.as_arr().ok_or_else(|| format!("field {at}.table is not a list"))?;
-    let mut table = Vec::with_capacity(rows.len());
-    for (bi, row) in rows.iter().enumerate() {
-        let path = format!("{at}.table[{bi}]");
-        let cells = row.as_arr().ok_or_else(|| format!("field {path} is not a list"))?;
-        let cell = |(ci, c)| numbers(c, &format!("{path}[{ci}]"), N_TABLE);
-        let cells = cells.iter().enumerate().map(cell).collect::<Result<Vec<_>, _>>()?;
-        table.push(
-            cells.into_iter().map(|c| <[f64; N_TABLE]>::try_from(c).expect("sized")).collect(),
-        );
+record! {
+    /// A surrogate coefficient file, as `--coeffs-out` writes it and
+    /// `--coeffs` reads it.
+    CoeffFile {
+        /// Format tag; always 1.
+        surrogate_coeffs: u64,
+        /// Audit seed of the model that wrote the file (informative; a
+        /// loading model keeps its own).
+        seed: u64,
+        /// One entry per fitted shape, in shape-key order.
+        fits: Vec<ShapeFit>,
     }
-    if table.len() != nb || table.iter().any(|r: &Vec<_>| r.len() != nc) {
-        let cells: usize = table.iter().map(Vec::len).sum();
-        return Err(format!("field {at}.table has {cells} cells, expected {nb}×{nc}"));
-    }
-    let targets = get("targets")?;
-    let row = |name: &&str| {
-        let path = format!("{at}.targets.{name}");
-        let v =
-            targets.get(name).ok_or_else(|| format!("coefficient file missing target {path}"))?;
-        numbers(v, &path, N_FEATURES)
-    };
-    Ok(ShapeFit {
-        categories: field("categories")?,
-        hidden: field("hidden")?,
-        reduced: field("reduced")?,
-        batch_reuse: field("batch_reuse")?,
-        anchors: field("anchors")?,
-        batch_hi: field("batch_hi")?,
-        cand_hi: field("cand_hi")?,
-        ns_per_cycle: number(get("ns_per_cycle")?, &format!("{at}.ns_per_cycle"))?,
-        coeffs: TARGETS.iter().map(row).collect::<Result<_, _>>()?,
-        grid_batches,
-        grid_cands,
-        table,
-    })
+    check CoeffFile::check
 }
 
-/// The finite number at `path`.
-fn number(v: &Value, path: &str) -> Result<f64, String> {
-    v.as_f64()
-        .filter(|x| x.is_finite())
-        .ok_or_else(|| format!("field {path} is not a finite number"))
-}
-
-/// The list of exactly `len` finite numbers at `path`.
-fn numbers(v: &Value, path: &str, len: usize) -> Result<Vec<f64>, String> {
-    let items = v.as_arr().ok_or_else(|| format!("field {path} is not a list"))?;
-    if items.len() != len {
-        return Err(format!("field {path} has {} values, expected {len}", items.len()));
+impl CoeffFile {
+    fn check(&self, path: &str) -> Result<(), String> {
+        let at = |key| json::key_path(path, key);
+        if self.surrogate_coeffs != 1 {
+            let tag = self.surrogate_coeffs;
+            return Err(json::field_error(
+                &at("surrogate_coeffs"),
+                format_args!("is {tag}, expected 1"),
+            ));
+        }
+        if self.fits.is_empty() {
+            return Err(json::field_error(&at("fits"), "holds no fitted shape"));
+        }
+        Ok(())
     }
-    items.iter().enumerate().map(|(i, x)| number(x, &format!("{path}[{i}]"))).collect()
 }
 
 #[cfg(test)]
@@ -692,7 +614,8 @@ mod tests {
     fn load_rejects_garbage() {
         let mut cost = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, 7);
         assert!(cost.load_coeffs("{}").is_err());
-        assert!(cost.load_coeffs("{\"surrogate_coeffs\":1,\"seed\":7,\"fits\":[]}").is_err());
+        let err = cost.load_coeffs("{\"surrogate_coeffs\":1,\"seed\":7,\"fits\":[]}").unwrap_err();
+        assert!(err.contains("'fits' holds no fitted shape"), "{err}");
     }
 
     /// The coefficient file of one hand-built fit (no simulation).
@@ -707,7 +630,7 @@ mod tests {
             batch_hi: 8,
             cand_hi: 1,
             ns_per_cycle: 0.75,
-            coeffs: vec![vec![0.5; N_FEATURES]; TARGETS.len()],
+            targets: TARGETS.iter().map(|t| (t.to_string(), vec![0.5; fit::N_FEATURES])).collect(),
             grid_batches: vec![1, 2],
             grid_cands: vec![0, 1],
             table: vec![vec![[1.0, 2.0, 0.25, 1e-3]; 2]; 2],
@@ -725,17 +648,32 @@ mod tests {
         assert_eq!(cost.coeffs_to_json(), good, "a loaded file writes back byte for byte");
         let table = good.find("\"table\"").unwrap();
         for (bad, field) in [
-            (good.replace("\"ns_per_cycle\":0.75", "\"ns_per_cycle\":NaN"), "\"ns_per_cycle\""),
+            (
+                good.replace("\"ns_per_cycle\":0.75", "\"ns_per_cycle\":NaN"),
+                "'fits[0].ns_per_cycle'",
+            ),
             (
                 good.replace("\"ns_per_cycle\":0.75", "\"ns_per_cycle\":1e999"),
-                "fits[0].ns_per_cycle",
+                "'fits[0].ns_per_cycle' is not a finite number",
             ),
-            (good.replacen("0.25", "-1e999", 1), "fits[0].table[0][0][2]"),
-            (good[..table + 12].to_string(), "\"table\""),
-            (good.replace("\"grid_cands\":[0,1]", "\"grid_cands\":[]"), "fits[0].grid_cands"),
-            (good.replacen(",0.001]", "]", 1), "fits[0].table[0][0]"),
-            (good.replacen("0.5,", "", 1), "fits[0].targets.screener_busy"),
-            (good.replace("\"grid_batches\":[1,2]", "\"grid_batches\":[1]"), "fits[0].table"),
+            (good.replacen("0.25", "-1e999", 1), "'fits[0].table[0][0][2]'"),
+            (good[..table + 12].to_string(), "'fits[0].table"),
+            (
+                good.replace("\"grid_cands\":[0,1]", "\"grid_cands\":[]"),
+                "'fits[0].grid_cands' is empty",
+            ),
+            (good.replacen(",0.001]", "]", 1), "'fits[0].table[0][0]' has 3 values, expected 4"),
+            (good.replacen("0.5,", "", 1), "'fits[0].targets.screener_busy' has 5 values"),
+            (good.replace("\"grid_batches\":[1,2]", "\"grid_batches\":[1]"), "'fits[0].table'"),
+            (
+                good.replace("\"hidden\":1500", "\"hidden\":-1"),
+                "'fits[0].hidden' is -1, outside usize",
+            ),
+            (
+                good.replace("\"surrogate_coeffs\":1", "\"surrogate_coeffs\":2"),
+                "'surrogate_coeffs' is 2",
+            ),
+            (good.replace("\"screener_busy\"", "\"screener_idle\""), "'fits[0].targets' has keys"),
         ] {
             let err = cost.load_coeffs(&bad).unwrap_err();
             assert!(err.contains(field), "{field}: {err}");

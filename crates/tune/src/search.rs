@@ -197,8 +197,15 @@ pub fn tune_report(
     cost: &CostModel,
 ) -> RunReport {
     let mut report = RunReport::new("tune", workload, "enmc");
+    // A design counts as an audit point when the audit re-ran its
+    // surrogate prediction; a cycle-accurate run predicts nothing.
+    let audited = match cost.backend() {
+        CostBackend::Surrogate { .. } => result.audited(),
+        CostBackend::CycleAccurate => 0,
+    };
     let stats = AuditStats {
         fit_anchors: result.evaluated.iter().map(|d| d.fit_anchors).sum(),
+        audited,
         max_rel_err: result.evaluated.iter().map(|d| d.audit_max_rel_err).fold(0.0, f64::max),
         ..AuditStats::default()
     };
@@ -355,17 +362,28 @@ mod tests {
     fn report_is_consistent_and_carries_its_sections() {
         let sys = SystemModel::table3();
         let job = small_job();
-        let cfg = base_cfg();
-        let r = tune(&sys, &job, &cfg).unwrap();
-        let cost = CostModel::new(cfg.backend, cfg.seed);
-        let report = tune_report("lstm", &cfg, &r, &cost);
-        assert_eq!(report.schema_version, enmc_obs::report::SCHEMA_VERSION);
-        assert!(report.is_consistent());
-        assert_eq!(report.sections(), ["surrogate", "tune"]);
-        let tune = report.tune.as_ref().unwrap();
-        assert_eq!(tune.space_size, 32);
-        assert_eq!(tune.frontier_points, r.frontier.len() as u64);
-        assert_eq!(report.surrogate.as_ref().unwrap().cost_backend, "surrogate");
-        assert_eq!(RunReport::from_json(&report.to_json()).unwrap(), report);
+        for backend in [base_cfg().backend, CostBackend::CycleAccurate] {
+            let cfg = TuneConfig { backend, ..base_cfg() };
+            let r = tune(&sys, &job, &cfg).unwrap();
+            let cost = CostModel::new(cfg.backend, cfg.seed);
+            let report = tune_report("lstm", &cfg, &r, &cost);
+            assert_eq!(report.schema_version, enmc_obs::report::SCHEMA_VERSION);
+            assert!(report.is_consistent());
+            assert_eq!(report.sections(), ["surrogate", "tune"]);
+            let tune = report.tune.as_ref().unwrap();
+            assert_eq!(tune.space_size, 32);
+            assert_eq!(tune.frontier_points, r.frontier.len() as u64);
+            let surrogate = report.surrogate.as_ref().unwrap();
+            assert_eq!(surrogate.cost_backend, backend.name());
+            // Audit points count the designs whose prediction the audit
+            // re-ran; the cycle-accurate backend predicts none.
+            let audit_points = match backend {
+                CostBackend::Surrogate { .. } => tune.audited_designs,
+                CostBackend::CycleAccurate => 0,
+            };
+            assert!(tune.audited_designs > 0);
+            assert_eq!(surrogate.audit_points, audit_points);
+            assert_eq!(RunReport::from_json(&report.to_json()).unwrap(), report);
+        }
     }
 }

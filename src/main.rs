@@ -16,6 +16,7 @@ use enmc::fleet::{simulate_fleet, FleetConfig, FleetOutcome, TenantConfig};
 use enmc::isa::{Instruction, Program};
 use enmc::mem::MemTech;
 use enmc::model::workloads::{Workload, WorkloadId};
+use enmc::obs::json::{self, Nullable};
 use enmc::obs::report::{RunReport, Stopwatch};
 use enmc::obs::trace::export_chrome;
 use enmc::obs::{MetricsRegistry, TraceBuffer};
@@ -866,7 +867,7 @@ fn cmd_fuzz_dram(a: &Args) -> Result<i32, Fail> {
         let repro = Reproducer {
             pattern,
             seed,
-            bug: bug.map(|b| b.name().to_string()),
+            bug: Nullable(bug.map(|b| b.name().to_string())),
             // Baseline runs omit the field so pre-preset reproducers stay
             // byte-identical.
             memory: (memory != MemTech::Ddr4_2666).then(|| memory.name().to_string()),
@@ -876,9 +877,9 @@ fn cmd_fuzz_dram(a: &Args) -> Result<i32, Fail> {
             "first failure shrunk to {} request(s):",
             repro.requests.len()
         );
-        println!("{}", repro.to_json());
+        println!("{}", json::encode(&repro));
         if let Some(path) = repro_out {
-            write_file(path, "reproducer", &repro.to_json())?;
+            write_file(path, "reproducer", &json::encode(&repro))?;
         }
     }
 
@@ -976,7 +977,7 @@ fn cmd_bench_diff(a: &Args) -> Result<i32, Fail> {
     let tolerance = a.get("--wall-tolerance", nonnegative)?;
     let load = |path: &str| -> Result<BenchRecord, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        BenchRecord::parse(&text).map_err(|e| format!("{path}: {e}"))
+        json::decode::<BenchRecord>(&text).map_err(|e| format!("{path}: bench record: {e}"))
     };
     let (old, new) = (load(a.arg(0))?, load(a.arg(1))?);
     let diff = enmc::perf::bench::diff(&old, &new, tolerance).map_err(|e| format!("error: {e}"))?;

@@ -17,7 +17,6 @@ use enmc_model::synth::{SynthesisConfig, SyntheticClassifier};
 use enmc_screen::infer::{ApproxClassifier, SelectionPolicy};
 use enmc_screen::screener::{Screener, ScreenerConfig};
 use enmc_screen::train::fit_least_squares;
-use enmc_surrogate::{CostModel, SurrogateViolation};
 use enmc_tensor::quant::Precision;
 
 /// Fixed shard count for the quality-evaluation query stream. The
@@ -226,23 +225,6 @@ impl Pipeline {
     /// Simulates the job under any scheme.
     pub fn simulate(&self, scheme: Scheme, batch: usize) -> SchemeResult {
         self.system.run(&self.job(batch), scheme)
-    }
-
-    /// [`Pipeline::simulate_enmc`] through an explicit cost backend: the
-    /// cycle-accurate backend is exactly [`Pipeline::simulate_enmc`]; a
-    /// surrogate backend answers in fitted arithmetic, auditing a seeded
-    /// fraction of calls cycle-accurately.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SurrogateViolation`] when an audited prediction
-    /// misses the declared bound.
-    pub fn simulate_enmc_with_cost(
-        &self,
-        batch: usize,
-        cost: &mut CostModel,
-    ) -> Result<SchemeResult, SurrogateViolation> {
-        cost.run_enmc(&self.system, &self.job(batch), "pipeline simulate")
     }
 
     /// Wall-clock timing of the build phases (synthesize / distill /

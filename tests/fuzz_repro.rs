@@ -13,6 +13,7 @@
 
 use enmc::dram::fuzz::{self, InjectedBug, PatternKind, Reproducer};
 use enmc::dram::{AddressMapping, DramConfig, Rule};
+use enmc::obs::json::{self, Nullable};
 
 const TRCD_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fuzz_repro_trcd.json");
@@ -38,7 +39,7 @@ fn regenerate(pattern: PatternKind, seed: u64, len: usize, bug: InjectedBug) -> 
     Reproducer {
         pattern: pattern.name().to_string(),
         seed,
-        bug: Some(bug.name().to_string()),
+        bug: Nullable(Some(bug.name().to_string())),
         // Fixtures predate the preset layer; the baseline omits the field
         // so the checked-in JSON stays byte-identical.
         memory: None,
@@ -56,12 +57,12 @@ fn check_fixture(
 ) {
     let current = regenerate(pattern, seed, len, bug);
     if std::env::var_os("ENMC_BLESS").is_some() {
-        std::fs::write(path, current.to_json()).expect("write fuzz reproducer fixture");
+        std::fs::write(path, json::encode(&current)).expect("write fuzz reproducer fixture");
         return;
     }
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("missing fixture {path} ({e}); bless with ENMC_BLESS=1"));
-    let fixture = Reproducer::from_json(&text).expect("fixture parses");
+    let fixture: Reproducer = json::decode(&text).expect("fixture parses");
     assert_eq!(
         fixture, current,
         "fuzzer/shrinker output drifted from {path}; if intentional, re-bless with \

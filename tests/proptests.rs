@@ -460,7 +460,7 @@ proptest! {
         let a = fit_from_anchors(params, &subset);
         let b = fit_from_anchors(params, &subset);
         prop_assert_eq!(&a, &b);
-        for (ra, rb) in a.coeffs.iter().zip(&b.coeffs) {
+        for ((_, ra), (_, rb)) in a.targets.iter().zip(&b.targets) {
             for (ca, cb) in ra.iter().zip(rb) {
                 prop_assert_eq!(ca.to_bits(), cb.to_bits(), "coefficients must match bitwise");
             }

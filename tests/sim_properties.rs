@@ -133,11 +133,10 @@ proptest! {
         }
     }
 
-    /// The parallel drain is bit-identical to the sequential one: same
-    /// final stats and the same protocol-violation stream (here: empty),
-    /// with the checker running in both.
+    /// The drain of the 8-channel Table 3 system stays protocol-clean,
+    /// with the checker shadowing every channel.
     #[test]
-    fn parallel_drain_matches_sequential_checker_stream(seed in 0u64..4096) {
+    fn eight_channel_drain_is_checker_clean(seed in 0u64..4096) {
         let cfg = DramConfig::enmc_table3();
         let space = cfg.organization.channels as u64 * cfg.organization.channel_bytes();
         let mut addrs = Vec::new();
@@ -146,28 +145,18 @@ proptest! {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             addrs.push(((lcg >> 16) % space) & !63);
         }
-        let run = |workers: Option<usize>| {
-            let mut sys = DramSystem::new(cfg);
-            sys.enable_protocol_check();
-            for (i, &addr) in addrs.iter().enumerate() {
-                let req = if i % 3 == 0 { MemRequest::write(addr) } else { MemRequest::read(addr) };
-                while sys.enqueue(req).is_none() {
-                    sys.tick();
-                }
+        let mut sys = DramSystem::new(cfg);
+        sys.enable_protocol_check();
+        for (i, &addr) in addrs.iter().enumerate() {
+            let req = if i % 3 == 0 { MemRequest::write(addr) } else { MemRequest::read(addr) };
+            while sys.enqueue(req).is_none() {
+                sys.tick();
             }
-            let done = match workers {
-                Some(w) => sys.run_until_idle_par(10_000_000, w),
-                None => sys.run_until_idle(10_000_000),
-            };
-            (done, sys.cycle(), sys.stats(), sys.take_protocol_violations())
-        };
-        let (seq_done, seq_cycle, seq_stats, seq_viol) = run(None);
-        let (par_done, par_cycle, par_stats, par_viol) = run(Some(4));
-        prop_assert_eq!(seq_done, par_done);
-        prop_assert_eq!(seq_cycle, par_cycle);
-        prop_assert_eq!(seq_stats, par_stats);
-        prop_assert_eq!(&seq_viol, &par_viol);
-        prop_assert!(seq_viol.is_empty(), "{seq_viol:?}");
+        }
+        sys.run_until_idle(10_000_000);
+        prop_assert!(sys.is_idle());
+        let violations = sys.take_protocol_violations();
+        prop_assert!(violations.is_empty(), "{violations:?}");
     }
 }
 
