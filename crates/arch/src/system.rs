@@ -165,6 +165,85 @@ impl ShardedRun {
     }
 }
 
+/// The exact per-rank slices of a job ([`ClassificationJob::rank_jobs`])
+/// grouped by shape. Symmetric sharding yields at most a handful of
+/// distinct slices (remainder categories and candidates land on the
+/// earliest ranks), so a deterministic per-slice cost — a cycle-level
+/// simulation or a surrogate prediction — runs once per distinct slice,
+/// and every rank sharing it reuses that report bit-identically.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RankSlices {
+    /// The distinct slices, in order of first appearance (rank order).
+    pub distinct: Vec<RankJob>,
+    /// For every rank in rank order, the index of its slice in
+    /// `distinct`.
+    pub slot: Vec<usize>,
+}
+
+impl RankSlices {
+    /// `job` split over `ranks` symmetric units and grouped by slice.
+    pub fn of(job: &ClassificationJob, ranks: usize) -> Self {
+        let mut distinct: Vec<RankJob> = Vec::new();
+        let slot = job
+            .rank_jobs(ranks)
+            .into_iter()
+            .map(|j| {
+                distinct.iter().position(|d| *d == j).unwrap_or_else(|| {
+                    distinct.push(j);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        RankSlices { distinct, slot }
+    }
+
+    /// The whole-system run assembled from one report per distinct slice
+    /// (`reports[i]` answers `distinct[i]`): every rank's report merged
+    /// in rank order ([`UnitReport::merge_parallel`]), every rank's
+    /// energy summed in rank order, and the per-rank DRAM statistics.
+    /// The host-side fields are those of an instantaneous one-worker run
+    /// (`workers` 1, zero wall time); a caller that timed the reports
+    /// overrides them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `reports` does not hold one report per distinct slice.
+    pub fn assemble(
+        &self,
+        scheme: Scheme,
+        reports: &[UnitReport],
+        dram_model: &EnergyModel,
+        logic_model: &LogicEnergyModel,
+    ) -> ShardedRun {
+        assert_eq!(reports.len(), self.distinct.len(), "one report per distinct slice");
+        let per_rank: Vec<UnitReport> = self.slot.iter().map(|&i| reports[i]).collect();
+        let merged = UnitReport::merge_parallel(&per_rank);
+        // Every rank's own activity and always-on window, summed exactly.
+        let slice_energy: Vec<SystemEnergy> =
+            reports.iter().map(|r| SystemEnergy::from_rank(r, 1, dram_model, logic_model)).collect();
+        let mut energy = SystemEnergy::default();
+        for &i in &self.slot {
+            let e = &slice_energy[i];
+            energy.dram_static_nj += e.dram_static_nj;
+            energy.dram_access_nj += e.dram_access_nj;
+            energy.logic_nj += e.logic_nj;
+        }
+        ShardedRun {
+            result: SchemeResult {
+                scheme,
+                ns: merged.ns,
+                energy: Some(energy),
+                rank_report: Some(merged),
+            },
+            workers: 1,
+            shards: self.slot.len(),
+            wall_ns: 0.0,
+            shard_wall_ns: 0.0,
+            shard_dram: per_rank.iter().map(|r| r.dram).collect(),
+        }
+    }
+}
+
 /// The complete evaluation platform: CPU model + rank-unit models.
 #[derive(Debug, Clone)]
 pub struct SystemModel {
@@ -403,55 +482,22 @@ impl SystemModel {
             };
         };
 
-        let jobs = job.rank_jobs(units);
-        let shards = jobs.len();
+        let slices = RankSlices::of(job, units);
         let check = cfg.check_protocol;
         let wall = std::time::Instant::now();
-        // Symmetric sharding yields at most a handful of distinct rank
-        // slices (remainder categories and candidates land on the
-        // earliest ranks); the unit simulator is deterministic, so each
-        // distinct slice simulates once and every rank sharing it reuses
-        // the report bit-identically.
-        let mut slice_index: std::collections::BTreeMap<_, usize> = std::collections::BTreeMap::new();
-        let mut unique: Vec<RankJob> = Vec::new();
-        let mut slot: Vec<usize> = Vec::with_capacity(jobs.len());
-        for j in jobs {
-            let key =
-                (j.categories, j.hidden, j.reduced, j.batch, j.candidates_per_item.clone());
-            let i = *slice_index.entry(key).or_insert_with(|| {
-                unique.push(j);
-                unique.len() - 1
+        let per_slice: Vec<(UnitReport, f64)> =
+            enmc_par::par_map(workers, slices.distinct.clone(), |_, rank_job| {
+                let shard_wall = std::time::Instant::now();
+                let report = RankUnit::new(params).simulate_checked(&rank_job, None, check);
+                (report, shard_wall.elapsed().as_secs_f64() * 1e9)
             });
-            slot.push(i);
-        }
-        let per_unique: Vec<(UnitReport, f64)> = enmc_par::par_map(workers, unique, |_, rank_job| {
-            let shard_wall = std::time::Instant::now();
-            let report = RankUnit::new(params).simulate_checked(&rank_job, None, check);
-            (report, shard_wall.elapsed().as_secs_f64() * 1e9)
-        });
         let wall_ns = wall.elapsed().as_secs_f64() * 1e9;
         // Host-side work per simulated slice; replicated ranks cost
         // nothing on the host.
-        let shard_wall_ns: f64 = per_unique.iter().map(|(_, ns)| ns).sum();
-        let reports: Vec<UnitReport> = slot.iter().map(|&i| per_unique[i].0.clone()).collect();
-        let merged = UnitReport::merge_parallel(&reports);
-        // Every rank's own activity and always-on window, summed exactly.
-        let dram_model = self.energy_model;
-        let mut energy = SystemEnergy::default();
-        for r in &reports {
-            let e = SystemEnergy::from_rank(r, 1, &dram_model, &logic_model);
-            energy.dram_static_nj += e.dram_static_nj;
-            energy.dram_access_nj += e.dram_access_nj;
-            energy.logic_nj += e.logic_nj;
-        }
-        let shard_dram: Vec<DramStats> = reports.iter().map(|r| r.dram).collect();
-        let result = SchemeResult {
-            scheme,
-            ns: merged.ns,
-            energy: Some(energy),
-            rank_report: Some(merged),
-        };
-        ShardedRun { result, workers, shards, wall_ns, shard_wall_ns, shard_dram }
+        let shard_wall_ns: f64 = per_slice.iter().map(|(_, ns)| ns).sum();
+        let reports: Vec<UnitReport> = per_slice.iter().map(|(r, _)| *r).collect();
+        let run = slices.assemble(scheme, &reports, &self.energy_model, &logic_model);
+        ShardedRun { workers, wall_ns, shard_wall_ns, ..run }
     }
 
     /// Runs the Fig. 13 scheme set on one job, returning results in the

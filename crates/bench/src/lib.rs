@@ -103,15 +103,28 @@ pub fn cost_backend(args: &[String], default: &str) -> Result<CostBackend, Strin
     }
 }
 
-/// Where a harness document goes: the path after `flag` on the command
-/// line, else `file` in the directory the `env` variable names, else
-/// nowhere.
-fn destination(flag: &str, env: &str, file: String) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let given = args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
-    given
-        .map(PathBuf::from)
-        .or_else(|| std::env::var_os(env).map(|dir| PathBuf::from(dir).join(file)))
+/// Where a harness document goes: the path after `name` on the command
+/// line `args`, else `file` in the directory the `env` variable names,
+/// else nowhere.
+///
+/// # Errors
+///
+/// Names the flag when no path follows it: it is the last argument, or
+/// the next argument is another flag (`--json expects a file path, got
+/// '--threads'`).
+fn destination(
+    args: &[String],
+    name: &str,
+    env: &str,
+    file: String,
+) -> Result<Option<PathBuf>, String> {
+    match flag(args, name) {
+        Some(raw) if raw.is_empty() || raw.starts_with("--") => {
+            Err(format!("{name} expects a file path, got '{raw}'"))
+        }
+        Some(raw) => Ok(Some(PathBuf::from(raw))),
+        None => Ok(std::env::var_os(env).map(|dir| PathBuf::from(dir).join(file))),
+    }
 }
 
 /// The value of a flag reader, or its message on stderr and exit code 2,

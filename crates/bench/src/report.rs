@@ -49,10 +49,12 @@ pub struct Reporter {
 impl Reporter {
     /// A reporter for the binary `name`, resolving its destination from
     /// the process arguments (`--json <file>`) and the `ENMC_REPORT_DIR`
-    /// environment variable.
+    /// environment variable. A `--json` with no path after it exits 2,
+    /// naming the flag.
     pub fn from_env(name: &str) -> Self {
-        let dest = crate::destination("--json", "ENMC_REPORT_DIR", format!("{name}.json"));
-        Reporter::with_dest(name, dest)
+        let args: Vec<String> = std::env::args().collect();
+        let dest = crate::destination(&args, "--json", "ENMC_REPORT_DIR", format!("{name}.json"));
+        Reporter::with_dest(name, crate::or_exit(dest))
     }
 
     /// A reporter writing to an explicit path (primarily for tests).

@@ -34,11 +34,13 @@ pub struct BenchEmitter {
 impl BenchEmitter {
     /// An emitter for the binary `name`, resolving its destination from
     /// the process arguments (`--bench-json <file>`) and the
-    /// `ENMC_BENCH_DIR` environment variable.
+    /// `ENMC_BENCH_DIR` environment variable. A `--bench-json` with no
+    /// path after it exits 2, naming the flag.
     pub fn from_env(name: &str) -> Self {
-        let dest =
-            crate::destination("--bench-json", "ENMC_BENCH_DIR", format!("BENCH_{name}.json"));
-        BenchEmitter { record: BenchRecord::new(name), dest }
+        let args: Vec<String> = std::env::args().collect();
+        let file = format!("BENCH_{name}.json");
+        let dest = crate::destination(&args, "--bench-json", "ENMC_BENCH_DIR", file);
+        BenchEmitter { record: BenchRecord::new(name), dest: crate::or_exit(dest) }
     }
 
     /// An emitter writing to an explicit path (primarily for tests).

@@ -431,13 +431,6 @@ fn draw_shard(cum: &[f64], total: f64, rng: &mut SplitMix64) -> usize {
     cum.partition_point(|&c| c < u).min(cum.len() - 1)
 }
 
-/// Per-node mutable state inside the event loop.
-struct NodeState {
-    pending: VecDeque<usize>,
-    lane_free: Vec<u64>,
-    busy_cycles: u64,
-}
-
 /// Runs one fleet scenario.
 ///
 /// `sim` controls only how the calibration pass executes (worker count,
@@ -518,17 +511,14 @@ pub fn simulate_fleet(
 
     let ns_per_cycle =
         tables.iter().map(|t| t.ns_per_cycle).fold(0.0f64, f64::max);
-    let protocol_violations: u64 = tables.iter().map(|t| t.protocol_violations).sum();
 
     // Interconnect cost per (tenant, tier): broadcast h + gather the
     // shard's candidate list. Zero on a 1-node fleet, exactly like
     // `scale_out`.
-    let net_cycles: Vec<Vec<u64>> = cfg
-        .tenants
+    let net_cycles: Vec<Vec<u64>> = tenant_table
         .iter()
-        .enumerate()
-        .map(|(ti, _)| {
-            ladders[tenant_table[ti]]
+        .map(|&l| {
+            ladders[l]
                 .iter()
                 .map(|tier| {
                     if cfg.nodes == 1 {
@@ -543,11 +533,128 @@ pub fn simulate_fleet(
                 .collect()
         })
         .collect();
+    let nmp: Vec<Option<&[Vec<bool>]>> =
+        tenant_table.iter().map(|&l| plans[l].as_ref().map(|p| p.nmp.as_slice())).collect();
 
     let placement = place(cfg.placement, cfg.shards, cfg.nodes, cfg.replicas, cfg.zipf_s);
+    let (requests, generated) = merged_requests(cfg);
+    let tenants = cfg.tenants.iter().zip(generated).zip(&tenant_table);
+    let mut out = FleetOutcome {
+        tenants: tenants
+            .map(|((t, generated), &l)| {
+                TenantOutcome::unserved(t, generated, tables[l].cycles.clone())
+            })
+            .collect(),
+        nodes: cfg.nodes,
+        shards: cfg.shards,
+        placement: cfg.placement.name().to_string(),
+        hot_shard_replicas: placement.replicas_placed,
+        makespan_cycles: 0,
+        ns_per_cycle,
+        max_queue_depth: 0,
+        protocol_violations: tables.iter().map(|t| t.protocol_violations).sum(),
+        network_cycles: 0,
+        latency_cycles: 0,
+        shard_queries: vec![0; cfg.shards],
+        node_busy_cycles: vec![0; cfg.nodes],
+        requests,
+        batches: Vec::new(),
+        surrogate: cost.stats().section(cost.backend()),
+        offload_nmp: 0,
+        offload_cpu: 0,
+    };
+    run_events::<NodeQueue>(cfg, &placement.holders, &net_cycles, &nmp, &mut out);
 
-    // Merge the tenants' arrival streams: stable order (arrival cycle,
-    // tenant index), which preserves each tenant's generation order.
+    // Metrics: recorded once, after the loop, in fixed tenant order.
+    for t in &out.tenants {
+        let l: &[(&str, &str)] = &[("tenant", &t.name)];
+        registry.counter_add("fleet.generated", l, t.generated);
+        registry.counter_add("fleet.admitted", l, t.admitted);
+        registry.counter_add("fleet.completed", l, t.completed);
+        registry.counter_add("fleet.shed", l, t.shed);
+        registry.counter_add("fleet.slo_met", l, t.slo_met);
+        registry.counter_add("fleet.degrade_transitions", l, t.degrade_transitions);
+    }
+    registry.counter_add("fleet.batches", &[], out.batches.len() as u64);
+    registry.counter_add("fleet.network_cycles", &[], out.network_cycles);
+    registry.gauge_set("fleet.queue_depth_max", &[], out.max_queue_depth as f64);
+    registry.gauge_set("fleet.nodes", &[], cfg.nodes as f64);
+    registry.gauge_set("fleet.replicas_placed", &[], placement.replicas_placed as f64);
+    Ok(out)
+}
+
+/// A node's waiting requests, as the event loop queries them. Admission
+/// reads the node's depth, dispatch its oldest waiter, that waiter's
+/// tenant's depth and batch, and the tests substitute a reference
+/// discipline behind the same queries.
+trait Queue {
+    /// An empty queue shared by `tenants` tenants.
+    fn new(tenants: usize) -> Self;
+    /// Requests waiting, all tenants together.
+    fn depth(&self) -> usize;
+    /// Requests of `tenant` waiting.
+    fn depth_of(&self, tenant: usize) -> usize;
+    /// The oldest waiter as `(request id, tenant)`.
+    fn front(&self) -> Option<(usize, usize)>;
+    /// Appends request `id` of `tenant`.
+    fn push(&mut self, id: usize, tenant: usize);
+    /// Removes the `size` oldest waiters of `tenant`, passing each id to
+    /// `each`, oldest first.
+    fn take(&mut self, tenant: usize, size: usize, each: impl FnMut(usize));
+}
+
+/// A FIFO of request ids per tenant plus the node's depth: every query
+/// the loop makes costs O(tenants), whatever the queue depth.
+///
+/// Request ids rise in admission order and each FIFO keeps that order,
+/// so the node's oldest waiter is the smallest front over its tenant
+/// FIFOs, and a tenant's batch is its FIFO's first `size` ids.
+struct NodeQueue {
+    fifos: Vec<VecDeque<usize>>,
+    depth: usize,
+}
+
+impl Queue for NodeQueue {
+    fn new(tenants: usize) -> Self {
+        NodeQueue { fifos: vec![VecDeque::new(); tenants], depth: 0 }
+    }
+
+    fn depth(&self) -> usize {
+        self.depth
+    }
+
+    fn depth_of(&self, tenant: usize) -> usize {
+        self.fifos[tenant].len()
+    }
+
+    fn front(&self) -> Option<(usize, usize)> {
+        let fronts = self.fifos.iter().enumerate();
+        fronts.filter_map(|(t, fifo)| fifo.front().map(|&id| (id, t))).min()
+    }
+
+    fn push(&mut self, id: usize, tenant: usize) {
+        self.fifos[tenant].push_back(id);
+        self.depth += 1;
+    }
+
+    fn take(&mut self, tenant: usize, size: usize, each: impl FnMut(usize)) {
+        self.depth -= size;
+        self.fifos[tenant].drain(..size).for_each(each);
+    }
+}
+
+/// Per-node mutable state inside the event loop.
+struct NodeState<Q> {
+    queue: Q,
+    lane_free: Vec<u64>,
+}
+
+/// The tenants' requests merged into one stream and their shards drawn:
+/// stable order (arrival cycle, tenant index), which preserves each
+/// tenant's generation order, and shard draws in merged order from one
+/// seeded stream — identical across placement policies and worker counts
+/// by construction. Also returns each tenant's generated count.
+fn merged_requests(cfg: &FleetConfig) -> (Vec<FleetRequest>, Vec<u64>) {
     let mut reqs: Vec<FleetRequest> = Vec::new();
     let mut generated = vec![0u64; cfg.tenants.len()];
     for (ti, t) in cfg.tenants.iter().enumerate() {
@@ -566,8 +673,6 @@ pub fn simulate_fleet(
     }
     reqs.sort_by_key(|r| (r.arrival, r.tenant));
 
-    // Shard draws in merged order from one seeded stream — identical
-    // across placement policies and worker counts by construction.
     let weights = zipf_weights(cfg.shards, cfg.zipf_s);
     let total_weight: f64 = weights.iter().sum();
     let cum: Vec<f64> = weights
@@ -581,36 +686,62 @@ pub fn simulate_fleet(
     for r in &mut reqs {
         r.shard = draw_shard(&cum, total_weight, &mut shard_rng);
     }
+    (reqs, generated)
+}
 
-    // Event-loop state, folded in fixed node and tenant order.
+impl TenantOutcome {
+    /// The outcome of a tenant that has generated `generated` requests
+    /// and served none yet, priced by `service_cycles`.
+    fn unserved(cfg: &TenantConfig, generated: u64, service_cycles: Vec<Vec<u64>>) -> Self {
+        TenantOutcome {
+            name: cfg.name.clone(),
+            generated,
+            admitted: 0,
+            completed: 0,
+            shed: 0,
+            slo_met: 0,
+            degrade_transitions: 0,
+            latency: LatencyHistogram::new(),
+            per_tier_completed: vec![0; cfg.tiers.len()],
+            per_tier_batches: vec![0; cfg.tiers.len()],
+            service_cycles,
+        }
+    }
+}
+
+/// The event loop: admits, routes, batches and serves `out.requests`
+/// (merged arrival order, shards drawn) on nodes queueing with `Q`, and
+/// fills in what it decides — each request's fate, the tenants' counters,
+/// the batch records and the fleet totals. Each tenant's
+/// `service_cycles` prices its dispatches, `net_cycles[tenant][tier]`
+/// adds the interconnect, and `nmp[tenant]` is its offload plan's
+/// per-point NMP choice, when planned.
+fn run_events<Q: Queue>(
+    cfg: &FleetConfig,
+    holders: &[Vec<usize>],
+    net_cycles: &[Vec<u64>],
+    nmp: &[Option<&[Vec<bool>]>],
+    out: &mut FleetOutcome,
+) {
+    let FleetOutcome {
+        requests: reqs,
+        tenants,
+        shard_queries,
+        node_busy_cycles,
+        batches,
+        max_queue_depth,
+        network_cycles,
+        latency_cycles,
+        makespan_cycles,
+        offload_nmp,
+        offload_cpu,
+        ..
+    } = out;
     let lanes_n = cfg.lanes.max(1);
-    let mut nodes: Vec<NodeState> = (0..cfg.nodes)
-        .map(|_| NodeState {
-            pending: VecDeque::new(),
-            lane_free: vec![0u64; lanes_n],
-            busy_cycles: 0,
-        })
+    let mut nodes: Vec<NodeState<Q>> = (0..cfg.nodes)
+        .map(|_| NodeState { queue: Q::new(cfg.tenants.len()), lane_free: vec![0u64; lanes_n] })
         .collect();
-    let nt = cfg.tenants.len();
-    let mut tier_state = vec![0usize; nt];
-    let mut admitted = vec![0u64; nt];
-    let mut shed = vec![0u64; nt];
-    let mut completed = vec![0u64; nt];
-    let mut slo_met = vec![0u64; nt];
-    let mut degrade_transitions = vec![0u64; nt];
-    let mut latency: Vec<LatencyHistogram> =
-        (0..nt).map(|_| LatencyHistogram::new()).collect();
-    let mut per_tier_completed: Vec<Vec<u64>> =
-        cfg.tenants.iter().map(|t| vec![0u64; t.tiers.len()]).collect();
-    let mut per_tier_batches: Vec<Vec<u64>> =
-        cfg.tenants.iter().map(|t| vec![0u64; t.tiers.len()]).collect();
-    let mut shard_queries = vec![0u64; cfg.shards];
-    let mut batches: Vec<FleetBatchRecord> = Vec::new();
-    let mut max_queue_depth = 0usize;
-    let mut network_cycles_total = 0u64;
-    let mut latency_cycles_total = 0u64;
-    let mut makespan = 0u64;
-    let (mut offload_nmp, mut offload_cpu) = (0u64, 0u64);
+    let mut tier_state = vec![0usize; cfg.tenants.len()];
     let mut now = 0u64;
     let mut next_arrival = 0usize;
     let n = reqs.len();
@@ -622,37 +753,35 @@ pub fn simulate_fleet(
         while next_arrival < n && reqs[next_arrival].arrival <= now {
             let id = next_arrival;
             next_arrival += 1;
-            let ti = reqs[id].tenant;
-            let node = placement.holders[reqs[id].shard]
+            let r = &mut reqs[id];
+            let ti = r.tenant;
+            let node = holders[r.shard]
                 .iter()
                 .copied()
-                .min_by_key(|&nd| (nodes[nd].pending.len(), nd))
+                .min_by_key(|&nd| (nodes[nd].queue.depth(), nd))
                 .expect("every shard has a holder");
-            if nodes[node].pending.len() >= cfg.tenants[ti].shed_queue_depth.max(1) {
-                reqs[id].shed = true;
-                shed[ti] += 1;
+            let queue = &mut nodes[node].queue;
+            if queue.depth() >= cfg.tenants[ti].shed_queue_depth.max(1) {
+                r.shed = true;
+                tenants[ti].shed += 1;
             } else {
-                reqs[id].node = node;
-                nodes[node].pending.push_back(id);
-                admitted[ti] += 1;
-                shard_queries[reqs[id].shard] += 1;
-                max_queue_depth = max_queue_depth.max(nodes[node].pending.len());
+                r.node = node;
+                queue.push(id, ti);
+                tenants[ti].admitted += 1;
+                shard_queries[r.shard] += 1;
+                *max_queue_depth = (*max_queue_depth).max(queue.depth());
             }
         }
 
         // Dispatch on every node while a lane is free and a batch is
         // ready; nodes are visited in fixed index order.
         for (ni, node) in nodes.iter_mut().enumerate() {
-            loop {
-                let Some(&front) = node.pending.front() else { break };
+            while let Some((front, ti)) = node.queue.front() {
                 let Some(lane) = node.lane_free.iter().position(|&f| f <= now) else { break };
-                let ti = reqs[front].tenant;
                 let t_cfg = &cfg.tenants[ti];
-                let depth_t =
-                    node.pending.iter().filter(|&&id| reqs[id].tenant == ti).count();
+                let depth_t = node.queue.depth_of(ti);
                 let full = depth_t >= cfg.batch_max;
-                let lingered =
-                    now >= reqs[front].arrival.saturating_add(cfg.linger_cycles);
+                let lingered = now >= reqs[front].arrival.saturating_add(cfg.linger_cycles);
                 if !(full || lingered) {
                     break;
                 }
@@ -660,62 +789,52 @@ pub fn simulate_fleet(
                 // Controller: one tier step per dispatch, with hysteresis
                 // — the tenant's ladder is cluster-global, stepped by
                 // whichever node dispatches (deterministic: fixed order).
-                let service = &tables[tenant_table[ti]].cycles;
+                let tenant = &mut tenants[ti];
+                let service = &tenant.service_cycles;
                 let size = depth_t.min(cfg.batch_max);
                 let mut tier = tier_state[ti];
                 let predicted_end = now
                     .saturating_add(service[tier][size - 1])
                     .saturating_add(net_cycles[ti][tier]);
-                if (depth_t > t_cfg.degrade_queue_depth
-                    || predicted_end > reqs[front].deadline)
+                if (depth_t > t_cfg.degrade_queue_depth || predicted_end > reqs[front].deadline)
                     && tier + 1 < t_cfg.tiers.len()
                 {
                     tier += 1;
-                    degrade_transitions[ti] += 1;
+                    tenant.degrade_transitions += 1;
                 } else if depth_t <= t_cfg.upgrade_queue_depth && tier > 0 {
                     tier -= 1;
-                    degrade_transitions[ti] += 1;
+                    tenant.degrade_transitions += 1;
                 }
                 tier_state[ti] = tier;
 
-                // Pull the first `size` requests of this tenant from the
-                // queue front, preserving everyone else's order.
-                let mut picked = Vec::with_capacity(size);
-                let mut rest = VecDeque::with_capacity(node.pending.len());
-                while let Some(id) = node.pending.pop_front() {
-                    if reqs[id].tenant == ti && picked.len() < size {
-                        picked.push(id);
-                    } else {
-                        rest.push_back(id);
-                    }
-                }
-                node.pending = rest;
-
+                // Serve the tenant's `size` oldest waiters; everyone
+                // else keeps their place.
                 let svc = service[tier][size - 1];
                 let net = net_cycles[ti][tier];
                 let end = now.saturating_add(svc);
-                for &id in &picked {
-                    let done = end.saturating_add(net);
-                    reqs[id].completion = Some(done);
-                    let lat = done - reqs[id].arrival;
-                    latency[ti].observe(lat);
-                    completed[ti] += 1;
-                    per_tier_completed[ti][tier] += 1;
-                    if done <= reqs[id].deadline {
-                        slo_met[ti] += 1;
+                let done = end.saturating_add(net);
+                node.queue.take(ti, size, |id| {
+                    let r = &mut reqs[id];
+                    r.completion = Some(done);
+                    let lat = done - r.arrival;
+                    tenant.latency.observe(lat);
+                    tenant.completed += 1;
+                    tenant.per_tier_completed[tier] += 1;
+                    if done <= r.deadline {
+                        tenant.slo_met += 1;
                     }
-                    network_cycles_total += net;
-                    latency_cycles_total += lat;
-                    makespan = makespan.max(done);
-                }
+                    *network_cycles += net;
+                    *latency_cycles += lat;
+                    *makespan_cycles = (*makespan_cycles).max(done);
+                });
                 node.lane_free[lane] = end;
-                node.busy_cycles += svc;
-                per_tier_batches[ti][tier] += 1;
-                if let Some(plan) = &plans[tenant_table[ti]] {
-                    if plan.nmp[tier][size - 1] {
-                        offload_nmp += 1;
+                node_busy_cycles[ni] += svc;
+                tenant.per_tier_batches[tier] += 1;
+                if let Some(nmp) = nmp[ti] {
+                    if nmp[tier][size - 1] {
+                        *offload_nmp += 1;
                     } else {
-                        offload_cpu += 1;
+                        *offload_cpu += 1;
                     }
                 }
                 batches.push(FleetBatchRecord {
@@ -738,13 +857,10 @@ pub fn simulate_fleet(
             next = reqs[next_arrival].arrival;
         }
         for node in &nodes {
-            if let Some(&front) = node.pending.front() {
+            if let Some((front, ti)) = node.queue.front() {
                 let earliest_lane =
                     node.lane_free.iter().copied().min().expect("at least one lane");
-                let ti = reqs[front].tenant;
-                let depth_t =
-                    node.pending.iter().filter(|&&id| reqs[id].tenant == ti).count();
-                let readiness = if depth_t >= cfg.batch_max {
+                let readiness = if node.queue.depth_of(ti) >= cfg.batch_max {
                     now
                 } else {
                     reqs[front].arrival.saturating_add(cfg.linger_cycles)
@@ -758,62 +874,6 @@ pub fn simulate_fleet(
         debug_assert!(next > now, "event time must advance");
         now = next;
     }
-
-    // Metrics: recorded once, after the loop, in fixed tenant order.
-    for (ti, t) in cfg.tenants.iter().enumerate() {
-        let l: &[(&str, &str)] = &[("tenant", &t.name)];
-        registry.counter_add("fleet.generated", l, generated[ti]);
-        registry.counter_add("fleet.admitted", l, admitted[ti]);
-        registry.counter_add("fleet.completed", l, completed[ti]);
-        registry.counter_add("fleet.shed", l, shed[ti]);
-        registry.counter_add("fleet.slo_met", l, slo_met[ti]);
-        registry.counter_add("fleet.degrade_transitions", l, degrade_transitions[ti]);
-    }
-    registry.counter_add("fleet.batches", &[], batches.len() as u64);
-    registry.counter_add("fleet.network_cycles", &[], network_cycles_total);
-    registry.gauge_set("fleet.queue_depth_max", &[], max_queue_depth as f64);
-    registry.gauge_set("fleet.nodes", &[], cfg.nodes as f64);
-    registry.gauge_set("fleet.replicas_placed", &[], placement.replicas_placed as f64);
-
-    let stats = cost.stats();
-    let tenants_out = cfg
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(ti, t)| TenantOutcome {
-            name: t.name.clone(),
-            generated: generated[ti],
-            admitted: admitted[ti],
-            completed: completed[ti],
-            shed: shed[ti],
-            slo_met: slo_met[ti],
-            degrade_transitions: degrade_transitions[ti],
-            latency: latency[ti].clone(),
-            per_tier_completed: per_tier_completed[ti].clone(),
-            per_tier_batches: per_tier_batches[ti].clone(),
-            service_cycles: tables[tenant_table[ti]].cycles.clone(),
-        })
-        .collect();
-    Ok(FleetOutcome {
-        tenants: tenants_out,
-        nodes: cfg.nodes,
-        shards: cfg.shards,
-        placement: cfg.placement.name().to_string(),
-        hot_shard_replicas: placement.replicas_placed,
-        makespan_cycles: makespan,
-        ns_per_cycle,
-        max_queue_depth,
-        protocol_violations,
-        network_cycles: network_cycles_total,
-        latency_cycles: latency_cycles_total,
-        shard_queries,
-        node_busy_cycles: nodes.iter().map(|s| s.busy_cycles).collect(),
-        requests: reqs,
-        batches,
-        surrogate: stats.section(cost.backend()),
-        offload_nmp,
-        offload_cpu,
-    })
 }
 
 #[cfg(test)]
@@ -821,6 +881,189 @@ mod tests {
     use super::*;
     use enmc_serve::tier::default_tiers;
     use enmc_surrogate::CostBackend;
+
+    /// The queue discipline the loop ran before it kept per-tenant
+    /// FIFOs: one deque per node in admission order, a tenant's depth
+    /// counted by a scan, and a dispatch that rebuilds the deque.
+    struct ScanQueue {
+        pending: VecDeque<(usize, usize)>,
+    }
+
+    impl Queue for ScanQueue {
+        fn new(_tenants: usize) -> Self {
+            ScanQueue { pending: VecDeque::new() }
+        }
+
+        fn depth(&self) -> usize {
+            self.pending.len()
+        }
+
+        fn depth_of(&self, tenant: usize) -> usize {
+            self.pending.iter().filter(|&&(_, t)| t == tenant).count()
+        }
+
+        fn front(&self) -> Option<(usize, usize)> {
+            self.pending.front().copied()
+        }
+
+        fn push(&mut self, id: usize, tenant: usize) {
+            self.pending.push_back((id, tenant));
+        }
+
+        fn take(&mut self, tenant: usize, size: usize, each: impl FnMut(usize)) {
+            let mut picked = Vec::with_capacity(size);
+            let mut rest = VecDeque::with_capacity(self.pending.len());
+            while let Some((id, t)) = self.pending.pop_front() {
+                if t == tenant && picked.len() < size {
+                    picked.push(id);
+                } else {
+                    rest.push_back((id, t));
+                }
+            }
+            self.pending = rest;
+            picked.into_iter().for_each(each);
+        }
+    }
+
+    /// A seeded random fleet with at least three tenants and nodes, its
+    /// outcome before the loop (random service tables, so no
+    /// calibration), the placement's holders, the interconnect cycles and
+    /// the offload choices.
+    #[allow(clippy::type_complexity)]
+    fn random_fleet(
+        seed: u64,
+    ) -> (FleetConfig, FleetOutcome, Vec<Vec<usize>>, Vec<Vec<u64>>, Vec<Vec<Vec<bool>>>) {
+        let mut rng = SplitMix64::new(seed);
+        let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo + 1);
+        let nodes = pick(3, 5) as usize;
+        let batch_max = pick(1, 5) as usize;
+        let tenants: Vec<TenantConfig> = (0..pick(3, 5))
+            .map(|i| {
+                let rate = [0.3, 1.0, 3.0, 8.0][pick(0, 3) as usize];
+                let arrival = if pick(0, 1) == 0 {
+                    ArrivalProcess::Poisson { rate }
+                } else {
+                    ArrivalProcess::Burst {
+                        calm_rate: rate / 4.0,
+                        burst_rate: rate * 2.0,
+                        calm_cycles: 20_000.0,
+                        burst_cycles: 5_000.0,
+                    }
+                };
+                let tiers = (0..pick(1, 3))
+                    .map(|k| DegradeTier { candidates: 64 >> k, screen_shift: k as u32 })
+                    .collect();
+                let degrade = pick(0, 12) as usize;
+                TenantConfig {
+                    degrade_queue_depth: degrade,
+                    upgrade_queue_depth: pick(0, degrade as u64) as usize,
+                    shed_queue_depth: pick(1, 40) as usize,
+                    ..TenantConfig::new(
+                        &format!("t{i}"),
+                        arrival,
+                        pick(20, 160) as usize,
+                        pick(2_000, 60_000),
+                        tiers,
+                        pick(0, u64::MAX - 1),
+                    )
+                }
+            })
+            .collect();
+        let cfg = FleetConfig {
+            nodes,
+            shards: pick(nodes as u64, 2 * nodes as u64) as usize,
+            replicas: pick(0, 3) as usize,
+            placement: [PlacementPolicy::ConsistentHash, PlacementPolicy::PopularityAware]
+                [pick(0, 1) as usize],
+            zipf_s: [0.0, 0.5, 1.0, 1.5][pick(0, 3) as usize],
+            batch_max,
+            linger_cycles: [0, 150, 1_000, 6_000][pick(0, 3) as usize],
+            lanes: pick(1, 3) as usize,
+            tenants,
+            seed: pick(0, 1_000),
+            ..Default::default()
+        };
+        let tiers = |t: &TenantConfig| t.tiers.len();
+        let service: Vec<Vec<Vec<u64>>> = cfg
+            .tenants
+            .iter()
+            .map(|t| {
+                (0..tiers(t))
+                    .map(|_| (0..batch_max).map(|b| pick(200, 1_500) * (b as u64 + 2)).collect())
+                    .collect()
+            })
+            .collect();
+        let net: Vec<Vec<u64>> =
+            cfg.tenants.iter().map(|t| (0..tiers(t)).map(|_| pick(0, 400)).collect()).collect();
+        let nmp: Vec<Vec<Vec<bool>>> = cfg
+            .tenants
+            .iter()
+            .map(|t| {
+                (0..tiers(t)).map(|_| (0..batch_max).map(|_| pick(0, 1) == 0).collect()).collect()
+            })
+            .collect();
+        let (requests, generated) = merged_requests(&cfg);
+        let out = FleetOutcome {
+            tenants: cfg
+                .tenants
+                .iter()
+                .zip(generated)
+                .zip(service)
+                .map(|((t, g), table)| TenantOutcome::unserved(t, g, table))
+                .collect(),
+            nodes: cfg.nodes,
+            shards: cfg.shards,
+            placement: cfg.placement.name().to_string(),
+            hot_shard_replicas: 0,
+            makespan_cycles: 0,
+            ns_per_cycle: 1.0,
+            max_queue_depth: 0,
+            protocol_violations: 0,
+            network_cycles: 0,
+            latency_cycles: 0,
+            shard_queries: vec![0; cfg.shards],
+            node_busy_cycles: vec![0; cfg.nodes],
+            requests,
+            batches: Vec::new(),
+            surrogate: Surrogate::default(),
+            offload_nmp: 0,
+            offload_cpu: 0,
+        };
+        let holders = place(cfg.placement, cfg.shards, cfg.nodes, cfg.replicas, cfg.zipf_s).holders;
+        (cfg, out, holders, net, nmp)
+    }
+
+    #[test]
+    fn tenant_fifos_serve_exactly_what_the_scan_served() {
+        let (mut shed, mut degraded, mut waited) = (0, 0, 0);
+        for seed in 0..60u64 {
+            let (cfg, start, holders, net, nmp) = random_fleet(seed);
+            let planned: Vec<Option<&[Vec<bool>]>> = if seed % 3 == 0 {
+                vec![None; nmp.len()]
+            } else {
+                nmp.iter().map(|p| Some(p.as_slice())).collect()
+            };
+            let mut fifo = start.clone();
+            run_events::<NodeQueue>(&cfg, &holders, &net, &planned, &mut fifo);
+            let mut scan = start;
+            run_events::<ScanQueue>(&cfg, &holders, &net, &planned, &mut scan);
+            assert_eq!(fifo.requests, scan.requests, "seed {seed}");
+            assert_eq!(fifo.batches, scan.batches, "seed {seed}");
+            assert_eq!(fifo.tenants, scan.tenants, "seed {seed}");
+            assert_eq!(fifo.max_queue_depth, scan.max_queue_depth, "seed {seed}");
+            assert_eq!(fifo.node_busy_cycles, scan.node_busy_cycles, "seed {seed}");
+            assert_eq!(fifo, scan, "seed {seed}");
+            for t in &fifo.tenants {
+                assert_eq!(t.completed + t.shed, t.generated, "seed {seed}: {}", t.name);
+            }
+            shed += usize::from(fifo.tenants.iter().any(|t| t.shed > 0));
+            degraded += usize::from(fifo.tenants.iter().any(|t| t.degrade_transitions > 0));
+            waited += usize::from(fifo.batches.iter().any(|b| b.start > b.oldest_arrival));
+        }
+        // The seeds reach every branch the queues feed: shedding, tier
+        // steps and waiting batches.
+        assert!(shed >= 30 && degraded >= 30 && waited >= 50, "{shed} {degraded} {waited}");
+    }
 
     fn small_job() -> ClassificationJob {
         ClassificationJob { categories: 2048, hidden: 64, reduced: 16, batch: 1, candidates: 128 }

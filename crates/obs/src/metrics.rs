@@ -60,8 +60,18 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram over `bounds` (must be ascending).
+    /// An empty histogram over `bounds`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the bounds are finite and strictly ascending:
+    /// [`Histogram::observe`] finds a value's bucket by binary search,
+    /// which picks the first bound at or above the value only on such
+    /// bounds.
     pub fn with_bounds(bounds: &[f64]) -> Self {
+        if let Err(why) = check_bounds(bounds) {
+            panic!("invalid histogram bounds: {why}");
+        }
         Histogram {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],
@@ -72,18 +82,24 @@ impl Histogram {
 
     /// Power-of-two bounds `1, 2, 4, … 2^(n-1)` — a sensible default for
     /// cycle counts and byte sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` exceeds 63: the bounds stop at `2^62` and would
+    /// repeat.
     pub fn exponential(n: usize) -> Self {
         let bounds: Vec<f64> = (0..n as u32).map(|i| (1u64 << i.min(62)) as f64).collect();
         Histogram::with_bounds(&bounds)
     }
 
-    /// Records one observation.
+    /// Records one observation in the first bucket whose bound is at or
+    /// above it; a value above every bound, or NaN, lands in the overflow
+    /// bucket.
+    // `!(value <= b)` rather than `value > b`: NaN is above no bound and
+    // at or below none, and must land in the overflow bucket.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn observe(&mut self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|b| value <= *b)
-            .unwrap_or(self.bounds.len());
+        let idx = self.bounds.partition_point(|b| !(value <= *b));
         self.counts[idx] += 1;
         self.count += 1;
         self.sum += value;
@@ -138,6 +154,23 @@ impl Histogram {
     }
 }
 
+/// Why `bounds` cannot bucket a histogram: a bound that is not finite,
+/// or one not above its predecessor.
+fn check_bounds(bounds: &[f64]) -> Result<(), String> {
+    if let Some(i) = bounds.iter().position(|b| !b.is_finite()) {
+        return Err(format!("has {} at index {i}, expected finite numbers", bounds[i]));
+    }
+    match bounds.windows(2).position(|w| w[0] >= w[1]) {
+        Some(i) => Err(format!(
+            "is not strictly ascending: {} at index {} follows {}",
+            bounds[i + 1],
+            i + 1,
+            bounds[i]
+        )),
+        None => Ok(()),
+    }
+}
+
 record! {
     /// One counter series in a snapshot.
     #[derive(Eq)]
@@ -184,16 +217,28 @@ record! {
 }
 
 impl HistogramSample {
-    /// Rejects bucket counts that do not match the bounds plus overflow.
+    /// Rejects what no [`Histogram`] can hold: bounds that are not finite
+    /// and strictly ascending, bucket counts that do not match the bounds
+    /// plus overflow, and a total that is not the sum of the buckets.
     fn check(&self, path: &str) -> Result<(), String> {
+        let at = |key| json::key_path(path, key);
+        check_bounds(&self.bounds).map_err(|why| json::field_error(&at("bounds"), why))?;
         let (n, want) = (self.counts.len(), self.bounds.len() + 1);
-        if n == want {
-            return Ok(());
+        if n != want {
+            return Err(json::field_error(
+                &at("counts"),
+                format_args!("has {n} values, expected {want} (bounds plus overflow)"),
+            ));
         }
-        Err(json::field_error(
-            &json::key_path(path, "counts"),
-            format_args!("has {n} values, expected {want} (bounds plus overflow)"),
-        ))
+        let sum = self.counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+        if sum != Some(self.count) {
+            let sum = sum.map_or("more than u64 holds".to_string(), |s| s.to_string());
+            return Err(json::field_error(
+                &at("count"),
+                format_args!("is {}, but the bucket counts sum to {sum}", self.count),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -407,6 +452,50 @@ mod tests {
         assert_eq!(h.counts, vec![1, 1, 1, 1]);
         assert_eq!(h.count, 4);
         assert!((h.mean() - 138.875).abs() < 1e-9);
+    }
+
+    #[test]
+    fn observe_picks_the_bucket_the_linear_scan_picks() {
+        let bounds = [-2.5, 0.0, 1.0, 1.5, 8.0, 1e9];
+        let scan = |v: f64| bounds.iter().position(|b| v <= *b).unwrap_or(bounds.len());
+        let probes = [
+            -1e300, -2.5, -2.4, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.25, 1.5, 7.999, 8.0, 8.001, 1e9,
+            1e9 + 1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+        ];
+        for v in probes {
+            let mut h = Histogram::with_bounds(&bounds);
+            h.observe(v);
+            let mut want = vec![0; bounds.len() + 1];
+            want[scan(v)] = 1;
+            assert_eq!(h.counts, want, "value {v}");
+        }
+        // A long ladder, probed on and on either side of every bound.
+        let mut h = Histogram::exponential(40);
+        for b in h.bounds.clone() {
+            for v in [b - 0.25, b, b + 0.25] {
+                let before = h.counts.clone();
+                h.observe(v);
+                let got = h.counts.iter().zip(&before).position(|(a, b)| a != b);
+                let want = h.bounds.iter().position(|x| v <= *x).unwrap_or(h.bounds.len());
+                assert_eq!(got, Some(want), "value {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounds_must_be_finite_and_strictly_ascending() {
+        assert_eq!(check_bounds(&[]), Ok(()));
+        assert_eq!(check_bounds(&[1.0, 2.0]), Ok(()));
+        for (bounds, why) in [
+            (vec![1.0, 1.0], "is not strictly ascending: 1 at index 1 follows 1"),
+            (vec![1.0, 4.0, 2.0], "is not strictly ascending: 2 at index 2 follows 4"),
+            (vec![1.0, f64::NAN], "has NaN at index 1, expected finite numbers"),
+            (vec![f64::INFINITY], "has inf at index 0, expected finite numbers"),
+        ] {
+            assert_eq!(check_bounds(&bounds), Err(why.to_string()));
+            let built = std::panic::catch_unwind(|| Histogram::with_bounds(&bounds));
+            assert!(built.is_err(), "{bounds:?} built a histogram");
+        }
     }
 
     #[test]

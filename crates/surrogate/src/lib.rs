@@ -25,7 +25,9 @@
 
 pub mod fit;
 
-use enmc_arch::system::{ClassificationJob, Scheme, SchemeResult, ShardedRun, CHANNELS};
+use enmc_arch::system::{
+    ClassificationJob, RankSlices, Scheme, SchemeResult, ShardedRun, CHANNELS,
+};
 use enmc_arch::unit::UnitReport;
 use enmc_arch::{LogicEnergyModel, SystemEnergy, SystemModel};
 use enmc_dram::DramStats;
@@ -242,10 +244,11 @@ impl CostModel {
     }
 
     /// Mirrors [`SystemModel::run_sharded`] for the ENMC scheme: every
-    /// rank's exact slice predicted and merged with the simulator's own
-    /// merge, or delegated to the real sharded run. Predicted runs carry
-    /// no host wall-clock (the fields are zero) — they cost microseconds
-    /// and the numbers would be meaningless.
+    /// distinct rank slice predicted once and assembled with the
+    /// simulator's own per-rank merge ([`RankSlices::assemble`]), or
+    /// delegated to the real sharded run. Predicted runs carry no host
+    /// wall-clock (the fields are zero) — they cost microseconds and the
+    /// numbers would be meaningless.
     ///
     /// # Errors
     ///
@@ -261,49 +264,32 @@ impl CostModel {
         let CostBackend::Surrogate { audit_rate } = self.backend else {
             return Ok(sys.run_sharded(job, Scheme::Enmc, cfg));
         };
-        let fit = self.fit_for(sys, job).clone();
-        let jobs = job.rank_jobs(sys.total_ranks);
-        let shards = jobs.len();
-        let reports: Vec<UnitReport> = jobs.iter().map(|j| fit.predict(j)).collect();
-        let merged = UnitReport::merge_parallel(&reports);
+        let slices = RankSlices::of(job, sys.total_ranks);
+        let (reports, window) = {
+            let fit = self.fit_for(sys, job);
+            let reports: Vec<UnitReport> = slices.distinct.iter().map(|j| fit.predict(j)).collect();
+            (reports, fit.refresh_window())
+        };
         let logic = LogicEnergyModel::enmc_table5();
-        let mut energy = SystemEnergy::default();
-        for r in &reports {
-            let e = SystemEnergy::from_rank(r, 1, sys.energy_model(), &logic);
-            energy.dram_static_nj += e.dram_static_nj;
-            energy.dram_access_nj += e.dram_access_nj;
-            energy.logic_nj += e.logic_nj;
-        }
-        let shard_dram: Vec<DramStats> = reports.iter().map(|r| r.dram).collect();
+        let run = slices.assemble(Scheme::Enmc, &reports, sys.energy_model(), &logic);
         self.stats.predicted += 1;
         if self.draw(audit_rate) {
             let actual = sys.run_sharded(job, Scheme::Enmc, cfg);
             let actual_report =
                 actual.result.rank_report.as_ref().expect("ENMC runs are simulated");
+            let merged = run.result.rank_report.as_ref().expect("assembled runs carry a report");
             self.stats.audited += 1;
             self.check(
                 context,
-                &merged,
-                &shard_dram,
+                merged,
+                &run.shard_dram,
                 actual_report,
                 &actual.shard_dram,
                 sys,
-                fit.refresh_window(),
+                window,
             )?;
         }
-        Ok(ShardedRun {
-            result: SchemeResult {
-                scheme: Scheme::Enmc,
-                ns: merged.ns,
-                energy: Some(energy),
-                rank_report: Some(merged),
-            },
-            workers: cfg.worker_count(),
-            shards,
-            wall_ns: 0.0,
-            shard_wall_ns: 0.0,
-            shard_dram,
-        })
+        Ok(ShardedRun { workers: cfg.worker_count(), ..run })
     }
 
     /// The fitted shape for `job`, fitting on demand (and refitting when
@@ -695,6 +681,34 @@ mod tests {
         let mut cost2 = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, 7);
         let run4 = cost2.run_sharded_enmc(&sys, &job, &SimConfig::with_threads(4), "t").unwrap();
         assert_eq!(run.result, run4.result, "prediction must not depend on workers");
+    }
+
+    #[test]
+    fn one_prediction_per_distinct_slice_equals_one_per_rank() {
+        let sys = SystemModel::table3();
+        let job = small_job();
+        let ranks = sys.total_ranks;
+        assert!(!job.categories.is_multiple_of(ranks) && !job.candidates.is_multiple_of(ranks));
+        let mut cost = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, 7);
+        let run = cost.run_sharded_enmc(&sys, &job, &SimConfig::sequential(), "t").unwrap();
+        assert!(RankSlices::of(&job, ranks).distinct.len() > 1, "remainders make slices differ");
+        // Every rank predicted on its own and merged rank by rank.
+        let fit = cost.fits.values().next().expect("the run fitted its shape");
+        let reports: Vec<UnitReport> = job.rank_jobs(ranks).iter().map(|j| fit.predict(j)).collect();
+        let logic = LogicEnergyModel::enmc_table5();
+        let mut energy = SystemEnergy::default();
+        for r in &reports {
+            let e = SystemEnergy::from_rank(r, 1, sys.energy_model(), &logic);
+            energy.dram_static_nj += e.dram_static_nj;
+            energy.dram_access_nj += e.dram_access_nj;
+            energy.logic_nj += e.logic_nj;
+        }
+        let merged = UnitReport::merge_parallel(&reports);
+        assert_eq!(run.result.rank_report, Some(merged));
+        assert_eq!(run.result.ns, merged.ns);
+        assert_eq!(run.result.energy, Some(energy));
+        assert_eq!(run.shard_dram, reports.iter().map(|r| r.dram).collect::<Vec<_>>());
+        assert_eq!(run.shards, ranks);
     }
 
     #[test]

@@ -102,6 +102,12 @@ fn documents() -> Vec<Row> {
         ("string for a number", set(&serve, "sim_cycles", r#""48159""#), "sim_cycles"),
         ("truncated", cut(&serve, r#""bounds":[1,1.189"#), "metrics.histograms[0].bounds[1]"),
         ("bucket counts", swap(&serve, "[0,0,", "[0,"), "metrics.histograms[0].counts"),
+        (
+            "bounds out of order",
+            swap(&serve, "[1,1.189207115002721,", "[1.189207115002721,1,"),
+            "metrics.histograms[0].bounds",
+        ),
+        ("count not the bucket sum", set(&serve, "count", "77"), "metrics.histograms[0].count"),
     ];
     let failed = r#""failed":0,"#;
     let hostile_bench = vec![
