@@ -31,6 +31,7 @@ fn run(params: UnitParams) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let cfg = or_exit(sim_config(&args));
+    let mut rep = Reporter::from_env("ablation");
     let base = UnitParams::enmc(&EnmcConfig::table3());
     let base_ns = run(base);
     println!("ENMC design-choice ablations (one rank, Transformer-like slice, batch 2)\n");
@@ -63,7 +64,6 @@ fn main() {
     }
 
     t.print();
-    let mut rep = Reporter::from_env("ablation");
     rep.table("ablations", &t);
     rep.finish();
     println!("\nReading: INT4 storage and the inline filter are the big levers");

@@ -81,6 +81,7 @@ fn sweep_cell(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let cfg = or_exit(sim_config(&args));
+    let mut rep = Reporter::from_env("fault_sweep");
     let backend = or_exit(cost_backend(&args, "cycle-accurate"));
     println!("Resilience grid: screening quality vs refresh energy (retention faults)\n");
     let mut grid = Vec::new();
@@ -121,7 +122,6 @@ fn main() {
         }
     }
     t.print();
-    let mut rep = Reporter::from_env("fault_sweep");
     rep.table("resilience_grid", &t);
     rep.finish();
     println!(

@@ -6,6 +6,7 @@ use enmc_bench::table::Table;
 use enmc_model::breakdown::figure4_breakdown;
 
 fn main() {
+    let mut rep = Reporter::from_env("fig04_breakdown");
     println!("Figure 4: classification vs non-classification breakdown\n");
     let mut t = Table::new(&[
         "Workload",
@@ -24,7 +25,6 @@ fn main() {
         ]);
     }
     t.print();
-    let mut rep = Reporter::from_env("fig04_breakdown");
     rep.table("breakdown", &t);
     rep.finish();
     println!("\nShape check: classification share grows with category count and");

@@ -15,6 +15,8 @@ use enmc_tensor::stats::geometric_mean;
 
 fn main() {
     let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
+    let mut bench = BenchEmitter::from_env("fig13_performance");
+    let mut rep = Reporter::from_env("fig13_performance");
     let sys = SystemModel::table3();
     println!("Figure 13: performance normalized to the full-classification CPU\n");
 
@@ -33,7 +35,6 @@ fn main() {
         .iter()
         .flat_map(|&id| [1usize, 2, 4].map(|batch| (id, batch)))
         .collect();
-    let mut bench = BenchEmitter::from_env("fig13_performance");
     // Every (workload, batch) point simulates independently; shard them
     // across the bench workers. Rows come back in sweep order.
     let rows = bench.timed("harness/sweep_ns", || par_rows(&cfg, points, |&(id, batch)| {
@@ -67,7 +68,6 @@ fn main() {
         t.row_owned(cells);
     }
     t.print();
-    let mut rep = Reporter::from_env("fig13_performance");
     rep.table("speedups", &t);
 
     println!("\nGeometric-mean speedups over CPU-full:");

@@ -12,6 +12,8 @@ use enmc_model::workloads::WorkloadId;
 
 fn main() {
     let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
+    let mut bench = BenchEmitter::from_env("fig14_energy");
+    let mut rep = Reporter::from_env("fig14_energy");
     let sys = SystemModel::table3();
     println!("Figure 14: energy breakdown normalized to TensorDIMM\n");
     let mut t = Table::new(&[
@@ -19,7 +21,6 @@ fn main() {
     ]);
     let mut ratios_td = Vec::new();
     let mut ratios_tdl = Vec::new();
-    let mut bench = BenchEmitter::from_env("fig14_energy");
     // One independent three-scheme simulation per workload; shard them
     // across the bench workers.
     let runs = bench.timed("harness/sweep_ns", || par_rows(&cfg, WorkloadId::table2().to_vec(), |&id| {
@@ -60,7 +61,6 @@ fn main() {
         ratios_tdl.push(tdl.total_nj() / enmc.total_nj());
     }
     t.print();
-    let mut rep = Reporter::from_env("fig14_energy");
     rep.table("energy_breakdown", &t);
     rep.finish();
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;

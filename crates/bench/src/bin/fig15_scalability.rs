@@ -20,6 +20,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = or_exit(scale(&args, 8));
     let cfg = or_exit(sim_config(&args));
+    let mut bench = BenchEmitter::from_env("fig15_scalability");
+    let mut rep = Reporter::from_env("fig15_scalability");
     let sys = SystemModel::table3();
     let cpu = CpuModel::xeon_8280();
     println!("Figure 15: end-to-end scalability (XMLCNN front-end), sim scale 1/{scale}\n");
@@ -61,7 +63,6 @@ fn main() {
         }
         (row, scheme_ns)
     });
-    let mut bench = BenchEmitter::from_env("fig15_scalability");
     for (row, scheme_ns) in rows {
         let abbr = row[0].clone();
         adv_td.push(scheme_ns[0] / scheme_ns[2]);
@@ -77,7 +78,6 @@ fn main() {
     }
     t.print();
     bench.finish();
-    let mut rep = Reporter::from_env("fig15_scalability");
     rep.table("scalability", &t);
     rep.note(&format!("sim scale 1/{scale}"));
     rep.finish();

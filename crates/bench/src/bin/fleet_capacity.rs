@@ -146,6 +146,8 @@ fn main() {
     let backend = or_exit(cost_backend(&args, "surrogate"));
     let sys = SystemModel::table3();
     let cfg = or_exit(sim_config(&args));
+    let mut bench = BenchEmitter::from_env("fleet_capacity");
+    let mut rep = Reporter::from_env("fleet_capacity");
     println!(
         "Fleet capacity: qps/DIMM at {:.0}% SLO vs model size, sim scale 1/{scale}, \
          {NODES} nodes x {SHARDS} shards (zipf {ZIPF_S}), cost model {}\n",
@@ -183,7 +185,6 @@ fn main() {
     });
 
     let mut t = Table::new(&["Dataset", "qps/DIMM (hash)", "qps/DIMM (popularity)", "ratio"]);
-    let mut bench = BenchEmitter::from_env("fleet_capacity");
     let mut failures = Vec::new();
     for (id, ch, pa) in rows {
         let abbr = id.workload().abbr;
@@ -204,7 +205,6 @@ fn main() {
     t.print();
     bench.finish();
 
-    let mut rep = Reporter::from_env("fleet_capacity");
     rep.table("capacity", &t);
     rep.note(&format!(
         "capacity = max Poisson rate with >= {:.0}% of generated queries meeting a \

@@ -22,6 +22,8 @@ use enmc_model::workloads::WorkloadId;
 
 fn main() {
     let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
+    let mut bench = BenchEmitter::from_env("memtech_iso_quality");
+    let mut rep = Reporter::from_env("memtech_iso_quality");
     println!("Iso-quality memory-technology sweep (ENMC scheme, batch 1)\n");
     let shapes: Vec<WorkloadId> = {
         let mut v = WorkloadId::table2().to_vec();
@@ -32,7 +34,6 @@ fn main() {
         .iter()
         .flat_map(|&id| MemTech::ALL.map(|tech| (id, tech)))
         .collect();
-    let mut bench = BenchEmitter::from_env("memtech_iso_quality");
     // Every (shape, preset) point simulates independently; shard them
     // across the bench workers. Rows come back in sweep order.
     let rows = bench.timed("harness/sweep_ns", || {
@@ -82,7 +83,6 @@ fn main() {
     }
     t.print();
 
-    let mut rep = Reporter::from_env("memtech_iso_quality");
     rep.table("iso_quality_sweep", &t);
     let s1m: Vec<&(&str, MemTech, f64, f64)> =
         rows.iter().filter(|(a, ..)| *a == "S1M").collect();

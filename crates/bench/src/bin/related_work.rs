@@ -56,6 +56,7 @@ where
 fn main() {
     let cpu = CpuCostModel::default();
     let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
+    let mut rep = Reporter::from_env("related_work");
     let id = WorkloadId::Xmlcnn670K;
     let fitted = fit_pipeline(id, 0.25, Precision::Int4, 42);
     let (l, d) = fitted.shape;
@@ -128,7 +129,6 @@ fn main() {
     }
 
     t.print();
-    let mut rep = Reporter::from_env("related_work");
     rep.table("methods", &t);
     rep.finish();
     println!("\nReading: MACH trades accuracy for memory exactly as the paper");

@@ -10,6 +10,7 @@ use enmc_bench::{or_exit, par_rows, sim_config};
 
 fn main() {
     let sim = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
+    let mut rep = Reporter::from_env("scaleout");
     let sys = SystemModel::table3();
     let net = Network::roce_100g();
     // An S10M-class shardable job (scaled 1/8 like fig15; latencies are
@@ -39,7 +40,6 @@ fn main() {
         t.row_owned(row);
     }
     t.print();
-    let mut rep = Reporter::from_env("scaleout");
     rep.table("node_sweep", &t);
     rep.finish();
     println!("\nScreening makes the gathered payload tiny (candidates only), so the");

@@ -51,6 +51,7 @@ fn serving_job(id: WorkloadId) -> ClassificationJob {
 
 fn main() {
     let sim = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
+    let mut rep = Reporter::from_env("serve_load");
     let sys = SystemModel::table3();
 
     println!("Serving load sweep: utilization x degrade policy, 4 paper shapes\n");
@@ -128,7 +129,6 @@ fn main() {
     }
     t.print();
 
-    let mut rep = Reporter::from_env("serve_load");
     rep.table("load_sweep", &t);
     rep.note(
         "utilization is relative to each workload's probed full-quality capacity; \

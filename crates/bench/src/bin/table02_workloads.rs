@@ -5,6 +5,7 @@ use enmc_bench::table::Table;
 use enmc_model::workloads::{TaskKind, WorkloadId};
 
 fn main() {
+    let mut rep = Reporter::from_env("table02_workloads");
     println!("Table 2: Evaluated models and datasets\n");
     let mut t = Table::new(&["Abbr.", "Task", "Categories", "Hidden", "Classifier bytes"]);
     for id in WorkloadId::table2().iter().chain(WorkloadId::scaling().iter()) {
@@ -23,7 +24,6 @@ fn main() {
         ]);
     }
     t.print();
-    let mut rep = Reporter::from_env("table02_workloads");
     rep.table("workloads", &t);
     rep.finish();
 }

@@ -5,6 +5,7 @@ use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 
 fn main() {
+    let mut rep = Reporter::from_env("table04_baselines");
     let m = PhysicalModel::tsmc28();
     println!("Table 4: NMP designs at comparable area and power budget\n");
     let mut t = Table::new(&["NMP design", "Configuration", "Est. Area (mm^2)", "Est. Power (mW)"]);
@@ -23,7 +24,6 @@ fn main() {
         ]);
     }
     t.print();
-    let mut rep = Reporter::from_env("table04_baselines");
     rep.table("budgets", &t);
     rep.finish();
     println!("\nPaper reference: NDA 0.445/293.6, Chameleon 0.398/249.0,");

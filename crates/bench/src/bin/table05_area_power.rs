@@ -24,10 +24,11 @@ const PAPER_TOTAL_AREA_MM2: f64 = 0.442;
 const PAPER_TOTAL_POWER_MW: f64 = 285.4;
 
 fn main() {
+    let mut bench = BenchEmitter::from_env("table05_area_power");
+    let mut rep = Reporter::from_env("table05_area_power");
     let m = PhysicalModel::tsmc28();
     println!("Table 5: ENMC area and power estimation\n");
     let mut t = Table::new(&["Component", "Area (mm^2)", "Power (mW)", "Area %", "Power %"]);
-    let mut bench = BenchEmitter::from_env("table05_area_power");
     let total = m.enmc_unit();
     let rows = table5_rows(&m);
     assert_eq!(rows.len(), PAPER_ROWS.len(), "Table 5 must list every component");
@@ -81,7 +82,6 @@ fn main() {
     bench.det("total/area_mm2", total.area_mm2);
     bench.det("total/power_mw", total.power_mw);
     bench.finish();
-    let mut rep = Reporter::from_env("table05_area_power");
     rep.table("area_power", &t);
     rep.note("every row and both totals asserted against the paper's Table 5 figures");
     rep.finish();

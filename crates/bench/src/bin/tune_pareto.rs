@@ -60,9 +60,10 @@ fn assert_frontier_valid(r: &TuneResult) {
 }
 
 fn main() {
+    let mut bench = BenchEmitter::from_env("tune_pareto");
+    let mut rep = Reporter::from_env("tune_pareto");
     let sys = SystemModel::table3();
     let job = job();
-    let mut bench = BenchEmitter::from_env("tune_pareto");
     println!("Design-space tuning: Pareto frontier over the default small lattice\n");
 
     let ex = bench
@@ -112,7 +113,6 @@ fn main() {
     bench.det("guided_evaluated", gd.evaluated.len() as f64);
     bench.finish();
 
-    let mut rep = Reporter::from_env("tune_pareto");
     rep.table("frontier", &t);
     rep.note(&format!(
         "{} designs, {} rejected by the {MAX_AREA_MM2} mm^2 budget; exhaustive evaluated {}, \

@@ -43,6 +43,7 @@ fn run_pattern(mapping: AddressMapping, addrs: &[u64]) -> (f64, f64, f64) {
 
 fn main() {
     let sim = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
+    let mut rep = Reporter::from_env("validate_dram");
     let cfg = DramConfig::enmc_single_rank();
     let t = cfg.timing;
     println!("DRAM model validation (single rank, DDR4-2400)\n");
@@ -118,7 +119,6 @@ fn main() {
     }
 
     table.print();
-    let mut rep = Reporter::from_env("validate_dram");
     rep.table("patterns", &table);
     rep.note(&format!("cold read latency: {lat} cycles"));
     rep.finish();

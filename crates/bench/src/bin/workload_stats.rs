@@ -11,6 +11,7 @@ use enmc_tensor::quant::Precision;
 
 fn main() {
     let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
+    let mut rep = Reporter::from_env("workload_stats");
     println!("Synthetic workload statistics (the screenability properties)\n");
     let mut t = Table::new(&[
         "Workload", "eval shape", "top-10 mass", "entropy (nats)", "spectral mass", "head mass",
@@ -29,7 +30,6 @@ fn main() {
         ]);
     }
     t.print();
-    let mut rep = Reporter::from_env("workload_stats");
     rep.table("statistics", &t);
     rep.finish();
     println!("\ntop-10 mass well above uniform (10/l), entropy below the uniform");

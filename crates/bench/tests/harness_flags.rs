@@ -1,6 +1,6 @@
 //! A harness binary given `--json` or `--bench-json` with no path after
-//! it exits 2 naming the flag, instead of writing nothing or a file named
-//! after the next flag.
+//! it exits 2 naming the flag, before it prints or computes anything,
+//! instead of writing nothing or a file named after the next flag.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -31,6 +31,8 @@ fn a_document_flag_without_a_path_exits_2_naming_the_flag() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(err.contains(&format!("{flag} expects a file path, got '")), "{args:?}: {err}");
+        let printed = String::from_utf8_lossy(&out.stdout);
+        assert!(printed.is_empty(), "{args:?} ran before exiting: {printed}");
         let written: Vec<_> = std::fs::read_dir(&dir).expect("temp dir").collect();
         assert!(written.is_empty(), "{args:?} wrote {written:?}");
     }

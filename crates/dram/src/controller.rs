@@ -16,21 +16,27 @@
 //! simplified host-style controller ("we do not deploy unnecessary
 //! features like queue prioritizing, request coalescing").
 //!
-//! The scan is event-aware without changing a single decision: each
-//! queued entry counts its older same-address entries at enqueue (the
-//! reorder hazard), and a scan that issues nothing records the least
-//! [`RankState::earliest`] it saw. Until that cycle, or until a refresh
-//! falls due, a request arrives or a command issues, the scan would
-//! issue nothing again, so [`ChannelController::tick`] skips it.
+//! The scan is event-aware without changing a single decision. Requests
+//! queue per bank in age order, each counting its older same-address
+//! entries at enqueue (the reorder hazard). Every entry of one bank and
+//! one class (read hit, write hit, non-hit) needs the same command at the
+//! same [`RankState::earliest`], so each bank *offers* only its oldest
+//! unblocked entry per class, kept up to date at an enqueue and at every
+//! command to the bank, and the scan prices offers instead of entries. A
+//! scan that issues nothing records the least issue cycle it saw; until
+//! that cycle, or until a refresh falls due, a request arrives or a
+//! command issues, the scan would issue nothing again, so
+//! [`ChannelController::tick`] skips it.
 
 use crate::checker::{ProtocolViolation, TimingChecker};
 use crate::command::{Command, CommandKind, TimedCommand};
-use crate::config::{DramConfig, PagePolicy, Timing};
+use crate::config::{DramConfig, Organization, PagePolicy, Timing};
 use crate::mapping::Coord;
 use crate::rank::RankState;
 use crate::stats::{DramStats, MAX_BANK_GROUPS};
 use crate::system::{Completion, RequestId, RequestKind};
 use enmc_obs::trace::{TraceBuffer, TraceEvent, TraceSink, CAT_DRAM, CAT_PROTOCOL, TID_COUNTERS};
+use std::collections::VecDeque;
 
 /// Cycle stride between sampled counter-track events (queue depth, open
 /// rows) when tracing is enabled. Coarse enough to keep counter volume
@@ -45,6 +51,8 @@ struct Entry {
     kind: RequestKind,
     coord: Coord,
     arrived: u64,
+    /// Arrival number: orders entries of different banks, oldest first.
+    seq: u64,
     /// Set once this entry has caused a PRE (conflict) so it is only
     /// classified once in the stats.
     classified: bool,
@@ -54,12 +62,100 @@ struct Entry {
     blocked: usize,
 }
 
+/// A bank's candidate for the FR-FCFS scan: the queue position of its
+/// oldest unblocked entry of one class, and the command that entry needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Offer {
+    pos: usize,
+    cmd: CommandKind,
+}
+
+/// A bank's offers by class: read hit, write hit, non-hit (PRE when a row
+/// is open, ACT when the bank is closed).
+type Offers = [Option<Offer>; 3];
+
+/// The requests queued for one bank, oldest first, and its offers under
+/// the bank's current row state.
+#[derive(Debug, Clone, Default)]
+struct BankQueue {
+    entries: VecDeque<Entry>,
+    offers: Offers,
+}
+
+/// The offer class of a `kind` request to `row` and the command it needs
+/// while the bank holds `open`.
+fn class_of(kind: RequestKind, row: usize, open: Option<usize>) -> (usize, CommandKind) {
+    match (open, kind) {
+        (Some(r), RequestKind::Read) if r == row => (0, CommandKind::Rd),
+        (Some(r), RequestKind::Write) if r == row => (1, CommandKind::Wr),
+        (Some(_), _) => (2, CommandKind::Pre),
+        (None, _) => (2, CommandKind::Act),
+    }
+}
+
+/// The offers of a bank holding `open` with `entries` queued.
+fn offers(entries: &VecDeque<Entry>, open: Option<usize>) -> Offers {
+    let mut offers = [None; 3];
+    for (pos, e) in entries.iter().enumerate().filter(|(_, e)| e.blocked == 0) {
+        let (class, cmd) = class_of(e.kind, e.coord.row, open);
+        offers[class].get_or_insert(Offer { pos, cmd });
+    }
+    offers
+}
+
+/// A set of banks: one bit per bank, in 64-bit words per rank.
+#[derive(Debug, Clone)]
+struct BankSet {
+    bits: Vec<u64>,
+    words_per_rank: usize,
+}
+
+impl BankSet {
+    fn new(org: &Organization) -> Self {
+        let words_per_rank = org.banks_per_rank().div_ceil(64);
+        BankSet { bits: vec![0; org.ranks * words_per_rank], words_per_rank }
+    }
+
+    /// Adds (`on`) or removes bank `flat` of `rank`.
+    fn set(&mut self, rank: usize, flat: usize, on: bool) {
+        let word = &mut self.bits[rank * self.words_per_rank + flat / 64];
+        let bit = 1 << (flat % 64);
+        if on {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// The members among `rank`'s banks, in ascending order.
+    fn of_rank(&self, rank: usize) -> impl Iterator<Item = usize> + '_ {
+        let words = &self.bits[rank * self.words_per_rank..(rank + 1) * self.words_per_rank];
+        words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let flat = w * 64 + bits.trailing_zeros() as usize;
+                (bits != 0).then(|| {
+                    bits &= bits - 1;
+                    flat
+                })
+            })
+        })
+    }
+}
+
 /// One channel's controller and its ranks.
 #[derive(Debug, Clone)]
 pub struct ChannelController {
     config: DramConfig,
     ranks: Vec<RankState>,
-    queue: Vec<Entry>,
+    /// Per-bank queues, rank-major (`rank * banks_per_rank + flat bank`).
+    banks: Vec<BankQueue>,
+    /// Banks with at least one offer: the banks a scan visits.
+    offered: BankSet,
+    /// Requests queued over all banks.
+    queued: usize,
+    /// Arrival number of the next enqueued request.
+    next_seq: u64,
     /// Cycle of the next due refresh, per rank.
     next_refresh: Vec<u64>,
     /// Ranks with an overdue refresh.
@@ -90,9 +186,13 @@ impl ChannelController {
             .map(|_| RankState::new(&config.organization, &config.timing))
             .collect();
         let trefi = config.timing.trefi;
+        let banks = config.organization.ranks * config.organization.banks_per_rank();
         ChannelController {
             ranks,
-            queue: Vec::with_capacity(config.queue_depth),
+            banks: vec![BankQueue::default(); banks],
+            offered: BankSet::new(&config.organization),
+            queued: 0,
+            next_seq: 0,
             next_refresh: (0..config.organization.ranks).map(|_| trefi).collect(),
             refresh_due: vec![false; config.organization.ranks],
             wake: 0,
@@ -150,7 +250,7 @@ impl ChannelController {
             .sum();
         trace.record(
             TraceEvent::counter("queue_depth", CAT_DRAM, now, self.trace_pid, TID_COUNTERS)
-                .with_arg("value", self.queue.len() as u64),
+                .with_arg("value", self.queued as u64),
         );
         trace.record(
             TraceEvent::counter("open_rows", CAT_DRAM, now, self.trace_pid, TID_COUNTERS)
@@ -198,13 +298,32 @@ impl ChannelController {
         self.cmd_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Single funnel for every issued command: scan wake-up, trace event,
-    /// command log, and protocol check. Fresh violations are mirrored
-    /// into the trace (category [`CAT_PROTOCOL`]) so they land next to
-    /// the offending command in timeline views.
+    /// Recomputes the offers of bank `flat` of `rank` from its queue and
+    /// row state.
+    fn reprice(&mut self, rank: usize, flat: usize) {
+        let open = self.ranks[rank].open_row(flat);
+        let queue = &mut self.banks[rank * self.config.organization.banks_per_rank() + flat];
+        queue.offers = offers(&queue.entries, open);
+        self.offered.set(rank, flat, queue.offers.iter().any(Option::is_some));
+    }
+
+    /// Single funnel for every issued command: offers, scan wake-up, trace
+    /// event, command log, and protocol check. Fresh violations are
+    /// mirrored into the trace (category [`CAT_PROTOCOL`]) so they land
+    /// next to the offending command in timeline views.
     fn observe_cmd(&mut self, now: u64, kind: CommandKind, coord: &Coord) {
-        // The command changed rank state, so every entry's issue cycle
-        // may have moved: scan again next cycle.
+        // The command changed its bank's row state or queue (PREA and REF:
+        // every bank of its rank), so re-price those banks; and it changed
+        // rank state, so every offer's issue cycle may have moved: scan
+        // again next cycle.
+        let org = &self.config.organization;
+        let banks = match kind {
+            CommandKind::PreA | CommandKind::Ref => 0..org.banks_per_rank(),
+            _ => coord.flat_bank(org)..coord.flat_bank(org) + 1,
+        };
+        for flat in banks {
+            self.reprice(coord.rank, flat);
+        }
         self.wake = 0;
         self.trace_cmd(now, kind, coord);
         if let Some(log) = self.cmd_log.as_mut() {
@@ -234,12 +353,12 @@ impl ChannelController {
 
     /// Number of free queue slots.
     pub fn free_slots(&self) -> usize {
-        self.config.queue_depth - self.queue.len()
+        self.config.queue_depth - self.queued
     }
 
     /// `true` when no requests are pending.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.queued == 0
     }
 
     /// Accumulated statistics.
@@ -250,11 +369,32 @@ impl ChannelController {
     /// Enqueues a request. Returns `false` (rejecting it) when the queue is
     /// full.
     pub fn enqueue(&mut self, id: RequestId, kind: RequestKind, coord: Coord, now: u64) -> bool {
-        if self.queue.len() >= self.config.queue_depth {
+        if self.queued >= self.config.queue_depth {
             return false;
         }
-        let blocked = self.queue.iter().filter(|e| e.coord == coord).count();
-        self.queue.push(Entry { id, kind, coord, arrived: now, classified: false, blocked });
+        let org = &self.config.organization;
+        let flat = coord.flat_bank(org);
+        let open = self.ranks[coord.rank].open_row(flat);
+        let queue = &mut self.banks[coord.rank * org.banks_per_rank() + flat];
+        let blocked = queue.entries.iter().filter(|e| e.coord == coord).count();
+        if blocked == 0 {
+            // The youngest entry: it is its class's offer only if the bank
+            // had none.
+            let (class, cmd) = class_of(kind, coord.row, open);
+            queue.offers[class].get_or_insert(Offer { pos: queue.entries.len(), cmd });
+            self.offered.set(coord.rank, flat, true);
+        }
+        queue.entries.push_back(Entry {
+            id,
+            kind,
+            coord,
+            arrived: now,
+            seq: self.next_seq,
+            classified: false,
+            blocked,
+        });
+        self.next_seq += 1;
+        self.queued += 1;
         self.wake = 0;
         true
     }
@@ -266,7 +406,7 @@ impl ChannelController {
         if self.trace.is_some() && now % COUNTER_SAMPLE_INTERVAL == 0 {
             self.trace_counters(now);
         }
-        if self.queue.is_empty() && self.ranks.iter().all(RankState::all_closed) {
+        if self.queued == 0 && self.ranks.iter().all(RankState::all_closed) {
             // Eligible for precharge power-down this cycle.
             self.stats.idle_cycles += 1;
         }
@@ -303,53 +443,60 @@ impl ChannelController {
             // Wait for the rank to become refreshable before serving it.
         }
 
-        // 2. FR-FCFS: oldest-first row hit. Same-address requests must not
-        // reorder (RAW/WAR/WAW): an entry with an older same-address entry
-        // still queued is held back. `wake` collects the least issue cycle
-        // of the entries that are not ready yet; it only matters when the
-        // scan issues nothing, since an issued command resets it.
-        let mut hit_idx: Option<usize> = None;
-        let mut act_idx: Option<usize> = None;
-        let mut pre_idx: Option<usize> = None;
+        // 2. FR-FCFS over the banks' offers: the oldest ready row hit, else
+        // the oldest ready ACT, else the oldest ready PRE. Blocked entries
+        // (an older same-address request must go first) are never
+        // offered, and a rank draining for refresh offers nothing. `wake`
+        // collects the least issue cycle of the offers that are not ready
+        // yet; it only matters when the scan issues nothing, since an
+        // issued command resets it.
+        let banks_per_rank = self.config.organization.banks_per_rank();
+        // Per priority (hit, ACT, PRE): the ready pick's arrival number,
+        // bank and offer.
+        let mut picks: [Option<(u64, usize, Offer)>; 3] = [None; 3];
         let mut wake = u64::MAX;
-        for (i, e) in self.queue.iter().enumerate() {
-            if e.blocked > 0 {
-                continue; // an older same-address request must go first
-            }
-            if self.refresh_due[e.coord.rank] {
+        for (r, rank) in self.ranks.iter().enumerate() {
+            if self.refresh_due[r] {
                 continue; // rank is draining for refresh
             }
-            let rank = &self.ranks[e.coord.rank];
-            let flat = e.coord.flat_bank(&self.config.organization);
-            let (slot, cmd) = match rank.open_row(flat) {
-                Some(row) if row == e.coord.row => (&mut hit_idx, column_command(e.kind)),
-                Some(_) => (&mut pre_idx, CommandKind::Pre),
-                None => (&mut act_idx, CommandKind::Act),
-            };
-            if slot.is_some() {
-                continue; // an older entry already claimed this command
-            }
-            let at = rank.earliest(cmd, &e.coord);
-            if at > now {
-                wake = wake.min(at);
-                continue;
-            }
-            *slot = Some(i);
-            if cmd.is_column() {
-                break; // oldest ready hit wins immediately
+            for flat in self.offered.of_rank(r) {
+                let bank = r * banks_per_rank + flat;
+                let queue = &self.banks[bank];
+                for &offer in queue.offers.iter().flatten() {
+                    let e = &queue.entries[offer.pos];
+                    let priority = match offer.cmd {
+                        CommandKind::Act => 1,
+                        CommandKind::Pre => 2,
+                        _ => 0,
+                    };
+                    let beaten = picks[..priority].iter().any(Option::is_some)
+                        || picks[priority].is_some_and(|(seq, ..)| seq < e.seq);
+                    if beaten {
+                        continue; // a ready pick already outranks this offer
+                    }
+                    let at = rank.earliest(offer.cmd, &e.coord);
+                    if at > now {
+                        wake = wake.min(at);
+                        continue;
+                    }
+                    picks[priority] = Some((e.seq, bank, offer));
+                }
             }
         }
         self.wake = wake;
+        let (_, bank, offer) = picks.into_iter().flatten().next()?;
+        let queue = &mut self.banks[bank];
 
-        if let Some(i) = hit_idx {
-            let mut e = self.queue.remove(i);
-            for younger in &mut self.queue[i..] {
+        if offer.cmd.is_column() {
+            let mut e = queue.entries.remove(offer.pos).expect("an offer names a queued entry");
+            for younger in queue.entries.range_mut(offer.pos..) {
                 if younger.coord == e.coord {
                     younger.blocked -= 1;
                 }
             }
+            self.queued -= 1;
             let cmd = match (self.config.page_policy, e.kind) {
-                (PagePolicy::Open, _) => column_command(e.kind),
+                (PagePolicy::Open, _) => offer.cmd,
                 (PagePolicy::Closed, RequestKind::Read) => CommandKind::Rda,
                 (PagePolicy::Closed, RequestKind::Write) => CommandKind::Wra,
             };
@@ -377,46 +524,23 @@ impl ChannelController {
             };
             return Some(Completion { id: e.id, finish_cycle: finish, enqueued: e.arrived });
         }
-        if let Some(i) = act_idx {
-            let (coord, classified) = {
-                let e = &mut self.queue[i];
-                let c = e.coord;
-                let was = e.classified;
-                e.classified = true;
-                (c, was)
-            };
-            self.ranks[coord.rank].issue(CommandKind::Act, &coord, now);
-            self.observe_cmd(now, CommandKind::Act, &coord);
+        let e = &mut queue.entries[offer.pos];
+        let coord = e.coord;
+        let classified = std::mem::replace(&mut e.classified, true);
+        self.ranks[coord.rank].issue(offer.cmd, &coord, now);
+        self.observe_cmd(now, offer.cmd, &coord);
+        if offer.cmd == CommandKind::Act {
             self.stats.activations += 1;
             if !classified {
                 self.stats.row_misses += 1;
             }
-            return None;
-        }
-        if let Some(i) = pre_idx {
-            let (coord, classified) = {
-                let e = &mut self.queue[i];
-                let c = e.coord;
-                let was = e.classified;
-                e.classified = true;
-                (c, was)
-            };
-            self.ranks[coord.rank].issue(CommandKind::Pre, &coord, now);
-            self.observe_cmd(now, CommandKind::Pre, &coord);
+        } else {
             self.stats.precharges += 1;
             if !classified {
                 self.stats.row_conflicts += 1;
             }
-            return None;
         }
         None
-    }
-}
-
-fn column_command(kind: RequestKind) -> CommandKind {
-    match kind {
-        RequestKind::Read => CommandKind::Rd,
-        RequestKind::Write => CommandKind::Wr,
     }
 }
 
@@ -718,10 +842,28 @@ mod tests {
         assert_eq!(ctrl.stats().writes, 1);
     }
 
+    fn column_command(kind: RequestKind) -> CommandKind {
+        match kind {
+            RequestKind::Read => CommandKind::Rd,
+            RequestKind::Write => CommandKind::Wr,
+        }
+    }
+
+    /// Every queued entry, oldest first.
+    fn age_order(ctrl: &ChannelController) -> Vec<&Entry> {
+        if ctrl.is_idle() {
+            return Vec::new();
+        }
+        let mut queue: Vec<&Entry> = ctrl.banks.iter().flat_map(|b| &b.entries).collect();
+        queue.sort_unstable_by_key(|e| e.seq);
+        queue
+    }
+
     /// The command the scheduler issued before it learnt to skip idle
-    /// scans: refresh priority, then the FR-FCFS scan that rebuilds the
+    /// scans and to queue per bank: refresh priority, then the FR-FCFS scan
+    /// over every queued entry in age order (`queue`), rebuilding the
     /// same-address hazard from a `seen` list, evaluated on every cycle.
-    fn reference_pick(ctrl: &ChannelController, now: u64) -> Option<Command> {
+    fn reference_pick(ctrl: &ChannelController, queue: &[&Entry], now: u64) -> Option<Command> {
         let due = |r: usize| ctrl.refresh_due[r] || now >= ctrl.next_refresh[r];
         for (r, rank) in ctrl.ranks.iter().enumerate().filter(|&(r, _)| due(r)) {
             let any = Coord { channel: 0, rank: r, bank_group: 0, bank: 0, row: 0, column: 0 };
@@ -736,7 +878,7 @@ mod tests {
         let mut act = None;
         let mut pre = None;
         let mut seen: Vec<Coord> = Vec::new();
-        for e in &ctrl.queue {
+        for e in queue {
             let hazard = seen.contains(&e.coord);
             seen.push(e.coord);
             if hazard || due(e.coord.rank) {
@@ -776,9 +918,34 @@ mod tests {
         multi_rank.organization.channels = 1;
         let mut closed = DramConfig::enmc_single_rank();
         closed.page_policy = PagePolicy::Closed;
+        let mut closed_multi_rank = multi_rank;
+        closed_multi_rank.page_policy = PagePolicy::Closed;
+        // The bank geometries of the other memory presets: 8 groups of 4
+        // (DDR5-4800) and 2 of 4 (LPDDR4-3200), rows scaled to keep the
+        // rank's capacity.
+        let geometry = |bank_groups: usize, banks_per_group: usize| {
+            let mut cfg = DramConfig::enmc_single_rank();
+            cfg.organization.bank_groups = bank_groups;
+            cfg.organization.banks_per_group = banks_per_group;
+            cfg.organization.rows = (1 << 20) / (bank_groups * banks_per_group);
+            cfg
+        };
         let mapping = AddressMapping::RoRaBaCoBg;
-        for cfg in [DramConfig::enmc_single_rank(), multi_rank, closed] {
+        let configs = [
+            DramConfig::enmc_single_rank(),
+            multi_rank,
+            closed,
+            geometry(8, 4),
+            geometry(2, 4),
+            closed_multi_rank,
+        ];
+        for cfg in configs {
             let org = cfg.organization;
+            let label = format!(
+                "{} rank(s) of {} x {} banks, {:?} page",
+                org.ranks, org.bank_groups, org.banks_per_group, cfg.page_policy
+            );
+            let mut rejected = 0;
             for pattern in PatternKind::ALL {
                 for seed in 0..2 {
                     let reqs = pattern.generate(seed, 96, &cfg, mapping);
@@ -796,32 +963,57 @@ mod tests {
                             coord.rank = coord.row % org.ranks;
                             let kind = if r.write { RequestKind::Write } else { RequestKind::Read };
                             if !ctrl.enqueue(RequestId(next as u64), kind, coord, now) {
+                                rejected += 1;
                                 break;
                             }
                             next += 1;
                         }
-                        for (i, e) in ctrl.queue.iter().enumerate() {
-                            let older = ctrl.queue[..i].iter().filter(|o| o.coord == e.coord);
-                            assert_eq!(e.blocked, older.count(), "entry {i} at cycle {now}");
+                        let at = |what: &str| {
+                            format!(
+                                "{} seed {seed}, {label}, {what} at cycle {now}",
+                                pattern.name()
+                            )
+                        };
+                        let queue = age_order(&ctrl);
+                        for (i, e) in queue.iter().enumerate() {
+                            let older = queue[..i].iter().filter(|o| o.coord == e.coord);
+                            assert_eq!(e.blocked, older.count(), "{}", at(&format!("entry {i}")));
                         }
-                        let expected: Vec<TimedCommand> = reference_pick(&ctrl, now)
+                        // An empty bank offers nothing; the others offer
+                        // what their queues and row states make them, and
+                        // the scan visits exactly the banks with an offer.
+                        let bpr = org.banks_per_rank();
+                        let mut with_offers = Vec::new();
+                        let mut entries = 0;
+                        for (b, bank) in ctrl.banks.iter().enumerate() {
+                            entries += bank.entries.len();
+                            let fresh = if bank.entries.is_empty() {
+                                [None; 3]
+                            } else {
+                                offers(&bank.entries, ctrl.ranks[b / bpr].open_row(b % bpr))
+                            };
+                            assert_eq!(bank.offers, fresh, "{}", at(&format!("bank {b}")));
+                            if fresh.iter().any(Option::is_some) {
+                                with_offers.push(b);
+                            }
+                        }
+                        let visited: Vec<usize> = (0..org.ranks)
+                            .flat_map(|r| ctrl.offered.of_rank(r).map(move |flat| r * bpr + flat))
+                            .collect();
+                        assert_eq!(visited, with_offers, "{}", at("offered banks"));
+                        assert_eq!(entries, ctrl.queued, "{}", at("queue depth"));
+                        let expected: Vec<TimedCommand> = reference_pick(&ctrl, &queue, now)
                             .map(|command| TimedCommand { cycle: now, command })
                             .into_iter()
                             .collect();
                         ctrl.tick(now);
-                        assert_eq!(
-                            ctrl.take_command_log(),
-                            expected,
-                            "{} seed {seed}, {} rank(s), {:?} page, cycle {now}",
-                            pattern.name(),
-                            org.ranks,
-                            cfg.page_policy
-                        );
+                        assert_eq!(ctrl.take_command_log(), expected, "{}", at("command"));
                     }
                     let drained = next == reqs.len() && ctrl.is_idle();
                     assert!(drained, "{} did not drain", pattern.name());
                 }
             }
+            assert!(rejected > 0, "{label}: the queue never filled");
         }
     }
 }

@@ -118,6 +118,9 @@ impl DramSystem {
     /// Tries to enqueue `req`; returns its id, or `None` if the target
     /// channel's queue is full (retry after ticking).
     pub fn enqueue(&mut self, req: MemRequest) -> Option<RequestId> {
+        if self.channels.iter().all(|ch| ch.free_slots() == 0) {
+            return None; // whichever channel `req` maps to rejects it
+        }
         let coord = self.mapping.decode(req.addr, &self.config.organization);
         let id = RequestId(self.next_id);
         if self.channels[coord.channel].enqueue(id, req.kind, coord, self.cycle) {
@@ -148,9 +151,10 @@ impl DramSystem {
         });
     }
 
-    /// Removes and returns all completions available so far.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.ready)
+    /// Removes and yields all completions available so far, in order;
+    /// dropping the iterator removes the rest.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.ready.drain(..)
     }
 
     /// `true` if no requests are queued or in flight.
