@@ -7,11 +7,13 @@
 //! * prefetch (double-buffering) depth
 //! * INT4 MAC array width
 
+use enmc::cli::{Command, THREADS};
 use enmc_arch::config::EnmcConfig;
 use enmc_arch::unit::{RankJob, RankUnit, UnitParams};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{or_exit, par_rows, sim_config};
+use enmc_bench::{par_rows, JSON};
+use enmc_par::SimConfig;
 
 fn job() -> RankJob {
     // One rank's slice of a Transformer-W268K-like job with ~5% candidates.
@@ -28,10 +30,11 @@ fn run(params: UnitParams) -> f64 {
     RankUnit::new(params).simulate(&job()).ns
 }
 
+const CMD: Command = Command::standalone("ablation", &[&[THREADS, JSON]]);
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let cfg = or_exit(sim_config(&args));
-    let mut rep = Reporter::from_env("ablation");
+    let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut rep = Reporter::from_env(&a);
     let base = UnitParams::enmc(&EnmcConfig::table3());
     let base_ns = run(base);
     println!("ENMC design-choice ablations (one rank, Transformer-like slice, batch 2)\n");

@@ -14,15 +14,17 @@
 //! audited points that miss the declared bound abort the grid (the CI
 //! surrogate gate runs exactly that and requires zero violations).
 
+use enmc::cli::{Command, AUDIT_RATE, COST_MODEL, THREADS};
 use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{candidate_fraction, cost_backend, fit_pipeline, or_exit, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, fit_pipeline, par_rows, JSON};
 use enmc_fault::{
     pareto_frontier, run_resilience_sweep_with_cost, FaultModel, FaultSweepSpec, SweepError,
     SweepPoint,
 };
 use enmc_model::workloads::WorkloadId;
+use enmc_par::SimConfig;
 use enmc_surrogate::{CostBackend, CostModel};
 use enmc_tensor::quant::Precision;
 
@@ -78,11 +80,13 @@ fn sweep_cell(
     (id, ecc, points)
 }
 
+const CMD: Command =
+    Command::standalone("fault_sweep", &[&[THREADS, JSON, COST_MODEL, AUDIT_RATE]]);
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let cfg = or_exit(sim_config(&args));
-    let mut rep = Reporter::from_env("fault_sweep");
-    let backend = or_exit(cost_backend(&args, "cycle-accurate"));
+    let (a, (cfg, backend)) =
+        enmc_bench::parse(&CMD, |a| Ok((SimConfig::resolve(a.threads()?, false), a.backend()?)));
+    let mut rep = Reporter::from_env(&a);
     println!("Resilience grid: screening quality vs refresh energy (retention faults)\n");
     let mut grid = Vec::new();
     for id in WorkloadId::table2() {

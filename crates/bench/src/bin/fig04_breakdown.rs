@@ -1,12 +1,17 @@
 //! Regenerates paper Fig. 4: parameter/operation breakdown into
 //! classification vs non-classification.
 
+use enmc::cli::Command;
 use enmc_bench::report::Reporter;
 use enmc_bench::table::Table;
+use enmc_bench::JSON;
 use enmc_model::breakdown::figure4_breakdown;
 
+const CMD: Command = Command::standalone("fig04_breakdown", &[&[JSON]]);
+
 fn main() {
-    let mut rep = Reporter::from_env("fig04_breakdown");
+    let (a, ()) = enmc_bench::parse(&CMD, |_| Ok(()));
+    let mut rep = Reporter::from_env(&a);
     println!("Figure 4: classification vs non-classification breakdown\n");
     let mut t = Table::new(&[
         "Workload",

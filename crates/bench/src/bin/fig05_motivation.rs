@@ -1,14 +1,19 @@
 //! Regenerates paper Fig. 5: (a) classifier footprint and CPU execution
 //! time vs category count; (b) roofline placement of the major kernels.
 
+use enmc::cli::Command;
 use enmc_arch::cpu::CpuModel;
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, fmt_bytes, Table};
+use enmc_bench::JSON;
 use enmc_model::footprint::figure5a_sweep;
 use enmc_model::roofline::{figure5b_points, Roofline};
 
+const CMD: Command = Command::standalone("fig05_motivation", &[&[JSON]]);
+
 fn main() {
-    let mut rep = Reporter::from_env("fig05_motivation");
+    let (a, ()) = enmc_bench::parse(&CMD, |_| Ok(()));
+    let mut rep = Reporter::from_env(&a);
     println!("Figure 5(a): classifier memory footprint and CPU time (d = 512)\n");
     let cpu = CpuModel::xeon_8280();
     let mut t = Table::new(&["Categories", "Classifier bytes", "Screener bytes", "CPU time (ms)"]);

@@ -9,11 +9,13 @@
 //! Workloads run at their algorithm-level eval shapes (see DESIGN.md) —
 //! relative positions of the three frontiers are the result.
 
+use enmc::cli::{Command, THREADS};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, fmt_speedup, Table};
-use enmc_bench::{eval_shape, fit_pipeline, or_exit, par_rows, sim_config};
+use enmc_bench::{eval_shape, fit_pipeline, par_rows, JSON};
 use enmc_model::quality::QualityAccumulator;
 use enmc_model::workloads::WorkloadId;
+use enmc_par::SimConfig;
 use enmc_screen::cost::{ClassificationCost, CpuCostModel};
 use enmc_screen::fgd::{FgdConfig, FgdIndex};
 use enmc_screen::infer::SelectionPolicy;
@@ -23,10 +25,12 @@ use enmc_tensor::quant::Precision;
 const QUERIES: usize = 100;
 const FRACTIONS: [f64; 5] = [0.01, 0.02, 0.05, 0.10, 0.15];
 
+const CMD: Command = Command::standalone("fig11_quality_speedup", &[&[THREADS, JSON]]);
+
 fn main() {
     let cpu = CpuCostModel::default();
-    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut rep = Reporter::from_env("fig11_quality_speedup");
+    let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut rep = Reporter::from_env(&a);
     println!("Figure 11: quality vs speedup — AS vs SVD-softmax vs FGD");
     println!("(eval shapes; quality vs exact full classification on the same queries)\n");
 

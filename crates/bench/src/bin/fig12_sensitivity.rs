@@ -1,11 +1,13 @@
 //! Regenerates paper Fig. 12: sensitivity of Approximate Screening to
 //! (a) the parameter-reduction scale and (b) the quantization level.
 
+use enmc::cli::{Command, THREADS};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{eval_shape, fit_pipeline, or_exit, par_rows, sim_config};
+use enmc_bench::{eval_shape, fit_pipeline, par_rows, JSON};
 use enmc_model::quality::QualityAccumulator;
 use enmc_model::workloads::WorkloadId;
+use enmc_par::SimConfig;
 use enmc_screen::infer::SelectionPolicy;
 use enmc_tensor::quant::Precision;
 
@@ -31,9 +33,11 @@ fn evaluate(id: WorkloadId, scale: f64, precision: Precision) -> (f64, f64, f64)
     (r.top1_agreement, r.perplexity_ratio(), r.precision_at_k)
 }
 
+const CMD: Command = Command::standalone("fig12_sensitivity", &[&[THREADS, JSON]]);
+
 fn main() {
-    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut rep = Reporter::from_env("fig12_sensitivity");
+    let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut rep = Reporter::from_env(&a);
     let id = WorkloadId::TransformerW268K;
     let w = id.workload();
     let (l, d) = eval_shape(&w);

@@ -5,18 +5,22 @@
 //! All NMP schemes run the approximate screening algorithm (as in the
 //! paper); the CPU normalization baseline runs full classification.
 
+use enmc::cli::{Command, THREADS};
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, or_exit, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, par_rows, BENCH_JSON, JSON};
 use enmc_bench::table::{fmt_speedup, Table};
 use enmc_model::workloads::WorkloadId;
+use enmc_par::SimConfig;
 use enmc_tensor::stats::geometric_mean;
 
+const CMD: Command = Command::standalone("fig13_performance", &[&[THREADS, JSON, BENCH_JSON]]);
+
 fn main() {
-    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut bench = BenchEmitter::from_env("fig13_performance");
-    let mut rep = Reporter::from_env("fig13_performance");
+    let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut bench = BenchEmitter::from_env(&a);
+    let mut rep = Reporter::from_env(&a);
     let sys = SystemModel::table3();
     println!("Figure 13: performance normalized to the full-classification CPU\n");
 

@@ -2,18 +2,22 @@
 //! / computation & control) of ENMC vs TensorDIMM and TensorDIMM-Large,
 //! normalized to TensorDIMM.
 
+use enmc::cli::{Command, THREADS};
 use enmc_arch::baseline::BaselineKind;
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, or_exit, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, par_rows, BENCH_JSON, JSON};
 use enmc_model::workloads::WorkloadId;
+use enmc_par::SimConfig;
+
+const CMD: Command = Command::standalone("fig14_energy", &[&[THREADS, JSON, BENCH_JSON]]);
 
 fn main() {
-    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut bench = BenchEmitter::from_env("fig14_energy");
-    let mut rep = Reporter::from_env("fig14_energy");
+    let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut bench = BenchEmitter::from_env(&a);
+    let mut rep = Reporter::from_env(&a);
     let sys = SystemModel::table3();
     println!("Figure 14: energy breakdown normalized to TensorDIMM\n");
     let mut t = Table::new(&[

@@ -6,6 +6,7 @@
 //! extrapolate linearly (the pipelines are streaming, so time is linear in
 //! the slice size); the default scale keeps the full runs tractable.
 
+use enmc::cli::{count, flag, Command, Flag, THREADS};
 use enmc_arch::baseline::BaselineKind;
 use enmc_arch::cpu::CpuModel;
 use enmc_arch::endtoend::end_to_end;
@@ -13,15 +14,20 @@ use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt_speedup, Table};
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, or_exit, par_rows, scale, sim_config};
+use enmc_bench::{candidate_fraction, par_rows, BENCH_JSON, JSON};
 use enmc_model::workloads::WorkloadId;
+use enmc_par::SimConfig;
+
+const SCALE: Flag = flag("--scale", "N", "8", "simulate 1/N of each category slice, extrapolate");
+const CMD: Command =
+    Command::standalone("fig15_scalability", &[&[THREADS, JSON, BENCH_JSON, SCALE]]);
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = or_exit(scale(&args, 8));
-    let cfg = or_exit(sim_config(&args));
-    let mut bench = BenchEmitter::from_env("fig15_scalability");
-    let mut rep = Reporter::from_env("fig15_scalability");
+    let (a, (scale, cfg)) = enmc_bench::parse(&CMD, |a| {
+        Ok((a.get("--scale", count::<usize>)?, SimConfig::resolve(a.threads()?, false)))
+    });
+    let mut bench = BenchEmitter::from_env(&a);
+    let mut rep = Reporter::from_env(&a);
     let sys = SystemModel::table3();
     let cpu = CpuModel::xeon_8280();
     println!("Figure 15: end-to-end scalability (XMLCNN front-end), sim scale 1/{scale}\n");

@@ -20,11 +20,12 @@
 //! same service table dozens of times — the textbook surrogate win;
 //! `--cost-model cycle-accurate` forces the slow path.
 
+use enmc::cli::{count, flag, Command, Flag, AUDIT_RATE, COST_MODEL, THREADS};
 use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, cost_backend, or_exit, par_rows, scale, sim_config};
+use enmc_bench::{candidate_fraction, par_rows, BENCH_JSON, JSON};
 use enmc_fleet::{simulate_fleet, FleetConfig, FleetOutcome, PlacementPolicy, TenantConfig};
 use enmc_model::workloads::WorkloadId;
 use enmc_obs::MetricsRegistry;
@@ -140,14 +141,18 @@ fn capacity_search(
     lo
 }
 
+const SCALE: Flag = flag("--scale", "N", "64", "simulate 1/N of each category slice, extrapolate");
+const COST: Flag = Flag { default: "surrogate", ..COST_MODEL };
+const CMD: Command =
+    Command::standalone("fleet_capacity", &[&[THREADS, JSON, BENCH_JSON, SCALE, COST, AUDIT_RATE]]);
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = or_exit(scale(&args, 64));
-    let backend = or_exit(cost_backend(&args, "surrogate"));
+    let (a, (scale, backend, cfg)) = enmc_bench::parse(&CMD, |a| {
+        Ok((a.get("--scale", count)?, a.backend()?, SimConfig::resolve(a.threads()?, false)))
+    });
     let sys = SystemModel::table3();
-    let cfg = or_exit(sim_config(&args));
-    let mut bench = BenchEmitter::from_env("fleet_capacity");
-    let mut rep = Reporter::from_env("fleet_capacity");
+    let mut bench = BenchEmitter::from_env(&a);
+    let mut rep = Reporter::from_env(&a);
     println!(
         "Fleet capacity: qps/DIMM at {:.0}% SLO vs model size, sim scale 1/{scale}, \
          {NODES} nodes x {SHARDS} shards (zipf {ZIPF_S}), cost model {}\n",

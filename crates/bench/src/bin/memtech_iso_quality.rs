@@ -12,18 +12,22 @@
 //! byte-identical at any `--threads` / `ENMC_THREADS` setting and gate
 //! at zero tolerance through `enmc bench-diff`.
 
+use enmc::cli::{Command, THREADS};
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::{candidate_fraction, or_exit, par_rows, sim_config};
+use enmc_bench::{candidate_fraction, par_rows, BENCH_JSON, JSON};
 use enmc_mem::MemTech;
 use enmc_model::workloads::WorkloadId;
+use enmc_par::SimConfig;
+
+const CMD: Command = Command::standalone("memtech_iso_quality", &[&[THREADS, JSON, BENCH_JSON]]);
 
 fn main() {
-    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut bench = BenchEmitter::from_env("memtech_iso_quality");
-    let mut rep = Reporter::from_env("memtech_iso_quality");
+    let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut bench = BenchEmitter::from_env(&a);
+    let mut rep = Reporter::from_env(&a);
     println!("Iso-quality memory-technology sweep (ENMC scheme, batch 1)\n");
     let shapes: Vec<WorkloadId> = {
         let mut v = WorkloadId::table2().to_vec();

@@ -6,9 +6,10 @@
 //! methods truncate the output distribution; this harness quantifies both
 //! on the same synthetic workload.
 
+use enmc::cli::{Command, THREADS};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, fmt_speedup, Table};
-use enmc_bench::{fit_pipeline, or_exit, sim_config};
+use enmc_bench::{fit_pipeline, JSON};
 use enmc_model::quality::{QualityAccumulator, QualityReport};
 use enmc_model::synth::Query;
 use enmc_model::workloads::WorkloadId;
@@ -53,10 +54,12 @@ where
     (acc.finish(), cost)
 }
 
+const CMD: Command = Command::standalone("related_work", &[&[THREADS, JSON]]);
+
 fn main() {
     let cpu = CpuCostModel::default();
-    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut rep = Reporter::from_env("related_work");
+    let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut rep = Reporter::from_env(&a);
     let id = WorkloadId::Xmlcnn670K;
     let fitted = fit_pipeline(id, 0.25, Precision::Int4, 42);
     let (l, d) = fitted.shape;

@@ -2,15 +2,19 @@
 //! shard an S10M-class catalogue over 1-32 nodes, each running ENMC DIMMs,
 //! with a 100 Gb/s fabric for broadcast/gather.
 
+use enmc::cli::{Command, THREADS};
 use enmc_arch::scaleout::{scale_out, Network};
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{or_exit, par_rows, sim_config};
+use enmc_bench::{par_rows, JSON};
+use enmc_par::SimConfig;
+
+const CMD: Command = Command::standalone("scaleout", &[&[THREADS, JSON]]);
 
 fn main() {
-    let sim = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut rep = Reporter::from_env("scaleout");
+    let (a, sim) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut rep = Reporter::from_env(&a);
     let sys = SystemModel::table3();
     let net = Network::roce_100g();
     // An S10M-class shardable job (scaled 1/8 like fig15; latencies are

@@ -16,13 +16,15 @@
 //! ordering of policies is insensitive to the cap (see `DESIGN.md`,
 //! "Serving simulation").
 
+use enmc::cli::{Command, THREADS};
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{or_exit, par_rows, sim_config};
+use enmc_bench::{par_rows, JSON};
 use enmc_fleet::{simulate_fleet, FleetConfig, TenantConfig};
 use enmc_model::workloads::WorkloadId;
 use enmc_obs::MetricsRegistry;
+use enmc_par::SimConfig;
 use enmc_serve::tier::default_tiers;
 use enmc_serve::ArrivalProcess;
 use enmc_surrogate::{CostBackend, CostModel};
@@ -49,9 +51,11 @@ fn serving_job(id: WorkloadId) -> ClassificationJob {
     }
 }
 
+const CMD: Command = Command::standalone("serve_load", &[&[THREADS, JSON]]);
+
 fn main() {
-    let sim = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut rep = Reporter::from_env("serve_load");
+    let (a, sim) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut rep = Reporter::from_env(&a);
     let sys = SystemModel::table3();
 
     println!("Serving load sweep: utilization x degrade policy, 4 paper shapes\n");

@@ -12,10 +12,11 @@
 //! and emits `BENCH_surrogate_speedup.json` when asked
 //! (`--bench-json <file>` or `ENMC_BENCH_DIR`).
 
+use enmc::cli::Command;
 use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
-use enmc_bench::candidate_fraction;
+use enmc_bench::{candidate_fraction, BENCH_JSON};
 use enmc_dram::energy::EnergyModel;
 use enmc_fault::ECC_NJ_PER_BURST;
 use enmc_model::workloads::WorkloadId;
@@ -60,9 +61,12 @@ fn answer_row(cost: &mut CostModel, sys: &SystemModel, job: &ClassificationJob) 
     points
 }
 
+const CMD: Command = Command::standalone("surrogate_speedup", &[&[BENCH_JSON]]);
+
 fn main() {
+    let (a, ()) = enmc_bench::parse(&CMD, |_| Ok(()));
     let sys = SystemModel::table3();
-    let mut bench = BenchEmitter::from_env("surrogate_speedup");
+    let mut bench = BenchEmitter::from_env(&a);
     println!(
         "Surrogate vs cycle-accurate throughput on the resilience grid \
          ({} workloads x {} multipliers x ECC on/off)\n",

@@ -1,14 +1,19 @@
 //! Regenerates paper Table 3: DRAM and ENMC configurations.
 
+use enmc::cli::Command;
 use enmc_arch::config::EnmcConfig;
 use enmc_bench::report::Reporter;
 use enmc_bench::table::Table;
+use enmc_bench::JSON;
 use enmc_dram::DramConfig;
 
+const CMD: Command = Command::standalone("table03_config", &[&[JSON]]);
+
 fn main() {
+    let (a, ()) = enmc_bench::parse(&CMD, |_| Ok(()));
     let dram = DramConfig::enmc_table3();
     let enmc = EnmcConfig::table3();
-    let mut rep = Reporter::from_env("table03_config");
+    let mut rep = Reporter::from_env(&a);
     println!("Table 3: ENMC Configurations\n");
 
     let mut t = Table::new(&["DRAM parameter", "Value"]);

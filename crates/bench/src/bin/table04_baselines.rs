@@ -1,11 +1,16 @@
 //! Regenerates paper Table 4: NMP designs at iso area/power budget.
 
+use enmc::cli::Command;
 use enmc_arch::physical::PhysicalModel;
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
+use enmc_bench::JSON;
+
+const CMD: Command = Command::standalone("table04_baselines", &[&[JSON]]);
 
 fn main() {
-    let mut rep = Reporter::from_env("table04_baselines");
+    let (a, ()) = enmc_bench::parse(&CMD, |_| Ok(()));
+    let mut rep = Reporter::from_env(&a);
     let m = PhysicalModel::tsmc28();
     println!("Table 4: NMP designs at comparable area and power budget\n");
     let mut t = Table::new(&["NMP design", "Configuration", "Est. Area (mm^2)", "Est. Power (mW)"]);

@@ -6,10 +6,12 @@
 //! must invert without drift), and the per-row metrics stream into the
 //! bench-trajectory record so `bench-diff` catches any model drift.
 
+use enmc::cli::Command;
 use enmc_arch::physical::{table5_rows, PhysicalModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
+use enmc_bench::{BENCH_JSON, JSON};
 
 /// Paper Table 5, verbatim: per-component area (mm²) and power (mW).
 const PAPER_ROWS: [(&str, f64, f64); 6] = [
@@ -23,9 +25,12 @@ const PAPER_ROWS: [(&str, f64, f64); 6] = [
 const PAPER_TOTAL_AREA_MM2: f64 = 0.442;
 const PAPER_TOTAL_POWER_MW: f64 = 285.4;
 
+const CMD: Command = Command::standalone("table05_area_power", &[&[JSON, BENCH_JSON]]);
+
 fn main() {
-    let mut bench = BenchEmitter::from_env("table05_area_power");
-    let mut rep = Reporter::from_env("table05_area_power");
+    let (a, ()) = enmc_bench::parse(&CMD, |_| Ok(()));
+    let mut bench = BenchEmitter::from_env(&a);
+    let mut rep = Reporter::from_env(&a);
     let m = PhysicalModel::tsmc28();
     println!("Table 5: ENMC area and power estimation\n");
     let mut t = Table::new(&["Component", "Area (mm^2)", "Power (mW)", "Area %", "Power %"]);

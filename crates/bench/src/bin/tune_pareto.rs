@@ -13,10 +13,12 @@
 //! Frontier coordinates stream into the bench-trajectory record so
 //! `bench-diff` catches any silent drift in the evaluated objectives.
 
+use enmc::cli::Command;
 use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
+use enmc_bench::{BENCH_JSON, JSON};
 use enmc_tune::{
     dominates, frontier_json, tune, Budget, SearchMode, TuneConfig, TuneResult, TuneSpace,
 };
@@ -59,9 +61,12 @@ fn assert_frontier_valid(r: &TuneResult) {
     }
 }
 
+const CMD: Command = Command::standalone("tune_pareto", &[&[JSON, BENCH_JSON]]);
+
 fn main() {
-    let mut bench = BenchEmitter::from_env("tune_pareto");
-    let mut rep = Reporter::from_env("tune_pareto");
+    let (a, ()) = enmc_bench::parse(&CMD, |_| Ok(()));
+    let mut bench = BenchEmitter::from_env(&a);
+    let mut rep = Reporter::from_env(&a);
     let sys = SystemModel::table3();
     let job = job();
     println!("Design-space tuning: Pareto frontier over the default small lattice\n");

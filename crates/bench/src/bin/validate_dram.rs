@@ -13,10 +13,12 @@
 //! printed, so a regression fails the binary instead of needing a human
 //! to eyeball the table.
 
+use enmc::cli::{Command, THREADS};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{or_exit, par_rows, sim_config};
+use enmc_bench::{par_rows, JSON};
 use enmc_dram::{AddressMapping, DramConfig, DramSystem, MemRequest};
+use enmc_par::SimConfig;
 
 fn run_pattern(mapping: AddressMapping, addrs: &[u64]) -> (f64, f64, f64) {
     let mut sys = DramSystem::with_mapping(DramConfig::enmc_single_rank(), mapping);
@@ -41,9 +43,11 @@ fn run_pattern(mapping: AddressMapping, addrs: &[u64]) -> (f64, f64, f64) {
     (sys.achieved_bandwidth_gbs(), stats.row_hit_rate(), stats.bus_utilization())
 }
 
+const CMD: Command = Command::standalone("validate_dram", &[&[THREADS, JSON]]);
+
 fn main() {
-    let sim = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut rep = Reporter::from_env("validate_dram");
+    let (a, sim) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut rep = Reporter::from_env(&a);
     let cfg = DramConfig::enmc_single_rank();
     let t = cfg.timing;
     println!("DRAM model validation (single rank, DDR4-2400)\n");

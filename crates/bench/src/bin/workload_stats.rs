@@ -2,21 +2,26 @@
 //! DESIGN.md substitution argument relies on, for every Table 2 workload's
 //! synthetic instantiation.
 
+use enmc::cli::{Command, THREADS};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
-use enmc_bench::{eval_shape, fit_pipelines, or_exit, sim_config};
+use enmc_bench::{eval_shape, fit_pipeline, par_rows, JSON};
 use enmc_model::statistics::measure;
 use enmc_model::workloads::WorkloadId;
+use enmc_par::SimConfig;
 use enmc_tensor::quant::Precision;
 
+const CMD: Command = Command::standalone("workload_stats", &[&[THREADS, JSON]]);
+
 fn main() {
-    let cfg = or_exit(sim_config(&std::env::args().collect::<Vec<_>>()));
-    let mut rep = Reporter::from_env("workload_stats");
+    let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
+    let mut rep = Reporter::from_env(&a);
     println!("Synthetic workload statistics (the screenability properties)\n");
     let mut t = Table::new(&[
         "Workload", "eval shape", "top-10 mass", "entropy (nats)", "spectral mass", "head mass",
     ]);
-    let fitted_all = fit_pipelines(&WorkloadId::table2(), 0.25, Precision::Int4, 42, &cfg);
+    let ids = WorkloadId::table2().to_vec();
+    let fitted_all = par_rows(&cfg, ids, |&id| fit_pipeline(id, 0.25, Precision::Int4, 42));
     for fitted in &fitted_all {
         let (l, d) = eval_shape(&fitted.workload);
         let s = measure(&fitted.synth, 80, 7);

@@ -11,6 +11,9 @@
 //!   [`enmc_model::workloads`], re-exported here;
 //! * [`fit_pipeline`] — synthesize + distill for one workload;
 //! * [`table`] — fixed-width table printing for harness output;
+//! * [`parse`] — each binary declares an [`enmc::cli::Command`] of the
+//!   flags it reads ([`JSON`], [`BENCH_JSON`] and `enmc`'s shared flags)
+//!   and checks its command line against it before any work;
 //! * [`report`] — the shared JSON report emitter: every binary mirrors its
 //!   printed tables into `<name>.json` when `--json <file>` or
 //!   `ENMC_REPORT_DIR` asks for it;
@@ -23,115 +26,31 @@ pub mod trajectory;
 
 pub use enmc_model::workloads::{candidate_fraction, eval_shape};
 
+use enmc::cli::{flag, Args, Command, Flag};
 use enmc_model::synth::{SynthesisConfig, SyntheticClassifier};
 use enmc_model::workloads::{Workload, WorkloadId};
 use enmc_par::SimConfig;
 use enmc_screen::infer::{ApproxClassifier, SelectionPolicy};
 use enmc_screen::screener::{Screener, ScreenerConfig};
 use enmc_screen::train::fit_least_squares;
-use enmc_surrogate::CostBackend;
 use enmc_tensor::quant::Precision;
-use std::path::PathBuf;
 
-/// The value after `name` on the command line `args`: `None` when the
-/// flag is absent, `""` when it is the last argument.
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    let i = args.iter().position(|a| a == name)?;
-    Some(args.get(i + 1).map_or("", String::as_str))
-}
+/// `--json FILE`: where [`report::Reporter`] mirrors the printed tables.
+#[rustfmt::skip]
+pub const JSON: Flag = flag("--json", "FILE", "", "mirror the tables to FILE; ENMC_REPORT_DIR/<binary>.json when unset");
 
-/// `name`'s value as an integer >= 1; `None` when the flag is absent.
-fn positive(args: &[String], name: &str) -> Result<Option<usize>, String> {
-    let read = |raw: &str| {
-        let n = raw.parse::<usize>().ok().filter(|&n| n >= 1);
-        n.ok_or_else(|| format!("{name} expects an integer >= 1, got '{raw}'"))
-    };
-    flag(args, name).map(read).transpose()
-}
+/// `--bench-json FILE`: where [`trajectory::BenchEmitter`] writes its record.
+#[rustfmt::skip]
+pub const BENCH_JSON: Flag = flag("--bench-json", "FILE", "", "write the bench record to FILE; ENMC_BENCH_DIR/BENCH_<binary>.json when unset");
 
-/// Bench-wide execution policy: `--threads N` on the command line `args`
-/// wins, then the `ENMC_THREADS` environment hook, else sequential. Every
-/// figure/table binary reads its policy from here so the CI matrix can
-/// drive the whole harness through one environment variable.
-///
-/// # Errors
-///
-/// Names the flag, the value and the range when `--threads` is not an
-/// integer >= 1 (`--threads expects an integer >= 1, got '0'`).
-pub fn sim_config(args: &[String]) -> Result<SimConfig, String> {
-    Ok(SimConfig::resolve(positive(args, "--threads")?, false))
-}
-
-/// `--scale N`: the binary simulates `1/N` of each category slice;
-/// `default` when the flag is absent.
-///
-/// # Errors
-///
-/// Names the flag, the value and the range when `N` is not an integer
-/// >= 1.
-pub fn scale(args: &[String], default: usize) -> Result<usize, String> {
-    Ok(positive(args, "--scale")?.unwrap_or(default))
-}
-
-/// Bench-wide cost backend: `--cost-model {cycle-accurate|surrogate}`
-/// (`default` when absent) picks who answers sweep points, and
-/// `--audit-rate R` (default 0.1) the fraction of surrogate predictions
-/// re-run cycle-accurately. Mirrors the `enmc` CLI flags so the CI
-/// surrogate gate drives the grid benches the same way it drives the
-/// serving and fault commands.
-///
-/// # Errors
-///
-/// Names the flag, the value and the accepted values when the model is
-/// unknown or the audit rate is not in `[0, 1]` (checked whichever model
-/// is chosen).
-pub fn cost_backend(args: &[String], default: &str) -> Result<CostBackend, String> {
-    let audit_rate = match flag(args, "--audit-rate") {
-        None => 0.1,
-        Some(raw) => {
-            raw.parse::<f64>().ok().filter(|r| (0.0..=1.0).contains(r)).ok_or_else(|| {
-                format!("--audit-rate expects a finite number in [0, 1], got '{raw}'")
-            })?
-        }
-    };
-    match flag(args, "--cost-model").unwrap_or(default) {
-        "cycle-accurate" | "cycle" => Ok(CostBackend::CycleAccurate),
-        "surrogate" => Ok(CostBackend::Surrogate { audit_rate }),
-        raw => Err(format!(
-            "--cost-model expects one of cycle-accurate, cycle, surrogate, got '{raw}'"
-        )),
-    }
-}
-
-/// Where a harness document goes: the path after `name` on the command
-/// line `args`, else `file` in the directory the `env` variable names,
-/// else nowhere.
-///
-/// # Errors
-///
-/// Names the flag when no path follows it: it is the last argument, or
-/// the next argument is another flag (`--json expects a file path, got
-/// '--threads'`).
-fn destination(
-    args: &[String],
-    name: &str,
-    env: &str,
-    file: String,
-) -> Result<Option<PathBuf>, String> {
-    match flag(args, name) {
-        Some(raw) if raw.is_empty() || raw.starts_with("--") => {
-            Err(format!("{name} expects a file path, got '{raw}'"))
-        }
-        Some(raw) => Ok(Some(PathBuf::from(raw))),
-        None => Ok(std::env::var_os(env).map(|dir| PathBuf::from(dir).join(file))),
-    }
-}
-
-/// The value of a flag reader, or its message on stderr and exit code 2,
-/// as `enmc` does for a bad flag value.
-pub fn or_exit<T>(read: Result<T, String>) -> T {
-    read.unwrap_or_else(|e| {
-        eprintln!("{e}");
+/// The process's command line checked against `cmd`, with the values
+/// `read` takes from it, before any work. A usage error or a value `read`
+/// rejects prints its message on stderr and exits 2, as `enmc` does.
+pub fn parse<T>(cmd: &'static Command, read: impl FnOnce(&Args) -> Result<T, String>) -> (Args, T) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = cmd.parse(&argv).and_then(|a| read(&a).map(|values| (a, values)));
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{}", msg.trim_end());
         std::process::exit(2)
     })
 }
@@ -146,18 +65,6 @@ where
     F: Fn(&T) -> U + Sync,
 {
     enmc_par::par_map(cfg.worker_count(), items, |_, item| f(&item))
-}
-
-/// Fits several workloads under the bench execution policy; the results
-/// always come back in `ids` order.
-pub fn fit_pipelines(
-    ids: &[WorkloadId],
-    scale: f64,
-    precision: Precision,
-    seed: u64,
-    cfg: &SimConfig,
-) -> Vec<FittedWorkload> {
-    par_rows(cfg, ids.to_vec(), |&id| fit_pipeline(id, scale, precision, seed))
 }
 
 /// Stable per-workload seed perturbation so each workload's synthetic data
@@ -262,38 +169,6 @@ mod tests {
         let f = fit_pipeline(WorkloadId::GnmtE32K, 0.25, Precision::Fp32, 1);
         assert_eq!(f.classifier.categories(), f.shape.0);
         assert_eq!(f.synth.hidden(), f.shape.1);
-    }
-
-    #[test]
-    fn flag_readers_name_the_flag_the_value_and_the_range() {
-        let argv = |line: &str| -> Vec<String> { line.split(' ').map(str::to_string).collect() };
-        assert_eq!(sim_config(&argv("x --threads 4")), Ok(SimConfig::with_threads(4)));
-        assert_eq!((scale(&argv("x"), 8), scale(&argv("x --scale 2"), 8)), (Ok(8), Ok(2)));
-        let surrogate = Ok(CostBackend::Surrogate { audit_rate: 0.5 });
-        assert_eq!(cost_backend(&argv("x --audit-rate 0.5"), "surrogate"), surrogate);
-        assert_eq!(cost_backend(&argv("x"), "cycle-accurate"), Ok(CostBackend::CycleAccurate));
-        for (read, want) in [
-            (
-                sim_config(&argv("x --threads 0")).err(),
-                "--threads expects an integer >= 1, got '0'",
-            ),
-            (
-                sim_config(&argv("x --threads four")).err(),
-                "--threads expects an integer >= 1, got 'four'",
-            ),
-            (scale(&argv("x --scale 0"), 8).err(), "--scale expects an integer >= 1, got '0'"),
-            (scale(&argv("x --scale"), 8).err(), "--scale expects an integer >= 1, got ''"),
-            (
-                cost_backend(&argv("x --cost-model surogate"), "cycle").err(),
-                "--cost-model expects one of cycle-accurate, cycle, surrogate, got 'surogate'",
-            ),
-            (
-                cost_backend(&argv("x --audit-rate 2"), "surrogate").err(),
-                "--audit-rate expects a finite number in [0, 1], got '2'",
-            ),
-        ] {
-            assert_eq!(read.as_deref(), Some(want));
-        }
     }
 
     #[test]

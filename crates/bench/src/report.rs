@@ -7,12 +7,13 @@
 //!
 //! The destination is opt-in and resolved once at startup:
 //!
-//! 1. a `--json <file>` argument wins;
+//! 1. a `--json <file>` argument ([`crate::JSON`]) wins;
 //! 2. otherwise, if the `ENMC_REPORT_DIR` environment variable is set, the
 //!    report lands in `<dir>/<name>.json`;
 //! 3. otherwise the reporter is inert and costs nothing.
 
 use crate::table::Table;
+use enmc::cli::Args;
 use enmc_obs::{json, record};
 use std::path::PathBuf;
 
@@ -47,19 +48,17 @@ pub struct Reporter {
 }
 
 impl Reporter {
-    /// A reporter for the binary `name`, resolving its destination from
-    /// the process arguments (`--json <file>`) and the `ENMC_REPORT_DIR`
-    /// environment variable. A `--json` with no path after it exits 2,
-    /// naming the flag.
-    pub fn from_env(name: &str) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let dest = crate::destination(&args, "--json", "ENMC_REPORT_DIR", format!("{name}.json"));
-        Reporter::with_dest(name, crate::or_exit(dest))
-    }
-
-    /// A reporter writing to an explicit path (primarily for tests).
-    pub fn to_path(name: &str, path: impl Into<PathBuf>) -> Self {
-        Reporter::with_dest(name, Some(path.into()))
+    /// A reporter for the binary `a` parsed the command line of: the path
+    /// given for `--json`, else `<name>.json` in the `ENMC_REPORT_DIR`
+    /// directory, else inert.
+    pub fn from_env(a: &Args) -> Self {
+        let name = a.command();
+        let dest = match a.text("--json") {
+            Some(path) => Some(PathBuf::from(path)),
+            None => std::env::var_os("ENMC_REPORT_DIR")
+                .map(|dir| PathBuf::from(dir).join(format!("{name}.json"))),
+        };
+        Reporter::with_dest(name, dest)
     }
 
     fn with_dest(name: &str, dest: Option<PathBuf>) -> Self {
@@ -122,7 +121,7 @@ mod tests {
 
     #[test]
     fn json_mirrors_tables_and_notes() {
-        let mut rep = Reporter::to_path("fig99", "/nonexistent/ignored.json");
+        let mut rep = Reporter::with_dest("fig99", Some("/nonexistent/ignored.json".into()));
         rep.table("speedups", &sample_table());
         rep.note("scaled shapes");
         let text = json::encode(&rep.doc);
@@ -136,7 +135,7 @@ mod tests {
     #[test]
     fn finish_writes_the_file() {
         let path = std::env::temp_dir().join("enmc-bench-report-test.json");
-        let mut rep = Reporter::to_path("fig00", &path);
+        let mut rep = Reporter::with_dest("fig00", Some(path.clone()));
         rep.table("t", &sample_table());
         rep.finish();
         let text = std::fs::read_to_string(&path).unwrap();

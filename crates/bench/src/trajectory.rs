@@ -13,11 +13,12 @@
 //! Like [`crate::report::Reporter`], the destination is opt-in and
 //! resolved once at startup:
 //!
-//! 1. a `--bench-json <file>` argument wins;
+//! 1. a `--bench-json <file>` argument ([`crate::BENCH_JSON`]) wins;
 //! 2. otherwise, if `ENMC_BENCH_DIR` is set, the record lands in
 //!    `<dir>/BENCH_<name>.json`;
 //! 3. otherwise the emitter is inert and costs nothing.
 
+use enmc::cli::Args;
 use enmc_obs::json;
 use enmc_perf::bench::BenchRecord;
 use std::path::PathBuf;
@@ -32,15 +33,17 @@ pub struct BenchEmitter {
 }
 
 impl BenchEmitter {
-    /// An emitter for the binary `name`, resolving its destination from
-    /// the process arguments (`--bench-json <file>`) and the
-    /// `ENMC_BENCH_DIR` environment variable. A `--bench-json` with no
-    /// path after it exits 2, naming the flag.
-    pub fn from_env(name: &str) -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let file = format!("BENCH_{name}.json");
-        let dest = crate::destination(&args, "--bench-json", "ENMC_BENCH_DIR", file);
-        BenchEmitter { record: BenchRecord::new(name), dest: crate::or_exit(dest) }
+    /// An emitter for the binary `a` parsed the command line of: the path
+    /// given for `--bench-json`, else `BENCH_<name>.json` in the
+    /// `ENMC_BENCH_DIR` directory, else inert.
+    pub fn from_env(a: &Args) -> Self {
+        let name = a.command();
+        let dest = match a.text("--bench-json") {
+            Some(path) => Some(PathBuf::from(path)),
+            None => std::env::var_os("ENMC_BENCH_DIR")
+                .map(|dir| PathBuf::from(dir).join(format!("BENCH_{name}.json"))),
+        };
+        BenchEmitter { record: BenchRecord::new(name), dest }
     }
 
     /// An emitter writing to an explicit path (primarily for tests).
@@ -91,25 +94,6 @@ impl BenchEmitter {
     }
 }
 
-/// Times `f` over `samples` repetitions and returns the per-run wall
-/// times in nanoseconds along with the last run's output. Callers feed
-/// the samples to [`BenchEmitter::wall_ns`], which records the median.
-///
-/// # Panics
-///
-/// Panics if `samples` is zero.
-pub fn time_samples<T>(samples: usize, mut f: impl FnMut() -> T) -> (T, Vec<f64>) {
-    assert!(samples > 0, "time_samples needs at least one sample");
-    let mut ns = Vec::with_capacity(samples);
-    let mut out = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        out = Some(f());
-        ns.push(start.elapsed().as_nanos() as f64);
-    }
-    (out.expect("samples > 0"), ns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,10 +123,7 @@ mod tests {
         let mut em = BenchEmitter::to_path("fig00", &path);
         em.det("speedup/geomean/enmc", 56.5);
         em.det("sim_cycles/lstm/b1", 12_345.0);
-        let (sum, ns) = time_samples(3, || (0..100u64).sum::<u64>());
-        assert_eq!(sum, 4950);
-        assert_eq!(ns.len(), 3);
-        em.wall_ns("harness/sum_ns", &ns);
+        em.wall_ns("harness/sum_ns", &[3.0, 1.0, 2.0]);
         em.finish();
         let text = std::fs::read_to_string(&path).unwrap();
         let rec = json::decode::<BenchRecord>(&text).unwrap();
@@ -152,11 +133,5 @@ mod tests {
         let report = diff(&rec, &rec, 0.2).unwrap();
         assert!(!report.failed(), "a record must self-diff clean:\n{}", report.render());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn time_samples_rejects_zero() {
-        let _ = time_samples(0, || ());
     }
 }

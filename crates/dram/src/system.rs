@@ -269,13 +269,6 @@ impl DramSystem {
         model.breakdown(&self.stats())
     }
 
-    /// Convenience energy with the default DDR4 model sized to this
-    /// subsystem's rank count.
-    pub fn energy_default(&self) -> EnergyBreakdown {
-        let ranks = self.config.organization.channels * self.config.organization.ranks;
-        self.energy(&EnergyModel::ddr4_2400_rank(ranks))
-    }
-
     /// Achieved bandwidth so far in GB/s (decimal).
     pub fn achieved_bandwidth_gbs(&self) -> f64 {
         let ns = self.elapsed_ns();
@@ -394,7 +387,7 @@ mod tests {
             sys.enqueue(MemRequest::read(i * 64)).unwrap();
         }
         sys.run_until_idle(1_000_000);
-        let e = sys.energy_default();
+        let e = sys.energy(&EnergyModel::ddr4_2400_rank(1));
         assert!(e.access_nj > 0.0);
         assert!(e.static_nj > 0.0);
     }

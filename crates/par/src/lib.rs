@@ -190,17 +190,6 @@ where
     collected
 }
 
-/// Maps `f` over the shard ranges of `len` items split `shards` ways,
-/// merging results in shard order. Convenience over
-/// [`shard_ranges`] + [`par_map`].
-pub fn par_map_ranges<U, F>(workers: usize, len: usize, shards: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> U + Sync,
-{
-    par_map(workers, shard_ranges(len, shards), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,12 +265,5 @@ mod tests {
             Some(n) if n > 1 => assert_eq!(cfg.worker_count(), n),
             _ => assert_eq!(cfg.policy, ParallelPolicy::Sequential),
         }
-    }
-
-    #[test]
-    fn par_map_ranges_composes() {
-        let sums = par_map_ranges(3, 100, 4, |_, r| r.sum::<usize>());
-        assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());
-        assert_eq!(sums.len(), 4);
     }
 }

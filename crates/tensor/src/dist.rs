@@ -28,13 +28,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std_dev: f32) -> f32 {
     mean + std_dev * standard_normal(rng)
 }
 
-/// Fills `out` with i.i.d. `N(mean, std_dev²)` samples.
-pub fn fill_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32], mean: f32, std_dev: f32) {
-    for v in out {
-        *v = normal(rng, mean, std_dev);
-    }
-}
-
 /// Zipf-distributed integer sampler over `{0, 1, …, n-1}` with exponent `s`.
 ///
 /// Rank 0 is the most popular category. Sampling uses an inverse-CDF table
@@ -127,14 +120,6 @@ mod tests {
             samples.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
         assert!((var.sqrt() - 3.0).abs() < 0.1, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn fill_normal_fills_everything() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut buf = vec![0.0_f32; 64];
-        fill_normal(&mut rng, &mut buf, 10.0, 0.001);
-        assert!(buf.iter().all(|&x| (x - 10.0).abs() < 0.1));
     }
 
     #[test]

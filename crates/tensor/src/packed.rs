@@ -91,21 +91,6 @@ impl PackedInt4 {
     pub fn to_codes(&self) -> Vec<i8> {
         (0..self.len).map(|i| self.get(i)).collect()
     }
-
-    /// Integer dot product of a code range against unpacked codes —
-    /// the Screener MAC semantics operating directly on the packed image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds `len` or `other.len() != range length`.
-    pub fn dot_range(&self, start: usize, other: &[i8]) -> i32 {
-        assert!(start + other.len() <= self.len, "range out of bounds");
-        other
-            .iter()
-            .enumerate()
-            .map(|(j, &x)| self.get(start + j) as i32 * x as i32)
-            .sum()
-    }
 }
 
 /// Packs integer codes into the canonical DRAM byte image for `precision`.
@@ -218,19 +203,6 @@ mod tests {
     #[should_panic(expected = "too short")]
     fn from_bytes_checks_length() {
         PackedInt4::from_bytes(vec![0u8; 1], 4);
-    }
-
-    #[test]
-    fn dot_range_matches_unpacked() {
-        let codes: Vec<i8> = (0..32).map(|i| ((i * 5) % 15) as i8 - 7).collect();
-        let p = PackedInt4::from_codes(&codes);
-        let other: Vec<i8> = (0..8).map(|i| (i - 4) as i8).collect();
-        for start in [0usize, 8, 24] {
-            let expect: i32 = (0..8)
-                .map(|j| codes[start + j] as i32 * other[j] as i32)
-                .sum();
-            assert_eq!(p.dot_range(start, &other), expect, "start {start}");
-        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# compare.sh PARENT CHANGE OUT: checks that CHANGE writes the JSON bytes
-# PARENT writes, and that CHANGE reads and re-writes PARENT's bench records.
+# compare.sh PARENT CHANGE OUT: checks that CHANGE prints the stdout and exit
+# codes and writes the JSON bytes PARENT does, for `enmc` and for every harness
+# binary, and that CHANGE reads and re-writes PARENT's bench records.
 #
 # PARENT and CHANGE are checkouts with release builds:
 #   cargo build --release --offline --workspace
@@ -10,12 +11,13 @@ set -u
 P=$(cd "$1" && pwd); C=$(cd "$2" && pwd); OUT=$3
 mkdir -p "$OUT"; OUT=$(cd "$OUT" && pwd)
 HERE=$(cd "$(dirname "$0")" && pwd)
+BINS=$(ls "$C/crates/bench/src/bin" | sed 's/\.rs$//')
 fail=0
 
-# Host time: `wall_ns`/`speedup` and the sharded-run note. The tune report's
-# `audit_points` is the one intended change (it was always 0).
+# Host time: `wall_ns`/`speedup` and the sharded-run note; surrogate_speedup
+# prints nothing but host-time rates and counts.
 mask() { sed -E 's/"(wall_ns|speedup)":[^,}]*/"\1":X/g; s/speedup [0-9.]+x/speedup Xx/g'; }
-mask_tune() { mask | sed -E 's/"audit_points":[0-9]+/"audit_points":X/'; }
+mask_host() { sed -E 's/[0-9]+(\.[0-9]+)?/N/g'; }
 
 for side in parent change; do
   [ $side = parent ] && R=$P || R=$C
@@ -29,19 +31,29 @@ for side in parent change; do
     "$B/enmc" fuzz-dram --seeds 8 --inject-bug $bug --repro-out "$F/repro_$bug.json" \
       > "$D/x_fuzz_$bug.out" 2> /dev/null; echo $? > "$D/x_fuzz_$bug.code"
   done
-  # The eight harness binaries that emit bench records, with CI's flags;
-  # their --json documents land in reports/.
+  # Every harness binary: stdout and exit code at defaults, where its --json
+  # document lands in reports/ and its bench record in bench/; again under
+  # ENMC_THREADS=4; then with the flags CI, README and the verify skill use.
   mkdir -p "$D/bench" "$D/reports"
-  export ENMC_BENCH_DIR=$D/bench ENMC_REPORT_DIR=$D/reports
-  "$B/fig13_performance" --threads 4 > /dev/null 2>&1
-  "$B/fig14_energy" --threads 4 > /dev/null 2>&1
-  "$B/fig15_scalability" > /dev/null 2>&1
-  "$B/table05_area_power" > /dev/null 2>&1
-  "$B/fleet_capacity" --threads 4 > /dev/null 2>&1
-  "$B/tune_pareto" > /dev/null 2>&1
-  "$B/surrogate_speedup" > /dev/null 2>&1
-  "$B/memtech_iso_quality" --threads 4 > /dev/null 2>&1
-  unset ENMC_BENCH_DIR ENMC_REPORT_DIR
+  h() { # name, env, binary, args...
+    local name=$1 envs=$2 bin=$3; shift 3
+    env $envs "$B/$bin" "$@" > "$D/h_$name.out" 2> /dev/null; echo $? > "$D/h_$name.code"
+  }
+  for bin in $BINS; do
+    h $bin "ENMC_BENCH_DIR=$D/bench ENMC_REPORT_DIR=$D/reports" $bin
+    h ${bin}_env4 ENMC_THREADS=4 $bin
+  done
+  h fig13_t4 "" fig13_performance --threads 4 --json "$F/fig13_t4.json"
+  h fig14_t4 "" fig14_energy --threads 4 --json "$F/fig14_t4.json"
+  h fig12_t4 "" fig12_sensitivity --threads 4
+  h fleet_capacity_t4 "" fleet_capacity --threads 4 --json "$F/fleet_capacity_t4.json"
+  h memtech_t1 "" memtech_iso_quality --threads 1
+  h memtech_t4 "" memtech_iso_quality --threads 4 --json "$F/memtech_t4.json"
+  h fault_sweep_surrogate "" fault_sweep --threads 4 --cost-model surrogate --audit-rate 0.1
+  h fleet_capacity_cycle "" fleet_capacity --scale 256 --cost-model cycle-accurate
+  h fig15_scale16 "" fig15_scalability --scale 16 --json "$F/fig15_scale16.json"
+  h fig15_scale0 "" fig15_scalability --scale 0
+  h table05_json "" table05_area_power --json "$F/table05.json" --bench-json "$D/bench/BENCH_t5.json"
   "$R/perf_suite/target/release/perf_suite" --workload tune-lstm --seed 7 --seconds 2 \
     --bench-json "$D/bench/BENCH_perf_suite.json" > /dev/null 2>&1
 done
@@ -51,12 +63,12 @@ same() { # label, parent file, change file, filter
 }
 for f in "$OUT"/parent/*.out "$OUT"/parent/*.code; do
   name=$(basename "$f")
-  case $name in *tune*) filter=mask_tune ;; *) filter=mask ;; esac
+  case $name in h_surrogate_speedup*) filter=mask_host ;; *) filter=mask ;; esac
   same "$name" "$f" "$OUT/change/$name" $filter
 done
 for f in "$OUT"/parent/files/*; do same "files/$(basename "$f")" "$f" "$OUT/change/files/$(basename "$f")" cat; done
-for doc in fig13_performance fig14_energy table05_area_power; do
-  same "reports/$doc.json" "$OUT/parent/reports/$doc.json" "$OUT/change/reports/$doc.json" cat
+for f in "$OUT"/parent/reports/*; do
+  same "reports/$(basename "$f")" "$f" "$OUT/change/reports/$(basename "$f")" cat
 done
 
 # The change reads every parent record and writes it back byte for byte,

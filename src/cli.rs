@@ -1,14 +1,17 @@
 //! The `enmc` command line: one spec entry per flag of each subcommand,
-//! and the parser that checks an argument list against it.
+//! and the parser that checks an argument list against it. The harness
+//! binaries in `crates/bench` declare their own [`Command`]s from the same
+//! [`Flag`] entries and parse through [`Command::parse`].
 //!
-//! [`Args::parse`] rejects an unknown flag, a flag without its value, a
-//! repeated flag and a stray or missing positional before any work starts,
-//! naming the token and printing the subcommand's flags with their
-//! defaults. Each subcommand then reads typed values through the value
-//! rules named here ([`count`], [`unsigned`], [`fraction`], [`unit`],
-//! [`positive`], [`nonnegative`], [`multiplier`], [`list`], [`one_of`]),
-//! so a bad value fails with a message that names the flag, the value and
-//! the accepted range instead of falling back to a default.
+//! [`Args::parse`] rejects an unknown flag, a flag without its value (a
+//! value is never empty and never starts with `--`), a repeated flag and a
+//! stray or missing positional before any work starts, naming the token
+//! and printing the subcommand's flags with their defaults. Each
+//! subcommand then reads typed values through the value rules named here
+//! ([`count`], [`unsigned`], [`fraction`], [`unit`], [`positive`],
+//! [`nonnegative`], [`multiplier`], [`list`], [`one_of`]), so a bad value
+//! fails with a message that names the flag, the value and the accepted
+//! range instead of falling back to a default.
 
 use enmc_arch::baseline::BaselineKind;
 use enmc_arch::system::Scheme;
@@ -34,7 +37,8 @@ pub struct Flag {
     pub help: &'static str,
 }
 
-const fn flag(
+/// A value flag; `default` is empty when absence means "not set".
+pub const fn flag(
     name: &'static str,
     value: &'static str,
     default: &'static str,
@@ -60,11 +64,13 @@ impl Flag {
     }
 }
 
-/// One `enmc` subcommand.
+/// One `enmc` subcommand, or a program of its own.
 #[derive(Debug)]
 pub struct Command {
-    /// The subcommand, e.g. `simulate`.
+    /// The subcommand or program, e.g. `simulate` or `fig13_performance`.
     pub name: &'static str,
+    /// `enmc` for its subcommands; empty for a program of its own.
+    pub program: &'static str,
     /// Its positional arguments, all required, as the usage names them.
     pub args: &'static [&'static str],
     /// One line of help.
@@ -81,6 +87,7 @@ const fn cmd(
 ) -> Command {
     Command {
         name,
+        program: "enmc",
         args,
         about,
         groups,
@@ -99,7 +106,7 @@ const WORKLOAD_NAMES: &str = "lstm|transformer|gnmt|xmlcnn|s1m|s10m|s100m";
 #[rustfmt::skip]
 const SEED: Flag = flag("--seed", "N", "7", "seed; ENMC_SEED replaces the default");
 #[rustfmt::skip]
-const THREADS: Flag = flag("--threads", "N", "", "worker threads; ENMC_THREADS applies when unset");
+pub const THREADS: Flag = flag("--threads", "N", "", "worker threads; ENMC_THREADS applies when unset");
 #[rustfmt::skip]
 const MEMORY: Flag = flag("--memory", "PRESET", "ddr4-2666", "memory-technology preset, see 'enmc list-memory'");
 #[rustfmt::skip]
@@ -119,9 +126,9 @@ const TRACE_OUT: Flag = flag("--trace-out", "FILE", "", "write a Chrome/Perfetto
 #[rustfmt::skip]
 const CHECK_PROTOCOL: Flag = switch("--check-protocol", "shadow every DRAM command with the preset's checker; exit 1 on a violation");
 #[rustfmt::skip]
-const COST_MODEL: Flag = flag("--cost-model", "MODEL", "cycle-accurate", "cycle-accurate|surrogate");
+pub const COST_MODEL: Flag = flag("--cost-model", "MODEL", "cycle-accurate", "cycle-accurate|surrogate");
 #[rustfmt::skip]
-const AUDIT_RATE: Flag = flag("--audit-rate", "F", "0.1", "fraction of surrogate answers re-simulated, in [0, 1]");
+pub const AUDIT_RATE: Flag = flag("--audit-rate", "F", "0.1", "fraction of surrogate answers re-simulated, in [0, 1]");
 
 /// How a run is seeded, executed and reported.
 const RUN: &[Flag] = &[SEED, THREADS, MEMORY, REPORT];
@@ -236,8 +243,6 @@ const FUZZ_DRAM: &[Flag] = &[
     flag("--inject-bug", "BUG", "", "plant tfaw-1|trcd-1|trp-1|twtr-1; exit 0 only if it is caught"),
     MEMORY,
     flag("--repro-out", "FILE", "", "write the shrunk reproducer JSON"),
-    // CI passes one flag set to simulate and fuzz-dram.
-    switch("--check-protocol", "accepted for symmetry with simulate; the fuzzer always checks"),
 ];
 
 #[rustfmt::skip]
@@ -277,6 +282,25 @@ pub const COMMANDS: &[Command] = &[
 ];
 
 impl Command {
+    /// A program of its own named `name`, taking no positionals; its
+    /// usage lists only its flags.
+    pub const fn standalone(name: &'static str, groups: &'static [&'static [Flag]]) -> Command {
+        Command {
+            name,
+            program: "",
+            args: &[],
+            about: "",
+            groups,
+        }
+    }
+
+    /// The command as typed, e.g. `enmc simulate` or `fig13_performance`.
+    fn invocation(&self) -> String {
+        format!("{} {}", self.program, self.name)
+            .trim_start()
+            .to_string()
+    }
+
     /// Every flag of the subcommand, in usage order.
     pub fn flags(&self) -> impl Iterator<Item = &'static Flag> {
         self.groups.iter().flat_map(|g| g.iter())
@@ -285,14 +309,17 @@ impl Command {
     /// The usage text: the synopsis, then each flag with its default and
     /// its maximum.
     pub fn usage(&self) -> String {
-        let mut out = format!("usage: enmc {}", self.name);
+        let mut out = format!("usage: {}", self.invocation());
         for a in self.args {
             out += &format!(" {a}");
         }
         if !self.groups.is_empty() {
             out += " [flags]";
         }
-        out += &format!("\n  {}\n", self.about);
+        out += "\n";
+        if !self.about.is_empty() {
+            out += &format!("  {}\n", self.about);
+        }
         for f in self.flags() {
             let mut notes = Vec::new();
             if !f.default.is_empty() {
@@ -311,6 +338,52 @@ impl Command {
             );
         }
         out
+    }
+
+    /// Checks `argv` (the flags and positionals after the command) against
+    /// this spec. The token after a value flag is its value; an empty one
+    /// or one starting with `--` is a flag without its value.
+    ///
+    /// # Errors
+    ///
+    /// For an unknown flag, a flag without its value, a repeated flag, or
+    /// a stray or missing positional, a message naming the token followed
+    /// by the usage.
+    pub fn parse(&'static self, argv: &[String]) -> Result<Args, String> {
+        let fail = |what: String| Err(format!("{}: {what}\n\n{}", self.invocation(), self.usage()));
+        let mut a = Args {
+            cmd: self,
+            given: Vec::new(),
+            positional: Vec::new(),
+        };
+        let mut tokens = argv.iter();
+        while let Some(tok) = tokens.next() {
+            if !tok.starts_with("--") {
+                if a.positional.len() == self.args.len() {
+                    return fail(format!("unexpected argument '{tok}'"));
+                }
+                a.positional.push(tok.clone());
+                continue;
+            }
+            let Some(f) = self.flags().find(|f| f.name == tok) else {
+                return fail(format!("unknown flag '{tok}'"));
+            };
+            if a.given.iter().any(|(g, _)| g.name == f.name) {
+                return fail(format!("flag '{tok}' given twice"));
+            }
+            let value = match f.value {
+                "" => String::new(),
+                placeholder => match tokens.next() {
+                    Some(v) if !v.is_empty() && !v.starts_with("--") => v.clone(),
+                    _ => return fail(format!("flag '{tok}' needs a value {placeholder}")),
+                },
+            };
+            a.given.push((f, value));
+        }
+        match self.args.get(a.positional.len()) {
+            Some(missing) => fail(format!("missing {missing}")),
+            None => Ok(a),
+        }
     }
 }
 
@@ -338,15 +411,13 @@ pub struct Args {
 }
 
 impl Args {
-    /// Checks `argv` (the subcommand first) against that subcommand's spec.
-    /// The token after a value flag is always its value.
+    /// Checks `argv` (the subcommand first) against that subcommand's spec
+    /// through [`Command::parse`].
     ///
     /// # Errors
     ///
-    /// For a missing or unknown subcommand, the subcommand list; for an
-    /// unknown flag, a flag without its value, a repeated flag, or a stray
-    /// or missing positional, a message naming the token followed by the
-    /// subcommand's usage.
+    /// For a missing or unknown subcommand, the subcommand list; otherwise
+    /// [`Command::parse`]'s message.
     pub fn parse(argv: &[String]) -> Result<Args, String> {
         let name = argv.first().map_or("", String::as_str);
         let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
@@ -356,43 +427,10 @@ impl Args {
             };
             return Err(unknown + &overview());
         };
-        let fail = |what: String| Err(format!("enmc {name}: {what}\n\n{}", cmd.usage()));
-        let mut a = Args {
-            cmd,
-            given: Vec::new(),
-            positional: Vec::new(),
-        };
-        let mut tokens = argv[1..].iter();
-        while let Some(tok) = tokens.next() {
-            if !tok.starts_with("--") {
-                if a.positional.len() == cmd.args.len() {
-                    return fail(format!("unexpected argument '{tok}'"));
-                }
-                a.positional.push(tok.clone());
-                continue;
-            }
-            let Some(f) = cmd.flags().find(|f| f.name == tok) else {
-                return fail(format!("unknown flag '{tok}'"));
-            };
-            if a.given.iter().any(|(g, _)| g.name == f.name) {
-                return fail(format!("flag '{tok}' given twice"));
-            }
-            let value = match f.value {
-                "" => String::new(),
-                placeholder => match tokens.next() {
-                    Some(v) => v.clone(),
-                    None => return fail(format!("flag '{tok}' needs a value {placeholder}")),
-                },
-            };
-            a.given.push((f, value));
-        }
-        match cmd.args.get(a.positional.len()) {
-            Some(missing) => fail(format!("missing {missing}")),
-            None => Ok(a),
-        }
+        cmd.parse(&argv[1..])
     }
 
-    /// The subcommand's name.
+    /// The subcommand's or program's name.
     pub fn command(&self) -> &'static str {
         self.cmd.name
     }
@@ -545,7 +583,7 @@ impl Args {
         self.cmd
             .flags()
             .find(|f| f.name == name)
-            .unwrap_or_else(|| panic!("enmc {} declares no flag {name}", self.cmd.name))
+            .unwrap_or_else(|| panic!("{} declares no flag {name}", self.cmd.invocation()))
     }
 }
 
@@ -903,7 +941,7 @@ mod tests {
 
     #[test]
     fn batch_rejects_zero_and_junk() {
-        let raws = ["0", "-3", "four", "2.5", "", "257", "18446744073709551615"];
+        let raws = ["0", "-3", "four", "2.5", "257", "18446744073709551615"];
         rejects("simulate", "--batch", &raws, count::<usize>, "1..=256");
     }
 
@@ -929,7 +967,7 @@ mod tests {
 
     #[test]
     fn threads_rejects_zero_and_junk() {
-        let raws = ["0", "-2", "many", ""];
+        let raws = ["0", "-2", "many"];
         rejects_by("fault-sweep", "--threads", &raws, Args::threads, ">= 1");
         let e = args("profile --threads 0").threads().unwrap_err();
         assert!(e.contains("--threads") && e.contains("'0'"), "{e}");
@@ -1049,7 +1087,7 @@ mod tests {
         assert_eq!(one, Ok(vec![1.0]));
         let many = read("fault-sweep", "--multipliers", "1,2,4.5,32", mults());
         assert_eq!(many, Ok(vec![1.0, 2.0, 4.5, 32.0]));
-        let raws = ["", "0.5", "2,zero", "2,,4", "inf"];
+        let raws = [",", "0.5", "2,zero", "2,,4", "inf"];
         rejects("fault-sweep", "--multipliers", &raws, mults(), ">= 1");
     }
 
@@ -1102,7 +1140,7 @@ mod tests {
         assert_eq!(levels("ddr5-4800"), Ok(vec![MemTech::Ddr5_4800]));
         let default = args("tune").tune_space().map(|s| s.memory);
         assert_eq!(default, Ok(vec![MemTech::Ddr4_2666]));
-        let raws = ["", "ddr4-2666,gddr6"];
+        let raws = [",", "ddr4-2666,gddr6"];
         rejects_by("tune", "--memory", &raws, Args::tune_space, "hbm2");
     }
 
@@ -1137,10 +1175,6 @@ mod tests {
         assert_eq!(backend("fleet-sim --cost-model surrogate"), surrogate);
         let e = backend("offload-plan --cost-model oracle").unwrap_err();
         assert!(e.contains("--cost-model") && e.contains("'oracle'"), "{e}");
-        let e = with("fault-sweep", "--cost-model", "")
-            .backend()
-            .unwrap_err();
-        assert!(e.contains("--cost-model") && e.contains("''"), "{e}");
     }
 
     #[test]
@@ -1235,7 +1269,7 @@ mod tests {
         let space = |flag, raws: &[&str], range| {
             rejects_by("tune", flag, raws, Args::tune_space, range);
         };
-        space("--ranks", &["", "32,many"], ">= 1");
+        space("--ranks", &[",", "32,many"], ">= 1");
         space("--lanes", &["64,0"], ">= 1");
         space("--candidates", &["0.05"], ">= 1");
         space("--batch-max", &["4,0"], ">= 1");
@@ -1249,7 +1283,7 @@ mod tests {
         let shifts = axis("--screen-shift", "0,1,2").map(|s| s.screen_shift);
         assert_eq!(shifts, Ok(vec![0, 1, 2]));
         assert_eq!(axis("--linger", "0").map(|s| s.linger_cycles), Ok(vec![0]));
-        rejects_by("tune", "--linger", &[""], Args::tune_space, ">= 0");
+        rejects_by("tune", "--linger", &[","], Args::tune_space, ">= 0");
         let range = "in 0..=4294967295";
         rejects_by("tune", "--screen-shift", &["0,-1"], Args::tune_space, range);
     }
@@ -1261,7 +1295,7 @@ mod tests {
         assert_eq!(ecc("TRUE"), Ok(vec![true]));
         assert_eq!(ecc("0"), Ok(vec![false]));
         let all = "on, true, 1, off";
-        rejects_by("tune", "--ecc", &["", "on,maybe"], Args::tune_space, all);
+        rejects_by("tune", "--ecc", &[",", "on,maybe"], Args::tune_space, all);
     }
 
     #[test]
@@ -1351,17 +1385,27 @@ mod tests {
         assert_eq!(a.text("--seed"), Some("9"));
         assert!(a.on("--check-protocol"));
         assert_eq!(a.text("--trace-out"), None);
-        // The token after a value flag is its value, even when it looks
-        // like a flag, so the value's own check reports it.
+        // A single dash starts a value, so the value's own check reports
+        // it; an empty token, a flag or nothing after a value flag is no
+        // value at all.
         assert_eq!(args("fault-sweep --ber -0.1").text("--ber"), Some("-0.1"));
-        let a = args("fault-sweep --coeffs --ecc");
-        assert_eq!((a.text("--coeffs"), a.on("--ecc")), (Some("--ecc"), false));
-        let trailing = ["simulate", "--batch", "2", "--seed"].map(String::from);
-        let e = Args::parse(&trailing).unwrap_err();
-        assert!(
-            e.contains("'--seed' needs a value") && e.contains("usage: enmc simulate"),
-            "{e}"
-        );
+        for (line, flag) in [
+            (&["fault-sweep", "--coeffs", "--ecc"][..], "--coeffs"),
+            (
+                &["simulate", "--trace-out", "--check-protocol"],
+                "--trace-out",
+            ),
+            (&["tune", "--memory", ""], "--memory"),
+            (&["simulate", "--batch", "2", "--seed"], "--seed"),
+        ] {
+            let argv: Vec<String> = line.iter().map(|t| t.to_string()).collect();
+            let e = Args::parse(&argv).unwrap_err();
+            let usage = format!("usage: enmc {}", line[0]);
+            assert!(
+                e.contains(&format!("'{flag}' needs a value")) && e.contains(&usage),
+                "{e}"
+            );
+        }
     }
 
     #[test]

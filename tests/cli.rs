@@ -61,6 +61,20 @@ fn every_command_rejects_malformed_argument_lists() {
 }
 
 #[test]
+fn a_file_flag_followed_by_another_flag_has_no_value() {
+    for c in COMMANDS {
+        for f in c.flags().filter(|f| f.value == "FILE") {
+            let next = c.flags().find(|g| g.name != f.name).unwrap();
+            let err = rejects(&argv(c, &[f.name, next.name]), f.name);
+            assert!(
+                err.contains(&format!("flag '{}' needs a value", f.name)),
+                "{err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn another_commands_flag_is_unknown() {
     for (cmd, flag, value) in [
         ("fleet-sim", "--workload", "gnmt"),
