@@ -33,29 +33,18 @@ impl BaselineKind {
             BaselineKind::TensorDimmLarge => NmpConfig::tensordimm_large(),
         }
     }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        self.config().name
-    }
 }
 
 /// A baseline NMP rank-unit model.
 #[derive(Debug, Clone)]
 pub struct NmpBaseline {
-    kind: BaselineKind,
     unit: RankUnit,
 }
 
 impl NmpBaseline {
     /// Builds the rank engine for `kind`.
     pub fn new(kind: BaselineKind) -> Self {
-        NmpBaseline { kind, unit: RankUnit::new(Self::params(kind)) }
-    }
-
-    /// The baseline's identity.
-    pub fn kind(&self) -> BaselineKind {
-        self.kind
+        NmpBaseline { unit: RankUnit::new(Self::params(kind)) }
     }
 
     /// The rank engine.
@@ -127,11 +116,5 @@ mod tests {
         let td = NmpBaseline::new(BaselineKind::TensorDimm).unit().simulate(&j);
         let tdl = NmpBaseline::new(BaselineKind::TensorDimmLarge).unit().simulate(&j);
         assert!(tdl.dram_cycles < td.dram_cycles);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(BaselineKind::Nda.name(), "NDA");
-        assert_eq!(BaselineKind::TensorDimmLarge.name(), "TensorDIMM-Large");
     }
 }

@@ -129,11 +129,6 @@ impl NmpConfig {
             units_per_channel: 16,
         }
     }
-
-    /// The three Table 4 baselines in the paper's order.
-    pub fn table4() -> [NmpConfig; 3] {
-        [Self::nda(), Self::chameleon(), Self::tensordimm()]
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +152,14 @@ mod tests {
 
     #[test]
     fn baselines_are_iso_lane_budget() {
-        for b in NmpConfig::table4() {
+        for b in [NmpConfig::nda(), NmpConfig::chameleon(), NmpConfig::tensordimm()] {
             assert_eq!(b.fp32_macs, 16, "{}", b.name);
         }
     }
 
     #[test]
     fn tensordimm_streams_best_chameleon_worst() {
-        let [nda, cham, td] = NmpConfig::table4();
+        let (nda, cham, td) = (NmpConfig::nda(), NmpConfig::chameleon(), NmpConfig::tensordimm());
         assert!(td.mv_efficiency > nda.mv_efficiency);
         assert!(nda.mv_efficiency > cham.mv_efficiency);
     }

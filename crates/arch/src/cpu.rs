@@ -27,11 +27,6 @@ impl CpuModel {
         CpuModel { cost_model: CpuCostModel::default() }
     }
 
-    /// The underlying cost model.
-    pub fn cost_model(&self) -> &CpuCostModel {
-        &self.cost_model
-    }
-
     /// Nanoseconds to execute `cost`.
     pub fn ns(&self, cost: &ClassificationCost) -> f64 {
         self.cost_model.seconds(cost) * 1e9

@@ -5,31 +5,19 @@
 //! the memory system. On a host-only platform the two phases serialize;
 //! with an NMP scheme they are decoupled (Fig. 10) and pipeline across
 //! batches, so steady-state throughput is set by the slower phase.
+//! [`end_to_end`] returns both phase times and `fig15_scalability`
+//! composes them.
 
 use crate::cpu::CpuModel;
 use crate::system::{ClassificationJob, Scheme, SystemModel};
 
-/// End-to-end latency/throughput of one scheme on one workload.
+/// End-to-end latency of one scheme on one workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EndToEnd {
     /// Front-end nanoseconds (host).
     pub front_end_ns: f64,
     /// Classification nanoseconds (scheme-dependent).
     pub classification_ns: f64,
-    /// `true` if the two phases pipeline (NMP offload), `false` if they
-    /// serialize (host-only).
-    pub pipelined: bool,
-}
-
-impl EndToEnd {
-    /// Effective nanoseconds per batch in steady state.
-    pub fn steady_state_ns(&self) -> f64 {
-        if self.pipelined {
-            self.front_end_ns.max(self.classification_ns)
-        } else {
-            self.front_end_ns + self.classification_ns
-        }
-    }
 }
 
 /// Runs the end-to-end composition for `job` with a front-end of
@@ -41,12 +29,9 @@ pub fn end_to_end(
     front_end_ops: u64,
     scheme: Scheme,
 ) -> EndToEnd {
-    let front_end_ns = cpu.front_end_ns(front_end_ops, job.batch);
-    let result = system.run(job, scheme);
     EndToEnd {
-        front_end_ns,
-        classification_ns: result.ns,
-        pipelined: !matches!(scheme, Scheme::CpuFull | Scheme::CpuScreened),
+        front_end_ns: cpu.front_end_ns(front_end_ops, job.batch),
+        classification_ns: system.run(job, scheme).ns,
     }
 }
 
@@ -60,20 +45,13 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_takes_max_serial_takes_sum() {
-        let e = EndToEnd { front_end_ns: 10.0, classification_ns: 30.0, pipelined: true };
-        assert_eq!(e.steady_state_ns(), 30.0);
-        let s = EndToEnd { front_end_ns: 10.0, classification_ns: 30.0, pipelined: false };
-        assert_eq!(s.steady_state_ns(), 40.0);
-    }
-
-    #[test]
     fn enmc_advantage_grows_with_categories() {
         // Fig. 15: ENMC's edge over TensorDIMM widens on larger synthetic
         // datasets because it streams without buffering intermediates.
         let sys = SystemModel::table3();
         let cpu = CpuModel::xeon_8280();
         let fe_ops = 32 * 512 * 512u64; // XMLCNN front-end
+        let steady = |e: EndToEnd| e.front_end_ns.max(e.classification_ns);
         let mut advantages = Vec::new();
         for l in [262_144usize, 2_097_152] {
             let j = job(l);
@@ -85,7 +63,7 @@ mod tests {
                 fe_ops,
                 Scheme::Baseline(BaselineKind::TensorDimm),
             );
-            advantages.push(td.steady_state_ns() / enmc.steady_state_ns());
+            advantages.push(steady(td) / steady(enmc));
         }
         assert!(
             advantages[1] >= advantages[0] * 0.95,

@@ -16,7 +16,7 @@
 //! assembles the final mixed logits.
 
 use enmc_compiler::{estimate_candidate_program, lower_screening, MemoryLayout, TaskDescriptor};
-use enmc_isa::{BufferId, Instruction, Program, RegId};
+use enmc_isa::{BufferId, Instruction, RegId};
 use enmc_tensor::activation::{sigmoid_taylor, softmax_taylor};
 use enmc_tensor::packed::PackedInt4;
 use enmc_tensor::quant::{QuantMatrix, QuantVector};
@@ -73,11 +73,6 @@ pub struct FunctionalDimm {
     output: Vec<f32>,
     /// FILTER survivors.
     index: Vec<u32>,
-    /// Data returned by RETURN instructions.
-    returned: Vec<Vec<f32>>,
-    /// QUERY responses in issue order: the host polls status registers
-    /// through these (paper §5.3's QUERY instruction).
-    query_log: Vec<(RegId, u64)>,
 }
 
 impl FunctionalDimm {
@@ -96,8 +91,6 @@ impl FunctionalDimm {
             exec_offset: 0,
             output: Vec::new(),
             index: Vec::new(),
-            returned: Vec::new(),
-            query_log: Vec::new(),
         }
     }
 
@@ -125,28 +118,6 @@ impl FunctionalDimm {
         &self.index
     }
 
-    /// Buffers returned by RETURN instructions so far.
-    pub fn returned(&self) -> &[Vec<f32>] {
-        &self.returned
-    }
-
-    /// QUERY responses (register, value) in issue order.
-    pub fn query_log(&self) -> &[(RegId, u64)] {
-        &self.query_log
-    }
-
-    /// Executes a whole program.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ExecError`].
-    pub fn run(&mut self, program: &Program) -> Result<(), ExecError> {
-        for inst in program {
-            self.step(inst)?;
-        }
-        Ok(())
-    }
-
     /// Executes one instruction.
     ///
     /// # Errors
@@ -159,11 +130,7 @@ impl FunctionalDimm {
             Instruction::Init { reg, data } => {
                 self.regs[reg.code() as usize] = data;
             }
-            Instruction::Query { reg } => {
-                let value = self.regs[reg.code() as usize];
-                self.query_log.push((reg, value));
-            }
-            Instruction::Nop | Instruction::Barrier => {}
+            Instruction::Nop | Instruction::Barrier | Instruction::Query { .. } => {}
             Instruction::Ldr { buffer, addr } => self.load(buffer, addr)?,
             Instruction::Str { buffer, addr } => self.store(buffer, addr)?,
             Instruction::MulAddInt4 { .. } => self.mul_add_int4(),
@@ -196,7 +163,6 @@ impl FunctionalDimm {
                 }
             }
             Instruction::Return => {
-                self.returned.push(self.output.clone());
                 self.regs[RegId::BatchCounter.code() as usize] += 1;
                 // Start the next batch item's streaming state.
                 self.psum_int.clear();
@@ -243,7 +209,6 @@ impl FunctionalDimm {
         self.exec_offset = 0;
         self.output.clear();
         self.index.clear();
-        self.query_log.clear();
     }
 
     fn slice(&self, addr: u64, len: usize) -> Result<&[u8], ExecError> {
@@ -551,15 +516,11 @@ mod tests {
     }
 
     #[test]
-    fn query_logs_register_values() {
+    fn inst_counter_counts_executed_instructions() {
         let mut d = FunctionalDimm::new(256, 256);
         d.step(&Instruction::Init { reg: RegId::VocabSize, data: 1234 }).unwrap();
         d.step(&Instruction::Query { reg: RegId::VocabSize }).unwrap();
-        d.step(&Instruction::Query { reg: RegId::InstCounter }).unwrap();
-        assert_eq!(d.query_log()[0], (RegId::VocabSize, 1234));
-        // InstCounter counts the Init + first Query before this one.
-        assert_eq!(d.query_log()[1].0, RegId::InstCounter);
-        assert!(d.query_log()[1].1 >= 2);
+        assert_eq!(d.reg(RegId::InstCounter), 2);
     }
 
     #[test]

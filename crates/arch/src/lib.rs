@@ -35,7 +35,6 @@
 pub mod baseline;
 pub mod functional;
 pub mod config;
-pub mod controller;
 pub mod cpu;
 pub mod endtoend;
 pub mod energy;

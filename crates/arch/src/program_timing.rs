@@ -13,9 +13,6 @@
 use crate::config::EnmcConfig;
 use enmc_dram::{AddressMapping, DramConfig, DramStats, DramSystem, MemRequest, RequestId};
 use enmc_isa::{BufferId, Instruction, Program};
-use enmc_obs::trace::{
-    TraceBuffer, TraceEvent, TraceSink, CAT_PIPELINE, TID_DECODE, TID_EXECUTOR, TID_SCREENER,
-};
 use std::collections::{HashMap, VecDeque};
 
 /// Timing of one program execution.
@@ -43,15 +40,14 @@ struct Ticket {
 }
 
 /// Execution state threading the DRAM clock through the walk.
-struct Engine<'a> {
+struct Engine {
     dram: DramSystem,
     inflight: HashMap<RequestId, (BufferId, usize)>, // → (buffer, ticket idx)
     tickets: HashMap<BufferId, VecDeque<(usize, Ticket)>>,
     next_ticket: usize,
-    trace: Option<&'a mut TraceBuffer>,
 }
 
-impl Engine<'_> {
+impl Engine {
     fn tick(&mut self) {
         self.dram.tick();
         let now = self.dram.cycle();
@@ -72,13 +68,6 @@ impl Engine<'_> {
     /// Issues a fill and returns its ticket id.
     fn load(&mut self, buffer: BufferId, addr: u64, bytes: usize) -> usize {
         let bursts = bytes.div_ceil(64).max(1);
-        if let Some(tb) = self.trace.as_deref_mut() {
-            tb.record(
-                TraceEvent::instant("ldr", CAT_PIPELINE, self.dram.cycle(), 0, TID_DECODE)
-                    .with_arg("buffer", buffer.code() as u64)
-                    .with_arg("bytes", bytes as u64),
-            );
-        }
         let idx = self.next_ticket;
         self.next_ticket += 1;
         self.tickets
@@ -140,32 +129,12 @@ pub fn run_program(
     hidden_dim: usize,
     reduced_dim: usize,
 ) -> ProgramTiming {
-    run_program_traced(cfg, program, hidden_dim, reduced_dim, None)
-}
-
-/// [`run_program`] with an optional trace collector: `MUL_ADD` occupancy
-/// becomes spans on the [`TID_SCREENER`] / [`TID_EXECUTOR`] tracks, each
-/// `LDR` an instant marker on [`TID_DECODE`], plus the DRAM controller's
-/// per-command events.
-pub fn run_program_traced(
-    cfg: &EnmcConfig,
-    program: &Program,
-    hidden_dim: usize,
-    reduced_dim: usize,
-    trace: Option<&mut TraceBuffer>,
-) -> ProgramTiming {
     let ratio = cfg.dram_cycles_per_logic_cycle(1200);
-    let mut dram =
-        DramSystem::with_mapping(DramConfig::enmc_single_rank(), AddressMapping::RoRaBaCoBg);
-    if trace.is_some() {
-        dram.enable_trace(1 << 20);
-    }
     let mut eng = Engine {
-        dram,
+        dram: DramSystem::with_mapping(DramConfig::enmc_single_rank(), AddressMapping::RoRaBaCoBg),
         inflight: HashMap::new(),
         tickets: HashMap::new(),
         next_ticket: 0,
-        trace,
     };
     let mut timing = ProgramTiming::default();
     let mut int_mac_free = 0u64;
@@ -185,7 +154,7 @@ pub fn run_program_traced(
     // compute.
     let insts: Vec<&Instruction> = program.iter().collect();
     let mut issued_upto = 0usize; // LDRs at indices < issued_upto are issued
-    let prefetch = |eng: &mut Engine<'_>, from: usize, issued_upto: &mut usize| {
+    let prefetch = |eng: &mut Engine, from: usize, issued_upto: &mut usize| {
         let mut i = (*issued_upto).max(from);
         while i < insts.len() {
             match insts[i] {
@@ -221,26 +190,16 @@ pub fn run_program_traced(
                 let ready = eng.consume(b);
                 let elems = cfg.buffer_bytes * 2;
                 let dur = ((elems as f64 / cfg.int4_macs as f64).ceil() as u64) * ratio;
-                let start = ready.max(int_mac_free);
-                int_mac_free = start + dur;
+                int_mac_free = ready.max(int_mac_free) + dur;
                 timing.int_mac_busy += dur;
-                if let Some(tb) = eng.trace.as_deref_mut() {
-                    tb.record(TraceEvent::begin("mul_add_int4", CAT_PIPELINE, start, 0, TID_SCREENER));
-                    tb.record(TraceEvent::end("mul_add_int4", CAT_PIPELINE, int_mac_free, 0, TID_SCREENER));
-                }
             }
             Instruction::MulAddFp32 { b, .. } => {
                 prefetch(&mut eng, pc + 1, &mut issued_upto);
                 let ready = eng.consume(b);
                 let elems = cfg.buffer_bytes / 4;
                 let dur = ((elems as f64 / cfg.fp32_macs as f64).ceil() as u64) * ratio;
-                let start = ready.max(fp32_mac_free);
-                fp32_mac_free = start + dur;
+                fp32_mac_free = ready.max(fp32_mac_free) + dur;
                 timing.fp32_mac_busy += dur;
-                if let Some(tb) = eng.trace.as_deref_mut() {
-                    tb.record(TraceEvent::begin("mul_add_fp32", CAT_PIPELINE, start, 0, TID_EXECUTOR));
-                    tb.record(TraceEvent::end("mul_add_fp32", CAT_PIPELINE, fp32_mac_free, 0, TID_EXECUTOR));
-                }
             }
             Instruction::Filter { .. } | Instruction::Softmax | Instruction::Sigmoid => {
                 // Shadow units: one logic cycle of control latency.
@@ -273,11 +232,6 @@ pub fn run_program_traced(
     timing.dram_cycles = eng.dram.cycle();
     timing.ns = eng.dram.elapsed_ns();
     timing.dram = eng.dram.stats();
-    if let Some(tb) = eng.trace.as_deref_mut() {
-        for e in eng.dram.take_trace() {
-            tb.record(e);
-        }
-    }
     timing
 }
 
@@ -327,20 +281,6 @@ mod tests {
         );
         // And identical weight traffic (+1 burst: the feature load).
         assert_eq!(program.dram.reads, shape.dram.reads + 1);
-    }
-
-    #[test]
-    fn traced_program_run_matches_untraced() {
-        let cfg = EnmcConfig::table3();
-        let p = compile(1024, 1);
-        let plain = run_program(&cfg, &p, 512, 128);
-        let mut tb = TraceBuffer::unbounded();
-        let traced = run_program_traced(&cfg, &p, 512, 128, Some(&mut tb));
-        assert_eq!(plain.dram_cycles, traced.dram_cycles);
-        let names: std::collections::HashSet<&str> = tb.iter().map(|e| e.name).collect();
-        for expected in ["mul_add_int4", "ldr", "ACT", "RD"] {
-            assert!(names.contains(expected), "missing {expected} in {names:?}");
-        }
     }
 
     #[test]

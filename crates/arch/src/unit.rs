@@ -23,7 +23,7 @@
 use crate::config::EnmcConfig;
 use enmc_dram::{AddressMapping, DramConfig, DramStats, DramSystem, MemRequest, RequestId};
 use enmc_obs::trace::{
-    TraceBuffer, TraceEvent, TraceSink, CAT_PIPELINE, TID_COUNTERS, TID_EXECUTOR, TID_PHASES,
+    TraceBuffer, TraceEvent, CAT_PIPELINE, TID_COUNTERS, TID_EXECUTOR, TID_PHASES,
     TID_SCREENER, TID_SFU,
 };
 use std::collections::VecDeque;

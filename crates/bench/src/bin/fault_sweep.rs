@@ -20,7 +20,7 @@ use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::{candidate_fraction, fit_pipeline, par_rows, JSON};
 use enmc_fault::{
-    pareto_frontier, run_resilience_sweep_with_cost, FaultModel, FaultSweepSpec, SweepError,
+    pareto_frontier, run_resilience_sweep, FaultModel, FaultSweepSpec, SweepError,
     SweepPoint,
 };
 use enmc_model::workloads::WorkloadId;
@@ -62,7 +62,7 @@ fn sweep_cell(
         tiers: vec![k, (k / 2).max(1)],
     };
     let mut cost = CostModel::new(backend, SEED);
-    let points = run_resilience_sweep_with_cost(
+    let points = run_resilience_sweep(
         &fitted.synth,
         &fitted.classifier,
         &SystemModel::table3(),

@@ -71,20 +71,15 @@ fn main() {
         // --- SVD-softmax: preview window d/8, refine count swept
         // (factorized once, reused across the sweep).
         let window = (d / 8).max(1);
-        let svd = SvdSoftmax::new(
-            fitted.synth.weights(),
-            fitted.synth.bias().clone(),
-            window,
-            1,
-        )
-        .expect("valid SVD config");
+        let svd = SvdSoftmax::new(fitted.synth.weights(), fitted.synth.bias().clone(), window)
+            .expect("valid SVD config");
         for frac in FRACTIONS {
             let n = ((l as f64 * frac).round() as usize).max(1);
             let mut acc = QualityAccumulator::new(10);
             let mut cost_sum = ClassificationCost::default();
             for q in &queries {
                 let full = fitted.synth.full_logits(&q.hidden);
-                let (logits, _, cost) = svd.classify_refined(&q.hidden, n);
+                let (logits, _, cost) = svd.classify(&q.hidden, n);
                 acc.add(full.as_slice(), logits.as_slice(), q.target);
                 cost_sum = cost_sum.add(&cost);
             }

@@ -18,7 +18,12 @@ use enmc_bench::{candidate_fraction, par_rows, BENCH_JSON, JSON};
 use enmc_model::workloads::WorkloadId;
 use enmc_par::SimConfig;
 
-const SCALE: Flag = flag("--scale", "N", "8", "simulate 1/N of each category slice, extrapolate");
+/// The largest `--scale` that leaves each simulated rank unit at least
+/// one category of the smallest dataset: S1M's 10^6 categories over the
+/// 8 channels × 8 ranks of one system give 10^6 / 64 = 15,625.
+const MAX_SCALE: u64 = 1_000_000 / 64;
+const SCALE: Flag =
+    flag("--scale", "N", "8", "simulate 1/N of each category slice, extrapolate").at_most(MAX_SCALE);
 const CMD: Command =
     Command::standalone("fig15_scalability", &[&[THREADS, JSON, BENCH_JSON, SCALE]]);
 

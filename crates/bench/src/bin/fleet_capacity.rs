@@ -141,7 +141,12 @@ fn capacity_search(
     lo
 }
 
-const SCALE: Flag = flag("--scale", "N", "64", "simulate 1/N of each category slice, extrapolate");
+/// The largest `--scale` that leaves every simulated rank of the smallest
+/// dataset at least one category: S1M's 10^6 categories over `SHARDS`
+/// shards of 8 channels × 8 ranks each give 10^6 / (8 × 64) = 1,953.
+const MAX_SCALE: u64 = 1_000_000 / (SHARDS as u64 * 64);
+const SCALE: Flag =
+    flag("--scale", "N", "64", "simulate 1/N of each category slice, extrapolate").at_most(MAX_SCALE);
 const COST: Flag = Flag { default: "surrogate", ..COST_MODEL };
 const CMD: Command =
     Command::standalone("fleet_capacity", &[&[THREADS, JSON, BENCH_JSON, SCALE, COST, AUDIT_RATE]]);

@@ -104,8 +104,8 @@ mod tests {
 
     fn sample_table() -> Table {
         let mut t = Table::new(&["workload", "speedup"]);
-        t.row(&["GNMT-E32K", "11.8"]);
-        t.row(&["XMLCNN-670K", "17.4"]);
+        t.row_owned(vec!["GNMT-E32K".into(), "11.8".into()]);
+        t.row_owned(vec!["XMLCNN-670K".into(), "17.4".into()]);
         t
     }
 

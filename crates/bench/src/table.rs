@@ -7,7 +7,7 @@
 /// ```
 /// use enmc_bench::table::Table;
 /// let mut t = Table::new(&["workload", "speedup"]);
-/// t.row(&["GNMT-E32K", "11.8"]);
+/// t.row_owned(vec!["GNMT-E32K".into(), "11.8".into()]);
 /// let s = t.render();
 /// assert!(s.contains("GNMT-E32K"));
 /// ```
@@ -28,12 +28,6 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count differs from the header count.
-    pub fn row(&mut self, cells: &[&str]) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells.iter().map(|s| s.to_string()).collect());
-    }
-
-    /// Appends one row of owned strings.
     pub fn row_owned(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
@@ -120,7 +114,7 @@ mod tests {
     #[test]
     fn render_aligns_columns() {
         let mut t = Table::new(&["a", "long-header"]);
-        t.row(&["xxxxxx", "1"]);
+        t.row_owned(vec!["xxxxxx".into(), "1".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -132,7 +126,7 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
         let mut t = Table::new(&["a", "b"]);
-        t.row(&["only-one"]);
+        t.row_owned(vec!["only-one".into()]);
     }
 
     #[test]

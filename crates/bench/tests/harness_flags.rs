@@ -40,7 +40,7 @@ const FLAGS: &[(&str, &str, &str, &str)] = &[
     ("--threads", "2", "0", "an integer >= 1"),
     ("--json", "t.json", "", ""),
     ("--bench-json", "b.json", "", ""),
-    ("--scale", "2", "0", "an integer >= 1"),
+    ("--scale", "2", "0", "an integer in 1..="),
     ("--cost-model", "surrogate", "surogate", "one of cycle-accurate, cycle, accurate, surrogate"),
     ("--audit-rate", "0.5", "2", "a finite number in [0, 1]"),
 ];
@@ -117,6 +117,19 @@ fn every_binary_rejects_bad_input_before_any_work() {
             for args in [&[flag][..], &[flag, ""], &[flag, flags[0]]] {
                 rejects(name, &dir, args, &[&needs, &format!("usage: {name}")]);
             }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_scale_that_leaves_a_rank_without_categories_exits_2_naming_the_bound() {
+    let dir = scratch("harness-scale");
+    for (name, bound) in [("fig15_scalability", 15_625), ("fleet_capacity", 1_953)] {
+        for scale in [bound + 1, 100_000_000] {
+            let value = scale.to_string();
+            let range = format!("an integer in 1..={bound}");
+            rejects(name, &dir, &["--scale", &value], &["--scale", &format!("'{value}'"), &range]);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

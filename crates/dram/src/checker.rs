@@ -224,19 +224,9 @@ impl TimingChecker {
         }
     }
 
-    /// The reference timing being enforced.
-    pub fn timing(&self) -> &Timing {
-        &self.timing
-    }
-
     /// Exact number of violations observed so far (recorded or not).
     pub fn violation_count(&self) -> u64 {
         self.total
-    }
-
-    /// The recorded violations (at most [`MAX_RECORDED_VIOLATIONS`]).
-    pub fn violations(&self) -> &[ProtocolViolation] {
-        &self.recorded
     }
 
     /// Violations dropped once the record cap was reached.
@@ -598,9 +588,9 @@ mod tests {
             let vs = ck.observe(i * 100, CommandKind::Rd, &c);
             assert_eq!(vs.len(), 1);
         }
-        assert_eq!(ck.violations().len(), MAX_RECORDED_VIOLATIONS);
         assert_eq!(ck.violation_count(), MAX_RECORDED_VIOLATIONS as u64 + 10);
         assert_eq!(ck.dropped(), 10);
+        assert_eq!(ck.take_violations().len(), MAX_RECORDED_VIOLATIONS);
     }
 
     #[test]

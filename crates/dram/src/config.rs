@@ -37,11 +37,6 @@ impl Organization {
         self.columns / 8
     }
 
-    /// Row-buffer size in bytes across the rank (one device row × devices).
-    pub fn row_bytes(&self) -> usize {
-        self.bursts_per_row() * self.access_bytes
-    }
-
     /// Capacity of one channel in bytes.
     pub fn channel_bytes(&self) -> u64 {
         self.ranks as u64 * self.rank_bytes()
@@ -129,30 +124,6 @@ impl Timing {
         }
     }
 
-    /// JEDEC DDR4-2666 speed bin (the CPU baseline's DIMMs, §6.2).
-    pub fn ddr4_2666() -> Self {
-        Timing {
-            tck_ps: 750,
-            cl: 18,
-            cwl: 14,
-            trcd: 18,
-            trp: 18,
-            tras: 43,
-            trc: 61,
-            tccd_l: 7,
-            tccd_s: 4,
-            trrd_l: 7,
-            trrd_s: 4,
-            tfaw: 28,
-            twr: 20,
-            trtp: 10,
-            twtr: 10,
-            tbl: 4,
-            trfc: 467,   // 350 ns at 1333 MHz
-            trefi: 10400, // 7.8 µs
-        }
-    }
-
     /// Nanoseconds for `cycles` memory-clock cycles.
     pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
         cycles as f64 * self.tck_ps as f64 / 1000.0
@@ -221,16 +192,6 @@ impl DramConfig {
         cfg.organization.ranks = 1;
         cfg
     }
-
-    /// The CPU baseline's memory system: 6 channels of DDR4-2666 with two
-    /// ranks each (Xeon 8280, §6.2).
-    pub fn cpu_baseline() -> Self {
-        let mut cfg = Self::enmc_table3();
-        cfg.organization.channels = 6;
-        cfg.organization.ranks = 2;
-        cfg.timing = Timing::ddr4_2666();
-        cfg
-    }
 }
 
 #[cfg(test)]
@@ -283,31 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn ddr4_2666_bin_is_faster_in_time() {
-        let t24 = Timing::ddr4_2400_table3();
-        let t26 = Timing::ddr4_2666();
-        // Higher data rate: more bandwidth...
-        assert!(t26.peak_channel_bandwidth() > t24.peak_channel_bandwidth());
-        // ...with roughly the same absolute latencies (more cycles, each
-        // shorter): tRCD within 15% in nanoseconds.
-        let ns24 = t24.cycles_to_ns(t24.trcd);
-        let ns26 = t26.cycles_to_ns(t26.trcd);
-        assert!((ns24 - ns26).abs() / ns24 < 0.15, "{ns24} vs {ns26}");
-    }
-
-    #[test]
-    fn cpu_baseline_uses_2666_bin() {
-        let cfg = DramConfig::cpu_baseline();
-        assert_eq!(cfg.timing.tck_ps, 750);
-        assert_eq!(cfg.organization.channels, 6);
-        // 6 channels × 21.3 GB/s ≈ 128 GB/s, the paper's quoted number.
-        let total = cfg.timing.peak_channel_bandwidth() * 6.0 / 1e9;
-        assert!((120.0..135.0).contains(&total), "{total} GB/s");
-    }
-
-    #[test]
     fn row_buffer_size_is_8_kb() {
         let cfg = DramConfig::enmc_table3();
-        assert_eq!(cfg.organization.row_bytes(), 8192);
+        let org = cfg.organization;
+        assert_eq!(org.bursts_per_row() * org.access_bytes, 8192);
     }
 }

@@ -35,7 +35,7 @@ use crate::mapping::Coord;
 use crate::rank::RankState;
 use crate::stats::{DramStats, MAX_BANK_GROUPS};
 use crate::system::{Completion, RequestId, RequestKind};
-use enmc_obs::trace::{TraceBuffer, TraceEvent, TraceSink, CAT_DRAM, CAT_PROTOCOL, TID_COUNTERS};
+use enmc_obs::trace::{TraceBuffer, TraceEvent, CAT_DRAM, CAT_PROTOCOL, TID_COUNTERS};
 use std::collections::VecDeque;
 
 /// Cycle stride between sampled counter-track events (queue depth, open
@@ -212,11 +212,6 @@ impl ChannelController {
         self.trace_pid = pid;
     }
 
-    /// `true` when command events are being collected.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Removes and returns the collected events (collection stays on).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.as_mut().map(TraceBuffer::drain).unwrap_or_default()
@@ -267,19 +262,9 @@ impl ChannelController {
         self.checker = Some(TimingChecker::new(reference, self.config.organization, channel));
     }
 
-    /// `true` when a protocol checker is attached.
-    pub fn protocol_check_enabled(&self) -> bool {
-        self.checker.is_some()
-    }
-
     /// Total violations observed so far (0 when the checker is off).
     pub fn protocol_violation_count(&self) -> u64 {
         self.checker.as_ref().map(TimingChecker::violation_count).unwrap_or(0)
-    }
-
-    /// The recorded violations (capped; see [`crate::checker`]).
-    pub fn protocol_violations(&self) -> &[ProtocolViolation] {
-        self.checker.as_ref().map(TimingChecker::violations).unwrap_or(&[])
     }
 
     /// Removes and returns the recorded violations (checking stays on).
@@ -607,8 +592,8 @@ mod tests {
         run_one(&mut ctrl, 1, 0);
         let cfg = ctrl.config;
         // Same bank, different row: skip all banks' interleaved rows.
-        let row_stride = cfg.organization.row_bytes() as u64
-            * cfg.organization.banks_per_rank() as u64;
+        let org = cfg.organization;
+        let row_stride = (org.bursts_per_row() * org.access_bytes * org.banks_per_rank()) as u64;
         assert!(ctrl.enqueue(RequestId(2), RequestKind::Read, coord_of(row_stride, &cfg), 0));
         let mut now = ctrl.stats().total_cycles;
         loop {
@@ -744,7 +729,6 @@ mod tests {
     fn trace_captures_act_and_rd() {
         let mut ctrl = controller();
         ctrl.enable_trace(1024, 0);
-        assert!(ctrl.trace_enabled());
         run_one(&mut ctrl, 1, 0);
         let events = ctrl.take_trace();
         let names: Vec<&str> = events.iter().map(|e| e.name).collect();
@@ -757,7 +741,14 @@ mod tests {
         assert!(events[act].ts < events[rd].ts);
         // Draining empties the buffer but leaves tracing on.
         assert!(ctrl.take_trace().is_empty());
-        assert!(ctrl.trace_enabled());
+        let cfg = ctrl.config;
+        assert!(ctrl.enqueue(RequestId(2), RequestKind::Read, coord_of(64, &cfg), 0));
+        let mut now = ctrl.stats().total_cycles;
+        while ctrl.tick(now).is_none() {
+            now += 1;
+            assert!(now < 100_000);
+        }
+        assert!(ctrl.take_trace().iter().any(|e| e.name == "RD"));
     }
 
     #[test]

@@ -118,21 +118,6 @@ pub struct EnergyBreakdown {
     pub static_nj: f64,
 }
 
-impl EnergyBreakdown {
-    /// Total DRAM energy.
-    pub fn total_nj(&self) -> f64 {
-        self.access_nj + self.static_nj
-    }
-
-    /// Element-wise sum.
-    pub fn add(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
-        EnergyBreakdown {
-            access_nj: self.access_nj + other.access_nj,
-            static_nj: self.static_nj + other.static_nj,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,12 +208,5 @@ mod tests {
     #[should_panic(expected = "ECC surcharge")]
     fn negative_ecc_surcharge_rejected() {
         EnergyModel::ddr4_2400_rank(1).with_ecc_surcharge(-1.0);
-    }
-
-    #[test]
-    fn breakdown_addition() {
-        let a = EnergyBreakdown { access_nj: 1.0, static_nj: 2.0 };
-        let s = a.add(&a);
-        assert_eq!(s.total_nj(), 6.0);
     }
 }

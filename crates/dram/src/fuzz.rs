@@ -118,11 +118,6 @@ impl PatternKind {
         }
     }
 
-    /// Inverse of [`PatternKind::name`].
-    pub fn parse(s: &str) -> Option<PatternKind> {
-        Self::ALL.iter().copied().find(|p| p.name() == s)
-    }
-
     /// Generates `len` requests for `seed`, already sorted by arrival.
     pub fn generate(
         self,

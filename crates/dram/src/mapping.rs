@@ -170,8 +170,8 @@ mod tests {
     fn enmc_mapping_streams_whole_rows_before_switching_banks() {
         let org = org();
         let m = AddressMapping::RoRaBaCoBg;
-        // One interleaved row group = bank_groups × row_bytes.
-        let group_bytes = (org.bank_groups * org.row_bytes()) as u64;
+        // One interleaved row group = bank_groups × row bytes.
+        let group_bytes = (org.bank_groups * org.bursts_per_row() * org.access_bytes) as u64;
         let c0 = m.decode(0, &org);
         let c_next = m.decode(group_bytes, &org);
         assert_ne!(c0.bank, c_next.bank);

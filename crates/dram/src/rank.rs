@@ -40,11 +40,6 @@ impl RankState {
         }
     }
 
-    /// Immutable bank access.
-    pub fn bank(&self, flat: usize) -> &Bank {
-        &self.banks[flat]
-    }
-
     /// Number of banks.
     pub fn banks(&self) -> usize {
         self.banks.len()

@@ -4,7 +4,6 @@ use crate::checker::ProtocolViolation;
 use crate::command::TimedCommand;
 use crate::config::{DramConfig, Timing};
 use crate::controller::ChannelController;
-use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::mapping::AddressMapping;
 use crate::stats::DramStats;
 use enmc_obs::trace::TraceEvent;
@@ -100,11 +99,6 @@ impl DramSystem {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
-    }
-
     /// Current memory-clock cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -194,11 +188,6 @@ impl DramSystem {
         }
     }
 
-    /// `true` when command events are being collected.
-    pub fn trace_enabled(&self) -> bool {
-        self.channels.iter().any(ChannelController::trace_enabled)
-    }
-
     /// Removes and returns all collected events, merged across channels in
     /// timestamp order (collection stays on).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
@@ -223,11 +212,6 @@ impl DramSystem {
         for (i, ch) in self.channels.iter_mut().enumerate() {
             ch.enable_protocol_check(reference, i as u32);
         }
-    }
-
-    /// `true` when protocol checking is on.
-    pub fn protocol_check_enabled(&self) -> bool {
-        self.channels.iter().any(ChannelController::protocol_check_enabled)
     }
 
     /// Total protocol violations observed across all channels.
@@ -262,11 +246,6 @@ impl DramSystem {
     /// Per-channel statistics, in channel order.
     pub fn channel_stats(&self) -> Vec<DramStats> {
         self.channels.iter().map(|ch| ch.stats().clone()).collect()
-    }
-
-    /// DRAM energy so far under `model`.
-    pub fn energy(&self, model: &EnergyModel) -> EnergyBreakdown {
-        model.breakdown(&self.stats())
     }
 
     /// Achieved bandwidth so far in GB/s (decimal).
@@ -366,7 +345,6 @@ mod tests {
     fn system_trace_merges_channels_in_order() {
         let mut sys = DramSystem::new(DramConfig::enmc_table3());
         sys.enable_trace(4096);
-        assert!(sys.trace_enabled());
         for i in 0..64 {
             sys.enqueue(MemRequest::read(i * 64)).unwrap();
         }
@@ -377,18 +355,5 @@ mod tests {
         // Multi-channel config with interleaved addresses: several pids.
         let pids: std::collections::HashSet<u32> = events.iter().map(|e| e.pid).collect();
         assert!(pids.len() > 1, "expected multiple channels, got {pids:?}");
-    }
-
-    /// Loads a mixed read/write pattern spread over all channels.
-    #[test]
-    fn energy_grows_with_traffic() {
-        let mut sys = DramSystem::new(DramConfig::enmc_single_rank());
-        for i in 0..64 {
-            sys.enqueue(MemRequest::read(i * 64)).unwrap();
-        }
-        sys.run_until_idle(1_000_000);
-        let e = sys.energy(&EnergyModel::ddr4_2400_rank(1));
-        assert!(e.access_nj > 0.0);
-        assert!(e.static_nj > 0.0);
     }
 }

@@ -154,13 +154,6 @@ pub struct EccCounters {
 }
 
 impl EccCounters {
-    /// Folds `other` into `self` (commutative element-wise sum).
-    pub fn merge(&mut self, other: &EccCounters) {
-        self.words += other.words;
-        self.corrected += other.corrected;
-        self.detected_uncorrected += other.detected_uncorrected;
-    }
-
     /// Decodes and counts in one step.
     pub fn decode_counted(&mut self, data: u64, parity: u8) -> Decoded {
         let out = decode(data, parity);
@@ -340,9 +333,5 @@ mod tests {
         assert_eq!(c.decode_counted(d ^ 2, p), Decoded::Corrected(d));
         assert_eq!(c.decode_counted(d ^ 3, p), Decoded::Uncorrectable(d ^ 3));
         assert_eq!(c, EccCounters { words: 3, corrected: 1, detected_uncorrected: 1 });
-        let mut sum = c;
-        sum.merge(&c);
-        assert_eq!(sum.words, 6);
-        assert_eq!(sum.corrected, 2);
     }
 }

@@ -45,16 +45,6 @@ pub struct InjectionStats {
     pub ecc: EccCounters,
 }
 
-impl InjectionStats {
-    /// Folds `other` into `self` (commutative element-wise sum).
-    pub fn merge(&mut self, other: &InjectionStats) {
-        self.words += other.words;
-        self.raw_flips += other.raw_flips;
-        self.residual_flips += other.residual_flips;
-        self.ecc.merge(&other.ecc);
-    }
-}
-
 /// Corrupts a byte image in place. Word `i` of the image is read at word
 /// address `base_addr + i`; with `ecc` the stored (72,64) codeword is
 /// corrupted and decoded, otherwise the raw 64 data bits pass through the

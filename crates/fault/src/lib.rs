@@ -40,6 +40,6 @@ pub use ecc::{Decoded, EccCounters, ECC_MW, ECC_NJ_PER_BURST, ECC_NS_PER_BURST};
 pub use inject::{corrupt_image, corrupt_matrix, corrupt_screener, InjectionStats};
 pub use model::FaultModel;
 pub use sweep::{
-    pareto_frontier, run_resilience_sweep, run_resilience_sweep_with_cost, run_sweep,
-    FaultSweepSpec, ParetoRow, SweepError, SweepPoint, TierOutcome, FAULT_SHARDS,
+    pareto_frontier, run_resilience_sweep, run_sweep, FaultSweepSpec, ParetoRow, SweepError,
+    SweepPoint, TierOutcome, FAULT_SHARDS,
 };

@@ -215,31 +215,6 @@ impl FaultModel {
     pub fn is_nominal(&self) -> bool {
         self.ber == 0.0 && self.retention_fail_prob() == 0.0 && self.weak_column_frac == 0.0
     }
-
-    /// Corrupts a 64-bit word read from `addr`.
-    ///
-    /// Prepares a channel on every call: with weak columns on, that is
-    /// 128 × 72 column hashes for one word. To corrupt many words, use
-    /// [`crate::inject::corrupt_image`] or [`crate::inject::corrupt_matrix`],
-    /// which prepare it once per image.
-    pub fn corrupt_word(&self, addr: u64, data: u64) -> u64 {
-        if self.is_nominal() {
-            return data;
-        }
-        Channel::new(self).corrupt_word(addr, data)
-    }
-
-    /// Corrupts a full (72,64) codeword read from `addr`: the 64 data bits
-    /// at bit indices `0..64` and the 8 parity-byte bits at `64..72` —
-    /// check bits live in the same DRAM row and decay like everything else.
-    ///
-    /// Prepares a channel on every call, like [`FaultModel::corrupt_word`].
-    pub fn corrupt_codeword(&self, addr: u64, data: u64, parity: u8) -> (u64, u8) {
-        if self.is_nominal() {
-            return (data, parity);
-        }
-        Channel::new(self).corrupt_codeword(addr, data, parity)
-    }
 }
 
 /// A [`FaultModel`] prepared for one image: the model's constants worked
@@ -289,12 +264,14 @@ impl Channel {
         }
     }
 
-    /// [`FaultModel::corrupt_word`] on this channel.
+    /// Corrupts a 64-bit word read from `addr`.
     pub(crate) fn corrupt_word(&self, addr: u64, data: u64) -> u64 {
         self.corrupt::<64>(addr, u128::from(data)) as u64
     }
 
-    /// [`FaultModel::corrupt_codeword`] on this channel.
+    /// Corrupts a full (72,64) codeword read from `addr`: the 64 data bits
+    /// at bit indices `0..64` and the 8 parity-byte bits at `64..72` —
+    /// check bits live in the same DRAM row and decay like everything else.
     pub(crate) fn corrupt_codeword(&self, addr: u64, data: u64, parity: u8) -> (u64, u8) {
         let out = self.corrupt::<CODEWORD_BITS>(addr, u128::from(data) | u128::from(parity) << 64);
         (out as u64, (out >> 64) as u8)
@@ -474,28 +451,29 @@ mod tests {
     fn nominal_model_is_the_identity() {
         let m = FaultModel::nominal(42);
         assert!(m.is_nominal());
+        let c = Channel::new(&m);
         for addr in [0u64, 8, 4096] {
-            assert_eq!(m.corrupt_word(addr, 0xDEAD_BEEF), 0xDEAD_BEEF);
-            assert_eq!(m.corrupt_codeword(addr, 7, 0x1f), (7, 0x1f));
+            assert_eq!(c.corrupt_word(addr, 0xDEAD_BEEF), 0xDEAD_BEEF);
+            assert_eq!(c.corrupt_codeword(addr, 7, 0x1f), (7, 0x1f));
         }
     }
 
     #[test]
     fn corruption_is_deterministic_and_addr_dependent() {
-        let m = FaultModel::nominal(1).with_ber(0.05);
+        let m = Channel::new(&FaultModel::nominal(1).with_ber(0.05));
         let a = m.corrupt_word(64, u64::MAX);
         assert_eq!(a, m.corrupt_word(64, u64::MAX), "same (seed, addr) ⇒ same flips");
         let over_addrs: Vec<u64> = (0..64).map(|i| m.corrupt_word(i * 8, u64::MAX)).collect();
         assert!(over_addrs.iter().any(|&w| w != u64::MAX), "5% BER must flip something");
         assert!(over_addrs.windows(2).any(|w| w[0] != w[1]), "flips must vary with address");
         // A different seed draws a different error map.
-        let m2 = FaultModel::nominal(2).with_ber(0.05);
+        let m2 = Channel::new(&FaultModel::nominal(2).with_ber(0.05));
         assert!((0..64).any(|i| m.corrupt_word(i * 8, 0) != m2.corrupt_word(i * 8, 0)));
     }
 
     #[test]
     fn ber_flip_rate_is_statistically_plausible() {
-        let m = FaultModel::nominal(9).with_ber(0.01);
+        let m = Channel::new(&FaultModel::nominal(9).with_ber(0.01));
         let words = 4096u64;
         let flips: u32 = (0..words).map(|i| (m.corrupt_word(i * 8, 0)).count_ones()).sum();
         let expect = words as f64 * 64.0 * 0.01;
@@ -510,8 +488,8 @@ mod tests {
         let relaxed = base.with_refresh_multiplier(64.0);
         let p = relaxed.retention_fail_prob();
         assert!(p > 0.0 && p <= 0.5);
-        let flips: u32 =
-            (0..4096u64).map(|i| (relaxed.corrupt_word(i * 8, 0) ).count_ones()).sum();
+        let relaxed = Channel::new(&relaxed);
+        let flips: u32 = (0..4096u64).map(|i| relaxed.corrupt_word(i * 8, 0).count_ones()).sum();
         assert!(flips > 0, "m=64 must produce retention failures");
     }
 
@@ -520,8 +498,8 @@ mod tests {
         // Stuck-at polarity is independent of m, and the failed-cell set at
         // a smaller multiplier is a subset of the set at a larger one, so
         // on all-ones data: bits cleared at m=16 ⊆ bits cleared at m=64.
-        let m16 = FaultModel::nominal(5).with_refresh_multiplier(16.0);
-        let m64 = FaultModel::nominal(5).with_refresh_multiplier(64.0);
+        let m16 = Channel::new(&FaultModel::nominal(5).with_refresh_multiplier(16.0));
+        let m64 = Channel::new(&FaultModel::nominal(5).with_refresh_multiplier(64.0));
         let mut nontrivial = false;
         for i in 0..4096u64 {
             let addr = i * 8;
@@ -552,10 +530,11 @@ mod tests {
         // The same column is weak in every DRAM row; sampling error hits
         // about half the reads.
         let rows = 512u64;
+        let c = Channel::new(&m);
         let flips = (0..rows)
             .filter(|r| {
                 let addr = r * WORDS_PER_ROW + col; // word index; addr unit irrelevant
-                m.corrupt_word(addr, 0) >> bit & 1 == 1
+                c.corrupt_word(addr, 0) >> bit & 1 == 1
             })
             .count();
         assert!(
@@ -566,7 +545,7 @@ mod tests {
 
     #[test]
     fn codeword_corruption_covers_check_bits() {
-        let m = FaultModel::nominal(13).with_ber(0.05);
+        let m = Channel::new(&FaultModel::nominal(13).with_ber(0.05));
         let changed = (0..256u64)
             .map(|i| m.corrupt_codeword(i * 8, 0, 0))
             .any(|(_, p)| p != 0);
@@ -583,7 +562,7 @@ mod tests {
         // Zero base disables the mechanism outright.
         let immune = m.with_retention_base(0.0);
         assert_eq!(immune.retention_fail_prob(), 0.0);
-        assert_eq!(immune.corrupt_word(128, u64::MAX), u64::MAX);
+        assert_eq!(Channel::new(&immune).corrupt_word(128, u64::MAX), u64::MAX);
     }
 
     #[test]

@@ -33,10 +33,10 @@ use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_dram::energy::EnergyModel;
 use enmc_model::quality::{QualityAccumulator, QualityReport};
 use enmc_model::synth::SyntheticClassifier;
-use enmc_obs::trace::{TraceBuffer, TraceEvent, TraceSink};
+use enmc_obs::trace::{TraceBuffer, TraceEvent};
 use enmc_obs::MetricsRegistry;
 use enmc_screen::{ApproxClassifier, SelectionPolicy};
-use enmc_surrogate::{CostBackend, CostModel, SurrogateViolation};
+use enmc_surrogate::{CostModel, SurrogateViolation};
 use enmc_tensor::{top_k_indices, TensorError};
 use std::fmt;
 
@@ -335,45 +335,18 @@ impl From<SurrogateViolation> for SweepError {
 /// the whole rank-parallel system runs `job` under an
 /// [`EnergyModel`] with the point's refresh multiplier (and the SEC-DED
 /// surcharges when ECC is on), filling the energy fields of every point.
-/// Optionally records `fault.*` metrics and per-point trace events.
+/// The energy join runs through `cost`, so a surrogate backend answers
+/// each point in pure arithmetic (auditing a seeded fraction
+/// cycle-accurately). Optionally records `fault.*` metrics and per-point
+/// trace events.
 ///
 /// # Errors
 ///
-/// Propagates injection errors (unfrozen or per-row-scale screeners).
-pub fn run_resilience_sweep(
-    synth: &SyntheticClassifier,
-    classifier: &ApproxClassifier,
-    system: &SystemModel,
-    job: &ClassificationJob,
-    spec: &FaultSweepSpec,
-    workers: usize,
-    registry: Option<&mut MetricsRegistry>,
-    trace: Option<&mut TraceBuffer>,
-) -> Result<Vec<SweepPoint>, TensorError> {
-    let mut cost = CostModel::new(CostBackend::CycleAccurate, spec.query_seed);
-    run_resilience_sweep_with_cost(
-        synth, classifier, system, job, spec, workers, registry, trace, &mut cost,
-    )
-    .map_err(|e| match e {
-        SweepError::Tensor(t) => t,
-        SweepError::Surrogate(v) => {
-            unreachable!("cycle-accurate backend cannot violate: {v}")
-        }
-    })
-}
-
-/// [`run_resilience_sweep`] with an explicit cost backend: the per-point
-/// energy join runs through `cost`, so a surrogate backend answers each
-/// point in pure arithmetic (auditing a seeded fraction cycle-accurately)
-/// while the cycle-accurate backend behaves exactly like
-/// [`run_resilience_sweep`].
-///
-/// # Errors
-///
-/// Propagates injection errors, and [`SweepError::Surrogate`] when an
-/// audited point misses the declared bound.
+/// Propagates injection errors (unfrozen or per-row-scale screeners), and
+/// [`SweepError::Surrogate`] when an audited point misses the declared
+/// bound.
 #[allow(clippy::too_many_arguments)]
-pub fn run_resilience_sweep_with_cost(
+pub fn run_resilience_sweep(
     synth: &SyntheticClassifier,
     classifier: &ApproxClassifier,
     system: &SystemModel,

@@ -9,7 +9,7 @@
 //! expects a one-tenant outcome.
 
 use enmc_obs::report::RunReport;
-use enmc_obs::trace::{TraceEvent, TraceSink};
+use enmc_obs::trace::{TraceBuffer, TraceEvent};
 use enmc_obs::MetricsRegistry;
 use enmc_serve::hist::cycle_bounds;
 
@@ -99,7 +99,7 @@ impl FleetOutcome {
     /// `shed` instant per rejected request, a `degrade` or `upgrade`
     /// instant wherever a batch's tier differs from the one before it,
     /// and a `batch` begin/end pair per dispatch on its lane's tid.
-    pub fn serve_trace(&self, sink: &mut impl TraceSink) {
+    pub fn serve_trace(&self, sink: &mut TraceBuffer) {
         self.serve_tenant();
         for (id, r) in self.requests.iter().enumerate().filter(|(_, r)| r.shed) {
             sink.record(

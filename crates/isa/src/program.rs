@@ -1,7 +1,6 @@
 //! Instruction sequences and their summary statistics.
 
 use crate::asm;
-use crate::encode::Frame;
 use crate::inst::Instruction;
 use crate::IsaError;
 
@@ -33,11 +32,6 @@ impl Program {
         Self::default()
     }
 
-    /// Wraps an instruction list.
-    pub fn from_instructions(instructions: Vec<Instruction>) -> Self {
-        Program { instructions }
-    }
-
     /// Parses assembly text.
     ///
     /// # Errors
@@ -60,11 +54,6 @@ impl Program {
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.instructions.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.instructions.is_empty()
     }
 
     /// Iterates over the instructions.
@@ -109,58 +98,6 @@ impl Program {
             .map(|i| 2 + if i.has_data() { 8 } else { 0 })
             .sum()
     }
-
-    /// Serializes to the binary wire stream: for each instruction, the
-    /// 13-bit command word little-endian in 2 bytes (bit 15 flags a DQ
-    /// payload) followed by the 8-byte payload when present. This is the
-    /// byte sequence a host driver would DMA to the memory controller.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.instructions.len() * 2);
-        for inst in &self.instructions {
-            let frame = inst.encode();
-            let mut word = frame.command;
-            if frame.data.is_some() {
-                word |= 1 << 15;
-            }
-            out.extend_from_slice(&word.to_le_bytes());
-            if let Some(d) = frame.data {
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parses the binary wire stream produced by [`Program::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsaError`] on truncated input or undecodable frames.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, IsaError> {
-        let mut instructions = Vec::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            if pos + 2 > bytes.len() {
-                return Err(IsaError::Parse("truncated command word".into()));
-            }
-            let word = u16::from_le_bytes([bytes[pos], bytes[pos + 1]]);
-            pos += 2;
-            let has_data = word & (1 << 15) != 0;
-            let data = if has_data {
-                if pos + 8 > bytes.len() {
-                    return Err(IsaError::Parse("truncated DQ payload".into()));
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&bytes[pos..pos + 8]);
-                pos += 8;
-                Some(u64::from_le_bytes(b))
-            } else {
-                None
-            };
-            let frame = Frame { command: word & 0x1fff, data };
-            instructions.push(Instruction::decode(&frame)?);
-        }
-        Ok(Program { instructions })
-    }
 }
 
 impl FromIterator<Instruction> for Program {
@@ -189,13 +126,15 @@ mod tests {
     use crate::inst::{BufferId, RegId};
 
     fn sample() -> Program {
-        Program::from_instructions(vec![
+        [
             Instruction::Init { reg: RegId::VocabSize, data: 1000 },
             Instruction::Ldr { buffer: BufferId::FeatureInt4, addr: 0 },
             Instruction::MulAddInt4 { a: BufferId::FeatureInt4, b: BufferId::WeightInt4 },
             Instruction::Filter { buffer: BufferId::PsumInt4 },
             Instruction::Return,
-        ])
+        ]
+        .into_iter()
+        .collect()
     }
 
     #[test]
@@ -223,36 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let p = sample();
-        let bytes = p.to_bytes();
-        assert_eq!(bytes.len() as u64, p.wire_bytes());
-        let back = Program::parse(&p.disassemble()).unwrap();
-        assert_eq!(back, p);
-        let decoded = Program::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, p);
-    }
-
-    #[test]
-    fn truncated_streams_rejected() {
-        let p = sample();
-        let bytes = p.to_bytes();
-        assert!(Program::from_bytes(&bytes[..1]).is_err());
-        // Cut inside a payload.
-        assert!(Program::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn empty_stream_is_empty_program() {
-        let p = Program::from_bytes(&[]).unwrap();
-        assert!(p.is_empty());
-    }
-
-    #[test]
     fn collect_from_iterator() {
         let p: Program = vec![Instruction::Nop, Instruction::Return].into_iter().collect();
         assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl MemTech {
         }
     }
 
-    /// Parses a canonical name (as printed by [`MemTech::name`]).
-    pub fn parse(s: &str) -> Option<MemTech> {
-        MemTech::ALL.iter().copied().find(|t| t.name() == s)
-    }
-
     /// The full preset bundle for this technology.
     pub fn preset(&self) -> MemPreset {
         match self {
@@ -352,12 +347,9 @@ mod tests {
     #[test]
     fn names_round_trip() {
         for t in MemTech::ALL {
-            assert_eq!(MemTech::parse(t.name()), Some(t));
             assert_eq!(t.preset().tech, t);
             assert_eq!(format!("{t}"), t.name());
         }
-        assert_eq!(MemTech::parse("ddr4"), None);
-        assert_eq!(MemTech::parse(""), None);
         assert_eq!(MemTech::default(), MemTech::Ddr4_2666);
     }
 

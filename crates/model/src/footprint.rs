@@ -37,11 +37,6 @@ impl Footprint {
             screener_bytes: wt_bytes + bias_bytes + proj_bytes,
         }
     }
-
-    /// Screener bytes as a fraction of the classifier bytes.
-    pub fn screener_fraction(&self) -> f64 {
-        self.screener_bytes as f64 / self.classifier_bytes as f64
-    }
 }
 
 /// Reduced dimension `k = round(scale · d)`, minimum 1.
@@ -81,7 +76,7 @@ mod tests {
         // scale 0.25 at INT4 = 1/4 dims × 1/8 bytes ≈ 3.1% of the classifier
         // (paper §7.1 sets screening overhead to 3.1% of full classification).
         let f = Footprint::compute(267_744, 512, 0.25, Precision::Int4);
-        let frac = f.screener_fraction();
+        let frac = f.screener_bytes as f64 / f.classifier_bytes as f64;
         assert!((0.028..0.045).contains(&frac), "screener fraction {frac}");
     }
 

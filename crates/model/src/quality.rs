@@ -58,12 +58,6 @@ impl QualityReport {
             self.perplexity_approx / self.perplexity_full
         }
     }
-
-    /// Quality degradation in percent for the task-appropriate metric
-    /// (uses top-1 agreement): `100·(1 − agreement)`.
-    pub fn degradation_pct(&self) -> f64 {
-        100.0 * (1.0 - self.top1_agreement)
-    }
 }
 
 impl QualityAccumulator {
@@ -119,11 +113,6 @@ impl QualityAccumulator {
         self.n
     }
 
-    /// Returns `true` if nothing was accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Produces the final report.
     ///
     /// # Panics
@@ -159,7 +148,6 @@ mod tests {
         assert_eq!(r.top1_agreement, 1.0);
         assert_eq!(r.precision_at_k, 1.0);
         assert!((r.perplexity_ratio() - 1.0).abs() < 1e-9);
-        assert_eq!(r.degradation_pct(), 0.0);
     }
 
     #[test]
@@ -170,7 +158,6 @@ mod tests {
         acc.add(&full, &approx, 2);
         let r = acc.finish();
         assert_eq!(r.top1_agreement, 0.0);
-        assert!(r.degradation_pct() > 99.0);
     }
 
     #[test]
@@ -239,11 +226,10 @@ mod tests {
     }
 
     #[test]
-    fn is_empty_reflects_state() {
+    fn len_counts_queries() {
         let mut acc = QualityAccumulator::new(1);
-        assert!(acc.is_empty());
+        assert_eq!(acc.len(), 0);
         acc.add(&[1.0, 0.0], &[1.0, 0.0], 0);
-        assert!(!acc.is_empty());
         assert_eq!(acc.len(), 1);
     }
 }

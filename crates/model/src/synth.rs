@@ -22,7 +22,6 @@
 //! The generator is seeded and deterministic, so every experiment is
 //! reproducible bit-for-bit.
 
-use crate::workloads::Workload;
 use enmc_tensor::dist::{standard_normal, Zipf};
 use enmc_tensor::{Matrix, Vector};
 use rand::rngs::StdRng;
@@ -52,25 +51,6 @@ pub struct SynthesisConfig {
     pub query_signal: f32,
     /// RNG seed.
     pub seed: u64,
-}
-
-impl SynthesisConfig {
-    /// Sensible defaults for a workload, materializing at most `max_rows`
-    /// categories (algorithm experiments run on a representative slice of
-    /// the category space; shapes used for *performance* always come from
-    /// the nominal workload).
-    pub fn for_workload(w: &Workload, max_rows: usize, seed: u64) -> Self {
-        SynthesisConfig {
-            categories: w.categories.min(max_rows),
-            hidden: w.hidden,
-            clusters: 64,
-            row_noise: 0.4,
-            zipf_exponent: 1.0,
-            bias_scale: 1.0,
-            query_signal: 2.2,
-            seed,
-        }
-    }
 }
 
 /// A synthesized extreme classifier with its query distribution.
@@ -295,14 +275,6 @@ mod tests {
         let a = synth.sample_queries_seeded(5, 100);
         let b = synth.sample_queries_seeded(5, 200);
         assert!(a.iter().zip(&b).any(|(x, y)| x.hidden != y.hidden));
-    }
-
-    #[test]
-    fn for_workload_caps_rows() {
-        let w = crate::workloads::WorkloadId::Xmlcnn670K.workload();
-        let cfg = SynthesisConfig::for_workload(&w, 10_000, 0);
-        assert_eq!(cfg.categories, 10_000);
-        assert_eq!(cfg.hidden, 512);
     }
 
     #[test]

@@ -32,18 +32,6 @@ pub struct DecodeTrace {
     pub steps: Vec<DecodeStep>,
 }
 
-impl DecodeTrace {
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// `true` if the trace has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-}
-
 /// Generates `sentences` traces of `steps` steps each over `synth`'s
 /// category space.
 ///
@@ -192,8 +180,7 @@ mod tests {
         let traces = generate_traces(&s, 3, 7, 0.7, 1);
         assert_eq!(traces.len(), 3);
         for t in &traces {
-            assert_eq!(t.len(), 7);
-            assert!(!t.is_empty());
+            assert_eq!(t.steps.len(), 7);
             for step in &t.steps {
                 assert!(step.target < 600);
                 assert_eq!(step.hidden.len(), 48);

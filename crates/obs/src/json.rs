@@ -108,14 +108,6 @@ impl Value {
         }
     }
 
-    /// The value as an `i64` (exact integers only).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// The value as a `u64` (non-negative exact integers only).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -782,11 +774,11 @@ mod tests {
     #[test]
     fn integers_stay_exact() {
         let v = Value::parse("9007199254740993").unwrap();
-        assert_eq!(v.as_i64(), Some(9007199254740993));
+        assert_eq!(v, Value::Int(9007199254740993));
         assert_eq!(v.to_json(), "9007199254740993");
         // The whole u64 range, then only a float.
         let max = Value::parse("18446744073709551615").unwrap();
-        assert_eq!((max.as_u64(), max.as_i64()), (Some(u64::MAX), None));
+        assert_eq!(max, Value::UInt(u64::MAX));
         assert_eq!(max.to_json(), "18446744073709551615");
         assert_eq!(Value::parse("9223372036854775807").unwrap(), Value::Int(i64::MAX));
         assert_eq!(

@@ -8,9 +8,9 @@
 //!
 //! Three pillars:
 //!
-//! * **Event tracing** ([`trace`]) — a [`trace::TraceSink`] facade with a
-//!   ring-buffered collector ([`trace::TraceBuffer`]) and a
-//!   Chrome/Perfetto `trace_event` exporter ([`trace::export_chrome`]).
+//! * **Event tracing** ([`trace`]) — a ring-buffered collector
+//!   ([`trace::TraceBuffer`]) and a Chrome/Perfetto `trace_event`
+//!   exporter ([`trace::export_chrome`]).
 //!   The DRAM controller emits ACT/PRE/RD/WR/REF command events; the NMP
 //!   unit models emit per-stage pipeline spans. A disabled trace costs a
 //!   single branch on the hot path.
@@ -44,6 +44,5 @@ pub use json::Value;
 pub use metrics::{MetricsRegistry, MetricsReport};
 pub use report::{BreakdownRow, PhaseSpan, RunReport, Stopwatch};
 pub use trace::{
-    export_chrome, validate_chrome, ChromeSummary, NullSink, SpanPhase, TraceBuffer, TraceEvent,
-    TraceSink,
+    export_chrome, validate_chrome, ChromeSummary, SpanPhase, TraceBuffer, TraceEvent,
 };

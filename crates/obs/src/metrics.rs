@@ -4,8 +4,8 @@
 //! Producers register samples under a metric name plus a label set
 //! (`("channel", "0")`-style pairs); labels are canonicalized by sorting,
 //! so `[("a","1"),("b","2")]` and `[("b","2"),("a","1")]` address the same
-//! series. A [`MetricsRegistry`] is cheap to create, mergeable, and turns
-//! into a [`MetricsReport`] — plain data with a JSON round trip — via
+//! series. A [`MetricsRegistry`] is cheap to create and turns into a
+//! [`MetricsReport`] — plain data with a JSON round trip — via
 //! [`MetricsRegistry::snapshot`].
 //!
 //! # Example
@@ -16,7 +16,7 @@
 //! let mut reg = MetricsRegistry::new();
 //! reg.counter_add("dram.reads", &[("channel", "0")], 128);
 //! reg.gauge_set("dram.row_hit_rate", &[("channel", "0")], 0.93);
-//! reg.observe("dram.request_latency_cycles", &[], 37.0);
+//! reg.observe_with("dram.request_latency_cycles", &[], &[32.0, 64.0], 37.0);
 //! let report = reg.snapshot();
 //! assert_eq!(report.counters.len(), 1);
 //! assert_eq!(report.counters[0].value, 128);
@@ -80,18 +80,6 @@ impl Histogram {
         }
     }
 
-    /// Power-of-two bounds `1, 2, 4, … 2^(n-1)` — a sensible default for
-    /// cycle counts and byte sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n` exceeds 63: the bounds stop at `2^62` and would
-    /// repeat.
-    pub fn exponential(n: usize) -> Self {
-        let bounds: Vec<f64> = (0..n as u32).map(|i| (1u64 << i.min(62)) as f64).collect();
-        Histogram::with_bounds(&bounds)
-    }
-
     /// Records one observation in the first bucket whose bound is at or
     /// above it; a value above every bound, or NaN, lands in the overflow
     /// bucket.
@@ -103,15 +91,6 @@ impl Histogram {
         self.counts[idx] += 1;
         self.count += 1;
         self.sum += value;
-    }
-
-    /// Mean of the observed values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 
     /// Upper-bound estimate of the `q`-quantile (`0.0 ..= 1.0`).
@@ -255,15 +234,6 @@ record! {
 }
 
 impl MetricsReport {
-    /// The value of a counter series (0 when absent).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let key = MetricKey::new(name, labels);
-        self.counters
-            .iter()
-            .find(|c| c.name == key.name && c.labels == key.labels)
-            .map_or(0, |c| c.value)
-    }
-
     /// The value of a gauge series, if present.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         let key = MetricKey::new(name, labels);
@@ -293,11 +263,6 @@ impl MetricsRegistry {
         *self.counters.entry(MetricKey::new(name, labels)).or_insert(0) += delta;
     }
 
-    /// Increments a counter series by one.
-    pub fn counter_inc(&mut self, name: &str, labels: &[(&str, &str)]) {
-        self.counter_add(name, labels, 1);
-    }
-
     /// Current value of a counter series (0 when absent).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         self.counters.get(&MetricKey::new(name, labels)).copied().unwrap_or(0)
@@ -306,15 +271,6 @@ impl MetricsRegistry {
     /// Sets a gauge series.
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.gauges.insert(MetricKey::new(name, labels), value);
-    }
-
-    /// Records `value` into a histogram series with the default
-    /// power-of-two buckets.
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.histograms
-            .entry(MetricKey::new(name, labels))
-            .or_insert_with(|| Histogram::exponential(24))
-            .observe(value);
     }
 
     /// Records `value` into a histogram series with explicit bounds (used
@@ -330,30 +286,6 @@ impl MetricsRegistry {
             .entry(MetricKey::new(name, labels))
             .or_insert_with(|| Histogram::with_bounds(bounds))
             .observe(value);
-    }
-
-    /// Folds another registry into this one: counters add, gauges take the
-    /// other's value, histograms merge bucket-wise.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) if mine.bounds == h.bounds => mine.merge(h),
-                Some(_) | None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-            }
-        }
-    }
-
-    /// Number of live series across all kinds.
-    pub fn series(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.histograms.len()
     }
 
     /// Snapshots the registry into plain ordered data.
@@ -426,13 +358,12 @@ mod tests {
     #[test]
     fn distinct_labels_are_distinct_series() {
         let mut reg = MetricsRegistry::new();
-        reg.counter_inc("reads", &[("channel", "0")]);
-        reg.counter_inc("reads", &[("channel", "1")]);
-        reg.counter_inc("reads", &[]);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters.len(), 3);
-        assert_eq!(snap.counter("reads", &[("channel", "0")]), 1);
-        assert_eq!(snap.counter("reads", &[("channel", "7")]), 0);
+        reg.counter_add("reads", &[("channel", "0")], 1);
+        reg.counter_add("reads", &[("channel", "1")], 1);
+        reg.counter_add("reads", &[], 1);
+        assert_eq!(reg.snapshot().counters.len(), 3);
+        assert_eq!(reg.counter_value("reads", &[("channel", "0")]), 1);
+        assert_eq!(reg.counter_value("reads", &[("channel", "7")]), 0);
     }
 
     #[test]
@@ -444,14 +375,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_mean() {
+    fn histogram_buckets_count_and_sum() {
         let mut h = Histogram::with_bounds(&[1.0, 10.0, 100.0]);
         for v in [0.5, 5.0, 50.0, 500.0] {
             h.observe(v);
         }
         assert_eq!(h.counts, vec![1, 1, 1, 1]);
         assert_eq!(h.count, 4);
-        assert!((h.mean() - 138.875).abs() < 1e-9);
+        assert_eq!(h.sum, 555.5);
     }
 
     #[test]
@@ -470,7 +401,8 @@ mod tests {
             assert_eq!(h.counts, want, "value {v}");
         }
         // A long ladder, probed on and on either side of every bound.
-        let mut h = Histogram::exponential(40);
+        let ladder: Vec<f64> = (0..40).map(|i| (1u64 << i) as f64).collect();
+        let mut h = Histogram::with_bounds(&ladder);
         for b in h.bounds.clone() {
             for v in [b - 0.25, b, b + 0.25] {
                 let before = h.counts.clone();
@@ -496,20 +428,6 @@ mod tests {
             let built = std::panic::catch_unwind(|| Histogram::with_bounds(&bounds));
             assert!(built.is_err(), "{bounds:?} built a histogram");
         }
-    }
-
-    #[test]
-    fn registry_merge_sums_counters() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("n", &[], 2);
-        a.observe("lat", &[], 3.0);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("n", &[], 5);
-        b.observe("lat", &[], 9.0);
-        a.merge(&b);
-        assert_eq!(a.counter_value("n", &[]), 7);
-        let snap = a.snapshot();
-        assert_eq!(snap.histograms[0].count, 2);
     }
 
     #[test]

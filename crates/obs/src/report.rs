@@ -396,12 +396,6 @@ impl Stopwatch {
         self.start.elapsed().as_secs_f64() * 1e9
     }
 
-    /// Elapsed nanoseconds, restarting the watch for the next phase.
-    pub fn lap_ns(&mut self) -> f64 {
-        let ns = self.elapsed_ns();
-        self.start = std::time::Instant::now();
-        ns
-    }
 }
 
 #[cfg(test)]
@@ -578,10 +572,8 @@ mod tests {
 
     #[test]
     fn stopwatch_measures_something() {
-        let mut sw = Stopwatch::start();
+        let sw = Stopwatch::start();
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let lap = sw.lap_ns();
-        assert!(lap > 0.0);
-        assert!(sw.elapsed_ns() >= 0.0);
+        assert!(sw.elapsed_ns() > 0.0);
     }
 }

@@ -1,10 +1,10 @@
-//! Cycle-level event tracing: a sink facade, a ring-buffered collector,
-//! and a Chrome/Perfetto `trace_event` exporter.
+//! Cycle-level event tracing: a ring-buffered collector and a
+//! Chrome/Perfetto `trace_event` exporter.
 //!
-//! Producers (the DRAM controller, the rank-unit pipelines) emit
-//! [`TraceEvent`]s into whatever implements [`TraceSink`]. The hot paths
-//! hold an `Option<TraceBuffer>`, so a disabled trace costs one branch —
-//! no allocation, no formatting, no virtual dispatch.
+//! Producers (the DRAM controller, the rank-unit pipelines) record
+//! [`TraceEvent`]s into a [`TraceBuffer`]. The hot paths hold an
+//! `Option<TraceBuffer>`, so a disabled trace costs one branch — no
+//! allocation, no formatting, no virtual dispatch.
 //!
 //! Timestamps are **DRAM-clock cycles**; conversion to wall time happens
 //! only at export. [`export_chrome`] produces a JSON document loadable by
@@ -31,8 +31,6 @@ pub const TID_SCREENER: u32 = 1000;
 pub const TID_EXECUTOR: u32 = 1001;
 /// Track id for the special-function unit.
 pub const TID_SFU: u32 = 1002;
-/// Track id for instruction decode / buffer-fill issue markers.
-pub const TID_DECODE: u32 = 1003;
 /// Track id for sampled counter series (queue depth, busy lanes, open
 /// rows). Counter events render as their own value graph per name, so a
 /// single track id is enough.
@@ -113,30 +111,6 @@ impl TraceEvent {
     }
 }
 
-/// Destination for trace events.
-pub trait TraceSink {
-    /// Records one event.
-    fn record(&mut self, event: TraceEvent);
-
-    /// `true` if records will be kept; producers may skip event
-    /// construction entirely when this is `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// A sink that drops everything (the zero-overhead default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 /// A bounded ring buffer of trace events.
 ///
 /// When full, the oldest events are evicted and counted in
@@ -160,11 +134,6 @@ impl TraceBuffer {
         TraceBuffer { events: VecDeque::new(), capacity: usize::MAX, dropped: 0 }
     }
 
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// `true` when no events are held.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -184,10 +153,9 @@ impl TraceBuffer {
     pub fn drain(&mut self) -> Vec<TraceEvent> {
         self.events.drain(..).collect()
     }
-}
 
-impl TraceSink for TraceBuffer {
-    fn record(&mut self, event: TraceEvent) {
+    /// Records one event, evicting the oldest when full.
+    pub fn record(&mut self, event: TraceEvent) {
         if self.events.len() >= self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -370,17 +338,9 @@ mod tests {
         buf.record(TraceEvent::instant("a", CAT_DRAM, 0, 0, 0));
         buf.record(TraceEvent::instant("b", CAT_DRAM, 1, 0, 0));
         buf.record(TraceEvent::instant("c", CAT_DRAM, 2, 0, 0));
-        assert_eq!(buf.len(), 2);
         assert_eq!(buf.dropped(), 1);
         let names: Vec<&str> = buf.iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["b", "c"]);
-    }
-
-    #[test]
-    fn null_sink_reports_disabled() {
-        let mut sink = NullSink;
-        assert!(!sink.enabled());
-        sink.record(TraceEvent::instant("x", CAT_DRAM, 0, 0, 0));
     }
 
     #[test]

@@ -73,19 +73,6 @@ impl SelfProfiler {
         stat.exclusive_ns += ns - frame.child_ns;
     }
 
-    /// Runs `f` inside a span named `name`.
-    pub fn scope<T>(&mut self, name: &str, f: impl FnOnce(&mut SelfProfiler) -> T) -> T {
-        self.begin(name);
-        let out = f(self);
-        self.end(name);
-        out
-    }
-
-    /// Number of spans still open.
-    pub fn open_spans(&self) -> usize {
-        self.stack.len()
-    }
-
     /// The rollup, sorted by exclusive time descending (ties by name so
     /// the order is total).
     pub fn rollup(&self) -> Vec<(String, SpanStat)> {
@@ -147,27 +134,22 @@ mod tests {
     fn repeated_spans_accumulate() {
         let mut p = SelfProfiler::new();
         for _ in 0..3 {
-            p.scope("work", |_| {});
+            p.begin("work");
+            p.end("work");
         }
         let rows = p.rollup();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1.calls, 3);
-        assert_eq!(p.open_spans(), 0);
-    }
-
-    #[test]
-    fn scope_returns_value_and_balances() {
-        let mut p = SelfProfiler::new();
-        let v = p.scope("outer", |p| p.scope("inner", |_| 42));
-        assert_eq!(v, 42);
-        assert_eq!(p.open_spans(), 0);
     }
 
     #[test]
     fn rollup_sorts_by_exclusive_descending() {
         let mut p = SelfProfiler::new();
-        p.scope("fast", |_| {});
-        p.scope("slow", |_| std::thread::sleep(std::time::Duration::from_millis(3)));
+        p.begin("fast");
+        p.end("fast");
+        p.begin("slow");
+        std::thread::sleep(std::time::Duration::from_millis(3));
+        p.end("slow");
         let rows = p.rollup();
         assert_eq!(rows[0].0, "slow");
     }
@@ -175,7 +157,10 @@ mod tests {
     #[test]
     fn render_lists_every_span() {
         let mut p = SelfProfiler::new();
-        p.scope("alpha", |p| p.scope("beta", |_| {}));
+        p.begin("alpha");
+        p.begin("beta");
+        p.end("beta");
+        p.end("alpha");
         let text = p.render();
         assert!(text.contains("alpha"));
         assert!(text.contains("beta"));

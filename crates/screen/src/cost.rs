@@ -49,11 +49,6 @@ impl ClassificationCost {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
-
-    /// Total MACs regardless of precision.
-    pub fn total_macs(&self) -> u64 {
-        self.fp32_macs + self.int_macs
-    }
 }
 
 /// Bandwidth/compute model of the CPU baseline (Xeon 8280, §6.2).
@@ -114,7 +109,6 @@ mod tests {
         assert_eq!(s.fp32_macs, 2);
         assert_eq!(s.int_macs, 4);
         assert_eq!(s.total_bytes(), 14);
-        assert_eq!(s.total_macs(), 6);
     }
 
     #[test]

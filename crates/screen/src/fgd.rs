@@ -136,11 +136,6 @@ impl FgdIndex {
         Ok(FgdIndex { weights, bias, edges, entries })
     }
 
-    /// Number of categories.
-    pub fn categories(&self) -> usize {
-        self.weights.rows()
-    }
-
     /// Greedy beam search for the top-`k` categories with beam width `ef`.
     ///
     /// Returns `(logits, refined_indices, cost)`. Logits of unvisited

@@ -109,11 +109,6 @@ impl Hierarchical {
         Ok(Hierarchical { weights, bias, centroids, members })
     }
 
-    /// Number of clusters.
-    pub fn clusters(&self) -> usize {
-        self.centroids.rows()
-    }
-
     /// Classifies one query by visiting the `top_clusters` best clusters.
     ///
     /// Returns `(logits, scored_indices, cost)`; unvisited categories get
@@ -196,11 +191,11 @@ mod tests {
     fn members_partition_the_categories() {
         let w = clustered(300, 16, 1);
         let h = Hierarchical::build(w, Vector::zeros(300), 12, 4).unwrap();
-        let total: usize = (0..h.clusters()).map(|c| h.members[c].len()).sum();
+        let total: usize = h.members.iter().map(Vec::len).sum();
         assert_eq!(total, 300);
         let mut seen = std::collections::HashSet::new();
-        for c in 0..h.clusters() {
-            for &i in &h.members[c] {
+        for members in &h.members {
+            for &i in members {
                 assert!(seen.insert(i), "category {i} in two clusters");
             }
         }

@@ -114,56 +114,6 @@ impl ApproxClassifier {
         self.weights.rows()
     }
 
-    /// Exact full classification (the reference and the CPU baseline).
-    pub fn full_logits(&self, h: &Vector) -> Vector {
-        self.weights.matvec_bias(h, &self.bias)
-    }
-
-    /// Cost of one full classification at batch size 1.
-    pub fn full_cost(&self) -> ClassificationCost {
-        ClassificationCost::full(self.weights.rows(), self.weights.cols(), 1)
-    }
-
-    /// Runs the approximate pipeline for a batch of queries.
-    ///
-    /// Screening weights are streamed once for the whole batch (the
-    /// hardware's weight-reuse path), so the per-query cost of the
-    /// screening phase is amortized: the returned outputs carry the
-    /// amortized accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query's length differs from the hidden dimension or
-    /// the batch is empty.
-    pub fn classify_batch(&mut self, batch: &[Vector]) -> Vec<ApproxOutput> {
-        self.freeze();
-        self.classify_batch_ref(batch)
-    }
-
-    /// [`ApproxClassifier::classify_batch`] through a shared reference;
-    /// requires [`ApproxClassifier::freeze`] first. Bit-identical to the
-    /// `&mut self` path, and safe to call from several threads at once on
-    /// disjoint batch shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty, any query's length differs from the
-    /// hidden dimension, or the classifier is not frozen.
-    pub fn classify_batch_ref(&self, batch: &[Vector]) -> Vec<ApproxOutput> {
-        assert!(!batch.is_empty(), "batch must be non-empty");
-        let n = batch.len() as u64;
-        let mut outs: Vec<ApproxOutput> =
-            batch.iter().map(|h| self.classify_ref(h)).collect();
-        // Amortize the weight-stream bytes and integer MACs' storage
-        // traffic: the stream is read once per batch, not once per query.
-        let stream_bytes = self.screener.weight_bytes();
-        for out in &mut outs {
-            out.cost.bytes_read =
-                out.cost.bytes_read - stream_bytes + stream_bytes.div_ceil(n);
-        }
-        outs
-    }
-
     /// Quantizes the screener weights for deployment so the classifier can
     /// serve queries through a shared reference
     /// ([`ApproxClassifier::classify_ref`]). Idempotent; called implicitly
@@ -318,7 +268,7 @@ mod tests {
     fn candidates_get_exact_logits() {
         let (mut clf, samples) = build(64, 16, SelectionPolicy::TopM(8));
         let h = &samples[0];
-        let full = clf.full_logits(h);
+        let full = clf.weights().matvec_bias(h, clf.bias());
         let out = clf.classify(h);
         assert_eq!(out.candidates.len(), 8);
         for &c in &out.candidates {
@@ -337,7 +287,7 @@ mod tests {
         let (mut clf, samples) = build(64, 32, SelectionPolicy::TopM(8));
         let mut agree = 0;
         for h in &samples {
-            let full = clf.full_logits(h);
+            let full = clf.weights().matvec_bias(h, clf.bias());
             let out = clf.classify(h);
             let t_full = top_k_indices(full.as_slice(), 1)[0];
             let t_out = top_k_indices(out.logits.as_slice(), 1)[0];
@@ -393,30 +343,9 @@ mod tests {
             ApproxClassifier::new(w, Vector::zeros(l), s, SelectionPolicy::TopM(16)).unwrap();
         let h = Vector::from(vec![0.1; d]);
         let out = clf.classify(&h);
-        let full = clf.full_cost();
+        let full = ClassificationCost::full(l, d, 1);
         assert!(out.cost.total_bytes() * 8 < full.total_bytes(), "{out:?}");
         assert!(out.cost.fp32_macs * 8 < full.fp32_macs);
-    }
-
-    #[test]
-    fn batch_amortizes_the_weight_stream() {
-        let (mut clf, samples) = build(64, 32, SelectionPolicy::TopM(8));
-        let single = clf.classify(&samples[0]).cost;
-        let batch = clf.classify_batch(&samples[..4]);
-        assert_eq!(batch.len(), 4);
-        // Per-query bytes must drop when the stream is shared.
-        assert!(batch[0].cost.bytes_read < single.bytes_read);
-        // And the results themselves are identical to one-at-a-time runs.
-        let again = clf.classify(&samples[0]);
-        assert_eq!(batch[0].logits, again.logits);
-        assert_eq!(batch[0].candidates, again.candidates);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_batch_rejected() {
-        let (mut clf, _) = build(64, 32, SelectionPolicy::TopM(8));
-        clf.classify_batch(&[]);
     }
 
     #[test]

@@ -35,7 +35,6 @@
 //!   count-min-sketch classification, included so the paper's accuracy
 //!   criticism of it can be measured.
 
-pub mod beam;
 pub mod cost;
 pub mod fgd;
 pub mod hierarchical;

@@ -30,24 +30,16 @@ pub struct SvdSoftmax {
     bias: Vector,
     /// Preview window width `r`.
     window: usize,
-    /// Refinement count `N`.
-    refine: usize,
 }
 
 impl SvdSoftmax {
-    /// Factorizes `weights` with preview window `window` and top-`refine`
-    /// full-precision refinement.
+    /// Factorizes `weights` with preview window `window`.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] if `window` is zero or
     /// exceeds `d`, or the matrix is empty.
-    pub fn new(
-        weights: &Matrix,
-        bias: Vector,
-        window: usize,
-        refine: usize,
-    ) -> Result<Self, TensorError> {
+    pub fn new(weights: &Matrix, bias: Vector, window: usize) -> Result<Self, TensorError> {
         let (l, d) = weights.shape();
         if l == 0 || d == 0 {
             return Err(TensorError::InvalidArgument("empty classifier"));
@@ -64,62 +56,32 @@ impl SvdSoftmax {
         }
         // Gram matrix G = WᵀW (d × d), eigendecomposition via Jacobi.
         let gram = gram_matrix(weights);
-        let (mut eigvals, mut v) = jacobi_eigen(&gram, 64);
-        // Sort by decreasing eigenvalue and reorder V's columns.
+        let (eigvals, unsorted_v) = jacobi_eigen(&gram, 64);
+        // Sort by decreasing eigenvalue and reorder V's columns; the
+        // singular values are implicit in B = W·V.
         let mut order: Vec<usize> = (0..d).collect();
         order.sort_by(|&a, &b| eigvals[b].partial_cmp(&eigvals[a]).expect("finite eigenvalues"));
-        let sorted_vals: Vec<f32> = order.iter().map(|&i| eigvals[i]).collect();
-        let mut sorted_v = Matrix::zeros(d, d);
+        let mut v = Matrix::zeros(d, d);
         for (new_c, &old_c) in order.iter().enumerate() {
             for r in 0..d {
-                sorted_v.set(r, new_c, v.get(r, old_c));
+                v.set(r, new_c, unsorted_v.get(r, old_c));
             }
         }
-        eigvals = sorted_vals;
-        v = sorted_v;
-        let _ = &eigvals; // singular values are implicit in B = W·V
         // B = W V  (l × d).
         let b = weights.matmul(&v);
-        Ok(SvdSoftmax { b, v, bias, window, refine })
+        Ok(SvdSoftmax { b, v, bias, window })
     }
 
-    /// Preview window width `r`.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Refinement count `N`.
-    pub fn refine(&self) -> usize {
-        self.refine
-    }
-
-    /// Number of categories.
-    pub fn categories(&self) -> usize {
-        self.b.rows()
-    }
-
-    /// Runs SVD-softmax for one query: returns mixed logits (refined for
-    /// the top-N preview candidates, preview elsewhere), the refined
-    /// indices, and the cost.
+    /// Runs SVD-softmax for one query, refining the top-`refine` preview
+    /// scores: returns mixed logits (refined for those candidates, preview
+    /// elsewhere), the refined indices, and the cost. The refinement count
+    /// is per call, so one factorization can serve a whole quality/speedup
+    /// sweep.
     ///
     /// # Panics
     ///
     /// Panics if `h.len()` differs from `d`.
-    pub fn classify(&self, h: &Vector) -> (Vector, Vec<usize>, ClassificationCost) {
-        self.classify_refined(h, self.refine)
-    }
-
-    /// [`SvdSoftmax::classify`] with an explicit refinement count, so one
-    /// factorization can serve a whole quality/speedup sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h.len()` differs from `d`.
-    pub fn classify_refined(
-        &self,
-        h: &Vector,
-        refine: usize,
-    ) -> (Vector, Vec<usize>, ClassificationCost) {
+    pub fn classify(&self, h: &Vector, refine: usize) -> (Vector, Vec<usize>, ClassificationCost) {
         let (l, d) = self.b.shape();
         let r = self.window;
         // h̃ = Vᵀ h.
@@ -290,19 +252,19 @@ mod tests {
     #[test]
     fn new_validates_window() {
         let w = random_classifier(16, 8, 2);
-        assert!(SvdSoftmax::new(&w, Vector::zeros(16), 0, 4).is_err());
-        assert!(SvdSoftmax::new(&w, Vector::zeros(16), 9, 4).is_err());
-        assert!(SvdSoftmax::new(&w, Vector::zeros(15), 4, 4).is_err());
+        assert!(SvdSoftmax::new(&w, Vector::zeros(16), 0).is_err());
+        assert!(SvdSoftmax::new(&w, Vector::zeros(16), 9).is_err());
+        assert!(SvdSoftmax::new(&w, Vector::zeros(15), 4).is_err());
     }
 
     #[test]
     fn full_window_is_exact() {
         // window == d means the preview is the exact product (orthogonal V).
         let w = random_classifier(32, 8, 3);
-        let svd = SvdSoftmax::new(&w, Vector::zeros(32), 8, 4).unwrap();
+        let svd = SvdSoftmax::new(&w, Vector::zeros(32), 8).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let h: Vector = (0..8).map(|_| standard_normal(&mut rng)).collect();
-        let (logits, ..) = svd.classify(&h);
+        let (logits, ..) = svd.classify(&h, 4);
         let exact = w.matvec(&h);
         for (a, b) in logits.as_slice().iter().zip(exact.as_slice()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -312,10 +274,10 @@ mod tests {
     #[test]
     fn refined_candidates_are_exact() {
         let w = random_classifier(64, 16, 5);
-        let svd = SvdSoftmax::new(&w, Vector::zeros(64), 4, 8).unwrap();
+        let svd = SvdSoftmax::new(&w, Vector::zeros(64), 4).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let h: Vector = (0..16).map(|_| standard_normal(&mut rng)).collect();
-        let (logits, cands, _) = svd.classify(&h);
+        let (logits, cands, _) = svd.classify(&h, 8);
         let exact = w.matvec(&h);
         assert_eq!(cands.len(), 8);
         for &c in &cands {
@@ -330,7 +292,7 @@ mod tests {
         let base = random_classifier(16, 16, 7);
         let mix = random_classifier(128, 16, 8);
         let w = mix.matmul(&base); // effective rank ≤ 16, shaped 128×16
-        let svd = SvdSoftmax::new(&w, Vector::zeros(128), 8, 16).unwrap();
+        let svd = SvdSoftmax::new(&w, Vector::zeros(128), 8).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let mut hit = 0;
         let trials = 40;
@@ -338,7 +300,7 @@ mod tests {
             let h: Vector = (0..16).map(|_| standard_normal(&mut rng)).collect();
             let exact = w.matvec(&h);
             let top = top_k_indices(exact.as_slice(), 1)[0];
-            let (_, cands, _) = svd.classify(&h);
+            let (_, cands, _) = svd.classify(&h, 16);
             if cands.contains(&top) {
                 hit += 1;
             }
@@ -349,11 +311,11 @@ mod tests {
     #[test]
     fn cost_grows_with_window() {
         let w = random_classifier(64, 16, 10);
-        let narrow = SvdSoftmax::new(&w, Vector::zeros(64), 2, 4).unwrap();
-        let wide = SvdSoftmax::new(&w, Vector::zeros(64), 8, 4).unwrap();
+        let narrow = SvdSoftmax::new(&w, Vector::zeros(64), 2).unwrap();
+        let wide = SvdSoftmax::new(&w, Vector::zeros(64), 8).unwrap();
         let h = Vector::zeros(16);
-        let (_, _, c1) = narrow.classify(&h);
-        let (_, _, c2) = wide.classify(&h);
+        let (_, _, c1) = narrow.classify(&h, 4);
+        let (_, _, c2) = wide.classify(&h, 4);
         assert!(c2.fp32_macs > c1.fp32_macs);
         assert!(c2.bytes_read > c1.bytes_read);
     }

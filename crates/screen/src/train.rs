@@ -45,11 +45,6 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Final epoch loss (`f64::NAN` if no epochs ran).
-    pub fn final_loss(&self) -> f64 {
-        self.epoch_losses.last().copied().unwrap_or(f64::NAN)
-    }
-
     /// `true` if the loss decreased from first to last epoch.
     pub fn converged(&self) -> bool {
         match (self.epoch_losses.first(), self.epoch_losses.last()) {
@@ -292,7 +287,8 @@ mod tests {
         let (mut s, w, b, samples) = setup(32, 24, 0.5);
         let report = train_sgd(&mut s, &w, &b, &samples, &TrainConfig::default());
         assert!(report.converged(), "losses: {:?}", report.epoch_losses);
-        assert!(report.final_loss() < report.epoch_losses[0] * 0.8);
+        let last = *report.epoch_losses.last().unwrap();
+        assert!(last < report.epoch_losses[0] * 0.8);
     }
 
     #[test]
@@ -301,11 +297,8 @@ mod tests {
         let report = train_sgd(&mut s_sgd, &w, &b, &samples, &TrainConfig::default());
         let (mut s_ls, ..) = setup(32, 24, 0.5);
         let ls_loss = fit_least_squares(&mut s_ls, &w, &b, &samples, 1e-3);
-        assert!(
-            ls_loss <= report.final_loss() * 1.5 + 1e-6,
-            "ls {ls_loss} vs sgd {}",
-            report.final_loss()
-        );
+        let sgd_loss = *report.epoch_losses.last().unwrap();
+        assert!(ls_loss <= sgd_loss * 1.5 + 1e-6, "ls {ls_loss} vs sgd {sgd_loss}");
     }
 
     #[test]

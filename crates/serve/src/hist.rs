@@ -55,11 +55,6 @@ impl LatencyHistogram {
         self.inner.count
     }
 
-    /// Mean latency in cycles (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.inner.mean()
-    }
-
     /// Median latency (bucket upper bound), cycles.
     pub fn p50(&self) -> f64 {
         self.inner.quantile(0.50)
@@ -83,11 +78,6 @@ impl LatencyHistogram {
     /// Merges another latency histogram.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         self.inner.merge(&other.inner);
-    }
-
-    /// The underlying bucketed histogram.
-    pub fn inner(&self) -> &Histogram {
-        &self.inner
     }
 }
 
@@ -137,7 +127,6 @@ mod tests {
     fn empty_histogram_reports_zero_for_every_quantile() {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
         for q in [h.p50(), h.p90(), h.p99(), h.p999()] {
             assert_eq!(q, 0.0);
         }
@@ -148,7 +137,6 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.observe(1000);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.mean(), 1000.0);
         // With one sample, every quantile is that sample's bucket bound:
         // at least the value, overstating by at most one quarter-octave.
         for q in [h.p50(), h.p90(), h.p99(), h.p999()] {
@@ -164,8 +152,6 @@ mod tests {
         let top = *cycle_bounds().last().unwrap();
         assert_eq!(h.p50(), top);
         assert_eq!(h.p999(), top);
-        // The mean still uses the exact sum, not the clamped bound.
-        assert!(h.mean() > top);
     }
 
     proptest::proptest! {

@@ -76,6 +76,22 @@ pub fn parse_tiers(raw: &str) -> Result<Vec<DegradeTier>, String> {
     Ok(tiers)
 }
 
+/// Checks a `--degrade-tiers` ladder against the job it serves: no tier
+/// may gather more exact candidates than the job has categories.
+///
+/// # Errors
+///
+/// Returns a flag-worthy message naming the first tier that does.
+pub fn check_tiers(tiers: &[DegradeTier], job: &ClassificationJob) -> Result<(), String> {
+    match tiers.iter().find(|t| t.candidates > job.categories) {
+        Some(t) => Err(format!(
+            "--degrade-tiers candidates '{}' exceed the workload's {} categories",
+            t.candidates, job.categories
+        )),
+        None => Ok(()),
+    }
+}
+
 /// The default three-tier ladder for a job: full quality, half the
 /// candidates at one screening shift, a quarter at two.
 pub fn default_tiers(job: &ClassificationJob) -> Vec<DegradeTier> {
@@ -116,6 +132,13 @@ mod tests {
         assert!(parse_tiers("10:9").is_err());
         assert!(parse_tiers("100:0,200:1").is_err(), "tiers must not gain candidates");
         assert!(parse_tiers("a:b").is_err());
+    }
+
+    #[test]
+    fn check_rejects_a_tier_above_the_categories() {
+        assert_eq!(check_tiers(&parse_tiers("4096:0,100:1").unwrap(), &job()), Ok(()));
+        let e = check_tiers(&parse_tiers("4097:0,100:1").unwrap(), &job()).unwrap_err();
+        assert!(e.contains("--degrade-tiers") && e.contains("'4097'") && e.contains("4096"), "{e}");
     }
 
     #[test]

@@ -454,11 +454,6 @@ impl CostModel {
         Ok(())
     }
 
-    /// Number of fitted shapes currently loaded.
-    pub fn fitted_shapes(&self) -> usize {
-        self.fits.len()
-    }
-
     /// Mutable access to a fitted shape's model, for tests that plant a
     /// perturbed value and assert the audit trips. `target` names either
     /// a regression row ([`fit::TARGETS`]) or an anchor-table column
@@ -589,7 +584,7 @@ mod tests {
         let json = cost.coeffs_to_json();
         let mut loaded = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, 7);
         loaded.load_coeffs(&json).unwrap();
-        assert_eq!(loaded.fitted_shapes(), 1);
+        assert_eq!(loaded.fits.len(), 1);
         let a = cost.run_enmc(&sys, &job, "t").unwrap();
         let b = loaded.run_enmc(&sys, &job, "t").unwrap();
         assert_eq!(a, b, "loaded coefficients must predict identically");

@@ -23,11 +23,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
 }
 
-/// Normal sample with the given mean and standard deviation.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std_dev: f32) -> f32 {
-    mean + std_dev * standard_normal(rng)
-}
-
 /// Zipf-distributed integer sampler over `{0, 1, …, n-1}` with exponent `s`.
 ///
 /// Rank 0 is the most popular category. Sampling uses an inverse-CDF table
@@ -75,11 +70,6 @@ impl Zipf {
         Ok(Zipf { cdf })
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Probability mass of `rank`.
     ///
     /// # Panics
@@ -114,7 +104,7 @@ mod tests {
     fn normal_mean_and_std() {
         let mut rng = StdRng::seed_from_u64(1);
         let n = 20_000;
-        let samples: Vec<f32> = (0..n).map(|_| normal(&mut rng, 2.0, 3.0)).collect();
+        let samples: Vec<f32> = (0..n).map(|_| 2.0 + 3.0 * standard_normal(&mut rng)).collect();
         let mean: f64 = samples.iter().map(|&x| x as f64).sum::<f64>() / n as f64;
         let var: f64 =
             samples.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / n as f64;

@@ -68,11 +68,6 @@ impl Vector {
         dot(&self.data, &other.data)
     }
 
-    /// Euclidean norm.
-    pub fn norm(&self) -> f32 {
-        self.dot(self).sqrt()
-    }
-
     /// Adds `other` element-wise into `self`.
     ///
     /// # Panics
@@ -427,10 +422,6 @@ impl Matrix {
         self.data.iter().fold(0.0_f32, |m, &x| m.max(x.abs()))
     }
 
-    /// Bytes consumed by the `f32` payload (used by footprint models).
-    pub fn nbytes(&self) -> usize {
-        self.data.len() * core::mem::size_of::<f32>()
-    }
 }
 
 /// Plain dot product over two equally-long slices.
@@ -533,10 +524,9 @@ mod tests {
     }
 
     #[test]
-    fn vector_dot_and_norm() {
+    fn vector_dot() {
         let v = Vector::from(vec![3.0, 4.0]);
         assert_eq!(v.dot(&v), 25.0);
-        assert_eq!(v.norm(), 5.0);
     }
 
     #[test]
@@ -714,11 +704,5 @@ mod tests {
             let expect: f32 = a.iter().map(|x| x * x).sum();
             assert_eq!(dot(&a, &a), expect, "n={n}");
         }
-    }
-
-    #[test]
-    fn nbytes_counts_payload() {
-        let m = Matrix::zeros(10, 3);
-        assert_eq!(m.nbytes(), 120);
     }
 }

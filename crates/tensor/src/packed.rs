@@ -15,7 +15,6 @@ use crate::quant::Precision;
 /// ```
 /// use enmc_tensor::packed::PackedInt4;
 /// let p = PackedInt4::from_codes(&[-8, 7, 3]);
-/// assert_eq!(p.len(), 3);
 /// assert_eq!(p.get(0), -8);
 /// assert_eq!(p.to_codes(), vec![-8, 7, 3]);
 /// assert_eq!(p.as_bytes().len(), 2);
@@ -54,16 +53,6 @@ impl PackedInt4 {
     pub fn from_bytes(bytes: Vec<u8>, len: usize) -> Self {
         assert!(bytes.len() >= len.div_ceil(2), "byte buffer too short for {len} codes");
         PackedInt4 { bytes, len }
-    }
-
-    /// Number of codes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no codes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The underlying packed bytes.
@@ -173,7 +162,6 @@ mod tests {
         let codes: Vec<i8> = (-8..8).collect();
         let p = PackedInt4::from_codes(&codes);
         assert_eq!(p.to_codes(), codes);
-        assert_eq!(p.len(), 16);
         assert_eq!(p.as_bytes().len(), 8);
     }
 
@@ -188,7 +176,7 @@ mod tests {
     #[test]
     fn empty_is_fine() {
         let p = PackedInt4::from_codes(&[]);
-        assert!(p.is_empty());
+        assert!(p.as_bytes().is_empty());
         assert!(p.to_codes().is_empty());
     }
 
@@ -247,7 +235,6 @@ mod tests {
     #[test]
     fn collect_from_iterator() {
         let p: PackedInt4 = (-3i8..3).collect();
-        assert_eq!(p.len(), 6);
-        assert_eq!(p.get(0), -3);
+        assert_eq!(p.to_codes(), vec![-3, -2, -1, 0, 1, 2]);
     }
 }

@@ -126,29 +126,14 @@ impl QuantVector {
         self.scale
     }
 
-    /// The precision this vector was quantized at.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.codes.len()
     }
 
-    /// Returns `true` if the vector has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
     /// Reconstructs the floating-point vector.
     pub fn dequantize(&self) -> Vector {
         self.codes.iter().map(|&c| c as f32 * self.scale).collect()
-    }
-
-    /// Packed storage size in bytes at the nominal bit width.
-    pub fn nbytes(&self) -> usize {
-        self.precision.nbytes(self.codes.len())
     }
 }
 
@@ -208,43 +193,6 @@ impl QuantMatrixPerRow {
         Ok(QuantMatrixPerRow { rows: m.rows(), cols: m.cols(), codes, scales, precision })
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The per-row scales.
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    /// Integer codes of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    pub fn row(&self, r: usize) -> &[i8] {
-        assert!(r < self.rows, "row index out of bounds");
-        &self.codes[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Reconstructs the floating-point matrix.
-    pub fn dequantize(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let s = self.scales[r];
-            for (dst, &c) in out.row_mut(r).iter_mut().zip(self.row(r)) {
-                *dst = c as f32 * s;
-            }
-        }
-        out
-    }
-
     /// Integer matrix-vector product with per-row rescale.
     ///
     /// # Panics
@@ -259,10 +207,6 @@ impl QuantMatrixPerRow {
             .collect()
     }
 
-    /// Packed code bytes plus the FP32 scale column.
-    pub fn nbytes(&self) -> usize {
-        self.precision.nbytes(self.codes.len()) + self.rows * 4
-    }
 }
 
 impl QuantMatrix {
@@ -389,11 +333,6 @@ impl QuantMatrix {
             .collect()
     }
 
-    /// Packed storage size in bytes at the nominal bit width — the quantity
-    /// that determines Screener DRAM traffic.
-    pub fn nbytes(&self) -> usize {
-        self.precision.nbytes(self.codes.len())
-    }
 }
 
 /// Quantizes one value: `clamp(round(x / scale), -qmax, qmax)`.
@@ -633,13 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_matrix_nbytes_packs_int4() {
-        let m = Matrix::zeros(10, 16);
-        let q = QuantMatrix::quantize(&m, Precision::Int4).unwrap();
-        assert_eq!(q.nbytes(), 80); // 160 elements * 0.5 bytes
-    }
-
-    #[test]
     fn per_row_quantization_handles_outlier_rows() {
         // One huge row would destroy per-tensor INT4 resolution of the
         // small rows; per-row scales keep both accurate.
@@ -671,13 +603,12 @@ mod tests {
         let slices: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         let m = Matrix::from_rows(&slices);
         let q = QuantMatrixPerRow::quantize(&m, Precision::Int8).unwrap();
-        let back = q.dequantize();
         for r in 0..6 {
             for c in 0..10 {
-                assert!((m.get(r, c) - back.get(r, c)).abs() <= q.scales()[r] * 0.5 + 1e-6);
+                let back = q.codes[r * 10 + c] as f32 * q.scales[r];
+                assert!((m.get(r, c) - back).abs() <= q.scales[r] * 0.5 + 1e-6);
             }
         }
-        assert_eq!(q.nbytes(), 60 + 24); // 60 codes @ INT8 + 6 scales
     }
 
     #[test]

@@ -1,39 +1,5 @@
-//! Small statistics helpers shared by training and the evaluation harness.
-
-/// Mean of a slice (`0.0` for empty input).
-pub fn mean(xs: &[f32]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().map(|&x| x as f64).sum::<f64>() / xs.len() as f64
-}
-
-/// Population variance (`0.0` for empty input).
-pub fn variance(xs: &[f32]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|&x| (x as f64 - m).powi(2)).sum::<f64>() / xs.len() as f64
-}
-
-/// Mean squared error between two equally-long slices — the training loss of
-/// the Screener (paper Eq. 4).
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn mse(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "mse: length mismatch");
-    if a.is_empty() {
-        return 0.0;
-    }
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| ((x - y) as f64).powi(2))
-        .sum::<f64>()
-        / a.len() as f64
-}
+//! Small statistics helpers shared by the workload analysis and the evaluation
+//! harness.
 
 /// Cosine similarity between two slices; `0.0` if either has zero norm.
 ///
@@ -65,21 +31,6 @@ pub fn geometric_mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_and_variance() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(mean(&xs), 2.5);
-        assert_eq!(variance(&xs), 1.25);
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
-    }
-
-    #[test]
-    fn mse_basic() {
-        assert_eq!(mse(&[1.0, 2.0], &[1.0, 4.0]), 2.0);
-        assert_eq!(mse(&[], &[]), 0.0);
-    }
 
     #[test]
     fn cosine_similarity_basics() {

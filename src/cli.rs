@@ -59,7 +59,7 @@ const fn switch(name: &'static str, help: &'static str) -> Flag {
 
 impl Flag {
     /// The same flag, accepting integers up to `max`.
-    const fn at_most(self, max: u64) -> Flag {
+    pub const fn at_most(self, max: u64) -> Flag {
         Flag { max, ..self }
     }
 }

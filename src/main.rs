@@ -26,7 +26,7 @@ use enmc::perf::SelfProfiler;
 use enmc::pipeline::{
     attribute_run, report_from_result, report_from_sharded, scheme_label, Pipeline, PipelineConfig,
 };
-use enmc::serve::tier::default_tiers;
+use enmc::serve::tier::{check_tiers, default_tiers};
 use enmc::surrogate::CostModel;
 
 fn main() {
@@ -406,6 +406,7 @@ fn cmd_serve_sim(a: &Args) -> Result<i32, Fail> {
         shed_queue_depth: a.get("--shed-queue", count)?,
         seed: f.cfg.seed,
     }];
+    check_tiers(&f.cfg.tenants[0].tiers, &f.job)?;
     (f.cfg.nodes, f.cfg.shards, f.cfg.replicas, f.cfg.zipf_s) = (1, 1, 0, 0.0);
     let w = &f.workload;
     eprintln!(
@@ -672,6 +673,7 @@ fn cmd_offload_plan(a: &Args) -> Result<i32, Fail> {
     let tiers = a
         .opt("--degrade-tiers", tiers)?
         .unwrap_or_else(|| default_tiers(&job));
+    check_tiers(&tiers, &job)?;
     let sim_cfg = SimConfig::resolve(a.threads()?, false);
     let mut cost = CostModel::new(a.backend()?, a.seed()?);
     let memory = a.memory()?;

@@ -11,7 +11,7 @@ use enmc_arch::system::{ClassificationJob, Scheme, SchemeResult, ShardedRun, Sys
 use enmc_perf::CostAttribution;
 use enmc_model::quality::{QualityAccumulator, QualityReport};
 use enmc_par::SimConfig;
-use enmc_obs::report::{Attribution, PhaseSpan, RunReport, Stopwatch};
+use enmc_obs::report::{Attribution, RunReport};
 use enmc_obs::MetricsRegistry;
 use enmc_model::synth::{SynthesisConfig, SyntheticClassifier};
 use enmc_screen::infer::{ApproxClassifier, SelectionPolicy};
@@ -66,9 +66,6 @@ pub struct Pipeline {
     classifier: ApproxClassifier,
     system: SystemModel,
     config: PipelineConfig,
-    /// Wall-clock timing of the build phases (synthesize / distill /
-    /// assemble), in execution order.
-    build_phases: Vec<PhaseSpan>,
 }
 
 impl Pipeline {
@@ -80,13 +77,6 @@ impl Pipeline {
     /// Returns a description when the configuration is degenerate (zero
     /// dimensions, more clusters than categories, …).
     pub fn build(config: &PipelineConfig) -> Result<Self, String> {
-        let mut sw = Stopwatch::start();
-        let host_phase = |name: &str, wall_ns: f64| PhaseSpan {
-            name: name.to_string(),
-            wall_ns,
-            sim_cycles: 0,
-            sim_ns: 0.0,
-        };
         let synth_cfg = SynthesisConfig {
             categories: config.categories,
             hidden: config.hidden,
@@ -98,7 +88,6 @@ impl Pipeline {
             seed: config.seed,
         };
         let synth = SyntheticClassifier::generate(&synth_cfg)?;
-        let mut build_phases = vec![host_phase("synthesize", sw.lap_ns())];
         let screener_cfg = ScreenerConfig {
             scale: config.scale,
             precision: config.precision,
@@ -112,7 +101,6 @@ impl Pipeline {
             .map(|q| q.hidden)
             .collect();
         fit_least_squares(&mut screener, synth.weights(), synth.bias(), &train, 1e-4);
-        build_phases.push(host_phase("distill", sw.lap_ns()));
         let mut classifier = ApproxClassifier::new(
             synth.weights().clone(),
             synth.bias().clone(),
@@ -123,14 +111,7 @@ impl Pipeline {
         // Freeze up front so classification can run through shared
         // references (and therefore across threads) later.
         classifier.freeze();
-        build_phases.push(host_phase("assemble", sw.lap_ns()));
-        Ok(Pipeline {
-            synth,
-            classifier,
-            system: SystemModel::table3(),
-            config: config.clone(),
-            build_phases,
-        })
+        Ok(Pipeline { synth, classifier, system: SystemModel::table3(), config: config.clone() })
     }
 
     /// The synthetic workload.
@@ -225,44 +206,6 @@ impl Pipeline {
     /// Simulates the job under any scheme.
     pub fn simulate(&self, scheme: Scheme, batch: usize) -> SchemeResult {
         self.system.run(&self.job(batch), scheme)
-    }
-
-    /// Wall-clock timing of the build phases (synthesize / distill /
-    /// assemble).
-    pub fn build_phases(&self) -> &[PhaseSpan] {
-        &self.build_phases
-    }
-
-    /// Simulates the job under `scheme` and returns the result together
-    /// with a structured [`RunReport`] whose phases include this pipeline's
-    /// build phases followed by the simulated phases.
-    pub fn run_report(&self, scheme: Scheme, batch: usize) -> (SchemeResult, RunReport) {
-        let sw = Stopwatch::start();
-        let result = self.simulate(scheme, batch);
-        let sim_wall_ns = sw.elapsed_ns();
-        let job = self.job(batch);
-        let mut report =
-            report_from_result("pipeline", "synthetic", &job, &result, sim_wall_ns);
-        report.phases.splice(0..0, self.build_phases.iter().cloned());
-        (result, report)
-    }
-
-    /// Like [`Pipeline::run_report`] but simulating every rank unit in the
-    /// system under the execution policy in `cfg` (instead of the
-    /// representative-rank shortcut). The simulated result is bit-identical
-    /// for any worker count; the report records the worker count and the
-    /// observed speedup.
-    pub fn run_report_with(
-        &self,
-        scheme: Scheme,
-        batch: usize,
-        cfg: &SimConfig,
-    ) -> (ShardedRun, RunReport) {
-        let job = self.job(batch);
-        let run = self.system.run_sharded(&job, scheme, cfg);
-        let mut report = report_from_sharded("pipeline", "synthetic", &job, &self.system, &run);
-        report.phases.splice(0..0, self.build_phases.iter().cloned());
-        (run, report)
     }
 }
 
@@ -427,6 +370,14 @@ mod tests {
         assert!(enmc.ns < cpu.ns);
     }
 
+    /// What `enmc simulate --threads N` reports for `p`'s job.
+    fn sharded(p: &Pipeline, scheme: Scheme, cfg: &SimConfig) -> (ShardedRun, RunReport) {
+        let job = p.job(1);
+        let run = p.system.run_sharded(&job, scheme, cfg);
+        let report = report_from_sharded("pipeline", "synthetic", &job, &p.system, &run);
+        (run, report)
+    }
+
     #[test]
     fn run_report_phases_sum_to_headline() {
         let p = Pipeline::build(&PipelineConfig {
@@ -438,16 +389,19 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let (result, report) = p.run_report(Scheme::Enmc, 1);
+        let job = p.job(1);
+        let result = p.simulate(Scheme::Enmc, 1);
+        let report = report_from_result("pipeline", "synthetic", &job, &result, 1e6);
         assert!(report.is_consistent(), "phase cycles must sum to the headline");
         assert_eq!(report.sim_cycles, result.rank_report.as_ref().unwrap().dram_cycles);
-        // 3 build phases + screen/gather/activation.
-        assert_eq!(report.phases.len(), 6);
+        // screen/gather/activation.
+        assert_eq!(report.phases.len(), 3);
         assert_eq!(report.scheme, "enmc");
         let back = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back, report);
         // Analytic schemes stay consistent with zero simulated cycles.
-        let (_, cpu) = p.run_report(Scheme::CpuFull, 1);
+        let cpu = p.simulate(Scheme::CpuFull, 1);
+        let cpu = report_from_result("pipeline", "synthetic", &job, &cpu, 1e6);
         assert!(cpu.is_consistent());
         assert_eq!(cpu.sim_cycles, 0);
         assert_eq!(cpu.scheme, "cpu");
@@ -504,18 +458,18 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let (run, report) = p.run_report_with(Scheme::Enmc, 1, &SimConfig::with_threads(2));
+        let (run, report) = sharded(&p, Scheme::Enmc, &SimConfig::with_threads(2));
         assert!(report.is_consistent(), "phase cycles must sum to the headline");
         assert_eq!(report.threads, 2);
         assert!(report.speedup > 0.0);
         assert!(report.notes.iter().any(|n| n.contains("sharded run")));
         assert!(!report.notes.iter().any(|n| n.contains("representative")));
         // Bit-identical to the sequential sharded run.
-        let (seq, seq_report) = p.run_report_with(Scheme::Enmc, 1, &SimConfig::sequential());
+        let (seq, seq_report) = sharded(&p, Scheme::Enmc, &SimConfig::sequential());
         assert_eq!(run.result, seq.result);
         assert_eq!(seq_report.threads, 1);
         // Analytic schemes still produce a consistent report.
-        let (_, cpu) = p.run_report_with(Scheme::CpuFull, 1, &SimConfig::with_threads(2));
+        let (_, cpu) = sharded(&p, Scheme::CpuFull, &SimConfig::with_threads(2));
         assert!(cpu.is_consistent());
         assert_eq!(cpu.sim_cycles, 0);
     }
@@ -531,7 +485,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let (_, report) = p.run_report_with(Scheme::Enmc, 1, &SimConfig::with_threads(3));
+        let (_, report) = sharded(&p, Scheme::Enmc, &SimConfig::with_threads(3));
         let attr = report.attribution.as_ref().expect("a simulated scheme attributes");
         assert!(!attr.breakdown.is_empty());
         let cyc: u64 = attr
@@ -549,26 +503,11 @@ mod tests {
             .sum();
         assert_eq!(nj.to_bits(), attr.energy_nj.to_bits(), "leaves must sum exactly");
         // Bit-identical attribution regardless of worker count.
-        let (_, seq) = p.run_report_with(Scheme::Enmc, 1, &SimConfig::sequential());
+        let (_, seq) = sharded(&p, Scheme::Enmc, &SimConfig::sequential());
         assert_eq!(seq.attribution, report.attribution);
         // Analytic CPU schemes carry no attribution.
-        let (_, cpu) = p.run_report_with(Scheme::CpuFull, 1, &SimConfig::with_threads(2));
+        let (_, cpu) = sharded(&p, Scheme::CpuFull, &SimConfig::with_threads(2));
         assert!(cpu.attribution.is_none());
-    }
-
-    #[test]
-    fn build_phases_are_recorded() {
-        let p = Pipeline::build(&PipelineConfig {
-            categories: 1000,
-            hidden: 48,
-            candidates: 30,
-            train_queries: 16,
-            seed: 3,
-            ..Default::default()
-        })
-        .unwrap();
-        let names: Vec<&str> = p.build_phases().iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["synthesize", "distill", "assemble"]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::cli::FaultShape;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use enmc_arch::system::ClassificationJob;
 use enmc_fault::{
-    pareto_frontier, run_resilience_sweep_with_cost, FaultModel, FaultSweepSpec, ParetoRow,
+    pareto_frontier, run_resilience_sweep, FaultModel, FaultSweepSpec, ParetoRow,
     SweepError, SweepPoint,
 };
 use enmc_surrogate::{CostBackend, CostModel};
@@ -152,7 +152,7 @@ pub fn run_fault_sweep(
             .map_err(|e| format!("cannot read --coeffs {path}: {e}"))?;
         cost.load_coeffs(&text).map_err(|e| format!("cannot load --coeffs {path}: {e}"))?;
     }
-    let points = run_resilience_sweep_with_cost(
+    let points = run_resilience_sweep(
         pipeline.synth(),
         pipeline.classifier(),
         &system,

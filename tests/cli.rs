@@ -192,6 +192,17 @@ fn every_value_flag_rejects_a_bad_value_naming_its_range() {
 }
 
 #[test]
+fn a_degrade_tier_above_the_workloads_categories_is_rejected() {
+    for cmd in ["serve-sim", "offload-plan"] {
+        for k in ["40000", "99999999"] {
+            let ladder = format!("{k}:0");
+            let err = rejects(&[cmd, "--workload", "lstm", "--degrade-tiers", &ladder], "--degrade-tiers");
+            assert!(err.contains(&format!("'{k}'")) && err.contains("33278"), "{err}");
+        }
+    }
+}
+
+#[test]
 fn no_or_an_unknown_command_lists_the_commands() {
     for args in [&[][..], &["frobnicate"][..]] {
         let err = rejects(args, "commands:");
