@@ -206,6 +206,7 @@ pub struct TimingChecker {
     ranks: Vec<ShadowRank>,
     recorded: Vec<ProtocolViolation>,
     total: u64,
+    dropped: u64,
 }
 
 impl TimingChecker {
@@ -221,6 +222,7 @@ impl TimingChecker {
             ranks: (0..org.ranks).map(|_| ShadowRank::new(org.banks_per_rank())).collect(),
             recorded: Vec::new(),
             total: 0,
+            dropped: 0,
         }
     }
 
@@ -229,9 +231,10 @@ impl TimingChecker {
         self.total
     }
 
-    /// Violations dropped once the record cap was reached.
+    /// Violations the record cap refused; taking the record does not
+    /// change it.
     pub fn dropped(&self) -> u64 {
-        self.total - self.recorded.len() as u64
+        self.dropped
     }
 
     /// Removes and returns the recorded violations; counting continues.
@@ -267,6 +270,7 @@ impl TimingChecker {
         self.total += fresh.len() as u64;
         let room = MAX_RECORDED_VIOLATIONS.saturating_sub(self.recorded.len());
         self.recorded.extend(fresh.iter().take(room).copied());
+        self.dropped += fresh.len().saturating_sub(room) as u64;
         fresh
     }
 
@@ -590,6 +594,16 @@ mod tests {
         }
         assert_eq!(ck.violation_count(), MAX_RECORDED_VIOLATIONS as u64 + 10);
         assert_eq!(ck.dropped(), 10);
+        assert_eq!(ck.take_violations().len(), MAX_RECORDED_VIOLATIONS);
+        // Taking the record drops nothing; the emptied record fills to its
+        // cap again before the next violation is dropped.
+        assert_eq!(ck.dropped(), 10);
+        let start = MAX_RECORDED_VIOLATIONS as u64 + 10;
+        for i in start..start + MAX_RECORDED_VIOLATIONS as u64 + 3 {
+            assert_eq!(ck.observe(i * 100, CommandKind::Rd, &c).len(), 1);
+        }
+        assert_eq!(ck.violation_count(), 2 * MAX_RECORDED_VIOLATIONS as u64 + 13);
+        assert_eq!(ck.dropped(), 13);
         assert_eq!(ck.take_violations().len(), MAX_RECORDED_VIOLATIONS);
     }
 

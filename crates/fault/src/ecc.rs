@@ -61,35 +61,44 @@ const fn build_byte_parity() -> [[u8; 256]; 8] {
     out
 }
 
-/// What a Hamming syndrome points at: the index of the data bit at that
-/// codeword position, [`PARITY_BIT`] for position 0 (the overall bit) and
-/// the Hamming parity positions, or [`OUTSIDE`] past position 71.
-const SYNDROME_BIT: [u8; 128] = build_syndrome_bits();
-const PARITY_BIT: u8 = 64;
-const OUTSIDE: u8 = 65;
+/// Decode outcome classes, in [`Decoded`]'s variant order.
+const CLEAN: u8 = 0;
+const CORRECTED: u8 = 1;
+const UNCORRECTABLE: u8 = 2;
 
-const fn build_syndrome_bits() -> [u8; 128] {
-    let mut out = [OUTSIDE; 128];
-    let mut s = 0;
-    while s < 128 {
-        if s == 0 || (s as u8).is_power_of_two() {
-            out[s] = PARITY_BIT;
+/// The repair bit of a syndrome that repairs no data bit.
+const NO_FIX: u8 = 64;
+
+/// What each syndrome byte `encode(data) ^ parity` decodes to: its outcome
+/// class and the data bit it repairs ([`NO_FIX`] for none). Bits `0..=6`
+/// are the Hamming syndrome, and the parity of all eight is the parity of
+/// all 72 stored bits. An even total is clean with a zero syndrome and a
+/// double error without. An odd total is a single error at the
+/// syndrome's codeword position (the overall bit at 0, a Hamming parity
+/// bit at a power of two, a data bit elsewhere), or at least three errors
+/// when that position lies past 71.
+const SYNDROMES: [(u8, u8); 256] = build_syndromes();
+
+const fn build_syndromes() -> [(u8, u8); 256] {
+    let mut out = [(UNCORRECTABLE, NO_FIX); 256];
+    out[0] = (CLEAN, NO_FIX);
+    let mut s = 1;
+    while s < 256 {
+        let syndrome = s as u8 & 0x7f;
+        if (s as u8).count_ones() % 2 == 1 && (syndrome == 0 || syndrome.is_power_of_two()) {
+            out[s] = (CORRECTED, NO_FIX);
         }
         s += 1;
     }
     let mut i = 0;
     while i < 64 {
-        out[DATA_POS[i] as usize] = i as u8;
+        // The odd-parity byte whose syndrome is data bit `i`'s position.
+        let pos = DATA_POS[i];
+        let odd = pos | (((pos.count_ones() + 1) % 2) << 7) as u8;
+        out[odd as usize] = (CORRECTED, i as u8);
         i += 1;
     }
     out
-}
-
-/// Parity of the eight bits of `x`.
-fn parity8(x: u8) -> bool {
-    let x = x ^ x >> 4;
-    let x = x ^ x >> 2;
-    (x ^ x >> 1) & 1 == 1
 }
 
 /// Encodes 64 data bits into the (72,64) parity byte: Hamming parity in
@@ -122,23 +131,15 @@ impl Decoded {
     }
 }
 
-/// Decodes a received `(data, parity)` pair.
+/// Decodes a received `(data, parity)` pair: one [`SYNDROMES`] lookup
+/// and a repair mask, with no branch on the outcome.
 pub fn decode(data: u64, parity: u8) -> Decoded {
-    // Bits 0..=6: the Hamming syndrome. The parity of all eight bits is the
-    // parity of all 72 stored bits; odd total ⇒ odd error count.
-    let s = encode(data) ^ parity;
-    let syndrome = s & 0x7f;
-    match (syndrome, parity8(s)) {
-        (0, false) => Decoded::Clean(data),
-        (_, false) => Decoded::Uncorrectable(data),
-        (s, true) => match SYNDROME_BIT[s as usize] {
-            // The overall bit or a Hamming parity bit flipped; the data is
-            // intact.
-            PARITY_BIT => Decoded::Corrected(data),
-            // Syndrome points outside the codeword: ≥3 errors.
-            OUTSIDE => Decoded::Uncorrectable(data),
-            i => Decoded::Corrected(data ^ (1u64 << i)),
-        },
+    let (class, bit) = SYNDROMES[usize::from(encode(data) ^ parity)];
+    let payload = data ^ u64::from(bit < NO_FIX) << (bit % NO_FIX);
+    match class {
+        CLEAN => Decoded::Clean(payload),
+        CORRECTED => Decoded::Corrected(payload),
+        _ => Decoded::Uncorrectable(payload),
     }
 }
 
@@ -154,15 +155,12 @@ pub struct EccCounters {
 }
 
 impl EccCounters {
-    /// Decodes and counts in one step.
+    /// Decodes and counts in one step, adding each outcome as 0 or 1.
     pub fn decode_counted(&mut self, data: u64, parity: u8) -> Decoded {
         let out = decode(data, parity);
         self.words += 1;
-        match out {
-            Decoded::Clean(_) => {}
-            Decoded::Corrected(_) => self.corrected += 1,
-            Decoded::Uncorrectable(_) => self.detected_uncorrected += 1,
-        }
+        self.corrected += u64::from(matches!(out, Decoded::Corrected(_)));
+        self.detected_uncorrected += u64::from(matches!(out, Decoded::Uncorrectable(_)));
         out
     }
 }
@@ -332,6 +330,7 @@ mod tests {
         assert_eq!(c.decode_counted(d, p), Decoded::Clean(d));
         assert_eq!(c.decode_counted(d ^ 2, p), Decoded::Corrected(d));
         assert_eq!(c.decode_counted(d ^ 3, p), Decoded::Uncorrectable(d ^ 3));
-        assert_eq!(c, EccCounters { words: 3, corrected: 1, detected_uncorrected: 1 });
+        assert_eq!(c.decode_counted(d, p ^ 0x80), Decoded::Corrected(d));
+        assert_eq!(c, EccCounters { words: 4, corrected: 2, detected_uncorrected: 1 });
     }
 }

@@ -4,7 +4,9 @@
 //! SEC-DED is enabled): a byte image is walked word by word, each word is
 //! passed through the [`FaultModel`] channel at its own word address, and —
 //! under ECC — re-encoded/decoded with the corrected and
-//! detected-uncorrectable outcomes counted.
+//! detected-uncorrectable outcomes counted. A nominal model is the
+//! identity, so its image is not walked: every word is counted in bulk,
+//! and under ECC counted as decoded clean.
 //!
 //! Two weight surfaces exist in ENMC:
 //!
@@ -56,11 +58,14 @@ pub fn corrupt_image(
     ecc: bool,
     stats: &mut InjectionStats,
 ) {
-    let channel = channel(model);
+    let Some(channel) = channel(model) else {
+        count_clean(stats, bytes.len().div_ceil(8), ecc);
+        return;
+    };
     for (addr, chunk) in (base_addr..).zip(bytes.chunks_mut(8)) {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
-        let out = read_word(channel.as_ref(), addr, u64::from_le_bytes(word), ecc, stats);
+        let out = read_word(&channel, addr, u64::from_le_bytes(word), ecc, stats);
         chunk.copy_from_slice(&out.to_le_bytes()[..chunk.len()]);
     }
 }
@@ -70,12 +75,22 @@ fn channel(model: &FaultModel) -> Option<Channel> {
     (!model.is_nominal()).then(|| Channel::new(model))
 }
 
-/// Reads the word `clean` stored at `addr` through `channel` (`None`: the
-/// identity) and, with `ecc`, through the SEC-DED codec — every word is
-/// encoded and decoded, even on a clean channel — and counts it into
-/// `stats`. Returns the word the consumer sees.
+/// Counts `words` words read through the identity channel into `stats`:
+/// no bit flips, and under ECC each decodes clean, since
+/// `decode(d, encode(d))` is `Clean(d)` for every `d`.
+fn count_clean(stats: &mut InjectionStats, words: usize, ecc: bool) {
+    stats.words += words as u64;
+    if ecc {
+        stats.ecc.words += words as u64;
+    }
+}
+
+/// Reads the word `clean` stored at `addr` through `channel` and, with
+/// `ecc`, through the SEC-DED codec, and counts it into `stats`. Returns
+/// the word the consumer sees. The identity channel never gets here: its
+/// words are [`count_clean`]ed in bulk.
 fn read_word(
-    channel: Option<&Channel>,
+    channel: &Channel,
     addr: u64,
     clean: u64,
     ecc: bool,
@@ -84,11 +99,11 @@ fn read_word(
     stats.words += 1;
     let out = if ecc {
         let parity = encode(clean);
-        let (cd, cp) = channel.map_or((clean, parity), |c| c.corrupt_codeword(addr, clean, parity));
+        let (cd, cp) = channel.corrupt_codeword(addr, clean, parity);
         stats.raw_flips += u64::from((cd ^ clean).count_ones() + (cp ^ parity).count_ones());
         stats.ecc.decode_counted(cd, cp).payload()
     } else {
-        let cd = channel.map_or(clean, |c| c.corrupt_word(addr, clean));
+        let cd = channel.corrupt_word(addr, clean);
         stats.raw_flips += u64::from((cd ^ clean).count_ones());
         cd
     };
@@ -105,7 +120,8 @@ fn rows_touched<T: PartialEq>(clean: &[T], dirty: &[T], rows: usize, cols: usize
 
 /// Clones `screener` with its frozen quantized weight image passed through
 /// the DRAM error channel: pack → corrupt at word granularity → unpack →
-/// substitute. Returns the faulted screener, the flip accounting, and a
+/// substitute (a nominal model substitutes the image as it is, with no
+/// round trip). Returns the faulted screener, the flip accounting, and a
 /// per-category flag of which screener rows now hold corrupted codes.
 ///
 /// # Errors
@@ -122,6 +138,11 @@ pub fn corrupt_screener(
         "fault injection requires a frozen screener with a per-tensor quantized image",
     ))?;
     let mut stats = InjectionStats::default();
+    if model.is_nominal() {
+        // The packed image `pack_codes` would write: `nbytes` of the codes.
+        count_clean(&mut stats, q.precision().nbytes(q.codes().len()).div_ceil(8), ecc);
+        return Ok((screener.clone(), stats, vec![false; q.rows()]));
+    }
     let mut bytes =
         pack_codes(q.codes(), q.precision()).map_err(TensorError::InvalidArgument)?;
     corrupt_image(&mut bytes, SCREENER_BASE_ADDR, model, ecc, &mut stats);
@@ -149,33 +170,33 @@ pub fn corrupt_matrix(
     model: &FaultModel,
     ecc: bool,
 ) -> (Matrix, InjectionStats, Vec<bool>) {
-    let channel = channel(model);
     let mut stats = InjectionStats::default();
-    let mut rows = vec![false; m.rows()];
-    let cols = m.cols();
     let clean = m.as_slice();
+    let Some(channel) = channel(model) else {
+        count_clean(&mut stats, clean.len().div_ceil(2), ecc);
+        return (m.clone(), stats, vec![false; m.rows()]);
+    };
     let mut data = Vec::with_capacity(clean.len());
     // Word `i` holds elements `2i` (low half) and `2i + 1`; an odd count
     // ends on a word whose high half is zero pad.
     for (addr, pair) in (base_addr..).zip(clean.chunks(2)) {
         let lo = pair[0].to_bits();
         let hi = pair.get(1).map_or(0, |v| v.to_bits());
-        let word = u64::from(lo) | u64::from(hi) << 32;
-        let out = read_word(channel.as_ref(), addr, word, ecc, &mut stats);
-        // With odd `cols` a word straddles two rows: flag each half's own.
-        let first = data.len();
-        if out as u32 != lo {
-            rows[first / cols] = true;
-        }
-        if (out >> 32) as u32 != hi && pair.len() == 2 {
-            rows[(first + 1) / cols] = true;
-        }
+        let out = read_word(&channel, addr, u64::from(lo) | u64::from(hi) << 32, ecc, &mut stats);
         data.push(f32::from_bits(out as u32));
         if pair.len() == 2 {
             data.push(f32::from_bits((out >> 32) as u32));
         }
     }
-    let corrupted = Matrix::from_vec(m.rows(), cols, data).expect("shape preserved");
+    let corrupted = Matrix::from_vec(m.rows(), m.cols(), data).expect("shape preserved");
+    // Flagged after the walk, on bit patterns, so that no word branches on
+    // whether it came out corrupted.
+    let rows = (0..m.rows())
+        .map(|r| {
+            let dirty = corrupted.row(r);
+            m.row(r).iter().zip(dirty).any(|(a, b)| a.to_bits() != b.to_bits())
+        })
+        .collect();
     (corrupted, stats, rows)
 }
 
@@ -205,22 +226,42 @@ mod tests {
 
     #[test]
     fn nominal_injection_is_a_noop_everywhere() {
+        // The bulk path counts every word as the channel walk does, and
+        // under ECC each as decoded clean. A BER of 1e-17 (threshold 1)
+        // walks every word and flips none of these.
         let model = FaultModel::nominal(7);
+        let walked = model.with_ber(1e-17);
+        let counted = |words: u64, ecc: bool| InjectionStats {
+            words,
+            ecc: EccCounters { words: if ecc { words } else { 0 }, ..Default::default() },
+            ..Default::default()
+        };
         for ecc in [false, true] {
             let mut stats = InjectionStats::default();
             let mut bytes = vec![0xA5u8; 37];
             corrupt_image(&mut bytes, 0, &model, ecc, &mut stats);
             assert_eq!(bytes, vec![0xA5u8; 37]);
-            assert_eq!(stats.raw_flips, 0);
-            assert_eq!(stats.residual_flips, 0);
-            assert_eq!(stats.ecc.detected_uncorrected, 0);
+            assert_eq!(stats, counted(5, ecc));
+            let mut want = InjectionStats::default();
+            corrupt_image(&mut bytes, 0, &walked, ecc, &mut want);
+            assert_eq!(stats, want);
 
+            // 16x8 INT4 codes pack into 64 bytes, 8 words.
             let s = trained_screener(Precision::Int4);
             let (faulted, st, rows) = corrupt_screener(&s, &model, ecc).unwrap();
-            assert_eq!(st.residual_flips, 0);
+            assert_eq!(st, counted(8, ecc));
+            assert_eq!(st, corrupt_screener(&s, &walked, ecc).unwrap().1);
             assert!(rows.iter().all(|&r| !r));
             let h: Vector = (0..32).map(|i| (i as f32 * 0.21).cos()).collect();
             assert_eq!(s.screen_ref(&h), faulted.screen_ref(&h), "bit-identical logits");
+
+            // 5x3 elements: 7 full words and a pad word.
+            let m = Matrix::from_vec(5, 3, (0..15).map(|i| i as f32 - 7.5).collect()).unwrap();
+            let (dirty, st, rows) = corrupt_matrix(&m, WEIGHTS_BASE_ADDR, &model, ecc);
+            assert_eq!(dirty.as_slice(), m.as_slice());
+            assert_eq!(st, counted(8, ecc));
+            assert_eq!(st, corrupt_matrix(&m, WEIGHTS_BASE_ADDR, &walked, ecc).1);
+            assert_eq!(rows, vec![false; 5]);
         }
     }
 

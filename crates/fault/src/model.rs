@@ -57,14 +57,17 @@ const fn build_bit_keys() -> [u64; CODEWORD_BITS] {
     out
 }
 
+/// The two multipliers of the SplitMix64 finalizer.
+const FINAL_MUL: [u64; 2] = [0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB];
+
 /// SplitMix64 finalizer.
 #[inline(always)]
 fn finalize(key: u64) -> u64 {
     let mut x = key;
     x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = x.wrapping_mul(FINAL_MUL[0]);
     x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x = x.wrapping_mul(FINAL_MUL[1]);
     x ^= x >> 31;
     x
 }
@@ -234,9 +237,36 @@ pub(crate) struct Channel {
     /// The tRCD-marginal lanes of each column (word position within its
     /// DRAM row); empty when the mechanism is off.
     weak_lanes: Vec<u128>,
-    /// Whether the CPU runs the AVX2 hash loop, detected once per channel.
+    /// The copy of the hash loop this CPU runs.
+    hash_loop: HashLoop,
+}
+
+/// The copies of the channel loop, fastest first: an explicit AVX-512
+/// kernel, the AVX2 copy LLVM vectorises, and the scalar reference.
+#[derive(Clone, Copy)]
+enum HashLoop {
     #[cfg(target_arch = "x86_64")]
-    avx2: bool,
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Scalar,
+}
+
+impl HashLoop {
+    /// The fastest copy this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512dq")
+            {
+                return HashLoop::Avx512;
+            }
+            if std::is_x86_feature_detected!("avx2") {
+                return HashLoop::Avx2;
+            }
+        }
+        HashLoop::Scalar
+    }
 }
 
 impl Channel {
@@ -259,8 +289,7 @@ impl Channel {
             retention: threshold(model.retention_fail_prob()),
             ber: threshold(model.ber),
             weak_lanes,
-            #[cfg(target_arch = "x86_64")]
-            avx2: std::is_x86_feature_detected!("avx2"),
+            hash_loop: HashLoop::detect(),
         }
     }
 
@@ -279,33 +308,60 @@ impl Channel {
 
     /// The `N` low bits of `bits` read from `addr`, corrupted.
     fn corrupt<const N: usize>(&self, addr: u64, bits: u128) -> u128 {
-        #[cfg(target_arch = "x86_64")]
-        if self.avx2 {
-            // SAFETY: `Channel::new` detected AVX2 on this CPU.
-            return unsafe { self.corrupt_avx2::<N>(addr, bits) };
+        match self.hash_loop {
+            // SAFETY: `HashLoop::detect` found AVX-512F and AVX-512DQ.
+            #[cfg(target_arch = "x86_64")]
+            HashLoop::Avx512 => unsafe { self.corrupt_avx512::<N>(addr, bits) },
+            // SAFETY: `HashLoop::detect` found AVX2.
+            #[cfg(target_arch = "x86_64")]
+            HashLoop::Avx2 => unsafe { self.corrupt_avx2::<N>(addr, bits) },
+            HashLoop::Scalar => self.corrupt_bits::<N>(addr, bits),
         }
-        self.corrupt_bits::<N>(addr, bits)
+    }
+
+    /// [`Self::corrupt`] with the explicit AVX-512 kernel
+    /// [`hashes_below_avx512`] for its threshold tests.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn corrupt_avx512<const N: usize>(&self, addr: u64, bits: u128) -> u128 {
+        self.corrupt_with::<N>(addr, bits, |key, threshold| {
+            hashes_below_avx512::<N>(key, threshold)
+        })
     }
 
     /// [`Self::corrupt`] compiled with AVX2, where LLVM runs the 64-bit
     /// multiplies of [`hashes_below`] four lanes at a time.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
+    #[allow(clippy::redundant_closure, reason = "the fn item's call shim has no AVX2")]
     fn corrupt_avx2<const N: usize>(&self, addr: u64, bits: u128) -> u128 {
-        self.corrupt_bits::<N>(addr, bits)
+        self.corrupt_with::<N>(addr, bits, |key, threshold| hashes_below::<N>(key, threshold))
     }
 
-    /// The scalar channel loop, also inlined into [`Self::corrupt_avx2`]
-    /// as its AVX2 copy.
-    #[inline(always)]
+    /// The scalar channel loop.
+    #[allow(clippy::redundant_closure, reason = "the same closure as the AVX2 copy's")]
     fn corrupt_bits<const N: usize>(&self, addr: u64, bits: u128) -> u128 {
+        self.corrupt_with::<N>(addr, bits, |key, threshold| hashes_below::<N>(key, threshold))
+    }
+
+    /// The channel loop over a threshold test `below(key, threshold)`
+    /// that returns the bits whose hash passes, as [`hashes_below`] does.
+    /// Each copy passes a closure of its own body, which shares its
+    /// target features.
+    #[inline(always)]
+    fn corrupt_with<const N: usize>(
+        &self,
+        addr: u64,
+        bits: u128,
+        below: impl Fn(u64, u64) -> u128,
+    ) -> u128 {
         const { assert!(N == 64 || N == CODEWORD_BITS) };
         let key = |tag| word_key(self.seed, tag, addr);
         let mut v = bits;
         // Retention: failed cells read as their stuck-at polarity. Only a
         // failed cell's polarity is ever hashed.
         if self.retention > 0 {
-            let failed = hashes_below::<N>(key(TAG_RETENTION_CELL), self.retention);
+            let failed = below(key(TAG_RETENTION_CELL), self.retention);
             v = v & !failed | odd_hashes(key(TAG_RETENTION_POLARITY), failed);
         }
         // Reduced tRCD: marginal lanes sample wrong on ~half the reads.
@@ -314,10 +370,38 @@ impl Channel {
         }
         // Transient channel noise.
         if self.ber > 0 {
-            v ^= hashes_below::<N>(key(TAG_UNIFORM), self.ber);
+            v ^= below(key(TAG_UNIFORM), self.ber);
         }
         v
     }
+}
+
+/// [`hashes_below`] eight lanes at a time: `vpmullq` for the two
+/// multiplies and an unsigned compare straight into a mask register,
+/// which the AVX2 copy has to emulate.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn hashes_below_avx512<const N: usize>(key: u64, threshold: u64) -> u128 {
+    use std::arch::x86_64::*;
+    let splat = |x: u64| _mm512_set1_epi64(x as i64);
+    let (key, threshold) = (splat(key), splat(threshold));
+    let (m1, m2) = (splat(FINAL_MUL[0]), splat(FINAL_MUL[1]));
+    let mut out = 0u128;
+    for lane in (0..N).step_by(8) {
+        // SAFETY: `lane + 8 <= N <= CODEWORD_BITS`, the length of
+        // `BIT_KEY`, so the eight loaded words are in bounds.
+        let bit_keys = unsafe { _mm512_loadu_si512(BIT_KEY[lane..].as_ptr().cast()) };
+        // `finalize`, lane by lane.
+        let mut x = _mm512_xor_si512(key, bit_keys);
+        x = _mm512_xor_si512(x, _mm512_srli_epi64::<30>(x));
+        x = _mm512_mullo_epi64(x, m1);
+        x = _mm512_xor_si512(x, _mm512_srli_epi64::<27>(x));
+        x = _mm512_mullo_epi64(x, m2);
+        x = _mm512_xor_si512(x, _mm512_srli_epi64::<31>(x));
+        let pass = _mm512_cmplt_epu64_mask(_mm512_srli_epi64::<11>(x), threshold);
+        out |= u128::from(pass) << lane;
+    }
+    out
 }
 
 /// The per-bit reference the channel must reproduce bit for bit.
@@ -393,7 +477,18 @@ mod tests {
     }
 
     #[test]
-    fn channel_matches_the_per_bit_reference_on_both_hash_loops() {
+    fn channel_matches_the_per_bit_reference_on_every_hash_loop() {
+        #[cfg(target_arch = "x86_64")]
+        let (avx512, avx2) = (
+            std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512dq"),
+            std::is_x86_feature_detected!("avx2"),
+        );
+        #[cfg(target_arch = "x86_64")]
+        for (name, found) in [("AVX-512 (avx512f, avx512dq)", avx512), ("AVX2", avx2)] {
+            if !found {
+                eprintln!("this CPU lacks {name}: its copy of the hash loop is not tested");
+            }
+        }
         let data = [0u128, u128::MAX, 0x00A5_DEAD_BEEF_CAFE_F00D, 0x005A_0123_4567_89AB_CDEF];
         for seed in [1u64, 0xfa17] {
             for model in model_grid(seed) {
@@ -409,16 +504,28 @@ mod tests {
                         assert_eq!(channel.corrupt_bits::<64>(addr, low64), want64, "{what}");
                         assert_eq!(channel.corrupt_bits::<72>(addr, low72), want72, "{what}");
                         #[cfg(target_arch = "x86_64")]
-                        if std::is_x86_feature_detected!("avx2") {
-                            // SAFETY: AVX2 detected just above.
+                        if avx512 {
+                            // SAFETY: AVX-512F and AVX-512DQ detected above.
+                            let (a64, a72) = unsafe {
+                                (
+                                    channel.corrupt_avx512::<64>(addr, low64),
+                                    channel.corrupt_avx512::<72>(addr, low72),
+                                )
+                            };
+                            assert_eq!(a64, want64, "AVX-512 {what}");
+                            assert_eq!(a72, want72, "AVX-512 {what}");
+                        }
+                        #[cfg(target_arch = "x86_64")]
+                        if avx2 {
+                            // SAFETY: AVX2 detected above.
                             let (a64, a72) = unsafe {
                                 (
                                     channel.corrupt_avx2::<64>(addr, low64),
                                     channel.corrupt_avx2::<72>(addr, low72),
                                 )
                             };
-                            assert_eq!(a64, want64, "{what}");
-                            assert_eq!(a72, want72, "{what}");
+                            assert_eq!(a64, want64, "AVX2 {what}");
+                            assert_eq!(a72, want72, "AVX2 {what}");
                         }
                     }
                 }

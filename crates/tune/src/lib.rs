@@ -45,4 +45,4 @@ pub use planner::{
     plan_decisions, plan_from_decisions, plan_from_table, plan_ladder, OffloadDecision,
 };
 pub use search::{offload_report, tune, tune_report, SearchMode, TuneConfig, TuneResult};
-pub use space::{price_design, Budget, DesignPoint, TuneSpace};
+pub use space::{price_design, Budget, DesignPoint, TuneSpace, MAX_BATCH};

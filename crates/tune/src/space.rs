@@ -9,7 +9,7 @@
 //! order. That is what makes guided search, exhaustive search, and any
 //! worker count produce byte-identical frontiers over the same space.
 
-use enmc_arch::{AreaPower, PhysicalModel};
+use enmc_arch::{AreaPower, ClassificationJob, PhysicalModel};
 use enmc_mem::MemTech;
 
 /// Area/power surcharge of SEC-DED (72,64) ECC on the on-DIMM DRAM
@@ -51,7 +51,42 @@ impl Default for TuneSpace {
     }
 }
 
+/// The largest `batch_max` level, and `serve-sim`'s `--batch-max` bound.
+pub const MAX_BATCH: usize = 1024;
+
+/// The widest `screen_bits` level: an FP32 element, the widest any
+/// screener streams.
+const MAX_SCREEN_BITS: u32 = 32;
+
 impl TuneSpace {
+    /// Checks the levels the job bounds: no `candidates` level above its
+    /// categories, no `batch_max` level above [`MAX_BATCH`] and no
+    /// `screen_bits` level above 32, an FP32 element.
+    ///
+    /// # Errors
+    ///
+    /// Returns a flag-worthy message naming the axis's flag, its first
+    /// level past the bound, and the bound.
+    pub fn check(&self, job: &ClassificationJob) -> Result<(), String> {
+        fn within<T: PartialOrd + std::fmt::Display>(
+            flag: &str,
+            levels: &[T],
+            bound: T,
+            what: &str,
+        ) -> Result<(), String> {
+            match levels.iter().find(|&l| *l > bound) {
+                Some(l) => Err(format!("{flag} level '{l}' exceeds {what}")),
+                None => Ok(()),
+            }
+        }
+        let categories = format!("the workload's {} categories", job.categories);
+        within("--candidates", &self.candidates, job.categories, &categories)?;
+        let batch = format!("the largest batch, {MAX_BATCH}");
+        within("--batch-max", &self.batch_max, MAX_BATCH, &batch)?;
+        let bits = format!("{MAX_SCREEN_BITS} bits, an FP32 element");
+        within("--screen-bits", &self.screen_bits, MAX_SCREEN_BITS, &bits)
+    }
+
     /// The default small space the CLI explores when no axes are given:
     /// 2 × 2 × 1 × 2 × 2 × 1 × 1 × 2 = 32 designs around the Table 3
     /// point.

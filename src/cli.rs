@@ -19,7 +19,7 @@ use enmc_fleet::PlacementPolicy;
 use enmc_mem::MemTech;
 use enmc_model::workloads::WorkloadId;
 use enmc_surrogate::CostBackend;
-use enmc_tune::{SearchMode, TuneSpace};
+use enmc_tune::{SearchMode, TuneSpace, MAX_BATCH};
 
 /// One flag of a subcommand.
 #[derive(Debug, Clone, Copy)]
@@ -118,7 +118,7 @@ const BATCH: Flag = flag("--batch", "N", "1", "batch size").at_most(256);
 #[rustfmt::skip]
 const CANDIDATES: Flag = flag("--candidates", "F", "0.05", "fraction of categories computed exactly, in (0, 1]");
 #[rustfmt::skip]
-const BATCH_MAX: Flag = flag("--batch-max", "N", "4", "largest batch").at_most(1024);
+const BATCH_MAX: Flag = flag("--batch-max", "N", "4", "largest batch").at_most(MAX_BATCH as u64);
 #[rustfmt::skip]
 const DEGRADE_TIERS: Flag = flag("--degrade-tiers", "K:S,...", "", "screener degrade ladder, full quality first; default K, K/2:1, K/4:2");
 #[rustfmt::skip]

@@ -607,6 +607,7 @@ fn cmd_tune(a: &Args) -> Result<i32, Fail> {
         mode,
     };
     let job = job_of(&workload, 1, 0.05);
+    cfg.space.check(&job)?;
     let sys = SystemModel::table3();
     eprintln!(
         "tuning {} (l={}, d={}): {} search on {} worker(s)",

@@ -203,6 +203,19 @@ fn a_degrade_tier_above_the_workloads_categories_is_rejected() {
 }
 
 #[test]
+fn a_tune_level_past_its_bound_is_rejected() {
+    // Each list puts the offending level after one the bound admits.
+    for (flag, levels, level, bound) in [
+        ("--candidates", "64,100000", "100000", "33278"),
+        ("--batch-max", "4,1025", "1025", "1024"),
+        ("--screen-bits", "4,33", "33", "32"),
+    ] {
+        let err = rejects(&["tune", "--workload", "lstm", flag, levels], flag);
+        assert!(err.contains(&format!("'{level}'")) && err.contains(bound), "{err}");
+    }
+}
+
+#[test]
 fn no_or_an_unknown_command_lists_the_commands() {
     for args in [&[][..], &["frobnicate"][..]] {
         let err = rejects(args, "commands:");
