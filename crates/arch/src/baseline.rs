@@ -1,9 +1,11 @@
 //! The NMP baselines (paper §6.2, Table 4): NDA, Chameleon, TensorDIMM and
 //! TensorDIMM-Large, all equipped with the approximate screening algorithm
-//! but limited to homogeneous FP32 compute units.
+//! but limited to homogeneous FP32 compute units. Their rank units are
+//! [`UnitParams::nmp_on`](crate::unit::UnitParams::nmp_on) engines, which
+//! [`SystemModel::deployment`](crate::system::SystemModel::deployment)
+//! builds on the memory preset in use.
 
 use crate::config::NmpConfig;
-use crate::unit::{RankUnit, UnitParams};
 
 /// Which baseline architecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,49 +37,21 @@ impl BaselineKind {
     }
 }
 
-/// A baseline NMP rank-unit model.
-#[derive(Debug, Clone)]
-pub struct NmpBaseline {
-    unit: RankUnit,
-}
-
-impl NmpBaseline {
-    /// Builds the rank engine for `kind`.
-    pub fn new(kind: BaselineKind) -> Self {
-        NmpBaseline { unit: RankUnit::new(Self::params(kind)) }
-    }
-
-    /// The rank engine.
-    pub fn unit(&self) -> &RankUnit {
-        &self.unit
-    }
-
-    /// Derives [`UnitParams`] from the baseline's [`NmpConfig`]:
-    /// homogeneous FP32 lanes (screening weights stored at 32 bits), no
-    /// comparator array (spill-filter path), and the shared 1200 MHz DRAM
-    /// bus clock.
-    pub fn params(kind: BaselineKind) -> UnitParams {
-        let cfg = kind.config();
-        let lanes = cfg.fp32_macs as f64 * cfg.mv_efficiency;
-        UnitParams {
-            screen_bits: 32,
-            screen_macs_per_cycle: lanes,
-            fp32_macs_per_cycle: lanes,
-            buffer_bytes: cfg.buffer_bytes,
-            prefetch_depth: 2,
-            clock_ratio: (1200 / cfg.freq_mhz).max(1),
-            inline_filter: false,
-            serial_phases: false,
-            sfu_per_cycle: 1.0, // exp via Taylor on the general lanes
-            dram: enmc_dram::DramConfig::enmc_single_rank(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::unit::RankJob;
+    use crate::system::{Scheme, SystemModel};
+    use crate::unit::{RankJob, RankUnit, UnitParams};
+
+    /// The baseline's rank-unit parameters on the Table 3 platform.
+    fn params(kind: BaselineKind) -> UnitParams {
+        let deployed = SystemModel::table3().deployment(Scheme::Baseline(kind));
+        deployed.expect("NMP schemes deploy rank units").params
+    }
+
+    fn unit(kind: BaselineKind) -> RankUnit {
+        RankUnit::new(params(kind))
+    }
 
     fn job() -> RankJob {
         RankJob {
@@ -91,10 +65,10 @@ mod tests {
 
     #[test]
     fn params_reflect_configs() {
-        let td = NmpBaseline::params(BaselineKind::TensorDimm);
+        let td = params(BaselineKind::TensorDimm);
         assert_eq!(td.screen_bits, 32);
         assert!(!td.inline_filter);
-        let ch = NmpBaseline::params(BaselineKind::Chameleon);
+        let ch = params(BaselineKind::Chameleon);
         assert!(td.screen_macs_per_cycle > ch.screen_macs_per_cycle);
     }
 
@@ -103,9 +77,9 @@ mod tests {
         // The paper's ordering (Fig. 13): TensorDIMM is the strongest
         // baseline, Chameleon the weakest.
         let j = job();
-        let td = NmpBaseline::new(BaselineKind::TensorDimm).unit().simulate(&j);
-        let ch = NmpBaseline::new(BaselineKind::Chameleon).unit().simulate(&j);
-        let nda = NmpBaseline::new(BaselineKind::Nda).unit().simulate(&j);
+        let td = unit(BaselineKind::TensorDimm).simulate(&j);
+        let ch = unit(BaselineKind::Chameleon).simulate(&j);
+        let nda = unit(BaselineKind::Nda).simulate(&j);
         assert!(td.dram_cycles < nda.dram_cycles, "td {} nda {}", td.dram_cycles, nda.dram_cycles);
         assert!(nda.dram_cycles < ch.dram_cycles, "nda {} ch {}", nda.dram_cycles, ch.dram_cycles);
     }
@@ -113,8 +87,8 @@ mod tests {
     #[test]
     fn large_variant_is_faster() {
         let j = job();
-        let td = NmpBaseline::new(BaselineKind::TensorDimm).unit().simulate(&j);
-        let tdl = NmpBaseline::new(BaselineKind::TensorDimmLarge).unit().simulate(&j);
+        let td = unit(BaselineKind::TensorDimm).simulate(&j);
+        let tdl = unit(BaselineKind::TensorDimmLarge).simulate(&j);
         assert!(tdl.dram_cycles < td.dram_cycles);
     }
 }

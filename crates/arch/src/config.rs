@@ -14,8 +14,6 @@ pub struct EnmcConfig {
     pub fp32_macs: usize,
     /// Input-buffer capacity in bytes (Table 3: 256 B each).
     pub buffer_bytes: usize,
-    /// Comparators in the threshold filter (one per INT4 lane).
-    pub filter_width: usize,
     /// Tiles the Screener may have in flight (double buffering).
     pub prefetch_depth: usize,
 }
@@ -35,7 +33,6 @@ impl EnmcConfig {
             screen_bits: 4,
             fp32_macs: 16,
             buffer_bytes: 256,
-            filter_width: 128,
             prefetch_depth: 2,
         }
     }
@@ -53,8 +50,6 @@ impl EnmcConfig {
 /// materializing the approximate logits (no comparator array).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NmpConfig {
-    /// Display name.
-    pub name: &'static str,
     /// Logic frequency in MHz.
     pub freq_mhz: u64,
     /// FP32 lanes.
@@ -64,8 +59,6 @@ pub struct NmpConfig {
     pub mv_efficiency: f64,
     /// On-logic working buffer in bytes.
     pub buffer_bytes: usize,
-    /// Output/intermediate storage before spilling to DRAM, in bytes.
-    pub spill_buffer_bytes: usize,
     /// Number of rank-level units (TensorDIMM-Large doubles them).
     pub units_per_channel: usize,
 }
@@ -75,12 +68,10 @@ impl NmpConfig {
     /// + 1 KB memory. CGRAs sustain moderate MV utilization.
     pub fn nda() -> Self {
         NmpConfig {
-            name: "NDA",
             freq_mhz: 400,
             fp32_macs: 16,
             mv_efficiency: 0.55,
             buffer_bytes: 1024,
-            spill_buffer_bytes: 1024,
             units_per_channel: 8,
         }
     }
@@ -90,12 +81,10 @@ impl NmpConfig {
     /// and idle heavily on matrix-vector streams.
     pub fn chameleon() -> Self {
         NmpConfig {
-            name: "Chameleon",
             freq_mhz: 400,
             fp32_macs: 16,
             mv_efficiency: 0.30,
             buffer_bytes: 1024,
-            spill_buffer_bytes: 1024,
             units_per_channel: 8,
         }
     }
@@ -105,12 +94,10 @@ impl NmpConfig {
     /// spill intermediates.
     pub fn tensordimm() -> Self {
         NmpConfig {
-            name: "TensorDIMM",
             freq_mhz: 400,
             fp32_macs: 16,
             mv_efficiency: 0.90,
             buffer_bytes: 512,
-            spill_buffer_bytes: 512,
             units_per_channel: 8,
         }
     }
@@ -120,12 +107,10 @@ impl NmpConfig {
     /// the Table 4 iso-budget envelope).
     pub fn tensordimm_large() -> Self {
         NmpConfig {
-            name: "TensorDIMM-Large",
             freq_mhz: 400,
             fp32_macs: 64,
             mv_efficiency: 0.90,
             buffer_bytes: 2048,
-            spill_buffer_bytes: 2048,
             units_per_channel: 16,
         }
     }
@@ -153,7 +138,7 @@ mod tests {
     #[test]
     fn baselines_are_iso_lane_budget() {
         for b in [NmpConfig::nda(), NmpConfig::chameleon(), NmpConfig::tensordimm()] {
-            assert_eq!(b.fp32_macs, 16, "{}", b.name);
+            assert_eq!(b.fp32_macs, 16, "{b:?}");
         }
     }
 
@@ -169,6 +154,6 @@ mod tests {
         let td = NmpConfig::tensordimm();
         let tdl = NmpConfig::tensordimm_large();
         assert!(tdl.fp32_macs > td.fp32_macs);
-        assert!(tdl.spill_buffer_bytes > td.spill_buffer_bytes);
+        assert!(tdl.buffer_bytes > td.buffer_bytes);
     }
 }

@@ -6,6 +6,7 @@
 //! time, while buffers and controllers draw power whenever the unit is
 //! active.
 
+use crate::physical::PhysicalModel;
 use crate::unit::UnitReport;
 use enmc_dram::energy::{EnergyBreakdown, EnergyModel};
 
@@ -25,39 +26,24 @@ pub struct LogicEnergyModel {
     pub controller_mw: f64,
     /// On-DIMM DRAM controller.
     pub dram_ctrl_mw: f64,
-    /// SEC-DED encode/decode logic on the weight stream (0 unless the rank
-    /// runs with ECC; always-on while the unit is active, like the other
-    /// datapath-adjacent logic).
-    pub ecc_mw: f64,
     /// DRAM-bus clock period in picoseconds (converts cycles → time).
     pub tck_ps: f64,
 }
 
 impl LogicEnergyModel {
-    /// Table 5's ENMC power breakdown.
+    /// Table 5's ENMC power breakdown, as the synthesis model
+    /// ([`PhysicalModel::tsmc28`]) composes it.
     pub fn enmc_table5() -> Self {
+        let p = PhysicalModel::tsmc28();
         LogicEnergyModel {
-            int_array_mw: 10.4,
-            fp32_array_mw: 58.0,
-            compute_buffer_mw: 56.8,
-            control_buffer_mw: 49.3,
-            controller_mw: 32.9,
-            dram_ctrl_mw: 78.0,
-            ecc_mw: 0.0,
+            int_array_mw: p.int4_mac.scale(128.0).power_mw,
+            fp32_array_mw: p.fp32_mac.scale(16.0).power_mw,
+            compute_buffer_mw: p.buffer_kb.power_mw,
+            control_buffer_mw: p.control_buffer().power_mw,
+            controller_mw: p.enmc_ctrl.power_mw,
+            dram_ctrl_mw: p.dram_ctrl.power_mw,
             tck_ps: 833.0,
         }
-    }
-
-    /// Returns the model with SEC-DED encode/decode logic drawing `mw`
-    /// milliwatts while the unit is active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mw` is not finite or negative.
-    pub fn with_ecc(mut self, mw: f64) -> Self {
-        assert!(mw.is_finite() && mw >= 0.0, "ECC power must be >= 0, got {mw}");
-        self.ecc_mw = mw;
-        self
     }
 
     /// A homogeneous-FP32 baseline drawing `total_mw` across its unit
@@ -72,7 +58,6 @@ impl LogicEnergyModel {
             control_buffer_mw: 0.0,
             controller_mw: total_mw * 0.15,
             dram_ctrl_mw: total_mw * 0.30,
-            ecc_mw: 0.0,
             tck_ps: 833.0,
         }
     }
@@ -84,8 +69,7 @@ impl LogicEnergyModel {
         let always_on_mw = self.compute_buffer_mw
             + self.control_buffer_mw
             + self.controller_mw
-            + self.dram_ctrl_mw
-            + self.ecc_mw;
+            + self.dram_ctrl_mw;
         let mj_per_s = 1e-3; // mW × s = mJ
         (self.int_array_mw * s(r.screener_busy)
             + self.fp32_array_mw * s(r.executor_busy + r.sfu_cycles)
@@ -174,14 +158,18 @@ mod tests {
     }
 
     #[test]
-    fn ecc_logic_power_adds_to_always_on_draw() {
-        let plain = LogicEnergyModel::enmc_table5();
-        let ecc = plain.with_ecc(12.0);
-        let r = report(1000, 100);
-        let delta = ecc.logic_nj(&r) - plain.logic_nj(&r);
-        // 12 mW over 1000 cycles × 0.833 ns ≈ 10 nJ.
-        let expect = 12.0 * 1000.0 * 833.0e-12 * 1e-3 * 1e9;
-        assert!((delta - expect).abs() < 1e-6, "{delta} vs {expect}");
+    fn table5_model_reads_the_synthesis_rows_bit_exactly() {
+        let m = LogicEnergyModel::enmc_table5();
+        let mw = [
+            m.int_array_mw,
+            m.fp32_array_mw,
+            m.compute_buffer_mw,
+            m.control_buffer_mw,
+            m.controller_mw,
+            m.dram_ctrl_mw,
+        ];
+        assert_eq!(mw, [10.4, 58.0, 56.8, 49.3, 32.9, 78.0]);
+        assert_eq!(m.tck_ps, 833.0);
     }
 
     #[test]

@@ -14,16 +14,16 @@
 //!   baselines (NDA, Chameleon, TensorDIMM, TensorDIMM-Large);
 //! * [`mod@unit`] — the cycle-level model of one rank's ENMC logic: Screener
 //!   and Executor pipelines running in parallel against the rank's DRAM
-//!   (dual-module architecture, §5.1–5.2); `simulate_traced` additionally
-//!   emits per-stage `enmc_obs` spans and DRAM command events for the
-//!   Chrome/Perfetto trace exporter;
-//! * [`baseline`] — the homogeneous-FP32 NMP model the paper compares
-//!   against, including the z̃ spill-to-DRAM behaviour that limited
-//!   buffers force (§7.2);
+//!   (dual-module architecture, §5.1–5.2), and the homogeneous-FP32 NMP
+//!   engines the paper compares against, including the z̃ spill-to-DRAM
+//!   behaviour that limited buffers force (§7.2); `simulate_traced`
+//!   additionally emits per-stage `enmc_obs` spans and DRAM command events
+//!   for the Chrome/Perfetto trace exporter;
+//! * [`baseline`] — which NMP baselines exist and their Table 4 configs;
 //! * [`cpu`] — the Xeon 8280 roofline model (§6.2);
-//! * [`system`] — whole-system composition: a workload is partitioned over
-//!   8 channels × 8 ranks; system time is the slowest rank plus result
-//!   return;
+//! * [`system`] — whole-system composition: what each scheme deploys on
+//!   the memory preset, a workload partitioned over its rank units
+//!   (8 channels × 8 ranks for ENMC); system time is the slowest rank;
 //! * [`energy`] — compute/control energy from the Table 5 power numbers,
 //!   combined with DRAM access/static energy from [`enmc_dram::energy`]
 //!   (Fig. 14's three-way split);
@@ -44,7 +44,7 @@ pub mod scaleout;
 pub mod system;
 pub mod unit;
 
-pub use baseline::{BaselineKind, NmpBaseline};
+pub use baseline::BaselineKind;
 pub use config::{EnmcConfig, NmpConfig};
 pub use cpu::CpuModel;
 pub use functional::{FunctionalDimm, HostRuntime};

@@ -238,7 +238,8 @@ pub fn run_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::unit::{RankJob, RankUnit, UnitParams};
+    use crate::system::SystemModel;
+    use crate::unit::{RankJob, RankUnit};
     use enmc_compiler::{lower_screening, MemoryLayout, TaskDescriptor};
 
     fn compile(l: usize, batch: usize) -> Program {
@@ -264,7 +265,7 @@ mod tests {
         // modest envelope — they model the same access stream.
         let l = 4096;
         let program = run_program(&EnmcConfig::table3(), &compile(l, 1), 512, 128);
-        let unit = RankUnit::new(UnitParams::enmc(&EnmcConfig::table3()));
+        let unit = RankUnit::new(SystemModel::table3().enmc_unit_params());
         let shape = unit.simulate(&RankJob {
             categories: l,
             hidden: 512,

@@ -1,16 +1,22 @@
 //! Whole-system composition: a classification job over 8 channels × 8
 //! ranks of ENMC DIMMs (Table 3), or over the CPU / NMP baselines.
 //!
-//! The classifier is partitioned row-wise across the 64 rank-units; every
-//! unit screens its slice and computes the candidates that fall in it.
-//! Rank-units are symmetric and independent (each has its own DRAM timing
-//! domain), so system latency is one representative rank's latency — the
-//! candidate load is spread uniformly by the partitioning.
+//! The classifier is partitioned row-wise across a scheme's rank-units;
+//! every unit screens its slice and computes the candidates that fall in
+//! it. Rank-units are symmetric and independent (each has its own DRAM
+//! timing domain), so system latency is one representative rank's latency
+//! — the candidate load is spread uniformly by the partitioning.
+//!
+//! [`SystemModel::deployment`] is the one place that decides what a
+//! simulated scheme deploys: ENMC's and every NMP baseline's rank units
+//! run on the memory preset's single-rank timing domain and I/O clock, at
+//! the logic power the synthesis model ([`crate::physical`]) gives them.
 
-use crate::baseline::{BaselineKind, NmpBaseline};
+use crate::baseline::BaselineKind;
 use crate::config::EnmcConfig;
 use crate::cpu::CpuModel;
 use crate::energy::{LogicEnergyModel, SystemEnergy};
+use crate::physical::PhysicalModel;
 use crate::unit::{RankJob, RankUnit, UnitParams, UnitReport};
 use enmc_dram::energy::EnergyModel;
 use enmc_dram::DramStats;
@@ -24,14 +30,16 @@ use enmc_par::SimConfig;
 pub const CHANNELS: usize = 8;
 
 /// Table 4 logic-power totals for the homogeneous-FP32 NMP baselines,
-/// in milliwatts per unit.
+/// in milliwatts per unit (TensorDIMM-Large draws 2.5× TensorDIMM).
 fn baseline_total_mw(kind: BaselineKind) -> f64 {
+    let p = PhysicalModel::tsmc28();
     match kind {
-        BaselineKind::Nda => 293.6,
-        BaselineKind::Chameleon => 249.0,
-        BaselineKind::TensorDimm => 303.5,
-        BaselineKind::TensorDimmLarge => 303.5 * 2.5,
+        BaselineKind::Nda => p.nda_unit(),
+        BaselineKind::Chameleon => p.chameleon_unit(),
+        BaselineKind::TensorDimm => p.tensordimm_unit(),
+        BaselineKind::TensorDimmLarge => p.tensordimm_unit().scale(2.5),
     }
+    .power_mw
 }
 
 /// A classification job at system scope.
@@ -130,6 +138,17 @@ impl SchemeResult {
     pub fn speedup_over(&self, baseline: &SchemeResult) -> f64 {
         baseline.ns / self.ns
     }
+}
+
+/// What a simulated scheme deploys ([`SystemModel::deployment`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Deployment {
+    /// One rank unit's engine parameters, on the memory preset in use.
+    pub params: UnitParams,
+    /// Rank units working in parallel, one job slice each.
+    pub units: usize,
+    /// The logic power each unit draws.
+    pub logic: LogicEnergyModel,
 }
 
 /// Result of a sharded full-system run ([`SystemModel::run_sharded`]):
@@ -299,8 +318,8 @@ impl SystemModel {
 
     /// Returns the model with a different per-rank ENMC logic
     /// configuration — the design-space tuner's lever for lane count and
-    /// screener bitwidth. Every subsequent run simulates with
-    /// [`UnitParams::enmc`] over this configuration.
+    /// screener bitwidth. Every subsequent ENMC run simulates this
+    /// configuration ([`SystemModel::deployment`]).
     pub fn with_enmc_config(mut self, cfg: EnmcConfig) -> Self {
         self.enmc = cfg;
         self
@@ -336,62 +355,63 @@ impl SystemModel {
         &self.cpu
     }
 
-    /// The per-rank unit parameters an ENMC run simulates with — the
-    /// exact configuration [`SystemModel::run`] hands to [`RankUnit`],
-    /// exposed so surrogate fits anchor on the same simulator.
-    pub fn enmc_unit_params(&self) -> UnitParams {
-        UnitParams::enmc_on(&self.enmc, self.mem.single_rank_config(), self.mem.io_mhz())
-    }
-
-    /// The logic-power model a simulated scheme draws per unit (`None`
-    /// for the analytic CPU schemes, which model no NMP logic).
-    pub fn logic_energy_model(&self, scheme: Scheme) -> Option<LogicEnergyModel> {
+    /// What `scheme` deploys: its rank units' parameters on this model's
+    /// memory preset (single-rank timing domain and I/O clock), how many
+    /// units share a job, and the logic power each draws. `None` for the
+    /// analytic CPU schemes, which deploy no rank units.
+    pub fn deployment(&self, scheme: Scheme) -> Option<Deployment> {
+        let (dram, io_mhz) = (self.mem.single_rank_config(), self.mem.io_mhz());
         match scheme {
-            Scheme::Enmc => Some(LogicEnergyModel::enmc_table5()),
+            Scheme::Enmc => Some(Deployment {
+                params: UnitParams::enmc_on(&self.enmc, dram, io_mhz),
+                units: self.total_ranks,
+                logic: LogicEnergyModel::enmc_table5(),
+            }),
             Scheme::Baseline(kind) => {
-                Some(LogicEnergyModel::baseline(baseline_total_mw(kind)))
+                let cfg = kind.config();
+                Some(Deployment {
+                    params: UnitParams::nmp_on(&cfg, dram, io_mhz),
+                    // "Large" variants deploy more rank-units per channel.
+                    units: cfg.units_per_channel * CHANNELS,
+                    logic: LogicEnergyModel::baseline(baseline_total_mw(kind)),
+                })
             }
             Scheme::CpuFull | Scheme::CpuScreened => None,
         }
     }
 
+    /// The per-rank unit parameters an ENMC run simulates with, exposed
+    /// so surrogate fits anchor on the same simulator.
+    pub fn enmc_unit_params(&self) -> UnitParams {
+        self.deployment(Scheme::Enmc).expect("ENMC deploys rank units").params
+    }
+
+    /// The logic-power model a simulated scheme draws per unit (`None`
+    /// for the analytic CPU schemes, which model no NMP logic).
+    pub fn logic_energy_model(&self, scheme: Scheme) -> Option<LogicEnergyModel> {
+        self.deployment(scheme).map(|d| d.logic)
+    }
+
     /// Runs `job` under `scheme`.
     pub fn run(&self, job: &ClassificationJob, scheme: Scheme) -> SchemeResult {
-        self.run_traced(job, scheme, None)
+        self.run_traced(job, scheme, None, false)
     }
 
-    /// [`SystemModel::run`] with an optional trace collector for the
-    /// simulated schemes. One representative rank-unit is traced (they are
-    /// symmetric); the analytic CPU schemes emit nothing.
+    /// [`SystemModel::run`] with an optional trace collector and the DDR4
+    /// protocol conformance checker optionally attached to the simulated
+    /// rank's DRAM controller. One representative rank-unit is traced and
+    /// checked (they are symmetric); the analytic CPU schemes emit nothing
+    /// and have no DRAM to check.
     pub fn run_traced(
-        &self,
-        job: &ClassificationJob,
-        scheme: Scheme,
-        trace: Option<&mut TraceBuffer>,
-    ) -> SchemeResult {
-        self.run_checked(job, scheme, trace, false)
-    }
-
-    /// [`SystemModel::run_traced`] with the DDR4 protocol conformance
-    /// checker optionally attached to the simulated rank's DRAM
-    /// controller (analytic CPU schemes have no DRAM to check).
-    pub fn run_checked(
         &self,
         job: &ClassificationJob,
         scheme: Scheme,
         trace: Option<&mut TraceBuffer>,
         check_protocol: bool,
     ) -> SchemeResult {
-        match scheme {
-            Scheme::CpuFull => SchemeResult {
-                scheme,
-                ns: self.cpu.full_classification_ns(job.categories, job.hidden, job.batch),
-                energy: None,
-                rank_report: None,
-            },
-            Scheme::CpuScreened => SchemeResult {
-                scheme,
-                ns: self.cpu.screened_classification_ns(
+        let Some(d) = self.deployment(scheme) else {
+            let ns = match scheme {
+                Scheme::CpuScreened => self.cpu.screened_classification_ns(
                     job.categories,
                     job.hidden,
                     job.reduced,
@@ -399,48 +419,17 @@ impl SystemModel {
                     4,
                     job.batch,
                 ),
-                energy: None,
-                rank_report: None,
-            },
-            Scheme::Enmc => {
-                let unit = RankUnit::new(self.enmc_unit_params());
-                let report =
-                    unit.simulate_checked(&job.rank_slice(self.total_ranks), trace, check_protocol);
-                let energy = SystemEnergy::from_rank(
-                    &report,
-                    self.total_ranks,
-                    &self.energy_model,
-                    &LogicEnergyModel::enmc_table5(),
-                );
-                SchemeResult {
-                    scheme,
-                    ns: report.ns,
-                    energy: Some(energy),
-                    rank_report: Some(report),
-                }
-            }
-            Scheme::Baseline(kind) => {
-                let baseline = NmpBaseline::new(kind);
-                // "Large" variants deploy more rank-units per channel.
-                let units = kind.config().units_per_channel * 8;
-                let report =
-                    baseline.unit().simulate_checked(&job.rank_slice(units), trace, check_protocol);
-                // Energy scales with the number of units actually deployed
-                // (TensorDIMM-Large doubles them).
-                let energy = SystemEnergy::from_rank(
-                    &report,
-                    units,
-                    &self.energy_model,
-                    &LogicEnergyModel::baseline(baseline_total_mw(kind)),
-                );
-                SchemeResult {
-                    scheme,
-                    ns: report.ns,
-                    energy: Some(energy),
-                    rank_report: Some(report),
-                }
-            }
-        }
+                // `CpuFull`, the only other scheme without rank units.
+                _ => self.cpu.full_classification_ns(job.categories, job.hidden, job.batch),
+            };
+            return SchemeResult { scheme, ns, energy: None, rank_report: None };
+        };
+        let unit = RankUnit::new(d.params);
+        let report = unit.simulate_traced(&job.rank_slice(d.units), trace, check_protocol);
+        // Energy scales with the number of units actually deployed
+        // (TensorDIMM-Large doubles them).
+        let energy = SystemEnergy::from_rank(&report, d.units, &self.energy_model, &d.logic);
+        SchemeResult { scheme, ns: report.ns, energy: Some(energy), rank_report: Some(report) }
     }
 
     /// Runs `job` with **every** rank-unit simulated on its exact job
@@ -456,19 +445,7 @@ impl SystemModel {
     /// work.
     pub fn run_sharded(&self, job: &ClassificationJob, scheme: Scheme, cfg: &SimConfig) -> ShardedRun {
         let workers = cfg.worker_count();
-        let sharded_units = match scheme {
-            Scheme::Enmc => Some((self.enmc_unit_params(), self.total_ranks, LogicEnergyModel::enmc_table5())),
-            Scheme::Baseline(kind) => {
-                let units = kind.config().units_per_channel * 8;
-                Some((
-                    *NmpBaseline::new(kind).unit().params(),
-                    units,
-                    LogicEnergyModel::baseline(baseline_total_mw(kind)),
-                ))
-            }
-            Scheme::CpuFull | Scheme::CpuScreened => None,
-        };
-        let Some((params, units, logic_model)) = sharded_units else {
+        let Some(d) = self.deployment(scheme) else {
             let wall = std::time::Instant::now();
             let result = self.run(job, scheme);
             let wall_ns = wall.elapsed().as_secs_f64() * 1e9;
@@ -482,13 +459,13 @@ impl SystemModel {
             };
         };
 
-        let slices = RankSlices::of(job, units);
+        let slices = RankSlices::of(job, d.units);
         let check = cfg.check_protocol;
         let wall = std::time::Instant::now();
         let per_slice: Vec<(UnitReport, f64)> =
             enmc_par::par_map(workers, slices.distinct.clone(), |_, rank_job| {
                 let shard_wall = std::time::Instant::now();
-                let report = RankUnit::new(params).simulate_checked(&rank_job, None, check);
+                let report = RankUnit::new(d.params).simulate_traced(&rank_job, None, check);
                 (report, shard_wall.elapsed().as_secs_f64() * 1e9)
             });
         let wall_ns = wall.elapsed().as_secs_f64() * 1e9;
@@ -496,7 +473,7 @@ impl SystemModel {
         // nothing on the host.
         let shard_wall_ns: f64 = per_slice.iter().map(|(_, ns)| ns).sum();
         let reports: Vec<UnitReport> = per_slice.iter().map(|(r, _)| *r).collect();
-        let run = slices.assemble(scheme, &reports, &self.energy_model, &logic_model);
+        let run = slices.assemble(scheme, &reports, &self.energy_model, &d.logic);
         ShardedRun { workers, wall_ns, shard_wall_ns, ..run }
     }
 
@@ -736,14 +713,14 @@ mod tests {
             candidates: 256,
         };
         let mut tb = TraceBuffer::unbounded();
-        let traced = sys.run_traced(&j, Scheme::Enmc, Some(&mut tb));
+        let traced = sys.run_traced(&j, Scheme::Enmc, Some(&mut tb), false);
         assert!(!tb.is_empty(), "ENMC run must emit trace events");
         // Tracing must not change the answer.
         let plain = sys.run(&j, Scheme::Enmc);
         assert_eq!(plain.ns, traced.ns);
         // Analytic CPU schemes have nothing to trace.
         let mut cpu_tb = TraceBuffer::unbounded();
-        sys.run_traced(&j, Scheme::CpuFull, Some(&mut cpu_tb));
+        sys.run_traced(&j, Scheme::CpuFull, Some(&mut cpu_tb), false);
         assert!(cpu_tb.is_empty());
     }
 
@@ -754,20 +731,38 @@ mod tests {
         let j = small_job();
         assert_eq!(sys.memory().tech, MemTech::Ddr4_2666);
         assert_eq!(sys.run(&j, Scheme::Enmc), explicit.run(&j, Scheme::Enmc));
-        assert_eq!(sys.enmc_unit_params(), UnitParams::enmc(sys.enmc_config()));
+        // Every unit runs on Table 3's DDR4 rank at its 1200 MHz bus clock.
+        let ddr4 = enmc_dram::DramConfig::enmc_single_rank();
+        assert_eq!(sys.enmc_unit_params(), UnitParams::enmc_on(sys.enmc_config(), ddr4, 1200));
+        for kind in BaselineKind::figure13().into_iter().chain([BaselineKind::TensorDimmLarge]) {
+            let deployed = sys.deployment(Scheme::Baseline(kind)).expect("simulated");
+            assert_eq!(deployed.params, UnitParams::nmp_on(&kind.config(), ddr4, 1200), "{kind:?}");
+        }
+    }
+
+    /// ENMC and the three Fig. 13 baselines.
+    fn simulated_schemes() -> impl Iterator<Item = Scheme> {
+        std::iter::once(Scheme::Enmc).chain(BaselineKind::figure13().map(Scheme::Baseline))
     }
 
     #[test]
     fn memory_presets_change_results_but_stay_worker_invariant() {
         let j = small_job();
-        let base = SystemModel::table3().run(&j, Scheme::Enmc);
-        for tech in [MemTech::Ddr5_4800, MemTech::Lpddr4_3200, MemTech::Hbm2] {
-            let sys = SystemModel::table3().with_memory(tech);
-            let r = sys.run(&j, Scheme::Enmc);
-            assert_ne!(r.ns, base.ns, "{tech} must differ from the baseline");
-            let seq = sys.run_sharded(&j, Scheme::Enmc, &enmc_par::SimConfig::sequential());
-            let par = sys.run_sharded(&j, Scheme::Enmc, &enmc_par::SimConfig::with_threads(4));
-            assert_eq!(seq.result, par.result, "{tech} diverges across workers");
+        for scheme in simulated_schemes() {
+            let base = SystemModel::table3().run(&j, scheme);
+            for tech in [MemTech::Ddr5_4800, MemTech::Lpddr4_3200, MemTech::Hbm2] {
+                let sys = SystemModel::table3().with_memory(tech);
+                let r = sys.run(&j, scheme);
+                assert_ne!(r.ns, base.ns, "{scheme:?} on {tech} must differ from the baseline");
+                if tech == MemTech::Hbm2 {
+                    // HBM2's 1 ns clock, not DDR4's 0.833 ns.
+                    let cycles = r.rank_report.expect("simulated").dram_cycles;
+                    assert_eq!(r.ns, cycles as f64, "{scheme:?} on {tech}");
+                }
+                let seq = sys.run_sharded(&j, scheme, &SimConfig::sequential());
+                let par = sys.run_sharded(&j, scheme, &SimConfig::with_threads(4));
+                assert_eq!(seq.result, par.result, "{scheme:?} on {tech} diverges across workers");
+            }
         }
     }
 
@@ -788,12 +783,26 @@ mod tests {
     #[test]
     fn protocol_check_is_clean_under_every_memory_preset() {
         let j = small_job();
-        for tech in MemTech::ALL {
-            let sys = SystemModel::table3().with_memory(tech);
-            let r = sys.run_checked(&j, Scheme::Enmc, None, true);
-            let report = r.rank_report.expect("simulated");
-            assert_eq!(report.protocol_violations, 0, "{tech}");
+        for scheme in simulated_schemes() {
+            for tech in MemTech::ALL {
+                let sys = SystemModel::table3().with_memory(tech);
+                let r = sys.run_traced(&j, scheme, None, true);
+                let report = r.rank_report.expect("simulated");
+                assert_eq!(report.protocol_violations, 0, "{scheme:?} on {tech}");
+            }
         }
+    }
+
+    #[test]
+    fn table4_totals_read_the_synthesis_model_bit_exactly() {
+        let totals = [
+            BaselineKind::Nda,
+            BaselineKind::Chameleon,
+            BaselineKind::TensorDimm,
+            BaselineKind::TensorDimmLarge,
+        ]
+        .map(baseline_total_mw);
+        assert_eq!(totals, [293.6, 249.0, 303.5, 303.5 * 2.5]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! (paper §7.2: "the buffer overflow results in frequent DRAM memory
 //! accesses").
 
-use crate::config::EnmcConfig;
+use crate::config::{EnmcConfig, NmpConfig};
 use enmc_dram::{AddressMapping, DramConfig, DramStats, DramSystem, MemRequest, RequestId};
 use enmc_obs::trace::{
     TraceBuffer, TraceEvent, CAT_PIPELINE, TID_COUNTERS, TID_EXECUTOR, TID_PHASES,
@@ -88,15 +88,8 @@ pub struct UnitParams {
 }
 
 impl UnitParams {
-    /// The ENMC unit of Table 3 on the baseline DDR4 timing domain.
-    pub fn enmc(cfg: &EnmcConfig) -> Self {
-        Self::enmc_on(cfg, DramConfig::enmc_single_rank(), 1200)
-    }
-
-    /// The ENMC unit over an arbitrary single-rank DRAM timing domain
-    /// clocked at `io_mhz` — the memory-technology preset entry point.
-    /// `enmc_on(cfg, DramConfig::enmc_single_rank(), 1200)` is bit-exact
-    /// with [`UnitParams::enmc`].
+    /// The ENMC unit over a single-rank DRAM timing domain clocked at
+    /// `io_mhz` (Table 3: `DramConfig::enmc_single_rank()` at 1200 MHz).
     pub fn enmc_on(cfg: &EnmcConfig, dram: DramConfig, io_mhz: u64) -> Self {
         UnitParams {
             screen_bits: cfg.screen_bits,
@@ -108,6 +101,26 @@ impl UnitParams {
             inline_filter: true,
             serial_phases: false,
             sfu_per_cycle: 4.0,
+            dram,
+        }
+    }
+
+    /// A homogeneous-FP32 NMP baseline unit over a single-rank DRAM
+    /// timing domain clocked at `io_mhz`: its lanes derated by their
+    /// matrix-vector efficiency, screening weights stored at 32 bits, and
+    /// no comparator array (the spill-filter path).
+    pub fn nmp_on(cfg: &NmpConfig, dram: DramConfig, io_mhz: u64) -> Self {
+        let lanes = cfg.fp32_macs as f64 * cfg.mv_efficiency;
+        UnitParams {
+            screen_bits: 32,
+            screen_macs_per_cycle: lanes,
+            fp32_macs_per_cycle: lanes,
+            buffer_bytes: cfg.buffer_bytes,
+            prefetch_depth: 2,
+            clock_ratio: (io_mhz / cfg.freq_mhz).max(1),
+            inline_filter: false,
+            serial_phases: false,
+            sfu_per_cycle: 1.0, // exp via Taylor on the general lanes
             dram,
         }
     }
@@ -312,11 +325,6 @@ impl RankUnit {
         RankUnit { params }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &UnitParams {
-        &self.params
-    }
-
     /// Simulates `job` to completion and reports timing/traffic.
     ///
     /// # Panics
@@ -324,32 +332,24 @@ impl RankUnit {
     /// Panics if `job.candidates_per_item.len() != job.batch` or any
     /// dimension is zero.
     pub fn simulate(&self, job: &RankJob) -> UnitReport {
-        self.simulate_traced(job, None)
+        self.simulate_traced(job, None, false)
     }
 
-    /// [`RankUnit::simulate`] with an optional trace collector.
+    /// [`RankUnit::simulate`] with an optional trace collector and the
+    /// DDR4 protocol conformance checker optionally shadowing the rank's
+    /// DRAM controller.
     ///
     /// When `trace` is `Some`, the run emits pipeline-stage spans
     /// (`screen_tile`, `exec_row`, `compute_filter`, `sfu` on the
     /// [`TID_SCREENER`] / [`TID_EXECUTOR`] / [`TID_SFU`] tracks), phase
     /// summary spans (`screen` / `gather` / `activation` on
     /// [`TID_PHASES`]), and the DRAM controller's per-command events.
-    /// Passing `None` is exactly [`RankUnit::simulate`]: the hot loop pays
-    /// one branch per retired tile/row and nothing else.
+    /// Passing `None` and `false` is exactly [`RankUnit::simulate`]: the
+    /// hot loop pays one branch per retired tile/row and nothing else.
+    /// Checking does not perturb timing; the observed violation count
+    /// lands in [`UnitReport::protocol_violations`] (and, when also
+    /// tracing, each violation becomes a `protocol`-category trace event).
     pub fn simulate_traced(
-        &self,
-        job: &RankJob,
-        trace: Option<&mut TraceBuffer>,
-    ) -> UnitReport {
-        self.simulate_checked(job, trace, false)
-    }
-
-    /// [`RankUnit::simulate_traced`] with the DDR4 protocol conformance
-    /// checker optionally shadowing the rank's DRAM controller. Checking
-    /// does not perturb timing; the observed violation count lands in
-    /// [`UnitReport::protocol_violations`] (and, when also tracing, each
-    /// violation becomes a `protocol`-category trace event).
-    pub fn simulate_checked(
         &self,
         job: &RankJob,
         mut trace: Option<&mut TraceBuffer>,
@@ -688,6 +688,7 @@ impl RankUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::SystemModel;
 
     fn job(l: usize, batch: usize, m: usize) -> RankJob {
         RankJob {
@@ -700,22 +701,13 @@ mod tests {
     }
 
     fn enmc_unit() -> RankUnit {
-        RankUnit::new(UnitParams::enmc(&EnmcConfig::table3()))
+        RankUnit::new(SystemModel::table3().enmc_unit_params())
     }
 
+    /// TensorDIMM on the Table 3 DDR4 timing domain.
     fn baseline_unit() -> RankUnit {
-        RankUnit::new(UnitParams {
-            screen_bits: 32,
-            screen_macs_per_cycle: 16.0 * 0.9,
-            fp32_macs_per_cycle: 16.0 * 0.9,
-            buffer_bytes: 512,
-            prefetch_depth: 2,
-            clock_ratio: 3,
-            inline_filter: false,
-            serial_phases: false,
-            sfu_per_cycle: 1.0,
-            dram: DramConfig::enmc_single_rank(),
-        })
+        let ddr4 = DramConfig::enmc_single_rank();
+        RankUnit::new(UnitParams::nmp_on(&NmpConfig::tensordimm(), ddr4, 1200))
     }
 
     #[test]
@@ -834,7 +826,7 @@ mod tests {
         let unit = enmc_unit();
         let plain = unit.simulate(&j);
         let mut tb = TraceBuffer::unbounded();
-        let traced = unit.simulate_traced(&j, Some(&mut tb));
+        let traced = unit.simulate_traced(&j, Some(&mut tb), false);
         // Tracing must not perturb timing.
         assert_eq!(plain.dram_cycles, traced.dram_cycles);
         assert_eq!(plain.dram, traced.dram);
@@ -852,7 +844,7 @@ mod tests {
     #[test]
     fn traced_run_samples_busy_lanes() {
         let mut tb = TraceBuffer::unbounded();
-        enmc_unit().simulate_traced(&job(1024, 1, 16), Some(&mut tb));
+        enmc_unit().simulate_traced(&job(1024, 1, 16), Some(&mut tb), false);
         let samples: Vec<u64> = tb
             .iter()
             .filter(|e| e.name == "busy_lanes")
@@ -866,7 +858,7 @@ mod tests {
     #[test]
     fn baseline_trace_includes_compute_filter() {
         let mut tb = TraceBuffer::unbounded();
-        baseline_unit().simulate_traced(&job(2048, 1, 8), Some(&mut tb));
+        baseline_unit().simulate_traced(&job(2048, 1, 8), Some(&mut tb), false);
         assert!(tb.iter().any(|e| e.name == "compute_filter"));
     }
 
@@ -875,13 +867,13 @@ mod tests {
         let j = job(1024, 1, 16);
         let unit = enmc_unit();
         let plain = unit.simulate(&j);
-        let checked = unit.simulate_checked(&j, None, true);
+        let checked = unit.simulate_traced(&j, None, true);
         assert_eq!(checked.protocol_violations, 0, "controller violated DDR4 timing");
         // Checking must not perturb the simulation.
         assert_eq!(plain.dram_cycles, checked.dram_cycles);
         assert_eq!(plain.dram, checked.dram);
         // The baseline engine's spill path must conform too.
-        let b = baseline_unit().simulate_checked(&job(2048, 1, 8), None, true);
+        let b = baseline_unit().simulate_traced(&job(2048, 1, 8), None, true);
         assert_eq!(b.protocol_violations, 0);
     }
 

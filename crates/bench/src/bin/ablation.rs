@@ -8,7 +8,7 @@
 //! * INT4 MAC array width
 
 use enmc::cli::{Command, THREADS};
-use enmc_arch::config::EnmcConfig;
+use enmc_arch::system::SystemModel;
 use enmc_arch::unit::{RankJob, RankUnit, UnitParams};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
@@ -35,7 +35,7 @@ const CMD: Command = Command::standalone("ablation", &[&[THREADS, JSON]]);
 fn main() {
     let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
     let mut rep = Reporter::from_env(&a);
-    let base = UnitParams::enmc(&EnmcConfig::table3());
+    let base = SystemModel::table3().enmc_unit_params();
     let base_ns = run(base);
     println!("ENMC design-choice ablations (one rank, Transformer-like slice, batch 2)\n");
     let mut t = Table::new(&["variant", "latency (us)", "slowdown vs ENMC"]);

@@ -55,7 +55,7 @@ pub fn parse<T>(cmd: &'static Command, read: impl FnOnce(&Args) -> Result<T, Str
     })
 }
 
-/// Maps `f` over `items` under the bench execution policy. Results keep
+/// Maps `f` over `items` on `cfg`'s workers. Results keep
 /// the input order, so a parallel harness run prints exactly the
 /// sequential output — `--threads` only changes wall-clock time.
 pub fn par_rows<T, U, F>(cfg: &SimConfig, items: Vec<T>, f: F) -> Vec<U>

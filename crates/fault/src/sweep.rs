@@ -28,8 +28,7 @@
 use crate::ecc::{ECC_MW, ECC_NJ_PER_BURST, ECC_NS_PER_BURST};
 use crate::inject::{corrupt_matrix, corrupt_screener, InjectionStats, WEIGHTS_BASE_ADDR};
 use crate::model::FaultModel;
-use enmc_arch::energy::LogicEnergyModel;
-use enmc_arch::system::{ClassificationJob, SystemModel};
+use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_dram::energy::EnergyModel;
 use enmc_model::quality::{QualityAccumulator, QualityReport};
 use enmc_model::synth::SyntheticClassifier;
@@ -358,6 +357,8 @@ pub fn run_resilience_sweep(
     cost: &mut CostModel,
 ) -> Result<Vec<SweepPoint>, SweepError> {
     let mut points = run_sweep(synth, classifier, spec, workers)?;
+    let enmc = system.deployment(Scheme::Enmc).expect("ENMC deploys rank units");
+    let ranks = enmc.units as f64;
     for point in &mut points {
         // Start from the system's own per-rank energy model (the memory
         // preset's nominal coefficients), with any prior refresh/ECC
@@ -368,10 +369,8 @@ pub fn run_resilience_sweep(
             ..*system.energy_model()
         }
         .with_refresh_multiplier(point.refresh_multiplier);
-        let mut logic = LogicEnergyModel::enmc_table5();
         if spec.ecc {
             dram = dram.with_ecc_surcharge(ECC_NJ_PER_BURST);
-            logic = logic.with_ecc(ECC_MW);
         }
         let sys = system.clone().with_energy_model(dram);
         let context = format!(
@@ -381,7 +380,6 @@ pub fn run_resilience_sweep(
         let result = cost.run_enmc(&sys, job, &context)?;
         let report = result.rank_report.as_ref().expect("ENMC runs are simulated");
         let energy = result.energy.expect("ENMC runs carry energy");
-        let ranks = sys.total_ranks as f64;
         point.refresh_energy_nj = dram.refresh_energy_nj(report.dram.refreshes) * ranks;
         point.ecc_energy_nj = if spec.ecc {
             (report.dram.reads + report.dram.writes) as f64 * ECC_NJ_PER_BURST * ranks
@@ -393,7 +391,7 @@ pub fn run_resilience_sweep(
         // Logic-side ECC power: charge it explicitly on top of the scheme's
         // Table 5 logic model (which the system applies internally).
         let ecc_logic_nj = if spec.ecc {
-            ECC_MW * report.dram_cycles as f64 * logic.tck_ps * 1e-12 * 1e-3 * 1e9 * ranks
+            ECC_MW * report.dram_cycles as f64 * enmc.logic.tck_ps * 1e-12 * 1e-3 * 1e9 * ranks
         } else {
             0.0
         };

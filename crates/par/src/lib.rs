@@ -14,52 +14,25 @@
 //! keeping it dependency-free means the determinism argument rests on
 //! ~100 lines of auditable code.
 
-use std::num::NonZeroUsize;
 use std::sync::mpsc;
 use std::sync::Mutex;
-
-/// How a simulation phase should be executed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ParallelPolicy {
-    /// Run every shard on the calling thread, in shard order.
-    #[default]
-    Sequential,
-    /// Run shards on exactly this many worker threads.
-    Threads(NonZeroUsize),
-}
-
-impl ParallelPolicy {
-    /// Builds a policy from an explicit thread count: `0` or `1` mean
-    /// sequential, anything larger a pool of that many workers.
-    pub fn threads(n: usize) -> Self {
-        match NonZeroUsize::new(n) {
-            Some(n) if n.get() > 1 => ParallelPolicy::Threads(n),
-            _ => ParallelPolicy::Sequential,
-        }
-    }
-
-    /// Resolves the policy to a concrete worker count (`1` = sequential).
-    pub fn worker_count(self) -> usize {
-        match self {
-            ParallelPolicy::Sequential => 1,
-            ParallelPolicy::Threads(n) => n.get(),
-        }
-    }
-}
 
 /// Reads `ENMC_THREADS`; `None` when unset, empty, or unparsable.
 pub fn env_threads() -> Option<usize> {
     std::env::var("ENMC_THREADS").ok().and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
 }
 
-/// Simulation-wide execution configuration.
+/// Simulation-wide execution configuration: how many workers run every
+/// parallelizable phase, and whether the protocol checker shadows each
+/// DRAM channel.
 ///
 /// Carried alongside the workload descriptors so every layer — DRAM
-/// system, rank units, pipeline — shards with the same policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// system, rank units, pipeline — shards with the same worker count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Execution policy for every parallelizable phase.
-    pub policy: ParallelPolicy,
+    /// Worker threads (at least 1; 1 runs every shard on the calling
+    /// thread, in shard order).
+    workers: usize,
     /// Attach the DDR4 protocol conformance checker to every DRAM channel
     /// (off by default: the release path pays nothing).
     pub check_protocol: bool,
@@ -68,12 +41,12 @@ pub struct SimConfig {
 impl SimConfig {
     /// Sequential execution (the default).
     pub fn sequential() -> Self {
-        SimConfig { policy: ParallelPolicy::Sequential, check_protocol: false }
+        SimConfig::with_threads(1)
     }
 
     /// Execution on `n` worker threads (`0`/`1` collapse to sequential).
     pub fn with_threads(n: usize) -> Self {
-        SimConfig { policy: ParallelPolicy::threads(n), check_protocol: false }
+        SimConfig { workers: n.max(1), check_protocol: false }
     }
 
     /// The same configuration with protocol checking turned on.
@@ -84,21 +57,15 @@ impl SimConfig {
 
     /// Resolved worker count for this configuration.
     pub fn worker_count(&self) -> usize {
-        self.policy.worker_count()
+        self.workers
     }
 
-    /// Resolves the shared "`--threads` flag beats `ENMC_THREADS` beats
-    /// sequential" convention every CLI entry point follows.
-    ///
-    /// `flag` is the parsed `--threads` value when the user passed one.
-    /// With neither the flag nor the environment variable set, execution
-    /// is sequential, so defaults stay deterministic and
-    /// machine-independent.
-    pub fn resolve(flag: Option<usize>, check_protocol: bool) -> Self {
-        let cfg = match flag.or_else(env_threads) {
-            Some(n) => SimConfig::with_threads(n),
-            None => SimConfig::sequential(),
-        };
+    /// The configuration a CLI entry point runs with: `threads` workers
+    /// when the user asked for a count (`--threads`, else
+    /// [`env_threads`], as `Args::threads` reads them), else sequential,
+    /// so defaults stay deterministic and machine-independent.
+    pub fn resolve(threads: Option<usize>, check_protocol: bool) -> Self {
+        let cfg = threads.map_or_else(SimConfig::sequential, SimConfig::with_threads);
         if check_protocol {
             cfg.with_protocol_check()
         } else {
@@ -239,31 +206,20 @@ mod tests {
     }
 
     #[test]
-    fn policy_resolution() {
-        assert_eq!(ParallelPolicy::Sequential.worker_count(), 1);
-        assert_eq!(ParallelPolicy::threads(0), ParallelPolicy::Sequential);
-        assert_eq!(ParallelPolicy::threads(1), ParallelPolicy::Sequential);
-        assert_eq!(ParallelPolicy::threads(4).worker_count(), 4);
+    fn worker_counts_collapse_to_at_least_one() {
         assert_eq!(SimConfig::sequential().worker_count(), 1);
+        assert_eq!(SimConfig::with_threads(0), SimConfig::sequential());
+        assert_eq!(SimConfig::with_threads(1), SimConfig::sequential());
         assert_eq!(SimConfig::with_threads(6).worker_count(), 6);
     }
 
     #[test]
-    fn resolve_prefers_flag_over_environment() {
-        // Explicit flag always wins, protocol toggle carries through.
+    fn resolve_takes_the_given_count_and_protocol_switch() {
         let cfg = SimConfig::resolve(Some(6), true);
         assert_eq!(cfg.worker_count(), 6);
         assert!(cfg.check_protocol);
-        let cfg = SimConfig::resolve(Some(1), false);
-        assert_eq!(cfg.policy, ParallelPolicy::Sequential);
-        assert!(!cfg.check_protocol);
-        // Without a flag the result is either sequential or the
-        // ENMC_THREADS count, depending on the ambient environment (env
-        // mutation in tests would race other threads).
-        let cfg = SimConfig::resolve(None, false);
-        match env_threads() {
-            Some(n) if n > 1 => assert_eq!(cfg.worker_count(), n),
-            _ => assert_eq!(cfg.policy, ParallelPolicy::Sequential),
-        }
+        assert_eq!(SimConfig::resolve(Some(1), false), SimConfig::sequential());
+        assert_eq!(SimConfig::resolve(None, false), SimConfig::sequential());
+        assert_eq!(SimConfig::resolve(None, true), SimConfig::sequential().with_protocol_check());
     }
 }

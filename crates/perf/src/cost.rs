@@ -262,8 +262,7 @@ fn energy_tree(
     let always_on_mw = logic_model.compute_buffer_mw
         + logic_model.control_buffer_mw
         + logic_model.controller_mw
-        + logic_model.dram_ctrl_mw
-        + logic_model.ecc_mw;
+        + logic_model.dram_ctrl_mw;
     let sfu_cycles_all = merged.sfu_cycles * n as u64;
 
     CostNode::branch(

@@ -645,10 +645,10 @@ fn solve_ridge(rows: &[[f64; N_FEATURES]], y: &[f64], active: &[bool; N_FEATURES
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enmc_arch::config::EnmcConfig;
+    use enmc_arch::SystemModel;
 
     fn params() -> UnitParams {
-        UnitParams::enmc(&EnmcConfig::table3())
+        SystemModel::table3().enmc_unit_params()
     }
 
     fn rank_job(b: usize, c: usize) -> RankJob {

@@ -26,10 +26,10 @@
 pub mod fit;
 
 use enmc_arch::system::{
-    ClassificationJob, RankSlices, Scheme, SchemeResult, ShardedRun, CHANNELS,
+    ClassificationJob, Deployment, RankSlices, Scheme, SchemeResult, ShardedRun, CHANNELS,
 };
 use enmc_arch::unit::UnitReport;
-use enmc_arch::{LogicEnergyModel, SystemEnergy, SystemModel};
+use enmc_arch::{SystemEnergy, SystemModel};
 use enmc_dram::DramStats;
 use enmc_obs::json;
 use enmc_obs::record;
@@ -221,10 +221,10 @@ impl CostModel {
         let CostBackend::Surrogate { audit_rate } = self.backend else {
             return Ok(sys.run(job, Scheme::Enmc));
         };
-        let ranks = sys.total_ranks;
-        let rank_job = job.rank_slice(ranks);
+        let enmc = sys.deployment(Scheme::Enmc).expect("ENMC deploys rank units");
+        let rank_job = job.rank_slice(enmc.units);
         let (report, window) = {
-            let fit = self.fit_for(sys, job);
+            let fit = self.fit_for(&enmc, job);
             (fit.predict(&rank_job), fit.refresh_window())
         };
         self.stats.predicted += 1;
@@ -234,12 +234,7 @@ impl CostModel {
             self.stats.audited += 1;
             self.check(context, &report, &[], actual_report, &[], sys, window)?;
         }
-        let energy = SystemEnergy::from_rank(
-            &report,
-            ranks,
-            sys.energy_model(),
-            &LogicEnergyModel::enmc_table5(),
-        );
+        let energy = SystemEnergy::from_rank(&report, enmc.units, sys.energy_model(), &enmc.logic);
         Ok(SchemeResult { scheme: Scheme::Enmc, ns: report.ns, energy: Some(energy), rank_report: Some(report) })
     }
 
@@ -264,14 +259,14 @@ impl CostModel {
         let CostBackend::Surrogate { audit_rate } = self.backend else {
             return Ok(sys.run_sharded(job, Scheme::Enmc, cfg));
         };
-        let slices = RankSlices::of(job, sys.total_ranks);
+        let enmc = sys.deployment(Scheme::Enmc).expect("ENMC deploys rank units");
+        let slices = RankSlices::of(job, enmc.units);
         let (reports, window) = {
-            let fit = self.fit_for(sys, job);
+            let fit = self.fit_for(&enmc, job);
             let reports: Vec<UnitReport> = slices.distinct.iter().map(|j| fit.predict(j)).collect();
             (reports, fit.refresh_window())
         };
-        let logic = LogicEnergyModel::enmc_table5();
-        let run = slices.assemble(Scheme::Enmc, &reports, sys.energy_model(), &logic);
+        let run = slices.assemble(Scheme::Enmc, &reports, sys.energy_model(), &enmc.logic);
         self.stats.predicted += 1;
         if self.draw(audit_rate) {
             let actual = sys.run_sharded(job, Scheme::Enmc, cfg);
@@ -295,9 +290,8 @@ impl CostModel {
     /// The fitted shape for `job`, fitting on demand (and refitting when
     /// a query exceeds the anchored envelope so predictions interpolate
     /// rather than extrapolate far).
-    fn fit_for(&mut self, sys: &SystemModel, job: &ClassificationJob) -> &ShapeFit {
-        let ranks = sys.total_ranks;
-        let rank_job = job.rank_slice(ranks);
+    fn fit_for(&mut self, enmc: &Deployment, job: &ClassificationJob) -> &ShapeFit {
+        let rank_job = job.rank_slice(enmc.units);
         let key = (rank_job.categories, rank_job.hidden, rank_job.reduced);
         let cand = rank_job.candidates_per_item.first().copied().unwrap_or(1).max(1);
         let needs_fit = match self.fits.get(&key) {
@@ -308,7 +302,7 @@ impl CostModel {
             let batch_hi = job.batch.max(8);
             let cand_hi = cand;
             let fit = ShapeFit::fit(
-                &sys.enmc_unit_params(),
+                &enmc.params,
                 rank_job.categories,
                 rank_job.hidden,
                 rank_job.reduced,
@@ -353,7 +347,7 @@ impl CostModel {
         sys: &SystemModel,
         window: f64,
     ) -> Result<(), SurrogateViolation> {
-        let logic = LogicEnergyModel::enmc_table5();
+        let logic = sys.logic_energy_model(Scheme::Enmc).expect("ENMC draws logic power");
         let pred_attr =
             enmc_perf::attribute(predicted, predicted_shards, CHANNELS, sys.energy_model(), &logic);
         let act_attr =
@@ -690,7 +684,7 @@ mod tests {
         // Every rank predicted on its own and merged rank by rank.
         let fit = cost.fits.values().next().expect("the run fitted its shape");
         let reports: Vec<UnitReport> = job.rank_jobs(ranks).iter().map(|j| fit.predict(j)).collect();
-        let logic = LogicEnergyModel::enmc_table5();
+        let logic = sys.logic_energy_model(Scheme::Enmc).expect("ENMC draws logic power");
         let mut energy = SystemEnergy::default();
         for r in &reports {
             let e = SystemEnergy::from_rank(r, 1, sys.energy_model(), &logic);

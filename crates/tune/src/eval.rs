@@ -62,7 +62,6 @@ pub fn configure_system(base: &SystemModel, d: &DesignPoint) -> SystemModel {
     let cfg = EnmcConfig {
         int4_macs: d.lanes,
         screen_bits: d.screen_bits,
-        filter_width: d.lanes,
         ..*base.enmc_config()
     };
     let mut sys = base

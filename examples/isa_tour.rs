@@ -6,8 +6,8 @@
 //! cargo run --release --example isa_tour
 //! ```
 
-use enmc::arch::config::EnmcConfig;
-use enmc::arch::unit::{RankJob, RankUnit, UnitParams};
+use enmc::arch::system::SystemModel;
+use enmc::arch::unit::{RankJob, RankUnit};
 use enmc::compiler::{lower_screening, MemoryLayout, TaskDescriptor};
 use enmc::isa::asm::disassemble;
 use enmc::isa::Instruction;
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Simulate the rank-unit executing this job (screening + ~2% exact
     // candidates), against the cycle-level DRAM model.
-    let unit = RankUnit::new(UnitParams::enmc(&EnmcConfig::table3()));
+    let unit = RankUnit::new(SystemModel::table3().enmc_unit_params());
     let job = RankJob {
         categories: task.categories,
         hidden: task.hidden,

@@ -19,7 +19,7 @@
 //! | [`arch`] | `enmc-arch` | ENMC / NDA / Chameleon / TensorDIMM / CPU models |
 //! | [`obs`] | `enmc-obs` | event tracing, metrics registry, structured run reports |
 //! | [`perf`] | `enmc-perf` | cost attribution, self-profiler, bench-trajectory diffing |
-//! | [`par`] | `enmc-par` | deterministic worker pool + execution policies |
+//! | [`par`] | `enmc-par` | deterministic worker pool + run configuration |
 //! | [`serve`] | `enmc-serve` | serving pieces: arrivals, service-time calibration, degrade tiers |
 //! | [`fault`] | `enmc-fault` | approximate-DRAM error models, SEC-DED ECC, resilience sweeps |
 //! | [`surrogate`] | `enmc-surrogate` | hybrid-fidelity cost model with randomized cycle-accurate audits |

@@ -157,16 +157,12 @@ fn cmd_simulate(a: &Args) -> Result<i32, Fail> {
         Some(n) => {
             // Whole-system run: every rank unit simulated, sharded over n
             // workers. Bit-identical to n = 1 by construction.
-            let mut sim_cfg = SimConfig::with_threads(n);
-            if check_protocol {
-                sim_cfg = sim_cfg.with_protocol_check();
-            }
-            let run = sys.run_sharded(&job, scheme, &sim_cfg);
+            let run = sys.run_sharded(&job, scheme, &SimConfig::resolve(Some(n), check_protocol));
             let report = report_from_sharded("simulate", workload.abbr, &job, &sys, &run);
             (run.result, report)
         }
         None => {
-            let result = sys.run_checked(&job, scheme, trace.as_mut(), check_protocol);
+            let result = sys.run_traced(&job, scheme, trace.as_mut(), check_protocol);
             let sim_wall_ns = sw.elapsed_ns();
             let report = report_from_result("simulate", workload.abbr, &job, &result, sim_wall_ns);
             (result, report)
@@ -944,7 +940,7 @@ fn cmd_profile(a: &Args) -> Result<i32, Fail> {
         // (queue depth, open rows, busy lanes) the sharded run cannot.
         prof.begin("trace");
         let mut tb = TraceBuffer::unbounded();
-        sys.run_traced(&job, scheme, Some(&mut tb));
+        sys.run_traced(&job, scheme, Some(&mut tb), false);
         let chrome = export_chrome(&tb.drain(), sys.memory().ns_per_cycle());
         prof.end("trace");
         write_file(path, "trace", &chrome)?;

@@ -140,7 +140,7 @@ impl Pipeline {
         self.evaluate_quality_with(n, &SimConfig::sequential())
     }
 
-    /// [`Pipeline::evaluate_quality`] with an explicit execution policy.
+    /// [`Pipeline::evaluate_quality`] on `cfg`'s worker count.
     ///
     /// The query stream is decomposed into [`QUALITY_SHARDS`] fixed shards
     /// regardless of worker count, each shard accumulated independently and

@@ -4,8 +4,8 @@
 //! cycle totals must all stay stable; an intentional change to any of
 //! them is re-blessed with `ENMC_BLESS=1 cargo test --test golden_trace`.
 
-use enmc::arch::config::EnmcConfig;
-use enmc::arch::unit::{RankJob, RankUnit, UnitParams, UnitReport};
+use enmc::arch::system::SystemModel;
+use enmc::arch::unit::{RankJob, RankUnit, UnitReport};
 use enmc::dram::DramConfig;
 use enmc::obs::trace::{export_chrome, validate_chrome, TID_PHASES};
 use enmc::obs::{TraceBuffer, Value};
@@ -29,9 +29,9 @@ fn golden_job() -> RankJob {
 /// Re-simulates the golden job and exports its trace exactly as the CLI
 /// would (unbounded buffer, DDR4-2400 cycle-to-ns conversion).
 fn current_trace() -> (UnitReport, String) {
-    let unit = RankUnit::new(UnitParams::enmc(&EnmcConfig::table3()));
+    let unit = RankUnit::new(SystemModel::table3().enmc_unit_params());
     let mut trace = TraceBuffer::unbounded();
-    let report = unit.simulate_traced(&golden_job(), Some(&mut trace));
+    let report = unit.simulate_traced(&golden_job(), Some(&mut trace), false);
     let ns_per_cycle = DramConfig::enmc_single_rank().timing.cycles_to_ns(1);
     let chrome = export_chrome(&trace.drain(), ns_per_cycle);
     (report, chrome)

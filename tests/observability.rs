@@ -3,9 +3,8 @@
 //! pipeline spans, and the structured run report must round-trip through
 //! JSON with phase cycles that tile the headline latency exactly.
 
-use enmc::arch::config::EnmcConfig;
 use enmc::arch::system::{ClassificationJob, Scheme, SystemModel};
-use enmc::arch::unit::{RankJob, RankUnit, UnitParams};
+use enmc::arch::unit::{RankJob, RankUnit};
 use enmc::dram::DramConfig;
 use enmc::obs::report::RunReport;
 use enmc::obs::trace::{export_chrome, validate_chrome};
@@ -24,9 +23,9 @@ fn small_job() -> RankJob {
 
 #[test]
 fn traced_simulation_exports_a_valid_chrome_trace() {
-    let unit = RankUnit::new(UnitParams::enmc(&EnmcConfig::table3()));
+    let unit = RankUnit::new(SystemModel::table3().enmc_unit_params());
     let mut trace = TraceBuffer::unbounded();
-    let report = unit.simulate_traced(&small_job(), Some(&mut trace));
+    let report = unit.simulate_traced(&small_job(), Some(&mut trace), false);
     assert!(report.dram_cycles > 0);
 
     let ns_per_cycle = DramConfig::enmc_single_rank().timing.cycles_to_ns(1);

@@ -1,8 +1,8 @@
 //! Consistency properties of the timing simulators: monotonicity and
 //! conservation laws that any sane performance model must satisfy.
 
-use enmc::arch::config::EnmcConfig;
-use enmc::arch::unit::{RankJob, RankUnit, UnitParams};
+use enmc::arch::system::SystemModel;
+use enmc::arch::unit::{RankJob, RankUnit};
 use enmc::dram::fuzz::{self, PatternKind};
 use enmc::dram::golden::audit_channel;
 use enmc::dram::{AddressMapping, DramConfig, DramSystem, MemRequest};
@@ -19,7 +19,7 @@ fn job(l: usize, batch: usize, m: usize) -> RankJob {
 }
 
 fn enmc() -> RankUnit {
-    RankUnit::new(UnitParams::enmc(&EnmcConfig::table3()))
+    RankUnit::new(SystemModel::table3().enmc_unit_params())
 }
 
 proptest! {
