@@ -91,19 +91,17 @@ pub struct SystemEnergy {
 }
 
 impl SystemEnergy {
-    /// Assembles the breakdown for `ranks` symmetric rank-units, each
-    /// having produced `per_rank` activity.
+    /// The breakdown of one rank-unit's run.
     pub fn from_rank(
-        per_rank: &UnitReport,
-        ranks: usize,
+        rank: &UnitReport,
         dram_model: &EnergyModel,
         logic_model: &LogicEnergyModel,
     ) -> Self {
-        let dram: EnergyBreakdown = dram_model.breakdown(&per_rank.dram);
+        let dram: EnergyBreakdown = dram_model.breakdown(&rank.dram);
         SystemEnergy {
-            dram_static_nj: dram.static_nj * ranks as f64,
-            dram_access_nj: dram.access_nj * ranks as f64,
-            logic_nj: logic_model.logic_nj(per_rank) * ranks as f64,
+            dram_static_nj: dram.static_nj,
+            dram_access_nj: dram.access_nj,
+            logic_nj: logic_model.logic_nj(rank),
         }
     }
 
@@ -145,16 +143,6 @@ mod tests {
         let r = report(1000, 0);
         let nj = m.logic_nj(&r);
         assert!((100.0..300.0).contains(&nj), "{nj} nJ");
-    }
-
-    #[test]
-    fn system_energy_scales_with_ranks() {
-        let m = LogicEnergyModel::enmc_table5();
-        let dm = EnergyModel::ddr4_2400_rank(1);
-        let r = report(1000, 100);
-        let one = SystemEnergy::from_rank(&r, 1, &dm, &m);
-        let many = SystemEnergy::from_rank(&r, 64, &dm, &m);
-        assert!((many.total_nj() - 64.0 * one.total_nj()).abs() < 1e-6 * many.total_nj());
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! ranks of ENMC DIMMs (Table 3), or over the CPU / NMP baselines.
 //!
 //! The classifier is partitioned row-wise across a scheme's rank-units;
-//! every unit screens its slice and computes the candidates that fall in
-//! it. Rank-units are symmetric and independent (each has its own DRAM
-//! timing domain), so system latency is one representative rank's latency
-//! — the candidate load is spread uniformly by the partitioning.
+//! every unit screens its exact slice ([`ClassificationJob::rank_jobs`])
+//! and computes the candidates that fall in it. Rank-units are independent
+//! (each has its own DRAM timing domain), so system latency is the
+//! straggler rank's latency and system energy sums every rank's own.
 //!
 //! [`SystemModel::deployment`] is the one place that decides what a
 //! simulated scheme deploys: ENMC's and every NMP baseline's rank units
@@ -67,26 +67,12 @@ impl ClassificationJob {
         ClassificationJob { batch: batch.max(1), candidates: candidates.max(1), ..*self }
     }
 
-    /// The slice of this job one of `ranks` symmetric units executes.
-    pub fn rank_slice(&self, ranks: usize) -> RankJob {
-        RankJob {
-            categories: self.categories.div_ceil(ranks).max(1),
-            hidden: self.hidden,
-            reduced: self.reduced,
-            batch: self.batch,
-            candidates_per_item: vec![self.candidates.div_ceil(ranks); self.batch],
-        }
-    }
-
     /// The exact per-rank slices of this job across `ranks` symmetric
     /// units: every category and every candidate lands in exactly one
-    /// slice (earlier ranks absorb the remainders).
-    ///
-    /// Unlike [`ClassificationJob::rank_slice`] — which rounds the load up
-    /// to a representative worst-rank slice — the returned jobs partition
-    /// the work with no duplication, so simulating all of them yields the
-    /// whole system's traffic. When the job has fewer categories than
-    /// ranks, only `categories` non-empty slices are returned.
+    /// slice (earlier ranks absorb the remainders), so simulating all of
+    /// them yields the whole system's traffic. When the job has fewer
+    /// categories than ranks, only `categories` non-empty slices are
+    /// returned.
     pub fn rank_jobs(&self, ranks: usize) -> Vec<RankJob> {
         let cat_ranges = enmc_par::shard_ranges(self.categories, ranks);
         let cand_ranges = enmc_par::shard_ranges(self.candidates, cat_ranges.len().max(1));
@@ -129,7 +115,8 @@ pub struct SchemeResult {
     pub ns: f64,
     /// Energy breakdown (absent for the analytic CPU model).
     pub energy: Option<SystemEnergy>,
-    /// Per-rank simulation report (absent for the CPU).
+    /// Every rank unit's report merged in rank order
+    /// ([`UnitReport::merge_parallel`]; absent for the CPU).
     pub rank_report: Option<UnitReport>,
 }
 
@@ -239,7 +226,7 @@ impl RankSlices {
         let merged = UnitReport::merge_parallel(&per_rank);
         // Every rank's own activity and always-on window, summed exactly.
         let slice_energy: Vec<SystemEnergy> =
-            reports.iter().map(|r| SystemEnergy::from_rank(r, 1, dram_model, logic_model)).collect();
+            reports.iter().map(|r| SystemEnergy::from_rank(r, dram_model, logic_model)).collect();
         let mut energy = SystemEnergy::default();
         for &i in &self.slot {
             let e = &slice_energy[i];
@@ -392,23 +379,38 @@ impl SystemModel {
         self.deployment(scheme).map(|d| d.logic)
     }
 
-    /// Runs `job` under `scheme`.
+    /// Runs `job` under `scheme` on one worker:
+    /// [`SystemModel::run_sharded`]'s result.
     pub fn run(&self, job: &ClassificationJob, scheme: Scheme) -> SchemeResult {
-        self.run_traced(job, scheme, None, false)
+        self.run_sharded(job, scheme, &SimConfig::sequential()).result
     }
 
-    /// [`SystemModel::run`] with an optional trace collector and the DDR4
-    /// protocol conformance checker optionally attached to the simulated
-    /// rank's DRAM controller. One representative rank-unit is traced and
-    /// checked (they are symmetric); the analytic CPU schemes emit nothing
-    /// and have no DRAM to check.
+    /// [`SystemModel::run_traced`] with no trace collector.
+    pub fn run_sharded(&self, job: &ClassificationJob, scheme: Scheme, cfg: &SimConfig) -> ShardedRun {
+        self.run_traced(job, scheme, cfg, None)
+    }
+
+    /// Runs `job` with every rank-unit simulated on its exact job slice,
+    /// the slices executed on the worker pool `cfg` requests, with the
+    /// DDR4 protocol conformance checker on every rank's DRAM controller
+    /// when `cfg` asks for it.
+    ///
+    /// The shard decomposition is fixed by the workload
+    /// ([`ClassificationJob::rank_jobs`]) and the reports merge in rank
+    /// order ([`RankSlices::assemble`]), so the result is bit-identical
+    /// for any worker count — threads only change the wall-clock time
+    /// recorded in the returned [`ShardedRun`]. `trace` collects rank 0's
+    /// slice, the one that takes the remainders; tracing changes no
+    /// field of the result. Analytic CPU schemes have nothing to shard or
+    /// trace and run as a single unit of work.
     pub fn run_traced(
         &self,
         job: &ClassificationJob,
         scheme: Scheme,
+        cfg: &SimConfig,
         trace: Option<&mut TraceBuffer>,
-        check_protocol: bool,
-    ) -> SchemeResult {
+    ) -> ShardedRun {
+        let wall = std::time::Instant::now();
         let Some(d) = self.deployment(scheme) else {
             let ns = match scheme {
                 Scheme::CpuScreened => self.cpu.screened_classification_ns(
@@ -422,35 +424,9 @@ impl SystemModel {
                 // `CpuFull`, the only other scheme without rank units.
                 _ => self.cpu.full_classification_ns(job.categories, job.hidden, job.batch),
             };
-            return SchemeResult { scheme, ns, energy: None, rank_report: None };
-        };
-        let unit = RankUnit::new(d.params);
-        let report = unit.simulate_traced(&job.rank_slice(d.units), trace, check_protocol);
-        // Energy scales with the number of units actually deployed
-        // (TensorDIMM-Large doubles them).
-        let energy = SystemEnergy::from_rank(&report, d.units, &self.energy_model, &d.logic);
-        SchemeResult { scheme, ns: report.ns, energy: Some(energy), rank_report: Some(report) }
-    }
-
-    /// Runs `job` with **every** rank-unit simulated on its exact job
-    /// slice (no representative-rank shortcut), the slices executed on
-    /// the worker pool `cfg` requests.
-    ///
-    /// The shard decomposition is fixed by the workload
-    /// ([`ClassificationJob::rank_jobs`]) and the reports merge in rank
-    /// order ([`UnitReport::merge_parallel`]), so the result is
-    /// bit-identical for any worker count — threads only change the
-    /// wall-clock time recorded in the returned [`ShardedRun`]. Analytic
-    /// CPU schemes have nothing to shard and run as a single unit of
-    /// work.
-    pub fn run_sharded(&self, job: &ClassificationJob, scheme: Scheme, cfg: &SimConfig) -> ShardedRun {
-        let workers = cfg.worker_count();
-        let Some(d) = self.deployment(scheme) else {
-            let wall = std::time::Instant::now();
-            let result = self.run(job, scheme);
             let wall_ns = wall.elapsed().as_secs_f64() * 1e9;
             return ShardedRun {
-                result,
+                result: SchemeResult { scheme, ns, energy: None, rank_report: None },
                 workers: 1,
                 shards: 1,
                 wall_ns,
@@ -459,13 +435,16 @@ impl SystemModel {
             };
         };
 
+        let workers = cfg.worker_count();
         let slices = RankSlices::of(job, d.units);
         let check = cfg.check_protocol;
-        let wall = std::time::Instant::now();
+        // Only slice 0 takes the collector out; the lock is never contended.
+        let trace = std::sync::Mutex::new(trace);
         let per_slice: Vec<(UnitReport, f64)> =
-            enmc_par::par_map(workers, slices.distinct.clone(), |_, rank_job| {
+            enmc_par::par_map(workers, slices.distinct.clone(), |i, rank_job| {
                 let shard_wall = std::time::Instant::now();
-                let report = RankUnit::new(d.params).simulate_traced(&rank_job, None, check);
+                let tb = if i == 0 { trace.lock().expect("trace lock").take() } else { None };
+                let report = RankUnit::new(d.params).simulate_traced(&rank_job, tb, check);
                 (report, shard_wall.elapsed().as_secs_f64() * 1e9)
             });
         let wall_ns = wall.elapsed().as_secs_f64() * 1e9;
@@ -521,14 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_slice_partitions_evenly() {
-        let j = job();
-        let slice = j.rank_slice(64);
-        assert_eq!(slice.categories, 4096);
-        assert_eq!(slice.candidates_per_item, vec![205]);
-    }
-
-    #[test]
     fn rank_jobs_partition_exactly() {
         let j = job();
         for ranks in [1usize, 7, 64] {
@@ -558,11 +529,11 @@ mod tests {
     fn sharded_run_is_bit_identical_across_worker_counts() {
         let sys = SystemModel::table3();
         let j = small_job();
-        let seq = sys.run_sharded(&j, Scheme::Enmc, &enmc_par::SimConfig::sequential());
+        let seq = sys.run_sharded(&j, Scheme::Enmc, &SimConfig::sequential());
         assert_eq!(seq.workers, 1);
         assert_eq!(seq.shards, 64);
         for threads in [2usize, 4] {
-            let par = sys.run_sharded(&j, Scheme::Enmc, &enmc_par::SimConfig::with_threads(threads));
+            let par = sys.run_sharded(&j, Scheme::Enmc, &SimConfig::with_threads(threads));
             assert_eq!(par.workers, threads);
             assert_eq!(seq.result, par.result, "{threads} threads diverge");
         }
@@ -571,28 +542,38 @@ mod tests {
     #[test]
     fn sharded_run_covers_the_whole_system() {
         let sys = SystemModel::table3();
-        let j = small_job();
-        let sharded = sys.run_sharded(&j, Scheme::Enmc, &enmc_par::SimConfig::sequential());
-        let representative = sys.run(&j, Scheme::Enmc);
-        let merged = sharded.result.rank_report.expect("simulated");
-        let one = representative.rank_report.expect("simulated");
-        // All 64 ranks' screening traffic ≈ 64× the representative rank's
-        // (exact split vs div_ceil rounding makes it ≤).
-        assert!(merged.screen_bytes > 32 * one.screen_bytes);
-        assert!(merged.screen_bytes <= 64 * one.screen_bytes);
-        // Latency is a straggler, not a sum.
-        assert!(sharded.result.ns < 2.0 * representative.ns);
-        assert!(sharded.result.ns > 0.5 * representative.ns);
-        // Phase boundaries still tile the headline cycle count.
-        assert!(merged.screen_done_cycle <= merged.exec_done_cycle);
-        assert!(merged.exec_done_cycle <= merged.dram_cycles);
+        // Neither axis divides by any deployment's unit count, so the
+        // ranks run different slices.
+        let j =
+            ClassificationJob { categories: 32_771, hidden: 128, reduced: 32, batch: 1, candidates: 517 };
+        for scheme in simulated_schemes() {
+            let sharded = sys.run_sharded(&j, scheme, &SimConfig::with_threads(4));
+            assert_eq!(sys.run(&j, scheme), sharded.result, "{scheme:?}");
+            let d = sys.deployment(scheme).expect("simulated");
+            let jobs = j.rank_jobs(d.units);
+            assert!(jobs.iter().any(|r| *r != jobs[0]), "{scheme:?} slices must differ");
+            let per_rank: Vec<UnitReport> =
+                jobs.iter().map(|r| RankUnit::new(d.params).simulate(r)).collect();
+            let merged = sharded.result.rank_report.expect("simulated");
+            // Every rank's screening traffic, each counted once.
+            assert_eq!(merged.screen_bytes, per_rank.iter().map(|r| r.screen_bytes).sum::<u64>());
+            assert_eq!(sharded.shard_dram, per_rank.iter().map(|r| r.dram).collect::<Vec<_>>());
+            // Latency is the straggler's (the first on a tie), and its
+            // phase boundaries tile its cycles.
+            let straggler = per_rank.iter().rev().max_by_key(|r| r.dram_cycles).expect("ranks");
+            let phases = |r: &UnitReport| (r.screen_done_cycle, r.exec_done_cycle, r.dram_cycles);
+            assert_eq!(phases(&merged), phases(straggler), "{scheme:?}");
+            assert_eq!(sharded.result.ns, straggler.ns, "{scheme:?}");
+            assert!(merged.screen_done_cycle <= merged.exec_done_cycle);
+            assert!(merged.exec_done_cycle <= merged.dram_cycles);
+        }
     }
 
     #[test]
     fn sharded_cpu_schemes_fall_back_to_analytic() {
         let sys = SystemModel::table3();
         let j = small_job();
-        let run = sys.run_sharded(&j, Scheme::CpuFull, &enmc_par::SimConfig::with_threads(4));
+        let run = sys.run_sharded(&j, Scheme::CpuFull, &SimConfig::with_threads(4));
         assert_eq!(run.shards, 1);
         assert_eq!(run.result.ns, sys.run(&j, Scheme::CpuFull).ns);
     }
@@ -680,7 +661,7 @@ mod tests {
             .clone()
             .with_energy_model(EnergyModel::ddr4_2400_rank(1).with_refresh_multiplier(8.0));
         relaxed.total_ranks = 2;
-        let cfg = enmc_par::SimConfig::sequential();
+        let cfg = SimConfig::sequential();
         let e_nom = nominal.run_sharded(&j, Scheme::Enmc, &cfg).result.energy.unwrap();
         let e_rel = relaxed.run_sharded(&j, Scheme::Enmc, &cfg).result.energy.unwrap();
         // Refresh is static energy: relaxing it must cut the summed static
@@ -688,10 +669,6 @@ mod tests {
         assert!(e_rel.dram_static_nj < e_nom.dram_static_nj, "{e_rel:?} vs {e_nom:?}");
         assert_eq!(e_rel.dram_access_nj, e_nom.dram_access_nj);
         assert_eq!(e_rel.logic_nj, e_nom.logic_nj);
-        // The representative-rank path sees the same model.
-        let r_nom = nominal.run(&j, Scheme::Enmc).energy.unwrap();
-        let r_rel = relaxed.run(&j, Scheme::Enmc).energy.unwrap();
-        assert!(r_rel.dram_static_nj < r_nom.dram_static_nj);
         // ECC surcharge lands in the merged access term instead.
         let mut ecc = nominal
             .clone()
@@ -703,24 +680,26 @@ mod tests {
     }
 
     #[test]
-    fn run_traced_collects_events_for_simulated_schemes() {
+    fn tracing_records_rank_zero_and_changes_no_result_field() {
         let sys = SystemModel::table3();
-        let j = ClassificationJob {
-            categories: 32_768,
-            hidden: 128,
-            reduced: 32,
-            batch: 1,
-            candidates: 256,
-        };
+        let j =
+            ClassificationJob { categories: 32_771, hidden: 128, reduced: 32, batch: 1, candidates: 257 };
+        let cfg = SimConfig::with_threads(4);
         let mut tb = TraceBuffer::unbounded();
-        let traced = sys.run_traced(&j, Scheme::Enmc, Some(&mut tb), false);
-        assert!(!tb.is_empty(), "ENMC run must emit trace events");
-        // Tracing must not change the answer.
-        let plain = sys.run(&j, Scheme::Enmc);
-        assert_eq!(plain.ns, traced.ns);
+        let traced = sys.run_traced(&j, Scheme::Enmc, &cfg, Some(&mut tb));
+        let plain = sys.run_sharded(&j, Scheme::Enmc, &cfg);
+        assert_eq!(traced.result, plain.result);
+        assert_eq!(traced.shard_dram, plain.shard_dram);
+        assert_eq!((traced.workers, traced.shards), (plain.workers, plain.shards));
+        // The trace is rank 0's run on its own.
+        let mut want = TraceBuffer::unbounded();
+        let rank0 = &j.rank_jobs(sys.total_ranks)[0];
+        RankUnit::new(sys.enmc_unit_params()).simulate_traced(rank0, Some(&mut want), false);
+        assert!(!want.is_empty(), "ENMC runs must emit trace events");
+        assert_eq!(tb.drain(), want.drain());
         // Analytic CPU schemes have nothing to trace.
         let mut cpu_tb = TraceBuffer::unbounded();
-        sys.run_traced(&j, Scheme::CpuFull, Some(&mut cpu_tb), false);
+        sys.run_traced(&j, Scheme::CpuFull, &cfg, Some(&mut cpu_tb));
         assert!(cpu_tb.is_empty());
     }
 
@@ -786,8 +765,8 @@ mod tests {
         for scheme in simulated_schemes() {
             for tech in MemTech::ALL {
                 let sys = SystemModel::table3().with_memory(tech);
-                let r = sys.run_traced(&j, scheme, None, true);
-                let report = r.rank_report.expect("simulated");
+                let r = sys.run_sharded(&j, scheme, &SimConfig::sequential().with_protocol_check());
+                let report = r.result.rank_report.expect("simulated");
                 assert_eq!(report.protocol_violations, 0, "{scheme:?} on {tech}");
             }
         }

@@ -20,6 +20,7 @@ use enmc_bench::{candidate_fraction, BENCH_JSON};
 use enmc_dram::energy::EnergyModel;
 use enmc_fault::ECC_NJ_PER_BURST;
 use enmc_model::workloads::WorkloadId;
+use enmc_par::SimConfig;
 use enmc_surrogate::{CostBackend, CostModel};
 use std::time::Instant;
 
@@ -43,7 +44,7 @@ fn grid_job(id: WorkloadId) -> ClassificationJob {
 /// backends: build the relaxed-refresh energy model, rebind the system,
 /// ask the cost model for the ENMC run.
 fn answer_row(cost: &mut CostModel, sys: &SystemModel, job: &ClassificationJob) -> usize {
-    let mut points = 0;
+    let (mut points, seq) = (0, SimConfig::sequential());
     for &m in &MULTIPLIERS {
         for ecc in [false, true] {
             let mut dram = EnergyModel::ddr4_2400_rank(1).with_refresh_multiplier(m);
@@ -51,10 +52,10 @@ fn answer_row(cost: &mut CostModel, sys: &SystemModel, job: &ClassificationJob) 
                 dram = dram.with_ecc_surcharge(ECC_NJ_PER_BURST);
             }
             let bound = sys.clone().with_energy_model(dram);
-            let result = cost
-                .run_enmc(&bound, job, "surrogate-speedup grid")
+            let run = cost
+                .run_sharded_enmc(&bound, job, &seq, "surrogate-speedup grid")
                 .unwrap_or_else(|v| panic!("audit-free pass cannot violate: {v}"));
-            assert!(result.ns > 0.0, "every join must produce a latency");
+            assert!(run.result.ns > 0.0, "every join must produce a latency");
             points += 1;
         }
     }
@@ -89,9 +90,7 @@ fn main() {
         // Warmup: fit the shape's anchors outside the timed region, then
         // measure pure prediction throughput (audit rate 0).
         let mut surr = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, SEED);
-        let warm = EnergyModel::ddr4_2400_rank(1);
-        surr.run_enmc(&sys.clone().with_energy_model(warm), &job, "surrogate-speedup warmup")
-            .expect("audit-free warmup cannot violate");
+        answer_row(&mut surr, &sys, &job);
         let start = Instant::now();
         let surr_points = answer_row(&mut surr, &sys, &job);
         let surr_ns = (start.elapsed().as_nanos() as f64).max(1.0);

@@ -34,6 +34,7 @@ use enmc_model::quality::{QualityAccumulator, QualityReport};
 use enmc_model::synth::SyntheticClassifier;
 use enmc_obs::trace::{TraceBuffer, TraceEvent};
 use enmc_obs::MetricsRegistry;
+use enmc_par::SimConfig;
 use enmc_screen::{ApproxClassifier, SelectionPolicy};
 use enmc_surrogate::{CostModel, SurrogateViolation};
 use enmc_tensor::{top_k_indices, TensorError};
@@ -331,9 +332,10 @@ impl From<SurrogateViolation> for SweepError {
 }
 
 /// [`run_sweep`] joined with the system energy at each refresh setting:
-/// the whole rank-parallel system runs `job` under an
-/// [`EnergyModel`] with the point's refresh multiplier (and the SEC-DED
-/// surcharges when ECC is on), filling the energy fields of every point.
+/// the whole rank-parallel system runs `job`, every rank on its own slice
+/// and the slices on `workers` threads, under an [`EnergyModel`] with the
+/// point's refresh multiplier (and the SEC-DED surcharges when ECC is
+/// on), filling the energy fields of every point.
 /// The energy join runs through `cost`, so a surrogate backend answers
 /// each point in pure arithmetic (auditing a seeded fraction
 /// cycle-accurately). Optionally records `fault.*` metrics and per-point
@@ -357,8 +359,8 @@ pub fn run_resilience_sweep(
     cost: &mut CostModel,
 ) -> Result<Vec<SweepPoint>, SweepError> {
     let mut points = run_sweep(synth, classifier, spec, workers)?;
-    let enmc = system.deployment(Scheme::Enmc).expect("ENMC deploys rank units");
-    let ranks = enmc.units as f64;
+    let logic = system.logic_energy_model(Scheme::Enmc).expect("ENMC draws logic power");
+    let sim = SimConfig::with_threads(workers);
     for point in &mut points {
         // Start from the system's own per-rank energy model (the memory
         // preset's nominal coefficients), with any prior refresh/ECC
@@ -377,21 +379,25 @@ pub fn run_resilience_sweep(
             "fault-sweep energy join (multiplier {}, ecc {})",
             point.refresh_multiplier, spec.ecc
         );
-        let result = cost.run_enmc(&sys, job, &context)?;
-        let report = result.rank_report.as_ref().expect("ENMC runs are simulated");
-        let energy = result.energy.expect("ENMC runs carry energy");
-        point.refresh_energy_nj = dram.refresh_energy_nj(report.dram.refreshes) * ranks;
+        let run = cost.run_sharded_enmc(&sys, job, &sim, &context)?;
+        let report = run.result.rank_report.as_ref().expect("ENMC runs are simulated");
+        let energy = run.result.energy.expect("ENMC runs carry energy");
+        // The merged counters are sums over every rank.
+        point.refresh_energy_nj = dram.refresh_energy_nj(report.dram.refreshes);
         point.ecc_energy_nj = if spec.ecc {
-            (report.dram.reads + report.dram.writes) as f64 * ECC_NJ_PER_BURST * ranks
+            (report.dram.reads + report.dram.writes) as f64 * ECC_NJ_PER_BURST
         } else {
             0.0
         };
-        point.ecc_latency_ns =
-            if spec.ecc { report.dram.reads as f64 * ECC_NS_PER_BURST } else { 0.0 };
-        // Logic-side ECC power: charge it explicitly on top of the scheme's
-        // Table 5 logic model (which the system applies internally).
+        // Ranks decode in parallel: the busiest rank sets the latency.
+        let max_reads = run.shard_dram.iter().map(|s| s.reads).max().unwrap_or(0);
+        point.ecc_latency_ns = if spec.ecc { max_reads as f64 * ECC_NS_PER_BURST } else { 0.0 };
+        // Logic-side ECC power over every rank's own cycles: charge it
+        // explicitly on top of the scheme's Table 5 logic model (which the
+        // system applies internally).
         let ecc_logic_nj = if spec.ecc {
-            ECC_MW * report.dram_cycles as f64 * enmc.logic.tck_ps * 1e-12 * 1e-3 * 1e9 * ranks
+            let rank_cycles: u64 = run.shard_dram.iter().map(|s| s.total_cycles).sum();
+            ECC_MW * rank_cycles as f64 * logic.tck_ps * 1e-12 * 1e-3 * 1e9
         } else {
             0.0
         };

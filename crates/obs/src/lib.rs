@@ -42,7 +42,7 @@ pub mod trace;
 
 pub use json::Value;
 pub use metrics::{MetricsRegistry, MetricsReport};
-pub use report::{BreakdownRow, PhaseSpan, RunReport, Stopwatch};
+pub use report::{BreakdownRow, PhaseSpan, RunReport};
 pub use trace::{
     export_chrome, validate_chrome, ChromeSummary, SpanPhase, TraceBuffer, TraceEvent,
 };

@@ -262,8 +262,8 @@ record! {
         /// Headline simulated latency in DRAM-clock cycles (0 for
         /// analytic models with no cycle-level simulation).
         sim_cycles: u64,
-        /// Worker threads the simulation ran on (0 when the run had no
-        /// parallelizable region, e.g. the representative-rank shortcut).
+        /// Worker threads the rank-unit simulation ran on (`simulate`
+        /// and `profile`; 0 for every other command).
         threads: u64,
         /// Observed host-side parallel speedup of the simulation region
         /// (summed shard wall time over region wall time; 1.0
@@ -377,25 +377,6 @@ impl RunReport {
             )),
         }
     }
-}
-
-/// A wall-clock stopwatch for phase-scoped timing.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: std::time::Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing now.
-    pub fn start() -> Self {
-        Stopwatch { start: std::time::Instant::now() }
-    }
-
-    /// Nanoseconds elapsed since [`Stopwatch::start`].
-    pub fn elapsed_ns(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e9
-    }
-
 }
 
 #[cfg(test)]
@@ -568,12 +549,5 @@ mod tests {
         assert_eq!(r.phases[0].sim_ns, 249.0);
         assert_eq!(r.phases[1].name, "screen");
         assert_eq!(r.phase_sim_cycles(), 350);
-    }
-
-    #[test]
-    fn stopwatch_measures_something() {
-        let sw = Stopwatch::start();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        assert!(sw.elapsed_ns() > 0.0);
     }
 }

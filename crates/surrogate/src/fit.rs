@@ -184,7 +184,8 @@ record! {
     /// ([`crate::CoeffFile`]), whose reader checks the grid and table
     /// sizes and the target rows.
     ShapeFit {
-        /// Per-rank categories of the representative slice the anchors ran.
+        /// Categories of rank 0's slice (the largest: it takes the
+        /// remainders), the slice the anchors ran.
         categories: usize,
         /// Hidden dimension `d`.
         hidden: usize,
@@ -410,9 +411,10 @@ impl ShapeFit {
     }
 
     /// Runs the deterministic DoE anchor plan on the cycle-accurate
-    /// rank-unit and fits the shape. `categories` is the per-rank
-    /// category count of the representative slice; `batch_hi` /
-    /// `cand_hi` bound the envelope queries are expected in.
+    /// rank-unit and fits the shape. `categories` is the category count
+    /// of rank 0's slice, which every smaller slice of the job is
+    /// predicted from; `batch_hi` / `cand_hi` bound the envelope queries
+    /// are expected in.
     pub fn fit(
         params: &UnitParams,
         categories: usize,

@@ -25,11 +25,9 @@
 
 pub mod fit;
 
-use enmc_arch::system::{
-    ClassificationJob, Deployment, RankSlices, Scheme, SchemeResult, ShardedRun, CHANNELS,
-};
-use enmc_arch::unit::UnitReport;
-use enmc_arch::{SystemEnergy, SystemModel};
+use enmc_arch::system::{ClassificationJob, RankSlices, Scheme, ShardedRun, CHANNELS};
+use enmc_arch::unit::{RankJob, UnitParams, UnitReport};
+use enmc_arch::SystemModel;
 use enmc_dram::DramStats;
 use enmc_obs::json;
 use enmc_obs::record;
@@ -205,39 +203,6 @@ impl CostModel {
         self.stats
     }
 
-    /// Mirrors [`SystemModel::run`] for the ENMC scheme: the
-    /// representative-rank result, either simulated or predicted.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SurrogateViolation`] when an audited prediction
-    /// misses the declared bound.
-    pub fn run_enmc(
-        &mut self,
-        sys: &SystemModel,
-        job: &ClassificationJob,
-        context: &str,
-    ) -> Result<SchemeResult, SurrogateViolation> {
-        let CostBackend::Surrogate { audit_rate } = self.backend else {
-            return Ok(sys.run(job, Scheme::Enmc));
-        };
-        let enmc = sys.deployment(Scheme::Enmc).expect("ENMC deploys rank units");
-        let rank_job = job.rank_slice(enmc.units);
-        let (report, window) = {
-            let fit = self.fit_for(&enmc, job);
-            (fit.predict(&rank_job), fit.refresh_window())
-        };
-        self.stats.predicted += 1;
-        if self.draw(audit_rate) {
-            let actual = sys.run(job, Scheme::Enmc);
-            let actual_report = actual.rank_report.as_ref().expect("ENMC runs are simulated");
-            self.stats.audited += 1;
-            self.check(context, &report, &[], actual_report, &[], sys, window)?;
-        }
-        let energy = SystemEnergy::from_rank(&report, enmc.units, sys.energy_model(), &enmc.logic);
-        Ok(SchemeResult { scheme: Scheme::Enmc, ns: report.ns, energy: Some(energy), rank_report: Some(report) })
-    }
-
     /// Mirrors [`SystemModel::run_sharded`] for the ENMC scheme: every
     /// distinct rank slice predicted once and assembled with the
     /// simulator's own per-rank merge ([`RankSlices::assemble`]), or
@@ -262,7 +227,7 @@ impl CostModel {
         let enmc = sys.deployment(Scheme::Enmc).expect("ENMC deploys rank units");
         let slices = RankSlices::of(job, enmc.units);
         let (reports, window) = {
-            let fit = self.fit_for(&enmc, job);
+            let fit = self.fit_for(&enmc.params, &slices.distinct[0]);
             let reports: Vec<UnitReport> = slices.distinct.iter().map(|j| fit.predict(j)).collect();
             (reports, fit.refresh_window())
         };
@@ -287,25 +252,25 @@ impl CostModel {
         Ok(ShardedRun { workers: cfg.worker_count(), ..run })
     }
 
-    /// The fitted shape for `job`, fitting on demand (and refitting when
-    /// a query exceeds the anchored envelope so predictions interpolate
-    /// rather than extrapolate far).
-    fn fit_for(&mut self, enmc: &Deployment, job: &ClassificationJob) -> &ShapeFit {
-        let rank_job = job.rank_slice(enmc.units);
-        let key = (rank_job.categories, rank_job.hidden, rank_job.reduced);
-        let cand = rank_job.candidates_per_item.first().copied().unwrap_or(1).max(1);
+    /// The fitted shape for a job whose rank 0 runs `rank0` (the largest
+    /// slice: it takes the remainders), fitting on demand (and refitting
+    /// when a query exceeds the anchored envelope so predictions
+    /// interpolate rather than extrapolate far).
+    fn fit_for(&mut self, params: &UnitParams, rank0: &RankJob) -> &ShapeFit {
+        let key = (rank0.categories, rank0.hidden, rank0.reduced);
+        let cand = rank0.candidates_per_item.first().copied().unwrap_or(1).max(1);
         let needs_fit = match self.fits.get(&key) {
             None => true,
-            Some(f) => job.batch > f.batch_hi || cand > f.cand_hi,
+            Some(f) => rank0.batch > f.batch_hi || cand > f.cand_hi,
         };
         if needs_fit {
-            let batch_hi = job.batch.max(8);
+            let batch_hi = rank0.batch.max(8);
             let cand_hi = cand;
             let fit = ShapeFit::fit(
-                &enmc.params,
-                rank_job.categories,
-                rank_job.hidden,
-                rank_job.reduced,
+                params,
+                rank0.categories,
+                rank0.hidden,
+                rank0.reduced,
                 batch_hi,
                 cand_hi,
                 self.seed,
@@ -513,6 +478,18 @@ impl CoeffFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enmc_arch::system::SchemeResult;
+    use enmc_arch::SystemEnergy;
+
+    /// `cost`'s ENMC answer for `job` on one worker.
+    fn enmc_result(
+        cost: &mut CostModel,
+        sys: &SystemModel,
+        job: &ClassificationJob,
+        context: &str,
+    ) -> Result<SchemeResult, SurrogateViolation> {
+        Ok(cost.run_sharded_enmc(sys, job, &SimConfig::sequential(), context)?.result)
+    }
 
     fn small_job() -> ClassificationJob {
         ClassificationJob { categories: 33_278, hidden: 1_500, reduced: 32, batch: 2, candidates: 33 }
@@ -523,7 +500,7 @@ mod tests {
         let sys = SystemModel::table3();
         let job = small_job();
         let mut cost = CostModel::new(CostBackend::CycleAccurate, 7);
-        let got = cost.run_enmc(&sys, &job, "test").unwrap();
+        let got = enmc_result(&mut cost, &sys, &job, "test").unwrap();
         let want = sys.run(&job, Scheme::Enmc);
         assert_eq!(got, want);
         assert_eq!(cost.stats().predicted, 0);
@@ -535,7 +512,7 @@ mod tests {
         let sys = SystemModel::table3();
         let job = small_job();
         let mut cost = CostModel::new(CostBackend::Surrogate { audit_rate: 1.0 }, 7);
-        let got = cost.run_enmc(&sys, &job, "unit test").expect("audit within bound");
+        let got = enmc_result(&mut cost, &sys, &job, "unit test").expect("audit within bound");
         assert!(got.ns > 0.0);
         let s = cost.stats();
         assert_eq!(s.predicted, 1);
@@ -550,8 +527,8 @@ mod tests {
         let job = small_job();
         let mut silent = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, 7);
         let mut audited = CostModel::new(CostBackend::Surrogate { audit_rate: 1.0 }, 7);
-        let a = silent.run_enmc(&sys, &job, "t").unwrap();
-        let b = audited.run_enmc(&sys, &job, "t").unwrap();
+        let a = enmc_result(&mut silent, &sys, &job, "t").unwrap();
+        let b = enmc_result(&mut audited, &sys, &job, "t").unwrap();
         assert_eq!(a, b, "auditing must never change the prediction");
         assert_eq!(silent.stats().audited, 0);
     }
@@ -561,9 +538,9 @@ mod tests {
         let sys = SystemModel::table3();
         let job = small_job();
         let mut cost = CostModel::new(CostBackend::Surrogate { audit_rate: 1.0 }, 7);
-        cost.run_enmc(&sys, &job, "warm up the fit").unwrap();
+        enmc_result(&mut cost, &sys, &job, "warm up the fit").unwrap();
         assert!(cost.perturb_coeff("dram_cycles", 2.0) > 0);
-        let err = cost.run_enmc(&sys, &job, "perturbed").unwrap_err();
+        let err = enmc_result(&mut cost, &sys, &job, "perturbed").unwrap_err();
         assert!(err.rel_err > DECLARED_BOUND.rel);
         let msg = err.to_string();
         assert!(msg.contains("surrogate violation"), "{msg}");
@@ -574,13 +551,13 @@ mod tests {
         let sys = SystemModel::table3();
         let job = small_job();
         let mut cost = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, 7);
-        cost.run_enmc(&sys, &job, "t").unwrap();
+        enmc_result(&mut cost, &sys, &job, "t").unwrap();
         let json = cost.coeffs_to_json();
         let mut loaded = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, 7);
         loaded.load_coeffs(&json).unwrap();
         assert_eq!(loaded.fits.len(), 1);
-        let a = cost.run_enmc(&sys, &job, "t").unwrap();
-        let b = loaded.run_enmc(&sys, &job, "t").unwrap();
+        let a = enmc_result(&mut cost, &sys, &job, "t").unwrap();
+        let b = enmc_result(&mut loaded, &sys, &job, "t").unwrap();
         assert_eq!(a, b, "loaded coefficients must predict identically");
         assert_eq!(json, loaded.coeffs_to_json(), "serialization must round-trip bytewise");
     }
@@ -687,7 +664,7 @@ mod tests {
         let logic = sys.logic_energy_model(Scheme::Enmc).expect("ENMC draws logic power");
         let mut energy = SystemEnergy::default();
         for r in &reports {
-            let e = SystemEnergy::from_rank(r, 1, sys.energy_model(), &logic);
+            let e = SystemEnergy::from_rank(r, sys.energy_model(), &logic);
             energy.dram_static_nj += e.dram_static_nj;
             energy.dram_access_nj += e.dram_access_nj;
             energy.logic_nj += e.logic_nj;

@@ -267,7 +267,7 @@ const BENCH_DIFF: &[Flag] = &[
 #[rustfmt::skip]
 pub const COMMANDS: &[Command] = &[
     cmd("demo", &[], "run the quickstart pipeline", &[]),
-    cmd("simulate", &[], "simulate one classification job; one representative rank unless --threads or ENMC_THREADS", &[SIMULATE, RUN]),
+    cmd("simulate", &[], "simulate one classification job on every rank unit; --trace-out traces rank 0", &[SIMULATE, RUN]),
     cmd("serve-sim", &[], "simulate online serving of a workload on one node", &[SERVE_SIM, FLEET, RUN, COST]),
     cmd("fleet-sim", &[], "simulate a multi-tenant serving fleet", &[FLEET_SIM, FLEET, RUN, COST]),
     cmd("tune", &[], "search the design space for a Pareto frontier under budgets", &[TUNE]),

@@ -17,15 +17,13 @@ use enmc::isa::{Instruction, Program};
 use enmc::mem::MemTech;
 use enmc::model::workloads::{Workload, WorkloadId};
 use enmc::obs::json::{self, Nullable};
-use enmc::obs::report::{RunReport, Stopwatch};
+use enmc::obs::report::RunReport;
 use enmc::obs::trace::export_chrome;
 use enmc::obs::{MetricsRegistry, TraceBuffer};
 use enmc::par::SimConfig;
 use enmc::perf::bench::BenchRecord;
 use enmc::perf::SelfProfiler;
-use enmc::pipeline::{
-    attribute_run, report_from_result, report_from_sharded, scheme_label, Pipeline, PipelineConfig,
-};
+use enmc::pipeline::{attribute_run, report_from_sharded, scheme_label, Pipeline, PipelineConfig};
 use enmc::serve::tier::{check_tiers, default_tiers};
 use enmc::surrogate::CostModel;
 
@@ -129,19 +127,10 @@ fn cmd_simulate(a: &Args) -> Result<i32, Fail> {
     let job = job_of(&workload, batch, a.get("--candidates", fraction)?);
     // Simulate records the seed; the run itself is deterministic.
     let seed = a.seed()?;
-    let threads = a.threads()?;
+    let cfg = SimConfig::resolve(a.threads()?, a.on("--check-protocol"));
     let memory = a.memory()?;
     let json = a.json()?;
     let trace_out = a.text("--trace-out");
-    let check_protocol = a.on("--check-protocol");
-    if threads.is_some() && trace_out.is_some() {
-        return Err(Fail(
-            2,
-            "--trace-out requires the representative-rank run; drop --threads (and unset \
-             ENMC_THREADS)"
-                .into(),
-        ));
-    }
     let sys = SystemModel::table3().with_memory(memory);
     eprintln!(
         "simulating {} (l={}, d={}) batch {batch}, {} exact candidates on {}",
@@ -152,22 +141,10 @@ fn cmd_simulate(a: &Args) -> Result<i32, Fail> {
         memory.name()
     );
     let mut trace = trace_out.map(|_| TraceBuffer::unbounded());
-    let sw = Stopwatch::start();
-    let (result, mut report) = match threads {
-        Some(n) => {
-            // Whole-system run: every rank unit simulated, sharded over n
-            // workers. Bit-identical to n = 1 by construction.
-            let run = sys.run_sharded(&job, scheme, &SimConfig::resolve(Some(n), check_protocol));
-            let report = report_from_sharded("simulate", workload.abbr, &job, &sys, &run);
-            (run.result, report)
-        }
-        None => {
-            let result = sys.run_traced(&job, scheme, trace.as_mut(), check_protocol);
-            let sim_wall_ns = sw.elapsed_ns();
-            let report = report_from_result("simulate", workload.abbr, &job, &result, sim_wall_ns);
-            (result, report)
-        }
-    };
+    // Every rank unit simulated, sharded over the workers: bit-identical
+    // for any worker count by construction.
+    let run = sys.run_traced(&job, scheme, &cfg, trace.as_mut());
+    let mut report = report_from_sharded("simulate", workload.abbr, &job, &sys, &run);
     report.notes.push(format!("seed {seed}"));
     report.memory_tech = memory.name().to_string();
     if let (Some(path), Some(tb)) = (trace_out, trace.as_mut()) {
@@ -178,20 +155,19 @@ fn cmd_simulate(a: &Args) -> Result<i32, Fail> {
     let violations = report.protocol_violations;
     if json {
         println!("{}", report.to_json());
-        return Ok(i32::from(check_protocol && violations > 0));
+        return Ok(i32::from(cfg.check_protocol && violations > 0));
     }
+    let result = &run.result;
     let cpu = sys.run(&job, Scheme::CpuFull);
     println!("  latency : {:.2} us", result.ns / 1e3);
     println!(
         "  speedup : {:.1}x vs CPU full classification",
         result.speedup_over(&cpu)
     );
-    if report.threads > 0 {
-        println!(
-            "  threads : {} worker(s), host-side parallel speedup {:.2}x",
-            report.threads, report.speedup
-        );
-    }
+    println!(
+        "  threads : {} worker(s), host-side parallel speedup {:.2}x",
+        report.threads, report.speedup
+    );
     if let Some(e) = &result.energy {
         println!(
             "  energy  : {:.2} uJ (static {:.0}% / access {:.0}% / logic {:.0}%)",
@@ -202,22 +178,13 @@ fn cmd_simulate(a: &Args) -> Result<i32, Fail> {
         );
     }
     if let Some(r) = &result.rank_report {
-        if report.threads > 0 {
-            // Sharded run: counters are summed over every rank, so bus
-            // utilization is not meaningful as a single-channel percentage.
-            println!(
-                "  system  : {} DRAM cycles (straggler rank), row-hit {:.1}%",
-                r.dram_cycles,
-                100.0 * r.dram.row_hit_rate(),
-            );
-        } else {
-            println!(
-                "  per-rank: {} DRAM cycles, row-hit {:.1}%, bus util {:.1}%",
-                r.dram_cycles,
-                100.0 * r.dram.row_hit_rate(),
-                100.0 * r.dram.bus_utilization()
-            );
-        }
+        // Counters are summed over every rank, so bus utilization is not
+        // meaningful as a single-channel percentage.
+        println!(
+            "  system  : {} DRAM cycles (straggler rank), row-hit {:.1}%",
+            r.dram_cycles,
+            100.0 * r.dram.row_hit_rate(),
+        );
         for p in &report.phases {
             println!(
                 "  phase   : {:<10} {:>12} cycles  {:>10.2} us simulated",
@@ -227,7 +194,7 @@ fn cmd_simulate(a: &Args) -> Result<i32, Fail> {
             );
         }
     }
-    if check_protocol {
+    if cfg.check_protocol {
         println!(
             "  protocol: {violations} {} timing violation(s)",
             memory.name()
@@ -928,19 +895,18 @@ fn cmd_profile(a: &Args) -> Result<i32, Fail> {
         memory.name()
     );
     prof.begin("simulate");
-    let run = sys.run_sharded(&job, scheme, &SimConfig::with_threads(threads));
+    let mut trace = trace_out.map(|_| TraceBuffer::unbounded());
+    let cfg = SimConfig::with_threads(threads);
+    let run = sys.run_traced(&job, scheme, &cfg, trace.as_mut());
     prof.end("simulate");
     prof.begin("attribute");
     let mut report = report_from_sharded("profile", workload.abbr, &job, &sys, &run);
     report.memory_tech = memory.name().to_string();
     let attr = attribute_run(&sys, &run).expect("simulated schemes always attribute");
     prof.end("attribute");
-    if let Some(path) = trace_out {
-        // A representative-rank traced rerun carries the counter tracks
-        // (queue depth, open rows, busy lanes) the sharded run cannot.
+    if let (Some(path), Some(tb)) = (trace_out, trace.as_mut()) {
+        // Rank 0's counter tracks: queue depth, open rows, busy lanes.
         prof.begin("trace");
-        let mut tb = TraceBuffer::unbounded();
-        sys.run_traced(&job, scheme, Some(&mut tb), false);
         let chrome = export_chrome(&tb.drain(), sys.memory().ns_per_cycle());
         prof.end("trace");
         write_file(path, "trace", &chrome)?;

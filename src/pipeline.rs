@@ -222,65 +222,6 @@ pub fn scheme_label(scheme: Scheme) -> &'static str {
     }
 }
 
-/// Builds a [`RunReport`] from one scheme run.
-///
-/// For simulated schemes the report carries the representative rank's
-/// screen / gather / activation phases — their cycle totals sum exactly to
-/// the headline `sim_cycles` — plus the full `unit.*` / `dram.*` metrics
-/// snapshot. `sim_wall_ns` (host time spent inside the simulator) is
-/// apportioned to the simulated phases by their cycle share. Analytic CPU
-/// schemes report a single zero-cycle `analytic` phase.
-pub fn report_from_result(
-    command: &str,
-    workload: &str,
-    job: &ClassificationJob,
-    result: &SchemeResult,
-    sim_wall_ns: f64,
-) -> RunReport {
-    let label = scheme_label(result.scheme);
-    let mut report = RunReport::new(command, workload, label);
-    report.batch = job.batch as u64;
-    report.candidates = job.candidates as u64;
-    report.headline_ns = result.ns;
-    match &result.rank_report {
-        Some(r) => {
-            report.sim_cycles = r.dram_cycles;
-            report.protocol_violations = r.protocol_violations;
-            let ns_per_cycle =
-                if r.dram_cycles == 0 { 0.0 } else { r.ns / r.dram_cycles as f64 };
-            let phases = [
-                ("screen", r.screen_done_cycle),
-                ("gather", r.exec_done_cycle - r.screen_done_cycle),
-                ("activation", r.dram_cycles - r.exec_done_cycle),
-            ];
-            for (name, cycles) in phases {
-                let share = if r.dram_cycles == 0 {
-                    0.0
-                } else {
-                    cycles as f64 / r.dram_cycles as f64
-                };
-                report.push_phase(
-                    name,
-                    sim_wall_ns * share,
-                    cycles,
-                    cycles as f64 * ns_per_cycle,
-                );
-            }
-            let mut registry = MetricsRegistry::new();
-            r.record_into(&mut registry, &[("scheme", label), ("workload", workload)]);
-            report.metrics = registry.snapshot();
-            report
-                .notes
-                .push("phases describe one representative rank-unit".to_string());
-        }
-        None => {
-            report.push_phase("analytic", sim_wall_ns, 0, result.ns);
-            report.notes.push("analytic CPU model; no cycle-level simulation".to_string());
-        }
-    }
-    report
-}
-
 /// Builds the top-down cost attribution for a sharded run: the merged
 /// rank report plus the per-shard DRAM statistics, priced with the
 /// system's DRAM and logic energy models. `None` for analytic CPU
@@ -301,14 +242,18 @@ pub fn attribute_run(sys: &SystemModel, run: &ShardedRun) -> Option<CostAttribut
     ))
 }
 
-/// Builds a [`RunReport`] from a sharded whole-system run.
+/// Builds a [`RunReport`] from a whole-system run.
 ///
-/// Same phase structure as [`report_from_result`], but the rank report is
-/// the straggler-merge over every simulated rank unit, and the report
-/// additionally records the worker count, the observed parallel speedup
-/// (summed shard wall time over region wall time), and — for simulated
-/// schemes — the `attribution` section from [`attribute_run`], whose
-/// leaves sum exactly to `sim_cycles` and `energy_nj`.
+/// For simulated schemes the report carries the straggler-merged rank
+/// report's screen / gather / activation phases — their cycle totals sum
+/// exactly to the headline `sim_cycles` — the full `unit.*` / `dram.*`
+/// metrics snapshot, and the `attribution` section from
+/// [`attribute_run`], whose leaves sum exactly to `sim_cycles` and
+/// `energy_nj`. The run's host wall time is apportioned to the simulated
+/// phases by their cycle share, and the report records the worker count
+/// and the observed parallel speedup (summed shard wall time over region
+/// wall time). Analytic CPU schemes report a single zero-cycle `analytic`
+/// phase.
 pub fn report_from_sharded(
     command: &str,
     workload: &str,
@@ -316,18 +261,52 @@ pub fn report_from_sharded(
     sys: &SystemModel,
     run: &ShardedRun,
 ) -> RunReport {
-    let mut report = report_from_result(command, workload, job, &run.result, run.wall_ns);
+    let result = &run.result;
+    let label = scheme_label(result.scheme);
+    let mut report = RunReport::new(command, workload, label);
+    report.batch = job.batch as u64;
+    report.candidates = job.candidates as u64;
+    report.headline_ns = result.ns;
     report.threads = run.workers as u64;
     report.speedup = run.speedup();
-    if run.result.rank_report.is_some() {
-        // The representative-rank note does not apply to a sharded run.
-        report.notes.retain(|n| !n.contains("representative rank-unit"));
-        report.notes.push(format!(
-            "sharded run: {} rank shards on {} worker(s), speedup {:.2}x",
-            run.shards,
-            run.workers,
-            run.speedup()
-        ));
+    match &result.rank_report {
+        Some(r) => {
+            report.sim_cycles = r.dram_cycles;
+            report.protocol_violations = r.protocol_violations;
+            let ns_per_cycle =
+                if r.dram_cycles == 0 { 0.0 } else { r.ns / r.dram_cycles as f64 };
+            let phases = [
+                ("screen", r.screen_done_cycle),
+                ("gather", r.exec_done_cycle - r.screen_done_cycle),
+                ("activation", r.dram_cycles - r.exec_done_cycle),
+            ];
+            for (name, cycles) in phases {
+                let share = if r.dram_cycles == 0 {
+                    0.0
+                } else {
+                    cycles as f64 / r.dram_cycles as f64
+                };
+                report.push_phase(
+                    name,
+                    run.wall_ns * share,
+                    cycles,
+                    cycles as f64 * ns_per_cycle,
+                );
+            }
+            let mut registry = MetricsRegistry::new();
+            r.record_into(&mut registry, &[("scheme", label), ("workload", workload)]);
+            report.metrics = registry.snapshot();
+            report.notes.push(format!(
+                "sharded run: {} rank shards on {} worker(s), speedup {:.2}x",
+                run.shards,
+                run.workers,
+                run.speedup()
+            ));
+        }
+        None => {
+            report.push_phase("analytic", run.wall_ns, 0, result.ns);
+            report.notes.push("analytic CPU model; no cycle-level simulation".to_string());
+        }
     }
     report.attribution = attribute_run(sys, run)
         .map(|attr| Attribution { energy_nj: attr.energy_nj(), breakdown: attr.rows() });
@@ -389,19 +368,17 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let job = p.job(1);
-        let result = p.simulate(Scheme::Enmc, 1);
-        let report = report_from_result("pipeline", "synthetic", &job, &result, 1e6);
+        let (run, report) = sharded(&p, Scheme::Enmc, &SimConfig::sequential());
         assert!(report.is_consistent(), "phase cycles must sum to the headline");
-        assert_eq!(report.sim_cycles, result.rank_report.as_ref().unwrap().dram_cycles);
+        assert_eq!(report.sim_cycles, run.result.rank_report.as_ref().unwrap().dram_cycles);
+        assert_eq!(run.result, p.simulate(Scheme::Enmc, 1));
         // screen/gather/activation.
         assert_eq!(report.phases.len(), 3);
         assert_eq!(report.scheme, "enmc");
         let back = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back, report);
         // Analytic schemes stay consistent with zero simulated cycles.
-        let cpu = p.simulate(Scheme::CpuFull, 1);
-        let cpu = report_from_result("pipeline", "synthetic", &job, &cpu, 1e6);
+        let (_, cpu) = sharded(&p, Scheme::CpuFull, &SimConfig::sequential());
         assert!(cpu.is_consistent());
         assert_eq!(cpu.sim_cycles, 0);
         assert_eq!(cpu.scheme, "cpu");
@@ -463,7 +440,6 @@ mod tests {
         assert_eq!(report.threads, 2);
         assert!(report.speedup > 0.0);
         assert!(report.notes.iter().any(|n| n.contains("sharded run")));
-        assert!(!report.notes.iter().any(|n| n.contains("representative")));
         // Bit-identical to the sequential sharded run.
         let (seq, seq_report) = sharded(&p, Scheme::Enmc, &SimConfig::sequential());
         assert_eq!(run.result, seq.result);

@@ -1,7 +1,8 @@
 //! Runs the `enmc` binary on argument lists it must reject before any work
 //! starts: each exits 2, prints nothing on stdout, and names the offending
 //! token on stderr, and a bad value also names the accepted range. None of
-//! these runs a simulation.
+//! these runs a simulation; the last test runs two, to check that
+//! `--trace-out` takes any worker count.
 
 use enmc::cli::{Command, COMMANDS};
 use std::process::Output;
@@ -233,4 +234,23 @@ fn a_malformed_enmc_seed_is_a_usage_error() {
         err.contains("ENMC_SEED") && err.contains("'bogus'"),
         "{err}"
     );
+}
+
+#[test]
+fn trace_out_writes_the_same_trace_at_any_worker_count() {
+    let dir = std::env::temp_dir().join(format!("enmc-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = |threads: &str| {
+        let path = dir.join(format!("trace-{threads}.json"));
+        let file = path.to_str().expect("a UTF-8 temp path");
+        let args = ["simulate", "--workload", "gnmt", "--threads", threads, "--trace-out", file];
+        let out = enmc(&args, &[]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "--threads {threads}: {err}");
+        std::fs::read(&path).expect("the trace was written")
+    };
+    let (one, four) = (trace("1"), trace("4"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!one.is_empty());
+    assert!(one == four, "the trace depends on the worker count");
 }

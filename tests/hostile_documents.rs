@@ -13,6 +13,7 @@ use enmc::arch::system::{ClassificationJob, SystemModel};
 use enmc::dram::fuzz::Reproducer;
 use enmc::obs::json::{self, Field};
 use enmc::obs::report::RunReport;
+use enmc::par::SimConfig;
 use enmc::perf::bench::BenchRecord;
 use enmc::surrogate::fit::splitmix64;
 use enmc::surrogate::{CoeffFile, CostBackend, CostModel};
@@ -51,7 +52,8 @@ fn coeff_file() -> String {
     let job =
         ClassificationJob { categories: 4096, hidden: 256, reduced: 32, batch: 2, candidates: 8 };
     let mut cost = CostModel::new(CostBackend::Surrogate { audit_rate: 0.0 }, u64::MAX);
-    cost.run_enmc(&SystemModel::table3(), &job, "fit").expect("audit rate 0 cannot fail");
+    let seq = SimConfig::sequential();
+    cost.run_sharded_enmc(&SystemModel::table3(), &job, &seq, "fit").expect("audit rate 0 cannot fail");
     cost.coeffs_to_json()
 }
 

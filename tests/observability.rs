@@ -9,7 +9,8 @@ use enmc::dram::DramConfig;
 use enmc::obs::report::RunReport;
 use enmc::obs::trace::{export_chrome, validate_chrome};
 use enmc::obs::TraceBuffer;
-use enmc::pipeline::report_from_result;
+use enmc::par::SimConfig;
+use enmc::pipeline::report_from_sharded;
 
 fn small_job() -> RankJob {
     RankJob {
@@ -51,8 +52,8 @@ fn system_run_report_is_consistent_and_round_trips() {
         batch: 1,
         candidates: 1_700,
     };
-    let result = sys.run(&job, Scheme::Enmc);
-    let report = report_from_result("simulate", "lstm", &job, &result, 1_000.0);
+    let run = sys.run_sharded(&job, Scheme::Enmc, &SimConfig::sequential());
+    let report = report_from_sharded("simulate", "lstm", &job, &sys, &run);
 
     assert!(report.is_consistent(), "phase cycles must tile the simulated cycles");
     assert_eq!(report.sim_cycles, report.phase_sim_cycles());
@@ -61,7 +62,7 @@ fn system_run_report_is_consistent_and_round_trips() {
 
     let parsed = RunReport::from_json(&report.to_json()).expect("report JSON parses");
     assert_eq!(parsed, report);
-    assert_eq!(parsed.headline_ns, result.ns);
+    assert_eq!(parsed.headline_ns, run.result.ns);
 }
 
 #[test]
@@ -74,8 +75,8 @@ fn analytic_schemes_report_a_single_phase() {
         batch: 1,
         candidates: 400,
     };
-    let result = sys.run(&job, Scheme::CpuFull);
-    let report = report_from_result("simulate", "lstm", &job, &result, 10.0);
+    let run = sys.run_sharded(&job, Scheme::CpuFull, &SimConfig::sequential());
+    let report = report_from_sharded("simulate", "lstm", &job, &sys, &run);
     assert!(report.is_consistent());
     assert_eq!(report.phases.len(), 1);
     assert_eq!(report.phases[0].name, "analytic");

@@ -5,6 +5,7 @@
 //! pins its section set. A path that starts or stops writing a section
 //! fails here before it moves a golden.
 
+use enmc::arch::baseline::BaselineKind;
 use enmc::arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc::cli::FaultShape;
 use enmc::fleet::{simulate_fleet, FleetConfig, FleetOutcome, TenantConfig};
@@ -12,7 +13,7 @@ use enmc::mem::MemTech;
 use enmc::obs::report::RunReport;
 use enmc::obs::MetricsRegistry;
 use enmc::par::SimConfig;
-use enmc::pipeline::{report_from_result, report_from_sharded};
+use enmc::pipeline::report_from_sharded;
 use enmc::resilience::{run_fault_sweep, FaultSweepArgs};
 use enmc::serve::tier::default_tiers;
 use enmc::serve::ArrivalProcess;
@@ -27,16 +28,11 @@ fn small_job() -> ClassificationJob {
     ClassificationJob { categories: 2048, hidden: 64, reduced: 16, batch: 1, candidates: 64 }
 }
 
-/// `simulate`, representative rank or sharded over two workers.
-fn simulate(scheme: Scheme, threads: Option<usize>) -> RunReport {
+/// `simulate` on `threads` workers.
+fn simulate(scheme: Scheme, threads: usize) -> RunReport {
     let (sys, job) = (SystemModel::table3(), small_job());
-    match threads {
-        Some(n) => {
-            let run = sys.run_sharded(&job, scheme, &SimConfig::with_threads(n));
-            report_from_sharded("simulate", "small", &job, &sys, &run)
-        }
-        None => report_from_result("simulate", "small", &job, &sys.run(&job, scheme), 0.0),
-    }
+    let run = sys.run_sharded(&job, scheme, &SimConfig::with_threads(threads));
+    report_from_sharded("simulate", "small", &job, &sys, &run)
 }
 
 /// `profile`: a sharded ENMC run on the workers it was given.
@@ -126,9 +122,10 @@ fn offload_plan() -> RunReport {
 fn every_report_path_writes_exactly_its_sections() {
     type Row = (&'static str, fn() -> RunReport, &'static [&'static str]);
     let rows: &[Row] = &[
-        ("simulate", || simulate(Scheme::Enmc, None), &[]),
-        ("simulate --threads 2", || simulate(Scheme::Enmc, Some(2)), &["attribution"]),
-        ("simulate --threads 2 --scheme cpu", || simulate(Scheme::CpuFull, Some(2)), &[]),
+        ("simulate", || simulate(Scheme::Enmc, 1), &["attribution"]),
+        ("simulate --threads 2", || simulate(Scheme::Enmc, 2), &["attribution"]),
+        ("simulate --scheme nda", || simulate(Scheme::Baseline(BaselineKind::Nda), 1), &["attribution"]),
+        ("simulate --threads 2 --scheme cpu", || simulate(Scheme::CpuFull, 2), &[]),
         ("profile", profile, &["attribution"]),
         ("serve-sim", || serve_sim(false), &["serving", "surrogate"]),
         ("serve-sim --offload", || serve_sim(true), &["serving", "surrogate", "offload"]),
