@@ -8,7 +8,8 @@
 
 use crate::physical::PhysicalModel;
 use crate::unit::UnitReport;
-use enmc_dram::energy::{EnergyBreakdown, EnergyModel};
+use enmc_dram::energy::EnergyModel;
+use enmc_dram::DramStats;
 
 /// Power of each logic component, in milliwatts (Table 5 values for the
 /// ENMC configuration; scaled for baselines by the physical model).
@@ -91,18 +92,17 @@ pub struct SystemEnergy {
 }
 
 impl SystemEnergy {
-    /// The breakdown of one rank-unit's run.
-    pub fn from_rank(
-        rank: &UnitReport,
-        dram_model: &EnergyModel,
-        logic_model: &LogicEnergyModel,
-    ) -> Self {
-        let dram: EnergyBreakdown = dram_model.breakdown(&rank.dram);
-        SystemEnergy {
-            dram_static_nj: dram.static_nj,
-            dram_access_nj: dram.access_nj,
-            logic_nj: logic_model.logic_nj(rank),
+    /// The breakdown of a whole-system run: every rank's DRAM statistics
+    /// (`ranks`, in rank order) priced under `dram_model` and summed in
+    /// rank order, plus the ranks' summed `logic_nj`.
+    pub fn of_ranks(ranks: &[DramStats], dram_model: &EnergyModel, logic_nj: f64) -> Self {
+        let mut energy = SystemEnergy { logic_nj, ..SystemEnergy::default() };
+        for stats in ranks {
+            let dram = dram_model.breakdown(stats);
+            energy.dram_static_nj += dram.static_nj;
+            energy.dram_access_nj += dram.access_nj;
         }
+        energy
     }
 
     /// Total energy in nanojoules.
@@ -114,7 +114,6 @@ impl SystemEnergy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enmc_dram::DramStats;
 
     fn report(cycles: u64, busy: u64) -> UnitReport {
         UnitReport {

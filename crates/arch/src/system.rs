@@ -206,7 +206,8 @@ impl RankSlices {
     /// The whole-system run assembled from one report per distinct slice
     /// (`reports[i]` answers `distinct[i]`): every rank's report merged
     /// in rank order ([`UnitReport::merge_parallel`]), every rank's
-    /// energy summed in rank order, and the per-rank DRAM statistics.
+    /// energy summed in rank order ([`SystemEnergy::of_ranks`]), and the
+    /// per-rank DRAM statistics.
     /// The host-side fields are those of an instantaneous one-worker run
     /// (`workers` 1, zero wall time); a caller that timed the reports
     /// overrides them.
@@ -224,16 +225,10 @@ impl RankSlices {
         assert_eq!(reports.len(), self.distinct.len(), "one report per distinct slice");
         let per_rank: Vec<UnitReport> = self.slot.iter().map(|&i| reports[i]).collect();
         let merged = UnitReport::merge_parallel(&per_rank);
+        let shard_dram: Vec<DramStats> = per_rank.iter().map(|r| r.dram).collect();
         // Every rank's own activity and always-on window, summed exactly.
-        let slice_energy: Vec<SystemEnergy> =
-            reports.iter().map(|r| SystemEnergy::from_rank(r, dram_model, logic_model)).collect();
-        let mut energy = SystemEnergy::default();
-        for &i in &self.slot {
-            let e = &slice_energy[i];
-            energy.dram_static_nj += e.dram_static_nj;
-            energy.dram_access_nj += e.dram_access_nj;
-            energy.logic_nj += e.logic_nj;
-        }
+        let logic_nj = per_rank.iter().fold(0.0, |sum, r| sum + logic_model.logic_nj(r));
+        let energy = SystemEnergy::of_ranks(&shard_dram, dram_model, logic_nj);
         ShardedRun {
             result: SchemeResult {
                 scheme,
@@ -245,7 +240,7 @@ impl RankSlices {
             shards: self.slot.len(),
             wall_ns: 0.0,
             shard_wall_ns: 0.0,
-            shard_dram: per_rank.iter().map(|r| r.dram).collect(),
+            shard_dram,
         }
     }
 }
@@ -258,9 +253,8 @@ pub struct SystemModel {
     /// Rank-units in the system (Table 3: 8 channels × 8 ranks).
     pub total_ranks: usize,
     /// Per-rank DRAM energy model applied to every simulated scheme
-    /// (the memory preset's nominal model; the fault subsystem swaps in
-    /// relaxed-refresh / ECC-surcharged variants via
-    /// [`SystemModel::with_energy_model`]).
+    /// (the memory preset's nominal model; the tuner's ECC axis swaps in
+    /// an ECC-surcharged variant via [`SystemModel::with_energy_model`]).
     energy_model: EnergyModel,
     /// The memory-technology preset every simulated rank runs on
     /// (timing domain + energy coefficients + error profile). Defaults
@@ -290,8 +284,8 @@ impl SystemModel {
     /// Returns the model re-based on a memory-technology preset: the
     /// simulated ranks' DRAM timing domain, the per-rank energy model,
     /// and the error profile all switch to `tech`. Call before any
-    /// [`SystemModel::with_energy_model`] fault override — this resets
-    /// the energy model to the preset's nominal one.
+    /// [`SystemModel::with_energy_model`] override — this resets the
+    /// energy model to the preset's nominal one.
     pub fn with_memory(mut self, tech: MemTech) -> Self {
         self.mem = tech.preset();
         self.energy_model = self.mem.energy_model(1);
@@ -332,7 +326,11 @@ impl SystemModel {
         self
     }
 
-    /// The per-rank DRAM energy model in use.
+    /// The per-rank DRAM energy model in use. The energy model prices
+    /// DRAM activity but never changes it, so the resilience sweep runs
+    /// a job once and re-prices its per-rank statistics
+    /// ([`ShardedRun::shard_dram`]) under a variant of this model per
+    /// refresh multiplier ([`SystemEnergy::of_ranks`]).
     pub fn energy_model(&self) -> &EnergyModel {
         &self.energy_model
     }

@@ -5,39 +5,26 @@
 //!
 //! The grid cells are independent (one fitted pipeline each), so they
 //! shard across the bench workers via `par_rows`; within a cell the
-//! sweep itself is worker-count invariant. The frontier is monotone
-//! nonincreasing in both axes by construction — the binary verifies that
-//! on every cell before printing.
-//!
-//! `--cost-model surrogate [--audit-rate R]` answers every energy join
-//! with the fitted surrogate instead of the cycle-accurate system run;
-//! audited points that miss the declared bound abort the grid (the CI
-//! surrogate gate runs exactly that and requires zero violations).
+//! sweep itself is worker-count invariant, and its energy join simulates
+//! the system once per cell. The frontier is monotone nonincreasing in
+//! both axes by construction — the binary verifies that on every cell
+//! before printing.
 
-use enmc::cli::{Command, AUDIT_RATE, COST_MODEL, THREADS};
+use enmc::cli::{Command, THREADS};
 use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::{candidate_fraction, fit_pipeline, par_rows, JSON};
-use enmc_fault::{
-    pareto_frontier, run_resilience_sweep, FaultModel, FaultSweepSpec, SweepError,
-    SweepPoint,
-};
+use enmc_fault::{pareto_frontier, run_resilience_sweep, FaultModel, FaultSweepSpec, SweepPoint};
 use enmc_model::workloads::WorkloadId;
 use enmc_par::SimConfig;
-use enmc_surrogate::{CostBackend, CostModel};
 use enmc_tensor::quant::Precision;
 
 const MULTIPLIERS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 const QUERIES: usize = 96;
 const SEED: u64 = 7;
 
-fn sweep_cell(
-    id: WorkloadId,
-    ecc: bool,
-    workers: usize,
-    backend: CostBackend,
-) -> (WorkloadId, bool, Vec<SweepPoint>) {
+fn sweep_cell(id: WorkloadId, ecc: bool, workers: usize) -> (WorkloadId, bool, Vec<SweepPoint>) {
     let fitted = fit_pipeline(id, 0.25, Precision::Int4, SEED);
     let w = &fitted.workload;
     let job = ClassificationJob {
@@ -61,7 +48,6 @@ fn sweep_cell(
         query_seed: SEED ^ 0xfa17,
         tiers: vec![k, (k / 2).max(1)],
     };
-    let mut cost = CostModel::new(backend, SEED);
     let points = run_resilience_sweep(
         &fitted.synth,
         &fitted.classifier,
@@ -71,21 +57,15 @@ fn sweep_cell(
         workers,
         None,
         None,
-        &mut cost,
     )
-    .unwrap_or_else(|e| match e {
-        SweepError::Tensor(t) => panic!("frozen per-tensor screeners inject cleanly: {t}"),
-        SweepError::Surrogate(v) => panic!("surrogate audit failed: {v}"),
-    });
+    .unwrap_or_else(|e| panic!("frozen per-tensor screeners inject cleanly: {e}"));
     (id, ecc, points)
 }
 
-const CMD: Command =
-    Command::standalone("fault_sweep", &[&[THREADS, JSON, COST_MODEL, AUDIT_RATE]]);
+const CMD: Command = Command::standalone("fault_sweep", &[&[THREADS, JSON]]);
 
 fn main() {
-    let (a, (cfg, backend)) =
-        enmc_bench::parse(&CMD, |a| Ok((SimConfig::resolve(a.threads()?, false), a.backend()?)));
+    let (a, cfg) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
     let mut rep = Reporter::from_env(&a);
     println!("Resilience grid: screening quality vs refresh energy (retention faults)\n");
     let mut grid = Vec::new();
@@ -96,7 +76,7 @@ fn main() {
     }
     // One independent fitted pipeline per cell; shard cells across the
     // bench workers (within a cell the sweep runs sequentially).
-    let cells = par_rows(&cfg, grid, |&(id, ecc)| sweep_cell(id, ecc, 1, backend));
+    let cells = par_rows(&cfg, grid, |&(id, ecc)| sweep_cell(id, ecc, 1));
 
     let mut t = Table::new(&[
         "Workload", "ECC", "Mult", "Refresh uJ", "Top-1 %", "Fault degr %", "Masked rows",

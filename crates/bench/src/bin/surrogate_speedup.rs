@@ -1,16 +1,20 @@
-//! Surrogate throughput benchmark: answers the resilience grid's energy
-//! joins — 4 Table 2 workloads × 6 refresh multipliers × ECC on/off —
-//! once with the cycle-accurate system run and once with the fitted
-//! surrogate, and reports sweep points per second for both backends.
+//! Surrogate prediction-throughput probe: a grid of 48 energy joins —
+//! 4 Table 2 workloads × 6 refresh multipliers × ECC on/off, each asked
+//! as its own system run — answered once cycle-accurately and once by
+//! the fitted surrogate, reporting points per second for both backends.
+//! The grid measures how fast a fit answers independent queries; it is
+//! not what `enmc fault-sweep` runs, which simulates a cell once and
+//! prices every multiplier from that run.
 //!
 //! The surrogate's anchor fits run in a warmup pass (they are the
-//! backend's one-time capital cost, amortized over every sweep that
+//! backend's one-time capital cost, amortized over every query that
 //! reuses the shape) and the timed surrogate pass audits nothing —
-//! audit correctness is the CI gate's job (`--audit-rate 0.1` on the
-//! grid benches); this binary measures steady-state throughput. The
-//! binary asserts the surrogate answers the grid at least 50× faster
-//! and emits `BENCH_surrogate_speedup.json` when asked
-//! (`--bench-json <file>` or `ENMC_BENCH_DIR`).
+//! audit correctness is the CI gate's job (`serve-sim --audit-rate 0.1`
+//! and a perturbed coefficient file that must trip the audit); this
+//! binary measures steady-state throughput. The binary asserts the
+//! surrogate answers the grid at least 50× faster and emits
+//! `BENCH_surrogate_speedup.json` when asked (`--bench-json <file>` or
+//! `ENMC_BENCH_DIR`).
 
 use enmc::cli::Command;
 use enmc_arch::system::{ClassificationJob, SystemModel};

@@ -10,7 +10,7 @@ use std::process::{Command, Output};
 #[rustfmt::skip]
 const SPECS: &[(&str, &[&str])] = &[
     ("ablation", &["--threads", "--json"]),
-    ("fault_sweep", &["--threads", "--json", "--cost-model", "--audit-rate"]),
+    ("fault_sweep", &["--threads", "--json"]),
     ("fig04_breakdown", &["--json"]),
     ("fig05_motivation", &["--json"]),
     ("fig11_quality_speedup", &["--threads", "--json"]),

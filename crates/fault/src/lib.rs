@@ -23,6 +23,8 @@
 //!   counts how many corrupted exact rows screening *masked* (pruned rows
 //!   are never read), and joins each refresh-multiplier point with the
 //!   relaxed-refresh DRAM energy for a quality-vs-energy Pareto curve.
+//!   The join simulates the system once per sweep and prices that run
+//!   under each point's energy model.
 //!
 //! Determinism contract: with a nominal [`model::FaultModel`] (zero BER,
 //! multiplier 1, no weak columns) the injected pipeline is byte-identical to
@@ -40,6 +42,6 @@ pub use ecc::{Decoded, EccCounters, ECC_MW, ECC_NJ_PER_BURST, ECC_NS_PER_BURST};
 pub use inject::{corrupt_image, corrupt_matrix, corrupt_screener, InjectionStats};
 pub use model::FaultModel;
 pub use sweep::{
-    pareto_frontier, run_resilience_sweep, run_sweep, FaultSweepSpec, ParetoRow, SweepError,
-    SweepPoint, TierOutcome, FAULT_SHARDS,
+    pareto_frontier, run_resilience_sweep, run_sweep, FaultSweepSpec, ParetoRow, SweepPoint,
+    TierOutcome, FAULT_SHARDS,
 };

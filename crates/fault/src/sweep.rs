@@ -23,11 +23,15 @@
 //!
 //! [`run_resilience_sweep`] additionally joins each point with the
 //! relaxed-refresh DRAM energy of the full rank-parallel system, giving
-//! the quality-vs-energy Pareto data of the EDEN-style trade-off.
+//! the quality-vs-energy Pareto data of the EDEN-style trade-off. The
+//! system runs once per sweep: a refresh multiplier changes what the
+//! simulated DRAM activity costs, not the activity, so every point
+//! prices the same run.
 
 use crate::ecc::{ECC_MW, ECC_NJ_PER_BURST, ECC_NS_PER_BURST};
 use crate::inject::{corrupt_matrix, corrupt_screener, InjectionStats, WEIGHTS_BASE_ADDR};
 use crate::model::FaultModel;
+use enmc_arch::energy::SystemEnergy;
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_dram::energy::EnergyModel;
 use enmc_model::quality::{QualityAccumulator, QualityReport};
@@ -36,9 +40,7 @@ use enmc_obs::trace::{TraceBuffer, TraceEvent};
 use enmc_obs::MetricsRegistry;
 use enmc_par::SimConfig;
 use enmc_screen::{ApproxClassifier, SelectionPolicy};
-use enmc_surrogate::{CostModel, SurrogateViolation};
 use enmc_tensor::{top_k_indices, TensorError};
-use std::fmt;
 
 /// Fixed shard count for quality evaluation — like the pipeline's
 /// `QUALITY_SHARDS`, decoupled from the worker count so results are
@@ -298,54 +300,20 @@ pub fn run_sweep(
     Ok(points)
 }
 
-/// Why a resilience sweep failed: a fault-injection error, or an audited
-/// surrogate prediction outside its declared bound.
-#[derive(Debug)]
-pub enum SweepError {
-    /// Injection failed (unfrozen or per-row-scale screener).
-    Tensor(TensorError),
-    /// The surrogate cost model missed its audited error bound.
-    Surrogate(SurrogateViolation),
-}
-
-impl fmt::Display for SweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SweepError::Tensor(e) => write!(f, "{e}"),
-            SweepError::Surrogate(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SweepError {}
-
-impl From<TensorError> for SweepError {
-    fn from(e: TensorError) -> Self {
-        SweepError::Tensor(e)
-    }
-}
-
-impl From<SurrogateViolation> for SweepError {
-    fn from(e: SurrogateViolation) -> Self {
-        SweepError::Surrogate(e)
-    }
-}
-
-/// [`run_sweep`] joined with the system energy at each refresh setting:
-/// the whole rank-parallel system runs `job`, every rank on its own slice
-/// and the slices on `workers` threads, under an [`EnergyModel`] with the
-/// point's refresh multiplier (and the SEC-DED surcharges when ECC is
-/// on), filling the energy fields of every point.
-/// The energy join runs through `cost`, so a surrogate backend answers
-/// each point in pure arithmetic (auditing a seeded fraction
-/// cycle-accurately). Optionally records `fault.*` metrics and per-point
-/// trace events.
+/// [`run_sweep`] joined with the system energy at each refresh setting.
+/// The whole rank-parallel system runs `job` once, every rank on its own
+/// slice and the slices on `workers` threads. A refresh multiplier or an
+/// ECC surcharge changes what that DRAM activity costs, never the
+/// activity (the controller counts the nominal REF schedule), so each
+/// point prices the one run: every rank's DRAM statistics under an
+/// [`EnergyModel`] with the point's refresh multiplier (plus the SEC-DED
+/// surcharges when ECC is on), summed in rank order, plus the run's own
+/// logic energy. Optionally records `fault.*` metrics and per-point trace
+/// events.
 ///
 /// # Errors
 ///
-/// Propagates injection errors (unfrozen or per-row-scale screeners), and
-/// [`SweepError::Surrogate`] when an audited point misses the declared
-/// bound.
+/// Propagates injection errors (unfrozen or per-row-scale screeners).
 #[allow(clippy::too_many_arguments)]
 pub fn run_resilience_sweep(
     synth: &SyntheticClassifier,
@@ -356,11 +324,29 @@ pub fn run_resilience_sweep(
     workers: usize,
     registry: Option<&mut MetricsRegistry>,
     mut trace: Option<&mut TraceBuffer>,
-    cost: &mut CostModel,
-) -> Result<Vec<SweepPoint>, SweepError> {
+) -> Result<Vec<SweepPoint>, TensorError> {
     let mut points = run_sweep(synth, classifier, spec, workers)?;
     let logic = system.logic_energy_model(Scheme::Enmc).expect("ENMC draws logic power");
-    let sim = SimConfig::with_threads(workers);
+    let run = system.run_sharded(job, Scheme::Enmc, &SimConfig::with_threads(workers));
+    let report = run.result.rank_report.as_ref().expect("ENMC runs are simulated");
+    let logic_nj = run.result.energy.expect("ENMC runs carry energy").logic_nj;
+    let (ecc_logic_nj, ecc_energy_nj, ecc_latency_ns) = if spec.ecc {
+        // Logic-side ECC power over every rank's own cycles, charged on
+        // top of the scheme's Table 5 logic model.
+        let rank_cycles: u64 = run.shard_dram.iter().map(|s| s.total_cycles).sum();
+        let ecc_logic_nj = ECC_MW * rank_cycles as f64 * logic.tck_ps * 1e-12 * 1e-3 * 1e9;
+        // The merged counters are sums over every rank.
+        let bursts = report.dram.reads + report.dram.writes;
+        // Ranks decode in parallel: the busiest rank sets the latency.
+        let max_reads = run.shard_dram.iter().map(|s| s.reads).max().unwrap_or(0);
+        (
+            ecc_logic_nj,
+            bursts as f64 * ECC_NJ_PER_BURST + ecc_logic_nj,
+            max_reads as f64 * ECC_NS_PER_BURST,
+        )
+    } else {
+        (0.0, 0.0, 0.0)
+    };
     for point in &mut points {
         // Start from the system's own per-rank energy model (the memory
         // preset's nominal coefficients), with any prior refresh/ECC
@@ -374,35 +360,11 @@ pub fn run_resilience_sweep(
         if spec.ecc {
             dram = dram.with_ecc_surcharge(ECC_NJ_PER_BURST);
         }
-        let sys = system.clone().with_energy_model(dram);
-        let context = format!(
-            "fault-sweep energy join (multiplier {}, ecc {})",
-            point.refresh_multiplier, spec.ecc
-        );
-        let run = cost.run_sharded_enmc(&sys, job, &sim, &context)?;
-        let report = run.result.rank_report.as_ref().expect("ENMC runs are simulated");
-        let energy = run.result.energy.expect("ENMC runs carry energy");
-        // The merged counters are sums over every rank.
+        let energy = SystemEnergy::of_ranks(&run.shard_dram, &dram, logic_nj);
         point.refresh_energy_nj = dram.refresh_energy_nj(report.dram.refreshes);
-        point.ecc_energy_nj = if spec.ecc {
-            (report.dram.reads + report.dram.writes) as f64 * ECC_NJ_PER_BURST
-        } else {
-            0.0
-        };
-        // Ranks decode in parallel: the busiest rank sets the latency.
-        let max_reads = run.shard_dram.iter().map(|s| s.reads).max().unwrap_or(0);
-        point.ecc_latency_ns = if spec.ecc { max_reads as f64 * ECC_NS_PER_BURST } else { 0.0 };
-        // Logic-side ECC power over every rank's own cycles: charge it
-        // explicitly on top of the scheme's Table 5 logic model (which the
-        // system applies internally).
-        let ecc_logic_nj = if spec.ecc {
-            let rank_cycles: u64 = run.shard_dram.iter().map(|s| s.total_cycles).sum();
-            ECC_MW * rank_cycles as f64 * logic.tck_ps * 1e-12 * 1e-3 * 1e9
-        } else {
-            0.0
-        };
         point.total_energy_nj = energy.total_nj() + ecc_logic_nj;
-        point.ecc_energy_nj += ecc_logic_nj;
+        point.ecc_energy_nj = ecc_energy_nj;
+        point.ecc_latency_ns = ecc_latency_ns;
         if let Some(tb) = trace.as_deref_mut() {
             tb.record(
                 TraceEvent::instant("fault_point", "fault", 0, 0, 0)

@@ -49,7 +49,7 @@ use crate::record;
 /// | `attribution` | `energy_nj`, `breakdown` | `profile`; `simulate --threads N` on a simulated scheme |
 /// | `serving` | `slo_attainment`, `p99_ns`, `shed`, `degrade_transitions` | `serve-sim`, `fleet-sim` |
 /// | `fault` | `ber`, `refresh_multiplier`, `ecc_corrected`, `ecc_uncorrected`, `quality_degradation_pct`, `ber_scale`, `retention_base`, `weak_column_scale` | `fault-sweep` |
-/// | `surrogate` | `cost_backend`, `fit_anchors`, `audit_points`, `audit_max_rel_err` | every command that takes `--cost-model`: `serve-sim`, `fleet-sim`, `fault-sweep`, `tune`, `offload-plan` |
+/// | `surrogate` | `cost_backend`, `fit_anchors`, `audit_points`, `audit_max_rel_err` | every command that takes `--cost-model`: `serve-sim`, `fleet-sim`, `tune`, `offload-plan` |
 /// | `fleet` | `nodes`, `placement`, `hot_shard_replicas`, `network_share`, `tenants` | `fleet-sim` |
 /// | `tune` | `space_size`, `evaluated_designs`, `audited_designs`, `frontier_points`, `dominated_points`, `max_area_mm2`, `max_power_mw` | `tune` |
 /// | `offload` | `offload_nmp`, `offload_cpu` | `offload-plan`; `serve-sim`, `fleet-sim` under `--offload` |

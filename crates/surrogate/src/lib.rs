@@ -1,12 +1,15 @@
 //! # Hybrid-fidelity surrogate cost model
 //!
-//! Every sweep in the repo (resilience grids, serving calibration, the
-//! figure benches) bottlenecks on the cycle-accurate DDR4 simulator. This
-//! crate trades fidelity for throughput *without trading away trust*: a
-//! seeded design-of-experiments pass runs the cycle-accurate rank-unit on
-//! a handful of anchor points per shape, fits per-counter affine models
-//! ([`fit`]), and then answers arbitrary sweep points in pure arithmetic —
-//! orders of magnitude faster than simulation.
+//! Serving calibration tables, fleet capacity searches, offload plans and
+//! design-space tuning ask the cycle-accurate DDR4 simulator the same kind
+//! of question at many operating points. This crate trades fidelity for
+//! throughput *without trading away trust*: a seeded design-of-experiments
+//! pass runs the cycle-accurate rank-unit on a handful of anchor points
+//! per shape, fits per-counter affine models ([`fit`]), and then answers
+//! arbitrary sweep points in pure arithmetic — orders of magnitude faster
+//! than simulation. The fit pays only when it answers many points: the
+//! resilience sweep (`enmc-fault`) prices all of its points from one
+//! simulated run and uses no cost model.
 //!
 //! The heart of the design is the **audit path**: at a configurable rate,
 //! seeded-randomly chosen sweep points are re-run cycle-accurately and the
@@ -108,7 +111,7 @@ pub const DECLARED_BOUND: ErrorBound =
 /// point fell outside the declared bound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SurrogateViolation {
-    /// What the audited point was doing (e.g. `fault-sweep energy join`).
+    /// What the audited point was doing (e.g. `fleet-sim calibration`).
     pub context: String,
     /// The attribution leaf (or scalar) that missed, e.g.
     /// `cycles/gather/mem_stall`.
@@ -664,10 +667,10 @@ mod tests {
         let logic = sys.logic_energy_model(Scheme::Enmc).expect("ENMC draws logic power");
         let mut energy = SystemEnergy::default();
         for r in &reports {
-            let e = SystemEnergy::from_rank(r, sys.energy_model(), &logic);
-            energy.dram_static_nj += e.dram_static_nj;
-            energy.dram_access_nj += e.dram_access_nj;
-            energy.logic_nj += e.logic_nj;
+            let dram = sys.energy_model().breakdown(&r.dram);
+            energy.dram_static_nj += dram.static_nj;
+            energy.dram_access_nj += dram.access_nj;
+            energy.logic_nj += logic.logic_nj(r);
         }
         let merged = UnitReport::merge_parallel(&reports);
         assert_eq!(run.result.rank_report, Some(merged));

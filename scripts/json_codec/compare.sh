@@ -15,18 +15,29 @@ BINS=$(ls "$C/crates/bench/src/bin" | sed 's/\.rs$//')
 fail=0
 
 # Host time: `wall_ns`/`speedup` and the sharded-run note; surrogate_speedup
-# prints nothing but host-time rates and counts.
+# prints nothing but host-time rates and counts, padded to their width. A fault-sweep report written
+# before the sweep dropped its cost model carries a `surrogate` section; every
+# other byte must match.
 mask() { sed -E 's/"(wall_ns|speedup)":[^,}]*/"\1":X/g; s/speedup [0-9.]+x/speedup Xx/g'; }
-mask_host() { sed -E 's/[0-9]+(\.[0-9]+)?/N/g'; }
+mask_host() { sed -E 's/[0-9]+(\.[0-9]+)?/N/g; s/ +/ /g'; }
+mask_fault() { mask | sed -E 's/,"surrogate":\{[^}]*\}//'; }
 
 for side in parent change; do
   [ $side = parent ] && R=$P || R=$C
   B=$R/target/release; D=$OUT/$side; F=$D/files
   # Every `enmc` invocation in CI, README and the verify skill, plus text runs.
   "$HERE/../report_v11/run.sh" "$B/enmc" "$D"
-  "$B/enmc" fault-sweep --shape lstm-wikitext2 --ber 1e-4 --multipliers 1,8 --ecc \
-    --queries 16 --cost-model surrogate --audit-rate 0 --seed 18446744073709551615 \
-    --coeffs-out "$F/coeffs_max_seed.json" --report json > "$D/x_coeffs_max_seed.out" 2> /dev/null
+  # The coefficient round trip at the largest seed: write, then load and write.
+  for step in write reload; do
+    [ $step = write ] && load=() || load=(--coeffs "$F/coeffs_max_seed_write.json")
+    "$B/enmc" serve-sim --workload gnmt --requests 8 --candidates 0.01 --cost-model surrogate \
+      --audit-rate 0 --seed 18446744073709551615 "${load[@]}" \
+      --coeffs-out "$F/coeffs_max_seed_$step.json" --report json \
+      > "$D/x_coeffs_max_seed_$step.out" 2> /dev/null
+  done
+  "$B/enmc" serve-sim --workload gnmt --arrival poisson --rate 0.2 --requests 48 --batch-max 2 \
+    --candidates 0.01 --slo-cycles 60000 --threads 4 --cost-model surrogate --audit-rate 0.1 \
+    --report json > "$D/x_serve_surrogate_t4.out" 2> /dev/null
   for bug in tfaw-1 trcd-1; do
     "$B/enmc" fuzz-dram --seeds 8 --inject-bug $bug --repro-out "$F/repro_$bug.json" \
       > "$D/x_fuzz_$bug.out" 2> /dev/null; echo $? > "$D/x_fuzz_$bug.code"
@@ -49,7 +60,7 @@ for side in parent change; do
   h fleet_capacity_t4 "" fleet_capacity --threads 4 --json "$F/fleet_capacity_t4.json"
   h memtech_t1 "" memtech_iso_quality --threads 1
   h memtech_t4 "" memtech_iso_quality --threads 4 --json "$F/memtech_t4.json"
-  h fault_sweep_surrogate "" fault_sweep --threads 4 --cost-model surrogate --audit-rate 0.1
+  h fault_sweep_t4 "" fault_sweep --threads 4 --json "$F/fault_sweep_t4.json"
   h fleet_capacity_cycle "" fleet_capacity --scale 256 --cost-model cycle-accurate
   h fig15_scale16 "" fig15_scalability --scale 16 --json "$F/fig15_scale16.json"
   h fig15_scale0 "" fig15_scalability --scale 0
@@ -63,7 +74,7 @@ same() { # label, parent file, change file, filter
 }
 for f in "$OUT"/parent/*.out "$OUT"/parent/*.code; do
   name=$(basename "$f")
-  case $name in h_surrogate_speedup*) filter=mask_host ;; *) filter=mask ;; esac
+  case $name in h_surrogate_speedup*) filter=mask_host ;; *fault*) filter=mask_fault ;; *) filter=mask ;; esac
   same "$name" "$f" "$OUT/change/$name" $filter
 done
 for f in "$OUT"/parent/files/*; do same "files/$(basename "$f")" "$f" "$OUT/change/files/$(basename "$f")" cat; done

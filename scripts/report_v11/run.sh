@@ -25,10 +25,9 @@ done
 r ci_tune_guided "" tune --workload lstm --max-area-mm2 28.3 --search guided --frontier-out $F/tune_frontier_guided.json --report json
 r ci_fault_ber "" fault-sweep --shape lstm-wikitext2 --ber 1e-4 --queries 64 --report json
 r ci_fault_ecc "" fault-sweep --shape lstm-wikitext2 --ber 1e-4 --queries 64 --ecc --report json
-r ci_fault_surrogate "" fault-sweep --shape lstm-wikitext2 --ber 1e-4 --multipliers 1,2,4,8,16,32 --ecc --queries 16 --cost-model surrogate --audit-rate 0.1 --coeffs-out $F/surrogate_coeffs.json --report json
-r ci_serve_surrogate "" serve-sim --workload gnmt --arrival poisson --rate 0.2 --requests 48 --batch-max 2 --candidates 0.01 --slo-cycles 60000 --cost-model surrogate --audit-rate 0.1 --report json
+r ci_serve_surrogate "" serve-sim --workload gnmt --arrival poisson --rate 0.2 --requests 48 --batch-max 2 --candidates 0.01 --slo-cycles 60000 --cost-model surrogate --audit-rate 0.1 --coeffs-out $F/surrogate_coeffs.json --report json
 sed 's/"screener_busy":\[[^]]*\]/"screener_busy":[0,0,0,0,0,0]/' $F/surrogate_coeffs.json > $OUT/coeffs_bad.json
-r ci_fault_badcoeffs "" fault-sweep --shape lstm-wikitext2 --ber 1e-4 --ecc --queries 16 --cost-model surrogate --audit-rate 1 --coeffs $OUT/coeffs_bad.json --report json
+r ci_serve_badcoeffs "" serve-sim --workload gnmt --arrival poisson --rate 0.2 --requests 48 --batch-max 2 --candidates 0.01 --slo-cycles 60000 --cost-model surrogate --audit-rate 1 --coeffs $OUT/coeffs_bad.json --report json
 r ci_tune_mixed "" tune --workload lstm --ranks 64 --lanes 128 --memory ddr4-2666,ddr5-4800,lpddr4-3200,hbm2 --max-power-mw 46000 --frontier-out $F/frontier_mixed.json --report json
 # --- README ---
 r rd_sim_lstm "" simulate --workload lstm --scheme enmc --report json
@@ -39,7 +38,7 @@ r rd_fault "" fault-sweep --shape lstm-wikitext2 --ber 1e-4 --multipliers 1,8,32
 r vs_sim_trace "" simulate --workload lstm --scheme enmc --trace-out $F/sim_trace.json --report json
 r vs_sim_xmlcnn_t4 "" simulate --workload xmlcnn --threads 4 --report json
 r vs_sim_check "" simulate --workload lstm --check-protocol --report json
-r vs_fault_surrogate "" fault-sweep --shape lstm-wikitext2 --ber 1e-4 --multipliers 1,8,32 --ecc --queries 16 --cost-model surrogate --audit-rate 1 --coeffs-out $F/c.json --report json
+r vs_serve_surrogate "" serve-sim --workload gnmt --arrival poisson --rate 0.2 --requests 48 --batch-max 2 --candidates 0.01 --slo-cycles 60000 --cost-model surrogate --audit-rate 1 --coeffs-out $F/c.json --report json
 # --- added ---
 r add_sim_t2 "" simulate --workload lstm --threads 2 --report json
 r add_sim_cpu_t2 "" simulate --workload lstm --scheme cpu --threads 2 --report json

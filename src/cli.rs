@@ -9,7 +9,7 @@
 //! and printing the subcommand's flags with their defaults. Each
 //! subcommand then reads typed values through the value rules named here
 //! ([`count`], [`unsigned`], [`fraction`], [`unit`], [`positive`],
-//! [`nonnegative`], [`multiplier`], [`list`], [`one_of`]), so a bad value
+//! [`nonnegative`], [`multipliers`], [`list`], [`one_of`]), so a bad value
 //! fails with a message that names the flag, the value and the accepted
 //! range instead of falling back to a default.
 
@@ -228,7 +228,7 @@ const OFFLOAD_PLAN: &[Flag] = &[
 const FAULT_SWEEP: &[Flag] = &[
     flag("--shape", "SHAPE", "lstm-wikitext2", "lstm-wikitext2|transformer-wikitext103|gnmt-wmt16|xmlcnn-amazon670k, or the first word"),
     flag("--ber", "F", "0", "uniform bit-error rate in [0, 1]"),
-    flag("--multipliers", "M,...", "1", "refresh-interval multipliers, each >= 1"),
+    flag("--multipliers", "M,...", "1", "refresh-interval multipliers, each >= 1 and listed once"),
     flag("--weak-columns", "F", "0", "fraction of tRCD-marginal columns, in [0, 1]"),
     switch("--ecc", "protect the weights with SEC-DED (72,64)"),
     flag("--queries", "N", "256", "queries per sweep point").at_most(MAX_QUERIES),
@@ -272,7 +272,7 @@ pub const COMMANDS: &[Command] = &[
     cmd("fleet-sim", &[], "simulate a multi-tenant serving fleet", &[FLEET_SIM, FLEET, RUN, COST]),
     cmd("tune", &[], "search the design space for a Pareto frontier under budgets", &[TUNE]),
     cmd("offload-plan", &[], "plan each (tier, batch) point on NMP or the CPU roofline", &[OFFLOAD_PLAN, RUN]),
-    cmd("fault-sweep", &[], "sweep quality against refresh energy under DRAM faults", &[FAULT_SWEEP, RUN, COST]),
+    cmd("fault-sweep", &[], "sweep quality against refresh energy under DRAM faults", &[FAULT_SWEEP, RUN]),
     cmd("fuzz-dram", &[], "fuzz the DRAM controller against the checker and golden model", &[FUZZ_DRAM]),
     cmd("profile", &[], "attribute one whole-system run's cycles and energy top-down", &[PROFILE]),
     cmd("bench-diff", &["OLD.json", "NEW.json"], "gate one BENCH record against another", &[BENCH_DIFF]),
@@ -657,13 +657,25 @@ pub fn nonnegative(f: &Flag, raw: &str) -> Result<f64, String> {
     real(f, raw, 0.0, false, f64::INFINITY)
 }
 
-/// A `--multipliers` entry: a finite real >= 1.
+/// `--multipliers`: a comma-separated list of finite reals >= 1, each
+/// value once (`1` and `1.0` are the same value).
 ///
 /// # Errors
 ///
-/// Returns a message naming the flag, the value and the range.
-pub fn multiplier(f: &Flag, raw: &str) -> Result<f64, String> {
-    real(f, raw, 1.0, false, f64::INFINITY)
+/// Returns a message naming the flag and the offending entry: one out of
+/// range, or one that repeats an earlier entry's value.
+pub fn multipliers(f: &Flag, raw: &str) -> Result<Vec<f64>, String> {
+    let values = list(|f, tok| real(f, tok, 1.0, false, f64::INFINITY))(f, raw)?;
+    let tokens: Vec<&str> = raw.split(',').collect();
+    for (i, v) in values.iter().enumerate() {
+        if let Some(j) = values[..i].iter().position(|w| w == v) {
+            return Err(format!(
+                "{} lists the value '{}' twice (again as '{}'); give each multiplier once",
+                f.name, tokens[j], tokens[i]
+            ));
+        }
+    }
+    Ok(values)
 }
 
 /// A finite real in `[lo, hi]`, or in `(lo, hi]` when `open`; an infinite
@@ -1082,13 +1094,26 @@ mod tests {
 
     #[test]
     fn multipliers_accept_a_nonempty_list_of_at_least_one() {
-        let mults = || list(multiplier);
-        let one = read("fault-sweep", "--multipliers", "1", mults());
+        let one = read("fault-sweep", "--multipliers", "1", multipliers);
         assert_eq!(one, Ok(vec![1.0]));
-        let many = read("fault-sweep", "--multipliers", "1,2,4.5,32", mults());
+        let many = read("fault-sweep", "--multipliers", "1,2,4.5,32", multipliers);
         assert_eq!(many, Ok(vec![1.0, 2.0, 4.5, 32.0]));
         let raws = [",", "0.5", "2,zero", "2,,4", "inf"];
-        rejects("fault-sweep", "--multipliers", &raws, mults(), ">= 1");
+        rejects("fault-sweep", "--multipliers", &raws, multipliers, ">= 1");
+    }
+
+    #[test]
+    fn multipliers_reject_a_repeated_value_however_it_is_written() {
+        let raws = ["1,1", "1,1.0", "2,8,2e0", "4,1,8,4"];
+        rejects(
+            "fault-sweep",
+            "--multipliers",
+            &raws,
+            multipliers,
+            "each multiplier once",
+        );
+        let e = read("fault-sweep", "--multipliers", "8,1,8.00", multipliers).unwrap_err();
+        assert!(e.contains("'8' twice (again as '8.00')"), "{e}");
     }
 
     #[test]
@@ -1180,13 +1205,13 @@ mod tests {
     #[test]
     fn audit_rate_accepts_the_closed_unit_interval() {
         for (raw, audit_rate) in [("0", 0.0), ("0.1", 0.1), ("1", 1.0)] {
-            let a = with("fault-sweep --cost-model surrogate", "--audit-rate", raw);
+            let a = with("serve-sim --cost-model surrogate", "--audit-rate", raw);
             assert_eq!(a.backend(), Ok(CostBackend::Surrogate { audit_rate }));
         }
         let raws = ["1.5", "-0.1", "NaN", "always"];
         rejects_by("serve-sim", "--audit-rate", &raws, Args::backend, "[0, 1]");
         // Checked even when the cycle-accurate backend will not use it.
-        let e = args("fault-sweep --audit-rate 2").backend().unwrap_err();
+        let e = args("serve-sim --audit-rate 2").backend().unwrap_err();
         assert!(e.contains("--audit-rate") && e.contains("[0, 1]"), "{e}");
     }
 
@@ -1360,7 +1385,7 @@ mod tests {
 
     #[test]
     fn common_args_backend_default_binds_per_subcommand() {
-        for cmd in ["serve-sim", "fleet-sim", "offload-plan", "fault-sweep"] {
+        for cmd in ["serve-sim", "fleet-sim", "offload-plan"] {
             assert_eq!(args(cmd).backend(), Ok(CostBackend::CycleAccurate), "{cmd}");
         }
         let tune = args("tune").backend();
@@ -1390,7 +1415,7 @@ mod tests {
         // value at all.
         assert_eq!(args("fault-sweep --ber -0.1").text("--ber"), Some("-0.1"));
         for (line, flag) in [
-            (&["fault-sweep", "--coeffs", "--ecc"][..], "--coeffs"),
+            (&["serve-sim", "--coeffs", "--offload"][..], "--coeffs"),
             (
                 &["simulate", "--trace-out", "--check-protocol"],
                 "--trace-out",

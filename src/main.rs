@@ -6,7 +6,7 @@
 
 use enmc::arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc::cli::{
-    count, fraction, list, multiplier, nonnegative, one_of, positive, tenant_priority, tiers, unit,
+    count, fraction, multipliers, nonnegative, one_of, positive, tenant_priority, tiers, unit,
     unsigned, zipf, Args, ArrivalKind, ARRIVALS, PLACEMENTS, SCHEMES, SEARCHES, SHAPES, WORKLOADS,
 };
 use enmc::compiler::{lower_screening, MemoryLayout, TaskDescriptor};
@@ -688,16 +688,13 @@ fn cmd_fault_sweep(a: &Args) -> Result<i32, Fail> {
     let sweep = FaultSweepArgs {
         shape: a.get("--shape", one_of(SHAPES))?,
         ber: a.get("--ber", unit)?,
-        multipliers: a.get("--multipliers", list(multiplier))?,
+        multipliers: a.get("--multipliers", multipliers)?,
         weak_columns: a.get("--weak-columns", unit)?,
         ecc: a.on("--ecc"),
         queries: a.get("--queries", count)?,
         seed: a.seed()?,
         workers: a.threads()?.unwrap_or(1),
-        backend: a.backend()?,
         memory: a.memory()?,
-        coeffs_in: a.text("--coeffs").map(String::from),
-        coeffs_out: a.text("--coeffs-out").map(String::from),
     };
     let json = a.json()?;
     let trace_out = a.text("--trace-out");

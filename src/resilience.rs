@@ -1,7 +1,7 @@
 //! Root glue for `enmc fault-sweep`: builds a paper-shape pipeline, runs
 //! the fault/resilience sweep from `enmc-fault`, and renders the
 //! quality-vs-refresh-energy Pareto table plus a structured [`RunReport`]
-//! carrying the `fault` and `surrogate` sections.
+//! carrying the `fault` section.
 //!
 //! The sweep is memory-technology aware: `--memory` swaps the system
 //! onto another preset, and the preset's error profile scales the
@@ -22,10 +22,8 @@ use crate::cli::FaultShape;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use enmc_arch::system::ClassificationJob;
 use enmc_fault::{
-    pareto_frontier, run_resilience_sweep, FaultModel, FaultSweepSpec, ParetoRow,
-    SweepError, SweepPoint,
+    pareto_frontier, run_resilience_sweep, FaultModel, FaultSweepSpec, ParetoRow, SweepPoint,
 };
-use enmc_surrogate::{CostBackend, CostModel};
 use enmc_mem::MemTech;
 use enmc_model::workloads::{candidate_fraction, eval_shape, WorkloadId};
 use enmc_obs::report::{Fault, RunReport};
@@ -102,18 +100,10 @@ pub struct FaultSweepArgs {
     pub seed: u64,
     /// Worker threads (result is bit-identical for any count).
     pub workers: usize,
-    /// Cost backend answering the per-point energy join.
-    pub backend: CostBackend,
     /// Memory technology preset: sets the timing/energy model of the
     /// energy join and scales the injected fault model by the preset's
     /// error profile.
     pub memory: MemTech,
-    /// Surrogate coefficient file to load instead of fitting fresh
-    /// (ignored on the cycle-accurate backend).
-    pub coeffs_in: Option<String>,
-    /// Where to write the surrogate's fitted coefficients (ignored on
-    /// the cycle-accurate backend).
-    pub coeffs_out: Option<String>,
 }
 
 /// Runs the sweep end to end: pipeline build, injection, quality, energy
@@ -146,12 +136,6 @@ pub fn run_fault_sweep(
         tiers: tiers.clone(),
     };
     let mut registry = MetricsRegistry::new();
-    let mut cost = CostModel::new(args.backend, args.seed);
-    if let Some(path) = &args.coeffs_in {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read --coeffs {path}: {e}"))?;
-        cost.load_coeffs(&text).map_err(|e| format!("cannot load --coeffs {path}: {e}"))?;
-    }
     let points = run_resilience_sweep(
         pipeline.synth(),
         pipeline.classifier(),
@@ -161,16 +145,8 @@ pub fn run_fault_sweep(
         args.workers,
         Some(&mut registry),
         trace,
-        &mut cost,
     )
-    .map_err(|e| match e {
-        SweepError::Tensor(t) => format!("fault injection failed: {t}"),
-        SweepError::Surrogate(v) => format!("surrogate audit failed: {v}"),
-    })?;
-    if let Some(path) = &args.coeffs_out {
-        std::fs::write(path, cost.coeffs_to_json())
-            .map_err(|e| format!("cannot write --coeffs-out {path}: {e}"))?;
-    }
+    .map_err(|e| format!("fault injection failed: {e}"))?;
     let frontier = pareto_frontier(&points);
 
     let mut report = RunReport::new("fault-sweep", args.shape.name(), "enmc");
@@ -190,7 +166,6 @@ pub fn run_fault_sweep(
         retention_base: profile.retention_base,
         weak_column_scale: profile.weak_column_scale,
     });
-    report.surrogate = Some(cost.stats().section(cost.backend()));
     report.metrics = registry.snapshot();
     let cfg = pipeline.config();
     report.notes.push(format!(
@@ -283,20 +258,14 @@ mod tests {
             queries: 24,
             seed: 7,
             workers: 1,
-            backend: CostBackend::CycleAccurate,
             memory: MemTech::Ddr4_2666,
-            coeffs_in: None,
-            coeffs_out: None,
         };
         let (points, frontier, report) = run_fault_sweep(&args, None).unwrap();
         let fault = report.fault.as_ref().unwrap();
-        let surrogate = report.surrogate.as_ref().unwrap();
         assert_eq!(fault.quality_degradation_pct, 0.0);
         assert_eq!(report.memory_tech, "ddr4-2666");
         assert_eq!(fault.ber_scale, 1.0);
         assert_eq!(fault.ecc_corrected, 0);
-        assert_eq!(surrogate.cost_backend, "cycle-accurate");
-        assert_eq!(surrogate.fit_anchors, 0);
         assert_eq!(points[0].primary().fault_top1_flips, 0);
         assert_eq!(frontier.len(), 1);
         assert!(points[0].refresh_energy_nj > 0.0, "energy join must see refreshes");
@@ -304,39 +273,6 @@ mod tests {
         let (p4, _, r4) = run_fault_sweep(&par, None).unwrap();
         assert_eq!(p4, points, "sweep points diverged across worker counts");
         assert_eq!(r4.to_json(), report.to_json(), "report diverged across worker counts");
-    }
-
-    #[test]
-    fn surrogate_backend_survives_a_full_audit_and_reports_its_stats() {
-        let args = FaultSweepArgs {
-            shape: FaultShape::LstmWikitext2,
-            ber: 0.0,
-            multipliers: vec![1.0, 8.0],
-            weak_columns: 0.0,
-            ecc: false,
-            queries: 24,
-            seed: 7,
-            workers: 1,
-            backend: CostBackend::Surrogate { audit_rate: 1.0 },
-            memory: MemTech::Ddr4_2666,
-            coeffs_in: None,
-            coeffs_out: None,
-        };
-        let (points, _, report) = run_fault_sweep(&args, None).unwrap();
-        let surrogate = report.surrogate.unwrap();
-        assert_eq!(surrogate.cost_backend, "surrogate");
-        assert!(surrogate.fit_anchors > 0, "surrogate must have fitted anchors");
-        assert_eq!(surrogate.audit_points, 2, "audit rate 1.0 audits every point");
-        assert!(
-            surrogate.audit_max_rel_err <= enmc_surrogate::DECLARED_BOUND.rel,
-            "observed {}",
-            surrogate.audit_max_rel_err
-        );
-        assert!(points[0].refresh_energy_nj > 0.0, "predicted energy join sees refreshes");
-        assert!(
-            points[1].refresh_energy_nj < points[0].refresh_energy_nj,
-            "relaxed refresh must cost less refresh energy"
-        );
     }
 
     #[test]
@@ -350,10 +286,7 @@ mod tests {
             queries: 24,
             seed: 7,
             workers: 2,
-            backend: CostBackend::CycleAccurate,
             memory: MemTech::Ddr4_2666,
-            coeffs_in: None,
-            coeffs_out: None,
         };
         let (points, frontier, report) = run_fault_sweep(&args, None).unwrap();
         let fault = report.fault.as_ref().unwrap();
@@ -381,10 +314,7 @@ mod tests {
             queries: 24,
             seed: 7,
             workers: 1,
-            backend: CostBackend::CycleAccurate,
             memory: MemTech::Lpddr4_3200,
-            coeffs_in: None,
-            coeffs_out: None,
         };
         let (points, _, report) = run_fault_sweep(&args, None).unwrap();
         let profile = MemTech::Lpddr4_3200.preset().error;

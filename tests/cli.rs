@@ -82,6 +82,8 @@ fn another_commands_flag_is_unknown() {
         ("serve-sim", "--shape", "gnmt-wmt16"),
         ("simulate", "--cost-model", "surrogate"),
         ("profile", "--seed", "3"),
+        ("fault-sweep", "--cost-model", "surrogate"),
+        ("fault-sweep", "--coeffs", "FILE"),
     ] {
         let err = rejects(&[cmd, flag, value], flag);
         assert!(err.contains(&format!("usage: enmc {cmd}")), "{err}");
@@ -133,8 +135,8 @@ const RULES: &[(&str, &str, &str, &str)] = &[
     ("tune", "--linger", "-1", "an integer >= 0"),
     ("serve-sim fleet-sim", "--lanes", "0", "an integer in 1..=512"),
     ("tune", "--lanes", "0", "an integer >= 1"),
-    ("serve-sim fleet-sim tune offload-plan fault-sweep", "--cost-model", "oracle", "one of cycle-accurate, cycle, accurate, surrogate"),
-    ("serve-sim fleet-sim tune offload-plan fault-sweep", "--audit-rate", "2", "a finite number in [0, 1]"),
+    ("serve-sim fleet-sim tune offload-plan", "--cost-model", "oracle", "one of cycle-accurate, cycle, accurate, surrogate"),
+    ("serve-sim fleet-sim tune offload-plan", "--audit-rate", "2", "a finite number in [0, 1]"),
     ("serve-sim", "--requests", "0", "an integer in 1..=65536"),
     ("serve-sim", "--shed-queue", "0", "an integer >= 1"),
     ("serve-sim", "--degrade-queue", "0", "an integer >= 1"),
@@ -158,6 +160,7 @@ const RULES: &[(&str, &str, &str, &str)] = &[
     ("fault-sweep", "--ber", "-0.1", "a finite number in [0, 1]"),
     ("fault-sweep", "--weak-columns", "2", "a finite number in [0, 1]"),
     ("fault-sweep", "--multipliers", "1,0.5", "a finite number >= 1"),
+    ("fault-sweep", "--multipliers", "1,1.0", "'1' twice (again as '1.0'); give each multiplier once"),
     ("fault-sweep", "--queries", "0", "an integer in 1..=65536"),
     ("fuzz-dram", "--seeds", "0", "an integer in 1..=8192"),
     ("fuzz-dram", "--len", "0", "an integer in 1..=24576"),

@@ -1,8 +1,8 @@
 //! Golden fault-sweep regression: the schema-v11 `RunReport` of one fixed
 //! resilience scenario is checked in at `tests/golden/fault_report.json`.
-//! The report's byte output — the `fault` and `surrogate` sections,
-//! metrics snapshot, notes — must stay stable; only a change to the core
-//! or to those sections re-blesses it, with
+//! The report's byte output — the `fault` section, metrics snapshot,
+//! notes — must stay stable; only a change to the core or to that
+//! section re-blesses it, with
 //! `ENMC_BLESS=1 cargo test --test fault_golden`.
 
 use enmc::cli::FaultShape;
@@ -27,10 +27,7 @@ fn golden_args() -> FaultSweepArgs {
         queries: 16,
         seed: 7,
         workers: 1,
-        backend: enmc::surrogate::CostBackend::CycleAccurate,
         memory: enmc::mem::MemTech::Ddr4_2666,
-        coeffs_in: None,
-        coeffs_out: None,
     }
 }
 
@@ -66,7 +63,7 @@ fn golden_fixture_parses_and_pins_the_fault_fields() {
     assert_eq!(report.command, "fault-sweep");
     assert_eq!(report.workload, "lstm-wikitext2");
     assert_eq!(report.memory_tech, "ddr4-2666");
-    assert_eq!(report.sections(), ["fault", "surrogate"]);
+    assert_eq!(report.sections(), ["fault"]);
     let fault = report.fault.as_ref().unwrap();
     assert_eq!(fault.ber_scale, 1.0);
     assert_eq!(fault.ber, 1e-4);

@@ -1,10 +1,19 @@
 //! End-to-end resilience-subsystem tests over the public `fault-sweep`
 //! surface: the nominal channel is bit-identical to the fault-free path
 //! at any worker count, injected bit errors measurably degrade quality,
-//! SEC-DED recovers it, and the quality-vs-refresh-energy frontier is
-//! monotone nonincreasing in both axes.
+//! SEC-DED recovers it, the quality-vs-refresh-energy frontier is
+//! monotone nonincreasing in both axes, and the energy join's one run per
+//! sweep prices every point exactly as one run per point would.
 
+use enmc::arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc::cli::FaultShape;
+use enmc::dram::energy::EnergyModel;
+use enmc::fault::{
+    run_resilience_sweep, FaultModel, FaultSweepSpec, ECC_MW, ECC_NJ_PER_BURST, ECC_NS_PER_BURST,
+};
+use enmc::mem::MemTech;
+use enmc::par::SimConfig;
+use enmc::pipeline::{Pipeline, PipelineConfig};
 use enmc::resilience::{render_text, run_fault_sweep, FaultSweepArgs};
 
 /// Small-but-representative sweep arguments; tests override what they
@@ -20,10 +29,7 @@ fn base_args() -> FaultSweepArgs {
         queries: 24,
         seed: 7,
         workers: 1,
-        backend: enmc::surrogate::CostBackend::CycleAccurate,
-        memory: enmc::mem::MemTech::Ddr4_2666,
-        coeffs_in: None,
-        coeffs_out: None,
+        memory: MemTech::Ddr4_2666,
     }
 }
 
@@ -115,4 +121,99 @@ fn retention_sweep_frontier_is_monotone_in_both_axes() {
     let fault = report.fault.expect("fault-sweep writes its fault section");
     assert_eq!(fault.refresh_multiplier, 64.0);
     assert_eq!(fault.quality_degradation_pct, worst);
+}
+
+/// The energy join as it was priced before the sweep ran the system once:
+/// the whole system re-simulated under the point's energy model, then
+/// `[refresh, total, ecc energy (nJ), ecc latency (ns)]` read off that run.
+fn energy_join_of_one_point(
+    system: &SystemModel,
+    job: &ClassificationJob,
+    multiplier: f64,
+    ecc: bool,
+    workers: usize,
+) -> [f64; 4] {
+    let mut dram = EnergyModel {
+        refresh_interval_multiplier: 1.0,
+        ecc_nj_per_access: 0.0,
+        ..*system.energy_model()
+    }
+    .with_refresh_multiplier(multiplier);
+    if ecc {
+        dram = dram.with_ecc_surcharge(ECC_NJ_PER_BURST);
+    }
+    let sys = system.clone().with_energy_model(dram);
+    let run = sys.run_sharded(job, Scheme::Enmc, &SimConfig::with_threads(workers));
+    let report = run.result.rank_report.expect("ENMC runs are simulated");
+    let energy = run.result.energy.expect("ENMC runs carry energy");
+    let refresh = dram.refresh_energy_nj(report.dram.refreshes);
+    let mut ecc_nj =
+        if ecc { (report.dram.reads + report.dram.writes) as f64 * ECC_NJ_PER_BURST } else { 0.0 };
+    let max_reads = run.shard_dram.iter().map(|s| s.reads).max().unwrap_or(0);
+    let ecc_ns = if ecc { max_reads as f64 * ECC_NS_PER_BURST } else { 0.0 };
+    let ecc_logic_nj = if ecc {
+        let logic = system.logic_energy_model(Scheme::Enmc).expect("ENMC draws logic power");
+        let rank_cycles: u64 = run.shard_dram.iter().map(|s| s.total_cycles).sum();
+        ECC_MW * rank_cycles as f64 * logic.tck_ps * 1e-12 * 1e-3 * 1e9
+    } else {
+        0.0
+    };
+    ecc_nj += ecc_logic_nj;
+    [refresh, energy.total_nj() + ecc_logic_nj, ecc_nj, ecc_ns]
+}
+
+#[test]
+fn one_run_per_sweep_prices_every_point_as_a_run_per_point_would() {
+    let pipeline = Pipeline::build(&PipelineConfig {
+        categories: 256,
+        hidden: 32,
+        candidates: 16,
+        train_queries: 32,
+        seed: 7,
+        ..Default::default()
+    })
+    .expect("valid configuration");
+    // A few thousand categories split unevenly over the ranks, long
+    // enough per rank to issue refreshes, on a preset whose energy model
+    // is not the DDR4 default.
+    let system = SystemModel::table3().with_memory(MemTech::Lpddr4_3200).with_total_ranks(8);
+    let (categories, candidates) = (3001, 150);
+    let job = ClassificationJob { categories, hidden: 512, reduced: 128, batch: 4, candidates };
+    let multipliers = [1.0, 8.0, 32.0];
+    for ecc in [false, true] {
+        for workers in [1, 4] {
+            let spec = FaultSweepSpec {
+                model: FaultModel::nominal(7),
+                multipliers: multipliers.to_vec(),
+                ecc,
+                queries: 2,
+                query_seed: 7,
+                tiers: vec![16],
+            };
+            let points = run_resilience_sweep(
+                pipeline.synth(),
+                pipeline.classifier(),
+                &system,
+                &job,
+                &spec,
+                workers,
+                None,
+                None,
+            )
+            .expect("frozen per-tensor screeners inject cleanly");
+            for (p, &m) in points.iter().zip(&multipliers) {
+                let one_run =
+                    [p.refresh_energy_nj, p.total_energy_nj, p.ecc_energy_nj, p.ecc_latency_ns];
+                let per_point = energy_join_of_one_point(&system, &job, m, ecc, workers);
+                assert_eq!(
+                    one_run.map(f64::to_bits),
+                    per_point.map(f64::to_bits),
+                    "ecc {ecc}, {workers} workers, multiplier {m}: {one_run:?} vs {per_point:?}"
+                );
+            }
+            assert!(points[0].refresh_energy_nj > points[2].refresh_energy_nj, "{points:?}");
+            assert!(points[2].refresh_energy_nj > 0.0, "the job must issue refreshes");
+            assert_eq!(points[0].ecc_energy_nj > 0.0, ecc);
+        }
+    }
 }

@@ -87,10 +87,7 @@ fn fault_sweep() -> RunReport {
         queries: 2,
         seed: 7,
         workers: 1,
-        backend: CostBackend::CycleAccurate,
         memory: MemTech::Ddr4_2666,
-        coeffs_in: None,
-        coeffs_out: None,
     };
     run_fault_sweep(&args, None).expect("the sweep runs").2
 }
@@ -131,7 +128,7 @@ fn every_report_path_writes_exactly_its_sections() {
         ("serve-sim --offload", || serve_sim(true), &["serving", "surrogate", "offload"]),
         ("fleet-sim", || fleet_sim(false), &["serving", "surrogate", "fleet"]),
         ("fleet-sim --offload", || fleet_sim(true), &["serving", "surrogate", "fleet", "offload"]),
-        ("fault-sweep", fault_sweep, &["fault", "surrogate"]),
+        ("fault-sweep", fault_sweep, &["fault"]),
         ("tune", tune_run, &["surrogate", "tune"]),
         ("offload-plan", offload_plan, &["surrogate", "offload"]),
     ];
