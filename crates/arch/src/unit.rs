@@ -295,8 +295,11 @@ impl Fetcher {
         self.queue.push_back(Fetch { tag, base, total: bursts, issued: 0, write });
     }
 
-    /// Issues as many bursts as the DRAM queue accepts, front first.
-    fn pump(&mut self, dram: &mut DramSystem, inflight: &mut InFlight) {
+    /// Issues as many bursts as the DRAM queue accepts, front first;
+    /// returns `true` if a fetch finished issuing, which frees room for
+    /// the pipeline to queue another.
+    fn pump(&mut self, dram: &mut DramSystem, inflight: &mut InFlight) -> bool {
+        let mut finished = false;
         while let Some(f) = self.queue.front_mut() {
             while f.issued < f.total {
                 let addr = f.base + (f.issued * 64) as u64;
@@ -307,11 +310,13 @@ impl Fetcher {
                         inflight.insert(id, f.tag);
                         f.issued += 1;
                     }
-                    None => return, // DRAM queue full; resume next cycle
+                    None => return finished, // DRAM queue full; resume next cycle
                 }
             }
             self.queue.pop_front();
+            finished = true;
         }
+        finished
     }
 
     fn outstanding(&self) -> usize {
@@ -448,6 +453,9 @@ impl RankUnit {
             let now = dram.cycle();
             guard += 1;
             assert!(guard < 4_000_000_000, "simulation did not converge");
+            // Whether the pipelines may act next cycle with no DRAM event:
+            // a step below changed what an earlier step tests.
+            let mut again = false;
 
             // (0) Sampled busy-lane counter track: how many MAC arrays
             // (Screener + Executor) are computing this cycle.
@@ -485,10 +493,11 @@ impl RankUnit {
                 candidates_fetched += 1;
             }
 
-            // (3) Pump the fetchers into the shared DRAM controller.
-            screen_fetch.pump(&mut dram, &mut inflight);
-            exec_fetch.pump(&mut dram, &mut inflight);
-            spill_fetch.pump(&mut dram, &mut inflight);
+            // (3) Pump the fetchers into the shared DRAM controller. A
+            // fetch left over waits for a queue slot, a DRAM event.
+            again |= screen_fetch.pump(&mut dram, &mut inflight);
+            again |= exec_fetch.pump(&mut dram, &mut inflight);
+            again |= spill_fetch.pump(&mut dram, &mut inflight);
 
             // (4) Drain DRAM completions.
             for c in dram.drain_completions() {
@@ -504,6 +513,7 @@ impl RankUnit {
                     Tag::ExecRow(cand) => rows_ready.push_back(cand),
                     Tag::SpillWrite(group) => {
                         // Logits durable: read them back for filtering.
+                        again = true;
                         let tag = Tag::SpillRead(group);
                         spill_fetch.push(
                             tag,
@@ -535,6 +545,7 @@ impl RankUnit {
             // (5) Screener MAC consumes ready tiles in order.
             if screen_mac_free <= now {
                 if let Some(t) = tiles_ready.pop_front() {
+                    again = true;
                     let group = t / screen_tiles;
                     let dur = screen_tile_cycles(items_in_group(group));
                     screen_mac_free = now + dur;
@@ -597,12 +608,15 @@ impl RankUnit {
                     .filter(|&g| filter_done_at[g].is_some_and(|t| t <= now))
                     .map(|g| group_candidates[g])
                     .sum();
-                candidates_released = released.min(total_candidates);
+                let released = released.min(total_candidates);
+                again |= released != candidates_released;
+                candidates_released = released;
             }
 
             // (6) Executor MAC consumes ready rows.
             if exec_mac_free <= now {
                 if let Some(cand) = rows_ready.pop_front() {
+                    again = true;
                     exec_mac_free = now + exec_row_cycles;
                     report.executor_busy += exec_row_cycles;
                     candidates_computed += 1;
@@ -639,6 +653,26 @@ impl RankUnit {
             if screening_done && filter_done && exec_done && dram.is_idle() {
                 break;
             }
+
+            // (8) Jump over the cycles on which nothing would happen. Unless
+            // a step changed what an earlier one tests, the pipelines next
+            // act on a DRAM event (a completion, a queue slot, a command),
+            // a MAC array freeing up or a filter finishing at cycle t, or a
+            // busy-lane sample. The termination check after the tick at
+            // t - 1 is the first to see t, so the jump stops there.
+            if !again {
+                let mut next = dram.next_event();
+                let frees = filter_done_at.iter().flatten().copied();
+                for t in [screen_mac_free, exec_mac_free].into_iter().chain(frees) {
+                    if t >= now {
+                        next = next.min(t - 1);
+                    }
+                }
+                if trace.is_some() {
+                    next = next.min(now.next_multiple_of(BUSY_SAMPLE_INTERVAL));
+                }
+                dram.advance_to(next);
+            }
         }
 
         // Phase boundaries: the Screener retired its last tile at
@@ -648,11 +682,14 @@ impl RankUnit {
         report.screen_done_cycle = screen_mac_free.min(loop_end);
         report.exec_done_cycle = loop_end;
 
-        // (8) Final activation in the special-function unit.
+        // (9) Final activation in the special-function unit; the idle DRAM
+        // system still refreshes.
         let sfu_logic = ((job.categories * job.batch) as f64 / p.sfu_per_cycle).ceil() as u64;
         report.sfu_cycles = sfu_logic * p.clock_ratio;
-        for _ in 0..report.sfu_cycles {
+        let sfu_end = loop_end + report.sfu_cycles;
+        while dram.cycle() < sfu_end {
             dram.tick();
+            dram.advance_to(dram.next_event().min(sfu_end));
         }
 
         report.dram_cycles = dram.cycle();

@@ -22,11 +22,17 @@
 //! one class (read hit, write hit, non-hit) needs the same command at the
 //! same [`RankState::earliest`], so each bank *offers* only its oldest
 //! unblocked entry per class, kept up to date at an enqueue and at every
-//! command to the bank, and the scan prices offers instead of entries. A
-//! scan that issues nothing records the least issue cycle it saw; until
-//! that cycle, or until a refresh falls due, a request arrives or a
-//! command issues, the scan would issue nothing again, so
-//! [`ChannelController::tick`] skips it.
+//! command to the bank, and the scan prices offers instead of entries.
+//! A scan records the first cycle at which an offer can issue (the
+//! *wake*) and the pick then, the least (priority, arrival) offer ready at
+//! that cycle (the *plan*). Until the wake, or until a refresh falls due,
+//! a request becomes a bank's offer or a command issues, offers and their
+//! issue cycles stay as they were, so [`ChannelController::tick`] does
+//! nothing before the wake and issues the plan at it without scanning
+//! again. [`ChannelController::next_event`]
+//! names the next cycle whose tick does more than count itself, and
+//! [`ChannelController::advance`] accounts the cycles before it without
+//! ticking them.
 
 use crate::checker::{ProtocolViolation, TimingChecker};
 use crate::command::{Command, CommandKind, TimedCommand};
@@ -160,10 +166,13 @@ pub struct ChannelController {
     next_refresh: Vec<u64>,
     /// Ranks with an overdue refresh.
     refresh_due: Vec<bool>,
-    /// First cycle at which the FR-FCFS scan can issue again: the least
-    /// issue cycle the last idle scan saw, or 0 once a request arrives or
-    /// a command issues.
+    /// First cycle at which the FR-FCFS scan can issue: the one the last
+    /// scan found (`u64::MAX` with nothing to offer), or 0 once a request
+    /// becomes a bank's offer or a command issues.
     wake: u64,
+    /// The pick the last scan found for `wake` (bank and offer); `None`
+    /// with nothing to offer or once `wake` is reset.
+    plan: Option<(usize, Offer)>,
     stats: DramStats,
     /// Command-event trace collector; `None` (the default) costs one
     /// branch per issued command and nothing else.
@@ -196,6 +205,7 @@ impl ChannelController {
             next_refresh: (0..config.organization.ranks).map(|_| trefi).collect(),
             refresh_due: vec![false; config.organization.ranks],
             wake: 0,
+            plan: None,
             stats: DramStats::default(),
             trace: None,
             trace_pid: 0,
@@ -310,6 +320,7 @@ impl ChannelController {
             self.reprice(coord.rank, flat);
         }
         self.wake = 0;
+        self.plan = None;
         self.trace_cmd(now, kind, coord);
         if let Some(log) = self.cmd_log.as_mut() {
             log.push(TimedCommand { cycle: now, command: Command::new(kind, *coord) });
@@ -362,12 +373,15 @@ impl ChannelController {
         let open = self.ranks[coord.rank].open_row(flat);
         let queue = &mut self.banks[coord.rank * org.banks_per_rank() + flat];
         let blocked = queue.entries.iter().filter(|e| e.coord == coord).count();
-        if blocked == 0 {
-            // The youngest entry: it is its class's offer only if the bank
-            // had none.
-            let (class, cmd) = class_of(kind, coord.row, open);
-            queue.offers[class].get_or_insert(Offer { pos: queue.entries.len(), cmd });
+        let (class, cmd) = class_of(kind, coord.row, open);
+        if blocked == 0 && queue.offers[class].is_none() {
+            // The youngest entry is its class's offer only if the bank had
+            // none; then the next scan must price it. Otherwise the offers,
+            // and with them `wake` and `plan`, stay as they were.
+            queue.offers[class] = Some(Offer { pos: queue.entries.len(), cmd });
             self.offered.set(coord.rank, flat, true);
+            self.wake = 0;
+            self.plan = None;
         }
         queue.entries.push_back(Entry {
             id,
@@ -380,31 +394,45 @@ impl ChannelController {
         });
         self.next_seq += 1;
         self.queued += 1;
-        self.wake = 0;
         true
     }
 
-    /// Advances one memory-clock cycle; returns a completion if a column
-    /// command finished a request this cycle.
-    pub fn tick(&mut self, now: u64) -> Option<Completion> {
-        self.stats.total_cycles = now + 1;
-        if self.trace.is_some() && now % COUNTER_SAMPLE_INTERVAL == 0 {
-            self.trace_counters(now);
+    /// The first cycle from `now` on whose [`ChannelController::tick`]
+    /// does more than count the cycle: the scan's wake (`now` after an
+    /// issued command, whose freed queue slot a turned-away request may
+    /// take), a rank's next refresh, or the next counter sample while
+    /// tracing; `now` itself while a refresh is due, since a draining rank
+    /// is served every cycle. Valid until the next enqueue.
+    pub(crate) fn next_event(&self, now: u64) -> u64 {
+        if self.refresh_due.contains(&true) {
+            return now;
         }
+        let mut next = self.next_refresh.iter().fold(self.wake, |next, &at| next.min(at));
+        if self.trace.is_some() {
+            next = next.min(now.next_multiple_of(COUNTER_SAMPLE_INTERVAL));
+        }
+        next.max(now)
+    }
+
+    /// Accounts the cycles `from..to` without ticking them. `to` must not
+    /// pass [`ChannelController::next_event`]`(from)`: each such tick would
+    /// only have counted its cycle, and its idle cycle when the channel
+    /// is idle, neither of which can change before an event.
+    pub(crate) fn advance(&mut self, from: u64, to: u64) {
+        debug_assert!(to <= self.next_event(from), "advance to {to} passes an event");
+        if to <= from {
+            return;
+        }
+        self.stats.total_cycles = to;
         if self.queued == 0 && self.ranks.iter().all(RankState::all_closed) {
-            // Eligible for precharge power-down this cycle.
-            self.stats.idle_cycles += 1;
+            self.stats.idle_cycles += to - from;
         }
-        // Mark refreshes that have become due.
-        for r in 0..self.ranks.len() {
-            if now >= self.next_refresh[r] {
-                self.refresh_due[r] = true;
-            }
-        }
-        if now < self.wake && !self.refresh_due.contains(&true) {
-            return None; // the scan below would issue nothing
-        }
-        // 1. Refresh has priority.
+    }
+
+    /// Serves the due refreshes, which have priority: REF once the rank's
+    /// banks are all closed, PREA to close them first. Returns `true` if
+    /// a command issued.
+    fn refresh(&mut self, now: u64) -> bool {
         for r in 0..self.ranks.len() {
             if !self.refresh_due[r] {
                 continue;
@@ -417,29 +445,33 @@ impl ChannelController {
                     self.stats.refreshes += 1;
                     self.refresh_due[r] = false;
                     self.next_refresh[r] += self.config.timing.trefi;
-                    return None;
+                    return true;
                 }
             } else if self.ranks[r].earliest(CommandKind::PreA, &any) <= now {
                 self.ranks[r].issue(CommandKind::PreA, &any, now);
                 self.observe_cmd(now, CommandKind::PreA, &any);
                 self.stats.precharges += 1;
-                return None;
+                return true;
             }
             // Wait for the rank to become refreshable before serving it.
         }
+        false
+    }
 
-        // 2. FR-FCFS over the banks' offers: the oldest ready row hit, else
-        // the oldest ready ACT, else the oldest ready PRE. Blocked entries
-        // (an older same-address request must go first) are never
-        // offered, and a rank draining for refresh offers nothing. `wake`
-        // collects the least issue cycle of the offers that are not ready
-        // yet; it only matters when the scan issues nothing, since an
-        // issued command resets it.
+    /// FR-FCFS over the banks' offers: the oldest ready row hit, else the
+    /// oldest ready ACT, else the oldest ready PRE; with none ready at
+    /// `now`, the least (issue cycle, priority, arrival) offer. Records
+    /// the pick's cycle as `wake` and the pick as `plan`. Blocked entries
+    /// (an older same-address request must go first) are never offered,
+    /// and a rank draining for refresh offers nothing.
+    fn scan(&mut self, now: u64) {
         let banks_per_rank = self.config.organization.banks_per_rank();
         // Per priority (hit, ACT, PRE): the ready pick's arrival number,
         // bank and offer.
         let mut picks: [Option<(u64, usize, Offer)>; 3] = [None; 3];
-        let mut wake = u64::MAX;
+        // The least (issue cycle, priority, arrival number) of the offers
+        // not ready yet, with its bank and offer.
+        let mut next: Option<((u64, usize, u64), usize, Offer)> = None;
         for (r, rank) in self.ranks.iter().enumerate() {
             if self.refresh_due[r] {
                 continue; // rank is draining for refresh
@@ -461,17 +493,66 @@ impl ChannelController {
                     }
                     let at = rank.earliest(offer.cmd, &e.coord);
                     if at > now {
-                        wake = wake.min(at);
+                        let key = (at, priority, e.seq);
+                        if next.is_none_or(|(least, ..)| key < least) {
+                            next = Some((key, bank, offer));
+                        }
                         continue;
                     }
                     picks[priority] = Some((e.seq, bank, offer));
                 }
             }
         }
-        self.wake = wake;
-        let (_, bank, offer) = picks.into_iter().flatten().next()?;
-        let queue = &mut self.banks[bank];
+        let ready = picks.into_iter().flatten().next().map(|(_, bank, offer)| (now, bank, offer));
+        let pick = ready.or(next.map(|((at, ..), bank, offer)| (at, bank, offer)));
+        (self.wake, self.plan) = match pick {
+            Some((at, bank, offer)) => (at, Some((bank, offer))),
+            None => (u64::MAX, None),
+        };
+    }
 
+    /// Advances one memory-clock cycle; returns a completion if a column
+    /// command finished a request this cycle.
+    pub fn tick(&mut self, now: u64) -> Option<Completion> {
+        self.stats.total_cycles = now + 1;
+        if self.trace.is_some() && now.is_multiple_of(COUNTER_SAMPLE_INTERVAL) {
+            self.trace_counters(now);
+        }
+        if self.queued == 0 && self.ranks.iter().all(RankState::all_closed) {
+            // Eligible for precharge power-down this cycle.
+            self.stats.idle_cycles += 1;
+        }
+        // Mark refreshes that have become due.
+        for r in 0..self.ranks.len() {
+            if now >= self.next_refresh[r] {
+                self.refresh_due[r] = true;
+            }
+        }
+        let refreshing = self.refresh_due.contains(&true);
+        if now < self.wake && !refreshing {
+            return None; // the scan would issue nothing
+        }
+        // At the wake, offers and their issue cycles are those the last
+        // scan saw, so its plan is the pick a scan would make now. A
+        // refresh falling due, a request that became an offer or an issued
+        // command spoils the plan.
+        if refreshing || self.plan.is_none() || now != self.wake {
+            if refreshing && self.refresh(now) {
+                return None;
+            }
+            self.scan(now);
+            if self.wake != now {
+                return None;
+            }
+        }
+        let (bank, offer) = self.plan.take().expect("a scan planned this cycle");
+        self.issue(now, bank, offer)
+    }
+
+    /// Issues `offer` of `bank` at `now`; returns the completion of the
+    /// request a column command finishes.
+    fn issue(&mut self, now: u64, bank: usize, offer: Offer) -> Option<Completion> {
+        let queue = &mut self.banks[bank];
         if offer.cmd.is_column() {
             let mut e = queue.entries.remove(offer.pos).expect("an offer names a queued entry");
             for younger in queue.entries.range_mut(offer.pos..) {

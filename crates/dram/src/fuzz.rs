@@ -5,7 +5,10 @@
 //! command log enabled, then cross-validates the run against the golden
 //! reference model ([`crate::golden`]): command-stream replay, counter
 //! audit, completion-set equality with the closed-page serial schedule,
-//! and the serial upper bound on cycle count. Any failing case shrinks —
+//! and the serial upper bound on cycle count. The same case also runs on
+//! a system stepped from event to event ([`DramSystem::next_event`]), which
+//! must issue the same commands, complete the same requests in the same
+//! order and count the same statistics. Any failing case shrinks —
 //! ddmin-style, fully deterministically — to a minimal reproducer that
 //! serializes to JSON for check-in as a regression fixture.
 //!
@@ -16,7 +19,7 @@ use crate::checker::{ProtocolViolation, TimingChecker};
 use crate::config::{DramConfig, Timing};
 use crate::golden::{audit_channel, golden_closed_page, GoldenRequest};
 use crate::mapping::AddressMapping;
-use crate::system::{DramSystem, MemRequest, RequestKind};
+use crate::system::{Completion, DramSystem, MemRequest, RequestKind};
 use enmc_obs::json::{self, Nullable};
 use enmc_obs::record;
 
@@ -323,9 +326,49 @@ impl FuzzOutcome {
     }
 }
 
+/// Drives `reqs` through `sys`, each request from its `at` cycle on (a
+/// request the full queue turns away retries), until all have completed
+/// or the cycle passes `limit`; returns the completions in order and
+/// whether the run stalled. `stepped` jumps from event to event with
+/// [`DramSystem::advance_to`] instead of ticking every cycle, which must
+/// not change the run.
+pub(crate) fn drive(
+    sys: &mut DramSystem,
+    reqs: &[FuzzRequest],
+    limit: u64,
+    stepped: bool,
+) -> (Vec<Completion>, bool) {
+    let mut completions = Vec::with_capacity(reqs.len());
+    let mut next = 0usize;
+    while next < reqs.len() || !sys.is_idle() {
+        let mut blocked = false;
+        while next < reqs.len() && reqs[next].at <= sys.cycle() {
+            blocked = sys.enqueue(reqs[next].to_mem()).is_none();
+            if blocked {
+                break; // queue full: tick and retry
+            }
+            next += 1;
+        }
+        sys.tick();
+        completions.extend(sys.drain_completions());
+        if sys.cycle() > limit {
+            return (completions, true);
+        }
+        if stepped && (next < reqs.len() || !sys.is_idle()) {
+            // A turned-away request retries when a slot frees, an event;
+            // the next one arrives on its own cycle.
+            let arrival = reqs.get(next).filter(|_| !blocked).map_or(u64::MAX, |r| r.at);
+            sys.advance_to(sys.next_event().min(arrival).min(limit));
+            completions.extend(sys.drain_completions());
+        }
+    }
+    (completions, false)
+}
+
 /// Drives `reqs` through the controller (configured with `cfg`, which may
 /// carry an injected bug) while checking against `reference` timing, then
-/// cross-validates against the golden model (always using `reference`).
+/// cross-validates against the golden model (always using `reference`)
+/// and against the same run stepped from event to event.
 pub fn run_case(
     reqs: &[FuzzRequest],
     cfg: &DramConfig,
@@ -339,22 +382,9 @@ pub fn run_case(
     let limit = reqs.last().map(|r| r.at).unwrap_or(0)
         + 2000 * reqs.len() as u64
         + 4 * cfg.timing.trefi;
-    let mut completions = Vec::with_capacity(reqs.len());
-    let mut next = 0usize;
-    while next < reqs.len() || !sys.is_idle() {
-        while next < reqs.len() && reqs[next].at <= sys.cycle() {
-            if sys.enqueue(reqs[next].to_mem()).is_some() {
-                next += 1;
-            } else {
-                break; // queue full: tick and retry
-            }
-        }
-        sys.tick();
-        completions.extend(sys.drain_completions());
-        if sys.cycle() > limit {
-            out.divergences.push(format!("controller stalled past cycle {limit}"));
-            break;
-        }
+    let (completions, stalled) = drive(&mut sys, reqs, limit, false);
+    if stalled {
+        out.divergences.push(format!("controller stalled past cycle {limit}"));
     }
     out.controller_cycles = sys.cycle();
     out.violations = sys.take_protocol_violations();
@@ -419,6 +449,20 @@ pub fn run_case(
             "controller needed {} cycles, serial golden bound is {bound}",
             out.controller_cycles
         ));
+    }
+
+    // 3. The same case stepped from event to event is the same run.
+    let mut stepped = DramSystem::with_mapping(*cfg, mapping);
+    stepped.enable_command_log();
+    let (stepped_completions, _) = drive(&mut stepped, reqs, limit, true);
+    for (what, same) in [
+        ("command log", stepped.take_command_log() == logs),
+        ("completions", stepped_completions == completions),
+        ("statistics", stepped.channel_stats() == stats),
+    ] {
+        if !same {
+            out.divergences.push(format!("event-stepped run: {what} differ from per-cycle"));
+        }
     }
     out
 }

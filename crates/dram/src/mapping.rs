@@ -53,13 +53,23 @@ pub enum AddressMapping {
 impl AddressMapping {
     /// Decodes a byte address into coordinates.
     ///
-    /// The low 6 bits (64-byte burst offset) are dropped first.
+    /// The low 6 bits (64-byte burst offset) are dropped first. A field
+    /// whose size is a power of two (every preset's) takes a mask and a
+    /// shift instead of a remainder and a division.
     pub fn decode(&self, addr: u64, org: &Organization) -> Coord {
         let mut a = addr >> 6; // burst-aligned
         let mut take = |n: usize| -> usize {
-            let v = (a % n as u64) as usize;
-            a /= n as u64;
-            v
+            let n = n as u64;
+            let v = if n.is_power_of_two() {
+                let v = a & (n - 1);
+                a >>= n.trailing_zeros();
+                v
+            } else {
+                let v = a % n;
+                a /= n;
+                v
+            };
+            v as usize
         };
         match self {
             AddressMapping::RoBaRaCoCh => {
@@ -121,23 +131,47 @@ mod tests {
         DramConfig::enmc_table3().organization
     }
 
+    /// An organization with no power-of-two size, so `decode` takes the
+    /// remainder-and-division form for every field.
+    fn odd_org() -> Organization {
+        Organization {
+            channels: 3,
+            ranks: 3,
+            bank_groups: 3,
+            banks_per_group: 5,
+            rows: 1000,
+            columns: 8 * 24,
+            access_bytes: 64,
+        }
+    }
+
     #[test]
     fn roundtrip_robaracoch() {
-        let org = org();
         let m = AddressMapping::RoBaRaCoCh;
-        for addr in [0u64, 64, 4096, 1 << 20, (1 << 33) + 64 * 7] {
-            let c = m.decode(addr, &org);
-            assert_eq!(m.encode(&c, &org), addr, "addr {addr}");
+        let cases = [
+            (org(), [0u64, 64, 4096, 1 << 20, (1 << 33) + 64 * 7]),
+            (odd_org(), [0, 64, 4096, 64 * 12_345, 64 * 3_000_007]),
+        ];
+        for (org, addrs) in cases {
+            for addr in addrs {
+                let c = m.decode(addr, &org);
+                assert_eq!(m.encode(&c, &org), addr, "addr {addr} on {org:?}");
+            }
         }
     }
 
     #[test]
     fn roundtrip_rorabaco() {
-        let org = org();
         let m = AddressMapping::RoRaBaCoBg;
-        for addr in [0u64, 64, 8192, 1 << 22, (1 << 30) + 64 * 3] {
-            let c = m.decode(addr, &org);
-            assert_eq!(m.encode(&c, &org), addr, "addr {addr}");
+        let cases = [
+            (org(), [0u64, 64, 8192, 1 << 22, (1 << 30) + 64 * 3]),
+            (odd_org(), [0, 64, 8192, 64 * 12_345, 64 * 1_000_003]),
+        ];
+        for (org, addrs) in cases {
+            for addr in addrs {
+                let c = m.decode(addr, &org);
+                assert_eq!(m.encode(&c, &org), addr, "addr {addr} on {org:?}");
+            }
         }
     }
 

@@ -121,7 +121,7 @@ impl RankState {
     /// [`RankState::earliest`] first.
     pub fn issue(&mut self, kind: CommandKind, coord: &Coord, now: u64) {
         debug_assert!(now >= self.earliest(kind, coord), "{kind:?} issued too early");
-        let t = &self.timing.clone();
+        let t = &self.timing;
         let flat = coord.flat_bank(&self.org);
         match kind {
             CommandKind::Act => {

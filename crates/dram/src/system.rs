@@ -65,6 +65,8 @@ impl Completion {
 /// Drive it by interleaving [`DramSystem::enqueue`] and
 /// [`DramSystem::tick`]; completed requests become visible through
 /// [`DramSystem::drain_completions`] once their data has left the bus.
+/// Between requests, [`DramSystem::advance_to`] jumps to
+/// [`DramSystem::next_event`] with the same result as ticking there.
 #[derive(Debug, Clone)]
 pub struct DramSystem {
     config: DramConfig,
@@ -73,6 +75,8 @@ pub struct DramSystem {
     cycle: u64,
     next_id: u64,
     pending: Vec<Completion>,
+    /// The least finish cycle in `pending` (`u64::MAX` when empty).
+    next_finish: u64,
     ready: Vec<Completion>,
 }
 
@@ -95,6 +99,7 @@ impl DramSystem {
             cycle: 0,
             next_id: 0,
             pending: Vec::new(),
+            next_finish: u64::MAX,
             ready: Vec::new(),
         }
     }
@@ -129,20 +134,63 @@ impl DramSystem {
     pub fn tick(&mut self) {
         for ch in &mut self.channels {
             if let Some(c) = ch.tick(self.cycle) {
+                self.next_finish = self.next_finish.min(c.finish_cycle);
                 self.pending.push(c);
             }
         }
         self.cycle += 1;
-        // Promote completions whose data has fully transferred, in order.
+        self.promote();
+    }
+
+    /// The first cycle at which the system has something new for its
+    /// caller or a tick does more than count the cycle: a channel's scan,
+    /// refresh or trace counter sample falls due (the scan on the next
+    /// cycle after any issued command, every cycle while a refresh is
+    /// due), or a request's data finishes. A completion not yet drained
+    /// makes it the current cycle.
+    pub fn next_event(&self) -> u64 {
+        if !self.ready.is_empty() {
+            return self.cycle;
+        }
+        let channels = self.channels.iter().map(|ch| ch.next_event(self.cycle));
+        channels.fold(self.next_finish, u64::min).max(self.cycle)
+    }
+
+    /// Jumps to `cycle`, which must not pass [`DramSystem::next_event`],
+    /// accounting the cycles in between exactly as ticking them would:
+    /// each channel's `total_cycles` and `idle_cycles`, and the
+    /// completions whose data finishes by `cycle`. The caller enqueues
+    /// nothing on the cycles it skips.
+    pub fn advance_to(&mut self, cycle: u64) {
+        debug_assert!(cycle <= self.next_event(), "advance_to({cycle}) passes an event");
+        if cycle <= self.cycle {
+            return;
+        }
+        for ch in &mut self.channels {
+            ch.advance(self.cycle, cycle);
+        }
+        self.cycle = cycle;
+        self.promote();
+    }
+
+    /// Promotes completions whose data has fully transferred, in order.
+    fn promote(&mut self) {
+        if self.cycle < self.next_finish {
+            return;
+        }
         let now = self.cycle;
         let ready = &mut self.ready;
+        let mut next_finish = u64::MAX;
         self.pending.retain(|c| {
             let done = c.finish_cycle <= now;
             if done {
                 ready.push(*c);
+            } else {
+                next_finish = next_finish.min(c.finish_cycle);
             }
             !done
         });
+        self.next_finish = next_finish;
     }
 
     /// Removes and yields all completions available so far, in order;
@@ -157,13 +205,18 @@ impl DramSystem {
     }
 
     /// Runs until idle or `max_cycles` more cycles elapse; returns all
-    /// completions observed.
+    /// completions observed. Ticks only the cycles on which something
+    /// happens and jumps over the rest.
     pub fn run_until_idle(&mut self, max_cycles: u64) -> Vec<Completion> {
         let deadline = self.cycle + max_cycles;
         let mut out = Vec::new();
         while !self.is_idle() && self.cycle < deadline {
             self.tick();
             out.append(&mut self.ready);
+            if !self.is_idle() {
+                self.advance_to(self.next_event().min(deadline));
+                out.append(&mut self.ready);
+            }
         }
         out.append(&mut self.ready);
         out
@@ -262,6 +315,8 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PagePolicy;
+    use crate::fuzz::{drive, FuzzRequest, PatternKind};
 
     #[test]
     fn single_read_completes() {
@@ -339,6 +394,113 @@ mod tests {
         assert!(!sys.is_idle());
         sys.run_until_idle(100_000);
         assert!(sys.is_idle());
+    }
+
+    /// The six geometries of the controller's per-cycle oracle test: DDR4,
+    /// eight ranks, closed page, the bank geometries of DDR5-4800 (8 groups
+    /// of 4) and LPDDR4-3200 (2 of 4), and eight ranks under closed page.
+    fn geometries() -> [DramConfig; 6] {
+        let mut multi_rank = DramConfig::enmc_table3();
+        multi_rank.organization.channels = 1;
+        let mut closed = DramConfig::enmc_single_rank();
+        closed.page_policy = PagePolicy::Closed;
+        let mut closed_multi_rank = multi_rank;
+        closed_multi_rank.page_policy = PagePolicy::Closed;
+        let geometry = |bank_groups: usize, banks_per_group: usize| {
+            let mut cfg = DramConfig::enmc_single_rank();
+            cfg.organization.bank_groups = bank_groups;
+            cfg.organization.banks_per_group = banks_per_group;
+            cfg.organization.rows = (1 << 20) / (bank_groups * banks_per_group);
+            cfg
+        };
+        [
+            DramConfig::enmc_single_rank(),
+            multi_rank,
+            closed,
+            geometry(8, 4),
+            geometry(2, 4),
+            closed_multi_rank,
+        ]
+    }
+
+    /// Everything a run leaves behind that a caller can observe.
+    struct Observed {
+        completions: Vec<Completion>,
+        commands: Vec<Vec<TimedCommand>>,
+        stats: DramStats,
+        channel_stats: Vec<DramStats>,
+        trace: Vec<TraceEvent>,
+    }
+
+    #[test]
+    fn event_stepping_matches_per_cycle_ticks() {
+        let mapping = AddressMapping::RoRaBaCoBg;
+        for cfg in geometries() {
+            let org = cfg.organization;
+            let mut turned_away = false;
+            for pattern in PatternKind::ALL {
+                // The generators target rank 0; spreading rows over ranks
+                // keeps same-address pairs together.
+                let reqs: Vec<FuzzRequest> = pattern
+                    .generate(1, 192, &cfg, mapping)
+                    .into_iter()
+                    .map(|mut r| {
+                        let mut coord = mapping.decode(r.addr, &org);
+                        coord.rank = coord.row % org.ranks;
+                        r.addr = mapping.encode(&coord, &org);
+                        r
+                    })
+                    .collect();
+                // Two refresh intervals past the last arrival: the queue
+                // drains, then every rank refreshes while idle.
+                let horizon = reqs.last().map_or(0, |r| r.at) + 2 * cfg.timing.trefi;
+                for traced in [false, true] {
+                    let run = |stepped: bool| {
+                        let mut sys = DramSystem::with_mapping(cfg, mapping);
+                        sys.enable_command_log();
+                        if traced {
+                            sys.enable_trace(1 << 16);
+                        }
+                        let (mut done, stalled) = drive(&mut sys, &reqs, horizon, stepped);
+                        assert!(!stalled, "{} stalled", pattern.name());
+                        while sys.cycle() < horizon {
+                            sys.tick();
+                            done.extend(sys.drain_completions());
+                            if stepped {
+                                sys.advance_to(sys.next_event().min(horizon));
+                            }
+                        }
+                        Observed {
+                            completions: done,
+                            commands: sys.take_command_log(),
+                            stats: sys.stats(),
+                            channel_stats: sys.channel_stats(),
+                            trace: sys.take_trace(),
+                        }
+                    };
+                    let (ticked, stepped) = (run(false), run(true));
+                    let label = format!(
+                        "{}, {} rank(s) of {} x {} banks, {:?} page, traced {traced}",
+                        pattern.name(),
+                        org.ranks,
+                        org.bank_groups,
+                        org.banks_per_group,
+                        cfg.page_policy
+                    );
+                    assert_eq!(stepped.completions, ticked.completions, "completions: {label}");
+                    assert_eq!(stepped.commands, ticked.commands, "command log: {label}");
+                    assert_eq!(stepped.stats, ticked.stats, "statistics: {label}");
+                    assert_eq!(stepped.channel_stats, ticked.channel_stats, "{label}");
+                    assert_eq!(stepped.trace, ticked.trace, "trace: {label}");
+                    assert_eq!(ticked.stats.total_cycles, horizon, "{label}");
+                    assert!(ticked.stats.refreshes > 0 && ticked.stats.idle_cycles > 0, "{label}");
+                    // A request enqueued after its arrival waited for a slot.
+                    let waited = |c: &Completion| c.enqueued > reqs[c.id.0 as usize].at;
+                    turned_away |= ticked.completions.iter().any(waited);
+                }
+            }
+            assert!(turned_away, "{org:?}: the queue never filled");
+        }
     }
 
     #[test]

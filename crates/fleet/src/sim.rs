@@ -479,7 +479,7 @@ pub fn simulate_fleet(
     }
     let mut tables: Vec<ServiceTable> = Vec::with_capacity(ladders.len());
     for (i, ladder) in ladders.iter().enumerate() {
-        let context = format!("fleet-sim calibration (ladder {i})");
+        let context = format!("service-table calibration (ladder {i})");
         tables.push(calibrate_service_table(
             sys,
             &sjob,

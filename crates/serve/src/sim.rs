@@ -37,7 +37,7 @@ pub struct ServiceTable {
 /// point through the cost model — the rank-sharded cycle simulator on
 /// the cycle-accurate backend, pure arithmetic (with seeded audits) on
 /// the surrogate backend. `context` prefixes the per-point audit context
-/// (`"fleet-sim calibration (ladder 0)"`, `"offload-plan calibration"`,
+/// (`"service-table calibration (ladder 0)"`, `"offload-plan calibration"`,
 /// …) so a surrogate violation names the point that produced it.
 ///
 /// The serving loop and the offload planner both fill their tables here,

@@ -111,7 +111,7 @@ pub const DECLARED_BOUND: ErrorBound =
 /// point fell outside the declared bound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SurrogateViolation {
-    /// What the audited point was doing (e.g. `fleet-sim calibration`).
+    /// What the audited point was doing (e.g. `service-table calibration`).
     pub context: String,
     /// The attribution leaf (or scalar) that missed, e.g.
     /// `cycles/gather/mem_stall`.
