@@ -28,15 +28,12 @@
 //!   combined with DRAM access/static energy from [`enmc_dram::energy`]
 //!   (Fig. 14's three-way split);
 //! * [`physical`] — the analytic area/power model reproducing Tables 4
-//!   and 5;
-//! * [`endtoend`] — the Fig. 15 end-to-end scalability composition
-//!   (front-end + classification).
+//!   and 5.
 
 pub mod baseline;
 pub mod functional;
 pub mod config;
 pub mod cpu;
-pub mod endtoend;
 pub mod energy;
 pub mod physical;
 pub mod program_timing;

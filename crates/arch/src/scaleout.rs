@@ -75,14 +75,7 @@ pub fn scale_out(
     nodes: usize,
 ) -> ScaleOutResult {
     assert!(nodes > 0, "need at least one node");
-    let shard = ClassificationJob {
-        categories: job.categories.div_ceil(nodes),
-        hidden: job.hidden,
-        reduced: job.reduced,
-        batch: job.batch,
-        candidates: job.candidates.div_ceil(nodes),
-        // Shards keep their per-node structure otherwise.
-    };
+    let shard = job.shard(nodes);
     let local: SchemeResult = system.run(&shard, scheme);
 
     // Broadcast h (d floats per batch item) + gather each node's local

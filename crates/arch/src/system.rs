@@ -58,6 +58,31 @@ pub struct ClassificationJob {
 }
 
 impl ClassificationJob {
+    /// The job a workload of `categories` classes over hidden dimension
+    /// `hidden` poses at `batch`: screening down to `k = d/4` (the
+    /// screener's default scale) and computing the fraction `frac` of its
+    /// categories exactly.
+    pub fn of_workload(categories: usize, hidden: usize, batch: usize, frac: f64) -> Self {
+        ClassificationJob {
+            categories,
+            hidden,
+            reduced: (hidden / 4).max(1),
+            batch,
+            candidates: (categories as f64 * frac).round() as usize,
+        }
+    }
+
+    /// One of `shards` row-wise shards of this job: `1/shards` of the
+    /// categories and of the candidate budget, rounded up, everything
+    /// else untouched.
+    pub fn shard(&self, shards: usize) -> Self {
+        ClassificationJob {
+            categories: self.categories.div_ceil(shards),
+            candidates: self.candidates.div_ceil(shards),
+            ..*self
+        }
+    }
+
     /// The same workload shape at a different serving load point:
     /// `batch` concurrent requests, each screened down to `candidates`
     /// survivors. Categories and dimensions are untouched, so a serving
@@ -252,9 +277,9 @@ pub struct SystemModel {
     enmc: EnmcConfig,
     /// Rank-units in the system (Table 3: 8 channels × 8 ranks).
     pub total_ranks: usize,
-    /// Per-rank DRAM energy model applied to every simulated scheme
+    /// One rank's DRAM energy model, applied to every simulated rank
     /// (the memory preset's nominal model; the tuner's ECC axis swaps in
-    /// an ECC-surcharged variant via [`SystemModel::with_energy_model`]).
+    /// an ECC variant via [`SystemModel::with_energy_model`]).
     energy_model: EnergyModel,
     /// The memory-technology preset every simulated rank runs on
     /// (timing domain + energy coefficients + error profile). Defaults
@@ -270,14 +295,17 @@ impl Default for SystemModel {
 }
 
 impl SystemModel {
-    /// The paper's evaluation platform.
+    /// The paper's evaluation platform: one rank unit per rank of the
+    /// Table 3 DDR4 system.
     pub fn table3() -> Self {
+        let mem = MemPreset::ddr4_2666();
+        let org = mem.system_config().organization;
         SystemModel {
             cpu: CpuModel::xeon_8280(),
             enmc: EnmcConfig::table3(),
-            total_ranks: 64,
-            energy_model: EnergyModel::ddr4_2400_rank(1),
-            mem: MemPreset::ddr4_2666(),
+            total_ranks: org.channels * org.ranks,
+            energy_model: mem.energy,
+            mem,
         }
     }
 
@@ -288,7 +316,7 @@ impl SystemModel {
     /// energy model to the preset's nominal one.
     pub fn with_memory(mut self, tech: MemTech) -> Self {
         self.mem = tech.preset();
-        self.energy_model = self.mem.energy_model(1);
+        self.energy_model = self.mem.energy;
         self
     }
 
@@ -318,15 +346,15 @@ impl SystemModel {
         &self.enmc
     }
 
-    /// Returns the model with a different per-rank DRAM energy model
-    /// (`ranks` is ignored; the system always scales a one-rank model by
-    /// `total_ranks`).
+    /// Returns the model pricing every rank's DRAM activity with
+    /// `model` (a refresh stretch or SEC-DED on the preset's nominal
+    /// model).
     pub fn with_energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy_model = EnergyModel { ranks: 1, ..model };
+        self.energy_model = model;
         self
     }
 
-    /// The per-rank DRAM energy model in use. The energy model prices
+    /// The one-rank DRAM energy model in use. The energy model prices
     /// DRAM activity but never changes it, so the resilience sweep runs
     /// a job once and re-prices its per-rank statistics
     /// ([`ShardedRun::shard_dram`]) under a variant of this model per
@@ -470,6 +498,7 @@ impl SystemModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enmc_model::workloads::WorkloadId;
 
     fn job() -> ClassificationJob {
         // A Transformer-W268K-like shape, scaled so tests stay fast: each
@@ -495,6 +524,26 @@ mod tests {
         // Degenerate loads clamp to one rather than producing empty jobs.
         let empty = j.with_load(0, 0);
         assert_eq!((empty.batch, empty.candidates), (1, 1));
+    }
+
+    #[test]
+    fn every_workload_screens_to_the_dimension_the_screener_fits() {
+        // The hardware side streams the k the algorithm side trains.
+        let screener = enmc_screen::ScreenerConfig::default();
+        for id in WorkloadId::table2().into_iter().chain(WorkloadId::scaling()) {
+            let w = id.workload();
+            let job = ClassificationJob::of_workload(w.categories, w.hidden, 1, 0.01);
+            assert_eq!(job.reduced, screener.reduced_dim(w.hidden), "{id}");
+        }
+    }
+
+    #[test]
+    fn shards_round_rows_and_candidates_up() {
+        let shard = job().shard(3);
+        assert_eq!(shard.categories, 262_144usize.div_ceil(3));
+        assert_eq!(shard.candidates, (262_144usize / 20).div_ceil(3));
+        assert_eq!((shard.hidden, shard.reduced, shard.batch), (512, 128, 1));
+        assert_eq!(job().shard(1), job());
     }
 
     #[test]
@@ -643,6 +692,31 @@ mod tests {
     }
 
     #[test]
+    fn enmc_advantage_grows_with_categories() {
+        // Fig. 15: ENMC's edge over TensorDIMM widens on larger synthetic
+        // datasets because it streams without buffering intermediates.
+        // The host front end and classification pipeline across batches
+        // (Fig. 10), so the slower phase sets steady-state throughput.
+        let sys = SystemModel::table3();
+        let front_end_ns = sys.cpu().front_end_ns(32 * 512 * 512, 1); // XMLCNN front end
+        let steady = |j: &ClassificationJob, scheme| front_end_ns.max(sys.run(j, scheme).ns);
+        let mut advantages = Vec::new();
+        for l in [262_144usize, 2_097_152] {
+            let j = ClassificationJob {
+                categories: l,
+                hidden: 512,
+                reduced: 128,
+                batch: 1,
+                candidates: l / 128,
+            };
+            let td = steady(&j, Scheme::Baseline(BaselineKind::TensorDimm));
+            advantages.push(td / steady(&j, Scheme::Enmc));
+        }
+        assert!(advantages[1] >= advantages[0] * 0.95, "advantage shrank: {advantages:?}");
+        assert!(advantages[1] > 1.5, "{advantages:?}");
+    }
+
+    #[test]
     fn relaxed_refresh_energy_model_reaches_the_per_rank_merge() {
         // Few ranks + a large slice each, so every rank's run spans several
         // tREFI windows and actually issues REF commands.
@@ -657,7 +731,7 @@ mod tests {
         nominal.total_ranks = 2;
         let mut relaxed = nominal
             .clone()
-            .with_energy_model(EnergyModel::ddr4_2400_rank(1).with_refresh_multiplier(8.0));
+            .with_energy_model(EnergyModel::ddr4_2400_rank().with_refresh_multiplier(8.0));
         relaxed.total_ranks = 2;
         let cfg = SimConfig::sequential();
         let e_nom = nominal.run_sharded(&j, Scheme::Enmc, &cfg).result.energy.unwrap();
@@ -667,10 +741,10 @@ mod tests {
         assert!(e_rel.dram_static_nj < e_nom.dram_static_nj, "{e_rel:?} vs {e_nom:?}");
         assert_eq!(e_rel.dram_access_nj, e_nom.dram_access_nj);
         assert_eq!(e_rel.logic_nj, e_nom.logic_nj);
-        // ECC surcharge lands in the merged access term instead.
+        // The SEC-DED surcharge lands in the merged access term instead.
         let mut ecc = nominal
             .clone()
-            .with_energy_model(EnergyModel::ddr4_2400_rank(1).with_ecc_surcharge(0.4));
+            .with_energy_model(EnergyModel { ecc: true, ..EnergyModel::ddr4_2400_rank() });
         ecc.total_ranks = 2;
         let e_ecc = ecc.run_sharded(&j, Scheme::Enmc, &cfg).result.energy.unwrap();
         assert!(e_ecc.dram_access_nj > e_nom.dram_access_nj);

@@ -27,15 +27,9 @@ const SEED: u64 = 7;
 fn sweep_cell(id: WorkloadId, ecc: bool, workers: usize) -> (WorkloadId, bool, Vec<SweepPoint>) {
     let fitted = fit_pipeline(id, 0.25, Precision::Int4, SEED);
     let w = &fitted.workload;
-    let job = ClassificationJob {
-        categories: w.categories,
-        hidden: w.hidden,
-        reduced: (w.hidden / 4).max(1),
-        // Stretch the run past several tREFI windows so the refresh
-        // schedule is observable in the energy join.
-        batch: 8,
-        candidates: ((w.categories as f64) * candidate_fraction(id)).round() as usize,
-    };
+    // Batch 8 stretches the run past several tREFI windows, so the
+    // refresh schedule is observable in the energy join.
+    let job = ClassificationJob::of_workload(w.categories, w.hidden, 8, candidate_fraction(id));
     let k = match fitted.classifier.policy() {
         enmc_screen::infer::SelectionPolicy::TopM(m) => m,
         _ => unreachable!("fit_pipeline always configures top-M"),

@@ -43,13 +43,8 @@ fn main() {
     // across the bench workers. Rows come back in sweep order.
     let rows = bench.timed("harness/sweep_ns", || par_rows(&cfg, points, |&(id, batch)| {
         let w = id.workload();
-        let job = ClassificationJob {
-            categories: w.categories,
-            hidden: w.hidden,
-            reduced: (w.hidden / 4).max(1),
-            batch,
-            candidates: ((w.categories as f64) * candidate_fraction(id)).round() as usize,
-        };
+        let job =
+            ClassificationJob::of_workload(w.categories, w.hidden, batch, candidate_fraction(id));
         let cpu_full = sys.run(&job, Scheme::CpuFull);
         let speedups: Vec<f64> = sys
             .run_figure13_schemes(&job)

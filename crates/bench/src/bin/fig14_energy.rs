@@ -29,13 +29,7 @@ fn main() {
     // across the bench workers.
     let runs = bench.timed("harness/sweep_ns", || par_rows(&cfg, WorkloadId::table2().to_vec(), |&id| {
         let w = id.workload();
-        let job = ClassificationJob {
-            categories: w.categories,
-            hidden: w.hidden,
-            reduced: (w.hidden / 4).max(1),
-            batch: 1,
-            candidates: ((w.categories as f64) * candidate_fraction(id)).round() as usize,
-        };
+        let job = ClassificationJob::of_workload(w.categories, w.hidden, 1, candidate_fraction(id));
         let td = sys
             .run(&job, Scheme::Baseline(BaselineKind::TensorDimm))
             .energy

@@ -2,14 +2,17 @@
 //! S1M / S10M / S100M datasets (XMLCNN front-end), comparing ENMC with
 //! TensorDIMM and TensorDIMM-Large, normalized to the host-only CPU.
 //!
+//! The host runs the front-end feature extraction and the memory system
+//! the classification. On the host-only CPU the two phases serialize;
+//! with an NMP scheme they are decoupled (Fig. 10) and pipeline across
+//! batches, so the slower phase sets steady-state throughput.
+//!
 //! Pass `--scale N` to simulate `1/N` of each rank's category slice and
 //! extrapolate linearly (the pipelines are streaming, so time is linear in
 //! the slice size); the default scale keeps the full runs tractable.
 
 use enmc::cli::{count, flag, Command, Flag, THREADS};
 use enmc_arch::baseline::BaselineKind;
-use enmc_arch::cpu::CpuModel;
-use enmc_arch::endtoend::end_to_end;
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt_speedup, Table};
@@ -34,7 +37,6 @@ fn main() {
     let mut bench = BenchEmitter::from_env(&a);
     let mut rep = Reporter::from_env(&a);
     let sys = SystemModel::table3();
-    let cpu = CpuModel::xeon_8280();
     println!("Figure 15: end-to-end scalability (XMLCNN front-end), sim scale 1/{scale}\n");
 
     let mut t = Table::new(&["Dataset", "CPU", "TensorDIMM", "TensorDIMM-L", "ENMC"]);
@@ -44,22 +46,15 @@ fn main() {
     // bench workers.
     let rows = par_rows(&cfg, WorkloadId::scaling().to_vec(), |&id| {
         let w = id.workload();
-        let fe_ops = w.front_end.ops_per_query();
         // Scaled job: each rank simulates 1/scale of its slice; streaming
         // pipelines are linear in slice size, so latency extrapolates by
         // the same factor (validated on the smaller datasets).
-        let job = ClassificationJob {
-            categories: w.categories / scale,
-            hidden: w.hidden,
-            reduced: (w.hidden / 4).max(1),
-            batch: 1,
-            candidates: (((w.categories / scale) as f64) * candidate_fraction(id)).round()
-                as usize,
-        };
+        let categories = w.categories / scale;
+        let job = ClassificationJob::of_workload(categories, w.hidden, 1, candidate_fraction(id));
         let unscale = |ns: f64| ns * scale as f64;
 
-        let cpu_serial = cpu.front_end_ns(fe_ops, 1)
-            + unscale(sys.run(&job, Scheme::CpuFull).ns);
+        let front_end_ns = sys.cpu().front_end_ns(w.front_end.ops_per_query(), job.batch);
+        let cpu_serial = front_end_ns + unscale(sys.run(&job, Scheme::CpuFull).ns);
         let mut row = vec![w.abbr.to_string(), "1.0x".to_string()];
         let mut scheme_ns = Vec::new();
         for scheme in [
@@ -67,8 +62,7 @@ fn main() {
             Scheme::Baseline(BaselineKind::TensorDimmLarge),
             Scheme::Enmc,
         ] {
-            let e = end_to_end(&sys, &cpu, &job, fe_ops, scheme);
-            let ns = e.front_end_ns.max(unscale(e.classification_ns));
+            let ns = front_end_ns.max(unscale(sys.run(&job, scheme).ns));
             scheme_ns.push(ns);
             row.push(fmt_speedup(cpu_serial / ns));
         }

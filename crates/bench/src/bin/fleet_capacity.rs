@@ -53,13 +53,8 @@ const POLICIES: [PlacementPolicy; 2] =
 fn capacity_job(id: WorkloadId, scale: usize) -> ClassificationJob {
     let w = id.workload();
     let categories = (w.categories / scale).max(SHARDS);
-    ClassificationJob {
-        categories,
-        hidden: w.hidden,
-        reduced: (w.hidden / 4).max(1),
-        batch: 1,
-        candidates: ((categories as f64) * candidate_fraction(id)).round().max(1.0) as usize,
-    }
+    let job = ClassificationJob::of_workload(categories, w.hidden, 1, candidate_fraction(id));
+    ClassificationJob { candidates: job.candidates.max(1), ..job }
 }
 
 /// One capacity probe: a single tenant offering a Poisson load of `rate`

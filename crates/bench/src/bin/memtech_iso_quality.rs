@@ -43,13 +43,8 @@ fn main() {
     let rows = bench.timed("harness/sweep_ns", || {
         par_rows(&cfg, points, |&(id, tech)| {
             let w = id.workload();
-            let job = ClassificationJob {
-                categories: w.categories,
-                hidden: w.hidden,
-                reduced: (w.hidden / 4).max(1),
-                batch: 1,
-                candidates: ((w.categories as f64) * candidate_fraction(id)).round() as usize,
-            };
+            let job =
+                ClassificationJob::of_workload(w.categories, w.hidden, 1, candidate_fraction(id));
             let sys = SystemModel::table3().with_memory(tech);
             let run = sys.run(&job, Scheme::Enmc);
             let energy = run.energy.expect("ENMC is a simulated scheme");

@@ -42,13 +42,7 @@ const BATCH_MAX: usize = 2;
 
 fn serving_job(id: WorkloadId) -> ClassificationJob {
     let w = id.workload();
-    ClassificationJob {
-        categories: w.categories,
-        hidden: w.hidden,
-        reduced: (w.hidden / 4).max(1),
-        batch: 1,
-        candidates: ((w.categories as f64) * 0.01).round() as usize,
-    }
+    ClassificationJob::of_workload(w.categories, w.hidden, 1, 0.01)
 }
 
 const CMD: Command = Command::standalone("serve_load", &[&[THREADS, JSON]]);

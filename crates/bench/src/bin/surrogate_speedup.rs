@@ -22,7 +22,6 @@ use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
 use enmc_bench::{candidate_fraction, BENCH_JSON};
 use enmc_dram::energy::EnergyModel;
-use enmc_fault::ECC_NJ_PER_BURST;
 use enmc_model::workloads::WorkloadId;
 use enmc_par::SimConfig;
 use enmc_surrogate::{CostBackend, CostModel};
@@ -34,13 +33,7 @@ const REQUIRED_SPEEDUP: f64 = 50.0;
 
 fn grid_job(id: WorkloadId) -> ClassificationJob {
     let w = id.workload();
-    ClassificationJob {
-        categories: w.categories,
-        hidden: w.hidden,
-        reduced: (w.hidden / 4).max(1),
-        batch: 8,
-        candidates: ((w.categories as f64) * candidate_fraction(id)).round() as usize,
-    }
+    ClassificationJob::of_workload(w.categories, w.hidden, 8, candidate_fraction(id))
 }
 
 /// Answers every (multiplier, ecc) join of one workload's grid row and
@@ -51,10 +44,7 @@ fn answer_row(cost: &mut CostModel, sys: &SystemModel, job: &ClassificationJob) 
     let (mut points, seq) = (0, SimConfig::sequential());
     for &m in &MULTIPLIERS {
         for ecc in [false, true] {
-            let mut dram = EnergyModel::ddr4_2400_rank(1).with_refresh_multiplier(m);
-            if ecc {
-                dram = dram.with_ecc_surcharge(ECC_NJ_PER_BURST);
-            }
+            let dram = EnergyModel { ecc, ..*sys.energy_model() }.with_refresh_multiplier(m);
             let bound = sys.clone().with_energy_model(dram);
             let run = cost
                 .run_sharded_enmc(&bound, job, &seq, "surrogate-speedup grid")

@@ -5,7 +5,7 @@ use enmc_arch::config::EnmcConfig;
 use enmc_bench::report::Reporter;
 use enmc_bench::table::Table;
 use enmc_bench::JSON;
-use enmc_dram::DramConfig;
+use enmc_dram::{DramConfig, QUEUE_DEPTH};
 
 const CMD: Command = Command::standalone("table03_config", &[&[JSON]]);
 
@@ -26,7 +26,7 @@ fn main() {
         "Capacity/CH".into(),
         enmc_bench::table::fmt_bytes(org.channel_bytes()),
     ]);
-    t.row_owned(vec!["Queue".into(), format!("{}-entry", dram.queue_depth)]);
+    t.row_owned(vec!["Queue".into(), format!("{QUEUE_DEPTH}-entry")]);
     t.row_owned(vec![
         "CL-tRCD-tRP".into(),
         format!("{}-{}-{}", tim.cl, tim.trcd, tim.trp),

@@ -5,6 +5,19 @@
 //! cycle). The paper gives CL-tRCD-tRP = 16-16-16, tRC = 55, tCCD = 4,
 //! tRRD = 4, tFAW = 6; the remaining constraints are filled in from the
 //! DDR4-2400 JEDEC speed bin.
+//!
+//! Table 3 fixes the controller itself: one open-page FR-FCFS controller
+//! per channel with a [`QUEUE_DEPTH`]-entry request queue, serving
+//! [`BURST_BYTES`]-byte bursts. Those are constants; a [`DramConfig`]
+//! carries only what a memory preset varies, its geometry and timing.
+
+/// Bytes one column access moves: a BL8 burst over the rank's 64-bit bus
+/// (8 ×8 devices), the burst of every preset. Address mapping drops the
+/// offset within a burst.
+pub const BURST_BYTES: u64 = 64;
+
+/// Request-queue entries per channel controller (Table 3: 64).
+pub const QUEUE_DEPTH: usize = 64;
 
 /// Device organization: the shape of the memory subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,9 +34,6 @@ pub struct Organization {
     pub rows: usize,
     /// Column addresses per row (per device; BL8 bursts cover 8 at once).
     pub columns: usize,
-    /// Bytes transferred per column access (x8 chips × 8 devices × BL8 /
-    /// prefetch — one 64-byte burst for a standard DIMM).
-    pub access_bytes: usize,
 }
 
 impl Organization {
@@ -47,7 +57,7 @@ impl Organization {
         self.banks_per_rank() as u64
             * self.rows as u64
             * (self.columns as u64 / 8)
-            * self.access_bytes as u64
+            * BURST_BYTES
     }
 
     /// Capacity of the whole subsystem in bytes.
@@ -136,17 +146,6 @@ impl Timing {
     }
 }
 
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PagePolicy {
-    /// Leave rows open after column accesses (exploits streaming locality;
-    /// the ENMC default).
-    Open,
-    /// Auto-precharge every column access (RDA/WRA) — lower conflict
-    /// latency for random traffic, no hit reuse.
-    Closed,
-}
-
 /// Complete DRAM configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
@@ -154,10 +153,6 @@ pub struct DramConfig {
     pub organization: Organization,
     /// Timing constraints.
     pub timing: Timing,
-    /// Request-queue depth per channel (Table 3: 64).
-    pub queue_depth: usize,
-    /// Row-buffer policy.
-    pub page_policy: PagePolicy,
 }
 
 impl DramConfig {
@@ -175,11 +170,8 @@ impl DramConfig {
                 // burst and an 8 KiB effective row buffer.
                 rows: 65_536,
                 columns: 1024,
-                access_bytes: 64,
             },
             timing: Timing::ddr4_2400_table3(),
-            queue_depth: 64,
-            page_policy: PagePolicy::Open,
         }
     }
 
@@ -191,6 +183,26 @@ impl DramConfig {
         cfg.organization.channels = 1;
         cfg.organization.ranks = 1;
         cfg
+    }
+}
+
+#[cfg(test)]
+impl DramConfig {
+    /// The geometries the scheduler's oracle and event-stepping tests run
+    /// on: one DDR4 rank, one channel of eight DDR4 ranks, and the bank
+    /// geometries of DDR5-4800 (8 groups of 4) and LPDDR4-3200 (2 of 4),
+    /// rows scaled to keep the rank's capacity.
+    pub(crate) fn test_geometries() -> [DramConfig; 4] {
+        let mut multi_rank = DramConfig::enmc_table3();
+        multi_rank.organization.channels = 1;
+        let geometry = |bank_groups: usize, banks_per_group: usize| {
+            let mut cfg = DramConfig::enmc_single_rank();
+            cfg.organization.bank_groups = bank_groups;
+            cfg.organization.banks_per_group = banks_per_group;
+            cfg.organization.rows = (1 << 20) / (bank_groups * banks_per_group);
+            cfg
+        };
+        [DramConfig::enmc_single_rank(), multi_rank, geometry(8, 4), geometry(2, 4)]
     }
 }
 
@@ -247,6 +259,6 @@ mod tests {
     fn row_buffer_size_is_8_kb() {
         let cfg = DramConfig::enmc_table3();
         let org = cfg.organization;
-        assert_eq!(org.bursts_per_row() * org.access_bytes, 8192);
+        assert_eq!(org.bursts_per_row() as u64 * BURST_BYTES, 8192);
     }
 }

@@ -36,7 +36,7 @@
 
 use crate::checker::{ProtocolViolation, TimingChecker};
 use crate::command::{Command, CommandKind, TimedCommand};
-use crate::config::{DramConfig, Organization, PagePolicy, Timing};
+use crate::config::{DramConfig, Organization, Timing, QUEUE_DEPTH};
 use crate::mapping::Coord;
 use crate::rank::RankState;
 use crate::stats::{DramStats, MAX_BANK_GROUPS};
@@ -349,7 +349,7 @@ impl ChannelController {
 
     /// Number of free queue slots.
     pub fn free_slots(&self) -> usize {
-        self.config.queue_depth - self.queued
+        QUEUE_DEPTH - self.queued
     }
 
     /// `true` when no requests are pending.
@@ -365,7 +365,7 @@ impl ChannelController {
     /// Enqueues a request. Returns `false` (rejecting it) when the queue is
     /// full.
     pub fn enqueue(&mut self, id: RequestId, kind: RequestKind, coord: Coord, now: u64) -> bool {
-        if self.queued >= self.config.queue_depth {
+        if self.queued >= QUEUE_DEPTH {
             return false;
         }
         let org = &self.config.organization;
@@ -561,16 +561,8 @@ impl ChannelController {
                 }
             }
             self.queued -= 1;
-            let cmd = match (self.config.page_policy, e.kind) {
-                (PagePolicy::Open, _) => offer.cmd,
-                (PagePolicy::Closed, RequestKind::Read) => CommandKind::Rda,
-                (PagePolicy::Closed, RequestKind::Write) => CommandKind::Wra,
-            };
-            self.ranks[e.coord.rank].issue(cmd, &e.coord, now);
-            self.observe_cmd(now, cmd, &e.coord);
-            if self.config.page_policy == PagePolicy::Closed {
-                self.stats.precharges += 1; // implicit auto-precharge
-            }
+            self.ranks[e.coord.rank].issue(offer.cmd, &e.coord, now);
+            self.observe_cmd(now, offer.cmd, &e.coord);
             if !e.classified {
                 self.stats.row_hits += 1;
                 e.classified = true;
@@ -613,7 +605,7 @@ impl ChannelController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DramConfig, PagePolicy};
+    use crate::config::{DramConfig, BURST_BYTES};
     use crate::fuzz::PatternKind;
     use crate::mapping::AddressMapping;
 
@@ -674,7 +666,7 @@ mod tests {
         let cfg = ctrl.config;
         // Same bank, different row: skip all banks' interleaved rows.
         let org = cfg.organization;
-        let row_stride = (org.bursts_per_row() * org.access_bytes * org.banks_per_rank()) as u64;
+        let row_stride = (org.bursts_per_row() * org.banks_per_rank()) as u64 * BURST_BYTES;
         assert!(ctrl.enqueue(RequestId(2), RequestKind::Read, coord_of(row_stride, &cfg), 0));
         let mut now = ctrl.stats().total_cycles;
         loop {
@@ -692,7 +684,7 @@ mod tests {
     fn queue_rejects_when_full() {
         let mut ctrl = controller();
         let cfg = ctrl.config;
-        for i in 0..cfg.queue_depth as u64 {
+        for i in 0..QUEUE_DEPTH as u64 {
             assert!(ctrl.enqueue(RequestId(i), RequestKind::Read, coord_of(i * 64, &cfg), 0));
         }
         assert_eq!(ctrl.free_slots(), 0);
@@ -753,57 +745,6 @@ mod tests {
             ctrl.tick(now);
         }
         assert!(ctrl.stats().refreshes >= 1);
-    }
-
-    #[test]
-    fn closed_page_auto_precharges() {
-        let mut cfg = DramConfig::enmc_single_rank();
-        cfg.page_policy = PagePolicy::Closed;
-        let mut ctrl = ChannelController::new(cfg);
-        run_one(&mut ctrl, 1, 0);
-        // The bank must be closed again: a second access to the same row
-        // is a miss, not a hit.
-        assert!(ctrl.enqueue(RequestId(2), RequestKind::Read, coord_of(256, &cfg), 0));
-        let mut now = ctrl.stats().total_cycles;
-        loop {
-            if ctrl.tick(now).is_some() {
-                break;
-            }
-            now += 1;
-            assert!(now < 100_000);
-        }
-        assert_eq!(ctrl.stats().row_hits, 0);
-        assert_eq!(ctrl.stats().row_misses, 2);
-        assert!(ctrl.stats().precharges >= 2);
-    }
-
-    #[test]
-    fn open_page_outperforms_closed_on_streaming() {
-        let stream = |policy: PagePolicy| {
-            let mut cfg = DramConfig::enmc_single_rank();
-            cfg.page_policy = policy;
-            let mut ctrl = ChannelController::new(cfg);
-            let n = 128u64;
-            let mut enq = 0u64;
-            let mut done = 0u64;
-            let mut now = 0u64;
-            while done < n {
-                while enq < n
-                    && ctrl.enqueue(RequestId(enq), RequestKind::Read, coord_of(enq * 64, &cfg), now)
-                {
-                    enq += 1;
-                }
-                if ctrl.tick(now).is_some() {
-                    done += 1;
-                }
-                now += 1;
-                assert!(now < 1_000_000);
-            }
-            now
-        };
-        let open = stream(PagePolicy::Open);
-        let closed = stream(PagePolicy::Closed);
-        assert!(open < closed, "open {open} vs closed {closed}");
     }
 
     #[test]
@@ -959,12 +900,8 @@ mod tests {
             let rank = &ctrl.ranks[e.coord.rank];
             match rank.open_row(e.coord.flat_bank(&ctrl.config.organization)) {
                 Some(row) if row == e.coord.row => {
-                    if rank.earliest(column_command(e.kind), &e.coord) <= now {
-                        let kind = match (ctrl.config.page_policy, e.kind) {
-                            (PagePolicy::Open, k) => column_command(k),
-                            (PagePolicy::Closed, RequestKind::Read) => CommandKind::Rda,
-                            (PagePolicy::Closed, RequestKind::Write) => CommandKind::Wra,
-                        };
+                    let kind = column_command(e.kind);
+                    if rank.earliest(kind, &e.coord) <= now {
                         return Some(Command::new(kind, e.coord));
                     }
                 }
@@ -986,37 +923,11 @@ mod tests {
 
     #[test]
     fn scheduler_issues_what_the_per_cycle_scan_picks() {
-        let mut multi_rank = DramConfig::enmc_table3();
-        multi_rank.organization.channels = 1;
-        let mut closed = DramConfig::enmc_single_rank();
-        closed.page_policy = PagePolicy::Closed;
-        let mut closed_multi_rank = multi_rank;
-        closed_multi_rank.page_policy = PagePolicy::Closed;
-        // The bank geometries of the other memory presets: 8 groups of 4
-        // (DDR5-4800) and 2 of 4 (LPDDR4-3200), rows scaled to keep the
-        // rank's capacity.
-        let geometry = |bank_groups: usize, banks_per_group: usize| {
-            let mut cfg = DramConfig::enmc_single_rank();
-            cfg.organization.bank_groups = bank_groups;
-            cfg.organization.banks_per_group = banks_per_group;
-            cfg.organization.rows = (1 << 20) / (bank_groups * banks_per_group);
-            cfg
-        };
         let mapping = AddressMapping::RoRaBaCoBg;
-        let configs = [
-            DramConfig::enmc_single_rank(),
-            multi_rank,
-            closed,
-            geometry(8, 4),
-            geometry(2, 4),
-            closed_multi_rank,
-        ];
-        for cfg in configs {
+        for cfg in DramConfig::test_geometries() {
             let org = cfg.organization;
-            let label = format!(
-                "{} rank(s) of {} x {} banks, {:?} page",
-                org.ranks, org.bank_groups, org.banks_per_group, cfg.page_policy
-            );
+            let (ranks, groups, banks) = (org.ranks, org.bank_groups, org.banks_per_group);
+            let label = format!("{ranks} rank(s) of {groups} x {banks} banks");
             let mut rejected = 0;
             for pattern in PatternKind::ALL {
                 for seed in 0..2 {

@@ -7,10 +7,18 @@
 //! read/write bursts) and *computation & control logic* (reported by the
 //! architecture crate); this module provides the first two.
 
+use crate::config::Timing;
 use crate::stats::DramStats;
 
+/// Extra DRAM energy per 64-byte burst for the eight (72,64) SEC-DED
+/// decodes it carries, in nanojoules (≈15 pJ per decode at 22 nm, scaled
+/// from the Table 5 methodology): what every read and write burst of a
+/// rank with [`EnergyModel::ecc`] on pays.
+pub const ECC_NJ_PER_BURST: f64 = 0.12;
+
 /// Per-event energies (nanojoules) and background power (watts) for one
-/// rank.
+/// rank. Every system prices each of its ranks with its own statistics,
+/// so a model never covers more than one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy of one ACT+PRE pair (row activation), nJ.
@@ -21,27 +29,25 @@ pub struct EnergyModel {
     pub write_nj: f64,
     /// Energy of one all-bank REF command, nJ.
     pub refresh_nj: f64,
-    /// Background (standby + clocking) power per rank, W.
+    /// Background (standby + clocking) power, W.
     pub background_w: f64,
-    /// Background power per rank in precharge power-down, W.
+    /// Background power in precharge power-down, W.
     pub powerdown_w: f64,
     /// Memory-clock period in picoseconds (to convert cycles → time).
     pub tck_ps: f64,
-    /// Number of ranks drawing background power.
-    pub ranks: usize,
     /// Refresh-interval stretch factor (`tREFI × m`, EDEN-style approximate
     /// DRAM). `1.0` is nominal 64 ms retention; `m > 1` issues `1/m` as many
     /// REF commands for `1/m` the refresh energy, at the cost of retention
     /// bit errors modeled by `enmc-fault`.
     pub refresh_interval_multiplier: f64,
-    /// ECC decode surcharge per read/write burst, nJ (0 when the rank runs
-    /// without SEC-DED).
-    pub ecc_nj_per_access: f64,
+    /// Whether the rank's controller carries SEC-DED ECC, charging
+    /// [`ECC_NJ_PER_BURST`] on every read and write burst.
+    pub ecc: bool,
 }
 
 impl EnergyModel {
-    /// DDR4-2400 8 Gb ×8 rank (eight devices).
-    pub fn ddr4_2400_rank(ranks: usize) -> Self {
+    /// DDR4-2400 8 Gb ×8 rank (eight devices) on the Table 3 clock.
+    pub fn ddr4_2400_rank() -> Self {
         EnergyModel {
             act_nj: 2.1,
             read_nj: 4.2,
@@ -49,10 +55,9 @@ impl EnergyModel {
             refresh_nj: 210.0,
             background_w: 0.38,
             powerdown_w: 0.11,
-            tck_ps: 833.0,
-            ranks,
+            tck_ps: Timing::ddr4_2400_table3().tck_ps as f64,
             refresh_interval_multiplier: 1.0,
-            ecc_nj_per_access: 0.0,
+            ecc: false,
         }
     }
 
@@ -68,16 +73,14 @@ impl EnergyModel {
         self
     }
 
-    /// Returns the model with an ECC energy surcharge of `nj` per
-    /// read/write burst.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nj` is not finite or negative.
-    pub fn with_ecc_surcharge(mut self, nj: f64) -> Self {
-        assert!(nj.is_finite() && nj >= 0.0, "ECC surcharge must be >= 0, got {nj}");
-        self.ecc_nj_per_access = nj;
-        self
+    /// The SEC-DED surcharge per read/write burst, nJ:
+    /// [`ECC_NJ_PER_BURST`] with [`EnergyModel::ecc`] on, else 0.
+    pub fn ecc_nj_per_burst(&self) -> f64 {
+        if self.ecc {
+            ECC_NJ_PER_BURST
+        } else {
+            0.0
+        }
     }
 
     /// Refresh energy for `refreshes` nominal-schedule REF commands under
@@ -93,15 +96,13 @@ impl EnergyModel {
         let access_nj = stats.activations as f64 * self.act_nj
             + stats.reads as f64 * self.read_nj
             + stats.writes as f64 * self.write_nj
-            + (stats.reads + stats.writes) as f64 * self.ecc_nj_per_access;
+            + (stats.reads + stats.writes) as f64 * self.ecc_nj_per_burst();
         let refresh_nj = self.refresh_energy_nj(stats.refreshes);
         let seconds = stats.total_cycles as f64 * self.tck_ps * 1e-12;
         // Idle cycles draw power-down power; the rest standby power.
         let idle_s = stats.idle_cycles.min(stats.total_cycles) as f64 * self.tck_ps * 1e-12;
         let active_s = seconds - idle_s;
-        let background_nj = (self.background_w * active_s + self.powerdown_w * idle_s)
-            * self.ranks as f64
-            * 1e9;
+        let background_nj = (self.background_w * active_s + self.powerdown_w * idle_s) * 1e9;
         EnergyBreakdown {
             access_nj,
             static_nj: background_nj + refresh_nj,
@@ -124,25 +125,23 @@ mod tests {
 
     #[test]
     fn access_energy_scales_with_traffic() {
-        let m = EnergyModel::ddr4_2400_rank(1);
+        let m = EnergyModel::ddr4_2400_rank();
         let a = m.breakdown(&DramStats { reads: 100, activations: 10, ..Default::default() });
         let b = m.breakdown(&DramStats { reads: 200, activations: 20, ..Default::default() });
         assert!((b.access_nj - 2.0 * a.access_nj).abs() < 1e-9);
     }
 
     #[test]
-    fn static_energy_scales_with_time_and_ranks() {
-        let m1 = EnergyModel::ddr4_2400_rank(1);
-        let m8 = EnergyModel::ddr4_2400_rank(8);
-        let stats = DramStats { total_cycles: 1_000_000, ..Default::default() };
-        let e1 = m1.breakdown(&stats);
-        let e8 = m8.breakdown(&stats);
+    fn static_energy_scales_with_time() {
+        let m = EnergyModel::ddr4_2400_rank();
+        let e1 = m.breakdown(&DramStats { total_cycles: 1_000_000, ..Default::default() });
+        let e8 = m.breakdown(&DramStats { total_cycles: 8_000_000, ..Default::default() });
         assert!((e8.static_nj - 8.0 * e1.static_nj).abs() < 1e-6);
     }
 
     #[test]
     fn idle_time_draws_powerdown_power() {
-        let m = EnergyModel::ddr4_2400_rank(1);
+        let m = EnergyModel::ddr4_2400_rank();
         let active = m.breakdown(&DramStats { total_cycles: 10_000, ..Default::default() });
         let idle = m.breakdown(&DramStats {
             total_cycles: 10_000,
@@ -154,7 +153,7 @@ mod tests {
 
     #[test]
     fn refresh_counts_as_static() {
-        let m = EnergyModel::ddr4_2400_rank(1);
+        let m = EnergyModel::ddr4_2400_rank();
         let without = m.breakdown(&DramStats { total_cycles: 100, ..Default::default() });
         let with =
             m.breakdown(&DramStats { total_cycles: 100, refreshes: 5, ..Default::default() });
@@ -165,7 +164,7 @@ mod tests {
     #[test]
     fn refresh_energy_scales_inversely_with_interval_multiplier() {
         let stats = DramStats { total_cycles: 100, refreshes: 40, ..Default::default() };
-        let nominal = EnergyModel::ddr4_2400_rank(1);
+        let nominal = EnergyModel::ddr4_2400_rank();
         let background = nominal.breakdown(&DramStats { total_cycles: 100, ..Default::default() }).static_nj;
         let refresh_at = |m: f64| {
             nominal.with_refresh_multiplier(m).breakdown(&stats).static_nj - background
@@ -182,8 +181,8 @@ mod tests {
     #[test]
     fn refresh_multiplier_leaves_access_energy_alone() {
         let stats = DramStats { reads: 64, writes: 8, refreshes: 10, ..Default::default() };
-        let a = EnergyModel::ddr4_2400_rank(1).breakdown(&stats);
-        let b = EnergyModel::ddr4_2400_rank(1).with_refresh_multiplier(8.0).breakdown(&stats);
+        let a = EnergyModel::ddr4_2400_rank().breakdown(&stats);
+        let b = EnergyModel::ddr4_2400_rank().with_refresh_multiplier(8.0).breakdown(&stats);
         assert_eq!(a.access_nj, b.access_nj);
         assert!(b.static_nj < a.static_nj);
     }
@@ -191,22 +190,16 @@ mod tests {
     #[test]
     fn ecc_surcharge_taxes_each_burst() {
         let stats = DramStats { reads: 100, writes: 20, activations: 10, ..Default::default() };
-        let plain = EnergyModel::ddr4_2400_rank(1);
-        let ecc = plain.with_ecc_surcharge(0.5);
+        let plain = EnergyModel::ddr4_2400_rank();
+        let ecc = EnergyModel { ecc: true, ..plain };
         let delta = ecc.breakdown(&stats).access_nj - plain.breakdown(&stats).access_nj;
-        assert!((delta - 120.0 * 0.5).abs() < 1e-9);
+        assert!((delta - 120.0 * ECC_NJ_PER_BURST).abs() < 1e-9);
         assert_eq!(ecc.breakdown(&stats).static_nj, plain.breakdown(&stats).static_nj);
     }
 
     #[test]
     #[should_panic(expected = "refresh multiplier")]
     fn refresh_multiplier_below_one_rejected() {
-        EnergyModel::ddr4_2400_rank(1).with_refresh_multiplier(0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "ECC surcharge")]
-    fn negative_ecc_surcharge_rejected() {
-        EnergyModel::ddr4_2400_rank(1).with_ecc_surcharge(-1.0);
+        EnergyModel::ddr4_2400_rank().with_refresh_multiplier(0.5);
     }
 }

@@ -10,15 +10,19 @@
 //!   REF with the full DDR4 timing-constraint set (tRCD, tRP, tRAS, tRC,
 //!   CL, CWL, tCCD_S/L, tRRD_S/L, tFAW, tWR, tRTP, tWTR, tRFC, tREFI),
 //!   parameterized by [`config::Timing`] with the paper's Table 3 values
-//!   as the default ([`config::DramConfig::enmc_table3`]);
-//! * a **memory controller** per channel — 64-entry request queue,
-//!   FR-FCFS scheduling, open-page policy, demand refresh ([`controller`]);
+//!   as the default ([`config::DramConfig::enmc_table3`]); the controller
+//!   issues RD / WR, and RDA / WRA appear in the golden model's
+//!   closed-page schedule;
+//! * a **memory controller** per channel — the one Table 3 fixes: a
+//!   [`QUEUE_DEPTH`]-entry request queue of [`BURST_BYTES`]-byte bursts,
+//!   FR-FCFS scheduling, open-page policy, demand refresh ([`controller`]).
+//!   A [`DramConfig`] varies only geometry and timing;
 //! * **address mapping** from flat physical addresses to device coordinates
 //!   ([`mapping`]);
 //! * **statistics and energy counters** — row hits/misses/conflicts, bus
-//!   utilization, and an IDD-derived energy model with the
-//!   activate/read/write/refresh/background split used by Fig. 14
-//!   ([`energy`]);
+//!   utilization, and an IDD-derived energy model of one rank with the
+//!   activate/read/write/refresh/background split used by Fig. 14 and an
+//!   on/off SEC-DED surcharge ([`energy`]);
 //! * **command-event tracing** — when enabled via
 //!   [`system::DramSystem::enable_trace`], every issued ACT / PRE / RD / WR /
 //!   REF becomes an `enmc_obs` trace event (one `pid` per channel, one `tid`
@@ -62,9 +66,9 @@ pub mod system;
 
 pub use checker::{ProtocolViolation, Rule, TimingChecker};
 pub use command::{Command, CommandKind, TimedCommand};
-pub use config::{DramConfig, Organization, PagePolicy, Timing};
+pub use config::{DramConfig, Organization, Timing, BURST_BYTES, QUEUE_DEPTH};
 pub use controller::ChannelController;
-pub use energy::{EnergyBreakdown, EnergyModel};
+pub use energy::{EnergyBreakdown, EnergyModel, ECC_NJ_PER_BURST};
 pub use fuzz::{FuzzOutcome, FuzzRequest, InjectedBug, PatternKind, Reproducer};
 pub use golden::{golden_closed_page, GoldenOutcome, GoldenRequest, ReplayReport};
 pub use mapping::{AddressMapping, Coord};

@@ -14,7 +14,7 @@
 //!   short tCCD_S, keeping the DQ bus saturated) while each bank still
 //!   streams an entire row before moving on.
 
-use crate::config::Organization;
+use crate::config::{Organization, BURST_BYTES};
 
 /// Bank-level coordinates of one 64-byte burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,11 +53,11 @@ pub enum AddressMapping {
 impl AddressMapping {
     /// Decodes a byte address into coordinates.
     ///
-    /// The low 6 bits (64-byte burst offset) are dropped first. A field
-    /// whose size is a power of two (every preset's) takes a mask and a
-    /// shift instead of a remainder and a division.
+    /// The offset within a [`BURST_BYTES`] burst is dropped first. A
+    /// field whose size is a power of two (every preset's) takes a mask
+    /// and a shift instead of a remainder and a division.
     pub fn decode(&self, addr: u64, org: &Organization) -> Coord {
-        let mut a = addr >> 6; // burst-aligned
+        let mut a = addr / BURST_BYTES; // burst-aligned
         let mut take = |n: usize| -> usize {
             let n = n as u64;
             let v = if n.is_power_of_two() {
@@ -118,7 +118,7 @@ impl AddressMapping {
                 put(c.row, org.rows, &mut addr, &mut shiftmul);
             }
         }
-        addr << 6
+        addr * BURST_BYTES
     }
 }
 
@@ -141,7 +141,6 @@ mod tests {
             banks_per_group: 5,
             rows: 1000,
             columns: 8 * 24,
-            access_bytes: 64,
         }
     }
 
@@ -205,7 +204,7 @@ mod tests {
         let org = org();
         let m = AddressMapping::RoRaBaCoBg;
         // One interleaved row group = bank_groups × row bytes.
-        let group_bytes = (org.bank_groups * org.bursts_per_row() * org.access_bytes) as u64;
+        let group_bytes = (org.bank_groups * org.bursts_per_row()) as u64 * BURST_BYTES;
         let c0 = m.decode(0, &org);
         let c_next = m.decode(group_bytes, &org);
         assert_ne!(c0.bank, c_next.bank);

@@ -1,5 +1,7 @@
 //! DRAM statistics counters.
 
+use crate::config::BURST_BYTES;
+
 /// Bank-group slots tracked by [`DramStats::bank_group_accesses`]. DDR4
 /// devices have four bank groups; organizations with more fold in
 /// modulo.
@@ -37,9 +39,9 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Bytes transferred (64 B per column access).
+    /// Bytes transferred (one [`BURST_BYTES`] burst per column access).
     pub fn bytes(&self) -> u64 {
-        (self.reads + self.writes) * 64
+        (self.reads + self.writes) * BURST_BYTES
     }
 
     /// Row-hit rate over all classified requests.

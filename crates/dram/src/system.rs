@@ -315,7 +315,6 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PagePolicy;
     use crate::fuzz::{drive, FuzzRequest, PatternKind};
 
     #[test]
@@ -396,33 +395,6 @@ mod tests {
         assert!(sys.is_idle());
     }
 
-    /// The six geometries of the controller's per-cycle oracle test: DDR4,
-    /// eight ranks, closed page, the bank geometries of DDR5-4800 (8 groups
-    /// of 4) and LPDDR4-3200 (2 of 4), and eight ranks under closed page.
-    fn geometries() -> [DramConfig; 6] {
-        let mut multi_rank = DramConfig::enmc_table3();
-        multi_rank.organization.channels = 1;
-        let mut closed = DramConfig::enmc_single_rank();
-        closed.page_policy = PagePolicy::Closed;
-        let mut closed_multi_rank = multi_rank;
-        closed_multi_rank.page_policy = PagePolicy::Closed;
-        let geometry = |bank_groups: usize, banks_per_group: usize| {
-            let mut cfg = DramConfig::enmc_single_rank();
-            cfg.organization.bank_groups = bank_groups;
-            cfg.organization.banks_per_group = banks_per_group;
-            cfg.organization.rows = (1 << 20) / (bank_groups * banks_per_group);
-            cfg
-        };
-        [
-            DramConfig::enmc_single_rank(),
-            multi_rank,
-            closed,
-            geometry(8, 4),
-            geometry(2, 4),
-            closed_multi_rank,
-        ]
-    }
-
     /// Everything a run leaves behind that a caller can observe.
     struct Observed {
         completions: Vec<Completion>,
@@ -435,7 +407,7 @@ mod tests {
     #[test]
     fn event_stepping_matches_per_cycle_ticks() {
         let mapping = AddressMapping::RoRaBaCoBg;
-        for cfg in geometries() {
+        for cfg in DramConfig::test_geometries() {
             let org = cfg.organization;
             let mut turned_away = false;
             for pattern in PatternKind::ALL {
@@ -480,12 +452,11 @@ mod tests {
                     };
                     let (ticked, stepped) = (run(false), run(true));
                     let label = format!(
-                        "{}, {} rank(s) of {} x {} banks, {:?} page, traced {traced}",
+                        "{}, {} rank(s) of {} x {} banks, traced {traced}",
                         pattern.name(),
                         org.ranks,
                         org.bank_groups,
                         org.banks_per_group,
-                        cfg.page_policy
                     );
                     assert_eq!(stepped.completions, ticked.completions, "completions: {label}");
                     assert_eq!(stepped.commands, ticked.commands, "command log: {label}");

@@ -165,11 +165,6 @@ impl EccCounters {
     }
 }
 
-/// Extra DRAM energy per 64-byte burst for the eight (72,64) decodes it
-/// carries, in nanojoules (≈15 pJ per decode at 22 nm, scaled from the
-/// Table 5 methodology).
-pub const ECC_NJ_PER_BURST: f64 = 0.12;
-
 /// Always-on SEC-DED encode/decode logic power next to the Screener's
 /// stream buffer, in milliwatts.
 pub const ECC_MW: f64 = 11.6;

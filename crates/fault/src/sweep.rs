@@ -28,12 +28,12 @@
 //! simulated DRAM activity costs, not the activity, so every point
 //! prices the same run.
 
-use crate::ecc::{ECC_MW, ECC_NJ_PER_BURST, ECC_NS_PER_BURST};
+use crate::ecc::{ECC_MW, ECC_NS_PER_BURST};
 use crate::inject::{corrupt_matrix, corrupt_screener, InjectionStats, WEIGHTS_BASE_ADDR};
 use crate::model::FaultModel;
 use enmc_arch::energy::SystemEnergy;
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
-use enmc_dram::energy::EnergyModel;
+use enmc_dram::energy::{EnergyModel, ECC_NJ_PER_BURST};
 use enmc_model::quality::{QualityAccumulator, QualityReport};
 use enmc_model::synth::SyntheticClassifier;
 use enmc_obs::trace::{TraceBuffer, TraceEvent};
@@ -348,18 +348,11 @@ pub fn run_resilience_sweep(
         (0.0, 0.0, 0.0)
     };
     for point in &mut points {
-        // Start from the system's own per-rank energy model (the memory
-        // preset's nominal coefficients), with any prior refresh/ECC
-        // override cleared so each point applies its own.
-        let mut dram = EnergyModel {
-            refresh_interval_multiplier: 1.0,
-            ecc_nj_per_access: 0.0,
-            ..*system.energy_model()
-        }
-        .with_refresh_multiplier(point.refresh_multiplier);
-        if spec.ecc {
-            dram = dram.with_ecc_surcharge(ECC_NJ_PER_BURST);
-        }
+        // The system's own one-rank energy model (the memory preset's
+        // coefficients) under the point's refresh multiplier, with SEC-DED
+        // as the sweep asks.
+        let dram = EnergyModel { ecc: spec.ecc, ..*system.energy_model() }
+            .with_refresh_multiplier(point.refresh_multiplier);
         let energy = SystemEnergy::of_ranks(&run.shard_dram, &dram, logic_nj);
         point.refresh_energy_nj = dram.refresh_energy_nj(report.dram.refreshes);
         point.total_energy_nj = energy.total_nj() + ecc_logic_nj;

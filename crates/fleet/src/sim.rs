@@ -400,18 +400,6 @@ impl FleetOutcome {
     }
 }
 
-/// The shard-sized job: `1/shards` of the classifier rows and candidate
-/// budget, everything else untouched (matches `scaleout::scale_out`).
-fn shard_job(job: &ClassificationJob, shards: usize) -> ClassificationJob {
-    ClassificationJob {
-        categories: job.categories.div_ceil(shards),
-        hidden: job.hidden,
-        reduced: job.reduced,
-        batch: job.batch,
-        candidates: job.candidates.div_ceil(shards),
-    }
-}
-
 /// A tenant's ladder scaled to the shard size: candidate counts divide
 /// by the shard count (screening shifts are shard-independent).
 fn shard_tiers(tiers: &[DegradeTier], shards: usize) -> Vec<DegradeTier> {
@@ -466,7 +454,7 @@ pub fn simulate_fleet(
     // Calibration: one service table per *distinct* shard-scaled ladder,
     // in first-appearance order (tenants sharing a ladder share a table,
     // and the audit stream stays independent of tenant count).
-    let sjob = shard_job(job, cfg.shards);
+    let sjob = job.shard(cfg.shards);
     let mut ladders: Vec<Vec<DegradeTier>> = Vec::new();
     let mut tenant_table: Vec<usize> = Vec::with_capacity(cfg.tenants.len());
     for t in &cfg.tenants {

@@ -23,7 +23,7 @@
 //! plausible same-capacity stand-ins for their families, not certified
 //! JEDEC bins; DESIGN.md documents what each models and omits.
 
-use enmc_dram::config::{DramConfig, Organization, PagePolicy, Timing};
+use enmc_dram::config::{DramConfig, Timing};
 use enmc_dram::energy::EnergyModel;
 
 /// The four supported memory technologies.
@@ -127,23 +127,25 @@ pub struct MemPreset {
     pub bank_groups: usize,
     /// Banks per bank group.
     pub banks_per_group: usize,
-    /// Per-rank energy coefficients (with `ranks = 1`; scale via
-    /// [`MemPreset::energy_model`]).
+    /// One rank's nominal energy model (no refresh stretch, no ECC), on
+    /// this preset's clock.
     pub energy: EnergyModel,
     /// Per-technology error behavior.
     pub error: ErrorProfile,
 }
 
 impl MemPreset {
-    /// The Table 3 baseline. `timing`/geometry/energy are byte-for-byte
-    /// the pre-preset constants, so the default path is bit-exact.
+    /// The Table 3 baseline: [`DramConfig::enmc_table3`]'s timing and
+    /// bank geometry and [`EnergyModel::ddr4_2400_rank`], so the default
+    /// path is the Table 3 platform itself.
     pub fn ddr4_2666() -> Self {
+        let table3 = DramConfig::enmc_table3();
         MemPreset {
             tech: MemTech::Ddr4_2666,
-            timing: Timing::ddr4_2400_table3(),
-            bank_groups: 4,
-            banks_per_group: 4,
-            energy: EnergyModel::ddr4_2400_rank(1),
+            timing: table3.timing,
+            bank_groups: table3.organization.bank_groups,
+            banks_per_group: table3.organization.banks_per_group,
+            energy: EnergyModel::ddr4_2400_rank(),
             error: ErrorProfile::ddr4_baseline(),
         }
     }
@@ -152,28 +154,29 @@ impl MemPreset {
     /// latencies in cycles, on-die ECC halves the ambient BER but the
     /// denser cells retain slightly worse.
     pub fn ddr5_4800() -> Self {
+        let timing = Timing {
+            tck_ps: 416,
+            cl: 40,
+            cwl: 36,
+            trcd: 39,
+            trp: 39,
+            tras: 76,
+            trc: 115,
+            tccd_l: 12,
+            tccd_s: 8,
+            trrd_l: 12,
+            trrd_s: 8,
+            tfaw: 40,
+            twr: 58,
+            trtp: 18,
+            twtr: 24,
+            tbl: 8, // BL16 at twice the rate: still one 64 B burst
+            trfc: 708,  // ~295 ns
+            trefi: 9360, // ~3.9 µs (per-rank average with REFab)
+        };
         MemPreset {
             tech: MemTech::Ddr5_4800,
-            timing: Timing {
-                tck_ps: 416,
-                cl: 40,
-                cwl: 36,
-                trcd: 39,
-                trp: 39,
-                tras: 76,
-                trc: 115,
-                tccd_l: 12,
-                tccd_s: 8,
-                trrd_l: 12,
-                trrd_s: 8,
-                tfaw: 40,
-                twr: 58,
-                trtp: 18,
-                twtr: 24,
-                tbl: 8, // BL16 at twice the rate: still one 64 B burst
-                trfc: 708,  // ~295 ns
-                trefi: 9360, // ~3.9 µs (per-rank average with REFab)
-            },
+            timing,
             bank_groups: 8,
             banks_per_group: 4,
             energy: EnergyModel {
@@ -183,10 +186,9 @@ impl MemPreset {
                 refresh_nj: 260.0,
                 background_w: 0.42,
                 powerdown_w: 0.09,
-                tck_ps: 416.0,
-                ranks: 1,
+                tck_ps: timing.tck_ps as f64,
                 refresh_interval_multiplier: 1.0,
-                ecc_nj_per_access: 0.0,
+                ecc: false,
             },
             error: ErrorProfile { ber_scale: 0.5, retention_base: 4.0e-5, weak_column_scale: 1.5 },
         }
@@ -197,28 +199,29 @@ impl MemPreset {
     /// same-vs-different-group constraint pair exercised — see
     /// DESIGN.md), very low background power, weak retention.
     pub fn lpddr4_3200() -> Self {
+        let timing = Timing {
+            tck_ps: 625,
+            cl: 28,
+            cwl: 14,
+            trcd: 29,
+            trp: 34,
+            tras: 67,
+            trc: 101,
+            tccd_l: 8,
+            tccd_s: 8, // flat banks: no short/long split
+            trrd_l: 10,
+            trrd_s: 10,
+            tfaw: 64,
+            twr: 29,
+            trtp: 12,
+            twtr: 16,
+            tbl: 8, // BL16
+            trfc: 448,  // ~280 ns
+            trefi: 6240, // ~3.9 µs
+        };
         MemPreset {
             tech: MemTech::Lpddr4_3200,
-            timing: Timing {
-                tck_ps: 625,
-                cl: 28,
-                cwl: 14,
-                trcd: 29,
-                trp: 34,
-                tras: 67,
-                trc: 101,
-                tccd_l: 8,
-                tccd_s: 8, // flat banks: no short/long split
-                trrd_l: 10,
-                trrd_s: 10,
-                tfaw: 64,
-                twr: 29,
-                trtp: 12,
-                twtr: 16,
-                tbl: 8, // BL16
-                trfc: 448,  // ~280 ns
-                trefi: 6240, // ~3.9 µs
-            },
+            timing,
             bank_groups: 2,
             banks_per_group: 4,
             energy: EnergyModel {
@@ -228,10 +231,9 @@ impl MemPreset {
                 refresh_nj: 140.0,
                 background_w: 0.07,
                 powerdown_w: 0.02,
-                tck_ps: 625.0,
-                ranks: 1,
+                tck_ps: timing.tck_ps as f64,
                 refresh_interval_multiplier: 1.0,
-                ecc_nj_per_access: 0.0,
+                ecc: false,
             },
             error: ErrorProfile { ber_scale: 1.2, retention_base: 5.0e-5, weak_column_scale: 2.0 },
         }
@@ -241,28 +243,29 @@ impl MemPreset {
     /// latencies are short *in cycles*; high background power from the
     /// stack, strong retention (low-temp-graded cells).
     pub fn hbm2() -> Self {
+        let timing = Timing {
+            tck_ps: 1000,
+            cl: 14,
+            cwl: 7,
+            trcd: 12,
+            trp: 12,
+            tras: 29,
+            trc: 41,
+            tccd_l: 4,
+            tccd_s: 2,
+            trrd_l: 6,
+            trrd_s: 4,
+            tfaw: 30,
+            twr: 16,
+            trtp: 7,
+            twtr: 8,
+            tbl: 2, // 128-bit pseudo-channel pair: 64 B in 2 clocks
+            trfc: 260,
+            trefi: 3900,
+        };
         MemPreset {
             tech: MemTech::Hbm2,
-            timing: Timing {
-                tck_ps: 1000,
-                cl: 14,
-                cwl: 7,
-                trcd: 12,
-                trp: 12,
-                tras: 29,
-                trc: 41,
-                tccd_l: 4,
-                tccd_s: 2,
-                trrd_l: 6,
-                trrd_s: 4,
-                tfaw: 30,
-                twr: 16,
-                trtp: 7,
-                twtr: 8,
-                tbl: 2, // 128-bit pseudo-channel pair: 64 B in 2 clocks
-                trfc: 260,
-                trefi: 3900,
-            },
+            timing,
             bank_groups: 4,
             banks_per_group: 4,
             energy: EnergyModel {
@@ -272,10 +275,9 @@ impl MemPreset {
                 refresh_nj: 180.0,
                 background_w: 0.50,
                 powerdown_w: 0.18,
-                tck_ps: 1000.0,
-                ranks: 1,
+                tck_ps: timing.tck_ps as f64,
                 refresh_interval_multiplier: 1.0,
-                ecc_nj_per_access: 0.0,
+                ecc: false,
             },
             error: ErrorProfile { ber_scale: 0.8, retention_base: 1.5e-5, weak_column_scale: 0.7 },
         }
@@ -285,23 +287,16 @@ impl MemPreset {
     /// under this technology's timing and bank geometry. For the DDR4
     /// baseline this is exactly `DramConfig::enmc_table3()`.
     pub fn system_config(&self) -> DramConfig {
-        DramConfig {
-            organization: Organization {
-                channels: 8,
-                ranks: 8,
-                bank_groups: self.bank_groups,
-                banks_per_group: self.banks_per_group,
-                // Rows scale inversely with bank count so every preset
-                // offers the same capacity (the preset layer varies
-                // timing/energy/errors, never workload footprint).
-                rows: 1_048_576 / (self.bank_groups * self.banks_per_group),
-                columns: 1024,
-                access_bytes: 64,
-            },
-            timing: self.timing,
-            queue_depth: 64,
-            page_policy: PagePolicy::Open,
-        }
+        let mut cfg = DramConfig::enmc_table3();
+        let org = &mut cfg.organization;
+        // Rows scale inversely with bank count so every preset offers the
+        // same capacity (the preset layer varies timing/energy/errors,
+        // never workload footprint).
+        org.rows = org.rows * org.banks_per_rank() / (self.bank_groups * self.banks_per_group);
+        org.bank_groups = self.bank_groups;
+        org.banks_per_group = self.banks_per_group;
+        cfg.timing = self.timing;
+        cfg
     }
 
     /// The single-rank timing domain one on-DIMM ENMC unit sees. For the
@@ -311,11 +306,6 @@ impl MemPreset {
         cfg.organization.channels = 1;
         cfg.organization.ranks = 1;
         cfg
-    }
-
-    /// Per-rank energy model scaled to `ranks` ranks.
-    pub fn energy_model(&self, ranks: usize) -> EnergyModel {
-        EnergyModel { ranks, ..self.energy }
     }
 
     /// I/O clock frequency in MHz (rounded): the `dram_freq_mhz` input to
@@ -339,8 +329,7 @@ mod tests {
         let p = MemTech::Ddr4_2666.preset();
         assert_eq!(p.system_config(), DramConfig::enmc_table3());
         assert_eq!(p.single_rank_config(), DramConfig::enmc_single_rank());
-        assert_eq!(p.energy_model(1), EnergyModel::ddr4_2400_rank(1));
-        assert_eq!(p.energy_model(8), EnergyModel::ddr4_2400_rank(8));
+        assert_eq!(p.energy, EnergyModel::ddr4_2400_rank());
         assert_eq!(p.error, ErrorProfile::ddr4_baseline());
     }
 
@@ -420,10 +409,8 @@ mod tests {
         for t in MemTech::ALL {
             let p = t.preset();
             assert_eq!(p.energy.tck_ps, p.timing.tck_ps as f64, "{t}: clock mismatch");
-            assert_eq!(p.energy.ranks, 1);
             assert_eq!(p.energy.refresh_interval_multiplier, 1.0);
-            assert_eq!(p.energy.ecc_nj_per_access, 0.0);
-            assert_eq!(p.energy_model(4).ranks, 4);
+            assert!(!p.energy.ecc, "{t}: nominal models carry no ECC");
         }
     }
 

@@ -233,7 +233,7 @@ fn energy_tree(
                     CostNode::leaf(
                         "ecc",
                         0,
-                        (reads + writes) as f64 * dram_model.ecc_nj_per_access,
+                        (reads + writes) as f64 * dram_model.ecc_nj_per_burst(),
                     ),
                 ],
             )
@@ -249,8 +249,8 @@ fn energy_tree(
     for s in shards {
         let idle_s = s.idle_cycles.min(s.total_cycles) as f64 * dram_model.tck_ps * 1e-12;
         let active_s = s.total_cycles as f64 * dram_model.tck_ps * 1e-12 - idle_s;
-        bg_active += dram_model.background_w * active_s * dram_model.ranks as f64 * 1e9;
-        bg_idle += dram_model.powerdown_w * idle_s * dram_model.ranks as f64 * 1e9;
+        bg_active += dram_model.background_w * active_s * 1e9;
+        bg_idle += dram_model.powerdown_w * idle_s * 1e9;
         refresh += dram_model.refresh_energy_nj(s.refreshes);
         total_shard_cycles += s.total_cycles;
     }
@@ -339,7 +339,8 @@ mod tests {
     }
 
     fn models() -> (EnergyModel, LogicEnergyModel) {
-        (EnergyModel::ddr4_2400_rank(1).with_ecc_surcharge(0.3), LogicEnergyModel::enmc_table5())
+        let dram = EnergyModel { ecc: true, ..EnergyModel::ddr4_2400_rank() };
+        (dram, LogicEnergyModel::enmc_table5())
     }
 
     #[test]

@@ -9,6 +9,10 @@
 
 use enmc_arch::system::ClassificationJob;
 
+/// The deepest screening-level shift a tier or a tuned design may take:
+/// eight halvings of the reduced dimension.
+pub const MAX_SCREEN_SHIFT: u32 = 8;
+
 /// One point on the accuracy↔latency dial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradeTier {
@@ -37,8 +41,9 @@ impl DegradeTier {
 /// # Errors
 ///
 /// Returns a flag-worthy message when the list is empty, a pair is
-/// malformed, `K` is zero, `S` exceeds 8, or a later tier has *more*
-/// candidates than an earlier one (stepping "down" must never add work).
+/// malformed, `K` is zero, `S` exceeds [`MAX_SCREEN_SHIFT`], or a later
+/// tier has *more* candidates than an earlier one (stepping "down" must
+/// never add work).
 pub fn parse_tiers(raw: &str) -> Result<Vec<DegradeTier>, String> {
     let mut tiers = Vec::new();
     for part in raw.split(',') {
@@ -57,8 +62,8 @@ pub fn parse_tiers(raw: &str) -> Result<Vec<DegradeTier>, String> {
             .trim()
             .parse()
             .map_err(|_| format!("--degrade-tiers shift '{s}' is not a small integer"))?;
-        if screen_shift > 8 {
-            return Err(format!("--degrade-tiers shift {screen_shift} exceeds 8"));
+        if screen_shift > MAX_SCREEN_SHIFT {
+            return Err(format!("--degrade-tiers shift {screen_shift} exceeds {MAX_SCREEN_SHIFT}"));
         }
         tiers.push(DegradeTier { candidates, screen_shift });
     }

@@ -343,7 +343,7 @@ impl CostModel {
         // the active and idle leaves, per shard.
         let em = sys.energy_model();
         let shards_n = actual_shards.len().max(1) as f64;
-        let window_nj_per_w = window * em.tck_ps * 1e-3 * em.ranks as f64 * shards_n;
+        let window_nj_per_w = window * em.tck_ps * 1e-3 * shards_n;
         let bg_active_floor = nj_floor.max(window_nj_per_w * em.background_w);
         let bg_idle_floor = nj_floor.max(window_nj_per_w * em.powerdown_w);
         let mut judge = |leaf: &str, p: f64, a: f64, floor: f64| -> Result<(), SurrogateViolation> {

@@ -13,10 +13,6 @@ use enmc_arch::{AreaPower, ClassificationJob, EnmcConfig, PhysicalModel, SystemM
 use enmc_par::{par_map, SimConfig};
 use enmc_surrogate::{CostBackend, CostModel, SurrogateViolation};
 
-/// Energy surcharge of SEC-DED ECC per DRAM burst, nJ (matches the
-/// fault crate's `ECC_NJ_PER_BURST`).
-const ECC_NJ_PER_BURST: f64 = 0.12;
-
 /// One evaluated design: the lattice point, its Table 4/5 price, and its
 /// measured (or predicted) serving coordinates.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,10 +50,10 @@ impl EvaluatedDesign {
 
 /// The [`SystemModel`] a design point configures: memory technology,
 /// rank count, lane count, and screener bitwidth applied to the base
-/// platform, plus the ECC energy surcharge when the design carries ECC.
-/// The design's memory axis always rebases the platform (so the energy
-/// model is the chosen technology's nominal one before the ECC
-/// surcharge applies).
+/// platform, with SEC-DED's DRAM energy surcharge when the design carries
+/// ECC. The design's memory axis always rebases the platform (so the
+/// energy model is the chosen technology's nominal one before ECC turns
+/// on).
 pub fn configure_system(base: &SystemModel, d: &DesignPoint) -> SystemModel {
     let cfg = EnmcConfig {
         int4_macs: d.lanes,
@@ -70,7 +66,8 @@ pub fn configure_system(base: &SystemModel, d: &DesignPoint) -> SystemModel {
         .with_total_ranks(d.ranks)
         .with_enmc_config(cfg);
     if d.ecc {
-        let em = (*sys.energy_model()).with_ecc_surcharge(ECC_NJ_PER_BURST);
+        let mut em = *sys.energy_model();
+        em.ecc = true;
         sys = sys.with_energy_model(em);
     }
     sys

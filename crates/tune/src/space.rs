@@ -11,6 +11,7 @@
 
 use enmc_arch::{AreaPower, ClassificationJob, PhysicalModel};
 use enmc_mem::MemTech;
+use enmc_serve::tier::MAX_SCREEN_SHIFT;
 
 /// Area/power surcharge of SEC-DED (72,64) ECC on the on-DIMM DRAM
 /// controller: 8 extra bits per 64 = 12.5 % more controller datapath
@@ -60,8 +61,10 @@ const MAX_SCREEN_BITS: u32 = 32;
 
 impl TuneSpace {
     /// Checks the levels the job bounds: no `candidates` level above its
-    /// categories, no `batch_max` level above [`MAX_BATCH`] and no
-    /// `screen_bits` level above 32, an FP32 element.
+    /// categories, no `batch_max` level above [`MAX_BATCH`], no
+    /// `screen_bits` level above 32, an FP32 element, and no
+    /// `screen_shift` level above [`MAX_SCREEN_SHIFT`], the deepest
+    /// degrade tier.
     ///
     /// # Errors
     ///
@@ -84,7 +87,9 @@ impl TuneSpace {
         let batch = format!("the largest batch, {MAX_BATCH}");
         within("--batch-max", &self.batch_max, MAX_BATCH, &batch)?;
         let bits = format!("{MAX_SCREEN_BITS} bits, an FP32 element");
-        within("--screen-bits", &self.screen_bits, MAX_SCREEN_BITS, &bits)
+        within("--screen-bits", &self.screen_bits, MAX_SCREEN_BITS, &bits)?;
+        let shift = format!("{MAX_SCREEN_SHIFT} halvings, the deepest degrade tier");
+        within("--screen-shift", &self.screen_shift, MAX_SCREEN_SHIFT, &shift)
     }
 
     /// The default small space the CLI explores when no axes are given:

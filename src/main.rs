@@ -77,18 +77,6 @@ fn run(a: &Args) -> Result<i32, Fail> {
     }
 }
 
-/// The classification job of workload `w` at `batch`, computing the
-/// fraction `frac` of its categories exactly.
-fn job_of(w: &Workload, batch: usize, frac: f64) -> ClassificationJob {
-    ClassificationJob {
-        categories: w.categories,
-        hidden: w.hidden,
-        reduced: (w.hidden / 4).max(1),
-        batch,
-        candidates: ((w.categories as f64) * frac).round() as usize,
-    }
-}
-
 /// Writes `data` to `path` and notes it on stderr as `what`.
 fn write_file(path: &str, what: &str, data: &str) -> Result<(), Fail> {
     std::fs::write(path, data).map_err(|e| Fail(1, format!("cannot write {path}: {e}")))?;
@@ -124,7 +112,8 @@ fn cmd_simulate(a: &Args) -> Result<i32, Fail> {
     let workload = a.get("--workload", one_of(WORKLOADS))?.workload();
     let scheme = a.get("--scheme", one_of(SCHEMES))?;
     let batch = a.get("--batch", count)?;
-    let job = job_of(&workload, batch, a.get("--candidates", fraction)?);
+    let frac = a.get("--candidates", fraction)?;
+    let job = ClassificationJob::of_workload(workload.categories, workload.hidden, batch, frac);
     // Simulate records the seed; the run itself is deterministic.
     let seed = a.seed()?;
     let cfg = SimConfig::resolve(a.threads()?, a.on("--check-protocol"));
@@ -267,7 +256,8 @@ impl Fleet {
     /// Reads the shared flags; `shape` is the flag naming the workload.
     fn read(a: &Args, shape: &str) -> Result<Fleet, Fail> {
         let workload = a.get(shape, one_of(WORKLOADS))?.workload();
-        let job = job_of(&workload, 1, a.get("--candidates", fraction)?);
+        let frac = a.get("--candidates", fraction)?;
+        let job = ClassificationJob::of_workload(workload.categories, workload.hidden, 1, frac);
         let seed = a.seed()?;
         let check_protocol = a.on("--check-protocol");
         Ok(Fleet {
@@ -569,7 +559,7 @@ fn cmd_tune(a: &Args) -> Result<i32, Fail> {
         workers,
         mode,
     };
-    let job = job_of(&workload, 1, 0.05);
+    let job = ClassificationJob::of_workload(workload.categories, workload.hidden, 1, 0.05);
     cfg.space.check(&job)?;
     let sys = SystemModel::table3();
     eprintln!(
@@ -632,7 +622,8 @@ fn cmd_offload_plan(a: &Args) -> Result<i32, Fail> {
     use enmc::tune::{offload_report, plan_ladder};
 
     let workload = a.get("--workload", one_of(WORKLOADS))?.workload();
-    let job = job_of(&workload, 1, a.get("--candidates", fraction)?);
+    let frac = a.get("--candidates", fraction)?;
+    let job = ClassificationJob::of_workload(workload.categories, workload.hidden, 1, frac);
     let batch_max = a.get("--batch-max", count)?;
     let tiers = a
         .opt("--degrade-tiers", tiers)?
@@ -875,7 +866,8 @@ fn cmd_profile(a: &Args) -> Result<i32, Fail> {
     let workload = a.get("--shape", one_of(WORKLOADS))?.workload();
     let scheme = a.get("--scheme", one_of(&SCHEMES[2..]))?;
     let batch = a.get("--batch", count)?;
-    let job = job_of(&workload, batch, a.get("--candidates", fraction)?);
+    let frac = a.get("--candidates", fraction)?;
+    let job = ClassificationJob::of_workload(workload.categories, workload.hidden, batch, frac);
     let json = a.json()?;
     let threads = a.threads()?.unwrap_or(1);
     let trace_out = a.text("--trace-out");

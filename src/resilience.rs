@@ -58,13 +58,8 @@ pub fn shape_config(shape: FaultShape, seed: u64) -> PipelineConfig {
 pub fn shape_job(shape: FaultShape, batch: usize) -> ClassificationJob {
     let id = shape_workload(shape);
     let w = id.workload();
-    ClassificationJob {
-        categories: w.categories,
-        hidden: w.hidden,
-        reduced: (w.hidden / 4).max(1),
-        batch,
-        candidates: (((w.categories as f64) * candidate_fraction(id)).round() as usize).max(1),
-    }
+    let job = ClassificationJob::of_workload(w.categories, w.hidden, batch, candidate_fraction(id));
+    ClassificationJob { candidates: job.candidates.max(1), ..job }
 }
 
 /// Default candidate tiers for the per-tier masking breakdown: the

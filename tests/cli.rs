@@ -213,6 +213,7 @@ fn a_tune_level_past_its_bound_is_rejected() {
         ("--candidates", "64,100000", "100000", "33278"),
         ("--batch-max", "4,1025", "1025", "1024"),
         ("--screen-bits", "4,33", "33", "32"),
+        ("--screen-shift", "0,64", "64", "8"),
     ] {
         let err = rejects(&["tune", "--workload", "lstm", flag, levels], flag);
         assert!(err.contains(&format!("'{level}'")) && err.contains(bound), "{err}");

@@ -7,10 +7,8 @@
 
 use enmc::arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc::cli::FaultShape;
-use enmc::dram::energy::EnergyModel;
-use enmc::fault::{
-    run_resilience_sweep, FaultModel, FaultSweepSpec, ECC_MW, ECC_NJ_PER_BURST, ECC_NS_PER_BURST,
-};
+use enmc::dram::energy::{EnergyModel, ECC_NJ_PER_BURST};
+use enmc::fault::{run_resilience_sweep, FaultModel, FaultSweepSpec, ECC_MW, ECC_NS_PER_BURST};
 use enmc::mem::MemTech;
 use enmc::par::SimConfig;
 use enmc::pipeline::{Pipeline, PipelineConfig};
@@ -133,15 +131,8 @@ fn energy_join_of_one_point(
     ecc: bool,
     workers: usize,
 ) -> [f64; 4] {
-    let mut dram = EnergyModel {
-        refresh_interval_multiplier: 1.0,
-        ecc_nj_per_access: 0.0,
-        ..*system.energy_model()
-    }
-    .with_refresh_multiplier(multiplier);
-    if ecc {
-        dram = dram.with_ecc_surcharge(ECC_NJ_PER_BURST);
-    }
+    let dram =
+        EnergyModel { ecc, ..*system.energy_model() }.with_refresh_multiplier(multiplier);
     let sys = system.clone().with_energy_model(dram);
     let run = sys.run_sharded(job, Scheme::Enmc, &SimConfig::with_threads(workers));
     let report = run.result.rank_report.expect("ENMC runs are simulated");
