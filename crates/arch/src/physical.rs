@@ -95,6 +95,15 @@ impl PhysicalModel {
         AreaPower { area_mm2: 0.053, power_mw: 49.3 }
     }
 
+    /// The SEC-DED (72,64) ECC engine an ECC design adds beside the
+    /// on-DIMM DRAM controller: 8 check bits per 64 widen the
+    /// controller's datapath area by 12.5 %, and the always-on
+    /// encode/decode logic next to the Screener's stream buffer draws
+    /// 11.6 mW.
+    pub fn secded(&self) -> AreaPower {
+        AreaPower { area_mm2: self.dram_ctrl.area_mm2 * 0.125, power_mw: 11.6 }
+    }
+
     /// The full ENMC unit (Table 5): 128 INT4 + 16 FP32 MACs, 1 KB compute
     /// buffers, ~1 KB control buffers, both controllers.
     pub fn enmc_unit(&self) -> AreaPower {

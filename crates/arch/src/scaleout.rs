@@ -28,12 +28,11 @@ pub struct Network {
     pub bandwidth: f64,
 }
 
-impl Network {
-    /// A 100 Gb/s RoCE-class fabric.
-    pub fn roce_100g() -> Self {
-        Network { latency_ns: 2_000.0, bandwidth: 12.5e9 }
-    }
+/// The cluster interconnect every scale-out projection and fleet run
+/// prices: a 100 Gb/s RoCE-class fabric.
+pub const ROCE_100G: Network = Network { latency_ns: 2_000.0, bandwidth: 12.5e9 };
 
+impl Network {
     /// Time to move `bytes` one way.
     pub fn transfer_ns(&self, bytes: u64) -> f64 {
         self.latency_ns + bytes as f64 / self.bandwidth * 1e9
@@ -62,14 +61,13 @@ pub struct ScaleOutResult {
 }
 
 /// Projects `job` sharded over `nodes` machines, each a full Table 3
-/// system running `scheme`.
+/// system running `scheme`, joined by [`ROCE_100G`].
 ///
 /// # Panics
 ///
 /// Panics if `nodes == 0`.
 pub fn scale_out(
     system: &SystemModel,
-    network: &Network,
     job: &ClassificationJob,
     scheme: Scheme,
     nodes: usize,
@@ -80,9 +78,9 @@ pub fn scale_out(
 
     // Broadcast h (d floats per batch item) + gather each node's local
     // top logits (candidates × (index + value) = 8 B each).
-    let bcast = network.transfer_ns((job.batch * job.hidden * 4) as u64);
-    let gather =
-        network.transfer_ns((job.batch * shard.candidates * 8) as u64) * (nodes as f64).log2().max(1.0);
+    let bcast = ROCE_100G.transfer_ns((job.batch * job.hidden * 4) as u64);
+    let gather = ROCE_100G.transfer_ns((job.batch * shard.candidates * 8) as u64)
+        * (nodes as f64).log2().max(1.0);
     let network_ns = if nodes == 1 { 0.0 } else { bcast + gather };
     let total = local.ns + network_ns;
 
@@ -112,7 +110,7 @@ mod tests {
 
     #[test]
     fn network_transfer_model() {
-        let n = Network::roce_100g();
+        let n = ROCE_100G;
         assert!(n.transfer_ns(0) == 2_000.0);
         // 12.5 GB at 12.5 GB/s = 1 s.
         assert!((n.transfer_ns(12_500_000_000) - 1e9 - 2000.0).abs() < 1.0);
@@ -120,7 +118,7 @@ mod tests {
 
     #[test]
     fn transfer_cycles_round_up() {
-        let n = Network::roce_100g();
+        let n = ROCE_100G;
         // 2000 ns latency at 0.75 ns/cycle = 2666.67 cycles -> 2667.
         assert_eq!(n.transfer_cycles(0, 0.75), 2667);
         assert!(n.transfer_cycles(1 << 20, 0.75) > n.transfer_cycles(0, 0.75));
@@ -129,20 +127,18 @@ mod tests {
     #[test]
     fn more_nodes_cut_latency() {
         let sys = SystemModel::table3();
-        let net = Network::roce_100g();
         let j = job();
-        let one = scale_out(&sys, &net, &j, Scheme::Enmc, 1);
-        let four = scale_out(&sys, &net, &j, Scheme::Enmc, 4);
+        let one = scale_out(&sys, &j, Scheme::Enmc, 1);
+        let four = scale_out(&sys, &j, Scheme::Enmc, 4);
         assert!(four.ns < one.ns, "4 nodes {} vs 1 node {}", four.ns, one.ns);
     }
 
     #[test]
     fn efficiency_degrades_gracefully() {
         let sys = SystemModel::table3();
-        let net = Network::roce_100g();
         let j = job();
-        let r4 = scale_out(&sys, &net, &j, Scheme::Enmc, 4);
-        let r16 = scale_out(&sys, &net, &j, Scheme::Enmc, 16);
+        let r4 = scale_out(&sys, &j, Scheme::Enmc, 4);
+        let r16 = scale_out(&sys, &j, Scheme::Enmc, 16);
         assert!(r4.efficiency > r16.efficiency);
         assert!(r4.efficiency > 0.5, "4-node efficiency {}", r4.efficiency);
     }
@@ -150,18 +146,16 @@ mod tests {
     #[test]
     fn network_share_grows_with_nodes() {
         let sys = SystemModel::table3();
-        let net = Network::roce_100g();
         let j = job();
-        let r2 = scale_out(&sys, &net, &j, Scheme::Enmc, 2);
-        let r32 = scale_out(&sys, &net, &j, Scheme::Enmc, 32);
+        let r2 = scale_out(&sys, &j, Scheme::Enmc, 2);
+        let r32 = scale_out(&sys, &j, Scheme::Enmc, 32);
         assert!(r32.network_share > r2.network_share);
     }
 
     #[test]
     fn single_node_has_no_network_cost() {
         let sys = SystemModel::table3();
-        let net = Network::roce_100g();
-        let r = scale_out(&sys, &net, &job(), Scheme::Enmc, 1);
+        let r = scale_out(&sys, &job(), Scheme::Enmc, 1);
         assert_eq!(r.network_share, 0.0);
         assert!((r.efficiency - 1.0).abs() < 1e-9);
     }

@@ -3,7 +3,7 @@
 //! with a 100 Gb/s fabric for broadcast/gather.
 
 use enmc::cli::{Command, THREADS};
-use enmc_arch::scaleout::{scale_out, Network};
+use enmc_arch::scaleout::scale_out;
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
@@ -16,7 +16,6 @@ fn main() {
     let (a, sim) = enmc_bench::parse(&CMD, |a| Ok(SimConfig::resolve(a.threads()?, false)));
     let mut rep = Reporter::from_env(&a);
     let sys = SystemModel::table3();
-    let net = Network::roce_100g();
     // An S10M-class shardable job (scaled 1/8 like fig15; latencies are
     // per-shard so relative scaling is exact).
     let job = ClassificationJob {
@@ -28,10 +27,10 @@ fn main() {
     };
     println!("ENMC scale-out: S10M-class catalogue sharded over N nodes\n");
     let mut t = Table::new(&["nodes", "latency (us)", "speedup", "network share", "efficiency"]);
-    let base = scale_out(&sys, &net, &job, Scheme::Enmc, 1);
+    let base = scale_out(&sys, &job, Scheme::Enmc, 1);
     // Node counts simulate independently; shard them across the workers.
     let rows = par_rows(&sim, vec![1usize, 2, 4, 8, 16, 32], |&nodes| {
-        let r = scale_out(&sys, &net, &job, Scheme::Enmc, nodes);
+        let r = scale_out(&sys, &job, Scheme::Enmc, nodes);
         vec![
             nodes.to_string(),
             fmt(r.ns / 1e3, 1),

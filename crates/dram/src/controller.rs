@@ -29,9 +29,9 @@
 //! a request becomes a bank's offer or a command issues, offers and their
 //! issue cycles stay as they were, so [`ChannelController::tick`] does
 //! nothing before the wake and issues the plan at it without scanning
-//! again. [`ChannelController::next_event`]
+//! again. `ChannelController::next_event`
 //! names the next cycle whose tick does more than count itself, and
-//! [`ChannelController::advance`] accounts the cycles before it without
+//! `ChannelController::advance` accounts the cycles before it without
 //! ticking them.
 
 use crate::checker::{ProtocolViolation, TimingChecker};

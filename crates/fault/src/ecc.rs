@@ -131,7 +131,7 @@ impl Decoded {
     }
 }
 
-/// Decodes a received `(data, parity)` pair: one [`SYNDROMES`] lookup
+/// Decodes a received `(data, parity)` pair: one `SYNDROMES` lookup
 /// and a repair mask, with no branch on the outcome.
 pub fn decode(data: u64, parity: u8) -> Decoded {
     let (class, bit) = SYNDROMES[usize::from(encode(data) ^ parity)];
@@ -164,10 +164,6 @@ impl EccCounters {
         out
     }
 }
-
-/// Always-on SEC-DED encode/decode logic power next to the Screener's
-/// stream buffer, in milliwatts.
-pub const ECC_MW: f64 = 11.6;
 
 /// Pipeline latency the decoder adds to each read burst, in nanoseconds
 /// (one extra DRAM-bus cycle at DDR4-2400).

@@ -38,7 +38,7 @@ pub mod inject;
 pub mod model;
 pub mod sweep;
 
-pub use ecc::{Decoded, EccCounters, ECC_MW, ECC_NS_PER_BURST};
+pub use ecc::{Decoded, EccCounters, ECC_NS_PER_BURST};
 pub use inject::{corrupt_image, corrupt_matrix, corrupt_screener, InjectionStats};
 pub use model::FaultModel;
 pub use sweep::{

@@ -28,10 +28,11 @@
 //! simulated DRAM activity costs, not the activity, so every point
 //! prices the same run.
 
-use crate::ecc::{ECC_MW, ECC_NS_PER_BURST};
+use crate::ecc::ECC_NS_PER_BURST;
 use crate::inject::{corrupt_matrix, corrupt_screener, InjectionStats, WEIGHTS_BASE_ADDR};
 use crate::model::FaultModel;
 use enmc_arch::energy::SystemEnergy;
+use enmc_arch::physical::PhysicalModel;
 use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc_dram::energy::{EnergyModel, ECC_NJ_PER_BURST};
 use enmc_model::quality::{QualityAccumulator, QualityReport};
@@ -333,8 +334,9 @@ pub fn run_resilience_sweep(
     let (ecc_logic_nj, ecc_energy_nj, ecc_latency_ns) = if spec.ecc {
         // Logic-side ECC power over every rank's own cycles, charged on
         // top of the scheme's Table 5 logic model.
+        let ecc_mw = PhysicalModel::tsmc28().secded().power_mw;
         let rank_cycles: u64 = run.shard_dram.iter().map(|s| s.total_cycles).sum();
-        let ecc_logic_nj = ECC_MW * rank_cycles as f64 * logic.tck_ps * 1e-12 * 1e-3 * 1e9;
+        let ecc_logic_nj = ecc_mw * rank_cycles as f64 * logic.tck_ps * 1e-12 * 1e-3 * 1e9;
         // The merged counters are sums over every rank.
         let bursts = report.dram.reads + report.dram.writes;
         // Ranks decode in parallel: the busiest rank sets the latency.

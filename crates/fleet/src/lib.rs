@@ -20,8 +20,8 @@
 //!    arrival streams merged into one timeline, per-node FIFO queues and
 //!    dynamic batchers (batch-max + linger), per-tenant admission
 //!    control and cluster-global degrade ladders, and an interconnect
-//!    charge per remote query priced by
-//!    [`enmc_arch::scaleout::Network`].
+//!    charge per remote query priced on
+//!    [`enmc_arch::scaleout::ROCE_100G`].
 //! 3. [`serve`] — the `serve-sim` view of a 1-node, 1-tenant run: its
 //!    report, `serve.*` metrics and queue/lane trace, rendered from the
 //!    outcome after the loop.

@@ -6,12 +6,13 @@
 //!
 //! Everything runs in DRAM-clock cycles. A calibration pass fills one
 //! `[tier][batch-1]` service table per distinct degrade ladder through
-//! [`calibrate_service_table`] — the same bridge the offload planner
-//! uses — and the event loop then never touches the cycle simulator
+//! [`calibrate_service_table`] — the same bridge `offload-plan` uses,
+//! offloaded in place by [`ServiceTable::offload`] when the run
+//! offloads — and the event loop then never touches the cycle simulator
 //! again. A query routed to a remote node additionally pays the
 //! interconnect: broadcast of the hidden vector plus gather of the
-//! shard's candidate list, priced by [`Network::transfer_cycles`] (zero
-//! on a 1-node fleet, matching `scaleout::scale_out`).
+//! shard's candidate list, priced on [`ROCE_100G`] (zero on a 1-node
+//! fleet, matching `scaleout::scale_out`).
 //!
 //! # Determinism contract
 //!
@@ -39,7 +40,7 @@
 
 use std::collections::VecDeque;
 
-use enmc_arch::scaleout::Network;
+use enmc_arch::scaleout::ROCE_100G;
 use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_obs::report::{Fleet, Offload, RunReport, Serving, Surrogate, TenantRow};
 use enmc_obs::MetricsRegistry;
@@ -48,8 +49,6 @@ use enmc_serve::arrival::SplitMix64;
 use enmc_serve::hist::LatencyHistogram;
 use enmc_serve::sim::{calibrate_service_table, ServiceTable};
 use enmc_serve::tier::DegradeTier;
-use enmc_serve::OffloadPlan;
-use enmc_tune::plan_from_table;
 use enmc_serve::ArrivalProcess;
 use enmc_surrogate::{CostModel, SurrogateViolation};
 
@@ -124,15 +123,13 @@ pub struct FleetConfig {
     pub linger_cycles: u64,
     /// Independent service lanes per node.
     pub lanes: usize,
-    /// The cluster interconnect pricing remote queries.
-    pub network: Network,
     /// The tenants contending for the fleet. Must be non-empty.
     pub tenants: Vec<TenantConfig>,
     /// Seed for the shard-popularity draw stream.
     pub seed: u64,
-    /// Run every calibrated ladder through the per-query offload
-    /// planner, serving each `(tier, batch)` point on the cheaper of
-    /// NMP and the CPU roofline.
+    /// Offload every calibrated ladder ([`ServiceTable::offload`]),
+    /// serving each `(tier, batch)` point on the cheaper of NMP and the
+    /// CPU roofline.
     pub offload: bool,
 }
 
@@ -147,7 +144,6 @@ impl Default for FleetConfig {
             batch_max: 4,
             linger_cycles: 2_000,
             lanes: 2,
-            network: Network::roce_100g(),
             tenants: Vec::new(),
             seed: 7,
             offload: false,
@@ -272,10 +268,10 @@ pub struct FleetOutcome {
     /// The cost backend that answered the calibration points, and its
     /// audit figures.
     pub surrogate: Surrogate,
-    /// Dispatched batches the offload planner kept on NMP (0 without
+    /// Dispatched batches the offload step kept on NMP (0 without
     /// `offload`).
     pub offload_nmp: u64,
-    /// Dispatched batches the offload planner sent to the CPU roofline
+    /// Dispatched batches the offload step sent to the CPU roofline
     /// (0 without `offload`).
     pub offload_cpu: u64,
 }
@@ -313,7 +309,7 @@ impl FleetOutcome {
 
     /// The headline fields every serving report carries, whichever
     /// command renders it: makespan, the `serving` and `surrogate`
-    /// sections, the `offload` section when the planner ran, and the
+    /// sections, the `offload` section when the run offloads, and the
     /// metrics snapshot.
     ///
     /// Serving reports are **simulation-time only**: phase wall time is
@@ -465,36 +461,17 @@ pub fn simulate_fleet(
         });
         tenant_table.push(idx);
     }
+    // An offloading run serves each point on its cheaper executor, and
+    // the executor tags let the dispatch loop count admission decisions.
     let mut tables: Vec<ServiceTable> = Vec::with_capacity(ladders.len());
     for (i, ladder) in ladders.iter().enumerate() {
         let context = format!("service-table calibration (ladder {i})");
-        tables.push(calibrate_service_table(
-            sys,
-            &sjob,
-            ladder,
-            cfg.batch_max,
-            sim,
-            cost,
-            &context,
-        )?);
-    }
-    // Offload planning: each calibrated ladder's table is replaced by
-    // the planner's per-point choice of NMP vs. CPU roofline, and the
-    // plan tags let the dispatch loop count admission decisions.
-    let plans: Vec<Option<OffloadPlan>> = if cfg.offload {
-        ladders
-            .iter()
-            .zip(&tables)
-            .map(|(ladder, table)| Some(plan_from_table(sys, &sjob, ladder, table)))
-            .collect()
-    } else {
-        vec![None; ladders.len()]
-    };
-    for (table, plan) in tables.iter_mut().zip(&plans) {
-        if let Some(plan) = plan {
-            plan.check_shape(table.cycles.len(), cfg.batch_max);
-            table.cycles = plan.cycles.clone();
+        let mut table =
+            calibrate_service_table(sys, &sjob, ladder, cfg.batch_max, sim, cost, &context)?;
+        if cfg.offload {
+            table.offload(sys, &sjob, ladder);
         }
+        tables.push(table);
     }
 
     let ns_per_cycle =
@@ -514,15 +491,17 @@ pub fn simulate_fleet(
                     } else {
                         let bcast = (job.hidden * 4) as u64;
                         let gather = (tier.candidates * 8) as u64;
-                        cfg.network.transfer_cycles(bcast, ns_per_cycle)
-                            + cfg.network.transfer_cycles(gather, ns_per_cycle)
+                        ROCE_100G.transfer_cycles(bcast, ns_per_cycle)
+                            + ROCE_100G.transfer_cycles(gather, ns_per_cycle)
                     }
                 })
                 .collect()
         })
         .collect();
-    let nmp: Vec<Option<&[Vec<bool>]>> =
-        tenant_table.iter().map(|&l| plans[l].as_ref().map(|p| p.nmp.as_slice())).collect();
+    let nmp: Vec<Option<&[Vec<bool>]>> = tenant_table
+        .iter()
+        .map(|&l| cfg.offload.then_some(tables[l].nmp.as_slice()))
+        .collect();
 
     let placement = place(cfg.placement, cfg.shards, cfg.nodes, cfg.replicas, cfg.zipf_s);
     let (requests, generated) = merged_requests(cfg);
@@ -702,8 +681,8 @@ impl TenantOutcome {
 /// fills in what it decides — each request's fate, the tenants' counters,
 /// the batch records and the fleet totals. Each tenant's
 /// `service_cycles` prices its dispatches, `net_cycles[tenant][tier]`
-/// adds the interconnect, and `nmp[tenant]` is its offload plan's
-/// per-point NMP choice, when planned.
+/// adds the interconnect, and `nmp[tenant]` is its offloaded table's
+/// per-point NMP tag, when the run offloads.
 fn run_events<Q: Queue>(
     cfg: &FleetConfig,
     holders: &[Vec<usize>],
@@ -1109,7 +1088,7 @@ mod tests {
         assert_eq!(routed, admitted, "router accounts every admitted query");
         assert!(out.makespan_cycles > 0);
         assert!(out.ns_per_cycle > 0.0);
-        assert_eq!(out.offload_nmp + out.offload_cpu, 0, "no plan, no decisions");
+        assert_eq!(out.offload_nmp + out.offload_cpu, 0, "no offload, no decisions");
     }
 
     #[test]
@@ -1131,7 +1110,7 @@ mod tests {
         assert_eq!(
             planned.offload_nmp + planned.offload_cpu,
             planned.batches.len() as u64,
-            "every dispatched batch carries a planner decision"
+            "every dispatched batch carries an offload decision"
         );
         // Planned service is min(cpu, nmp) per point, so no batch got
         // slower and the makespan cannot grow.

@@ -14,7 +14,7 @@
 //!   with inclusive/exclusive wall-time rollups. Wall times are
 //!   nondeterministic by nature; keep this output behind a flag when a
 //!   consumer wants byte-stable stdout.
-//! * [`bench`] — the bench-trajectory harness: stable `BENCH_<name>.json`
+//! * [`mod@bench`] — the bench-trajectory harness: stable `BENCH_<name>.json`
 //!   records (deterministic simulation metrics plus median-of-N host
 //!   wall times) and a differ that gates deterministic metrics at zero
 //!   tolerance while holding wall clocks only to a noise threshold.

@@ -5,22 +5,21 @@
 //! arrive over time, queue, get batched, and miss or meet deadlines. The
 //! one discrete-event loop that answers it lives in `enmc-fleet`
 //! (`simulate_fleet`); `enmc serve-sim` runs it as a 1-node, 1-shard,
-//! 1-tenant fleet. This crate holds the pieces that loop, the offload
-//! planner in `enmc-tune` and the `perf_suite` benchmark share:
+//! 1-tenant fleet. This crate holds the pieces that loop, `enmc
+//! offload-plan` and the `perf_suite` benchmark share:
 //!
 //! 1. [`arrival`] — seeded arrival-process generators (Poisson, bursty
 //!    MMPP-2, diurnal ramp, replayed trace) producing timestamped
 //!    requests.
 //! 2. [`sim`] — the calibration pass that prices every `(degrade tier,
 //!    batch size)` point on the rank-sharded cycle simulator (or the
-//!    audited surrogate) and returns a [`ServiceTable`] in DRAM cycles.
+//!    audited surrogate) and returns a [`ServiceTable`] in DRAM cycles,
+//!    and its offload step ([`ServiceTable::offload`]), which moves each
+//!    point to the CPU roofline where that executor is faster.
 //! 3. [`tier`] — the [`tier::DegradeTier`] ladder the admission
 //!    controller steps through under load.
 //! 4. [`hist`] — log-bucketed latency histograms for p50/p90/p99/p999
 //!    tail reporting.
-//! 5. [`offload`] — the [`OffloadPlan`] an external planner (enmc-tune)
-//!    computes to route each `(tier, batch)` point to NMP or the CPU
-//!    roofline at its pre-planned cost.
 //!
 //! # Determinism contract
 //!
@@ -33,12 +32,10 @@
 
 pub mod arrival;
 pub mod hist;
-pub mod offload;
 pub mod sim;
 pub mod tier;
 
 pub use arrival::ArrivalProcess;
 pub use hist::LatencyHistogram;
-pub use offload::OffloadPlan;
-pub use sim::{calibrate_service_table, ServiceTable};
+pub use sim::{calibrate_service_table, offload_report, OffloadDecision, ServiceTable};
 pub use tier::{parse_tiers, DegradeTier};

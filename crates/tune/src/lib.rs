@@ -17,11 +17,7 @@
 //! 3. [`pareto`] — frontier extraction over (latency ↓, energy ↓,
 //!    quality ↑) and the deterministic `tune-frontier-v1` JSON fixture.
 //! 4. [`search`] — the exhaustive and guided (seeded
-//!    local-neighborhood) drivers and the `tune`/`offload-plan` reports.
-//! 5. [`planner`] — the NMPO-style per-query offload planner: CPU
-//!    roofline vs. calibrated NMP cost per `(tier, batch)` admission
-//!    point, folded into the [`enmc_serve::OffloadPlan`] hook the
-//!    serving and fleet simulators install.
+//!    local-neighborhood) drivers and the `tune` report.
 //!
 //! # Determinism contract
 //!
@@ -35,14 +31,10 @@
 
 pub mod eval;
 pub mod pareto;
-pub mod planner;
 pub mod search;
 pub mod space;
 
 pub use eval::{evaluate_design, evaluate_designs, EvaluatedDesign};
 pub use pareto::{dominates, frontier_json, pareto_frontier, FrontierPoint};
-pub use planner::{
-    plan_decisions, plan_from_decisions, plan_from_table, plan_ladder, OffloadDecision,
-};
-pub use search::{offload_report, tune, tune_report, SearchMode, TuneConfig, TuneResult};
+pub use search::{tune, tune_report, SearchMode, TuneConfig, TuneResult};
 pub use space::{price_design, Budget, DesignPoint, TuneSpace, MAX_BATCH};

@@ -1,5 +1,5 @@
 //! The search driver: exhaustive and guided exploration of a budgeted
-//! [`TuneSpace`], and the `tune` and `offload-plan` run reports.
+//! [`TuneSpace`], and the `tune` run report.
 //!
 //! Both strategies share one invariant: a design's evaluation is a pure
 //! function of `(space, seed, lattice index)` — see [`crate::eval`] — so
@@ -14,10 +14,9 @@
 
 use crate::eval::{admit_by_budget, evaluate_designs, EvaluatedDesign};
 use crate::pareto::{dominated_count, pareto_frontier, FrontierPoint};
-use crate::planner::OffloadDecision;
 use crate::space::{Budget, TuneSpace};
 use enmc_arch::{ClassificationJob, SystemModel};
-use enmc_obs::report::{Offload, RunReport, Tune};
+use enmc_obs::report::{RunReport, Tune};
 use enmc_serve::arrival::SplitMix64;
 use enmc_surrogate::{AuditStats, CostBackend, CostModel, SurrogateViolation};
 use std::collections::BTreeSet;
@@ -244,36 +243,6 @@ pub fn tune_report(
             d.cost.power_mw,
             d.provenance(),
             p.dominates,
-        ));
-    }
-    report
-}
-
-/// Builds the `offload-plan` [`RunReport`]: the ladder's largest batch
-/// and the job's candidates, the `offload` and `surrogate` sections, and
-/// one note per admission point.
-pub fn offload_report(
-    workload: &str,
-    job: &ClassificationJob,
-    batch_max: usize,
-    decisions: &[OffloadDecision],
-    cost: &CostModel,
-) -> RunReport {
-    let mut report = RunReport::new("offload-plan", workload, "enmc");
-    report.batch = batch_max as u64;
-    report.candidates = job.candidates as u64;
-    let offload_nmp = decisions.iter().filter(|d| d.nmp).count() as u64;
-    let offload_cpu = decisions.len() as u64 - offload_nmp;
-    report.offload = Some(Offload { offload_nmp, offload_cpu });
-    report.surrogate = Some(cost.stats().section(cost.backend()));
-    for d in decisions {
-        report.notes.push(format!(
-            "tier {} batch {}: cpu {} cy, nmp {} cy -> {}",
-            d.tier,
-            d.batch,
-            d.cpu_cycles,
-            d.nmp_cycles,
-            d.executor()
         ));
     }
     report

@@ -13,12 +13,6 @@ use enmc_arch::{AreaPower, ClassificationJob, PhysicalModel};
 use enmc_mem::MemTech;
 use enmc_serve::tier::MAX_SCREEN_SHIFT;
 
-/// Area/power surcharge of SEC-DED (72,64) ECC on the on-DIMM DRAM
-/// controller: 8 extra bits per 64 = 12.5 % more controller datapath
-/// area, at the fault crate's measured 11.6 mW ECC engine power.
-const ECC_AREA_FRACTION: f64 = 0.125;
-const ECC_POWER_MW: f64 = 11.6;
-
 /// The declared design space: one sorted, deduplicated level list per
 /// axis. The lattice a [`TuneSpace`] spans is the cartesian product of
 /// the lists, indexed mixed-radix with `ranks` as the slowest axis and
@@ -289,10 +283,7 @@ pub fn price_design(model: &PhysicalModel, d: &DesignPoint) -> AreaPower {
         .add(&model.enmc_ctrl)
         .add(&model.dram_ctrl);
     if d.ecc {
-        unit = unit.add(&AreaPower {
-            area_mm2: model.dram_ctrl.area_mm2 * ECC_AREA_FRACTION,
-            power_mw: ECC_POWER_MW,
-        });
+        unit = unit.add(&model.secded());
     }
     unit = unit.add(&AreaPower {
         area_mm2: 0.0,

@@ -8,7 +8,7 @@
 //! stray or missing positional before any work starts, naming the token
 //! and printing the subcommand's flags with their defaults. Each
 //! subcommand then reads typed values through the value rules named here
-//! ([`count`], [`unsigned`], [`fraction`], [`unit`], [`positive`],
+//! ([`count`], [`unsigned`], [`fraction`], [`unit()`], [`positive`],
 //! [`nonnegative`], [`multipliers`], [`list`], [`one_of`]), so a bad value
 //! fails with a message that names the flag, the value and the accepted
 //! range instead of falling back to a default.

@@ -20,10 +20,10 @@
 //! | [`obs`] | `enmc-obs` | event tracing, metrics registry, structured run reports |
 //! | [`perf`] | `enmc-perf` | cost attribution, self-profiler, bench-trajectory diffing |
 //! | [`par`] | `enmc-par` | deterministic worker pool + run configuration |
-//! | [`serve`] | `enmc-serve` | serving pieces: arrivals, service-time calibration, degrade tiers |
+//! | [`serve`] | `enmc-serve` | serving pieces: arrivals, service-time calibration and per-query offload, degrade tiers |
 //! | [`fault`] | `enmc-fault` | approximate-DRAM error models, SEC-DED ECC, resilience sweeps |
 //! | [`surrogate`] | `enmc-surrogate` | hybrid-fidelity cost model with randomized cycle-accurate audits |
-//! | [`tune`] | `enmc-tune` | design-space auto-tuner: Pareto frontiers, budgets, offload planning |
+//! | [`tune`] | `enmc-tune` | design-space auto-tuner: budgeted lattice search, Pareto frontiers |
 //! | [`fleet`] | `enmc-fleet` | the serving loop (`serve-sim` is its 1-node case): placement, routing, capacity |
 //!
 //! ## Quickstart

@@ -619,7 +619,7 @@ fn cmd_tune(a: &Args) -> Result<i32, Fail> {
 }
 
 fn cmd_offload_plan(a: &Args) -> Result<i32, Fail> {
-    use enmc::tune::{offload_report, plan_ladder};
+    use enmc::serve::{calibrate_service_table, offload_report};
 
     let workload = a.get("--workload", one_of(WORKLOADS))?.workload();
     let frac = a.get("--candidates", fraction)?;
@@ -641,8 +641,11 @@ fn cmd_offload_plan(a: &Args) -> Result<i32, Fail> {
         workload.hidden,
         tiers.len()
     );
-    let (table, decisions, _plan) =
-        plan_ladder(&sys, &job, &tiers, batch_max, &sim_cfg, &mut cost).map_err(error)?;
+    let context = "offload-plan calibration";
+    let mut table =
+        calibrate_service_table(&sys, &job, &tiers, batch_max, &sim_cfg, &mut cost, context)
+            .map_err(error)?;
+    let decisions = table.offload(&sys, &job, &tiers);
     let mut report = offload_report(workload.abbr, &job, batch_max, &decisions, &cost);
     report.memory_tech = memory.name().to_string();
     if json {

@@ -5,10 +5,11 @@
 //! monotone nonincreasing in both axes, and the energy join's one run per
 //! sweep prices every point exactly as one run per point would.
 
+use enmc::arch::physical::PhysicalModel;
 use enmc::arch::system::{ClassificationJob, Scheme, SystemModel};
 use enmc::cli::FaultShape;
 use enmc::dram::energy::{EnergyModel, ECC_NJ_PER_BURST};
-use enmc::fault::{run_resilience_sweep, FaultModel, FaultSweepSpec, ECC_MW, ECC_NS_PER_BURST};
+use enmc::fault::{run_resilience_sweep, FaultModel, FaultSweepSpec, ECC_NS_PER_BURST};
 use enmc::mem::MemTech;
 use enmc::par::SimConfig;
 use enmc::pipeline::{Pipeline, PipelineConfig};
@@ -145,7 +146,8 @@ fn energy_join_of_one_point(
     let ecc_logic_nj = if ecc {
         let logic = system.logic_energy_model(Scheme::Enmc).expect("ENMC draws logic power");
         let rank_cycles: u64 = run.shard_dram.iter().map(|s| s.total_cycles).sum();
-        ECC_MW * rank_cycles as f64 * logic.tck_ps * 1e-12 * 1e-3 * 1e9
+        let ecc_mw = PhysicalModel::tsmc28().secded().power_mw;
+        ecc_mw * rank_cycles as f64 * logic.tck_ps * 1e-12 * 1e-3 * 1e9
     } else {
         0.0
     };

@@ -16,9 +16,9 @@ use enmc::par::SimConfig;
 use enmc::pipeline::report_from_sharded;
 use enmc::resilience::{run_fault_sweep, FaultSweepArgs};
 use enmc::serve::tier::default_tiers;
-use enmc::serve::ArrivalProcess;
+use enmc::serve::{calibrate_service_table, offload_report, ArrivalProcess};
 use enmc::surrogate::{CostBackend, CostModel};
-use enmc::tune::{offload_report, plan_ladder, tune, tune_report, TuneConfig, TuneSpace};
+use enmc::tune::{tune, tune_report, TuneConfig, TuneSpace};
 
 /// Every section, in JSON order.
 const SECTIONS: [&str; 7] =
@@ -110,8 +110,10 @@ fn offload_plan() -> RunReport {
     let (sys, job) = (SystemModel::table3(), small_job());
     let tiers = default_tiers(&job);
     let mut cost = CostModel::new(CostBackend::CycleAccurate, 7);
-    let (_, decisions, _) = plan_ladder(&sys, &job, &tiers, 2, &SimConfig::sequential(), &mut cost)
-        .expect("cycle-accurate calibration cannot violate an audit");
+    let mut table =
+        calibrate_service_table(&sys, &job, &tiers, 2, &SimConfig::sequential(), &mut cost, "test")
+            .expect("cycle-accurate calibration cannot violate an audit");
+    let decisions = table.offload(&sys, &job, &tiers);
     offload_report("small", &job, 2, &decisions, &cost)
 }
 
