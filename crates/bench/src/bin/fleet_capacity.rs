@@ -15,24 +15,27 @@
 //! Pass `--scale N` to simulate `1/N` of each category space and
 //! extrapolate linearly, exactly as `fig15_scalability` does (the
 //! pipelines are streaming, so per-query service time is linear in the
-//! slice). The capacity search runs on the surrogate cost backend by
-//! default (audit lottery at 10%) because a bisection re-calibrates the
-//! same service table dozens of times — the textbook surrogate win;
-//! `--cost-model cycle-accurate` forces the slow path.
+//! slice). Each dataset's service table depends on neither the offered
+//! load nor the placement, so the harness calibrates it once on the
+//! cycle-level simulator and every bisection probe of both policies
+//! serves that table.
 
-use enmc::cli::{count, flag, Command, Flag, AUDIT_RATE, COST_MODEL, THREADS};
+use enmc::cli::{count, flag, Command, Flag, THREADS};
 use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::trajectory::BenchEmitter;
 use enmc_bench::{candidate_fraction, par_rows, BENCH_JSON, JSON};
-use enmc_fleet::{simulate_fleet, FleetConfig, FleetOutcome, PlacementPolicy, TenantConfig};
+use enmc_fleet::{
+    calibrate_fleet, serve_fleet, FleetCalibration, FleetConfig, FleetOutcome, PlacementPolicy,
+    TenantConfig,
+};
 use enmc_model::workloads::WorkloadId;
 use enmc_obs::MetricsRegistry;
 use enmc_par::SimConfig;
 use enmc_serve::tier::DegradeTier;
 use enmc_serve::ArrivalProcess;
-use enmc_surrogate::CostModel;
+use enmc_surrogate::{CostBackend, CostModel};
 
 const NODES: usize = 4;
 const SHARDS: usize = 8;
@@ -57,19 +60,17 @@ fn capacity_job(id: WorkloadId, scale: usize) -> ClassificationJob {
     ClassificationJob { candidates: job.candidates.max(1), ..job }
 }
 
-/// One capacity probe: a single tenant offering a Poisson load of `rate`
-/// requests per kilocycle against the fixed Zipf-skewed fleet. The
-/// ladder is a single full-quality tier so the only degree of freedom
-/// between the two policies is *where shards live* — no degrade ladder
-/// to mask a hot node.
-fn probe(
-    sys: &SystemModel,
+/// The fleet a capacity probe runs: a single tenant offering a Poisson
+/// load of `rate` requests per kilocycle against the fixed Zipf-skewed
+/// fleet. The ladder is a single full-quality tier so the only degree of
+/// freedom between the two policies is *where shards live* — no degrade
+/// ladder to mask a hot node.
+fn fleet(
     job: &ClassificationJob,
     placement: PlacementPolicy,
     rate: f64,
     slo_cycles: u64,
-    cost: &mut CostModel,
-) -> FleetOutcome {
+) -> FleetConfig {
     let tiers = vec![DegradeTier { candidates: job.candidates, screen_shift: 0 }];
     let tenant = TenantConfig::new(
         "t0",
@@ -79,7 +80,7 @@ fn probe(
         tiers,
         SEED,
     );
-    let cfg = FleetConfig {
+    FleetConfig {
         nodes: NODES,
         shards: SHARDS,
         replicas: REPLICAS,
@@ -91,10 +92,7 @@ fn probe(
         tenants: vec![tenant],
         seed: SEED,
         ..Default::default()
-    };
-    let mut registry = MetricsRegistry::new();
-    simulate_fleet(sys, job, &cfg, &SimConfig::sequential(), &mut registry, cost)
-        .expect("audited calibration points must stay within the surrogate bound")
+    }
 }
 
 /// Fraction of *generated* queries that met the SLO — sheds are misses.
@@ -105,20 +103,24 @@ fn strict_attainment(out: &FleetOutcome) -> f64 {
 }
 
 /// Bisects the offered rate to the capacity edge: the largest rate (to
-/// ~0.1% resolution) whose probe still clears [`TARGET`].
+/// ~0.1% resolution) whose probe, served on the dataset's calibrated
+/// table, still clears [`TARGET`].
 fn capacity_search(
-    sys: &SystemModel,
+    cal: &FleetCalibration,
     job: &ClassificationJob,
     placement: PlacementPolicy,
     slo_cycles: u64,
     ideal_rate: f64,
-    cost: &mut CostModel,
 ) -> f64 {
+    let meets = |rate| {
+        let cfg = fleet(job, placement, rate, slo_cycles);
+        strict_attainment(&serve_fleet(cal, &cfg, &mut MetricsRegistry::new())) >= TARGET
+    };
     let mut lo = 0.0;
     let mut hi = ideal_rate * 2.0;
     // Grow until the upper bracket fails (it practically always does at
     // 2x the loss-free ideal; the cap keeps a degenerate probe finite).
-    while strict_attainment(&probe(sys, job, placement, hi, slo_cycles, cost)) >= TARGET {
+    while meets(hi) {
         lo = hi;
         hi *= 2.0;
         if hi > ideal_rate * 64.0 {
@@ -127,7 +129,7 @@ fn capacity_search(
     }
     for _ in 0..10 {
         let mid = 0.5 * (lo + hi);
-        if strict_attainment(&probe(sys, job, placement, mid, slo_cycles, cost)) >= TARGET {
+        if meets(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -142,49 +144,51 @@ fn capacity_search(
 const MAX_SCALE: u64 = 1_000_000 / (SHARDS as u64 * 64);
 const SCALE: Flag =
     flag("--scale", "N", "64", "simulate 1/N of each category slice, extrapolate").at_most(MAX_SCALE);
-const COST: Flag = Flag { default: "surrogate", ..COST_MODEL };
-const CMD: Command =
-    Command::standalone("fleet_capacity", &[&[THREADS, JSON, BENCH_JSON, SCALE, COST, AUDIT_RATE]]);
+const CMD: Command = Command::standalone("fleet_capacity", &[&[THREADS, JSON, BENCH_JSON, SCALE]]);
 
 fn main() {
-    let (a, (scale, backend, cfg)) = enmc_bench::parse(&CMD, |a| {
-        Ok((a.get("--scale", count)?, a.backend()?, SimConfig::resolve(a.threads()?, false)))
+    let (a, (scale, cfg)) = enmc_bench::parse(&CMD, |a| {
+        Ok((a.get("--scale", count)?, SimConfig::resolve(a.threads()?, false)))
     });
     let sys = SystemModel::table3();
     let mut bench = BenchEmitter::from_env(&a);
     let mut rep = Reporter::from_env(&a);
     println!(
         "Fleet capacity: qps/DIMM at {:.0}% SLO vs model size, sim scale 1/{scale}, \
-         {NODES} nodes x {SHARDS} shards (zipf {ZIPF_S}), cost model {}\n",
+         {NODES} nodes x {SHARDS} shards (zipf {ZIPF_S})\n",
         TARGET * 100.0,
-        backend.name(),
     );
 
     // The three datasets search independently; shard them across the
-    // bench workers. Each worker reuses one surrogate across every probe
-    // of its dataset, so anchors fitted bracketing the capacity edge pay
-    // off on all later bisection steps.
+    // bench workers.
     let rows = par_rows(&cfg, WorkloadId::scaling().to_vec(), |&id| {
         let job = capacity_job(id, scale);
-        let mut cost = CostModel::new(backend, SEED);
-
-        // A warm probe at negligible load yields the calibrated service
-        // table; the SLO and the loss-free ideal rate derive from it.
-        // The table is placement-independent, so both policies face the
-        // same bar.
-        let warm = probe(&sys, &job, PlacementPolicy::ConsistentHash, 0.01, u64::MAX / 4, &mut cost);
-        let full_batch = warm.tenants[0].service_cycles[0][BATCH_MAX - 1].max(1);
+        // One calibration per dataset: the calibration reads only the
+        // shards, batch ceiling and ladder, which no probe varies. The
+        // full batch's service time fixes the SLO and the loss-free ideal
+        // rate, so both policies face the same bar.
+        let mut cost = CostModel::new(CostBackend::CycleAccurate, SEED);
+        let cal = calibrate_fleet(
+            &sys,
+            &job,
+            &fleet(&job, PlacementPolicy::ConsistentHash, 0.0, 0),
+            &SimConfig::sequential(),
+            &mut cost,
+        )
+        .expect("cycle-accurate calibration cannot violate an audit");
+        let table = &cal.tables()[0];
+        let full_batch = table.cycles[0][BATCH_MAX - 1];
         let slo_cycles = 16 * full_batch;
         let ideal_rate = 1000.0 * (NODES * LANES * BATCH_MAX) as f64 / full_batch as f64;
 
         let caps: Vec<f64> = POLICIES
             .iter()
-            .map(|&p| capacity_search(&sys, &job, p, slo_cycles, ideal_rate, &mut cost))
+            .map(|&p| capacity_search(&cal, &job, p, slo_cycles, ideal_rate))
             .collect();
         // requests/kilocycle → queries/sec, unscaled back to the full
         // category space, normalized per DIMM.
         let qps_per_dimm = |rate: f64| {
-            rate * 1e6 / warm.ns_per_cycle / scale as f64 / (NODES * DIMMS_PER_NODE) as f64
+            rate * 1e6 / table.ns_per_cycle / scale as f64 / (NODES * DIMMS_PER_NODE) as f64
         };
         (id, qps_per_dimm(caps[0]), qps_per_dimm(caps[1]))
     });

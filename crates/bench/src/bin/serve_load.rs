@@ -5,11 +5,13 @@
 //! the deployment question it leaves open: when a query stream overruns
 //! an ENMC appliance, is it better to shed requests at full quality or
 //! to degrade the screening budget and keep serving? Each row runs the
-//! serving loop (`enmc_fleet::simulate_fleet` on one node, one shard and
+//! serving loop (`enmc_fleet::serve_fleet` on one node, one shard and
 //! one tenant, exactly as `enmc serve-sim` does) at a utilization
 //! relative to the workload's own measured capacity, under either a
 //! single full-quality tier ("fixed") or a three-step degrade ladder
-//! ("adaptive").
+//! ("adaptive"). Each (workload, ladder) table is calibrated once and
+//! served at every utilization; the capacity is the fixed ladder's
+//! full-batch service time.
 //!
 //! The candidate budget is capped at 1% of the category space so the
 //! calibration pass stays tractable for XMLCNN-670K; the relative
@@ -17,11 +19,11 @@
 //! "Serving simulation").
 
 use enmc::cli::{Command, THREADS};
-use enmc_arch::system::{ClassificationJob, Scheme, SystemModel};
+use enmc_arch::system::{ClassificationJob, SystemModel};
 use enmc_bench::report::Reporter;
 use enmc_bench::table::{fmt, Table};
 use enmc_bench::{par_rows, JSON};
-use enmc_fleet::{simulate_fleet, FleetConfig, TenantConfig};
+use enmc_fleet::{calibrate_fleet, serve_fleet, FleetConfig, TenantConfig};
 use enmc_model::workloads::WorkloadId;
 use enmc_obs::MetricsRegistry;
 use enmc_par::SimConfig;
@@ -45,6 +47,37 @@ fn serving_job(id: WorkloadId) -> ClassificationJob {
     ClassificationJob::of_workload(w.categories, w.hidden, 1, 0.01)
 }
 
+const SEED: u64 = 0x5e12;
+
+/// One node serving one tenant's Poisson load of `rate` requests per
+/// kilocycle, under the `policy` ladder.
+fn serving_fleet(job: &ClassificationJob, policy: &str, rate: f64) -> FleetConfig {
+    let ladder = default_tiers(job);
+    let tenant = TenantConfig {
+        name: "t0".to_string(),
+        arrival: ArrivalProcess::Poisson { rate },
+        requests: 96,
+        slo_cycles: 60_000,
+        tiers: if policy == "fixed" { ladder[..1].to_vec() } else { ladder },
+        degrade_queue_depth: 6,
+        upgrade_queue_depth: 2,
+        shed_queue_depth: 24,
+        seed: SEED,
+    };
+    FleetConfig {
+        nodes: 1,
+        shards: 1,
+        replicas: 0,
+        zipf_s: 0.0,
+        batch_max: BATCH_MAX,
+        linger_cycles: 1_500,
+        lanes: LANES,
+        tenants: vec![tenant],
+        seed: SEED,
+        ..Default::default()
+    }
+}
+
 const CMD: Command = Command::standalone("serve_load", &[&[THREADS, JSON]]);
 
 fn main() {
@@ -57,72 +90,43 @@ fn main() {
         "workload", "util", "policy", "completed", "shed", "p99 (us)", "slo %", "transitions",
     ]);
 
-    // Probe each workload's saturation rate once: a full batch on the
-    // full-quality tier, converted to requests per kilocycle across all
-    // lanes. The sweep's utilizations are multiples of this capacity.
-    let capacities = par_rows(&sim, WORKLOADS.to_vec(), |&id| {
+    // One calibration per (workload, ladder): a table depends on neither
+    // the offered load nor the seed, so every utilization serves it. The
+    // calibration never reads the config's placeholder rate.
+    let rows = par_rows(&sim, WORKLOADS.to_vec(), |&id| {
         let job = serving_job(id);
-        let run = sys.run_sharded(&job.with_load(BATCH_MAX, job.candidates), Scheme::Enmc, &sim);
-        let cycles = run.result.rank_report.expect("ENMC runs are cycle-simulated").dram_cycles;
-        1000.0 * (LANES * BATCH_MAX) as f64 / cycles.max(1) as f64
+        let calibrated = POLICIES.map(|policy| {
+            let mut cost = CostModel::new(CostBackend::CycleAccurate, SEED);
+            calibrate_fleet(&sys, &job, &serving_fleet(&job, policy, 0.0), &sim, &mut cost)
+                .expect("cycle-accurate backend cannot violate an audit")
+        });
+        // The saturation rate: a full batch on the fixed ladder's
+        // full-quality tier, in requests per kilocycle across all lanes.
+        // The utilizations are multiples of it.
+        let full_batch = calibrated[0].tables()[0].cycles[0][BATCH_MAX - 1];
+        let capacity = 1000.0 * (LANES * BATCH_MAX) as f64 / full_batch as f64;
+        let mut rows = Vec::new();
+        for util in UTILIZATIONS {
+            for (policy, cal) in POLICIES.into_iter().zip(&calibrated) {
+                let cfg = serving_fleet(&job, policy, capacity * util);
+                let out = serve_fleet(cal, &cfg, &mut MetricsRegistry::new());
+                let served = &out.tenants[0];
+                let us = |cycles: f64| cycles * out.ns_per_cycle / 1e3;
+                rows.push(vec![
+                    id.workload().abbr.to_string(),
+                    fmt(util, 1),
+                    policy.to_string(),
+                    served.completed.to_string(),
+                    served.shed.to_string(),
+                    fmt(us(served.latency.p99()), 1),
+                    fmt(100.0 * served.slo_attainment(), 1),
+                    served.degrade_transitions.to_string(),
+                ]);
+            }
+        }
+        rows
     });
-
-    let grid: Vec<(WorkloadId, f64, f64, &str)> = WORKLOADS
-        .iter()
-        .zip(&capacities)
-        .flat_map(|(&id, &cap)| {
-            UTILIZATIONS
-                .iter()
-                .flat_map(move |&u| POLICIES.map(|p| (id, cap, u, p)))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-
-    let rows = par_rows(&sim, grid, |&(id, cap, util, policy)| {
-        let job = serving_job(id);
-        let ladder = default_tiers(&job);
-        let seed = 0x5e12;
-        let tenant = TenantConfig {
-            name: "t0".to_string(),
-            arrival: ArrivalProcess::Poisson { rate: cap * util },
-            requests: 96,
-            slo_cycles: 60_000,
-            tiers: if policy == "fixed" { ladder[..1].to_vec() } else { ladder },
-            degrade_queue_depth: 6,
-            upgrade_queue_depth: 2,
-            shed_queue_depth: 24,
-            seed,
-        };
-        let cfg = FleetConfig {
-            nodes: 1,
-            shards: 1,
-            replicas: 0,
-            zipf_s: 0.0,
-            batch_max: BATCH_MAX,
-            linger_cycles: 1_500,
-            lanes: LANES,
-            tenants: vec![tenant],
-            seed,
-            ..Default::default()
-        };
-        let mut registry = MetricsRegistry::new();
-        let mut cost = CostModel::new(CostBackend::CycleAccurate, seed);
-        let out = simulate_fleet(&sys, &job, &cfg, &sim, &mut registry, &mut cost)
-            .expect("cycle-accurate backend cannot violate an audit");
-        let served = &out.tenants[0];
-        let us = |cycles: f64| cycles * out.ns_per_cycle / 1e3;
-        vec![
-            id.workload().abbr.to_string(),
-            fmt(util, 1),
-            policy.to_string(),
-            served.completed.to_string(),
-            served.shed.to_string(),
-            fmt(us(served.latency.p99()), 1),
-            fmt(100.0 * served.slo_attainment(), 1),
-            served.degrade_transitions.to_string(),
-        ]
-    });
-    for row in rows {
+    for row in rows.into_iter().flatten() {
         t.row_owned(row);
     }
     t.print();

@@ -18,7 +18,7 @@ const SPECS: &[(&str, &[&str])] = &[
     ("fig13_performance", &["--threads", "--json", "--bench-json"]),
     ("fig14_energy", &["--threads", "--json", "--bench-json"]),
     ("fig15_scalability", &["--threads", "--json", "--bench-json", "--scale"]),
-    ("fleet_capacity", &["--threads", "--json", "--bench-json", "--scale", "--cost-model", "--audit-rate"]),
+    ("fleet_capacity", &["--threads", "--json", "--bench-json", "--scale"]),
     ("memtech_iso_quality", &["--threads", "--json", "--bench-json"]),
     ("related_work", &["--threads", "--json"]),
     ("scaleout", &["--threads", "--json"]),
@@ -41,8 +41,6 @@ const FLAGS: &[(&str, &str, &str, &str)] = &[
     ("--json", "t.json", "", ""),
     ("--bench-json", "b.json", "", ""),
     ("--scale", "2", "0", "an integer in 1..="),
-    ("--cost-model", "surrogate", "surogate", "one of cycle-accurate, cycle, accurate, surrogate"),
-    ("--audit-rate", "0.5", "2", "a finite number in [0, 1]"),
 ];
 
 /// A fresh empty directory to run binaries in.
@@ -131,6 +129,16 @@ fn a_scale_that_leaves_a_rank_without_categories_exits_2_naming_the_bound() {
             let range = format!("an integer in 1..={bound}");
             rejects(name, &dir, &["--scale", &value], &["--scale", &format!("'{value}'"), &range]);
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_capacity_takes_no_cost_model() {
+    // It calibrates each dataset once, on the cycle-level simulator.
+    let dir = scratch("harness-cost-model");
+    for args in [&["--cost-model", "surrogate"][..], &["--audit-rate", "0.1"]] {
+        rejects("fleet_capacity", &dir, args, &[&format!("unknown flag '{}'", args[0])]);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,7 +21,11 @@
 //!    dynamic batchers (batch-max + linger), per-tenant admission
 //!    control and cluster-global degrade ladders, and an interconnect
 //!    charge per remote query priced on
-//!    [`enmc_arch::scaleout::ROCE_100G`].
+//!    [`enmc_arch::scaleout::ROCE_100G`]. Calibration is its own step:
+//!    [`calibrate_fleet`] prices each distinct ladder's service table
+//!    once, and [`serve_fleet`] serves any traffic on those tables, so a
+//!    capacity search calibrates once and probes many loads.
+//!    [`simulate_fleet`] composes the two for a single run.
 //! 3. [`serve`] — the `serve-sim` view of a 1-node, 1-tenant run: its
 //!    report, `serve.*` metrics and queue/lane trace, rendered from the
 //!    outcome after the loop.
@@ -42,6 +46,6 @@ pub mod sim;
 
 pub use placement::{place, zipf_weights, HashRing, Placement, PlacementPolicy, VNODES};
 pub use sim::{
-    simulate_fleet, FleetBatchRecord, FleetConfig, FleetOutcome, FleetRequest, TenantConfig,
-    TenantOutcome,
+    calibrate_fleet, serve_fleet, simulate_fleet, FleetBatchRecord, FleetCalibration, FleetConfig,
+    FleetOutcome, FleetRequest, TenantConfig, TenantOutcome,
 };

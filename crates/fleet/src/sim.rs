@@ -4,15 +4,20 @@
 //!
 //! # Time model
 //!
-//! Everything runs in DRAM-clock cycles. A calibration pass fills one
-//! `[tier][batch-1]` service table per distinct degrade ladder through
-//! [`calibrate_service_table`] — the same bridge `offload-plan` uses,
-//! offloaded in place by [`ServiceTable::offload`] when the run
-//! offloads — and the event loop then never touches the cycle simulator
-//! again. A query routed to a remote node additionally pays the
-//! interconnect: broadcast of the hidden vector plus gather of the
-//! shard's candidate list, priced on [`ROCE_100G`] (zero on a 1-node
-//! fleet, matching `scaleout::scale_out`).
+//! Everything runs in DRAM-clock cycles. A run is two steps.
+//! [`calibrate_fleet`] fills one `[tier][batch-1]` service table per
+//! distinct degrade ladder through [`calibrate_service_table`] — the
+//! same bridge `offload-plan` uses, offloaded in place by
+//! [`ServiceTable::offload`] when the run offloads. [`serve_fleet`] then
+//! runs the event loop on those tables and never touches the cycle
+//! simulator, so a caller that varies only the traffic, placement, SLOs
+//! or seeds calibrates once ([`simulate_fleet`] composes the two steps
+//! for a single run).
+//!
+//! A query routed to a remote node additionally pays the interconnect:
+//! broadcast of the hidden vector plus gather of the shard's candidate
+//! list, priced on [`ROCE_100G`] (zero on a 1-node fleet, matching
+//! `scaleout::scale_out`).
 //!
 //! # Determinism contract
 //!
@@ -415,7 +420,8 @@ fn draw_shard(cum: &[f64], total: f64, rng: &mut SplitMix64) -> usize {
     cum.partition_point(|&c| c < u).min(cum.len() - 1)
 }
 
-/// Runs one fleet scenario.
+/// Runs one fleet scenario: [`calibrate_fleet`], then [`serve_fleet`] on
+/// its tables.
 ///
 /// `sim` controls only how the calibration pass executes (worker count,
 /// protocol checking); the outcome is bit-identical for any worker
@@ -439,7 +445,59 @@ pub fn simulate_fleet(
     registry: &mut MetricsRegistry,
     cost: &mut CostModel,
 ) -> Result<FleetOutcome, SurrogateViolation> {
-    assert!(cfg.nodes > 0, "fleet needs at least one node");
+    let calibration = calibrate_fleet(sys, job, cfg, sim, cost)?;
+    Ok(serve_fleet(&calibration, cfg, registry))
+}
+
+/// The service tables a fleet serves from: one per *distinct*
+/// shard-scaled ladder of the tenants, in first-appearance order, so
+/// tenants sharing a ladder share a table. [`serve_fleet`] serves any
+/// config that agrees with the calibrated one on the shards, the batch
+/// ceiling, the offload switch and every tenant's ladder; the traffic,
+/// placement, SLOs and seeds are free.
+#[derive(Debug, Clone)]
+pub struct FleetCalibration {
+    shards: usize,
+    batch_max: usize,
+    offload: bool,
+    /// The job's hidden width: a remote query broadcasts its hidden vector.
+    hidden: usize,
+    ladders: Vec<Vec<DegradeTier>>,
+    /// Each tenant's index into `ladders` and `tables`.
+    tenant_table: Vec<usize>,
+    tables: Vec<ServiceTable>,
+    surrogate: Surrogate,
+}
+
+impl FleetCalibration {
+    /// The calibrated tables, one per distinct ladder in first-appearance
+    /// order, offloaded when the config offloads.
+    pub fn tables(&self) -> &[ServiceTable] {
+        &self.tables
+    }
+}
+
+/// The calibration step of a fleet run: [`calibrate_service_table`],
+/// then [`ServiceTable::offload`] when `cfg` offloads, once per distinct
+/// shard-scaled ladder. It reads only `cfg`'s shards, batch ceiling,
+/// offload switch and tenant ladders.
+///
+/// # Errors
+///
+/// Returns the [`SurrogateViolation`] when an audited calibration point
+/// misses the declared bound (surrogate backend only).
+///
+/// # Panics
+///
+/// Panics when `cfg` has zero shards or batch ceiling, no tenants, or a
+/// tenant with an empty ladder.
+pub fn calibrate_fleet(
+    sys: &SystemModel,
+    job: &ClassificationJob,
+    cfg: &FleetConfig,
+    sim: &SimConfig,
+    cost: &mut CostModel,
+) -> Result<FleetCalibration, SurrogateViolation> {
     assert!(cfg.shards > 0, "fleet needs at least one shard");
     assert!(cfg.batch_max > 0, "batch_max must be positive");
     assert!(!cfg.tenants.is_empty(), "fleet needs at least one tenant");
@@ -447,9 +505,8 @@ pub fn simulate_fleet(
         assert!(!t.tiers.is_empty(), "tenant {} needs at least one degrade tier", t.name);
     }
 
-    // Calibration: one service table per *distinct* shard-scaled ladder,
-    // in first-appearance order (tenants sharing a ladder share a table,
-    // and the audit stream stays independent of tenant count).
+    // The audit stream follows the distinct ladders, so it stays
+    // independent of the tenant count.
     let sjob = job.shard(cfg.shards);
     let mut ladders: Vec<Vec<DegradeTier>> = Vec::new();
     let mut tenant_table: Vec<usize> = Vec::with_capacity(cfg.tenants.len());
@@ -473,6 +530,42 @@ pub fn simulate_fleet(
         }
         tables.push(table);
     }
+    Ok(FleetCalibration {
+        shards: cfg.shards,
+        batch_max: cfg.batch_max,
+        offload: cfg.offload,
+        hidden: job.hidden,
+        ladders,
+        tenant_table,
+        tables,
+        surrogate: cost.stats().section(cost.backend()),
+    })
+}
+
+/// The serving step of a fleet run: placement, arrivals and the event
+/// loop on `calibration`'s tables. Fleet metrics are recorded into
+/// `registry` under the `fleet.*` prefix.
+///
+/// # Panics
+///
+/// Panics when `cfg` has zero nodes, or when its shards, batch ceiling,
+/// offload switch, tenant count or a tenant's shard-scaled ladder differs
+/// from the one `calibration` was made for.
+pub fn serve_fleet(
+    calibration: &FleetCalibration,
+    cfg: &FleetConfig,
+    registry: &mut MetricsRegistry,
+) -> FleetOutcome {
+    let FleetCalibration { ladders, tenant_table, tables, .. } = calibration;
+    assert!(cfg.nodes > 0, "fleet needs at least one node");
+    assert_eq!(cfg.shards, calibration.shards, "shards differ from the calibrated config");
+    assert_eq!(cfg.batch_max, calibration.batch_max, "batch_max differs from the calibrated config");
+    assert_eq!(cfg.offload, calibration.offload, "offload differs from the calibrated config");
+    assert_eq!(cfg.tenants.len(), tenant_table.len(), "tenant count differs from the calibrated config");
+    for (t, &l) in cfg.tenants.iter().zip(tenant_table) {
+        let ladder = shard_tiers(&t.tiers, cfg.shards);
+        assert!(ladder == ladders[l], "tenant {}'s tiers differ from the calibrated config", t.name);
+    }
 
     let ns_per_cycle =
         tables.iter().map(|t| t.ns_per_cycle).fold(0.0f64, f64::max);
@@ -489,7 +582,7 @@ pub fn simulate_fleet(
                     if cfg.nodes == 1 {
                         0
                     } else {
-                        let bcast = (job.hidden * 4) as u64;
+                        let bcast = (calibration.hidden * 4) as u64;
                         let gather = (tier.candidates * 8) as u64;
                         ROCE_100G.transfer_cycles(bcast, ns_per_cycle)
                             + ROCE_100G.transfer_cycles(gather, ns_per_cycle)
@@ -505,7 +598,7 @@ pub fn simulate_fleet(
 
     let placement = place(cfg.placement, cfg.shards, cfg.nodes, cfg.replicas, cfg.zipf_s);
     let (requests, generated) = merged_requests(cfg);
-    let tenants = cfg.tenants.iter().zip(generated).zip(&tenant_table);
+    let tenants = cfg.tenants.iter().zip(generated).zip(tenant_table);
     let mut out = FleetOutcome {
         tenants: tenants
             .map(|((t, generated), &l)| {
@@ -526,7 +619,7 @@ pub fn simulate_fleet(
         node_busy_cycles: vec![0; cfg.nodes],
         requests,
         batches: Vec::new(),
-        surrogate: cost.stats().section(cost.backend()),
+        surrogate: calibration.surrogate.clone(),
         offload_nmp: 0,
         offload_cpu: 0,
     };
@@ -547,7 +640,7 @@ pub fn simulate_fleet(
     registry.gauge_set("fleet.queue_depth_max", &[], out.max_queue_depth as f64);
     registry.gauge_set("fleet.nodes", &[], cfg.nodes as f64);
     registry.gauge_set("fleet.replicas_placed", &[], placement.replicas_placed as f64);
-    Ok(out)
+    out
 }
 
 /// A node's waiting requests, as the event loop queries them. Admission
@@ -1190,5 +1283,93 @@ mod tests {
         assert_eq!(report.threads, 0, "fleet reports carry no host threading");
         let back = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back, report);
+    }
+
+    /// `cfg`'s calibration step on the cycle-accurate backend.
+    fn calibrated(job: &ClassificationJob, cfg: &FleetConfig) -> FleetCalibration {
+        let mut cost = CostModel::new(CostBackend::CycleAccurate, 7);
+        calibrate_fleet(&SystemModel::table3(), job, cfg, &SimConfig::sequential(), &mut cost)
+            .unwrap()
+    }
+
+    /// Asserts that serving `cal` on `cfg` gives what one `simulate_fleet`
+    /// of `cfg` gives: the outcome field for field, and the metrics.
+    fn assert_serves_as_simulated(cal: &FleetCalibration, job: &ClassificationJob, cfg: &FleetConfig) {
+        let mut served_reg = MetricsRegistry::new();
+        let served = serve_fleet(cal, cfg, &mut served_reg);
+        let mut reg = MetricsRegistry::new();
+        let mut cost = CostModel::new(CostBackend::CycleAccurate, 7);
+        let sys = SystemModel::table3();
+        let simulated =
+            simulate_fleet(&sys, job, cfg, &SimConfig::sequential(), &mut reg, &mut cost).unwrap();
+        assert_eq!(served, simulated, "{cfg:?}");
+        assert_eq!(served_reg.snapshot(), reg.snapshot(), "{cfg:?}");
+    }
+
+    #[test]
+    fn serving_the_calibrated_tables_equals_simulating_the_fleet() {
+        let job = small_job();
+        // t0 and t1 share the default ladder; t2 has its own.
+        let mut three = two_tenant_cfg(&job);
+        let own = vec![DegradeTier { candidates: 48, screen_shift: 1 }];
+        let t2 = TenantConfig::new("t2", ArrivalProcess::Poisson { rate: 0.05 }, 32, 300_000, own, 13);
+        three.tenants.push(t2);
+        for offload in [false, true] {
+            let cfg = FleetConfig { offload, ..three.clone() };
+            let mut cal = calibrated(&job, &cfg);
+            assert_eq!(cal.tables().len(), 2, "one table per distinct ladder");
+            assert_serves_as_simulated(&cal, &job, &cfg);
+            // t0 and t1 are priced by the first table and t2 by its own;
+            // a table counts its violations once, however many tenants
+            // share it.
+            cal.tables[0].protocol_violations = 1;
+            cal.tables[1].protocol_violations = 10;
+            let out = serve_fleet(&cal, &cfg, &mut MetricsRegistry::new());
+            let priced: Vec<_> = out.tenants.iter().map(|t| &t.service_cycles).collect();
+            let [shared, own] = [&cal.tables[0].cycles, &cal.tables[1].cycles];
+            assert_eq!(priced, [shared, shared, own], "offload {offload}");
+            assert_eq!(out.protocol_violations, 11, "offload {offload}");
+        }
+    }
+
+    #[test]
+    fn one_calibration_serves_every_traffic_variant() {
+        let job = small_job();
+        let base = two_tenant_cfg(&job);
+        let cal = calibrated(&job, &base);
+        let placements = [PlacementPolicy::ConsistentHash, PlacementPolicy::PopularityAware];
+        for (i, rate) in [0.01, 0.05, 0.4, 2.0].into_iter().enumerate() {
+            let mut cfg = FleetConfig { placement: placements[i % 2], seed: i as u64, ..base.clone() };
+            for (k, t) in cfg.tenants.iter_mut().enumerate() {
+                t.arrival = ArrivalProcess::Poisson { rate };
+                t.slo_cycles = 20_000 << i;
+                t.seed = (10 * i + k) as u64;
+            }
+            assert_serves_as_simulated(&cal, &job, &cfg);
+        }
+    }
+
+    #[test]
+    fn serving_a_config_the_tables_do_not_price_panics_naming_the_field() {
+        let job = small_job();
+        let base = two_tenant_cfg(&job);
+        let cal = calibrated(&job, &base);
+        let mut ladder = base.clone();
+        ladder.tenants[1].tiers.pop();
+        let mut fewer = base.clone();
+        fewer.tenants.pop();
+        let cases = [
+            (FleetConfig { shards: 4, ..base.clone() }, "shards"),
+            (FleetConfig { batch_max: 2, ..base.clone() }, "batch_max"),
+            (FleetConfig { offload: true, ..base.clone() }, "offload"),
+            (fewer, "tenant count"),
+            (ladder, "tenant t1's tiers"),
+        ];
+        for (cfg, field) in cases {
+            let serve = || serve_fleet(&cal, &cfg, &mut MetricsRegistry::new());
+            let err = std::panic::catch_unwind(serve).expect_err(field);
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains(field) && msg.contains("calibrated"), "{field}: {msg}");
+        }
     }
 }

@@ -15,7 +15,9 @@
 //!    batch size)` point on the rank-sharded cycle simulator (or the
 //!    audited surrogate) and returns a [`ServiceTable`] in DRAM cycles,
 //!    and its offload step ([`ServiceTable::offload`]), which moves each
-//!    point to the CPU roofline where that executor is faster.
+//!    point to the CPU roofline where that executor is faster. A table
+//!    depends on no traffic, so `enmc_fleet::calibrate_fleet` fills it
+//!    once and `enmc_fleet::serve_fleet` serves any load on it.
 //! 3. [`tier`] — the [`tier::DegradeTier`] ladder the admission
 //!    controller steps through under load.
 //! 4. [`hist`] — log-bucketed latency histograms for p50/p90/p99/p999

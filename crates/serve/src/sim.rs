@@ -5,7 +5,7 @@
 //! calibration pass runs the rank-sharded cycle simulator
 //! ([`SystemModel::run_sharded`]) once per `(degrade tier, batch size)`
 //! point and records the straggler rank's cycle count as that point's
-//! service time. The event loop (`enmc_fleet::simulate_fleet`, which
+//! service time. The event loop (`enmc_fleet::serve_fleet`, which
 //! `serve-sim` runs as a 1-node, 1-tenant fleet) then never touches the
 //! cycle simulator again: dispatching a batch of size `b` at tier `t`
 //! occupies a lane for `cycles[t][b-1]` cycles. The calibration is the

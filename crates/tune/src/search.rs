@@ -18,7 +18,7 @@ use crate::space::{Budget, TuneSpace};
 use enmc_arch::{ClassificationJob, SystemModel};
 use enmc_obs::report::{RunReport, Tune};
 use enmc_serve::arrival::SplitMix64;
-use enmc_surrogate::{AuditStats, CostBackend, CostModel, SurrogateViolation};
+use enmc_surrogate::{AuditStats, CostBackend, SurrogateViolation};
 use std::collections::BTreeSet;
 
 /// How the driver walks the admitted lattice.
@@ -184,21 +184,15 @@ fn guided(
 }
 
 /// Builds the tuning [`RunReport`]: the `tune` and `surrogate`
-/// sections. `cost` is the CLI-level cost model carrying nothing
-/// (per-design models do the work); only its backend name is reported,
-/// with the anchors and worst audit error summed over the designs.
-/// Simulation cycles stay zero — a tuning run has no single timeline — so
-/// the report is trivially phase-consistent.
-pub fn tune_report(
-    workload: &str,
-    cfg: &TuneConfig,
-    result: &TuneResult,
-    cost: &CostModel,
-) -> RunReport {
+/// sections. The `surrogate` section reports `cfg`'s backend, with the
+/// anchors and worst audit error summed over the designs (per-design
+/// cost models do the work). Simulation cycles stay zero — a tuning run
+/// has no single timeline — so the report is trivially phase-consistent.
+pub fn tune_report(workload: &str, cfg: &TuneConfig, result: &TuneResult) -> RunReport {
     let mut report = RunReport::new("tune", workload, "enmc");
     // A design counts as an audit point when the audit re-ran its
     // surrogate prediction; a cycle-accurate run predicts nothing.
-    let audited = match cost.backend() {
+    let audited = match cfg.backend {
         CostBackend::Surrogate { .. } => result.audited(),
         CostBackend::CycleAccurate => 0,
     };
@@ -208,7 +202,7 @@ pub fn tune_report(
         max_rel_err: result.evaluated.iter().map(|d| d.audit_max_rel_err).fold(0.0, f64::max),
         ..AuditStats::default()
     };
-    report.surrogate = Some(stats.section(cost.backend()));
+    report.surrogate = Some(stats.section(cfg.backend));
     report.tune = Some(Tune {
         space_size: result.space_size as u64,
         evaluated_designs: result.evaluated.len() as u64,
@@ -334,8 +328,7 @@ mod tests {
         for backend in [base_cfg().backend, CostBackend::CycleAccurate] {
             let cfg = TuneConfig { backend, ..base_cfg() };
             let r = tune(&sys, &job, &cfg).unwrap();
-            let cost = CostModel::new(cfg.backend, cfg.seed);
-            let report = tune_report("lstm", &cfg, &r, &cost);
+            let report = tune_report("lstm", &cfg, &r);
             assert_eq!(report.schema_version, enmc_obs::report::SCHEMA_VERSION);
             assert!(report.is_consistent());
             assert_eq!(report.sections(), ["surrogate", "tune"]);

@@ -61,7 +61,7 @@ for side in parent change; do
   h memtech_t1 "" memtech_iso_quality --threads 1
   h memtech_t4 "" memtech_iso_quality --threads 4 --json "$F/memtech_t4.json"
   h fault_sweep_t4 "" fault_sweep --threads 4 --json "$F/fault_sweep_t4.json"
-  h fleet_capacity_cycle "" fleet_capacity --scale 256 --cost-model cycle-accurate
+  h fleet_capacity_scale256 "" fleet_capacity --scale 256
   h fig15_scale16 "" fig15_scalability --scale 16 --json "$F/fig15_scale16.json"
   h fig15_scale0 "" fig15_scalability --scale 0
   h table05_json "" table05_area_power --json "$F/table05.json" --bench-json "$D/bench/BENCH_t5.json"

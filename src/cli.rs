@@ -126,9 +126,9 @@ const TRACE_OUT: Flag = flag("--trace-out", "FILE", "", "write a Chrome/Perfetto
 #[rustfmt::skip]
 const CHECK_PROTOCOL: Flag = switch("--check-protocol", "shadow every DRAM command with the preset's checker; exit 1 on a violation");
 #[rustfmt::skip]
-pub const COST_MODEL: Flag = flag("--cost-model", "MODEL", "cycle-accurate", "cycle-accurate|surrogate");
+const COST_MODEL: Flag = flag("--cost-model", "MODEL", "cycle-accurate", "cycle-accurate|surrogate");
 #[rustfmt::skip]
-pub const AUDIT_RATE: Flag = flag("--audit-rate", "F", "0.1", "fraction of surrogate answers re-simulated, in [0, 1]");
+const AUDIT_RATE: Flag = flag("--audit-rate", "F", "0.1", "fraction of surrogate answers re-simulated, in [0, 1]");
 
 /// How a run is seeded, executed and reported.
 const RUN: &[Flag] = &[SEED, THREADS, MEMORY, REPORT];

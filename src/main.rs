@@ -580,8 +580,7 @@ fn cmd_tune(a: &Args) -> Result<i32, Fail> {
         );
         write_file(path, "frontier", &j)?;
     }
-    let cost = CostModel::new(backend, seed);
-    let mut report = tune_report(workload.abbr, &cfg, &result, &cost);
+    let mut report = tune_report(workload.abbr, &cfg, &result);
     // A multi-technology axis has no single preset; the per-design labels
     // carry it, and the joined list documents the swept axis.
     let techs: Vec<_> = cfg.space.memory.iter().map(|t| t.name()).collect();

@@ -103,7 +103,7 @@ fn tune_run() -> RunReport {
     };
     let cfg = TuneConfig { space, backend: CostBackend::CycleAccurate, ..TuneConfig::default() };
     let result = tune(&SystemModel::table3(), &small_job(), &cfg).expect("the design evaluates");
-    tune_report("small", &cfg, &result, &CostModel::new(cfg.backend, cfg.seed))
+    tune_report("small", &cfg, &result)
 }
 
 fn offload_plan() -> RunReport {
